@@ -511,51 +511,47 @@ Result<std::vector<uint64_t>> BTree::Lookup(store::StorageClient* client,
 
 Status BTree::BatchDescendToLeaves(store::StorageClient* client,
                                    const std::vector<std::string>& keys,
-                                   std::vector<Node>* leaves,
+                                   std::vector<NodeRef>* leaves,
                                    std::vector<size_t>* leaf_of_key) {
   leaves->clear();
   leaf_of_key->assign(keys.size(), kNoLeaf);
   if (keys.empty()) return Status::OK();
 
-  struct Cursor {
-    size_t key_index;
-    Node node;
-  };
   TELL_ASSIGN_OR_RETURN(Node root, ReadNode(client, kRootId, true));
-  std::vector<Cursor> active;
-  active.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) active.push_back({i, root});
+  // at[i]: the node key i sits on, shared by every key on it; nullptr once
+  // key i has reached its leaf or dropped out of the batch.
+  std::vector<NodeRef> at(keys.size(),
+                          std::make_shared<const Node>(std::move(root)));
   // Distinct leaves reached so far: leaf id -> index into `leaves`.
   std::map<uint64_t, size_t> leaf_index;
 
-  while (!active.empty()) {
-    std::vector<std::pair<size_t, uint64_t>> wanted;  // (key index, child id)
+  while (true) {
+    // Distinct children of this level, in first-appearance order.
+    std::vector<uint64_t> child_of(keys.size(), 0);
+    std::vector<uint64_t> children;
+    std::map<uint64_t, NodeRef> level;
     bool children_are_inner = false;
-    for (Cursor& cursor : active) {
-      const std::string& key = keys[cursor.key_index];
-      if (!cursor.node.CoversKey(key)) continue;  // stale: stays kNoLeaf
-      if (cursor.node.is_leaf) {
-        auto [it, fresh] =
-            leaf_index.try_emplace(cursor.node.id, leaves->size());
-        if (fresh) leaves->push_back(std::move(cursor.node));
-        (*leaf_of_key)[cursor.key_index] = it->second;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      NodeRef node = std::move(at[i]);
+      if (node == nullptr || !node->CoversKey(keys[i])) continue;  // stale
+      if (node->is_leaf) {
+        auto [it, fresh] = leaf_index.try_emplace(node->id, leaves->size());
+        if (fresh) leaves->push_back(std::move(node));
+        (*leaf_of_key)[i] = it->second;
         continue;
       }
-      uint64_t child = cursor.node.ChildFor(key);
+      uint64_t child = node->ChildFor(keys[i]);
       if (child == 0) continue;  // stale: stays kNoLeaf
-      children_are_inner = cursor.node.level > 1;
-      wanted.emplace_back(cursor.key_index, child);
+      children_are_inner = node->level > 1;
+      child_of[i] = child;
+      if (level.emplace(child, nullptr).second) children.push_back(child);
     }
-    active.clear();
-    if (wanted.empty()) break;
+    if (children.empty()) break;
 
-    // Distinct children: cache first, the rest through one coalesced flush.
-    std::map<uint64_t, Node> nodes;
-    std::vector<std::pair<uint64_t, Future<store::VersionedCell>>> fetches;
-    for (const auto& [key_index, child] : wanted) {
-      (void)key_index;
-      if (nodes.count(child) != 0) continue;
-      bool have = false;
+    // Cache first; the rest in one batched request per storage node.
+    std::vector<uint64_t> get_ids;
+    std::vector<store::GetOp> gets;
+    for (uint64_t child : children) {
       if (children_are_inner && options_.cache_inner_nodes &&
           cache_ != nullptr) {
         std::string value;
@@ -563,39 +559,27 @@ Status BTree::BatchDescendToLeaves(store::StorageClient* client,
         if (cache_->Get(child, &value, &stamp)) {
           auto cached = Node::Deserialize(child, stamp, value);
           if (cached.ok()) {
-            nodes.emplace(child, std::move(*cached));
-            have = true;
+            level[child] = std::make_shared<const Node>(std::move(*cached));
+            continue;
           }
         }
       }
-      if (!have) {
-        // Reserve the slot so the same child is fetched once.
-        nodes.emplace(child, Node{});
-        fetches.emplace_back(child, client->AsyncGet(table_, NodeKey(child)));
-      }
+      get_ids.push_back(child);
+      gets.push_back({table_, NodeKey(child)});
     }
-    client->Flush();
-    std::map<uint64_t, bool> failed;
-    for (auto& [child, future] : fetches) {
-      auto cell = future.Await();
-      if (!cell.ok()) {
-        failed[child] = true;
-        continue;
-      }
-      auto node = Node::Deserialize(child, cell->stamp, cell->value);
-      if (!node.ok()) {
-        failed[child] = true;
-        continue;
-      }
+    std::vector<Result<store::VersionedCell>> cells = client->BatchGet(gets);
+    for (size_t g = 0; g < cells.size(); ++g) {
+      if (!cells[g].ok()) continue;  // failed fetch: its keys stay kNoLeaf
+      auto node = Node::Deserialize(get_ids[g], cells[g]->stamp,
+                                    cells[g]->value);
+      if (!node.ok()) continue;
       if (options_.cache_inner_nodes && cache_ != nullptr && !node->is_leaf) {
-        cache_->Put(child, node->Serialize(), node->stamp);
+        cache_->Put(get_ids[g], node->Serialize(), node->stamp);
       }
-      nodes[child] = std::move(*node);
+      level[get_ids[g]] = std::make_shared<const Node>(std::move(*node));
     }
-
-    for (const auto& [key_index, child] : wanted) {
-      if (failed.count(child) != 0) continue;  // stays kNoLeaf
-      active.push_back({key_index, nodes[child]});
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (child_of[i] != 0) at[i] = level[child_of[i]];
     }
   }
   return Status::OK();
@@ -605,15 +589,14 @@ Result<std::vector<std::vector<uint64_t>>> BTree::BatchLookup(
     store::StorageClient* client, const std::vector<std::string>& keys) {
   client->metrics()->index_lookups += keys.size();
   std::vector<std::vector<uint64_t>> out(keys.size());
-  if (keys.empty()) return out;
-  if (!client->options().pipelining || keys.size() == 1) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      TELL_ASSIGN_OR_RETURN(out[i], LookupRids(client, keys[i]));
-    }
+  // A lone key has nothing to share a request with: the plain descent costs
+  // the same, and under pipelining keeps the accounting of a sync call.
+  if (keys.size() == 1) {
+    TELL_ASSIGN_OR_RETURN(out[0], LookupRids(client, keys[0]));
     return out;
   }
 
-  std::vector<Node> leaves;
+  std::vector<NodeRef> leaves;
   std::vector<size_t> leaf_of_key;
   TELL_RETURN_NOT_OK(BatchDescendToLeaves(client, keys, &leaves, &leaf_of_key));
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -621,7 +604,7 @@ Result<std::vector<std::vector<uint64_t>>> BTree::BatchLookup(
       TELL_ASSIGN_OR_RETURN(out[i], LookupRids(client, keys[i]));
       continue;
     }
-    for (const IndexEntry& e : leaves[leaf_of_key[i]].entries) {
+    for (const IndexEntry& e : leaves[leaf_of_key[i]]->entries) {
       if (e.key == keys[i]) out[i].push_back(e.rid);
     }
   }
@@ -637,15 +620,12 @@ Status BTree::BatchInsert(store::StorageClient* client,
     if (st.ok()) (*inserted)[i] = true;
     return st;
   };
-  if (!client->options().pipelining || ops.size() < 2) {
-    for (size_t i = 0; i < ops.size(); ++i) TELL_RETURN_NOT_OK(serial(i));
-    return Status::OK();
-  }
+  if (ops.size() == 1) return serial(0);  // as for BatchLookup's lone key
 
   std::vector<std::string> keys;
   keys.reserve(ops.size());
   for (const BatchInsertOp& op : ops) keys.push_back(op.key);
-  std::vector<Node> leaves;
+  std::vector<NodeRef> leaves;
   std::vector<size_t> leaf_of_key;
   TELL_RETURN_NOT_OK(BatchDescendToLeaves(client, keys, &leaves, &leaf_of_key));
 
@@ -662,16 +642,11 @@ Status BTree::BatchInsert(store::StorageClient* client,
 
   // Prepare every leaf rewrite BEFORE issuing any put: a unique violation
   // must surface while there is still nothing to undo.
-  struct LeafPut {
-    uint64_t id = 0;
-    uint64_t stamp = 0;
-    std::string value;
-    std::vector<size_t> op_indices;
-  };
-  std::vector<LeafPut> puts;
+  std::vector<store::WriteOp> puts;
+  std::vector<std::vector<size_t>> put_ops;  // op indices each put carries
   for (auto& [leaf_idx, op_indices] : groups) {
-    Node copy = leaves[leaf_idx];
-    bool overflow = false;
+    Node copy = *leaves[leaf_idx];
+    bool changed = false;
     std::vector<size_t> applied;
     for (size_t i : op_indices) {
       const BatchInsertOp& op = ops[i];
@@ -689,43 +664,36 @@ Status BTree::BatchInsert(store::StorageClient* client,
         continue;
       }
       if (copy.entries.size() >= options_.fanout) {
-        // The leaf must split; the serial Insert owns that machinery. Send
-        // the whole group (its earlier ops included) down the serial path.
-        overflow = true;
-        break;
+        // The leaf is full: the ops that no longer fit go to the serial
+        // Insert, which owns the split machinery.
+        fallback.push_back(i);
+        continue;
       }
       copy.entries.insert(copy.entries.begin() + static_cast<ptrdiff_t>(pos),
                           {op.key, op.rid});
       applied.push_back(i);
+      changed = true;
     }
-    if (overflow) {
-      for (size_t i : op_indices) fallback.push_back(i);
+    if (!changed) {
+      for (size_t i : applied) (*inserted)[i] = true;
       continue;
     }
-    puts.push_back({copy.id, leaves[leaf_idx].stamp, copy.Serialize(),
-                    std::move(applied)});
+    puts.push_back({table_, NodeKey(copy.id), copy.Serialize(), copy.stamp});
+    put_ops.push_back(std::move(applied));
   }
 
-  // One conditional put per touched leaf, all through one pipeline window.
-  std::vector<std::pair<size_t, Future<uint64_t>>> futures;
-  futures.reserve(puts.size());
-  for (size_t p = 0; p < puts.size(); ++p) {
-    futures.emplace_back(
-        p, client->AsyncConditionalPut(table_, NodeKey(puts[p].id),
-                                       puts[p].stamp, puts[p].value));
-  }
-  client->Flush();
+  // One conditional put per touched leaf, batched per storage node.
+  std::vector<Result<uint64_t>> results = client->BatchWrite(puts);
   Status failure;
-  for (auto& [p, future] : futures) {
-    auto put = future.Await();
-    if (put.ok()) {
-      for (size_t i : puts[p].op_indices) (*inserted)[i] = true;
-    } else if (put.status().IsConditionFailed()) {
+  for (size_t p = 0; p < results.size(); ++p) {
+    if (results[p].ok()) {
+      for (size_t i : put_ops[p]) (*inserted)[i] = true;
+    } else if (results[p].status().IsConditionFailed()) {
       // Lost the LL/SC race on this leaf; re-run its ops serially (the
       // serial Insert re-descends, re-checks uniqueness and is idempotent).
-      for (size_t i : puts[p].op_indices) fallback.push_back(i);
+      fallback.insert(fallback.end(), put_ops[p].begin(), put_ops[p].end());
     } else if (failure.ok()) {
-      failure = put.status();
+      failure = results[p].status();
     }
   }
   if (!failure.ok()) return failure;

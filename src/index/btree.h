@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -120,17 +121,18 @@ class BTree {
   Status Insert(store::StorageClient* client, std::string_view key,
                 uint64_t rid, bool unique);
 
-  /// Inserts many entries in one pipelined pass. With request pipelining
-  /// enabled on `client` the descents advance level-synchronously (shared
-  /// coalesced fetches, like BatchLookup) and the entries are grouped by
-  /// target leaf: each touched leaf is rewritten with ONE conditional put
-  /// carrying all of its new entries. Entries whose path turned stale, whose
-  /// leaf is full (split needed) or whose LL/SC lost a race fall back to the
-  /// serial Insert. Unique violations are detected during preparation,
-  /// before any put is issued. `inserted` (resized to ops.size()) reports
-  /// per op whether the entry is durably in the tree when the call returns —
-  /// on failure the caller uses it to undo a partial batch (Remove is
-  /// idempotent). Without pipelining this is a plain loop over Insert.
+  /// Inserts many entries in one batched pass: the descents advance
+  /// level-synchronously (shared batched fetches, like BatchLookup) and the
+  /// entries are grouped by target leaf: each touched leaf is rewritten with
+  /// ONE conditional put carrying all of its new entries, and the puts of all
+  /// leaves travel in one StorageClient::BatchWrite. Entries whose path
+  /// turned stale, that no longer fit into their leaf (split needed) or
+  /// whose LL/SC lost a race fall back to the serial Insert; the entries of
+  /// a full leaf's group that still fit are put in the batch. Unique
+  /// violations are detected during preparation, before any put is issued.
+  /// `inserted` (resized to ops.size()) reports per op whether the entry is
+  /// durably in the tree when the call returns — on failure the caller uses
+  /// it to undo a partial batch (Remove is idempotent).
   Status BatchInsert(store::StorageClient* client,
                      const std::vector<BatchInsertOp>& ops,
                      std::vector<bool>* inserted);
@@ -145,13 +147,13 @@ class BTree {
                                        std::string_view key);
 
   /// Point lookups for many keys at once, positionally aligned with `keys`.
-  /// With request pipelining enabled on `client` the descents advance
-  /// level-synchronously: each round fetches the distinct uncached nodes of
-  /// one level — in particular the leaves, which are never cached — through
-  /// one coalesced pipeline window, so K lookups cost ~height round trips
-  /// instead of K. Keys whose path turns stale under a concurrent split fall
-  /// back to a single-key descent. Without pipelining this is a plain loop
-  /// over Lookup.
+  /// The descents advance level-synchronously: each round fetches the
+  /// distinct uncached nodes of one level — in particular the leaves, which
+  /// are never cached — through one StorageClient::BatchGet, so with
+  /// batching on K lookups cost ~height requests per storage node instead
+  /// of K descents (with pipelining the BatchGet is one coalesced window).
+  /// Keys whose path turns stale under a concurrent split fall back to a
+  /// single-key descent.
   Result<std::vector<std::vector<uint64_t>>> BatchLookup(
       store::StorageClient* client, const std::vector<std::string>& keys);
 
@@ -183,9 +185,12 @@ class BTree {
                              std::string_view key,
                              std::vector<uint64_t>* path);
 
+  /// A fetched node, shared by every key of a batch whose descent visits it.
+  using NodeRef = std::shared_ptr<const Node>;
+
   /// Level-synchronous descent for many keys: every key advances one level
   /// per round, and each round fetches the distinct uncached nodes of that
-  /// level through one coalesced pipeline window. On return,
+  /// level through one StorageClient::BatchGet. On return,
   /// `leaf_of_key[i]` indexes into `leaves` for keys[i] — or kNoLeaf when
   /// that key's batched path turned stale (concurrent split, missing child,
   /// failed fetch) and the caller must use the single-key descent, which
@@ -193,7 +198,7 @@ class BTree {
   static constexpr size_t kNoLeaf = static_cast<size_t>(-1);
   Status BatchDescendToLeaves(store::StorageClient* client,
                               const std::vector<std::string>& keys,
-                              std::vector<Node>* leaves,
+                              std::vector<NodeRef>* leaves,
                               std::vector<size_t>* leaf_of_key);
 
   /// Splits `node` (already full) and publishes both halves; then inserts

@@ -1,6 +1,7 @@
 #ifndef TELL_SIM_HISTOGRAM_H_
 #define TELL_SIM_HISTOGRAM_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -48,15 +49,26 @@ class Histogram {
     return variance > 0 ? std::sqrt(variance) : 0.0;
   }
 
-  /// Approximate percentile (p in [0,100]) using the bucket midpoint.
+  /// Approximate percentile (p in [0,100]): finds the bucket holding the
+  /// sample of that rank and interpolates linearly inside the bucket's
+  /// range clamped to [min, max], so a percentile never leaves the range of
+  /// recorded values.
   uint64_t Percentile(double p) const {
     if (count_ == 0) return 0;
-    uint64_t threshold =
-        static_cast<uint64_t>(std::ceil(static_cast<double>(count_) * p / 100.0));
+    double rank = static_cast<double>(count_) * p / 100.0;
+    uint64_t threshold = static_cast<uint64_t>(std::ceil(rank));
     uint64_t cumulative = 0;
     for (size_t i = 0; i < kNumBuckets; ++i) {
+      if (buckets_[i] == 0) continue;
+      if (cumulative + buckets_[i] >= threshold) {
+        double lo = std::max(BucketLow(i), static_cast<double>(min_));
+        double hi = std::min(BucketLow(i + 1), static_cast<double>(max_));
+        double fraction = (rank - static_cast<double>(cumulative)) /
+                          static_cast<double>(buckets_[i]);
+        uint64_t value = static_cast<uint64_t>(lo + fraction * (hi - lo));
+        return std::clamp(value, min_, max_);
+      }
       cumulative += buckets_[i];
-      if (cumulative >= threshold) return BucketMidpoint(i);
     }
     return max_;
   }
@@ -82,11 +94,9 @@ class Histogram {
     return b >= kNumBuckets ? kNumBuckets - 1 : b;
   }
 
-  static uint64_t BucketMidpoint(size_t b) {
-    if (b == 0) return 0;
-    double lo = std::exp2(static_cast<double>(b - 1) / 4.0);
-    double hi = std::exp2(static_cast<double>(b) / 4.0);
-    return static_cast<uint64_t>((lo + hi) / 2.0);
+  /// Lower bound of bucket b (and upper bound of bucket b - 1).
+  static double BucketLow(size_t b) {
+    return b == 0 ? 0.0 : std::exp2(static_cast<double>(b - 1) / 4.0);
   }
 
   uint64_t count_ = 0;

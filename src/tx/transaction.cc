@@ -685,6 +685,13 @@ Status Transaction::ValidateReadSet() {
     if (state.dirty) continue;  // writes are validated by LL/SC itself
     if (!state.exists) continue;  // absent records: phantom-style validation
                                   // is out of scope (no gap locks)
+    // A version committed after our snapshot but before our read is
+    // invisible to us, yet the stamp check below cannot see it: the read
+    // must have returned the newest version in the cell.
+    const schema::VersionedRecord& record = state.record;
+    if (record.Newest() != record.VisibleVersion(snapshot_, tid_)) {
+      return Status::Aborted("serializable validation: stale read");
+    }
     ops.push_back({key.first, RidKey(key.second)});
     expected.push_back(state.stamp);
   }
@@ -972,7 +979,7 @@ Status Transaction::Commit() {
     client_->metrics()->commit_flag_failures += 1;
     TELL_LOG(kWarn) << "commit flag write failed for tid " << tid_ << " ("
                     << mark.ToString() << "); aborting";
-    RollbackIndexInserts(index_ops_.size());
+    RollbackIndexInserts(std::vector<bool>(index_ops_.size(), true));
     RollbackApplied(dirty);
     (void)session_->commitmgr_client()->Finish(commit_manager_, tid_,
                                                /*committed=*/false);
@@ -1114,67 +1121,48 @@ bool Transaction::RollbackApplied(const std::vector<RecordKey>& dirty) {
 }
 
 Status Transaction::ApplyIndexInserts() {
-  if (client_->options().pipelining && index_ops_.size() > 1) {
-    // Group the ops per tree in first-appearance order (deterministic; a
-    // transaction touches only a handful of indexes, so linear search).
-    std::vector<index::BTree*> trees;
-    std::vector<std::vector<size_t>> groups;
-    for (size_t i = 0; i < index_ops_.size(); ++i) {
-      size_t g = 0;
-      while (g < trees.size() && trees[g] != index_ops_[i].tree) ++g;
-      if (g == trees.size()) {
-        trees.push_back(index_ops_[i].tree);
-        groups.emplace_back();
-      }
-      groups[g].push_back(i);
+  // Group the ops per tree in first-appearance order (deterministic; a
+  // transaction touches only a handful of indexes, so linear search).
+  std::vector<index::BTree*> trees;
+  std::vector<std::vector<size_t>> groups;
+  for (size_t i = 0; i < index_ops_.size(); ++i) {
+    size_t g = 0;
+    while (g < trees.size() && trees[g] != index_ops_[i].tree) ++g;
+    if (g == trees.size()) {
+      trees.push_back(index_ops_[i].tree);
+      groups.emplace_back();
     }
-    std::vector<char> applied(index_ops_.size(), 0);
-    Status failure;
-    for (size_t g = 0; g < trees.size() && failure.ok(); ++g) {
-      std::vector<index::BatchInsertOp> ops;
-      ops.reserve(groups[g].size());
-      for (size_t i : groups[g]) {
-        ops.push_back({index_ops_[i].key, index_ops_[i].rid,
-                       index_ops_[i].unique});
-      }
-      std::vector<bool> inserted;
-      Status st = trees[g]->BatchInsert(client_, ops, &inserted);
-      for (size_t j = 0; j < groups[g].size(); ++j) {
-        applied[groups[g][j]] = inserted[j] ? 1 : 0;
-      }
-      if (!st.ok()) failure = st;
-    }
-    if (!failure.ok()) {
-      // Undo exactly the entries that made it in before the failure.
-      for (size_t i = 0; i < index_ops_.size(); ++i) {
-        if (applied[i] == 0) continue;
-        (void)index_ops_[i].tree->Remove(client_, index_ops_[i].key,
-                                         index_ops_[i].rid);
-        client_->metrics()->index_rollbacks += 1;
-      }
-      return failure;
-    }
-    return Status::OK();
+    groups[g].push_back(i);
   }
-
-  size_t inserted = 0;
-  for (const IndexOp& op : index_ops_) {
-    Status st = op.tree->Insert(client_, op.key, op.rid, op.unique);
+  std::vector<bool> applied(index_ops_.size(), false);
+  for (size_t g = 0; g < trees.size(); ++g) {
+    std::vector<index::BatchInsertOp> ops;
+    ops.reserve(groups[g].size());
+    for (size_t i : groups[g]) {
+      ops.push_back({index_ops_[i].key, index_ops_[i].rid,
+                     index_ops_[i].unique});
+    }
+    std::vector<bool> inserted;
+    Status st = trees[g]->BatchInsert(client_, ops, &inserted);
+    for (size_t j = 0; j < groups[g].size(); ++j) {
+      applied[groups[g][j]] = inserted[j];
+    }
     if (!st.ok()) {
-      RollbackIndexInserts(inserted);
+      // Undo exactly the entries that made it in before the failure.
+      RollbackIndexInserts(applied);
       return st;
     }
-    ++inserted;
   }
   return Status::OK();
 }
 
-void Transaction::RollbackIndexInserts(size_t count) {
+void Transaction::RollbackIndexInserts(const std::vector<bool>& applied) {
   // Undo of commit step 3. Remove is idempotent, and no other transaction
   // can have inserted the same (key, rid) pair: reaching step 3 requires
   // winning the LL/SC on the record, so two live transactions never carry
   // index ops for the same rid.
-  for (size_t i = 0; i < count && i < index_ops_.size(); ++i) {
+  for (size_t i = 0; i < index_ops_.size(); ++i) {
+    if (!applied[i]) continue;
     const IndexOp& op = index_ops_[i];
     (void)op.tree->Remove(client_, op.key, op.rid);
     client_->metrics()->index_rollbacks += 1;

@@ -118,7 +118,8 @@ struct TxnOptions {
   /// Serializable snapshot isolation (the paper's §4.1 "near future" item,
   /// implemented here): at commit, after the writes are installed, the
   /// read set is re-validated against the store — if any record read (but
-  /// not written) by this transaction changed since it was read, the
+  /// not written) by this transaction changed since it was read, or the
+  /// read missed a version committed after the snapshot was taken, the
   /// transaction aborts. This closes SI's write-skew anomaly: of two
   /// transactions with intersecting read/write sets, at most one can pass
   /// validation (writes install before reads validate, so the later
@@ -201,10 +202,10 @@ class Transaction {
       TableHandle* table, const std::vector<schema::Value>& key);
 
   /// Primary-key lookups for many keys at once, positionally aligned with
-  /// `keys`. With request pipelining enabled, the B+tree descents advance
-  /// level-synchronously (BTree::BatchLookup) and the candidate records are
-  /// prefetched in one batched request, so K lookups cost roughly tree-height
-  /// round trips instead of K descents. The fetched records stay buffered
+  /// `keys`. The B+tree descents advance level-synchronously
+  /// (BTree::BatchLookup) and the candidate records are prefetched in one
+  /// batched request, so K lookups cost roughly tree-height round trips
+  /// instead of K descents. The fetched records stay buffered
   /// for following Reads.
   Result<std::vector<std::optional<uint64_t>>> BatchLookupPrimary(
       TableHandle* table, const std::vector<std::vector<schema::Value>>& keys);
@@ -361,12 +362,12 @@ class Transaction {
                            const schema::Tuple& tuple,
                            const schema::Tuple* old_tuple);
 
-  /// Commit step 3: installs index_ops_ into their B-trees. With request
-  /// pipelining the ops are grouped per tree (first-appearance order) and
-  /// bulk-inserted via BTree::BatchInsert — one coalesced conditional put
-  /// per touched leaf instead of one descent + put per entry; without it the
-  /// ops run serially. On failure the entries that did make it in are
-  /// removed again (Remove is idempotent) before the error is returned.
+  /// Commit step 3: installs index_ops_ into their B-trees. The ops are
+  /// grouped per tree (first-appearance order) and bulk-inserted via
+  /// BTree::BatchInsert — one batched conditional put per touched leaf
+  /// instead of one descent + put per entry. On failure the entries that
+  /// did make it in are removed again (Remove is idempotent) before the
+  /// error is returned.
   Status ApplyIndexInserts();
 
   /// Rolls back a failed commit attempt: removes this transaction's version
@@ -380,10 +381,10 @@ class Transaction {
   /// only complete its tid when nothing of it can remain visible).
   bool RollbackApplied(const std::vector<RecordKey>& dirty);
 
-  /// Removes the first `count` entries of index_ops_ from their B-trees
-  /// (undo of commit step 3 when a later index insert or the commit flag
+  /// Removes the entries of index_ops_ flagged in `applied` from their
+  /// B-trees (undo of commit step 3 when an index insert or the commit flag
   /// write fails).
-  void RollbackIndexInserts(size_t count);
+  void RollbackIndexInserts(const std::vector<bool>& applied);
 
   /// Write-write conflict check for scenario 1 of §4.1: fails with Aborted
   /// if the record holds a version that is neither ours nor visible in our
@@ -391,7 +392,8 @@ class Transaction {
   Status CheckWritable(const RecordState& state) const;
 
   /// Serializable mode: re-reads the stamps of all records in the read set
-  /// (fetched but not written). OK if unchanged; Aborted otherwise.
+  /// (fetched but not written). OK if every read returned the newest
+  /// version in its cell and no stamp changed since; Aborted otherwise.
   Status ValidateReadSet();
 
   /// Validates an index hit: fetches the record, checks some version still

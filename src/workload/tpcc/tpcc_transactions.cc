@@ -243,8 +243,8 @@ Result<TxnOutcome> TpccExecutor::NewOrder(const NewOrderInput& input) {
 
   // Look up all items and stocks first, then fetch the records in two
   // batched requests (paper §5.1: aggressive batching). The per-line index
-  // lookups go through BatchLookupPrimary, which coalesces the B+tree
-  // descents level-by-level when request pipelining is on.
+  // lookups go through BatchLookupPrimary, which batches the B+tree
+  // descents level by level.
   std::vector<std::vector<Value>> item_keys;
   std::vector<std::vector<Value>> stock_keys;
   item_keys.reserve(input.lines.size());
@@ -553,8 +553,8 @@ Result<TxnOutcome> TpccExecutor::StockLevel(const StockLevelInput& input) {
                  item_ids.end());
 
   // One batched lookup for every distinct item (clause 2.8.2.2 touches up
-  // to 20 orders x 15 lines): with pipelining the descents and record
-  // fetches coalesce instead of paying ~200 serial round trips.
+  // to 20 orders x 15 lines): the descents and record fetches are batched
+  // instead of paying ~200 serial round trips.
   std::vector<std::vector<Value>> stock_keys;
   stock_keys.reserve(item_ids.size());
   for (int64_t item : item_ids) {

@@ -23,11 +23,16 @@ class BTreeTest : public ::testing::Test {
   }
 
   std::unique_ptr<store::StorageClient> MakeClient() {
-    clocks_.push_back(std::make_unique<sim::VirtualClock>());
-    metrics_.push_back(std::make_unique<sim::WorkerMetrics>());
     store::ClientOptions options;  // instant-ish network irrelevant here
     options.network = sim::NetworkModel::Instant();
     options.cpu.per_op_ns = 0;
+    return MakeClient(options);
+  }
+
+  std::unique_ptr<store::StorageClient> MakeClient(
+      const store::ClientOptions& options) {
+    clocks_.push_back(std::make_unique<sim::VirtualClock>());
+    metrics_.push_back(std::make_unique<sim::WorkerMetrics>());
     return std::make_unique<store::StorageClient>(
         cluster_.get(), nullptr, options, clocks_.back().get(),
         metrics_.back().get());
@@ -281,6 +286,178 @@ TEST_F(BTreeTest, CachingReducesStorageRequests) {
   BTree tree_uncached(table_, without, nullptr);
   uint64_t uncached_requests = measure(&tree_uncached);
   EXPECT_LT(cached_requests, uncached_requests);
+}
+
+// ---------------------------------------------------------------------------
+// Batched descents and leaf writes. BatchLookup and BatchInsert take one
+// level-synchronous path whatever the client options; the options only
+// decide how StorageClient::BatchGet / BatchWrite charge it.
+
+/// Default (InfiniBand) client options with the two batching knobs set.
+store::ClientOptions BatchingOptions(bool batching, bool pipelining) {
+  store::ClientOptions options;
+  options.batching = batching;
+  options.pipelining = pipelining;
+  return options;
+}
+
+/// Creates the tree and serially inserts the even keys 0, 2, ..., 398 (rid =
+/// key + 1). With fanout 8 every leaf but the rightmost ends up half full,
+/// and the tree is four levels high.
+void LoadEvenKeys(store::StorageClient* client, BTree* tree) {
+  for (uint64_t i = 0; i < 200; ++i) {
+    ASSERT_OK(tree->Insert(client, tell::EncodeOrderedU64(2 * i), 2 * i + 1,
+                           true));
+  }
+}
+
+/// Present keys 32 apart: every one sits in a different leaf, since a leaf
+/// holding two of them would hold the 15 even keys between them too.
+std::vector<std::string> ProbeKeys() {
+  std::vector<std::string> keys;
+  for (uint64_t k = 0; k < 400; k += 32) {
+    keys.push_back(tell::EncodeOrderedU64(k));
+  }
+  return keys;
+}
+
+TEST_F(BTreeTest, BatchLookupBatchesDescentsWithoutPipelining) {
+  auto loader = MakeClient();
+  ASSERT_OK(BTree::Create(loader.get(), table_));
+  BTree tree = MakeTree(/*fanout=*/8);
+  LoadEvenKeys(loader.get(), &tree);
+  std::vector<std::string> keys = ProbeKeys();
+  keys.push_back(tell::EncodeOrderedU64(1001));  // absent
+  auto client = MakeClient(BatchingOptions(/*batching=*/true,
+                                           /*pipelining=*/false));
+  sim::WorkerMetrics* metrics = metrics_.back().get();
+  // The reference: K single-key lookups (which also warm the inner nodes).
+  std::vector<std::vector<uint64_t>> expected;
+  for (const std::string& key : keys) {
+    ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> rids,
+                         tree.Lookup(client.get(), key));
+    expected.push_back(rids);
+  }
+  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height(loader.get()));
+  ASSERT_EQ(height, 4u);
+  uint64_t requests = metrics->storage_requests;
+  ASSERT_OK_AND_ASSIGN(std::vector<std::vector<uint64_t>> got,
+                       tree.BatchLookup(client.get(), keys));
+  EXPECT_EQ(got, expected);
+  EXPECT_TRUE(got.back().empty());
+  // One batched leaf fetch: at most one request per storage node.
+  EXPECT_LE(metrics->storage_requests - requests, height);
+  EXPECT_LT(metrics->storage_requests - requests, keys.size());
+}
+
+TEST_F(BTreeTest, BatchLookupWithoutBatchingPaysOneRequestPerKey) {
+  auto loader = MakeClient();
+  ASSERT_OK(BTree::Create(loader.get(), table_));
+  BTree tree = MakeTree(/*fanout=*/8);
+  LoadEvenKeys(loader.get(), &tree);
+  const std::vector<std::string> keys = ProbeKeys();
+  auto client = MakeClient(BatchingOptions(/*batching=*/false,
+                                           /*pipelining=*/false));
+  sim::WorkerMetrics* metrics = metrics_.back().get();
+  // Warm the inner-node cache, so only the leaves cost requests below.
+  ASSERT_OK(tree.BatchLookup(client.get(), keys).status());
+  uint64_t requests = metrics->storage_requests;
+  ASSERT_OK_AND_ASSIGN(std::vector<std::vector<uint64_t>> got,
+                       tree.BatchLookup(client.get(), keys));
+  EXPECT_EQ(metrics->storage_requests - requests, keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(got[i].size(), 1u);
+    EXPECT_EQ(got[i][0], 32 * i + 1);
+  }
+}
+
+// Virtual time and requests of PipelinedBatchCostsStayPinned, after the
+// lookups and after the inserts (the client's clock and counters start at 0).
+constexpr uint64_t kPinnedLookupNs = 28811;
+constexpr uint64_t kPinnedLookupRequests = 9;
+constexpr uint64_t kPinnedInsertNs = 94676;
+constexpr uint64_t kPinnedInsertRequests = 24;
+
+TEST_F(BTreeTest, PipelinedBatchCostsStayPinned) {
+  // With pipelining on, BatchGet / BatchWrite are exactly Async* + Flush +
+  // Await: one coalesced window per descent level and one for the leaf
+  // puts. The figures below pin that accounting.
+  auto loader = MakeClient();
+  ASSERT_OK(BTree::Create(loader.get(), table_));
+  BTree loaded = MakeTree(/*fanout=*/8);
+  LoadEvenKeys(loader.get(), &loaded);
+  NodeCache cold_cache;
+  BTreeOptions options;
+  options.fanout = 8;
+  BTree tree(table_, options, &cold_cache);
+  auto client = MakeClient(BatchingOptions(/*batching=*/true,
+                                           /*pipelining=*/true));
+  sim::VirtualClock* clock = clocks_.back().get();
+  sim::WorkerMetrics* metrics = metrics_.back().get();
+
+  ASSERT_OK(tree.BatchLookup(client.get(), ProbeKeys()).status());
+  EXPECT_EQ(clock->now_ns(), kPinnedLookupNs);
+  EXPECT_EQ(metrics->storage_requests, kPinnedLookupRequests);
+
+  // One odd key next to each probe: a fifth entry in a half-full leaf, so
+  // no leaf overflows.
+  std::vector<BatchInsertOp> ops;
+  for (uint64_t k = 1; k < 400; k += 32) {
+    ops.push_back({tell::EncodeOrderedU64(k), k + 1, true});
+  }
+  std::vector<bool> inserted;
+  ASSERT_OK(tree.BatchInsert(client.get(), ops, &inserted));
+  EXPECT_EQ(inserted, std::vector<bool>(ops.size(), true));
+  EXPECT_EQ(clock->now_ns(), kPinnedInsertNs);
+  EXPECT_EQ(metrics->storage_requests, kPinnedInsertRequests);
+}
+
+TEST_F(BTreeTest, BatchInsertOverflowPutsPrefixAndSplitsForTheRest) {
+  // Reference tree: the root leaf holds keys 0..7 (full at fanout 8), then
+  // keys 8..10 go in through the serial, splitting Insert.
+  auto ref_client = MakeClient();
+  ASSERT_OK_AND_ASSIGN(store::TableId ref_table,
+                       cluster_->CreateTable("idx_ref"));
+  ASSERT_OK(BTree::Create(ref_client.get(), ref_table));
+  NodeCache ref_cache;
+  BTreeOptions options;
+  options.fanout = 8;
+  BTree ref(ref_table, options, &ref_cache);
+  for (uint64_t k = 0; k < 8; ++k) {
+    ASSERT_OK(ref.Insert(ref_client.get(), tell::EncodeOrderedU64(k), k, true));
+  }
+  uint64_t ops_before = metrics_.back()->storage_ops;
+  for (uint64_t k = 8; k < 11; ++k) {
+    ASSERT_OK(ref.Insert(ref_client.get(), tell::EncodeOrderedU64(k), k, true));
+  }
+  const uint64_t serial_ops = metrics_.back()->storage_ops - ops_before;
+
+  // Batched tree: keys 0..4 are in; one BatchInsert brings 5..10 into the
+  // same leaf. 5..7 still fit, 8..10 do not.
+  auto client = MakeClient();
+  ASSERT_OK(BTree::Create(client.get(), table_));
+  BTree tree = MakeTree(/*fanout=*/8);
+  for (uint64_t k = 0; k < 5; ++k) {
+    ASSERT_OK(tree.Insert(client.get(), tell::EncodeOrderedU64(k), k, true));
+  }
+  std::vector<BatchInsertOp> ops;
+  for (uint64_t k = 5; k < 11; ++k) {
+    ops.push_back({tell::EncodeOrderedU64(k), k, true});
+  }
+  ops_before = metrics_.back()->storage_ops;
+  std::vector<bool> inserted;
+  ASSERT_OK(tree.BatchInsert(client.get(), ops, &inserted));
+  EXPECT_EQ(inserted, std::vector<bool>(ops.size(), true));
+  // One leaf read and ONE put for the prefix 5..7; the overflow 8..10 costs
+  // exactly what it costs the serial Insert on the reference tree.
+  EXPECT_EQ(metrics_.back()->storage_ops - ops_before, 2 + serial_ops);
+  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height(client.get()));
+  EXPECT_EQ(height, 2u);
+  for (uint64_t k = 0; k < 11; ++k) {
+    ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> rids,
+                         tree.Lookup(client.get(), tell::EncodeOrderedU64(k)));
+    ASSERT_EQ(rids, std::vector<uint64_t>{k}) << "key " << k;
+  }
 }
 
 }  // namespace

@@ -107,6 +107,34 @@ TEST_F(SerializableSiTest, SerializableModePreventsWriteSkew) {
   EXPECT_GE(ReadValue(rid_x_) + ReadValue(rid_y_), 0);
 }
 
+TEST_F(SerializableSiTest, SerializableAbortsReadOfSupersededVersion) {
+  // T2 commits a new x between T1's Begin and T1's Read(x). T1's snapshot
+  // cannot see that version, so T1 reads the old x, and the cell's stamp no
+  // longer changes before T1 validates. T1's write to y is therefore
+  // ordered before T2 while its read of x is ordered after T2's commit:
+  // T1 must abort.
+  auto session2 = db_->OpenSession(1, 1);
+  auto table2 = *db_->GetTable(1, "t");
+  tx::TxnOptions serializable;
+  serializable.serializable = true;
+  tx::Transaction t1(session_.get(), serializable);
+  ASSERT_OK(t1.Begin());
+  {
+    tx::Transaction t2(session2.get());
+    ASSERT_OK(t2.Begin());
+    ASSERT_OK(t2.Update(table2, rid_x_, Row(1, -5)));
+    ASSERT_OK(t2.Commit());
+  }
+  ASSERT_OK_AND_ASSIGN(std::optional<Tuple> x, t1.Read(table_, rid_x_));
+  ASSERT_TRUE(x.has_value());
+  EXPECT_EQ(x->GetInt(1), 10);  // the snapshot still shows the old x
+  ASSERT_OK(t1.Update(table_, rid_y_, Row(2, -5)));
+  Status commit = t1.Commit();
+  EXPECT_TRUE(commit.IsAborted()) << commit.ToString();
+  EXPECT_EQ(ReadValue(rid_x_), -5);
+  EXPECT_EQ(ReadValue(rid_y_), 10);
+}
+
 TEST_F(SerializableSiTest, SerializableCommitsWhenNoInterference) {
   tx::TxnOptions serializable;
   serializable.serializable = true;

@@ -133,6 +133,30 @@ TEST(HistogramTest, PercentilesMonotone) {
   }
 }
 
+TEST(HistogramTest, PercentilesStayWithinMinMax) {
+  // Five values inside one bucket; the bucket's midpoint (5331) lies above
+  // all of them.
+  Histogram h;
+  for (uint64_t v = 5021; v <= 5025; ++v) h.Record(v);
+  for (double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
+    EXPECT_GE(h.Percentile(p), h.min()) << "p" << p;
+    EXPECT_LE(h.Percentile(p), h.max()) << "p" << p;
+  }
+}
+
+TEST(HistogramTest, PercentilesInterpolateWithinBucket) {
+  // Uniform samples: interpolating inside a bucket is near exact, where the
+  // bucket midpoint was off by up to ~10%.
+  Histogram h;
+  for (uint64_t v = 1; v <= 10'000; ++v) h.Record(v);
+  for (double p : {25.0, 50.0, 90.0, 99.0}) {
+    double exact = p / 100.0 * 10'000.0;
+    EXPECT_NEAR(static_cast<double>(h.Percentile(p)), exact, exact * 0.01)
+        << "p" << p;
+  }
+  EXPECT_EQ(h.Percentile(100), 10'000u);
+}
+
 TEST(HistogramTest, HugeValuesClampToLastBucket) {
   Histogram h;
   h.Record(UINT64_MAX / 2);

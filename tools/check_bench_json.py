@@ -85,7 +85,8 @@ def _check_histogram(errors, path, name, hist):
         lo, hi = hist.get("min"), hist.get("max")
         if isinstance(lo, int) and isinstance(hi, int) and lo > hi:
             _fail(errors, path, f"histograms[{name!r}]: min {lo} > max {hi}")
-        for a, b in [("p50", "p95"), ("p95", "p99")]:
+        for a, b in [("min", "p50"), ("p50", "p95"), ("p95", "p99"),
+                     ("p99", "max")]:
             va, vb = hist.get(a), hist.get(b)
             if isinstance(va, int) and isinstance(vb, int) and va > vb:
                 _fail(errors, path,
@@ -535,6 +536,10 @@ def selftest():
          lambda d: d["runs"][0]["histograms"]["h"].pop("p99")),
         ("hist p50>p95",
          lambda d: d["runs"][0]["histograms"]["h"].update(p50=9)),
+        ("hist min>p50",
+         lambda d: d["runs"][0]["histograms"]["h"].update(p50=1)),
+        ("hist p99>max",
+         lambda d: d["runs"][0]["histograms"]["h"].update(p99=4)),
         ("dup label", lambda d: d["runs"].append(copy.deepcopy(d["runs"][0]))),
         ("unknown run key", lambda d: d["runs"][0].update(bogus=1)),
         ("node counter str",
