@@ -18,17 +18,12 @@ int main() {
     const char* name;
     db::BufferStrategy strategy;
     uint64_t unit;
-    bool pipelining;
   };
-  // TBpipe: the transaction buffer again, with the async request pipeline on
-  // (coalesced messages, overlapped round trips) — the §5.1 batching effect
-  // measured rather than only modeled.
   const Config configs[] = {
-      {"TB", db::BufferStrategy::kTransactionOnly, 0, false},
-      {"TBpipe", db::BufferStrategy::kTransactionOnly, 0, true},
-      {"SB", db::BufferStrategy::kSharedRecord, 0, false},
-      {"SBVS10", db::BufferStrategy::kVersionSync, 10, false},
-      {"SBVS1000", db::BufferStrategy::kVersionSync, 1000, false},
+      {"TB", db::BufferStrategy::kTransactionOnly, 0},
+      {"SB", db::BufferStrategy::kSharedRecord, 0},
+      {"SBVS10", db::BufferStrategy::kVersionSync, 10},
+      {"SBVS1000", db::BufferStrategy::kVersionSync, 1000},
   };
 
   BenchJson json("fig11_buffering");
@@ -38,7 +33,7 @@ int main() {
 
   std::printf("%-10s %-4s %12s %12s\n", "strategy", "PN", "TpmC",
               "buffer hit%");
-  double peak[5] = {0};
+  double peak[4] = {0};
   int i = 0;
   for (const Config& config : configs) {
     db::TellDbOptions options;
@@ -47,7 +42,6 @@ int main() {
     options.replication_factor = 1;
     options.buffer_strategy = config.strategy;
     options.buffer_unit_size = config.unit;
-    options.pipelining = config.pipelining;
     TellFixture fixture(options, BenchScale());
     for (uint32_t pns : {1u, 4u, 8u}) {
       auto result = fixture.Run(pns, tpcc::Mix::kWriteIntensive);
@@ -62,11 +56,9 @@ int main() {
   }
   std::printf("\nshape checks (paper: TB > SB > SBVS):\n");
   std::printf("  TB peak:       %.0f TpmC\n", peak[0]);
-  std::printf("  TBpipe/TB:     %.2f (pipelining; expect >1)\n",
-              peak[1] / peak[0]);
-  std::printf("  SB/TB:         %.2f (paper <1)\n", peak[2] / peak[0]);
-  std::printf("  SBVS10/TB:     %.2f (paper <1)\n", peak[3] / peak[0]);
-  std::printf("  SBVS1000/TB:   %.2f (paper <1)\n", peak[4] / peak[0]);
+  std::printf("  SB/TB:         %.2f (paper <1)\n", peak[1] / peak[0]);
+  std::printf("  SBVS10/TB:     %.2f (paper <1)\n", peak[2] / peak[0]);
+  std::printf("  SBVS1000/TB:   %.2f (paper <1)\n", peak[3] / peak[0]);
   json.Write();
   PrintFooter();
   return 0;

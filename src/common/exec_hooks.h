@@ -4,12 +4,12 @@
 namespace tell::exec_hooks {
 
 /// Low-level bridge between the common layer and the executor runtime
-/// (src/exec), kept in common so `Future::Await` and the commit-manager
-/// client can park without depending on the exec library.
+/// (src/exec), kept in common so the commit-manager client and the fast
+/// path can park without depending on the exec library.
 ///
 /// An executor worker thread installs a yield hook for the duration of its
 /// scheduling loop; task code that is about to wait on something modelled
-/// as a round trip (a pipeline flush, a commit-manager begin) calls
+/// as a round trip (a commit-manager begin) calls
 /// MaybeYield() first. Inside an executor task that suspends the task's
 /// fiber — the core runs other tasks and the caller resumes later, exactly
 /// where it yielded. Outside the executor (the legacy thread-per-worker

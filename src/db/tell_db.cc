@@ -15,7 +15,6 @@ store::ClientOptions MakeClientOptions(const TellDbOptions& options,
   client.network = options.network;
   client.cpu = options.cpu;
   client.batching = options.batching;
-  client.pipelining = options.pipelining;
   client.replication_extra_hops = options.replication_factor - 1;
   client.retry = options.retry;
   // Distinct per-worker jitter streams that stay reproducible run-to-run.

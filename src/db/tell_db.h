@@ -47,10 +47,6 @@ struct TellDbOptions {
   sim::NetworkModel network = sim::NetworkModel::InfiniBand();
   sim::CpuModel cpu;
   bool batching = true;
-  /// Asynchronous request pipelining: workers coalesce independent storage
-  /// requests into one message per SN and overlap the round trips (see
-  /// ClientOptions::pipelining and DESIGN.md "Request pipelining").
-  bool pipelining = false;
 
   index::BTreeOptions btree;
   /// Per-PN client record cache under lease epochs (store/record_cache.h;

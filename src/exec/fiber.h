@@ -14,8 +14,8 @@ namespace tell::exec {
 /// A fiber runs an arbitrary `std::function<void()>` on its own stack and
 /// can suspend itself from ANY call depth with Fiber::Yield() — that is
 /// what lets the whole existing Transaction/TpccExecutor call stack park on
-/// an unready Future without being rewritten in continuation-passing style.
-/// Resume() runs the fiber on the calling thread until it yields or the
+/// a modelled network wait without being rewritten in continuation-passing
+/// style. Resume() runs the fiber on the calling thread until it yields or the
 /// body returns.
 ///
 /// Threading contract: a fiber is resumed by one thread at a time but MAY

@@ -143,7 +143,7 @@ void Runtime::WorkerLoop(uint32_t core_id) {
     }
   }
 #endif
-  // Park point for Future::Await / the commit-manager client: yield the
+  // Park point for the commit-manager client and the fast path: yield the
   // current fiber. Installed for the whole scheduling loop; it is a no-op
   // unless a fiber is actually running on this thread.
   exec_hooks::g_task_hook = {+[](void*) { Runtime::Yield(); }, nullptr};

@@ -42,7 +42,7 @@ struct RuntimeStats {
   struct PerCore {
     uint64_t tasks_completed = 0;
     uint64_t steals = 0;       // tasks this core pulled from another queue
-    uint64_t yields = 0;       // task suspensions (park on a future, etc.)
+    uint64_t yields = 0;       // task suspensions (park on a begin, etc.)
     uint64_t parks = 0;        // times this worker slept on an empty queue
     uint64_t unparks = 0;      // wakeups this worker issued to sleepers
     uint64_t busy_ns = 0;      // wall time inside task code
@@ -70,9 +70,9 @@ struct RuntimeStats {
 /// A fixed pool of (optionally core-pinned) executor threads multiplexes
 /// many transaction tasks: each task is a Fiber, each thread owns a run
 /// queue, idle threads steal from their neighbours, and a task that is
-/// about to wait on modelled network time — a pipeline flush in
-/// `Future::Await`, a commit-manager begin — yields its core instead of
-/// blocking, so thousands of in-flight transactions share N cores. The
+/// about to wait on modelled network time — a commit-manager begin —
+/// yields its core instead of blocking, so thousands of in-flight
+/// transactions share N cores. The
 /// park/resume protocol lives in common/exec_hooks.h; the programming
 /// model, including what task code may and may not do, is documented in
 /// docs/RUNTIME.md.

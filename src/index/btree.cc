@@ -590,7 +590,7 @@ Result<std::vector<std::vector<uint64_t>>> BTree::BatchLookup(
   client->metrics()->index_lookups += keys.size();
   std::vector<std::vector<uint64_t>> out(keys.size());
   // A lone key has nothing to share a request with: the plain descent costs
-  // the same, and under pipelining keeps the accounting of a sync call.
+  // the same.
   if (keys.size() == 1) {
     TELL_ASSIGN_OR_RETURN(out[0], LookupRids(client, keys[0]));
     return out;

@@ -151,7 +151,7 @@ class BTree {
   /// distinct uncached nodes of one level — in particular the leaves, which
   /// are never cached — through one StorageClient::BatchGet, so with
   /// batching on K lookups cost ~height requests per storage node instead
-  /// of K descents (with pipelining the BatchGet is one coalesced window).
+  /// of K descents.
   /// Keys whose path turns stale under a concurrent split fall back to a
   /// single-key descent.
   Result<std::vector<std::vector<uint64_t>>> BatchLookup(

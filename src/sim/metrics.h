@@ -82,9 +82,11 @@ struct WorkerMetrics {
   uint64_t commit_flag_failures = 0;
   /// Index entries removed while rolling back a failed commit.
   uint64_t index_rollbacks = 0;
-  /// Request-pipeline flushes that issued at least one coalesced message.
+  /// Storage calls (single-op or batched) that issued at least one message:
+  /// every pass through StorageClient's request path that was not answered
+  /// entirely from the record cache.
   uint64_t pipeline_flushes = 0;
-  /// Virtual time saved by overlapping the requests of a flush versus
+  /// Virtual time saved by overlapping the messages of one call versus
   /// issuing them one synchronous round trip at a time.
   uint64_t pipeline_overlap_saved_ns = 0;
   /// Coalesced commit-manager messages sent (a begin plus any piggybacked
@@ -151,11 +153,9 @@ struct WorkerMetrics {
 
   /// Transaction response time distribution (virtual ns).
   Histogram response_time;
-  /// Logical ops per batched storage request (BatchGet/BatchWrite).
+  /// Logical ops per coalesced storage message (one sample per message).
   Histogram batch_size;
-  /// Logical ops per coalesced pipeline message (per storage node).
-  Histogram pipeline_batch_size;
-  /// Ops outstanding in the pipeline when a flush was triggered.
+  /// Ops of one storage call that needed the network (past the cache).
   Histogram pipeline_in_flight;
   /// Logical ops per coalesced commit-manager message.
   Histogram cm_batch_size;
@@ -249,10 +249,10 @@ inline const std::vector<WorkerCounterField>& WorkerCounterFields() {
        "index entries removed while rolling back a failed commit",
        &WorkerMetrics::index_rollbacks},
       {"store.pipeline.flushes", "flushes",
-       "request-pipeline flushes that issued coalesced messages",
+       "storage calls that issued at least one message",
        &WorkerMetrics::pipeline_flushes},
       {"store.pipeline.overlap_saved_ns", "ns",
-       "virtual time saved by overlapping pipelined requests vs serial issue",
+       "virtual time saved by overlapping a call's messages vs serial issue",
        &WorkerMetrics::pipeline_overlap_saved_ns},
       {"commitmgr.rpc_messages", "messages",
        "coalesced commit-manager messages (begin + piggybacked finishes)",
@@ -335,13 +335,10 @@ inline const std::vector<WorkerHistogramField>& WorkerHistogramFields() {
     std::vector<WorkerHistogramField> fields = {
         {"tx.response_time", "ns", "transaction response time (virtual)",
          &WorkerMetrics::response_time, -1},
-        {"store.batch_size", "ops", "logical ops per batched storage request",
+        {"store.batch_size", "ops", "logical ops per coalesced storage message",
          &WorkerMetrics::batch_size, -1},
-        {"store.pipeline.batch_size", "ops",
-         "logical ops per coalesced pipeline message",
-         &WorkerMetrics::pipeline_batch_size, -1},
         {"store.pipeline.in_flight", "ops",
-         "ops outstanding in the pipeline at flush time",
+         "ops of one storage call that needed the network",
          &WorkerMetrics::pipeline_in_flight, -1},
         {"commitmgr.batch.size", "ops",
          "logical ops per coalesced commit-manager message",

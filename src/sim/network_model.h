@@ -63,15 +63,14 @@ struct NetworkModel {
                ns_per_byte);
   }
 
-  /// Overlap-aware accounting for one coalesced message (request pipelining,
-  /// §5.1): N logical ops to the same node share a single round trip —
-  /// base_rtt + overhead paid once, plus the serialization cost of all
-  /// payloads — instead of N serial RequestCosts. Returns both the shared
-  /// message cost and the serial-equivalent cost of issuing the same ops one
-  /// round trip at a time, so callers can account the virtual time the
-  /// overlap saved.
+  /// Overlap-aware accounting for one coalesced message (batching, §5.1):
+  /// N logical ops to the same node share a single round trip — base_rtt +
+  /// overhead paid once, plus the serialization cost of all payloads —
+  /// instead of N serial RequestCosts. Returns both the shared message cost
+  /// and the serial-equivalent cost of issuing the same ops one round trip
+  /// at a time, so callers can account the virtual time the overlap saved.
   struct CoalescedCost {
-    uint64_t message_ns = 0;  // what the pipelined message costs
+    uint64_t message_ns = 0;  // what the coalesced message costs
     uint64_t serial_ns = 0;   // what N synchronous requests would have cost
   };
   CoalescedCost CoalescedRequestCost(

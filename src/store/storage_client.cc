@@ -1,7 +1,6 @@
 #include "store/storage_client.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/logging.h"
 
@@ -13,7 +12,35 @@ namespace {
 constexpr uint64_t kPerOpHeaderBytes = 16;
 // Fixed framing per request (rpc header).
 constexpr uint64_t kPerRequestHeaderBytes = 32;
+// Response of a write: status plus the new stamp.
+constexpr uint64_t kWriteResponseBytes = 16;
+
+// Response of a read: the cell's value plus its stamp, or a bare status.
+uint64_t ReadResponseBytes(const Result<VersionedCell>& result) {
+  return result.ok() ? result->value.size() + 8 : 8;
+}
+
+// Erases report 0 on success, so every write carries a Result<uint64_t>.
+Result<uint64_t> ErasedOrStatus(const Status& status) {
+  if (!status.ok()) return status;
+  return uint64_t{0};
+}
 }  // namespace
+
+void StorageClient::ApplyNodeKill(const sim::FaultInjector::Decision& d) {
+  if (d.kill_node >= 0 &&
+      d.kill_node < static_cast<int64_t>(cluster_->num_nodes())) {
+    cluster_->node(static_cast<uint32_t>(d.kill_node))->Kill();
+  }
+}
+
+void StorageClient::SetFailed(Op* op, const Status& status) {
+  if (op->kind == Op::Kind::kGet) {
+    op->get_result = Result<VersionedCell>(status);
+  } else {
+    op->write_result = Result<uint64_t>(status);
+  }
+}
 
 void StorageClient::ChargeRequest(uint64_t request_bytes,
                                   uint64_t response_bytes) {
@@ -81,15 +108,6 @@ void StorageClient::CacheFill(TableId table, std::string_view key,
   options_.record_cache->Put(table, key, cell, fill_epoch);
 }
 
-void StorageClient::ChargeOneSidedRead(uint64_t request_bytes,
-                                       uint64_t response_bytes) {
-  clock_->Advance(
-      options_.network.OneSidedReadCost(request_bytes, response_bytes));
-  metrics_->storage_requests += 1;
-  metrics_->bytes_sent += request_bytes;
-  metrics_->bytes_received += response_bytes;
-}
-
 std::optional<Result<VersionedCell>> StorageClient::OneSidedFetch(
     TableId table, std::string_view key, uint64_t* fill_epoch,
     uint64_t* response_bytes) {
@@ -101,10 +119,7 @@ std::optional<Result<VersionedCell>> StorageClient::OneSidedFetch(
   if (options_.fault_injector != nullptr) {
     sim::FaultInjector::Decision d = options_.fault_injector->OnRequest(
         sim::FaultOpClass::kOneSidedGet, table);
-    if (d.kill_node >= 0 &&
-        d.kill_node < static_cast<int64_t>(cluster_->num_nodes())) {
-      cluster_->node(static_cast<uint32_t>(d.kill_node))->Kill();
-    }
+    ApplyNodeKill(d);
     if (d.extra_latency_ns > 0) clock_->Advance(d.extra_latency_ns);
     if (d.drop_request || d.drop_response) {
       // A lost READ work request or completion: the client cannot tell what
@@ -127,788 +142,330 @@ std::optional<Result<VersionedCell>> StorageClient::OneSidedFetch(
     return std::nullopt;
   }
   *fill_epoch = e0;
-  *response_bytes = result.ok() ? result->value.size() + 8 : 8;
+  *response_bytes = ReadResponseBytes(result);
   metrics_->onesided_reads += 1;
   return result;
 }
 
-Result<VersionedCell> StorageClient::GetImpl(TableId table,
-                                             std::string_view key,
-                                             bool try_one_sided) {
-  metrics_->storage_ops += 1;
-  clock_->Advance(options_.cpu.per_op_ns);
-  VersionedCell cached;
-  if (CacheProbe(table, key, &cached)) return cached;
-  if (try_one_sided) {
-    uint64_t fill_epoch = 0;
-    uint64_t response_bytes = 0;
-    auto fetched = OneSidedFetch(table, key, &fill_epoch, &response_bytes);
-    if (fetched.has_value()) {
-      ChargeOneSidedRead(key.size() + kPerOpHeaderBytes, response_bytes);
-      if (fetched->ok()) CacheFill(table, key, **fetched, fill_epoch);
-      return std::move(*fetched);
-    }
-    metrics_->onesided_fallbacks += 1;
-  }
-  // Two-sided path. The fill epoch is sampled before the fetch (a write
-  // racing the gap only causes a spurious invalidation later, never a stale
-  // hit — see store/record_cache.h).
-  uint64_t fill_epoch = LeaseEpochOf(table, key);
-  auto result = GetWithRetry(table, key);
-  uint64_t response_bytes = result.ok() ? result->value.size() + 8 : 8;
-  ChargeRequest(key.size() + kPerOpHeaderBytes, response_bytes);
-  if (result.ok()) CacheFill(table, key, *result, fill_epoch);
-  return result;
-}
-
-Result<VersionedCell> StorageClient::GetWithRetry(TableId table,
-                                                  std::string_view key) {
-  return IssueWithRetry(sim::FaultOpClass::kGet, table,
-                        [&] { return cluster_->Get(table, key); });
-}
-
-Result<uint64_t> StorageClient::PutWithRetry(TableId table,
-                                             std::string_view key,
-                                             std::string_view value) {
+// A write whose response was lost is ambiguous: blindly re-issuing a
+// conditional write after it DID apply would see its own stamp and report
+// ConditionFailed, turning a committed write into a spurious abort. So
+// before each re-issue, re-read the cell with an ordinary Get (charged like
+// any other) and decide. An unreadable cell leaves the outcome open; the
+// stamp check keeps a re-issue safe.
+std::optional<Result<uint64_t>> StorageClient::ResolveAmbiguousWrite(
+    const Op& op) {
   // Unconditional puts are idempotent in value (a re-applied put just mints
-  // a fresh stamp), so a lost response is resolved by re-issuing.
-  return IssueWithRetry(sim::FaultOpClass::kPut, table,
-                        [&] { return cluster_->Put(table, key, value); });
-}
-
-// A conditional put with a lost response is ambiguous: blindly re-issuing
-// after it DID apply would see its own stamp and report ConditionFailed,
-// turning a committed write into a spurious abort. So before each
-// re-issue, re-read the cell and decide:
-//   * stamp still == expected  -> nothing applied, safe to re-issue;
-//   * cell holds OUR value     -> the lost write applied; its (observed)
-//                                 stamp is the success result;
-//   * anything else            -> a concurrent writer won: genuine
-//                                 ConditionFailed.
-std::optional<Result<uint64_t>> StorageClient::ResolveAmbiguousConditionalPut(
-    TableId table, std::string_view key, uint64_t expected_stamp,
-    std::string_view value) {
-  auto cell = GetWithRetry(table, key);
-  ChargeRequest(key.size() + kPerOpHeaderBytes,
-                cell.ok() ? cell->value.size() + 8 : 8);
-  if (!cell.ok()) {
-    if (cell.status().IsNotFound()) {
-      if (expected_stamp == kStampAbsent) return std::nullopt;
-      return std::optional<Result<uint64_t>>(Status::ConditionFailed(
-          "cell erased during ambiguous conditional put"));
-    }
-    return std::nullopt;  // unresolved; the stamp check keeps a re-issue safe
+  // a fresh stamp), so they re-issue without a re-read.
+  if (op.kind == Op::Kind::kPut) return std::nullopt;
+  auto cell = Get(op.table, op.key);
+  const bool absent = cell.status().IsNotFound();
+  switch (op.kind) {
+    case Op::Kind::kErase:
+      // The postcondition is "key absent".
+      if (absent) return uint64_t{0};
+      return std::nullopt;
+    case Op::Kind::kConditionalErase:
+      // Absent -> our erase applied; stamp unchanged -> not applied; new
+      // stamp -> someone else wrote.
+      if (absent) return uint64_t{0};
+      if (!cell.ok() || cell->stamp == op.expected_stamp) return std::nullopt;
+      return Status::ConditionFailed(
+          "cell overwritten during ambiguous conditional erase");
+    case Op::Kind::kConditionalPut:
+      // Stamp unchanged -> not applied; the cell holds OUR value -> applied,
+      // its stamp is the result; anything else -> a concurrent writer won.
+      if (absent) {
+        if (op.expected_stamp == kStampAbsent) return std::nullopt;
+        return Status::ConditionFailed(
+            "cell erased during ambiguous conditional put");
+      }
+      if (!cell.ok() || cell->stamp == op.expected_stamp) return std::nullopt;
+      if (cell->value == op.value) return uint64_t{cell->stamp};
+      return Status::ConditionFailed(
+          "concurrent write superseded ambiguous conditional put");
+    case Op::Kind::kGet:
+    case Op::Kind::kPut:
+      break;
   }
-  if (cell->stamp == expected_stamp) return std::nullopt;  // not applied
-  if (cell->value == value) {
-    return std::optional<Result<uint64_t>>(uint64_t{cell->stamp});
-  }
-  return std::optional<Result<uint64_t>>(Status::ConditionFailed(
-      "concurrent write superseded ambiguous conditional put"));
-}
-
-// The postcondition of an erase is "key absent", so an ambiguous attempt
-// resolves by re-reading: absent -> done.
-std::optional<Status> StorageClient::ResolveAmbiguousErase(
-    TableId table, std::string_view key) {
-  auto cell = GetWithRetry(table, key);
-  ChargeRequest(key.size() + kPerOpHeaderBytes, 8);
-  if (cell.status().IsNotFound()) return Status::OK();
   return std::nullopt;
 }
 
-// Same ambiguity as the conditional put: absent -> our erase applied;
-// stamp unchanged -> not applied, re-issue; new stamp -> someone else
-// wrote, genuine ConditionFailed.
-std::optional<Status> StorageClient::ResolveAmbiguousConditionalErase(
-    TableId table, std::string_view key, uint64_t expected_stamp) {
-  auto cell = GetWithRetry(table, key);
-  ChargeRequest(key.size() + kPerOpHeaderBytes,
-                cell.ok() ? cell->value.size() + 8 : 8);
-  if (cell.status().IsNotFound()) return Status::OK();
-  if (!cell.ok()) return std::nullopt;
-  if (cell->stamp == expected_stamp) return std::nullopt;  // not applied
-  return Status::ConditionFailed(
-      "cell overwritten during ambiguous conditional erase");
-}
-
-Result<uint64_t> StorageClient::ConditionalPutWithRetry(
-    TableId table, std::string_view key, uint64_t expected_stamp,
-    std::string_view value) {
-  auto send = [&] {
-    return cluster_->ConditionalPut(table, key, expected_stamp, value);
-  };
-  auto resolve = [&] {
-    return ResolveAmbiguousConditionalPut(table, key, expected_stamp, value);
-  };
-  return IssueWithRetry(sim::FaultOpClass::kConditionalPut, table, send,
-                        resolve);
-}
-
-Status StorageClient::EraseWithRetry(TableId table, std::string_view key) {
-  auto send = [&] { return cluster_->Erase(table, key); };
-  auto resolve = [&] { return ResolveAmbiguousErase(table, key); };
-  return IssueWithRetry(sim::FaultOpClass::kErase, table, send, resolve);
-}
-
-Status StorageClient::ConditionalEraseWithRetry(TableId table,
-                                                std::string_view key,
-                                                uint64_t expected_stamp) {
-  auto send = [&] {
-    return cluster_->ConditionalErase(table, key, expected_stamp);
-  };
-  auto resolve = [&] {
-    return ResolveAmbiguousConditionalErase(table, key, expected_stamp);
-  };
-  return IssueWithRetry(sim::FaultOpClass::kConditionalErase, table, send,
-                        resolve);
-}
-
-sim::FaultOpClass StorageClient::OpClassOf(PendingOp::Kind kind) {
+sim::FaultOpClass StorageClient::OpClassOf(Op::Kind kind) {
   switch (kind) {
-    case PendingOp::Kind::kGet:
+    case Op::Kind::kGet:
       return sim::FaultOpClass::kGet;
-    case PendingOp::Kind::kPut:
+    case Op::Kind::kPut:
       return sim::FaultOpClass::kPut;
-    case PendingOp::Kind::kConditionalPut:
+    case Op::Kind::kConditionalPut:
       return sim::FaultOpClass::kConditionalPut;
-    case PendingOp::Kind::kErase:
+    case Op::Kind::kErase:
       return sim::FaultOpClass::kErase;
-    case PendingOp::Kind::kConditionalErase:
+    case Op::Kind::kConditionalErase:
       return sim::FaultOpClass::kConditionalErase;
   }
   return sim::FaultOpClass::kAny;
 }
 
-Future<VersionedCell> StorageClient::AsyncGet(TableId table,
-                                              std::string_view key) {
-  if (!options_.pipelining) {
-    Promise<VersionedCell> promise;
-    promise.Set(Get(table, key));
-    return promise.future();
+Result<uint64_t> StorageClient::SendWrite(const Op& op) {
+  switch (op.kind) {
+    case Op::Kind::kPut:
+      return cluster_->Put(op.table, op.key, op.value);
+    case Op::Kind::kConditionalPut:
+      return cluster_->ConditionalPut(op.table, op.key, op.expected_stamp,
+                                      op.value);
+    case Op::Kind::kErase:
+      return ErasedOrStatus(cluster_->Erase(op.table, op.key));
+    case Op::Kind::kConditionalErase:
+      return ErasedOrStatus(
+          cluster_->ConditionalErase(op.table, op.key, op.expected_stamp));
+    case Op::Kind::kGet:
+      break;
   }
-  metrics_->storage_ops += 1;
-  clock_->Advance(options_.cpu.per_op_ns);
-  // A cache hit needs no network at all, so it resolves at enqueue time
-  // (the probe instant is the read's linearization point) instead of
-  // occupying a slot in the flushed message.
-  VersionedCell cached;
-  if (CacheProbe(table, key, &cached)) {
-    Promise<VersionedCell> promise;
-    promise.Set(Result<VersionedCell>(std::move(cached)));
-    return promise.future();
-  }
-  PendingOp op;
-  op.kind = PendingOp::Kind::kGet;
-  op.table = table;
-  op.key = std::string(key);
-  op.one_sided = OneSidedEnabled();
-  op.get_state = std::make_shared<internal::FutureState<VersionedCell>>();
-  op.get_state->flusher = this;
-  Future<VersionedCell> future{op.get_state};
-  pending_.push_back(std::move(op));
-  return future;
+  return Status::InternalError("not a write");
 }
 
-Future<VersionedCell> StorageClient::AsyncOneSidedGet(TableId table,
-                                                      std::string_view key) {
-  // Forced one-sided read: attempt the RDMA READ protocol whenever the
-  // network model is capable, even if ClientOptions::one_sided_reads is off
-  // (callers that explicitly fetch raw cells, e.g. microbenchmarks and
-  // tests). On a kernel-TCP model this is exactly AsyncGet.
-  const bool capable = options_.network.HasOneSidedReads();
-  if (!options_.pipelining) {
-    Promise<VersionedCell> promise;
-    promise.Set(GetImpl(table, key, capable));
-    return promise.future();
-  }
-  metrics_->storage_ops += 1;
-  clock_->Advance(options_.cpu.per_op_ns);
-  VersionedCell cached;
-  if (CacheProbe(table, key, &cached)) {
-    Promise<VersionedCell> promise;
-    promise.Set(Result<VersionedCell>(std::move(cached)));
-    return promise.future();
-  }
-  PendingOp op;
-  op.kind = PendingOp::Kind::kGet;
-  op.table = table;
-  op.key = std::string(key);
-  op.one_sided = capable;
-  op.get_state = std::make_shared<internal::FutureState<VersionedCell>>();
-  op.get_state->flusher = this;
-  Future<VersionedCell> future{op.get_state};
-  pending_.push_back(std::move(op));
-  return future;
-}
-
-Future<uint64_t> StorageClient::AsyncPut(TableId table, std::string_view key,
-                                         std::string_view value) {
-  if (!options_.pipelining) {
-    Promise<uint64_t> promise;
-    promise.Set(Put(table, key, value));
-    return promise.future();
-  }
-  metrics_->storage_ops += 1;
-  clock_->Advance(options_.cpu.per_op_ns);
-  PendingOp op;
-  op.kind = PendingOp::Kind::kPut;
-  op.table = table;
-  op.key = std::string(key);
-  op.value = std::string(value);
-  op.write_state = std::make_shared<internal::FutureState<uint64_t>>();
-  op.write_state->flusher = this;
-  Future<uint64_t> future{op.write_state};
-  pending_.push_back(std::move(op));
-  return future;
-}
-
-Future<uint64_t> StorageClient::AsyncConditionalPut(TableId table,
-                                                    std::string_view key,
-                                                    uint64_t expected_stamp,
-                                                    std::string_view value) {
-  if (!options_.pipelining) {
-    Promise<uint64_t> promise;
-    promise.Set(ConditionalPut(table, key, expected_stamp, value));
-    return promise.future();
-  }
-  metrics_->storage_ops += 1;
-  clock_->Advance(options_.cpu.per_op_ns);
-  PendingOp op;
-  op.kind = PendingOp::Kind::kConditionalPut;
-  op.table = table;
-  op.key = std::string(key);
-  op.value = std::string(value);
-  op.expected_stamp = expected_stamp;
-  op.write_state = std::make_shared<internal::FutureState<uint64_t>>();
-  op.write_state->flusher = this;
-  Future<uint64_t> future{op.write_state};
-  pending_.push_back(std::move(op));
-  return future;
-}
-
-Future<uint64_t> StorageClient::AsyncErase(TableId table,
-                                           std::string_view key) {
-  if (!options_.pipelining) {
-    Promise<uint64_t> promise;
-    Status status = Erase(table, key);
-    promise.Set(status.ok() ? Result<uint64_t>(uint64_t{0})
-                            : Result<uint64_t>(status));
-    return promise.future();
-  }
-  metrics_->storage_ops += 1;
-  clock_->Advance(options_.cpu.per_op_ns);
-  PendingOp op;
-  op.kind = PendingOp::Kind::kErase;
-  op.table = table;
-  op.key = std::string(key);
-  op.write_state = std::make_shared<internal::FutureState<uint64_t>>();
-  op.write_state->flusher = this;
-  Future<uint64_t> future{op.write_state};
-  pending_.push_back(std::move(op));
-  return future;
-}
-
-Future<uint64_t> StorageClient::AsyncConditionalErase(TableId table,
-                                                      std::string_view key,
-                                                      uint64_t expected_stamp) {
-  if (!options_.pipelining) {
-    Promise<uint64_t> promise;
-    Status status = ConditionalErase(table, key, expected_stamp);
-    promise.Set(status.ok() ? Result<uint64_t>(uint64_t{0})
-                            : Result<uint64_t>(status));
-    return promise.future();
-  }
-  metrics_->storage_ops += 1;
-  clock_->Advance(options_.cpu.per_op_ns);
-  PendingOp op;
-  op.kind = PendingOp::Kind::kConditionalErase;
-  op.table = table;
-  op.key = std::string(key);
-  op.expected_stamp = expected_stamp;
-  op.write_state = std::make_shared<internal::FutureState<uint64_t>>();
-  op.write_state->flusher = this;
-  Future<uint64_t> future{op.write_state};
-  pending_.push_back(std::move(op));
-  return future;
-}
-
-uint64_t StorageClient::ExecuteRaw(PendingOp* op) {
-  switch (op->kind) {
-    case PendingOp::Kind::kGet: {
-      op->get_result = cluster_->Get(op->table, op->key);
-      return op->get_result->ok() ? (**op->get_result).value.size() + 8 : 8;
+sim::NetworkModel::CoalescedCost StorageClient::SendMessage(
+    std::span<const std::pair<uint32_t, Op*>> members) {
+  // Fault injection observes the same unit the accounting charges: one
+  // decision per message, a firing drop affecting every op inside it.
+  sim::FaultInjector::Decision d;
+  if (options_.fault_injector != nullptr) {
+    std::vector<std::pair<sim::FaultOpClass, uint32_t>> classes;
+    classes.reserve(members.size());
+    for (const auto& member : members) {
+      classes.emplace_back(OpClassOf(member.second->kind),
+                           member.second->table);
     }
-    case PendingOp::Kind::kPut:
-      op->write_result = cluster_->Put(op->table, op->key, op->value);
-      return 16;
-    case PendingOp::Kind::kConditionalPut:
-      op->write_result = cluster_->ConditionalPut(op->table, op->key,
-                                                  op->expected_stamp,
-                                                  op->value);
-      return 16;
-    case PendingOp::Kind::kErase: {
-      Status status = cluster_->Erase(op->table, op->key);
-      op->write_result = status.ok() ? Result<uint64_t>(uint64_t{0})
-                                     : Result<uint64_t>(status);
-      return 16;
-    }
-    case PendingOp::Kind::kConditionalErase: {
-      Status status =
-          cluster_->ConditionalErase(op->table, op->key, op->expected_stamp);
-      op->write_result = status.ok() ? Result<uint64_t>(uint64_t{0})
-                                     : Result<uint64_t>(status);
-      return 16;
-    }
+    d = options_.fault_injector->OnMessage(classes);
+    ApplyNodeKill(d);
   }
-  return 0;
-}
-
-void StorageClient::ResolvePending(PendingOp* op,
-                                   uint64_t* replicated_writes) {
-  switch (op->kind) {
-    case PendingOp::Kind::kGet: {
-      auto send = [&] { return cluster_->Get(op->table, op->key); };
-      auto result = RetryLoop(
-          sim::FaultOpClass::kGet, op->table, std::move(*op->get_result), send,
-          []() -> std::optional<Result<VersionedCell>> { return std::nullopt; });
-      op->get_state->Resolve(std::move(result));
-      return;
-    }
-    case PendingOp::Kind::kPut: {
-      auto send = [&] { return cluster_->Put(op->table, op->key, op->value); };
-      auto result = RetryLoop(
-          sim::FaultOpClass::kPut, op->table, std::move(*op->write_result),
-          send, []() -> std::optional<Result<uint64_t>> { return std::nullopt; });
-      if (result.ok()) ++*replicated_writes;
-      op->write_state->Resolve(std::move(result));
-      return;
-    }
-    case PendingOp::Kind::kConditionalPut: {
-      auto send = [&] {
-        return cluster_->ConditionalPut(op->table, op->key, op->expected_stamp,
-                                        op->value);
-      };
-      auto resolve = [&] {
-        return ResolveAmbiguousConditionalPut(op->table, op->key,
-                                              op->expected_stamp, op->value);
-      };
-      auto result = RetryLoop(sim::FaultOpClass::kConditionalPut, op->table,
-                              std::move(*op->write_result), send, resolve);
-      if (result.status().IsConditionFailed()) metrics_->llsc_failures += 1;
-      if (result.ok()) ++*replicated_writes;
-      op->write_state->Resolve(std::move(result));
-      return;
-    }
-    case PendingOp::Kind::kErase: {
-      auto send = [&] { return cluster_->Erase(op->table, op->key); };
-      auto resolve = [&] { return ResolveAmbiguousErase(op->table, op->key); };
-      Status initial = op->write_result->ok() ? Status::OK()
-                                              : op->write_result->status();
-      Status status = RetryLoop(sim::FaultOpClass::kErase, op->table,
-                                std::move(initial), send, resolve);
-      op->write_state->Resolve(status.ok() ? Result<uint64_t>(uint64_t{0})
-                                           : Result<uint64_t>(status));
-      return;
-    }
-    case PendingOp::Kind::kConditionalErase: {
-      auto send = [&] {
-        return cluster_->ConditionalErase(op->table, op->key,
-                                          op->expected_stamp);
-      };
-      auto resolve = [&] {
-        return ResolveAmbiguousConditionalErase(op->table, op->key,
-                                                op->expected_stamp);
-      };
-      Status initial = op->write_result->ok() ? Status::OK()
-                                              : op->write_result->status();
-      Status status = RetryLoop(sim::FaultOpClass::kConditionalErase,
-                                op->table, std::move(initial), send, resolve);
-      if (status.IsConditionFailed()) metrics_->llsc_failures += 1;
-      op->write_state->Resolve(status.ok() ? Result<uint64_t>(uint64_t{0})
-                                           : Result<uint64_t>(status));
-      return;
-    }
-  }
-}
-
-void StorageClient::Flush() {
-  if (pending_.empty()) return;
-  std::vector<PendingOp> ops = std::move(pending_);
-  pending_.clear();
-  metrics_->pipeline_flushes += 1;
-  metrics_->pipeline_in_flight.Record(ops.size());
-
-  uint64_t slowest_message_ns = 0;
-  uint64_t total_serial_ns = 0;
-
-  // One-sided pre-pass: eligible reads are issued as individual RDMA READs
-  // flying in parallel with the coalesced messages below (each READ is its
-  // own "message" for the slowest-message clock advance). A read that
-  // validates resolves here; one that does not joins its node's two-sided
-  // message like any other get.
-  std::vector<bool> one_sided_done(ops.size(), false);
-  for (size_t i = 0; i < ops.size(); ++i) {
-    PendingOp& op = ops[i];
-    if (op.kind != PendingOp::Kind::kGet || !op.one_sided) continue;
-    uint64_t fill_epoch = 0;
+  std::vector<std::pair<uint64_t, uint64_t>> per_op_bytes;
+  per_op_bytes.reserve(members.size());
+  for (const auto& member : members) {
+    Op* op = member.second;
+    const uint64_t request_bytes =
+        op->key.size() + op->value.size() + kPerOpHeaderBytes;
     uint64_t response_bytes = 0;
-    auto fetched = OneSidedFetch(op.table, op.key, &fill_epoch,
-                                 &response_bytes);
-    if (!fetched.has_value()) {
-      metrics_->onesided_fallbacks += 1;
-      continue;
+    if (d.drop_request) {
+      // The message never reached the node: nothing executed, no response
+      // bytes received or charged.
+      SetFailed(op, Status::Unavailable("injected fault: request dropped"));
+    } else {
+      if (op->kind == Op::Kind::kGet) {
+        // Cache-fill tag: the epoch must be sampled before the fetch
+        // executes (store/record_cache.h).
+        op->fill_epoch = LeaseEpochOf(op->table, op->key);
+        op->get_result = cluster_->Get(op->table, op->key);
+        response_bytes = ReadResponseBytes(*op->get_result);
+      } else {
+        op->write_result = SendWrite(*op);
+        response_bytes = kWriteResponseBytes;
+      }
+      if (d.drop_response) {
+        // Executed, but the response was lost: every op in the message is
+        // ambiguous and no bytes came back.
+        SetFailed(op, Status::Unavailable(
+                          "injected fault: response dropped (ambiguous "
+                          "outcome)"));
+        response_bytes = 0;
+      } else if (op->kind == Op::Kind::kGet && op->get_result->ok()) {
+        CacheFill(op->table, op->key, **op->get_result, op->fill_epoch);
+      }
     }
-    op.get_result = std::move(*fetched);
-    one_sided_done[i] = true;
-    uint64_t request_bytes = op.key.size() + kPerOpHeaderBytes;
-    uint64_t cost =
-        options_.network.OneSidedReadCost(request_bytes, response_bytes);
-    metrics_->storage_requests += 1;
+    per_op_bytes.emplace_back(request_bytes, response_bytes);
     metrics_->bytes_sent += request_bytes;
     metrics_->bytes_received += response_bytes;
-    if (op.get_result->ok()) {
-      CacheFill(op.table, op.key, **op.get_result, fill_epoch);
-    }
-    slowest_message_ns = std::max(slowest_message_ns, cost);
-    total_serial_ns += cost;
   }
+  auto cost = options_.network.CoalescedRequestCost(per_op_bytes,
+                                                    kPerRequestHeaderBytes);
+  metrics_->storage_requests += 1;
+  metrics_->bytes_sent += kPerRequestHeaderBytes;
+  metrics_->batch_size.Record(members.size());
+  cost.message_ns += d.extra_latency_ns;
+  cost.serial_ns += d.extra_latency_ns;
+  return cost;
+}
 
-  // One coalesced message per master storage node, issued in parallel
-  // (std::map keeps the group order deterministic).
-  std::map<uint32_t, std::vector<size_t>> groups;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (one_sided_done[i]) continue;
-    auto master = cluster_->MasterOf(ops[i].table, ops[i].key);
-    groups[master.ok() ? *master : 0].push_back(i);
+void StorageClient::Issue(std::span<Op> ops) {
+  // Stage 1: client CPU and the record-cache probe. A hit needs no network
+  // at all; the probe instant is the read's linearization point.
+  metrics_->storage_ops += ops.size();
+  clock_->Advance(options_.cpu.per_op_ns * ops.size());
+  size_t in_flight = 0;
+  for (Op& op : ops) {
+    VersionedCell cached;
+    if (op.kind == Op::Kind::kGet && CacheProbe(op.table, op.key, &cached)) {
+      op.get_result = Result<VersionedCell>(std::move(cached));
+      op.done = true;
+    } else {
+      ++in_flight;
+    }
   }
-  for (const auto& [node, members] : groups) {
-    (void)node;
-    // Fault injection observes the same unit the accounting charges: one
-    // consultation per coalesced message, a firing drop affecting every op
-    // inside it.
-    sim::FaultInjector::Decision d;
-    if (options_.fault_injector != nullptr) {
-      std::vector<std::pair<sim::FaultOpClass, uint32_t>> classes;
-      classes.reserve(members.size());
-      for (size_t i : members) {
-        classes.emplace_back(OpClassOf(ops[i].kind), ops[i].table);
-      }
-      d = options_.fault_injector->OnMessage(classes);
-    }
-    if (d.kill_node >= 0 &&
-        d.kill_node < static_cast<int64_t>(cluster_->num_nodes())) {
-      cluster_->node(static_cast<uint32_t>(d.kill_node))->Kill();
-    }
-    std::vector<std::pair<uint64_t, uint64_t>> per_op_bytes;
-    per_op_bytes.reserve(members.size());
-    uint64_t sent = kPerRequestHeaderBytes;
-    uint64_t received = 0;
-    for (size_t i : members) {
-      PendingOp& op = ops[i];
-      uint64_t request_bytes =
-          op.key.size() + op.value.size() + kPerOpHeaderBytes;
+  if (in_flight == 0) return;
+  metrics_->pipeline_flushes += 1;
+  metrics_->pipeline_in_flight.Record(in_flight);
+
+  // The clock advance when every message flies in parallel (batching on)
+  // and when they go one after another (batching off).
+  uint64_t slowest_ns = 0;
+  uint64_t serial_ns = 0;
+
+  // Stage 2: one-sided READs. Each is its own message, flying in parallel
+  // with the coalesced messages below. A read that validates is done; one
+  // that does not joins its node's two-sided message like any other get.
+  if (OneSidedEnabled()) {
+    for (Op& op : ops) {
+      if (op.done || op.kind != Op::Kind::kGet) continue;
       uint64_t response_bytes = 0;
-      if (d.drop_request) {
-        // The message never reached the node: nothing executed, no response
-        // bytes received or charged.
-        Status lost = Status::Unavailable("injected fault: request dropped");
-        if (op.kind == PendingOp::Kind::kGet) {
-          op.get_result = Result<VersionedCell>(lost);
-        } else {
-          op.write_result = Result<uint64_t>(lost);
-        }
-      } else {
-        if (op.kind == PendingOp::Kind::kGet) {
-          // Cache-fill tag: the epoch must be sampled before the fetch
-          // executes (store/record_cache.h).
-          op.fill_epoch = LeaseEpochOf(op.table, op.key);
-        }
-        response_bytes = ExecuteRaw(&op);
-        if (d.drop_response) {
-          // Executed, but the response message was lost: every op in it is
-          // ambiguous and no bytes came back.
-          Status lost = Status::Unavailable(
-              "injected fault: response dropped (ambiguous outcome)");
-          if (op.kind == PendingOp::Kind::kGet) {
-            op.get_result = Result<VersionedCell>(lost);
-          } else {
-            op.write_result = Result<uint64_t>(lost);
-          }
-          response_bytes = 0;
-        } else if (op.kind == PendingOp::Kind::kGet && op.get_result->ok()) {
-          CacheFill(op.table, op.key, **op.get_result, op.fill_epoch);
-        }
+      auto fetched =
+          OneSidedFetch(op.table, op.key, &op.fill_epoch, &response_bytes);
+      if (!fetched.has_value()) {
+        metrics_->onesided_fallbacks += 1;
+        continue;
       }
-      per_op_bytes.emplace_back(request_bytes, response_bytes);
-      sent += request_bytes;
-      received += response_bytes;
+      const uint64_t request_bytes = op.key.size() + kPerOpHeaderBytes;
+      const uint64_t cost =
+          options_.network.OneSidedReadCost(request_bytes, response_bytes);
+      metrics_->storage_requests += 1;
+      metrics_->bytes_sent += request_bytes;
+      metrics_->bytes_received += response_bytes;
+      if (fetched->ok()) CacheFill(op.table, op.key, **fetched, op.fill_epoch);
+      op.get_result = std::move(*fetched);
+      op.done = true;
+      slowest_ns = std::max(slowest_ns, cost);
+      serial_ns += cost;
     }
-    auto cost = options_.network.CoalescedRequestCost(per_op_bytes,
-                                                      kPerRequestHeaderBytes);
-    metrics_->storage_requests += 1;
-    metrics_->bytes_sent += sent;
-    metrics_->bytes_received += received;
-    metrics_->batch_size.Record(members.size());
-    metrics_->pipeline_batch_size.Record(members.size());
-    slowest_message_ns =
-        std::max(slowest_message_ns, cost.message_ns + d.extra_latency_ns);
-    total_serial_ns += cost.serial_ns + d.extra_latency_ns;
-  }
-  clock_->Advance(slowest_message_ns);
-  if (total_serial_ns > slowest_message_ns) {
-    metrics_->pipeline_overlap_saved_ns += total_serial_ns - slowest_message_ns;
   }
 
-  // Per-logical-request failure handling: every op whose first (coalesced)
-  // attempt came back Unavailable now runs the ordinary RetryPolicy —
-  // fail-over, jittered backoff, ambiguous-write resolution — before its
-  // future resolves.
-  uint64_t replicated_writes = 0;
-  for (PendingOp& op : ops) ResolvePending(&op, &replicated_writes);
-  ChargeReplication(replicated_writes);
+  // Stage 3: one coalesced message per master storage node (ordered by
+  // node, ops in call order), or one message per op with batching off.
+  std::vector<std::pair<uint32_t, Op*>> queue;
+  queue.reserve(in_flight);
+  for (Op& op : ops) {
+    if (op.done) continue;
+    uint32_t message = static_cast<uint32_t>(queue.size());
+    if (options_.batching) {
+      auto master = cluster_->MasterOf(op.table, op.key);
+      message = master.ok() ? *master : 0;
+    }
+    queue.emplace_back(message, &op);
+  }
+  std::stable_sort(
+      queue.begin(), queue.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (size_t begin = 0; begin < queue.size();) {
+    size_t end = begin + 1;
+    while (end < queue.size() && queue[end].first == queue[begin].first) ++end;
+    auto cost = SendMessage(std::span(queue).subspan(begin, end - begin));
+    slowest_ns = std::max(slowest_ns, cost.message_ns);
+    serial_ns += cost.serial_ns;
+    begin = end;
+  }
+  const uint64_t charged_ns = options_.batching ? slowest_ns : serial_ns;
+  clock_->Advance(charged_ns);
+  metrics_->pipeline_overlap_saved_ns += serial_ns - charged_ns;
+
+  // Stage 4: every op whose first attempt came back Unavailable runs the
+  // RetryPolicy on its own — fail-over, jittered backoff, ambiguous-write
+  // resolution. Stage 5: synchronous replication of every applied write.
+  uint64_t applied_writes = 0;
+  for (Op& op : ops) {
+    if (op.done) continue;
+    if (op.kind == Op::Kind::kGet) {
+      op.get_result = RetryLoop(
+          sim::FaultOpClass::kGet, op.table, std::move(*op.get_result),
+          [&] { return cluster_->Get(op.table, op.key); },
+          NoResolution<Result<VersionedCell>>);
+      continue;
+    }
+    op.write_result = RetryLoop(
+        OpClassOf(op.kind), op.table, std::move(*op.write_result),
+        [&] { return SendWrite(op); },
+        [&] { return ResolveAmbiguousWrite(op); });
+    if (op.write_result->status().IsConditionFailed()) {
+      metrics_->llsc_failures += 1;
+    }
+    if (op.write_result->ok()) ++applied_writes;
+  }
+  ChargeReplication(applied_writes);
+}
+
+Result<uint64_t> StorageClient::IssueWrite(Op op) {
+  Issue({&op, 1});
+  return std::move(*op.write_result);
 }
 
 Result<VersionedCell> StorageClient::Get(TableId table, std::string_view key) {
-  return GetImpl(table, key, OneSidedEnabled());
+  Op op{.kind = Op::Kind::kGet, .table = table, .key = key};
+  Issue({&op, 1});
+  return std::move(*op.get_result);
 }
 
 std::vector<Result<VersionedCell>> StorageClient::BatchGet(
     const std::vector<GetOp>& ops) {
-  if (options_.pipelining) {
-    // Async enqueue + one flush; the Async/Flush path owns all accounting.
-    std::vector<Future<VersionedCell>> futures;
-    futures.reserve(ops.size());
-    for (const auto& op : ops) futures.push_back(AsyncGet(op.table, op.key));
-    Flush();
-    std::vector<Result<VersionedCell>> results;
-    results.reserve(futures.size());
-    for (auto& future : futures) results.push_back(future.Await());
-    return results;
+  std::vector<Op> batch;
+  batch.reserve(ops.size());
+  for (const GetOp& op : ops) {
+    batch.push_back({.kind = Op::Kind::kGet, .table = op.table, .key = op.key});
   }
-
+  Issue(batch);
   std::vector<Result<VersionedCell>> results;
-  results.reserve(ops.size());
-  metrics_->storage_ops += ops.size();
-  clock_->Advance(options_.cpu.per_op_ns * ops.size());
-
-  if (!options_.batching) {
-    // Ablation mode: one sequential round trip per logical op. Cache hits
-    // and one-sided reads still apply — that ablation isolates *batching*.
-    for (const auto& op : ops) {
-      VersionedCell cached;
-      if (CacheProbe(op.table, op.key, &cached)) {
-        results.push_back(std::move(cached));
-        continue;
-      }
-      if (OneSidedEnabled()) {
-        uint64_t fill_epoch = 0;
-        uint64_t response_bytes = 0;
-        auto fetched = OneSidedFetch(op.table, op.key, &fill_epoch,
-                                     &response_bytes);
-        if (fetched.has_value()) {
-          ChargeOneSidedRead(op.key.size() + kPerOpHeaderBytes,
-                             response_bytes);
-          if (fetched->ok()) CacheFill(op.table, op.key, **fetched, fill_epoch);
-          results.push_back(std::move(*fetched));
-          continue;
-        }
-        metrics_->onesided_fallbacks += 1;
-      }
-      uint64_t fill_epoch = LeaseEpochOf(op.table, op.key);
-      auto result = GetWithRetry(op.table, op.key);
-      uint64_t response_bytes = result.ok() ? result->value.size() + 8 : 8;
-      ChargeRequest(op.key.size() + kPerOpHeaderBytes, response_bytes);
-      if (result.ok()) CacheFill(op.table, op.key, *result, fill_epoch);
-      results.push_back(std::move(result));
-    }
-    return results;
-  }
-
-  // Group ops by master storage node; one request per node, in parallel.
-  // Cache hits cost nothing; one-sided reads fly as individual READs next
-  // to the coalesced two-sided requests, so the charged time is the max
-  // over all of them.
-  std::map<uint32_t, std::pair<uint64_t, uint64_t>> group_bytes;
-  std::map<uint32_t, uint64_t> group_ops;
-  uint64_t max_parallel_ns = 0;
-  for (const auto& op : ops) {
-    VersionedCell cached;
-    if (CacheProbe(op.table, op.key, &cached)) {
-      results.push_back(std::move(cached));
-      continue;
-    }
-    if (OneSidedEnabled()) {
-      uint64_t fill_epoch = 0;
-      uint64_t response_bytes = 0;
-      auto fetched = OneSidedFetch(op.table, op.key, &fill_epoch,
-                                   &response_bytes);
-      if (fetched.has_value()) {
-        uint64_t request_bytes = op.key.size() + kPerOpHeaderBytes;
-        metrics_->storage_requests += 1;
-        metrics_->bytes_sent += request_bytes;
-        metrics_->bytes_received += response_bytes;
-        max_parallel_ns = std::max(
-            max_parallel_ns,
-            options_.network.OneSidedReadCost(request_bytes, response_bytes));
-        if (fetched->ok()) CacheFill(op.table, op.key, **fetched, fill_epoch);
-        results.push_back(std::move(*fetched));
-        continue;
-      }
-      metrics_->onesided_fallbacks += 1;
-    }
-    uint64_t fill_epoch = LeaseEpochOf(op.table, op.key);
-    auto result = GetWithRetry(op.table, op.key);
-    auto master = cluster_->MasterOf(op.table, op.key);
-    uint32_t node = master.ok() ? *master : 0;
-    auto& [req, resp] = group_bytes[node];
-    req += op.key.size() + kPerOpHeaderBytes;
-    resp += result.ok() ? result->value.size() + 8 : 8;
-    group_ops[node] += 1;
-    if (result.ok()) CacheFill(op.table, op.key, *result, fill_epoch);
-    results.push_back(std::move(result));
-  }
-  for (const auto& [node, bytes] : group_bytes) {
-    max_parallel_ns =
-        std::max(max_parallel_ns,
-                 options_.network.RequestCost(
-                     bytes.first + kPerRequestHeaderBytes, bytes.second));
-    metrics_->storage_requests += 1;
-    metrics_->bytes_sent += bytes.first + kPerRequestHeaderBytes;
-    metrics_->bytes_received += bytes.second;
-  }
-  for (const auto& [node, count] : group_ops) {
-    metrics_->batch_size.Record(count);
-  }
-  clock_->Advance(max_parallel_ns);
+  results.reserve(batch.size());
+  for (Op& op : batch) results.push_back(std::move(*op.get_result));
   return results;
 }
 
 Result<uint64_t> StorageClient::Put(TableId table, std::string_view key,
                                     std::string_view value) {
-  metrics_->storage_ops += 1;
-  clock_->Advance(options_.cpu.per_op_ns);
-  auto result = PutWithRetry(table, key, value);
-  ChargeRequest(key.size() + value.size() + kPerOpHeaderBytes, 16);
-  ChargeReplication(1);
-  return result;
+  return IssueWrite(
+      {.kind = Op::Kind::kPut, .table = table, .key = key, .value = value});
 }
 
 Result<uint64_t> StorageClient::ConditionalPut(TableId table,
                                                std::string_view key,
                                                uint64_t expected_stamp,
                                                std::string_view value) {
-  metrics_->storage_ops += 1;
-  clock_->Advance(options_.cpu.per_op_ns);
-  auto result = ConditionalPutWithRetry(table, key, expected_stamp, value);
-  if (result.status().IsConditionFailed()) metrics_->llsc_failures += 1;
-  ChargeRequest(key.size() + value.size() + kPerOpHeaderBytes, 16);
-  if (result.ok()) ChargeReplication(1);
-  return result;
+  return IssueWrite({.kind = Op::Kind::kConditionalPut,
+                     .table = table,
+                     .key = key,
+                     .value = value,
+                     .expected_stamp = expected_stamp});
 }
 
 Status StorageClient::Erase(TableId table, std::string_view key) {
-  metrics_->storage_ops += 1;
-  clock_->Advance(options_.cpu.per_op_ns);
-  Status status = EraseWithRetry(table, key);
-  ChargeRequest(key.size() + kPerOpHeaderBytes, 16);
-  if (status.ok()) ChargeReplication(1);
-  return status;
+  return IssueWrite({.kind = Op::Kind::kErase, .table = table, .key = key})
+      .status();
 }
 
 Status StorageClient::ConditionalErase(TableId table, std::string_view key,
                                        uint64_t expected_stamp) {
-  metrics_->storage_ops += 1;
-  clock_->Advance(options_.cpu.per_op_ns);
-  Status status = ConditionalEraseWithRetry(table, key, expected_stamp);
-  if (status.IsConditionFailed()) metrics_->llsc_failures += 1;
-  ChargeRequest(key.size() + kPerOpHeaderBytes, 16);
-  if (status.ok()) ChargeReplication(1);
-  return status;
+  return IssueWrite({.kind = Op::Kind::kConditionalErase,
+                     .table = table,
+                     .key = key,
+                     .expected_stamp = expected_stamp})
+      .status();
 }
 
 std::vector<Result<uint64_t>> StorageClient::BatchWrite(
     const std::vector<WriteOp>& ops) {
-  if (options_.pipelining) {
-    // Async enqueue + one flush; llsc_failures and replication are counted
-    // by the resolution step inside Flush().
-    std::vector<Future<uint64_t>> futures;
-    futures.reserve(ops.size());
-    for (const auto& op : ops) {
-      if (op.erase) {
-        futures.push_back(op.conditional
-                              ? AsyncConditionalErase(op.table, op.key,
-                                                      op.expected_stamp)
-                              : AsyncErase(op.table, op.key));
-      } else if (op.conditional) {
-        futures.push_back(
-            AsyncConditionalPut(op.table, op.key, op.expected_stamp, op.value));
-      } else {
-        futures.push_back(AsyncPut(op.table, op.key, op.value));
-      }
-    }
-    Flush();
-    std::vector<Result<uint64_t>> results;
-    results.reserve(futures.size());
-    for (auto& future : futures) results.push_back(future.Await());
-    return results;
+  std::vector<Op> batch;
+  batch.reserve(ops.size());
+  for (const WriteOp& op : ops) {
+    Op::Kind kind = op.erase ? (op.conditional ? Op::Kind::kConditionalErase
+                                               : Op::Kind::kErase)
+                             : (op.conditional ? Op::Kind::kConditionalPut
+                                               : Op::Kind::kPut);
+    batch.push_back({.kind = kind,
+                     .table = op.table,
+                     .key = op.key,
+                     .value = op.erase ? std::string_view() : op.value,
+                     .expected_stamp = op.expected_stamp});
   }
-
+  Issue(batch);
   std::vector<Result<uint64_t>> results;
-  results.reserve(ops.size());
-  metrics_->storage_ops += ops.size();
-  clock_->Advance(options_.cpu.per_op_ns * ops.size());
-
-  auto apply = [&](const WriteOp& op) -> Result<uint64_t> {
-    if (op.erase) {
-      Status st = op.conditional ? ConditionalEraseWithRetry(op.table, op.key,
-                                                             op.expected_stamp)
-                                 : EraseWithRetry(op.table, op.key);
-      if (!st.ok()) return st;
-      return uint64_t{0};
-    }
-    if (op.conditional) {
-      return ConditionalPutWithRetry(op.table, op.key, op.expected_stamp,
-                                     op.value);
-    }
-    return PutWithRetry(op.table, op.key, op.value);
-  };
-
-  if (!options_.batching) {
-    for (const auto& op : ops) {
-      results.push_back(apply(op));
-      if (results.back().status().IsConditionFailed()) {
-        metrics_->llsc_failures += 1;
-      }
-      ChargeRequest(op.key.size() + op.value.size() + kPerOpHeaderBytes, 16);
-      if (results.back().ok() && !op.erase) ChargeReplication(1);
-    }
-    return results;
-  }
-
-  std::map<uint32_t, std::pair<uint64_t, uint64_t>> group_bytes;
-  std::map<uint32_t, uint64_t> group_ops;
-  uint64_t replicated_writes = 0;
-  for (const auto& op : ops) {
-    Result<uint64_t> result = apply(op);
-    if (result.status().IsConditionFailed()) metrics_->llsc_failures += 1;
-    auto master = cluster_->MasterOf(op.table, op.key);
-    uint32_t node = master.ok() ? *master : 0;
-    auto& [req, resp] = group_bytes[node];
-    req += op.key.size() + op.value.size() + kPerOpHeaderBytes;
-    resp += 16;
-    group_ops[node] += 1;
-    if (result.ok() && !op.erase) ++replicated_writes;
-    results.push_back(std::move(result));
-  }
-  std::vector<std::pair<uint64_t, uint64_t>> requests;
-  requests.reserve(group_bytes.size());
-  for (const auto& [node, bytes] : group_bytes) requests.push_back(bytes);
-  for (const auto& [node, count] : group_ops) {
-    metrics_->batch_size.Record(count);
-  }
-  ChargeParallelRequests(requests);
-  ChargeReplication(replicated_writes);
+  results.reserve(batch.size());
+  for (Op& op : batch) results.push_back(std::move(*op.write_result));
   return results;
 }
 

@@ -4,11 +4,12 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "common/future.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -44,19 +45,12 @@ struct WriteOp {
 struct ClientOptions {
   sim::NetworkModel network = sim::NetworkModel::InfiniBand();
   sim::CpuModel cpu;
-  /// Paper §5.1: Tell aggressively batches operations — several logical ops
-  /// to the same storage node travel in one request, and requests to
-  /// different nodes are issued in parallel. Disabled for the batching
-  /// ablation bench (each op then pays a full sequential round trip).
+  /// Paper §5.1: Tell aggressively batches operations — the ops of one call
+  /// bound for the same storage node travel in one coalesced message, and
+  /// messages to different nodes are issued in parallel. Disabled for the
+  /// batching ablation bench (each op then pays a full sequential round
+  /// trip).
   bool batching = true;
-  /// Request pipelining (§5.1's "aggressive batching" taken to its
-  /// conclusion): Async* calls enqueue into a per-worker combiner instead of
-  /// blocking; Flush() coalesces everything outstanding into one message per
-  /// storage node and charges a single shared round trip per node (the
-  /// NetworkModel::CoalescedRequestCost overlap accounting) instead of N
-  /// serial RTTs. Off by default: the synchronous paths then stay
-  /// bit-identical, and Async* calls degrade to immediate execution.
-  bool pipelining = false;
   /// Extra round trips charged per write for synchronous replication
   /// (master -> backup chain). Set from the cluster's replication factor.
   uint32_t replication_extra_hops = 0;
@@ -115,13 +109,20 @@ struct FragmentScanOutcome {
 /// figures are produced. Each worker thread owns its own StorageClient, so
 /// nothing here needs synchronization.
 ///
+/// Request path: every point read and write — single-op or batched — runs
+/// the same five stages (DESIGN.md "The storage request path"): CPU charge
+/// and record-cache probe, one-sided READ attempt, one coalesced message per
+/// master storage node, per-op retry with ambiguous-write resolution, and
+/// the replication charge. Scans and increments stay on their own
+/// single-request path.
+///
 /// Failure handling: every request path funnels through one retry loop
 /// driven by ClientOptions::retry. An Unavailable response triggers
 /// fail-over through the management node, an exponential backoff in virtual
 /// time (jitter from the client's seeded RNG), and — for conditional writes
 /// and erases, whose lost responses are ambiguous — a re-read that decides
 /// whether the write applied before the op is re-issued.
-class StorageClient : public PipelineFlusher {
+class StorageClient {
  public:
   StorageClient(Cluster* cluster, ManagementNode* management,
                 const ClientOptions& options, sim::VirtualClock* clock,
@@ -145,46 +146,8 @@ class StorageClient : public PipelineFlusher {
   /// applied when configured).
   Result<VersionedCell> Get(TableId table, std::string_view key);
 
-  /// Explicit one-sided read: fetches the versioned cell raw via an RDMA
-  /// READ and validates it client-side against the partition's lease epoch,
-  /// regardless of ClientOptions::one_sided_reads. Falls back to the
-  /// two-sided path when the network model has no one-sided support or the
-  /// validation fails. Same future semantics as AsyncGet.
-  Future<VersionedCell> AsyncOneSidedGet(TableId table, std::string_view key);
-
-  /// --- Asynchronous pipeline (ClientOptions::pipelining) -------------------
-  ///
-  /// Async* calls enqueue a logical request and return an unresolved future;
-  /// Flush() coalesces all outstanding requests into one message per storage
-  /// node (issued in parallel across nodes) and resolves the futures.
-  /// Joining any unresolved future flushes implicitly. Each logical request
-  /// still resolves through the full RetryPolicy — fail-over, jittered
-  /// backoff, ambiguous-write resolution — after the coalesced first attempt.
-  /// With pipelining disabled the calls execute immediately (identical cost
-  /// accounting and fault-injection stream to the synchronous paths) and
-  /// return ready futures.
-  Future<VersionedCell> AsyncGet(TableId table, std::string_view key);
-  Future<uint64_t> AsyncPut(TableId table, std::string_view key,
-                            std::string_view value);
-  Future<uint64_t> AsyncConditionalPut(TableId table, std::string_view key,
-                                       uint64_t expected_stamp,
-                                       std::string_view value);
-  /// Erase futures resolve to 0 on success (BatchWrite's convention).
-  Future<uint64_t> AsyncErase(TableId table, std::string_view key);
-  Future<uint64_t> AsyncConditionalErase(TableId table, std::string_view key,
-                                         uint64_t expected_stamp);
-
-  /// Issues every outstanding async request: one coalesced message per
-  /// storage node, fault injection consulted once per *message* (the same
-  /// unit the accounting charges), virtual time advanced by the slowest
-  /// node's message. No-op when nothing is pending.
-  void Flush() override;
-
-  /// Outstanding async requests not yet flushed.
-  size_t PendingOps() const { return pending_.size(); }
-
   /// Reads many records. With batching on, ops going to the same storage
-  /// node share one request and requests to distinct nodes fly in parallel,
+  /// node share one message and messages to distinct nodes fly in parallel,
   /// so the charged time is the *maximum* over nodes, not the sum.
   std::vector<Result<VersionedCell>> BatchGet(const std::vector<GetOp>& ops);
 
@@ -270,6 +233,9 @@ class StorageClient : public PipelineFlusher {
     return result.status();
   }
 
+  /// Crash-stops the storage node a fault decision names, if any.
+  void ApplyNodeKill(const sim::FaultInjector::Decision& d);
+
   /// Issues one request against the cluster with the fault plan applied:
   /// may crash-stop a node, charge a latency spike, drop the request
   /// (nothing executed) or drop the response (executed, outcome lost).
@@ -279,10 +245,7 @@ class StorageClient : public PipelineFlusher {
     if (options_.fault_injector == nullptr) return send();
     sim::FaultInjector::Decision d =
         options_.fault_injector->OnRequest(op, table);
-    if (d.kill_node >= 0 &&
-        d.kill_node < static_cast<int64_t>(cluster_->num_nodes())) {
-      cluster_->node(static_cast<uint32_t>(d.kill_node))->Kill();
-    }
+    ApplyNodeKill(d);
     if (d.extra_latency_ns > 0) clock_->Advance(d.extra_latency_ns);
     if (d.drop_request) {
       return Status::Unavailable("injected fault: request dropped");
@@ -296,9 +259,9 @@ class StorageClient : public PipelineFlusher {
   }
 
   /// The single retry loop every path uses, seeded with the result of an
-  /// already-issued first attempt (the pipeline issues first attempts inside
-  /// a coalesced message, then runs this loop per still-Unavailable logical
-  /// request). `send` re-issues the request; `resolve` is consulted after an
+  /// already-issued first attempt (the request path issues first attempts
+  /// inside a coalesced message, then runs this loop per still-Unavailable
+  /// op). `send` re-issues the request; `resolve` is consulted after an
   /// Unavailable attempt and before the re-issue: it returns a final result
   /// if it can prove the ambiguous write's outcome (applied / superseded),
   /// or nullopt to re-issue.
@@ -332,21 +295,20 @@ class StorageClient : public PipelineFlusher {
     return result;
   }
 
-  template <typename Send, typename Resolve>
-  auto IssueWithRetry(sim::FaultOpClass op, TableId table, Send&& send,
-                      Resolve&& resolve) -> decltype(send()) {
-    return RetryLoop(op, table, IssueOnce(op, table, send),
-                     std::forward<Send>(send), std::forward<Resolve>(resolve));
+  /// The `resolve` of an op whose outcome needs no proof: plain re-issue.
+  template <typename R>
+  static std::optional<R> NoResolution() {
+    return std::nullopt;
   }
 
-  /// Idempotent ops (reads, scans, unconditional puts, increments): no
-  /// ambiguity resolution, plain bounded re-issue.
+  /// Scans and increments: one request of their own kind, issued and
+  /// re-issued without ambiguity resolution.
   template <typename Send>
   auto IssueWithRetry(sim::FaultOpClass op, TableId table, Send&& send)
       -> decltype(send()) {
     using R = decltype(send());
-    return IssueWithRetry(op, table, std::forward<Send>(send),
-                          []() -> std::optional<R> { return std::nullopt; });
+    return RetryLoop(op, table, IssueOnce(op, table, send),
+                     std::forward<Send>(send), NoResolution<R>);
   }
 
   /// Whether reads may take the one-sided path (client opted in AND the
@@ -379,40 +341,9 @@ class StorageClient : public PipelineFlusher {
                                                      uint64_t* fill_epoch,
                                                      uint64_t* response_bytes);
 
-  /// Charges one one-sided READ: NetworkModel::OneSidedReadCost, no
-  /// per-request framing and no software overhead.
-  void ChargeOneSidedRead(uint64_t request_bytes, uint64_t response_bytes);
-
-  /// Shared body of Get and the immediate (non-pipelined) AsyncOneSidedGet:
-  /// cache probe, optional one-sided attempt, two-sided fallback + fill.
-  Result<VersionedCell> GetImpl(TableId table, std::string_view key,
-                                bool try_one_sided);
-
-  /// Retried single-op primitives without cost accounting; the public
-  /// methods and the batch paths layer their own request charges on top.
-  Result<VersionedCell> GetWithRetry(TableId table, std::string_view key);
-  Result<uint64_t> PutWithRetry(TableId table, std::string_view key,
-                                std::string_view value);
-  Result<uint64_t> ConditionalPutWithRetry(TableId table, std::string_view key,
-                                           uint64_t expected_stamp,
-                                           std::string_view value);
-  Status EraseWithRetry(TableId table, std::string_view key);
-  Status ConditionalEraseWithRetry(TableId table, std::string_view key,
-                                   uint64_t expected_stamp);
-
-  /// Ambiguity resolvers shared by the *WithRetry primitives and the
-  /// pipeline: re-read the cell and decide the outcome of a conditional
-  /// write/erase whose response was lost, or return nullopt to re-issue.
-  std::optional<Result<uint64_t>> ResolveAmbiguousConditionalPut(
-      TableId table, std::string_view key, uint64_t expected_stamp,
-      std::string_view value);
-  std::optional<Status> ResolveAmbiguousErase(TableId table,
-                                              std::string_view key);
-  std::optional<Status> ResolveAmbiguousConditionalErase(
-      TableId table, std::string_view key, uint64_t expected_stamp);
-
-  /// One logical request waiting in the pipeline.
-  struct PendingOp {
+  /// One logical op on the request path. Keys and values point into the
+  /// caller's arguments, which outlive the synchronous Issue() call.
+  struct Op {
     enum class Kind : uint8_t {
       kGet,
       kPut,
@@ -422,29 +353,43 @@ class StorageClient : public PipelineFlusher {
     };
     Kind kind;
     TableId table;
-    std::string key;
-    std::string value;               // puts only
-    uint64_t expected_stamp = 0;     // conditional ops only
-    /// kGet only: attempt the one-sided path for this op at flush time.
-    bool one_sided = false;
+    std::string_view key;
+    std::string_view value = {};  // puts only
+    uint64_t expected_stamp = 0;  // conditional ops only
     /// kGet only: lease epoch sampled immediately before the fetch executed
     /// (the cache-fill tag and the seqlock "before" sample).
     uint64_t fill_epoch = 0;
-    // Exactly one of the two states is set, matching `kind`.
-    std::shared_ptr<internal::FutureState<VersionedCell>> get_state;
-    std::shared_ptr<internal::FutureState<uint64_t>> write_state;
-    // First-attempt results, filled while executing the coalesced message.
-    std::optional<Result<VersionedCell>> get_result;
-    std::optional<Result<uint64_t>> write_result;
+    /// Set once the op needs no message: a cache hit or a validated
+    /// one-sided read.
+    bool done = false;
+    /// The op's result, matching `kind`; first the coalesced attempt's,
+    /// final once Issue() returns. Erases carry 0 on success.
+    std::optional<Result<VersionedCell>> get_result = std::nullopt;
+    std::optional<Result<uint64_t>> write_result = std::nullopt;
   };
 
-  static sim::FaultOpClass OpClassOf(PendingOp::Kind kind);
-  /// Raw single-op execution against the cluster (no injection, no charges);
-  /// fills the op's first-attempt result and returns its response bytes.
-  uint64_t ExecuteRaw(PendingOp* op);
-  /// Runs the RetryPolicy for a first attempt that came back Unavailable,
-  /// applies ambiguity resolution, and resolves the op's future.
-  void ResolvePending(PendingOp* op, uint64_t* replicated_writes);
+  /// The request path every point read and write takes (the five stages in
+  /// the class comment). Fills each op's result.
+  void Issue(std::span<Op> ops);
+  /// Issue() of one write; returns its result.
+  Result<uint64_t> IssueWrite(Op op);
+  /// Stage 3 for one message (`members` share its key, the master node):
+  /// one fault decision, every member executed against the cluster, bytes
+  /// and the request counted. Returns the cost, injected latency included,
+  /// for Issue() to charge.
+  sim::NetworkModel::CoalescedCost SendMessage(
+      std::span<const std::pair<uint32_t, Op*>> members);
+
+  static sim::FaultOpClass OpClassOf(Op::Kind kind);
+  /// Marks an op's first attempt as lost in transit.
+  static void SetFailed(Op* op, const Status& status);
+  /// Executes one write against the cluster (no injection, no charges).
+  Result<uint64_t> SendWrite(const Op& op);
+
+  /// Consulted by the retry loop after a write came back Unavailable: from
+  /// a re-read through Get, decides the outcome of a write whose response
+  /// was lost (applied / superseded), or returns nullopt to re-issue.
+  std::optional<Result<uint64_t>> ResolveAmbiguousWrite(const Op& op);
 
   Cluster* const cluster_;
   ManagementNode* const management_;
@@ -454,8 +399,6 @@ class StorageClient : public PipelineFlusher {
   /// Private RNG for backoff jitter (seeded; decorrelates workers without
   /// giving up reproducibility).
   Random rng_;
-  /// Async requests enqueued since the last Flush().
-  std::vector<PendingOp> pending_;
 };
 
 }  // namespace tell::store

@@ -290,14 +290,13 @@ TEST_F(BTreeTest, CachingReducesStorageRequests) {
 
 // ---------------------------------------------------------------------------
 // Batched descents and leaf writes. BatchLookup and BatchInsert take one
-// level-synchronous path whatever the client options; the options only
-// decide how StorageClient::BatchGet / BatchWrite charge it.
+// level-synchronous path whatever the client options; `batching` only
+// decides how StorageClient::BatchGet / BatchWrite charge it.
 
-/// Default (InfiniBand) client options with the two batching knobs set.
-store::ClientOptions BatchingOptions(bool batching, bool pipelining) {
+/// Default (InfiniBand) client options with the batching knob set.
+store::ClientOptions BatchingOptions(bool batching) {
   store::ClientOptions options;
   options.batching = batching;
-  options.pipelining = pipelining;
   return options;
 }
 
@@ -328,8 +327,7 @@ TEST_F(BTreeTest, BatchLookupBatchesDescentsWithoutPipelining) {
   LoadEvenKeys(loader.get(), &tree);
   std::vector<std::string> keys = ProbeKeys();
   keys.push_back(tell::EncodeOrderedU64(1001));  // absent
-  auto client = MakeClient(BatchingOptions(/*batching=*/true,
-                                           /*pipelining=*/false));
+  auto client = MakeClient(BatchingOptions(/*batching=*/true));
   sim::WorkerMetrics* metrics = metrics_.back().get();
   // The reference: K single-key lookups (which also warm the inner nodes).
   std::vector<std::vector<uint64_t>> expected;
@@ -356,8 +354,7 @@ TEST_F(BTreeTest, BatchLookupWithoutBatchingPaysOneRequestPerKey) {
   BTree tree = MakeTree(/*fanout=*/8);
   LoadEvenKeys(loader.get(), &tree);
   const std::vector<std::string> keys = ProbeKeys();
-  auto client = MakeClient(BatchingOptions(/*batching=*/false,
-                                           /*pipelining=*/false));
+  auto client = MakeClient(BatchingOptions(/*batching=*/false));
   sim::WorkerMetrics* metrics = metrics_.back().get();
   // Warm the inner-node cache, so only the leaves cost requests below.
   ASSERT_OK(tree.BatchLookup(client.get(), keys).status());
@@ -371,17 +368,17 @@ TEST_F(BTreeTest, BatchLookupWithoutBatchingPaysOneRequestPerKey) {
   }
 }
 
-// Virtual time and requests of PipelinedBatchCostsStayPinned, after the
-// lookups and after the inserts (the client's clock and counters start at 0).
+// Virtual time and requests of BatchCostsStayPinned, after the lookups and
+// after the inserts (the client's clock and counters start at 0).
 constexpr uint64_t kPinnedLookupNs = 28811;
 constexpr uint64_t kPinnedLookupRequests = 9;
 constexpr uint64_t kPinnedInsertNs = 94676;
 constexpr uint64_t kPinnedInsertRequests = 24;
 
-TEST_F(BTreeTest, PipelinedBatchCostsStayPinned) {
-  // With pipelining on, BatchGet / BatchWrite are exactly Async* + Flush +
-  // Await: one coalesced window per descent level and one for the leaf
-  // puts. The figures below pin that accounting.
+TEST_F(BTreeTest, BatchCostsStayPinned) {
+  // On default options every descent level is one BatchGet and the leaf
+  // puts are one BatchWrite, each a coalesced message per storage node.
+  // The figures below pin that accounting.
   auto loader = MakeClient();
   ASSERT_OK(BTree::Create(loader.get(), table_));
   BTree loaded = MakeTree(/*fanout=*/8);
@@ -390,8 +387,7 @@ TEST_F(BTreeTest, PipelinedBatchCostsStayPinned) {
   BTreeOptions options;
   options.fanout = 8;
   BTree tree(table_, options, &cold_cache);
-  auto client = MakeClient(BatchingOptions(/*batching=*/true,
-                                           /*pipelining=*/true));
+  auto client = MakeClient(store::ClientOptions{});
   sim::VirtualClock* clock = clocks_.back().get();
   sim::WorkerMetrics* metrics = metrics_.back().get();
 

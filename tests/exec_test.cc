@@ -1,10 +1,10 @@
 // Tests for the thread-per-core executor runtime (src/exec, docs/RUNTIME.md):
 // scheduler correctness (FIFO determinism at one thread, work stealing, no
-// lost wakeups on park/unpark), future continuation ordering, the
-// executor_threads=1 determinism contract against the legacy thread-per-
-// worker driver, and a seeded chaos sweep driving TPC-C through the
-// executor with the fault injector armed. Labelled `tsan` — the stealing
-// and wakeup tests are exactly the races ThreadSanitizer should vet.
+// lost wakeups on park/unpark), the executor_threads=1 determinism
+// contract against the legacy thread-per-worker driver, and a seeded chaos
+// sweep driving TPC-C through the executor with the fault injector armed.
+// Labelled `tsan` — the stealing and wakeup tests are exactly the races
+// ThreadSanitizer should vet.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/future.h"
 #include "exec/runtime.h"
 #include "sim/fault_injector.h"
 #include "tests/test_util.h"
@@ -248,46 +247,6 @@ TEST(RuntimeTest, ExportStatsSetsEveryExecGauge) {
     }
   }
   EXPECT_EQ(tasks, 4u);
-}
-
-// ---------------------------------------------------------------------------
-// Future continuations
-// ---------------------------------------------------------------------------
-
-TEST(FutureContinuationTest, ThenOnReadyFutureFiresInlineInOrder) {
-  Promise<uint64_t> promise;
-  Future<uint64_t> future = promise.future();
-  promise.Set(Result<uint64_t>(uint64_t{41}));
-
-  std::vector<int> order;
-  future.Then([&order](const Result<uint64_t>& r) {
-    ASSERT_OK(r.status());
-    EXPECT_EQ(*r, 41u);
-    order.push_back(1);
-  });
-  // Fired inline, before the next statement runs.
-  ASSERT_EQ(order, (std::vector<int>{1}));
-  future.Then([&order](const Result<uint64_t>&) { order.push_back(2); });
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  ASSERT_OK_AND_ASSIGN(uint64_t value, future.Await());
-  EXPECT_EQ(value, 41u);
-}
-
-TEST(FutureContinuationTest, ResolveFiresRegistrationOrder) {
-  Promise<uint64_t> promise;
-  Future<uint64_t> future = promise.future();
-
-  std::vector<int> order;
-  future.Then([&order](const Result<uint64_t>&) { order.push_back(1); });
-  future.Then([&order, &future](const Result<uint64_t>&) {
-    order.push_back(2);
-    // A continuation registering a continuation: the state is resolved by
-    // now, so the nested one runs inline — overall order stays 1, 2, 3.
-    future.Then([&order](const Result<uint64_t>&) { order.push_back(3); });
-  });
-  EXPECT_TRUE(order.empty());  // nothing fires before resolution
-  promise.Set(Result<uint64_t>(uint64_t{7}));
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 // ---------------------------------------------------------------------------

@@ -225,20 +225,6 @@ TEST_F(ClientCacheTest, KernelTcpModelNeverGoesOneSided) {
   EXPECT_EQ(NodeGets(), gets_before + 1);  // ordinary two-sided dispatch
 }
 
-TEST_F(ClientCacheTest, ExplicitAsyncOneSidedGetIgnoresClientDefault) {
-  ClientOptions options;  // one_sided_reads left off
-  auto client = MakeClient(options);
-  ASSERT_OK(client->Put(table_, "k", "v").status());
-  ASSERT_OK(client->Get(table_, "k").status());
-  metrics_.onesided_reads = 0;
-  // Bump the epoch so the cached fill can't shadow the one-sided path.
-  ASSERT_OK(client->Put(table_, "k", "v2").status());
-  ASSERT_OK_AND_ASSIGN(VersionedCell cell,
-                       client->AsyncOneSidedGet(table_, "k").Await());
-  EXPECT_EQ(cell.value, "v2");
-  EXPECT_EQ(metrics_.onesided_reads, 1u);
-}
-
 TEST_F(ClientCacheTest, InjectedOneSidedFaultFallsBackTwoSided) {
   FaultRule rule;
   rule.kind = FaultRule::Kind::kDropRequest;
@@ -303,6 +289,8 @@ struct DigestRunConfig {
   /// stale data they read; the run tolerates that and digests whatever
   /// final state results.
   bool freeze_epochs = false;
+  /// ClientOptions::batching (the §5.1 ablation knob).
+  bool batching = true;
 };
 
 void RunTpccDigest(const DigestRunConfig& config, std::string* digest) {
@@ -310,6 +298,7 @@ void RunTpccDigest(const DigestRunConfig& config, std::string* digest) {
   options.network = sim::NetworkModel::Instant();
   options.record_cache.enabled = config.cache;
   options.one_sided_reads = config.one_sided;
+  options.batching = config.batching;
   db::TellDb db(options);
   ASSERT_OK(tpcc::CreateTpccTables(&db));
   tpcc::TpccScale scale;
@@ -410,6 +399,18 @@ TEST(ClientCacheTpccTest, FrozenLeaseEpochsAreCaughtByTheDigest) {
   EXPECT_NE(stale, baseline)
       << "suppressed lease invalidation went unnoticed: the cache served "
          "stale records yet produced the baseline final state";
+}
+
+// Batching only changes how requests are charged, never what they do: the
+// coalesced and the one-message-per-op runs reach the same final state.
+TEST(ClientCacheTpccTest, BatchingOnVsOffBitIdentical) {
+  std::string batched;
+  std::string unbatched;
+  RunTpccDigest({}, &batched);
+  RunTpccDigest({.batching = false}, &unbatched);
+  ASSERT_FALSE(batched.empty());
+  EXPECT_EQ(unbatched, batched)
+      << "batching must be invisible to transaction semantics";
 }
 
 // ---------------------------------------------------------------------------

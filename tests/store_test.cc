@@ -6,6 +6,7 @@
 #include "sim/virtual_clock.h"
 #include "store/cluster.h"
 #include "store/management_node.h"
+#include "store/record_cache.h"
 #include "store/storage_client.h"
 #include "store/storage_node.h"
 #include "tests/test_util.h"
@@ -405,6 +406,55 @@ TEST_F(StorageClientTest, ReplicationChargesExtraHops) {
                      rf1.network.software_overhead_ns));
 }
 
+// One replication rule on every path: an applied write — erases included —
+// pays the backup chain, a failed write pays nothing.
+TEST_F(StorageClientTest, ReplicationChargesAppliedWritesOnly) {
+  ClientOptions rf1;
+  rf1.cpu.per_op_ns = 0;
+  ClientOptions rf3 = rf1;
+  rf3.replication_extra_hops = 2;
+  const uint64_t backup_chain_ns =
+      2 * 2 * (rf1.network.base_rtt_ns + rf1.network.software_overhead_ns);
+  auto seeder = MakeClient(rf1);
+  for (const char* key : {"a", "b", "c"}) {
+    ASSERT_OK(seeder->Put(table_, key, "v").status());
+  }
+  auto cost = [&](const ClientOptions& options, auto&& call) {
+    sim::VirtualClock clock;
+    sim::WorkerMetrics metrics;
+    StorageClient client(cluster_.get(), nullptr, options, &clock, &metrics);
+    call(&client);
+    return clock.now_ns();
+  };
+
+  const uint64_t erase_rf1 = cost(rf1, [&](StorageClient* c) {
+    ASSERT_OK(c->Erase(table_, "a"));
+  });
+  const uint64_t erase_rf3 = cost(rf3, [&](StorageClient* c) {
+    ASSERT_OK(c->Erase(table_, "b"));
+  });
+  const uint64_t batch_erase_rf3 = cost(rf3, [&](StorageClient* c) {
+    auto results = c->BatchWrite({WriteOp{.table = table_,
+                                          .key = "c",
+                                          .value = "",
+                                          .conditional = false,
+                                          .erase = true}});
+    ASSERT_OK(results[0].status());
+  });
+  EXPECT_EQ(erase_rf3, erase_rf1 + backup_chain_ns);
+  EXPECT_EQ(batch_erase_rf3, erase_rf3);
+
+  // A put to a table that does not exist fails without being applied.
+  const TableId missing = table_ + 100;
+  const uint64_t failed_put_rf1 = cost(rf1, [&](StorageClient* c) {
+    EXPECT_FALSE(c->Put(missing, "k", "v").ok());
+  });
+  const uint64_t failed_put_rf3 = cost(rf3, [&](StorageClient* c) {
+    EXPECT_FALSE(c->Put(missing, "k", "v").ok());
+  });
+  EXPECT_EQ(failed_put_rf3, failed_put_rf1);
+}
+
 TEST_F(StorageClientTest, EthernetCostsMoreThanInfiniBand) {
   ClientOptions ib;
   ib.cpu.per_op_ns = 0;
@@ -424,6 +474,72 @@ TEST_F(StorageClientTest, MetricsCountBytes) {
   auto client = MakeClient(options);
   ASSERT_OK(client->Put(table_, "key", std::string(1000, 'x')).status());
   EXPECT_GT(metrics_.bytes_sent, 1000u);
+}
+
+/// What one storage call charged the worker.
+struct OpCost {
+  uint64_t ns = 0;
+  uint64_t requests = 0;
+  uint64_t bytes_sent = 0;
+  uint64_t bytes_received = 0;
+  bool operator==(const OpCost&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const OpCost& c) {
+  return os << "{" << c.ns << " ns, " << c.requests << " req, "
+            << c.bytes_sent << " B sent, " << c.bytes_received << " B recv}";
+}
+
+// Single-op costs on the default options (InfiniBand, 300 ns per op),
+// pinned so that a change to the request path cannot move them unnoticed.
+TEST_F(StorageClientTest, SingleOpCostsStayPinned) {
+  RecordCacheOptions cache_options;
+  cache_options.enabled = true;
+  RecordCache cache(cache_options);
+  ClientOptions one_sided_options;
+  one_sided_options.one_sided_reads = true;
+  ClientOptions cached_options;
+  cached_options.record_cache = &cache;
+  auto client = MakeClient(ClientOptions{});
+  auto one_sided = MakeClient(one_sided_options);
+  auto cached = MakeClient(cached_options);
+  const std::string value(100, 'v');
+  ASSERT_OK_AND_ASSIGN(uint64_t stamp, client->Put(table_, "k", value));
+  ASSERT_OK(cached->Get(table_, "k").status());  // fills the cache
+
+  auto measure = [&](auto&& call) {
+    OpCost before{clock_.now_ns(), metrics_.storage_requests,
+                  metrics_.bytes_sent, metrics_.bytes_received};
+    call();
+    return OpCost{clock_.now_ns() - before.ns,
+                  metrics_.storage_requests - before.requests,
+                  metrics_.bytes_sent - before.bytes_sent,
+                  metrics_.bytes_received - before.bytes_received};
+  };
+  EXPECT_EQ(measure([&] { ASSERT_OK(client->Get(table_, "k").status()); }),
+            (OpCost{5331, 1, 49, 108}))
+      << "two-sided Get";
+  EXPECT_EQ(
+      measure([&] { ASSERT_OK(one_sided->Get(table_, "k").status()); }),
+      (OpCost{2825, 1, 17, 108}))
+      << "one-sided Get";
+  EXPECT_EQ(measure([&] { ASSERT_OK(cached->Get(table_, "k").status()); }),
+            (OpCost{300, 0, 0, 0}))
+      << "cache-hit Get";
+  EXPECT_EQ(
+      measure([&] { ASSERT_OK(client->Put(table_, "p", value).status()); }),
+      (OpCost{5333, 1, 149, 16}))
+      << "Put";
+  EXPECT_EQ(measure([&] {
+              EXPECT_TRUE(client->ConditionalPut(table_, "k", stamp + 1, value)
+                              .status()
+                              .IsConditionFailed());
+            }),
+            (OpCost{5333, 1, 149, 16}))
+      << "failing ConditionalPut";
+  EXPECT_EQ(measure([&] { ASSERT_OK(client->Erase(table_, "p")); }),
+            (OpCost{5313, 1, 49, 16}))
+      << "Erase";
 }
 
 // Regression (PR 7): the exponential backoff used to multiply the base once
