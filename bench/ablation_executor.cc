@@ -1,12 +1,12 @@
 // Ablation: thread-per-core executor runtime (docs/RUNTIME.md).
-// The paper's processing nodes turn many concurrent client sessions into
-// pipelined storage traffic (§4.1); the legacy driver models a session as a
-// blocking OS thread, so in-flight transactions = OS threads and the
-// PR-5 striped storage engine never sees more runnable work than cores
-// unless the OS oversubscribes. The executor runtime breaks that coupling:
-// workers become fiber tasks that park at pipeline flushes and
-// commit-manager begins, multiplexed onto a fixed pool of core-pinned
-// executor threads with per-core run queues and work stealing.
+// The paper's processing nodes serve many concurrent client sessions
+// (§4.1); the legacy driver models a session as a blocking OS thread, so
+// in-flight transactions = OS threads and the striped storage engine never
+// sees more runnable work than cores unless the OS oversubscribes. The
+// executor runtime breaks that coupling: workers become fiber tasks that
+// park at commit-manager begins (and fast-path fence waits), multiplexed
+// onto a fixed pool of core-pinned executor threads with per-core run
+// queues and work stealing.
 //
 // This bench sweeps executor threads 1/2/4/8 x in-flight transactions and
 // reports both axes:

@@ -10,8 +10,7 @@ using namespace tell::bench;
 int main() {
   PrintHeader("Ablation", "Tid range size (write-intensive, 8 PN, 2 CMs)",
               "§4.2: continuous tid ranges avoid a counter bottleneck but "
-              "larger ranges can raise the abort rate (the paper chose 256; "
-              "interleaved ranges are its future work)");
+              "larger ranges can raise the abort rate (the paper chose 256)");
 
   BenchJson json("ablation_tid_ranges");
   json.AddConfig("mix", "write_intensive");
@@ -38,30 +37,9 @@ int main() {
                 result->abort_rate * 100);
     json.Add("range_" + std::to_string(range), *result, fixture.db());
   }
-  {
-    // Future-work variant: interleaved tids (§4.2, after Tu et al. [58]).
-    db::TellDbOptions options;
-    options.num_processing_nodes = 1;
-    options.num_storage_nodes = 7;
-    options.num_commit_managers = 2;
-    options.commit_manager.interleaved_tids = true;
-    options.commit_manager_sync_ms = 1.0;
-    TellFixture fixture(options, BenchScale());
-    auto result = fixture.Run(8, tpcc::Mix::kWriteIntensive);
-    if (result.ok()) {
-      std::printf("%-12s %12.0f %9.2f%%\n", "interleaved", result->tpmc,
-                  result->abort_rate * 100);
-      json.Add("interleaved", *result, fixture.db());
-    }
-  }
   std::printf(
       "\nshape checks: range size itself is flat (the counter is never the\n"
-      "bottleneck at this scale). The interleaved variant removes the shared\n"
-      "counter but makes every other tid belong to the peer manager, so the\n"
-      "snapshot base only advances at sync rounds — with a 1 ms interval\n"
-      "that measurably raises staleness aborts. The paper expected\n"
-      "interleaving to help; in this reproduction its benefit is contingent\n"
-      "on a much shorter sync interval (documented in EXPERIMENTS.md).\n");
+      "bottleneck at this scale).\n");
   json.Write();
   PrintFooter();
   return 0;

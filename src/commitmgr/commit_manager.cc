@@ -43,18 +43,12 @@ ChangeRecord BeginRecord(Tid tid, uint32_t pn_id, uint64_t token) {
 
 CommitManager::CommitManager(uint32_t manager_id, store::Cluster* cluster,
                              store::TableId state_table,
-                             const CommitManagerOptions& options,
-                             uint32_t num_managers)
+                             const CommitManagerOptions& options)
     : manager_id_(manager_id),
       cluster_(cluster),
       state_table_(state_table),
-      options_(options),
-      num_managers_(num_managers) {
+      options_(options) {
   TELL_CHECK(options_.tid_range_size >= 1);
-  TELL_CHECK(manager_id_ < num_managers_);
-  if (options_.interleaved_tids) {
-    range_next_ = manager_id_ + 1;  // i+1, i+1+n, i+1+2n, ...
-  }
 }
 
 Status CommitManager::RefillTidRangeLocked() {
@@ -86,31 +80,6 @@ Tid CommitManager::ComputeLavLocked() const {
   return lav;
 }
 
-Result<TxnBegin> CommitManager::Start(uint32_t pn_id) {
-  if (!alive()) return Status::Unavailable("commit manager is down");
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (role_ == ReplicaRole::kFollower) {
-    return Status::Unavailable("not the slot leader");
-  }
-  TxnBegin begin;
-  if (options_.interleaved_tids) {
-    begin.tid = range_next_;
-    range_next_ += num_managers_;
-  } else {
-    if (range_next_ > range_end_) {
-      TELL_RETURN_NOT_OK(RefillTidRangeLocked());
-    }
-    begin.tid = range_next_++;
-  }
-  highest_assigned_ = std::max(highest_assigned_, begin.tid);
-  begin.snapshot = snapshot_;
-  active_.emplace(begin.tid, ActiveTxn{snapshot_.base(), pn_id});
-  EmitLocked(BeginRecord(begin.tid, pn_id, 0));
-  begin.lav = ComputeLavLocked();
-  stats_.starts.fetch_add(1, std::memory_order_relaxed);
-  return begin;
-}
-
 Result<TxnBeginDelta> CommitManager::StartDelta(const BeginRequest& request) {
   if (!alive()) return Status::Unavailable("commit manager is down");
   std::lock_guard<std::mutex> lock(mutex_);
@@ -131,15 +100,10 @@ Result<TxnBeginDelta> CommitManager::StartDelta(const BeginRequest& request) {
       active_it->second.snapshot_base = snapshot_.base();
     }
   } else {
-    if (options_.interleaved_tids) {
-      begin.tid = range_next_;
-      range_next_ += num_managers_;
-    } else {
-      if (range_next_ > range_end_) {
-        TELL_RETURN_NOT_OK(RefillTidRangeLocked());
-      }
-      begin.tid = range_next_++;
+    if (range_next_ > range_end_) {
+      TELL_RETURN_NOT_OK(RefillTidRangeLocked());
     }
+    begin.tid = range_next_++;
     highest_assigned_ = std::max(highest_assigned_, begin.tid);
     active_.emplace(begin.tid, ActiveTxn{snapshot_.base(), request.pn_id,
                                          request.start_token});
@@ -164,7 +128,7 @@ SnapshotDelta CommitManager::DeltaSinceLocked(
   SnapshotDelta delta;
   delta.generation = generation_;
   delta.epoch = epoch_;
-  bool resync = request.want_full || request.ack_generation != generation_;
+  bool resync = request.ack_generation != generation_;
   if (!resync) {
     delta.base = snapshot_.base();
     for (const auto& [tid, epoch] : completed_epoch_) {
@@ -278,16 +242,10 @@ Result<std::vector<Tid>> CommitManager::LeaseFastTids(uint32_t count) {
   if (role_ == ReplicaRole::kFollower) {
     return Status::Unavailable("not the slot leader");
   }
-  if (options_.interleaved_tids) {
-    // Interleaved managers never touch the counter, so a counter-leased
-    // range would collide with their strided sequences.
-    return Status::NotSupported(
-        "fast-tid leases require range-based tid assignment");
-  }
-  // From the SAME sequential stream as Start(), not a separate counter
+  // From the SAME sequential stream as StartDelta(), not a separate counter
   // jump: version order within a record is tid order, so correctness needs
   // tid assignment order == begin order across BOTH phases. A counter jump
-  // would leave later MVCC Starts with smaller tids from the cached range,
+  // would leave later MVCC begins with smaller tids from the cached range,
   // burying their (logically newer) writes under the fast version. Leasing
   // from the shared range keeps one monotone stream: any transaction that
   // begins after this lease gets a larger tid, and any earlier-begun
@@ -627,7 +585,7 @@ Status CommitManager::PromoteToLeader() {
     if (!snapshot_.CanRead(tid)) snapshot_.MarkCompleted(tid);
   }
   range_next_ = 1;
-  range_end_ = 0;  // first Start() refills a fresh, strictly higher range
+  range_end_ = 0;  // first begin refills a fresh, strictly higher range
   // New incarnation: force every cached client through a full resync.
   // active_ and token_tids_ are KEPT — a begin retried against this new
   // leader must resolve to the tid the old leader assigned.
@@ -659,9 +617,6 @@ CommitManagerGroup::CommitManagerGroup(store::Cluster* cluster,
       sync_interval_ms_(sync_interval_ms) {
   TELL_CHECK(num_managers >= 1);
   TELL_CHECK(replication_.replicas >= 1);
-  // A replicated slot mirrors a range-based tid stream through its change
-  // log; interleaved assignment has no range to mirror.
-  TELL_CHECK(replication_.replicas == 1 || !options.interleaved_tids);
   auto table = cluster_->CreateTable("__commit_manager_state");
   TELL_CHECK(table.ok());
   state_table_ = *table;
@@ -677,7 +632,7 @@ CommitManagerGroup::CommitManagerGroup(store::Cluster* cluster,
       // All replicas of a slot share the logical manager id: they are one
       // manager to the rest of the system (state key, tid stream, routing).
       auto manager = std::make_unique<CommitManager>(
-          i, cluster_, state_table_, options, num_managers);
+          i, cluster_, state_table_, options);
       manager->AttachReplication(
           slot->log.get(),
           r == 0 ? ReplicaRole::kLeader : ReplicaRole::kFollower);

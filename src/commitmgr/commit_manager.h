@@ -45,10 +45,10 @@ struct TxnBegin {
   Tid lav = 0;
 };
 
-/// Request half of a delta-protocol start() (DESIGN.md, "Snapshot delta sync
-/// & group begin/commit"): carries the snapshot state the client already
-/// holds, so the manager can answer with an incremental update instead of
-/// the full bitset.
+/// Request half of start() (DESIGN.md, "Snapshot delta sync & group
+/// begin/commit"): carries the snapshot state the client already holds, so
+/// the manager can answer with an incremental update instead of the full
+/// bitset.
 struct BeginRequest {
   uint32_t pn_id = 0;
   /// Idempotency token (0 = none): a begin retried after a lost response
@@ -60,12 +60,10 @@ struct BeginRequest {
   /// means first contact and always gets a full descriptor.
   uint32_t ack_generation = 0;
   uint64_t ack_epoch = 0;
-  /// Force a full descriptor even when a delta would be smaller (delta sync
-  /// disabled client-side — the ablation baseline).
-  bool want_full = false;
 };
 
-/// start() response under the delta protocol.
+/// start() response: the snapshot arrives as a delta or, when that is not
+/// smaller or the client's ack is stale, as the full descriptor.
 struct TxnBeginDelta {
   Tid tid = 0;
   SnapshotDelta delta;
@@ -83,7 +81,7 @@ struct CommitManagerStats {
   /// StartDelta() calls answered with an incremental delta.
   uint64_t delta_starts = 0;
   /// StartDelta() calls answered with the full descriptor (first contact,
-  /// generation change, forced, or delta not smaller than the bitset).
+  /// generation change, or delta not smaller than the bitset).
   uint64_t full_starts = 0;
 
   void Accumulate(const CommitManagerStats& other) {
@@ -102,19 +100,11 @@ struct CommitManagerOptions {
   /// continuous ranges of this size, so the counter is not a bottleneck
   /// (paper §4.2; they use e.g. 256).
   uint32_t tid_range_size = 256;
-  /// Interleaved tid assignment (paper §4.2's future-work item, after Tu et
-  /// al. [58], implemented here): manager i of n hands out i+1, i+1+n,
-  /// i+1+2n, ... — unique by construction, no shared counter, and the
-  /// snapshot base trails each manager by at most one in-flight transaction
-  /// per manager instead of a whole continuous range. The trade-off: an
-  /// IDLE manager stalls the base at its next tid until it assigns (or
-  /// syncs), whereas ranges only stall within acquired ranges.
-  bool interleaved_tids = false;
 };
 
 /// The lightweight service managing global transaction state (paper §4.2).
 ///
-/// Supports exactly the paper's three calls: Start() hands out a tid, a
+/// Supports exactly the paper's three calls: StartDelta() hands out a tid, a
 /// snapshot descriptor and the lav; SetCommitted()/SetAborted() record a
 /// transaction's completion. Several commit managers can run against the
 /// same storage cluster: tid uniqueness comes from the store's atomic
@@ -129,11 +119,9 @@ class CommitManager {
  public:
   /// `state_table` must be a table created on `cluster` for commit manager
   /// state + the tid counter (use CommitManagerGroup to set everything up).
-  /// `num_managers` is the group size (needed for interleaved assignment).
   CommitManager(uint32_t manager_id, store::Cluster* cluster,
                 store::TableId state_table,
-                const CommitManagerOptions& options,
-                uint32_t num_managers = 1);
+                const CommitManagerOptions& options);
 
   CommitManager(const CommitManager&) = delete;
   CommitManager& operator=(const CommitManager&) = delete;
@@ -179,17 +167,15 @@ class CommitManager {
     return repl_records_replayed_.load(std::memory_order_relaxed);
   }
 
-  /// start(): new tid + snapshot + lav. `pn_id` identifies the processing
-  /// node starting the transaction, so that a PN failure can abort its
-  /// in-flight transactions (otherwise their tids would block the snapshot
-  /// base forever).
-  Result<TxnBegin> Start(uint32_t pn_id);
-
-  /// start() under the delta protocol: same tid assignment as Start(), but
-  /// the snapshot comes back as an incremental update relative to the
-  /// client's acknowledged (generation, epoch) — or as a full descriptor on
-  /// first contact, generation change, or when the delta would not be
-  /// smaller. Idempotent per `request.start_token` (see BeginRequest).
+  /// start(): the next tid of the manager's continuous range, the snapshot
+  /// and the lav. The snapshot comes back as an incremental update relative
+  /// to the client's acknowledged (generation, epoch) — or as a full
+  /// descriptor on first contact (generation 0), generation change, or when
+  /// the delta would not be smaller. `request.pn_id` identifies the
+  /// processing node starting the transaction, so that a PN failure can
+  /// abort its in-flight transactions (otherwise their tids would block the
+  /// snapshot base forever). Idempotent per `request.start_token` (see
+  /// BeginRequest).
   Result<TxnBeginDelta> StartDelta(const BeginRequest& request);
 
   /// Marks every active transaction started by `pn_id` as aborted. Called
@@ -205,18 +191,18 @@ class CommitManager {
 
   /// Leases `count` tids for the single-partition fast path (DESIGN.md
   /// "Phase-switching fast path"), taken from the SAME sequential stream as
-  /// Start() (the manager's cached range, refilled from the global counter).
-  /// Version order within a record is tid order, so the fast path needs tid
-  /// assignment order to match begin order across both phases: every
-  /// transaction beginning after a lease gets a larger tid, so a fast commit
-  /// can write the newest version of a record without LL/SC (the lane-epoch
-  /// invalidation in FastPathCoordinator covers MVCC tids handed out after
-  /// the lease). This single-stream argument needs ONE range-based manager;
+  /// StartDelta() (the manager's cached range, refilled from the global
+  /// counter). Version order within a record is tid order, so the fast path
+  /// needs tid assignment order to match begin order across both phases:
+  /// every transaction beginning after a lease gets a larger tid, so a fast
+  /// commit can write the newest version of a record without LL/SC (the
+  /// lane-epoch invalidation in FastPathCoordinator covers MVCC tids handed
+  /// out after the lease). This single-stream argument needs ONE manager;
   /// TellDb disables the fast path otherwise. Leased tids are NOT registered
   /// as active: an uncompleted leased tid pins the snapshot base (and thus
   /// the GC horizon) by simply being a zero bit above it, which is exactly
   /// the safety we need until the owning lane completes it via
-  /// CompleteFast(). NotSupported under interleaved tid assignment.
+  /// CompleteFast().
   Result<std::vector<Tid>> LeaseFastTids(uint32_t count);
 
   /// Marks fast-path tids completed (committed or discarded), batched.
@@ -325,10 +311,7 @@ class CommitManager {
 
   mutable std::mutex mutex_;
   SnapshotDescriptor snapshot_;
-  const uint32_t num_managers_;
   /// Next tid to hand out and end of the currently owned range (inclusive).
-  /// In interleaved mode range_next_ strides by num_managers_ and
-  /// range_end_ is unused.
   Tid range_next_ = 1;
   Tid range_end_ = 0;
   struct ActiveTxn {

@@ -56,10 +56,7 @@ TellDb::TellDb(const TellDbOptions& options)
     // and the reason is queryable (fastpath_disabled_reason). Replication
     // of the single slot is fine — a promoted leader restarts the range
     // strictly above every granted tid, so the stream stays monotone.
-    if (options_.commit_manager.interleaved_tids) {
-      fastpath_disabled_reason_ =
-          "requires range-based tid assignment (interleaved_tids=false)";
-    } else if (options_.num_commit_managers != 1) {
+    if (options_.num_commit_managers != 1) {
       fastpath_disabled_reason_ =
           "requires a single commit manager (tids from one sequential "
           "stream)";
@@ -96,7 +93,7 @@ TellDb::TellDb(const TellDbOptions& options)
       MakeClientOptions(options_, /*pn_id=*/UINT32_MAX, /*worker_id=*/0,
                         /*with_faults=*/false),
       commit_managers_.get(), log_.get(), admin_buffer_.get(),
-      options_.session, fastpath_.get());
+      fastpath_.get());
 
   for (uint32_t i = 0; i < options_.num_processing_nodes; ++i) {
     AddProcessingNode();
@@ -190,7 +187,7 @@ std::unique_ptr<tx::Session> TellDb::OpenSession(uint32_t pn_id,
   return std::make_unique<tx::Session>(
       pn_id, worker_id, cluster_.get(), management_.get(), client,
       commit_managers_.get(), log_.get(), pns_[pn_id]->buffer.get(),
-      options_.session, fastpath_.get());
+      fastpath_.get());
 }
 
 Result<tx::TableHandle*> TellDb::GetTable(uint32_t pn_id,

@@ -69,10 +69,9 @@ struct TellDbOptions {
   BufferStrategy buffer_strategy = BufferStrategy::kTransactionOnly;
   uint64_t buffer_unit_size = 10;  // SBVS cache unit size
 
-  /// Phase-switching single-partition fast path (DESIGN.md). Requires
-  /// range-based tid assignment, a single commit manager and the TB buffer
-  /// strategy; incompatible combinations disable the fast path with a
-  /// warning.
+  /// Phase-switching single-partition fast path (DESIGN.md). Requires a
+  /// single commit manager and the TB buffer strategy; incompatible
+  /// combinations disable the fast path with a warning.
   tx::FastPathOptions fastpath;
 
   commitmgr::CommitManagerOptions commit_manager;
@@ -81,9 +80,8 @@ struct TellDbOptions {
   double commit_manager_sync_ms = 1.0;
   /// Commit-manager replication (docs/RECOVERY.md): `replicas` > 1 runs
   /// each commit-manager slot as a leader + followers group with a change
-  /// log and deterministic re-election on leader death. Requires range-based
-  /// tid assignment (interleaved_tids=false). Orthogonal to the fast path:
-  /// a replicated single slot still supports it.
+  /// log and deterministic re-election on leader death. Orthogonal to the
+  /// fast path: a replicated single slot still supports it.
   commitmgr::ReplicationOptions commit_replication;
 
   uint64_t memory_per_storage_node = 4ULL << 30;
@@ -103,8 +101,6 @@ struct TellDbOptions {
   /// sessions consult it on every storage request; the admin session (DDL,
   /// recovery, GC) is exempt so recovery itself stays deterministic.
   sim::FaultInjector* fault_injector = nullptr;
-
-  tx::SessionOptions session;
 };
 
 /// The Tell database: a complete shared-data cluster in one process —

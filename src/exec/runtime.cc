@@ -172,8 +172,9 @@ void Runtime::WorkerLoop(uint32_t core_id) {
         work_cv_.notify_all();
       }
     } else {
-      // The task yielded (parked on a future): back of our own queue, so
-      // every other runnable task on this core gets a slice first.
+      // The task yielded (a commit-manager begin, a fence wait or an
+      // explicit Runtime::Yield): back of our own queue, so every other
+      // runnable task on this core gets a slice first.
       ++cs.yields;
       Core& own = *cores_[core_id];
       own.queue.push_back(task);

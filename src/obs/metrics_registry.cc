@@ -112,7 +112,7 @@ const BuiltinGauge kBuiltinGauges[] = {
     {"exec.threads", "threads", "executor threads the runtime ran with"},
     {"exec.tasks", "tasks", "tasks run to completion"},
     {"exec.yields", "yields",
-     "task suspensions (parks on unready futures / cooperative yields)"},
+     "task suspensions (park points / cooperative yields)"},
     {"exec.steals", "tasks", "tasks stolen from another core's run queue"},
     {"exec.parks", "parks", "executor threads sleeping on an empty queue"},
     {"exec.unparks", "wakeups", "wakeups issued to parked executor threads"},

@@ -25,7 +25,8 @@ enum class FaultOpClass : uint32_t {
   /// Commit-manager begin (delta-protocol start, possibly carrying
   /// piggybacked finish notifications in the same coalesced message).
   kCommitMgrStart,
-  /// Commit-manager finish notification (setCommitted / setAborted).
+  /// Commit-manager finish notification (setCommitted / setAborted); it
+  /// travels in the next begin's coalesced message.
   kCommitMgrFinish,
   /// Commit-manager fast-path tid lease (LeaseFastTids).
   kCommitMgrLease,

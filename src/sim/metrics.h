@@ -102,7 +102,7 @@ struct WorkerMetrics {
   /// Begins answered with a delta-encoded snapshot.
   uint64_t cm_delta_syncs = 0;
   /// Begins answered with the full descriptor (first contact, manager
-  /// generation change, forced, or delta not smaller).
+  /// generation change, or delta not smaller).
   uint64_t cm_full_syncs = 0;
   /// Response bytes avoided by delta-encoded snapshots vs shipping the full
   /// descriptor on every begin.

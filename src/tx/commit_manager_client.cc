@@ -28,11 +28,9 @@ constexpr size_t kMaxDeferredFinishes = 64;
 }  // namespace
 
 CommitManagerClient::CommitManagerClient(commitmgr::CommitManagerGroup* group,
-                                         store::StorageClient* client,
-                                         const CommitSyncOptions& options)
+                                         store::StorageClient* client)
     : group_(group),
       client_(client),
-      options_(options),
       rng_(client->options().retry_seed ^ 0xC933A1D6'5B7F0E24ULL),
       token_salt_(client->options().retry_seed * 0x9E3779B97F4A7C15ULL +
                   0x2545F4914F6CDD1DULL) {}
@@ -100,31 +98,10 @@ Status CommitManagerClient::Finish(commitmgr::CommitManager* manager,
   // deferred onto the worker's next begin (group begin/finish). Honest with
   // respect to the simulator: server-side application is instant shared
   // memory either way, so eager application with deferred accounting is
-  // indistinguishable from a delayed message that cannot be lost.
-  sim::FaultInjector* injector = client_->options().fault_injector;
-  auto apply = [&](commitmgr::CommitManager* m) -> Status {
-    // Only the synchronous path consults the injector here: batched
-    // finishes are evaluated as part of the next begin's coalesced message,
-    // the same unit the accounting charges.
-    if (!options_.batching && injector != nullptr) {
-      sim::FaultInjector::Decision d = injector->OnRequest(
-          sim::FaultOpClass::kCommitMgrFinish, m->state_table());
-      bool kill_after = d.kill_commit_leader && d.drop_response;
-      if (d.kill_commit_leader && !kill_after) m->Kill();  // dies mid-Finish
-      if (d.extra_latency_ns > 0) {
-        client_->clock()->Advance(d.extra_latency_ns);
-      }
-      if (d.drop_request) {
-        return Status::Unavailable("injected fault: request dropped");
-      }
-      Status st = committed ? m->SetCommitted(tid) : m->SetAborted(tid);
-      if (kill_after) m->Kill();
-      if (d.drop_response) {
-        return Status::Unavailable(
-            "injected fault: response dropped (ambiguous outcome)");
-      }
-      return st;
-    }
+  // indistinguishable from a delayed message that cannot be lost. The
+  // fault injector sees the finish as part of that begin's coalesced
+  // message, the same unit the accounting charges.
+  auto apply = [&](commitmgr::CommitManager* m) {
     return committed ? m->SetCommitted(tid) : m->SetAborted(tid);
   };
   Status st = apply(manager);
@@ -150,17 +127,8 @@ Status CommitManagerClient::Finish(commitmgr::CommitManager* manager,
     client_->metrics()->retry_backoff_ns += backoff;
     st = apply(manager);
   }
-  if (options_.batching) {
-    pending_.push_back(manager->manager_id());
-    if (pending_.size() >= kMaxDeferredFinishes) FlushPendingAccounting();
-  } else {
-    // Ablation baseline: every finish pays its own round trip, like the
-    // paper's synchronous setCommitted/setAborted calls. That round trip
-    // is a park point under the executor (batched finishes ride on the
-    // next begin and park there instead).
-    exec_hooks::MaybeYield();
-    ChargeMessage({{kFinishRequestBytes, kFinishResponseBytes}});
-  }
+  pending_.push_back(manager->manager_id());
+  if (pending_.size() >= kMaxDeferredFinishes) FlushPendingAccounting();
   return st;
 }
 
@@ -192,9 +160,8 @@ Result<commitmgr::TxnBegin> CommitManagerClient::Begin(uint32_t pn_id) {
   request.start_token = NextToken();
   auto fill_ack = [&](uint32_t id) {
     const ManagerCache& cache = cache_[id];
-    request.ack_generation = options_.delta ? cache.generation : 0;
+    request.ack_generation = cache.generation;
     request.ack_epoch = cache.epoch;
-    request.want_full = !options_.delta;
   };
   fill_ack(manager->manager_id());
 

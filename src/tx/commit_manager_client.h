@@ -13,23 +13,12 @@
 
 namespace tell::tx {
 
-/// Client-side knobs of the commit-manager wire protocol (mirrored from
-/// tx::SessionOptions).
-struct CommitSyncOptions {
-  /// Delta-encoded snapshot sync (DESIGN.md, "Snapshot delta sync & group
-  /// begin/commit"). Off = every begin ships the full descriptor.
-  bool delta = true;
-  /// Group begin/finish: finish notifications ride in the same coalesced
-  /// message as the worker's next begin. Off = every finish pays its own
-  /// round trip.
-  bool batching = true;
-};
-
 /// The session's window to its commit managers (paper §4.2's start() /
 /// setCommitted() / setAborted() calls), owning the wire-cost model for
 /// them the way StorageClient does for storage requests.
 ///
-/// Two optimizations make the hot path cheap in bytes and round trips:
+/// One protocol (DESIGN.md, "Snapshot delta sync & group begin/commit")
+/// keeps the hot path cheap in bytes and round trips:
 ///
 ///  * **Delta sync** — the client caches, per manager, the last descriptor
 ///    it received and its (generation, epoch); begins acknowledge that
@@ -41,11 +30,12 @@ struct CommitSyncOptions {
 ///    semantics are identical to the synchronous protocol), but their
 ///    message cost is deferred and piggybacked onto the worker's next begin
 ///    to the same manager: one coalesced round trip carries the finish
-///    notifications and the start, exactly like the PR-3 storage pipeline's
-///    per-node messages.
+///    notifications and the start, like the storage client's one message
+///    per storage node.
 ///
-/// Begins are fault-injectable (FaultOpClass::kCommitMgrStart/-Finish on
-/// the manager's state table) and retried under the client's RetryPolicy.
+/// Begins are fault-injectable (FaultOpClass::kCommitMgrStart on the
+/// manager's state table, plus kCommitMgrFinish for every finish the
+/// message carries) and retried under the client's RetryPolicy.
 /// A retried begin whose response was lost re-sends its idempotency token,
 /// so it reuses the already-assigned tid instead of leaking an active entry
 /// that would hold the snapshot base (and with it the GC horizon) back
@@ -53,8 +43,7 @@ struct CommitSyncOptions {
 class CommitManagerClient {
  public:
   CommitManagerClient(commitmgr::CommitManagerGroup* group,
-                      store::StorageClient* client,
-                      const CommitSyncOptions& options);
+                      store::StorageClient* client);
   /// Charges any finish-notification costs still waiting for a begin.
   ~CommitManagerClient();
 
@@ -70,15 +59,12 @@ class CommitManagerClient {
   commitmgr::CommitManager* last_manager() { return last_manager_; }
 
   /// setCommitted(tid) / setAborted(tid). State applies immediately; the
-  /// message cost is deferred onto the next begin when batching is on.
+  /// message cost is deferred onto the next begin.
   Status Finish(commitmgr::CommitManager* manager, commitmgr::Tid tid,
                 bool committed);
 
   /// Charges every deferred finish notification now (teardown, tests).
   void FlushPendingAccounting();
-
-  /// Deferred finish notifications not yet charged.
-  size_t PendingFinishes() const { return pending_.size(); }
 
  private:
   struct ManagerCache {
@@ -98,7 +84,6 @@ class CommitManagerClient {
 
   commitmgr::CommitManagerGroup* const group_;
   store::StorageClient* const client_;
-  const CommitSyncOptions options_;
   /// Private RNG for begin-retry backoff jitter; NOT the StorageClient's
   /// rng_, so storage retry streams stay bit-identical with this feature.
   Random rng_;

@@ -128,15 +128,15 @@ class SpinSharedMutex {
 /// Fast tids are leased in batches from the same sequential stream MVCC
 /// begins draw on (CommitManager::LeaseFastTids) — version order within a
 /// record is tid order, so assignment order must match begin order across
-/// both phases (which is also why the fast path requires a single
-/// range-based commit manager). A lane's cached batch is invalidated
-/// whenever an MVCC commit releases that lane (mvcc_epoch): tids handed out
-/// after the lease are larger than the cached batch, so the lane re-leases
-/// before writing under them. Together these keep the invariant that a fast
-/// write is always the newest version in its lane. Discarded and committed
-/// tids are completed at the commit manager in batches; an uncompleted
-/// leased tid pins the snapshot base (and the GC horizon), which is exactly
-/// the conservative-safe direction.
+/// both phases (which is also why the fast path requires a single commit
+/// manager). A lane's cached batch is invalidated whenever an MVCC commit
+/// releases that lane (mvcc_epoch): tids handed out after the lease are
+/// larger than the cached batch, so the lane re-leases before writing under
+/// them. Together these keep the invariant that a fast write is always the
+/// newest version in its lane. Discarded and committed tids are completed
+/// at the commit manager in batches; an uncompleted leased tid pins the
+/// snapshot base (and the GC horizon), which is exactly the
+/// conservative-safe direction.
 class FastPathCoordinator {
  public:
   FastPathCoordinator(const FastPathOptions& options,

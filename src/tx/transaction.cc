@@ -12,6 +12,9 @@ namespace tell::tx {
 
 namespace {
 constexpr std::string_view kNextRidKey = "meta/next_rid";
+/// Rids are allocated from a per-table counter in ranges of this size,
+/// cached per session.
+constexpr uint32_t kRidRangeSize = 512;
 constexpr int kMaxRollbackRetries = 1024;
 
 std::string RidKey(uint64_t rid) { return EncodeOrderedU64(rid); }
@@ -22,9 +25,9 @@ Result<uint64_t> Session::AllocateRid(const TableMeta* table) {
   if (range.first > range.second || range.first == 0) {
     TELL_ASSIGN_OR_RETURN(
         int64_t end, client_.AtomicIncrement(table->data_table, kNextRidKey,
-                                             options_.rid_range_size));
+                                             kRidRangeSize));
     range.second = static_cast<uint64_t>(end);
-    range.first = range.second - options_.rid_range_size + 1;
+    range.first = range.second - kRidRangeSize + 1;
   }
   return range.first++;
 }

@@ -25,23 +25,6 @@ namespace tell::tx {
 class FastPathCoordinator;
 class Transaction;
 
-struct SessionOptions {
-  /// Rids are allocated from a per-table counter in ranges of this size,
-  /// cached per session.
-  uint32_t rid_range_size = 512;
-  /// Delta-encoded snapshot sync with the commit manager: Begin
-  /// acknowledges the last received (generation, epoch) and gets only the
-  /// base advance + newly completed tids instead of the full bitset (full
-  /// resync on first contact or after a manager recovery). Off = every
-  /// begin ships the full descriptor (the ablation baseline).
-  bool commit_delta = true;
-  /// Group begin/finish: setCommitted/setAborted notifications ride in the
-  /// same coalesced message as the worker's next begin — one commit-manager
-  /// round trip per transaction instead of two. Off = every finish pays its
-  /// own round trip.
-  bool commit_batching = true;
-};
-
 /// Per-worker execution context on a processing node: the storage client
 /// (with this worker's virtual clock and metrics), the commit manager
 /// binding, the transaction log, the PN's shared record buffer and the rid
@@ -53,17 +36,14 @@ class Session {
           const store::ClientOptions& client_options,
           commitmgr::CommitManagerGroup* commit_managers,
           const TransactionLog* log, RecordBuffer* record_buffer,
-          const SessionOptions& options = {},
           FastPathCoordinator* fastpath = nullptr)
       : pn_id_(pn_id),
         worker_id_(worker_id),
         client_(cluster, management, client_options, &clock_, &metrics_),
         commit_managers_(commit_managers),
-        cm_client_(commit_managers, &client_,
-                   {options.commit_delta, options.commit_batching}),
+        cm_client_(commit_managers, &client_),
         log_(log),
         record_buffer_(record_buffer),
-        options_(options),
         fastpath_(fastpath) {}
 
   Session(const Session&) = delete;
@@ -80,7 +60,7 @@ class Session {
   commitmgr::CommitManagerGroup* commit_managers() {
     return commit_managers_;
   }
-  /// The session's delta-sync/batching window to the commit managers.
+  /// The session's window to the commit managers.
   CommitManagerClient* commitmgr_client() { return &cm_client_; }
   /// The PN's phase-switching fast-path coordinator (null = fast path off).
   FastPathCoordinator* fastpath() { return fastpath_; }
@@ -105,7 +85,6 @@ class Session {
   CommitManagerClient cm_client_;
   const TransactionLog* const log_;
   RecordBuffer* const record_buffer_;
-  const SessionOptions options_;
   FastPathCoordinator* const fastpath_;
   /// Cached rid ranges per data table: (next, end inclusive).
   std::map<store::TableId, std::pair<uint64_t, uint64_t>> rid_ranges_;

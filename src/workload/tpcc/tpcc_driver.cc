@@ -46,8 +46,8 @@ Result<DriverResult> RunTpcc(TpccBackend* backend,
 
   // The per-worker terminal loop — identical under both drivers, so the
   // virtual-time stream of a worker cannot depend on which one ran it. The
-  // executor parks/resumes inside backend->Execute (pipeline flushes,
-  // commit-manager begins); the loop body itself never blocks.
+  // executor parks/resumes inside backend->Execute (commit-manager begins,
+  // fast-path fence waits); the loop body itself never blocks.
   auto worker_body = [&](uint32_t w) {
     // Terminals are bound to a home warehouse, spread evenly.
     int64_t home = static_cast<int64_t>(w % options.scale.warehouses) + 1;

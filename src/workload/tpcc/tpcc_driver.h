@@ -63,10 +63,10 @@ struct DriverOptions {
   /// Virtual measurement interval per worker.
   uint64_t duration_virtual_ms = 1000;
   uint64_t seed = 7;
-  /// 0 = legacy thread-per-worker (one OS thread per worker, blocking
-  /// Future waits). N >= 1 = thread-per-core executor: every worker becomes
-  /// a fiber task multiplexed onto N executor threads, parking at pipeline
-  /// flushes and commit-manager begins instead of blocking (docs/RUNTIME.md).
+  /// 0 = legacy thread-per-worker (one OS thread per worker). N >= 1 =
+  /// thread-per-core executor: every worker becomes a fiber task
+  /// multiplexed onto N executor threads, parking at commit-manager begins
+  /// and fast-path fence waits (docs/RUNTIME.md).
   /// Each worker's virtual-time stream is identical either way; only the
   /// wall-clock axis (and, with conflicts, cross-worker interleaving)
   /// changes. executor_threads=1 is fully deterministic.

@@ -126,44 +126,44 @@ class CommitManagerTest : public ::testing::Test {
 TEST_F(CommitManagerTest, StartAssignsUniqueMonotonicTids) {
   auto group = MakeGroup(1);
   CommitManager* cm = group->manager(0);
-  ASSERT_OK_AND_ASSIGN(TxnBegin t1, cm->Start(0));
-  ASSERT_OK_AND_ASSIGN(TxnBegin t2, cm->Start(0));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta t1, cm->StartDelta({.pn_id = 0}));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta t2, cm->StartDelta({.pn_id = 0}));
   EXPECT_LT(t1.tid, t2.tid);
 }
 
 TEST_F(CommitManagerTest, SnapshotExcludesActiveTransactions) {
   auto group = MakeGroup(1);
   CommitManager* cm = group->manager(0);
-  ASSERT_OK_AND_ASSIGN(TxnBegin t1, cm->Start(0));
-  ASSERT_OK_AND_ASSIGN(TxnBegin t2, cm->Start(0));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta t1, cm->StartDelta({.pn_id = 0}));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta t2, cm->StartDelta({.pn_id = 0}));
   // t2's snapshot must not see t1 (still active).
-  EXPECT_FALSE(t2.snapshot.CanRead(t1.tid));
+  EXPECT_FALSE(t2.delta.snapshot.CanRead(t1.tid));
   ASSERT_OK(cm->SetCommitted(t1.tid));
-  ASSERT_OK_AND_ASSIGN(TxnBegin t3, cm->Start(0));
-  EXPECT_TRUE(t3.snapshot.CanRead(t1.tid));
-  EXPECT_FALSE(t3.snapshot.CanRead(t2.tid));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta t3, cm->StartDelta({.pn_id = 0}));
+  EXPECT_TRUE(t3.delta.snapshot.CanRead(t1.tid));
+  EXPECT_FALSE(t3.delta.snapshot.CanRead(t2.tid));
 }
 
 TEST_F(CommitManagerTest, AbortedCountsAsCompleted) {
   auto group = MakeGroup(1);
   CommitManager* cm = group->manager(0);
-  ASSERT_OK_AND_ASSIGN(TxnBegin t1, cm->Start(0));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta t1, cm->StartDelta({.pn_id = 0}));
   ASSERT_OK(cm->SetAborted(t1.tid));
-  ASSERT_OK_AND_ASSIGN(TxnBegin t2, cm->Start(0));
-  EXPECT_TRUE(t2.snapshot.CanRead(t1.tid));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta t2, cm->StartDelta({.pn_id = 0}));
+  EXPECT_TRUE(t2.delta.snapshot.CanRead(t1.tid));
 }
 
 TEST_F(CommitManagerTest, LavTracksOldestActive) {
   auto group = MakeGroup(1);
   CommitManager* cm = group->manager(0);
-  ASSERT_OK_AND_ASSIGN(TxnBegin t1, cm->Start(0));
-  ASSERT_OK_AND_ASSIGN(TxnBegin t2, cm->Start(0));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta t1, cm->StartDelta({.pn_id = 0}));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta t2, cm->StartDelta({.pn_id = 0}));
   (void)t2;
   // While t1 runs, the lav stays at t1's snapshot base.
-  EXPECT_EQ(cm->Lav(), t1.snapshot.base());
+  EXPECT_EQ(cm->Lav(), t1.delta.snapshot.base());
   ASSERT_OK(cm->SetCommitted(t1.tid));
   ASSERT_OK(cm->SetCommitted(t2.tid));
-  ASSERT_OK_AND_ASSIGN(TxnBegin t3, cm->Start(0));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta t3, cm->StartDelta({.pn_id = 0}));
   EXPECT_GE(t3.lav, t1.tid);
 }
 
@@ -173,7 +173,7 @@ TEST_F(CommitManagerTest, TidRangesAvoidCounterRoundTrips) {
   // All tids of the first range are continuous.
   Tid previous = 0;
   for (int i = 0; i < 256; ++i) {
-    ASSERT_OK_AND_ASSIGN(TxnBegin begin, cm->Start(0));
+    ASSERT_OK_AND_ASSIGN(TxnBeginDelta begin, cm->StartDelta({.pn_id = 0}));
     if (previous != 0) EXPECT_EQ(begin.tid, previous + 1);
     previous = begin.tid;
     ASSERT_OK(cm->SetCommitted(begin.tid));
@@ -182,8 +182,10 @@ TEST_F(CommitManagerTest, TidRangesAvoidCounterRoundTrips) {
 
 TEST_F(CommitManagerTest, TwoManagersGetDisjointRanges) {
   auto group = MakeGroup(2, /*range=*/8);
-  ASSERT_OK_AND_ASSIGN(TxnBegin a, group->manager(0)->Start(0));
-  ASSERT_OK_AND_ASSIGN(TxnBegin b, group->manager(1)->Start(0));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta a,
+                       group->manager(0)->StartDelta({.pn_id = 0}));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta b,
+                       group->manager(1)->StartDelta({.pn_id = 0}));
   EXPECT_NE(a.tid, b.tid);
   // Ranges of 8: manager 0 got [1,8], manager 1 [9,16].
   EXPECT_EQ(a.tid, 1u);
@@ -194,17 +196,17 @@ TEST_F(CommitManagerTest, PeersLearnCommitsViaSync) {
   auto group = MakeGroup(2, /*range=*/8);
   CommitManager* cm0 = group->manager(0);
   CommitManager* cm1 = group->manager(1);
-  ASSERT_OK_AND_ASSIGN(TxnBegin t0, cm0->Start(0));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta t0, cm0->StartDelta({.pn_id = 0}));
   ASSERT_OK(cm0->SetCommitted(t0.tid));
   // Before sync, manager 1 does not know about t0.
-  ASSERT_OK_AND_ASSIGN(TxnBegin before, cm1->Start(1));
-  EXPECT_FALSE(before.snapshot.CanRead(t0.tid));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta before, cm1->StartDelta({.pn_id = 1}));
+  EXPECT_FALSE(before.delta.snapshot.CanRead(t0.tid));
   ASSERT_OK(cm1->SetCommitted(before.tid));
   // One sync round propagates the state.
   ASSERT_OK(group->SyncAll());
   ASSERT_OK(group->SyncAll());  // second round: read-back of peer states
-  ASSERT_OK_AND_ASSIGN(TxnBegin after, cm1->Start(1));
-  EXPECT_TRUE(after.snapshot.CanRead(t0.tid));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta after, cm1->StartDelta({.pn_id = 1}));
+  EXPECT_TRUE(after.delta.snapshot.CanRead(t0.tid));
 }
 
 TEST_F(CommitManagerTest, ManagerForSkipsDeadManagers) {
@@ -218,7 +220,7 @@ TEST_F(CommitManagerTest, ManagerForSkipsDeadManagers) {
 TEST_F(CommitManagerTest, RecoverFromStoreRestoresState) {
   auto group = MakeGroup(2, /*range=*/8);
   CommitManager* cm0 = group->manager(0);
-  ASSERT_OK_AND_ASSIGN(TxnBegin t0, cm0->Start(0));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta t0, cm0->StartDelta({.pn_id = 0}));
   ASSERT_OK(cm0->SetCommitted(t0.tid));
   ASSERT_OK(group->SyncAll());
   // Manager 1 "fails" and a replacement rebuilds from the store.
@@ -226,72 +228,24 @@ TEST_F(CommitManagerTest, RecoverFromStoreRestoresState) {
   cm1->Kill();
   cm1->Revive();
   ASSERT_OK(cm1->RecoverFromStore(group->size()));
-  ASSERT_OK_AND_ASSIGN(TxnBegin begin, cm1->Start(1));
-  EXPECT_TRUE(begin.snapshot.CanRead(t0.tid));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta begin, cm1->StartDelta({.pn_id = 1}));
+  EXPECT_TRUE(begin.delta.snapshot.CanRead(t0.tid));
   EXPECT_GT(begin.tid, t0.tid);
 }
 
 TEST_F(CommitManagerTest, AbortActiveOfCompletesPnTids) {
   auto group = MakeGroup(1);
   CommitManager* cm = group->manager(0);
-  ASSERT_OK_AND_ASSIGN(TxnBegin pn0_txn, cm->Start(/*pn_id=*/0));
-  ASSERT_OK_AND_ASSIGN(TxnBegin pn1_txn, cm->Start(/*pn_id=*/1));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta pn0_txn, cm->StartDelta({.pn_id = 0}));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta pn1_txn, cm->StartDelta({.pn_id = 1}));
   std::vector<Tid> aborted = cm->AbortActiveOf(0);
   ASSERT_EQ(aborted.size(), 1u);
   EXPECT_EQ(aborted[0], pn0_txn.tid);
   // pn1's transaction is still active.
   ASSERT_OK(cm->SetCommitted(pn1_txn.tid));
-  ASSERT_OK_AND_ASSIGN(TxnBegin after, cm->Start(0));
-  EXPECT_TRUE(after.snapshot.CanRead(pn0_txn.tid));
-  EXPECT_TRUE(after.snapshot.CanRead(pn1_txn.tid));
-}
-
-TEST_F(CommitManagerTest, InterleavedTidsAreDisjointStrides) {
-  CommitManagerOptions options;
-  options.interleaved_tids = true;
-  auto group = std::make_unique<CommitManagerGroup>(cluster_.get(), 3,
-                                                    options, 0.0);
-  for (int round = 0; round < 5; ++round) {
-    for (uint32_t m = 0; m < 3; ++m) {
-      ASSERT_OK_AND_ASSIGN(TxnBegin begin, group->manager(m)->Start(0));
-      // Manager m hands out m+1, m+1+3, m+1+6, ...
-      EXPECT_EQ(begin.tid, m + 1 + static_cast<Tid>(round) * 3);
-      ASSERT_OK(group->manager(m)->SetCommitted(begin.tid));
-    }
-  }
-}
-
-TEST_F(CommitManagerTest, InterleavedBaseAdvancesAfterSync) {
-  CommitManagerOptions options;
-  options.interleaved_tids = true;
-  auto group = std::make_unique<CommitManagerGroup>(cluster_.get(), 2,
-                                                    options, 0.0);
-  // Both managers complete one transaction each (tids 1 and 2).
-  ASSERT_OK_AND_ASSIGN(TxnBegin a, group->manager(0)->Start(0));
-  ASSERT_OK_AND_ASSIGN(TxnBegin b, group->manager(1)->Start(0));
-  ASSERT_OK(group->manager(0)->SetCommitted(a.tid));
-  ASSERT_OK(group->manager(1)->SetCommitted(b.tid));
-  ASSERT_OK(group->SyncAll());
-  ASSERT_OK(group->SyncAll());
-  // After merging, both managers' bases cover tids 1 and 2.
-  EXPECT_GE(group->manager(0)->CurrentSnapshot().base(), 2u);
-  EXPECT_GE(group->manager(1)->CurrentSnapshot().base(), 2u);
-}
-
-TEST_F(CommitManagerTest, InterleavedWorksEndToEnd) {
-  CommitManagerOptions options;
-  options.interleaved_tids = true;
-  auto group = std::make_unique<CommitManagerGroup>(cluster_.get(), 2,
-                                                    options, 0.0);
-  // Interleaved tids stay unique and monotone per manager under load.
-  std::set<Tid> seen;
-  for (int i = 0; i < 50; ++i) {
-    for (uint32_t m = 0; m < 2; ++m) {
-      ASSERT_OK_AND_ASSIGN(TxnBegin begin, group->manager(m)->Start(0));
-      EXPECT_TRUE(seen.insert(begin.tid).second) << "duplicate " << begin.tid;
-      ASSERT_OK(group->manager(m)->SetCommitted(begin.tid));
-    }
-  }
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta after, cm->StartDelta({.pn_id = 0}));
+  EXPECT_TRUE(after.delta.snapshot.CanRead(pn0_txn.tid));
+  EXPECT_TRUE(after.delta.snapshot.CanRead(pn1_txn.tid));
 }
 
 TEST_F(CommitManagerTest, ConcurrentStartsUniqueTids) {
@@ -304,7 +258,7 @@ TEST_F(CommitManagerTest, ConcurrentStartsUniqueTids) {
     threads.emplace_back([&, t] {
       CommitManager* cm = group->ManagerFor(static_cast<uint32_t>(t));
       for (int i = 0; i < kPerThread; ++i) {
-        auto begin = cm->Start(0);
+        auto begin = cm->StartDelta({.pn_id = 0});
         ASSERT_TRUE(begin.ok());
         tids[t].push_back(begin->tid);
         ASSERT_TRUE(cm->SetCommitted(begin->tid).ok());
@@ -458,7 +412,7 @@ TEST_F(CommitManagerTest, StartTokenRetryReturnsSameTid) {
 TEST_F(CommitManagerTest, DuplicateFinishIsIdempotent) {
   auto group = MakeGroup(1);
   CommitManager* cm = group->manager(0);
-  ASSERT_OK_AND_ASSIGN(TxnBegin t1, cm->Start(0));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta t1, cm->StartDelta({.pn_id = 0}));
   ASSERT_OK(cm->SetCommitted(t1.tid));
   // A retried finish whose first delivery actually landed must not
   // double-count stats or disturb the snapshot.
@@ -530,7 +484,7 @@ TEST_F(CommitManagerTest, DeltaPropertyRandomInterleavings) {
 TEST_F(CommitManagerTest, LeaseFastTidsContinuesTheStartStream) {
   auto group = MakeGroup(1, /*range=*/8);
   CommitManager* cm = group->manager(0);
-  ASSERT_OK_AND_ASSIGN(TxnBegin before, cm->Start(0));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta before, cm->StartDelta({.pn_id = 0}));
   // Leased tids are distinct, increasing, and all above every tid Start
   // handed out earlier — one monotone assignment stream across both phases.
   ASSERT_OK_AND_ASSIGN(std::vector<Tid> leased, cm->LeaseFastTids(12));
@@ -542,7 +496,7 @@ TEST_F(CommitManagerTest, LeaseFastTidsContinuesTheStartStream) {
   }
   // A Start after the lease continues above it (the lease crossed a range
   // refill boundary with range=8, so this checks the refill path too).
-  ASSERT_OK_AND_ASSIGN(TxnBegin after, cm->Start(0));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta after, cm->StartDelta({.pn_id = 0}));
   EXPECT_GT(after.tid, leased.back());
   EXPECT_EQ(cm->HighestAssignedTid(), after.tid);
 }
@@ -552,28 +506,19 @@ TEST_F(CommitManagerTest, CompleteFastMakesLeasedTidsReadable) {
   CommitManager* cm = group->manager(0);
   ASSERT_OK_AND_ASSIGN(std::vector<Tid> leased, cm->LeaseFastTids(3));
   // Until completed, the leased tids hold the snapshot base back.
-  ASSERT_OK_AND_ASSIGN(TxnBegin blocked, cm->Start(0));
-  EXPECT_FALSE(blocked.snapshot.CanRead(leased[0]));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta blocked, cm->StartDelta({.pn_id = 0}));
+  EXPECT_FALSE(blocked.delta.snapshot.CanRead(leased[0]));
   ASSERT_OK(cm->SetCommitted(blocked.tid));
 
   ASSERT_OK(cm->CompleteFast(leased));
   // Duplicate delivery is harmless (a failed flush gets re-queued).
   ASSERT_OK(cm->CompleteFast(leased));
-  ASSERT_OK_AND_ASSIGN(TxnBegin begin, cm->Start(0));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta begin, cm->StartDelta({.pn_id = 0}));
   for (Tid tid : leased) {
-    EXPECT_TRUE(begin.snapshot.CanRead(tid)) << "tid " << tid;
+    EXPECT_TRUE(begin.delta.snapshot.CanRead(tid)) << "tid " << tid;
   }
   ASSERT_OK(cm->SetCommitted(begin.tid));
   EXPECT_GE(cm->Lav(), leased.back());
-}
-
-TEST_F(CommitManagerTest, LeaseFastTidsRejectsInterleavedMode) {
-  CommitManagerOptions options;
-  options.interleaved_tids = true;
-  auto group = std::make_unique<CommitManagerGroup>(cluster_.get(), 2, options,
-                                                    /*sync_interval_ms=*/0);
-  EXPECT_EQ(group->manager(0)->LeaseFastTids(4).status().code(),
-            StatusCode::kNotSupported);
 }
 
 TEST_F(CommitManagerTest, LeaseFastTidsRejectsZeroCount) {
@@ -592,7 +537,7 @@ TEST_F(CommitManagerTest, LeaseFastTidsRefillFailureDoesNotPinSnapshotBase) {
   auto group = MakeGroup(1, /*range=*/4);
   CommitManager* cm = group->manager(0);
   // Consume tid 1 of range [1,4] so the lease below exhausts the remainder.
-  ASSERT_OK_AND_ASSIGN(TxnBegin first, cm->Start(0));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta first, cm->StartDelta({.pn_id = 0}));
   ASSERT_OK(cm->SetCommitted(first.tid));
 
   for (uint32_t i = 0; i < cluster_->num_nodes(); ++i) {
@@ -606,10 +551,10 @@ TEST_F(CommitManagerTest, LeaseFastTidsRefillFailureDoesNotPinSnapshotBase) {
 
   // The discarded tids must not hold the base back: a transaction begun and
   // completed now lets the base advance contiguously over them.
-  ASSERT_OK_AND_ASSIGN(TxnBegin after, cm->Start(0));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta after, cm->StartDelta({.pn_id = 0}));
   ASSERT_OK(cm->SetCommitted(after.tid));
-  ASSERT_OK_AND_ASSIGN(TxnBegin probe, cm->Start(0));
-  EXPECT_GE(probe.snapshot.base(), after.tid)
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta probe, cm->StartDelta({.pn_id = 0}));
+  EXPECT_GE(probe.delta.snapshot.base(), after.tid)
       << "discarded lease tids still pin the snapshot base";
   ASSERT_OK(cm->SetCommitted(probe.tid));
   EXPECT_GE(cm->Lav(), after.tid);

@@ -351,8 +351,8 @@ TEST(ExecDeterminismTest, SingleExecutorThreadIsRunToRunIdentical) {
                        RunWorkload(db2.get(), 4, 1));
   ASSERT_GT(first.committed, 0u);
   ExpectSameOutcome(first, second);
-  // Parking actually happened: the workload pipelines storage requests and
-  // begins transactions, both of which yield under the executor.
+  // Parking actually happened: every transaction begin is a commit-manager
+  // round trip, which yields under the executor.
   EXPECT_GT(first.exec_stats.Total(&RuntimeStats::PerCore::yields), 0u);
   EXPECT_EQ(first.exec_stats.Total(&RuntimeStats::PerCore::yields),
             second.exec_stats.Total(&RuntimeStats::PerCore::yields));

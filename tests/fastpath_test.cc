@@ -392,15 +392,6 @@ TEST_F(FastPathTest, DisabledWithIncompatibleBufferStrategy) {
   EXPECT_EQ(db.fastpath(), nullptr);
 }
 
-TEST_F(FastPathTest, DisabledWithInterleavedTids) {
-  db::TellDbOptions options;
-  options.network = sim::NetworkModel::Instant();
-  options.fastpath.enabled = true;
-  options.commit_manager.interleaved_tids = true;
-  db::TellDb db(options);
-  EXPECT_EQ(db.fastpath(), nullptr);
-}
-
 // ---------------------------------------------------------------------------
 // Fence races: fast lanes vs MVCC commits, concurrently (tsan target).
 

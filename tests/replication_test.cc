@@ -78,7 +78,8 @@ class ReplicatedGroupTest : public ::testing::Test {
 TEST_F(ReplicatedGroupTest, ReplicasOffBehavesAsBefore) {
   auto group = MakeGroup(2, /*replicas=*/1);
   EXPECT_EQ(group->num_replicas(), 1u);
-  ASSERT_OK_AND_ASSIGN(commitmgr::TxnBegin t, group->manager(0)->Start(0));
+  ASSERT_OK_AND_ASSIGN(commitmgr::TxnBeginDelta t,
+                       group->manager(0)->StartDelta({.pn_id = 0}));
   ASSERT_OK(group->manager(0)->SetCommitted(t.tid));
   commitmgr::GroupReplicationStats repl = group->ReplStats();
   EXPECT_EQ(repl.log_appends, 0u);
@@ -92,7 +93,8 @@ TEST_F(ReplicatedGroupTest, FollowerCatchUpReproducesLeaderState) {
 
   std::vector<commitmgr::Tid> tids;
   for (int i = 0; i < 10; ++i) {
-    ASSERT_OK_AND_ASSIGN(commitmgr::TxnBegin t, leader->Start(0));
+    ASSERT_OK_AND_ASSIGN(commitmgr::TxnBeginDelta t,
+                         leader->StartDelta({.pn_id = 0}));
     tids.push_back(t.tid);
   }
   for (size_t i = 0; i + 2 < tids.size(); ++i) {
@@ -119,7 +121,7 @@ TEST_F(ReplicatedGroupTest, FollowerCatchUpReproducesLeaderState) {
 
   // A follower rejects requests (single-leader-per-slot invariant).
   CommitManager* follower = group->replica(0, (leader_idx + 1) % 3);
-  EXPECT_TRUE(follower->Start(0).status().IsUnavailable());
+  EXPECT_TRUE(follower->StartDelta({.pn_id = 0}).status().IsUnavailable());
 }
 
 TEST_F(ReplicatedGroupTest, ElectionIsDeterministicPerSeed) {
@@ -133,7 +135,7 @@ TEST_F(ReplicatedGroupTest, ElectionIsDeterministicPerSeed) {
     replication.replicas = 3;
     CommitManagerGroup group(&cluster, 1, options, /*sync_interval_ms=*/0,
                              replication);
-    EXPECT_OK(group.manager(0)->Start(0).status());
+    EXPECT_OK(group.manager(0)->StartDelta({.pn_id = 0}).status());
     group.manager(0)->Kill();
     uint64_t election_ns = 0;
     CommitManager* next = group.ManagerFor(0, &election_ns);
@@ -150,7 +152,8 @@ TEST_F(ReplicatedGroupTest, ElectionIsDeterministicPerSeed) {
 TEST_F(ReplicatedGroupTest, PromotionCompletesOrphanedRangeAndStaysMonotone) {
   auto group = MakeGroup(1, /*replicas=*/2, /*range=*/16);
   CommitManager* old_leader = group->manager(0);
-  ASSERT_OK_AND_ASSIGN(commitmgr::TxnBegin t1, old_leader->Start(0));
+  ASSERT_OK_AND_ASSIGN(commitmgr::TxnBeginDelta t1,
+                       old_leader->StartDelta({.pn_id = 0}));
   EXPECT_EQ(t1.tid, 1u);  // range [1, 16] was granted
   ASSERT_OK(old_leader->SetCommitted(t1.tid));
   const commitmgr::Tid highest = old_leader->HighestAssignedTid();
@@ -169,7 +172,8 @@ TEST_F(ReplicatedGroupTest, PromotionCompletesOrphanedRangeAndStaysMonotone) {
 
   // The new leader's first tid comes from a fresh counter range, strictly
   // above everything the dead leader ever granted (monotone stream).
-  ASSERT_OK_AND_ASSIGN(commitmgr::TxnBegin t2, new_leader->Start(0));
+  ASSERT_OK_AND_ASSIGN(commitmgr::TxnBeginDelta t2,
+                       new_leader->StartDelta({.pn_id = 0}));
   EXPECT_GT(t2.tid, 16u);
   EXPECT_GT(t2.tid, highest);
   ASSERT_OK(new_leader->SetCommitted(t2.tid));
@@ -207,7 +211,8 @@ TEST_F(ReplicatedGroupTest, SnapshotBoundsCatchUpReplay) {
                          /*snapshot_interval=*/8);
   CommitManager* leader = group->manager(0);
   for (int i = 0; i < 40; ++i) {
-    ASSERT_OK_AND_ASSIGN(commitmgr::TxnBegin t, leader->Start(0));
+    ASSERT_OK_AND_ASSIGN(commitmgr::TxnBeginDelta t,
+                         leader->StartDelta({.pn_id = 0}));
     ASSERT_OK(leader->SetCommitted(t.tid));
   }
   const commitmgr::Tid base_before = leader->CurrentSnapshot().base();
@@ -223,7 +228,8 @@ TEST_F(ReplicatedGroupTest, SnapshotBoundsCatchUpReplay) {
       << "a follower this far behind must catch up via a log snapshot";
   EXPECT_GE(promoted->CurrentSnapshot().base(), base_before);
 
-  ASSERT_OK_AND_ASSIGN(commitmgr::TxnBegin t, promoted->Start(0));
+  ASSERT_OK_AND_ASSIGN(commitmgr::TxnBeginDelta t,
+                       promoted->StartDelta({.pn_id = 0}));
   EXPECT_GT(t.tid, base_before);
   ASSERT_OK(promoted->SetCommitted(t.tid));
 }
@@ -231,7 +237,7 @@ TEST_F(ReplicatedGroupTest, SnapshotBoundsCatchUpReplay) {
 TEST_F(ReplicatedGroupTest, RevivedOldLeaderRejoinsAsFollower) {
   auto group = MakeGroup(1, /*replicas=*/3);
   CommitManager* old_leader = group->manager(0);
-  ASSERT_OK(old_leader->Start(0).status());
+  ASSERT_OK(old_leader->StartDelta({.pn_id = 0}).status());
   old_leader->Kill();
   CommitManager* new_leader = group->ManagerFor(0);
   ASSERT_NE(new_leader, old_leader);
@@ -239,7 +245,7 @@ TEST_F(ReplicatedGroupTest, RevivedOldLeaderRejoinsAsFollower) {
   old_leader->Revive();
   EXPECT_EQ(old_leader->role(), ReplicaRole::kFollower)
       << "a revived leader must not serve the slot it lost";
-  EXPECT_TRUE(old_leader->Start(0).status().IsUnavailable());
+  EXPECT_TRUE(old_leader->StartDelta({.pn_id = 0}).status().IsUnavailable());
   EXPECT_EQ(group->ManagerFor(0), new_leader);
 }
 
@@ -289,18 +295,6 @@ TEST(FastPathGateTest, MultipleCommitManagersHardDisableFastPath) {
   EXPECT_EQ(session->metrics()->fastpath_hits, 0u);
 }
 
-TEST(FastPathGateTest, InterleavedTidsHardDisableFastPath) {
-  db::TellDbOptions options;
-  options.network = sim::NetworkModel::Instant();
-  options.fastpath.enabled = true;
-  options.commit_manager.interleaved_tids = true;
-  db::TellDb db(options);
-  EXPECT_EQ(db.fastpath(), nullptr);
-  EXPECT_NE(db.fastpath_disabled_reason().find("interleaved_tids"),
-            std::string::npos)
-      << "actual reason: " << db.fastpath_disabled_reason();
-}
-
 TEST(FastPathGateTest, ReplicatedSingleSlotKeepsFastPathEnabled) {
   db::TellDbOptions options;
   options.network = sim::NetworkModel::Instant();
@@ -320,9 +314,10 @@ TEST(FastPathGateTest, ReplicatedSingleSlotKeepsFastPathEnabled) {
 // ---------------------------------------------------------------------------
 
 // One workload run with a replicated commit-manager slot and three injected
-// leader kills: one mid-Start (request lost), one mid-Finish, and one
-// ambiguous begin (executed, then the leader dies holding the response — the
-// begin token resolves it on the successor). Four replicas, so after three
+// leader kills: one mid-Start (request lost), one on a message carrying
+// deferred finish notifications, and one ambiguous begin (executed, then the
+// leader dies holding the response — the begin token resolves it on the
+// successor). Four replicas, so after three
 // kills a live leader remains. Transfers between accounts give an exact
 // model to check against; the final probe asserts the snapshot base caught
 // up to the last tid issued — i.e. zero lost or leaked (duplicated) tids.
@@ -330,9 +325,13 @@ class LeaderKillChaosSuite : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(LeaderKillChaosSuite, ElectsReplacementsAndLosesNoTids) {
   const uint64_t seed = GetParam();
-  // Seed-dependent offsets move the kills around the request stream.
+  // Seed-dependent offsets move the kills around the request stream. Every
+  // begin's first attempt carries the previous transaction's finish, so it
+  // matches both the start and the finish rules; kill #1's retry carries no
+  // finish, which puts kill #2 at begin message skip_finish + 1 — after
+  // kill #1 and its retry, and before kill #3.
   const uint64_t skip_start = 3 + seed % 7;
-  const uint64_t skip_finish = 5 + seed % 5;
+  const uint64_t skip_finish = 9 + seed % 3;
   const uint64_t skip_ambiguous = 12 + seed % 9;
   sim::FaultInjector injector(FaultPlan{
       .seed = seed,
@@ -343,7 +342,8 @@ TEST_P(LeaderKillChaosSuite, ElectsReplacementsAndLosesNoTids) {
                     .skip_matches = skip_start,
                     .probability = 1.0,
                     .max_fires = 1},
-          // Kill #2: leader dies on a finish notification.
+          // Kill #2: leader dies on the coalesced begin message that carries
+          // the deferred finish notifications.
           FaultRule{.kind = FaultRule::Kind::kKillCommitLeader,
                     .op = FaultOpClass::kCommitMgrFinish,
                     .skip_matches = skip_finish,
@@ -370,11 +370,6 @@ TEST_P(LeaderKillChaosSuite, ElectsReplacementsAndLosesNoTids) {
   options.num_commit_managers = 1;
   options.commit_replication.replicas = 4;
   options.commit_replication.snapshot_interval = 32;
-  // Unbatched finishes: each one is its own injectable message, so the
-  // mid-Finish kill rule fires on a finish request instead of riding the
-  // next begin's coalesced message (where it would merge with a start kill
-  // into a single fault).
-  options.session.commit_batching = false;
   options.fastpath.enabled = false;
   db::TellDb db(options);
 

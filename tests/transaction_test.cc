@@ -432,64 +432,42 @@ TEST_F(TransactionTest, GcHorizonHonorsDeltaCachedReaderSnapshot) {
   ASSERT_OK(check.Commit());
 }
 
-TEST_F(TransactionTest, DeltaAndBatchingOffMatchesOnOutcomes) {
-  // The delta/batching client is a transport optimization: with the same
-  // seeds and the same scripted workload, commit/abort outcomes and tids
-  // must be identical with the optimization on and off.
-  auto run = [&](bool delta, bool batching) {
-    db::TellDbOptions options;
-    options.num_processing_nodes = 2;
-    options.num_storage_nodes = 3;
-    options.network = sim::NetworkModel::Instant();
-    options.session.commit_delta = delta;
-    options.session.commit_batching = batching;
-    db::TellDb db(options);
-    EXPECT_TRUE(db.CreateTable("accounts",
-                               schema::SchemaBuilder()
-                                   .AddInt64("id")
-                                   .AddString("name")
-                                   .AddDouble("balance")
-                                   .SetPrimaryKey({"id"})
-                                   .Build(),
-                               {})
-                    .ok());
-    auto table = db.GetTable(0, "accounts");
-    EXPECT_TRUE(table.ok());
-    auto s1 = db.OpenSession(0, 0);
-    auto s2 = db.OpenSession(1, 0);
+TEST_F(TransactionTest, CommitManagerProtocolChargesOneMessagePerBegin) {
+  // The session talks to the commit manager through one protocol: every
+  // begin is one message that also carries the previous transaction's
+  // deferred finish, and its snapshot arrives as a delta once the session
+  // holds a descriptor. Another PN commits in between, so every delta has
+  // news to carry, and its open transaction pins the snapshot base so the
+  // full descriptor grows a bitset the delta does not need to ship.
+  uint64_t rid = MustInsert(1, "a", 0.0);
+  uint64_t other_rid = MustInsert(2, "b", 0.0);
+  auto session = db_->OpenSession(0, 1);
+  auto other = db_->OpenSession(1, 0);
+  Transaction pin(other.get());
+  ASSERT_OK(pin.Begin());
 
-    std::vector<std::pair<Tid, bool>> outcomes;
-    uint64_t rid = 0;
-    {
-      Transaction seedtxn(s1.get());
-      EXPECT_TRUE(seedtxn.Begin().ok());
-      auto r = seedtxn.Insert(*table, Account(1, "a", 0.0));
-      EXPECT_TRUE(r.ok());
-      rid = *r;
-      EXPECT_TRUE(seedtxn.Commit().ok());
-      outcomes.emplace_back(seedtxn.tid(), true);
-    }
-    // Scripted conflicting interleaving: both sessions race updates to the
-    // same row; first committer wins, second aborts on the write conflict.
-    for (int round = 0; round < 8; ++round) {
-      Transaction a(s1.get());
-      Transaction b(s2.get());
-      EXPECT_TRUE(a.Begin().ok());
-      EXPECT_TRUE(b.Begin().ok());
-      EXPECT_TRUE(a.Update(*table, rid, Account(1, "a", round)).ok());
-      EXPECT_TRUE(b.Update(*table, rid, Account(1, "a", -round)).ok());
-      Status sa = a.Commit();
-      Status sb = b.Commit();
-      outcomes.emplace_back(a.tid(), sa.ok());
-      outcomes.emplace_back(b.tid(), sb.ok());
-    }
-    return outcomes;
-  };
+  constexpr int kTxns = 20;
+  for (int i = 1; i <= kTxns; ++i) {
+    Transaction remote(other.get());
+    ASSERT_OK(remote.Begin());
+    ASSERT_OK(remote.Update(table_, other_rid, Account(2, "b", i)));
+    ASSERT_OK(remote.Commit());
 
-  auto baseline = run(false, false);
-  EXPECT_EQ(run(true, false), baseline);
-  EXPECT_EQ(run(false, true), baseline);
-  EXPECT_EQ(run(true, true), baseline);
+    Transaction txn(session.get());
+    ASSERT_OK(txn.Begin());
+    ASSERT_OK(txn.Update(table_, rid, Account(1, "a", i)));
+    ASSERT_OK(txn.Commit());
+  }
+  session->commitmgr_client()->FlushPendingAccounting();
+  ASSERT_OK(pin.Commit());
+
+  const sim::WorkerMetrics* m = session->metrics();
+  // kTxns begins, plus the flush that charges the last finish.
+  EXPECT_EQ(m->cm_messages, uint64_t{kTxns} + 1);
+  EXPECT_EQ(m->cm_ops, uint64_t{2 * kTxns});
+  EXPECT_GE(m->cm_full_syncs, 1u);  // first contact
+  EXPECT_GT(m->cm_delta_syncs, 0u);
+  EXPECT_GT(m->cm_delta_bytes_saved, 0u);
 }
 
 }  // namespace
