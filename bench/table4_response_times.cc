@@ -4,6 +4,9 @@
 // Single source of truth: every number printed below is read back from the
 // obs::MetricsSnapshot that BenchJson::Add recorded — the stdout table and
 // BENCH_table4_response_times.json can never disagree.
+#include <cstring>
+#include <iterator>
+
 #include "baselines/central_validation_db.h"
 #include "baselines/partitioned_serial_db.h"
 #include "baselines/two_pc_partitioned_db.h"
@@ -20,6 +23,49 @@ void Row(const char* mix, const char* system, const char* size,
   if (resp == nullptr || resp->count() == 0) return;
   std::printf("%-10s %-22s %-7s %10.3f ± %-8.3f\n", mix, system, size,
               resp->Mean() / 1e6, resp->StdDev() / 1e6);
+}
+
+/// The round budget per transaction type: one session on PN 0 drives the
+/// standard mix serially, and each transaction's `tx.storage_rounds`
+/// sample is filed under its type. Prints the mean per type and records
+/// them as the `round_probe_<size>` run's derived values.
+void RoundsPerType(TellFixture* fixture, const std::string& suffix,
+                   BenchJson* json) {
+  constexpr int kTxns = 600;
+  constexpr const char* kTypes[] = {"new_order", "payment", "delivery",
+                                    "order_status", "stock_level"};
+  auto session = fixture->db()->OpenSession(0, /*worker_id=*/1000);
+  auto tables = tpcc::OpenTpccTables(fixture->db(), 0);
+  if (!tables.ok()) return;
+  tpcc::TpccExecutor executor(session.get(), *tables);
+  tpcc::InputGenerator generator(fixture->scale(),
+                                 tpcc::Mix::kWriteIntensive, /*seed=*/404,
+                                 /*home_warehouse=*/1);
+  const sim::Histogram& rounds = session->metrics()->storage_rounds;
+  double sum[std::size(kTypes)] = {};
+  uint64_t count[std::size(kTypes)] = {};
+  for (int i = 0; i < kTxns; ++i) {
+    const tpcc::TxnInput input = generator.Next();
+    const double before = rounds.Mean() * static_cast<double>(rounds.count());
+    const uint64_t samples = rounds.count();
+    if (!executor.Execute(input).ok()) return;
+    const size_t type = static_cast<size_t>(input.type);
+    sum[type] += rounds.Mean() * static_cast<double>(rounds.count()) - before;
+    count[type] += rounds.count() - samples;
+  }
+  std::vector<std::pair<std::string, double>> derived;
+  for (size_t t = 0; t < std::size(kTypes); ++t) {
+    derived.emplace_back(
+        std::string("rounds_") + kTypes[t],
+        count[t] == 0 ? 0 : sum[t] / static_cast<double>(count[t]));
+  }
+  std::printf("  storage rounds per txn (tx.storage_rounds mean):");
+  for (const auto& [key, mean] : derived) {
+    std::printf(" %s %.1f", key.c_str() + std::strlen("rounds_"), mean);
+  }
+  std::printf("\n");
+  json->AddMetrics("round_probe" + suffix, *session->metrics(),
+                   std::move(derived));
 }
 
 Result<tpcc::DriverResult> RunBackend(tpcc::TpccBackend* backend,
@@ -67,6 +113,7 @@ int main() {
               "tell_standard" + suffix, *standard, fixture.db());
           Row("standard", "Tell", size, snap);
           PrintPhaseBreakdown(snap);
+          RoundsPerType(&fixture, suffix, &json);
         }
       }
       {

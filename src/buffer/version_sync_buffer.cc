@@ -4,6 +4,12 @@
 
 namespace tell::buffer {
 
+namespace {
+// Bound on the read-merge-write rounds of one version-set update; only a
+// storm of concurrent committers to one unit gets near it.
+constexpr int kMaxCellRetries = 1024;
+}  // namespace
+
 void VersionSyncBuffer::OnTransactionStart(
     const tx::SnapshotDescriptor& snapshot) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -98,22 +104,55 @@ void VersionSyncBuffer::OnApply(store::StorageClient* client,
   std::lock_guard<std::mutex> lock(mutex_);
   UnitKey unit_key = UnitFor(table, rid);
   Unit& unit = units_[unit_key];
-  // B = V_max ∪ {tid}; written to the store so other PNs see the change
-  // (this is the extra update request SBVS pays per record update).
-  tx::SnapshotDescriptor updated = v_max_;
-  updated.MergeFrom(snapshot);
-  updated.MarkCompleted(tid);
-  (void)client->Put(version_set_table_, UnitCellKey(unit_key),
-                    updated.Serialize());
-  // Updating the version set invalidates every buffered record of the unit;
-  // the freshly written record is re-inserted with the new B.
+  // What this transaction itself knows of the unit: its snapshot and its
+  // own write. Every tid in there wrote the record before this write did.
+  tx::SnapshotDescriptor own = snapshot;
+  own.MarkCompleted(tid);
+  // B = V_max ∪ {tid}, merged into the store's cell so other PNs see the
+  // change (this is the extra update SBVS pays per record update). The cell
+  // only grows: a committer whose write-through runs late must not roll
+  // back the tids a later committer already put there, or PNs holding that
+  // later label would keep serving records older than it.
+  tx::SnapshotDescriptor label = v_max_;
+  label.MergeFrom(own);
+  const std::string cell_key = UnitCellKey(unit_key);
+  // Whether the cell may hold writers this transaction did not see; false
+  // only once a write proved it held none.
+  bool foreign = true;
+  for (int attempt = 0; attempt < kMaxCellRetries; ++attempt) {
+    auto cell = client->Get(version_set_table_, cell_key);
+    if (!cell.ok() && !cell.status().IsNotFound()) break;
+    tx::SnapshotDescriptor merged = label;
+    uint64_t expected = store::kStampAbsent;
+    bool unseen = false;
+    if (cell.ok()) {
+      auto remote = tx::SnapshotDescriptor::Deserialize(cell->value);
+      if (!remote.ok()) break;
+      unseen = !remote->IsSubsetOf(own);
+      merged.MergeFrom(*remote);
+      expected = cell->stamp;
+    }
+    auto put = client->ConditionalPut(version_set_table_, cell_key, expected,
+                                      merged.Serialize());
+    if (put.ok()) {
+      label = std::move(merged);
+      foreign = unseen;
+      break;
+    }
+    if (!put.status().IsConditionFailed()) break;
+    // Another committer moved the cell: merge again from a fresh read.
+  }
+  // Updating the version set invalidates every buffered record of the unit.
+  // The freshly written record is re-inserted under the new B — unless the
+  // cell held tids of writers this transaction did not see, which may have
+  // written the record after it; the next read then fetches it afresh.
   stats_.write_throughs += 1;
   cached_records_ -= unit.records.size();
   stats_.evictions += unit.records.size();
   unit.records.clear();
-  unit.valid_for = std::move(updated);
+  unit.valid_for = std::move(label);
   unit.has_version_set = true;
-  if (cached_records_ < capacity_) {
+  if (!foreign && cached_records_ < capacity_) {
     unit.records.emplace(rid, CachedRecord{record.Serialize(), stamp});
     ++cached_records_;
   }

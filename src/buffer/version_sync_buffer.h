@@ -22,10 +22,11 @@ namespace tell::buffer {
 ///      (a) B' == B  -> the buffered record is still valid;
 ///      (b) B' != B  -> invalidate the unit and re-fetch the record.
 ///
-/// On every record update the committing transaction additionally rewrites
-/// the unit's version set cell (B = V_max ∪ {tid}), which invalidates the
-/// unit on every other PN. The higher the write ratio, the more the extra
-/// update requests and unit-wide invalidations cost — which is exactly why
+/// On every record update the committing transaction additionally grows
+/// the unit's version set cell by B = V_max ∪ {tid} (read, merge, LL/SC
+/// write), which invalidates the unit on every other PN. The higher the
+/// write ratio, the more the extra update requests and unit-wide
+/// invalidations cost — which is exactly why
 /// the paper's Fig. 11 shows SBVS losing to plain TB under TPC-C.
 class VersionSyncBuffer final : public tx::RecordBuffer {
  public:

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <algorithm>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/serde.h"
@@ -200,9 +201,7 @@ Result<BTree::Node> BTree::ReadNode(store::StorageClient* client,
     }
   }
   TELL_ASSIGN_OR_RETURN(Node node, ReadNodeUncached(client, node_id));
-  if (options_.cache_inner_nodes && cache_ != nullptr && !node.is_leaf) {
-    cache_->Put(node_id, node.Serialize(), node.stamp);
-  }
+  CacheIfInner(node);
   return node;
 }
 
@@ -509,103 +508,149 @@ Result<std::vector<uint64_t>> BTree::Lookup(store::StorageClient* client,
   return LookupRids(client, key);
 }
 
+BTree::NodeRef BTree::CachedInner(uint64_t node_id) {
+  if (!options_.cache_inner_nodes || cache_ == nullptr) return nullptr;
+  std::string value;
+  uint64_t stamp;
+  if (!cache_->Get(node_id, &value, &stamp)) return nullptr;
+  auto node = Node::Deserialize(node_id, stamp, value);
+  if (!node.ok()) return nullptr;
+  return std::make_shared<const Node>(std::move(*node));
+}
+
+void BTree::CacheIfInner(const Node& node) {
+  if (options_.cache_inner_nodes && cache_ != nullptr && !node.is_leaf) {
+    cache_->Put(node.id, node.Serialize(), node.stamp);
+  }
+}
+
 Status BTree::BatchDescendToLeaves(store::StorageClient* client,
-                                   const std::vector<std::string>& keys,
+                                   const std::vector<DescentKey>& keys,
                                    std::vector<NodeRef>* leaves,
                                    std::vector<size_t>* leaf_of_key) {
   leaves->clear();
   leaf_of_key->assign(keys.size(), kNoLeaf);
   if (keys.empty()) return Status::OK();
 
-  TELL_ASSIGN_OR_RETURN(Node root, ReadNode(client, kRootId, true));
-  // at[i]: the node key i sits on, shared by every key on it; nullptr once
-  // key i has reached its leaf or dropped out of the batch.
-  std::vector<NodeRef> at(keys.size(),
-                          std::make_shared<const Node>(std::move(root)));
-  // Distinct leaves reached so far: leaf id -> index into `leaves`.
-  std::map<uint64_t, size_t> leaf_index;
+  // Every node this batch holds or requested, by (table, node id): node ids
+  // restart at 1 in every tree. A requested node stays nullptr when its
+  // fetch fails.
+  using NodeId = std::pair<store::TableId, uint64_t>;
+  struct Slot {
+    NodeRef node;
+    bool requested = false;  // in the current round's fetch
+  };
+  std::map<NodeId, Slot> nodes;
+  // The nodes the current round fetches, in first-request order, and the
+  // tree each belongs to.
+  std::vector<NodeId> wanted;
+  std::vector<BTree*> wanted_tree;
+  // Makes the batch hold node `id` of `tree`: from the tree's cache when it
+  // is an inner node there, else by requesting it for this round.
+  auto want = [&](BTree* tree, const NodeId& id, bool inner) {
+    auto [it, fresh] = nodes.try_emplace(id);
+    if (!fresh) return;
+    if (inner) it->second.node = tree->CachedInner(id.second);
+    if (it->second.node != nullptr) return;
+    it->second.requested = true;
+    wanted.push_back(id);
+    wanted_tree.push_back(tree);
+  };
 
+  // at[i]: the node key i stands on or waits for; nullopt once it reached
+  // its leaf or dropped out of the batch (then it stays kNoLeaf).
+  std::vector<std::optional<NodeId>> at(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    at[i] = NodeId{keys[i].tree->table_, kRootId};
+    want(keys[i].tree, *at[i], /*inner=*/true);
+  }
+  std::map<NodeId, size_t> leaf_index;  // distinct leaves -> `leaves` index
   while (true) {
-    // Distinct children of this level, in first-appearance order.
-    std::vector<uint64_t> child_of(keys.size(), 0);
-    std::vector<uint64_t> children;
-    std::map<uint64_t, NodeRef> level;
-    bool children_are_inner = false;
+    // Walk every key down through the nodes the batch holds, until it
+    // reaches its leaf or waits for a node of this round.
     for (size_t i = 0; i < keys.size(); ++i) {
-      NodeRef node = std::move(at[i]);
-      if (node == nullptr || !node->CoversKey(keys[i])) continue;  // stale
-      if (node->is_leaf) {
-        auto [it, fresh] = leaf_index.try_emplace(node->id, leaves->size());
-        if (fresh) leaves->push_back(std::move(node));
-        (*leaf_of_key)[i] = it->second;
-        continue;
-      }
-      uint64_t child = node->ChildFor(keys[i]);
-      if (child == 0) continue;  // stale: stays kNoLeaf
-      children_are_inner = node->level > 1;
-      child_of[i] = child;
-      if (level.emplace(child, nullptr).second) children.push_back(child);
-    }
-    if (children.empty()) break;
-
-    // Cache first; the rest in one batched request per storage node.
-    std::vector<uint64_t> get_ids;
-    std::vector<store::GetOp> gets;
-    for (uint64_t child : children) {
-      if (children_are_inner && options_.cache_inner_nodes &&
-          cache_ != nullptr) {
-        std::string value;
-        uint64_t stamp;
-        if (cache_->Get(child, &value, &stamp)) {
-          auto cached = Node::Deserialize(child, stamp, value);
-          if (cached.ok()) {
-            level[child] = std::make_shared<const Node>(std::move(*cached));
-            continue;
-          }
+      while (at[i].has_value()) {
+        const Slot& slot = nodes[*at[i]];
+        if (slot.requested) break;  // resumes after the round
+        const NodeRef node = slot.node;
+        if (node == nullptr || !node->CoversKey(keys[i].key)) {
+          at[i].reset();  // failed fetch or stale path
+          break;
         }
+        if (node->is_leaf) {
+          auto [it, fresh] = leaf_index.try_emplace(*at[i], leaves->size());
+          if (fresh) leaves->push_back(node);
+          (*leaf_of_key)[i] = it->second;
+          at[i].reset();
+          break;
+        }
+        const uint64_t child = node->ChildFor(keys[i].key);
+        if (child == 0) {
+          at[i].reset();  // stale path
+          break;
+        }
+        at[i] = NodeId{at[i]->first, child};
+        want(keys[i].tree, *at[i], /*inner=*/node->level > 1);
       }
-      get_ids.push_back(child);
-      gets.push_back({table_, NodeKey(child)});
+    }
+    if (wanted.empty()) break;
+
+    // One round: every wanted node of every tree in one BatchGet. Inner
+    // nodes enter their tree's cache. An unreadable root fails the call, as
+    // it fails a single-key descent.
+    std::vector<store::GetOp> gets;
+    gets.reserve(wanted.size());
+    for (const NodeId& id : wanted) {
+      gets.push_back({id.first, NodeKey(id.second)});
     }
     std::vector<Result<store::VersionedCell>> cells = client->BatchGet(gets);
     for (size_t g = 0; g < cells.size(); ++g) {
-      if (!cells[g].ok()) continue;  // failed fetch: its keys stay kNoLeaf
-      auto node = Node::Deserialize(get_ids[g], cells[g]->stamp,
-                                    cells[g]->value);
-      if (!node.ok()) continue;
-      if (options_.cache_inner_nodes && cache_ != nullptr && !node->is_leaf) {
-        cache_->Put(get_ids[g], node->Serialize(), node->stamp);
+      Slot& slot = nodes[wanted[g]];
+      slot.requested = false;
+      Result<Node> node =
+          cells[g].ok() ? Node::Deserialize(wanted[g].second, cells[g]->stamp,
+                                            cells[g]->value)
+                        : Result<Node>(cells[g].status());
+      if (!node.ok()) {
+        if (wanted[g].second == kRootId) return node.status();
+        continue;
       }
-      level[get_ids[g]] = std::make_shared<const Node>(std::move(*node));
+      wanted_tree[g]->CacheIfInner(*node);
+      slot.node = std::make_shared<const Node>(std::move(*node));
     }
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (child_of[i] != 0) at[i] = level[child_of[i]];
-    }
+    wanted.clear();
+    wanted_tree.clear();
   }
   return Status::OK();
 }
 
 Result<std::vector<std::vector<uint64_t>>> BTree::BatchLookup(
-    store::StorageClient* client, const std::vector<std::string>& keys) {
+    store::StorageClient* client, const std::vector<TreeKey>& keys) {
   client->metrics()->index_lookups += keys.size();
   std::vector<std::vector<uint64_t>> out(keys.size());
   // A lone key has nothing to share a request with: the plain descent costs
   // the same.
   if (keys.size() == 1) {
-    TELL_ASSIGN_OR_RETURN(out[0], LookupRids(client, keys[0]));
+    TELL_ASSIGN_OR_RETURN(out[0],
+                          keys[0].tree->LookupRids(client, keys[0].key));
     return out;
   }
 
+  std::vector<DescentKey> descents;
+  descents.reserve(keys.size());
+  for (const TreeKey& k : keys) descents.push_back({k.tree, k.key});
   std::vector<NodeRef> leaves;
   std::vector<size_t> leaf_of_key;
-  TELL_RETURN_NOT_OK(BatchDescendToLeaves(client, keys, &leaves, &leaf_of_key));
+  TELL_RETURN_NOT_OK(
+      BatchDescendToLeaves(client, descents, &leaves, &leaf_of_key));
   for (size_t i = 0; i < keys.size(); ++i) {
     if (leaf_of_key[i] == kNoLeaf) {
-      TELL_ASSIGN_OR_RETURN(out[i], LookupRids(client, keys[i]));
+      TELL_ASSIGN_OR_RETURN(out[i],
+                            keys[i].tree->LookupRids(client, keys[i].key));
       continue;
     }
     for (const IndexEntry& e : leaves[leaf_of_key[i]]->entries) {
-      if (e.key == keys[i]) out[i].push_back(e.rid);
+      if (e.key == keys[i].key) out[i].push_back(e.rid);
     }
   }
   return out;
@@ -616,22 +661,25 @@ Status BTree::BatchInsert(store::StorageClient* client,
                           std::vector<bool>* inserted) {
   inserted->assign(ops.size(), false);
   auto serial = [&](size_t i) -> Status {
-    Status st = Insert(client, ops[i].key, ops[i].rid, ops[i].unique);
+    const BatchInsertOp& op = ops[i];
+    Status st = op.tree->Insert(client, op.key, op.rid, op.unique);
     if (st.ok()) (*inserted)[i] = true;
     return st;
   };
   if (ops.size() == 1) return serial(0);  // as for BatchLookup's lone key
 
-  std::vector<std::string> keys;
-  keys.reserve(ops.size());
-  for (const BatchInsertOp& op : ops) keys.push_back(op.key);
+  std::vector<DescentKey> descents;
+  descents.reserve(ops.size());
+  for (const BatchInsertOp& op : ops) descents.push_back({op.tree, op.key});
   std::vector<NodeRef> leaves;
   std::vector<size_t> leaf_of_key;
-  TELL_RETURN_NOT_OK(BatchDescendToLeaves(client, keys, &leaves, &leaf_of_key));
+  TELL_RETURN_NOT_OK(
+      BatchDescendToLeaves(client, descents, &leaves, &leaf_of_key));
 
   // Ops that need the serial Insert (stale path, full leaf, lost LL/SC).
   std::vector<size_t> fallback;
-  std::map<size_t, std::vector<size_t>> groups;  // leaf index -> op indices
+  // Leaf index -> op indices; the ops of one leaf share its tree.
+  std::map<size_t, std::vector<size_t>> groups;
   for (size_t i = 0; i < ops.size(); ++i) {
     if (leaf_of_key[i] == kNoLeaf) {
       fallback.push_back(i);
@@ -640,11 +688,12 @@ Status BTree::BatchInsert(store::StorageClient* client,
     }
   }
 
-  // Prepare every leaf rewrite BEFORE issuing any put: a unique violation
-  // must surface while there is still nothing to undo.
+  // Prepare every leaf rewrite of every tree BEFORE issuing any put: a
+  // unique violation must surface while there is still nothing to undo.
   std::vector<store::WriteOp> puts;
   std::vector<std::vector<size_t>> put_ops;  // op indices each put carries
   for (auto& [leaf_idx, op_indices] : groups) {
+    const BTree* tree = ops[op_indices.front()].tree;
     Node copy = *leaves[leaf_idx];
     bool changed = false;
     std::vector<size_t> applied;
@@ -663,7 +712,7 @@ Status BTree::BatchInsert(store::StorageClient* client,
         applied.push_back(i);  // already present — idempotent
         continue;
       }
-      if (copy.entries.size() >= options_.fanout) {
+      if (copy.entries.size() >= tree->options_.fanout) {
         // The leaf is full: the ops that no longer fit go to the serial
         // Insert, which owns the split machinery.
         fallback.push_back(i);
@@ -678,7 +727,8 @@ Status BTree::BatchInsert(store::StorageClient* client,
       for (size_t i : applied) (*inserted)[i] = true;
       continue;
     }
-    puts.push_back({table_, NodeKey(copy.id), copy.Serialize(), copy.stamp});
+    puts.push_back(
+        {tree->table_, NodeKey(copy.id), copy.Serialize(), copy.stamp});
     put_ops.push_back(std::move(applied));
   }
 

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -21,8 +22,17 @@ struct IndexEntry {
   uint64_t rid = 0;
 };
 
+class BTree;
+
+/// One key of a BTree::BatchLookup call: the tree to look in and the key.
+struct TreeKey {
+  BTree* tree = nullptr;
+  std::string key;
+};
+
 /// One operation of a BTree::BatchInsert call.
 struct BatchInsertOp {
+  BTree* tree = nullptr;
   std::string key;
   uint64_t rid = 0;
   bool unique = false;
@@ -121,21 +131,22 @@ class BTree {
   Status Insert(store::StorageClient* client, std::string_view key,
                 uint64_t rid, bool unique);
 
-  /// Inserts many entries in one batched pass: the descents advance
-  /// level-synchronously (shared batched fetches, like BatchLookup) and the
-  /// entries are grouped by target leaf: each touched leaf is rewritten with
-  /// ONE conditional put carrying all of its new entries, and the puts of all
-  /// leaves travel in one StorageClient::BatchWrite. Entries whose path
-  /// turned stale, that no longer fit into their leaf (split needed) or
-  /// whose LL/SC lost a race fall back to the serial Insert; the entries of
-  /// a full leaf's group that still fit are put in the batch. Unique
-  /// violations are detected during preparation, before any put is issued.
-  /// `inserted` (resized to ops.size()) reports per op whether the entry is
-  /// durably in the tree when the call returns — on failure the caller uses
-  /// it to undo a partial batch (Remove is idempotent).
-  Status BatchInsert(store::StorageClient* client,
-                     const std::vector<BatchInsertOp>& ops,
-                     std::vector<bool>* inserted);
+  /// Inserts many entries, possibly into many trees, in one batched pass:
+  /// the descents of every tree share their rounds (see BatchLookup) and
+  /// the entries are grouped by target leaf: each touched leaf is rewritten
+  /// with ONE conditional put carrying all of its new entries, and the puts
+  /// of all leaves of all trees travel in one StorageClient::BatchWrite.
+  /// Entries whose path turned stale, that no longer fit into their leaf
+  /// (split needed) or whose LL/SC lost a race fall back to the serial
+  /// Insert; the entries of a full leaf's group that still fit are put in
+  /// the batch. Unique violations in any tree are detected during
+  /// preparation, before any put is issued. A batch of one op is a plain
+  /// Insert. `inserted` (resized to ops.size()) reports per op whether the
+  /// entry is durably in its tree when the call returns — on failure the
+  /// caller uses it to undo a partial batch (Remove is idempotent).
+  static Status BatchInsert(store::StorageClient* client,
+                            const std::vector<BatchInsertOp>& ops,
+                            std::vector<bool>* inserted);
 
   /// Removes the entry (key, rid). OK even if absent (idempotent — index GC
   /// races are benign).
@@ -146,16 +157,17 @@ class BTree {
   Result<std::vector<uint64_t>> Lookup(store::StorageClient* client,
                                        std::string_view key);
 
-  /// Point lookups for many keys at once, positionally aligned with `keys`.
-  /// The descents advance level-synchronously: each round fetches the
-  /// distinct uncached nodes of one level — in particular the leaves, which
-  /// are never cached — through one StorageClient::BatchGet, so with
-  /// batching on K lookups cost ~height requests per storage node instead
-  /// of K descents.
-  /// Keys whose path turns stale under a concurrent split fall back to a
+  /// Point lookups for many keys, possibly of many trees, positionally
+  /// aligned with `keys`. The descents share rounds: a key walks through
+  /// cached inner nodes without a request, and each round fetches every
+  /// key's next uncached node — in particular the leaves, which are never
+  /// cached — through one StorageClient::BatchGet, whatever tree it belongs
+  /// to. With warm inner caches K lookups over any number of trees cost one
+  /// round instead of K descents. A batch of one key is a plain Lookup;
+  /// keys whose path turns stale under a concurrent split fall back to a
   /// single-key descent.
-  Result<std::vector<std::vector<uint64_t>>> BatchLookup(
-      store::StorageClient* client, const std::vector<std::string>& keys);
+  static Result<std::vector<std::vector<uint64_t>>> BatchLookup(
+      store::StorageClient* client, const std::vector<TreeKey>& keys);
 
   /// Entries with key in [start, end); empty `end` = unbounded. `limit` 0 =
   /// unlimited.
@@ -188,18 +200,32 @@ class BTree {
   /// A fetched node, shared by every key of a batch whose descent visits it.
   using NodeRef = std::shared_ptr<const Node>;
 
-  /// Level-synchronous descent for many keys: every key advances one level
-  /// per round, and each round fetches the distinct uncached nodes of that
-  /// level through one StorageClient::BatchGet. On return,
-  /// `leaf_of_key[i]` indexes into `leaves` for keys[i] — or kNoLeaf when
-  /// that key's batched path turned stale (concurrent split, missing child,
-  /// failed fetch) and the caller must use the single-key descent, which
-  /// owns the full B-link right-hop and cache-refresh machinery.
+  /// One key of a batched descent.
+  struct DescentKey {
+    BTree* tree;
+    std::string_view key;
+  };
+
+  /// The shared descent behind BatchLookup and BatchInsert. Every key walks
+  /// down through the nodes its tree's cache (or this batch) already holds,
+  /// until it needs a node from the store; each round fetches the distinct
+  /// needed nodes of all keys — deduplicated by (table, node id), since node
+  /// ids restart at 1 in every tree — through one StorageClient::BatchGet.
+  /// On return, `leaf_of_key[i]` indexes into `leaves` for keys[i] — or
+  /// kNoLeaf when that key's batched path turned stale (concurrent split,
+  /// missing child, failed fetch) and the caller must use the single-key
+  /// descent, which owns the full B-link right-hop and cache-refresh
+  /// machinery. A root that cannot be read fails the call.
   static constexpr size_t kNoLeaf = static_cast<size_t>(-1);
-  Status BatchDescendToLeaves(store::StorageClient* client,
-                              const std::vector<std::string>& keys,
-                              std::vector<NodeRef>* leaves,
-                              std::vector<size_t>* leaf_of_key);
+  static Status BatchDescendToLeaves(store::StorageClient* client,
+                                     const std::vector<DescentKey>& keys,
+                                     std::vector<NodeRef>* leaves,
+                                     std::vector<size_t>* leaf_of_key);
+
+  /// The cached copy of inner node `node_id`, or nullptr.
+  NodeRef CachedInner(uint64_t node_id);
+  /// Caches `node` if it is an inner node and caching is on.
+  void CacheIfInner(const Node& node);
 
   /// Splits `node` (already full) and publishes both halves; then inserts
   /// the separator into the parent level best-effort. Retries internally.

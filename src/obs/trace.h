@@ -18,6 +18,10 @@ namespace tell::obs {
 /// transaction, so percentiles read as "per-transaction phase latency" and
 /// the phase means sum to (at most) the mean response time.
 ///
+/// The tracer also samples the transaction's round budget: the storage
+/// calls that issued a message (`store.pipeline.flushes`) between BeginTxn
+/// and EndTxn go into `tx.storage_rounds`, one sample per transaction.
+///
 /// Owned by tx::Session alongside the VirtualClock and WorkerMetrics it
 /// observes; like them it is single-threaded. Spans are opened with RAII
 /// PhaseScope guards inside Transaction's methods, which keeps the stack
@@ -39,6 +43,7 @@ class TxnTracer {
     accum_.fill(0);
     stack_.clear();
     mark_ns_ = clock_->now_ns();
+    rounds_mark_ = metrics_->pipeline_flushes;
     active_ = true;
   }
 
@@ -54,15 +59,16 @@ class TxnTracer {
     stack_.pop_back();
   }
 
-  /// Flushes the accumulated per-phase time into the worker's histograms.
-  /// Idempotent: the second call (e.g. abort followed by destruction) is a
-  /// no-op.
+  /// Flushes the accumulated per-phase time and the round count into the
+  /// worker's histograms. Idempotent: the second call (e.g. abort followed
+  /// by destruction) is a no-op.
   void EndTxn() {
     if (!active_) return;
     Attribute();
     for (size_t p = 0; p < sim::kNumTxnPhases; ++p) {
       if (accum_[p] != 0) metrics_->phase_ns[p].Record(accum_[p]);
     }
+    metrics_->storage_rounds.Record(metrics_->pipeline_flushes - rounds_mark_);
     active_ = false;
   }
 
@@ -88,6 +94,7 @@ class TxnTracer {
   std::array<uint64_t, sim::kNumTxnPhases> accum_{};
   std::vector<uint32_t> stack_;
   uint64_t mark_ns_ = 0;
+  uint64_t rounds_mark_ = 0;  // pipeline_flushes at BeginTxn
   bool active_ = false;
 };
 

@@ -159,6 +159,9 @@ struct WorkerMetrics {
   Histogram pipeline_in_flight;
   /// Logical ops per coalesced commit-manager message.
   Histogram cm_batch_size;
+  /// Storage calls that issued a message (pipeline_flushes) per finished
+  /// transaction: the transaction's round budget.
+  Histogram storage_rounds;
   /// Per-phase virtual time, one sample per transaction per touched phase.
   std::array<Histogram, kNumTxnPhases> phase_ns;
 
@@ -343,6 +346,9 @@ inline const std::vector<WorkerHistogramField>& WorkerHistogramFields() {
         {"commitmgr.batch.size", "ops",
          "logical ops per coalesced commit-manager message",
          &WorkerMetrics::cm_batch_size, -1},
+        {"tx.storage_rounds", "calls",
+         "storage calls that issued a message, per finished transaction",
+         &WorkerMetrics::storage_rounds, -1},
     };
     static const std::array<const char*, kNumTxnPhases> kPhaseMetricNames = {
         "tx.phase.begin",    "tx.phase.index_lookup", "tx.phase.read",

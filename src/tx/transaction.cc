@@ -213,37 +213,38 @@ Result<std::optional<schema::Tuple>> Transaction::Read(TableHandle* table,
   return std::optional<schema::Tuple>(std::move(tuple));
 }
 
-Status Transaction::PrefetchMissing(TableHandle* table,
-                                    const std::vector<uint64_t>& rids) {
-  store::TableId data_table = table->meta->data_table;
-  std::vector<uint64_t> missing;
-  for (uint64_t rid : rids) {
-    if (buffer_.find({data_table, rid}) == buffer_.end()) {
-      missing.push_back(rid);
-    }
+Status Transaction::PrefetchMissing(
+    const std::vector<std::pair<TableHandle*, uint64_t>>& records) {
+  // Ordered by (data table, rid): one table's records go out in rid order.
+  std::map<RecordKey, TableHandle*> missing;
+  for (const auto& [table, rid] : records) {
+    RecordKey key{table->meta->data_table, rid};
+    if (buffer_.find(key) == buffer_.end()) missing.emplace(key, table);
   }
-  std::sort(missing.begin(), missing.end());
-  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
   if (missing.empty() || !session_->record_buffer()->PrefersBatchFetch()) {
     return Status::OK();
   }
   std::vector<store::GetOp> ops;
   ops.reserve(missing.size());
-  for (uint64_t rid : missing) ops.push_back({data_table, RidKey(rid)});
+  for (const auto& [key, table] : missing) {
+    ops.push_back({key.first, RidKey(key.second)});
+  }
   std::vector<Result<store::VersionedCell>> cells = client_->BatchGet(ops);
-  for (size_t i = 0; i < missing.size(); ++i) {
+  size_t i = 0;
+  for (const auto& [key, table] : missing) {
+    const Result<store::VersionedCell>& cell = cells[i++];
     client_->metrics()->buffer_misses += 1;
     RecordState state;
     state.table = table;
-    if (cells[i].ok()) {
-      TELL_ASSIGN_OR_RETURN(
-          state.record, schema::VersionedRecord::Deserialize(cells[i]->value));
-      state.stamp = cells[i]->stamp;
+    if (cell.ok()) {
+      TELL_ASSIGN_OR_RETURN(state.record,
+                            schema::VersionedRecord::Deserialize(cell->value));
+      state.stamp = cell->stamp;
       state.exists = true;
-    } else if (!cells[i].status().IsNotFound()) {
-      return cells[i].status();
+    } else if (!cell.status().IsNotFound()) {
+      return cell.status();
     }
-    buffer_.emplace(RecordKey{data_table, missing[i]}, std::move(state));
+    buffer_.emplace(key, std::move(state));
   }
   return Status::OK();
 }
@@ -254,7 +255,10 @@ Result<std::vector<std::optional<schema::Tuple>>> Transaction::BatchRead(
   obs::PhaseScope span(tracer_, sim::TxnPhase::kRead);
   // Fetch everything not yet buffered, in one batched request when the
   // buffering strategy allows it.
-  TELL_RETURN_NOT_OK(PrefetchMissing(table, rids));
+  std::vector<std::pair<TableHandle*, uint64_t>> records;
+  records.reserve(rids.size());
+  for (uint64_t rid : rids) records.emplace_back(table, rid);
+  TELL_RETURN_NOT_OK(PrefetchMissing(records));
   std::vector<std::optional<schema::Tuple>> out;
   out.reserve(rids.size());
   for (uint64_t rid : rids) {
@@ -499,22 +503,23 @@ Result<std::optional<uint64_t>> Transaction::LookupPrimary(
 }
 
 Result<std::vector<std::optional<uint64_t>>> Transaction::BatchLookupPrimary(
-    TableHandle* table, const std::vector<std::vector<schema::Value>>& keys) {
+    const std::vector<TableKey>& keys) {
   TELL_CHECK(state_ == TxnState::kRunning);
   obs::PhaseScope span(tracer_, sim::TxnPhase::kIndexLookup);
-  index::BTree* tree = &table->primary;
-  std::vector<std::string> encoded;
-  encoded.reserve(keys.size());
-  for (const auto& key : keys) {
-    TELL_ASSIGN_OR_RETURN(std::string one, schema::EncodeIndexKeyValues(key));
-    encoded.push_back(std::move(one));
+  std::vector<index::TreeKey> tree_keys;
+  tree_keys.reserve(keys.size());
+  for (const TableKey& k : keys) {
+    TELL_ASSIGN_OR_RETURN(std::string encoded,
+                          schema::EncodeIndexKeyValues(k.key));
+    tree_keys.push_back({&k.table->primary, std::move(encoded)});
   }
   TELL_ASSIGN_OR_RETURN(std::vector<std::vector<uint64_t>> rid_lists,
-                        tree->BatchLookup(client_, encoded));
-  TELL_CHECK(rid_lists.size() == encoded.size());
+                        index::BTree::BatchLookup(client_, tree_keys));
+  TELL_CHECK(rid_lists.size() == tree_keys.size());
   // Merge this transaction's pending inserts and dedup, like LookupIndex.
-  for (size_t i = 0; i < encoded.size(); ++i) {
-    auto pending_it = pending_index_.find({tree->table(), encoded[i]});
+  for (size_t i = 0; i < tree_keys.size(); ++i) {
+    auto pending_it =
+        pending_index_.find({tree_keys[i].tree->table(), tree_keys[i].key});
     if (pending_it != pending_index_.end()) {
       for (uint64_t rid : pending_it->second) rid_lists[i].push_back(rid);
     }
@@ -522,24 +527,28 @@ Result<std::vector<std::optional<uint64_t>>> Transaction::BatchLookupPrimary(
     rid_lists[i].erase(std::unique(rid_lists[i].begin(), rid_lists[i].end()),
                        rid_lists[i].end());
   }
-  // Prefetch every candidate record up front so the per-key validation below
-  // is served from the transaction buffer (record fetches attribute to the
-  // read phase, like EnsureFetched would).
+  // Prefetch every candidate record of every table up front so the per-key
+  // validation below is served from the transaction buffer (record fetches
+  // attribute to the read phase, like EnsureFetched would).
   {
     obs::PhaseScope read_span(tracer_, sim::TxnPhase::kRead);
-    std::vector<uint64_t> candidates;
-    for (const auto& rids : rid_lists) {
-      candidates.insert(candidates.end(), rids.begin(), rids.end());
+    std::vector<std::pair<TableHandle*, uint64_t>> candidates;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      for (uint64_t rid : rid_lists[i]) {
+        candidates.emplace_back(keys[i].table, rid);
+      }
     }
-    TELL_RETURN_NOT_OK(PrefetchMissing(table, candidates));
+    TELL_RETURN_NOT_OK(PrefetchMissing(candidates));
   }
   std::vector<std::optional<uint64_t>> out;
   out.reserve(keys.size());
-  for (size_t i = 0; i < encoded.size(); ++i) {
+  for (size_t i = 0; i < keys.size(); ++i) {
     std::optional<uint64_t> found;
     for (uint64_t rid : rid_lists[i]) {
-      TELL_ASSIGN_OR_RETURN(std::optional<schema::Tuple> tuple,
-                            ValidateIndexHit(table, tree, encoded[i], rid));
+      TELL_ASSIGN_OR_RETURN(
+          std::optional<schema::Tuple> tuple,
+          ValidateIndexHit(keys[i].table, tree_keys[i].tree, tree_keys[i].key,
+                           rid));
       if (!tuple.has_value()) continue;
       if (found.has_value()) {
         return Status::InternalError("unique index returned multiple rids");
@@ -977,7 +986,7 @@ Status Transaction::Commit() {
   //    other workers already observed. If the flag cannot be written even
   //    after the client's retries, the transaction must abort instead:
   //    undo indexes and data, then notify the manager of the abort.
-  Status mark = session_->log()->MarkCommitted(client_, tid_);
+  Status mark = session_->log()->MarkCommitted(client_, std::move(entry));
   if (!mark.ok()) {
     client_->metrics()->commit_flag_failures += 1;
     TELL_LOG(kWarn) << "commit flag write failed for tid " << tid_ << " ("
@@ -1124,39 +1133,11 @@ bool Transaction::RollbackApplied(const std::vector<RecordKey>& dirty) {
 }
 
 Status Transaction::ApplyIndexInserts() {
-  // Group the ops per tree in first-appearance order (deterministic; a
-  // transaction touches only a handful of indexes, so linear search).
-  std::vector<index::BTree*> trees;
-  std::vector<std::vector<size_t>> groups;
-  for (size_t i = 0; i < index_ops_.size(); ++i) {
-    size_t g = 0;
-    while (g < trees.size() && trees[g] != index_ops_[i].tree) ++g;
-    if (g == trees.size()) {
-      trees.push_back(index_ops_[i].tree);
-      groups.emplace_back();
-    }
-    groups[g].push_back(i);
-  }
-  std::vector<bool> applied(index_ops_.size(), false);
-  for (size_t g = 0; g < trees.size(); ++g) {
-    std::vector<index::BatchInsertOp> ops;
-    ops.reserve(groups[g].size());
-    for (size_t i : groups[g]) {
-      ops.push_back({index_ops_[i].key, index_ops_[i].rid,
-                     index_ops_[i].unique});
-    }
-    std::vector<bool> inserted;
-    Status st = trees[g]->BatchInsert(client_, ops, &inserted);
-    for (size_t j = 0; j < groups[g].size(); ++j) {
-      applied[groups[g][j]] = inserted[j];
-    }
-    if (!st.ok()) {
-      // Undo exactly the entries that made it in before the failure.
-      RollbackIndexInserts(applied);
-      return st;
-    }
-  }
-  return Status::OK();
+  std::vector<bool> inserted;
+  Status st = index::BTree::BatchInsert(client_, index_ops_, &inserted);
+  // Undo exactly the entries that made it in before the failure.
+  if (!st.ok()) RollbackIndexInserts(inserted);
+  return st;
 }
 
 void Transaction::RollbackIndexInserts(const std::vector<bool>& applied) {
@@ -1166,7 +1147,7 @@ void Transaction::RollbackIndexInserts(const std::vector<bool>& applied) {
   // index ops for the same rid.
   for (size_t i = 0; i < index_ops_.size(); ++i) {
     if (!applied[i]) continue;
-    const IndexOp& op = index_ops_[i];
+    const index::BatchInsertOp& op = index_ops_[i];
     (void)op.tree->Remove(client_, op.key, op.rid);
     client_->metrics()->index_rollbacks += 1;
   }

@@ -92,6 +92,13 @@ class Session {
 
 enum class TxnState { kPending, kRunning, kCommitted, kAborted };
 
+/// One key of a Transaction::BatchLookupPrimary call: a table and the
+/// values of its primary key.
+struct TableKey {
+  TableHandle* table = nullptr;
+  std::vector<schema::Value> key;
+};
+
 /// Per-transaction options.
 struct TxnOptions {
   /// Serializable snapshot isolation (the paper's §4.1 "near future" item,
@@ -154,8 +161,8 @@ class Transaction {
   /// the record does not exist (or is deleted) in this snapshot.
   Result<std::optional<schema::Tuple>> Read(TableHandle* table, uint64_t rid);
 
-  /// Reads many records; fetches not yet buffered records in one batched
-  /// request. Results positionally match `rids`.
+  /// Reads many records of one table; fetches not yet buffered records in
+  /// one batched request. Results positionally match `rids`.
   Result<std::vector<std::optional<schema::Tuple>>> BatchRead(
       TableHandle* table, const std::vector<uint64_t>& rids);
 
@@ -180,14 +187,15 @@ class Transaction {
   Result<std::optional<uint64_t>> LookupPrimary(
       TableHandle* table, const std::vector<schema::Value>& key);
 
-  /// Primary-key lookups for many keys at once, positionally aligned with
-  /// `keys`. The B+tree descents advance level-synchronously
-  /// (BTree::BatchLookup) and the candidate records are prefetched in one
-  /// batched request, so K lookups cost roughly tree-height round trips
-  /// instead of K descents. The fetched records stay buffered
-  /// for following Reads.
+  /// Primary-key lookups for many keys at once, of one table or many,
+  /// positionally aligned with `keys`. The B+tree descents of every table
+  /// share their rounds (BTree::BatchLookup) and the candidate records of
+  /// every table are prefetched in one batched request, so K independent
+  /// lookups cost about two round trips with warm inner-node caches: one
+  /// for the leaves, one for the records. The fetched records stay
+  /// buffered for following Reads.
   Result<std::vector<std::optional<uint64_t>>> BatchLookupPrimary(
-      TableHandle* table, const std::vector<std::vector<schema::Value>>& keys);
+      const std::vector<TableKey>& keys);
 
   /// All visible rids under `key` in the given index (-1 = primary).
   /// Version-unaware index entries are validated against the fetched
@@ -286,13 +294,6 @@ class Transaction {
     bool unpartitioned = false;
   };
 
-  struct IndexOp {
-    index::BTree* tree = nullptr;
-    std::string key;
-    uint64_t rid = 0;
-    bool unique = false;
-  };
-
   using RecordKey = std::pair<store::TableId, uint64_t>;
 
   /// Fetches (or returns the buffered) record state.
@@ -330,10 +331,11 @@ class Transaction {
   /// batched message).
   Status CommitFast();
 
-  /// Fills the transaction buffer for `rids` not yet buffered, in one
-  /// batched request when the buffering strategy allows it (BatchRead and
-  /// BatchLookupPrimary share this).
-  Status PrefetchMissing(TableHandle* table, const std::vector<uint64_t>& rids);
+  /// Fills the transaction buffer with the (table, rid) records not yet
+  /// buffered, in one batched request across tables when the buffering
+  /// strategy allows it (BatchRead and BatchLookupPrimary share this).
+  Status PrefetchMissing(
+      const std::vector<std::pair<TableHandle*, uint64_t>>& records);
 
   /// Registers index insertions for the new tuple (vs. the previously
   /// visible tuple for updates; `old_tuple` null for inserts).
@@ -341,12 +343,11 @@ class Transaction {
                            const schema::Tuple& tuple,
                            const schema::Tuple* old_tuple);
 
-  /// Commit step 3: installs index_ops_ into their B-trees. The ops are
-  /// grouped per tree (first-appearance order) and bulk-inserted via
-  /// BTree::BatchInsert — one batched conditional put per touched leaf
-  /// instead of one descent + put per entry. On failure the entries that
-  /// did make it in are removed again (Remove is idempotent) before the
-  /// error is returned.
+  /// Commit step 3: installs index_ops_ into their B-trees with one
+  /// multi-tree BTree::BatchInsert — the descents of all trees share their
+  /// rounds and every touched leaf of every tree is rewritten in one
+  /// BatchWrite. On failure the entries that did make it in are removed
+  /// again (Remove is idempotent) before the error is returned.
   Status ApplyIndexInserts();
 
   /// Rolls back a failed commit attempt: removes this transaction's version
@@ -401,7 +402,7 @@ class Transaction {
   uint64_t fast_begin_vns_ = 0;
 
   std::map<RecordKey, RecordState> buffer_;
-  std::vector<IndexOp> index_ops_;
+  std::vector<index::BatchInsertOp> index_ops_;
   /// Own pending index inserts, visible to this transaction's lookups:
   /// (index store table, key) -> rids.
   std::map<std::pair<store::TableId, std::string>, std::vector<uint64_t>>

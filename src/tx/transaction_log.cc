@@ -50,14 +50,11 @@ Status TransactionLog::Append(store::StorageClient* client,
 }
 
 Status TransactionLog::MarkCommitted(store::StorageClient* client,
-                                     Tid tid) const {
-  TELL_ASSIGN_OR_RETURN(store::VersionedCell cell,
-                        client->Get(table_, EncodeOrderedU64(tid)));
-  TELL_ASSIGN_OR_RETURN(LogEntry entry, LogEntry::Deserialize(cell.value));
+                                     LogEntry entry) const {
   entry.committed = true;
   // Only the owning transaction ever sets this flag, so an unconditional
   // put is safe; recovery only reads entries of *dead* PNs.
-  return client->Put(table_, EncodeOrderedU64(tid), entry.Serialize())
+  return client->Put(table_, EncodeOrderedU64(entry.tid), entry.Serialize())
       .status();
 }
 

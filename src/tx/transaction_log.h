@@ -45,8 +45,9 @@ class TransactionLog {
   /// Appends the entry (must be the first write for this tid).
   Status Append(store::StorageClient* client, const LogEntry& entry) const;
 
-  /// Sets the committed flag of `tid`'s entry.
-  Status MarkCommitted(store::StorageClient* client, Tid tid) const;
+  /// Sets the committed flag of `entry`, the entry its transaction appended:
+  /// rewrites it with `committed = true`, without reading it back.
+  Status MarkCommitted(store::StorageClient* client, LogEntry entry) const;
 
   /// Reads one entry; nullopt if the tid never logged.
   Result<std::optional<LogEntry>> Get(store::StorageClient* client,

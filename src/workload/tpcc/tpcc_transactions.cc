@@ -217,71 +217,69 @@ Result<TxnOutcome> TpccExecutor::NewOrder(const NewOrderInput& input) {
   int64_t d = input.district;
   int64_t now = static_cast<int64_t>(session_->clock()->now_ns());
 
+  // Every lookup whose key is known up front goes out as one batch (paper
+  // §5.1: aggressive batching): warehouse, district, customer, and each
+  // line's item and stock. Their B+tree descents share one round and their
+  // records one more.
+  std::vector<tx::TableKey> keys;
+  keys.reserve(3 + 2 * input.lines.size());
+  keys.push_back({tables_.warehouse, {Value(w)}});
+  keys.push_back({tables_.district, {Value(w), Value(d)}});
+  keys.push_back(
+      {tables_.customer, {Value(w), Value(d), Value(input.customer)}});
+  constexpr size_t kFirstItem = 3;
+  const size_t first_stock = kFirstItem + input.lines.size();
+  for (const NewOrderLine& line : input.lines) {
+    keys.push_back({tables_.item, {Value(line.item_id)}});
+  }
+  for (const NewOrderLine& line : input.lines) {
+    keys.push_back(
+        {tables_.stock, {Value(line.supply_warehouse), Value(line.item_id)}});
+  }
+  TELL_ASSIGN_OR_RETURN(std::vector<std::optional<uint64_t>> rids,
+                        txn.BatchLookupPrimary(keys));
+  if (!rids[0].has_value()) return Status::NotFound("warehouse missing");
+  if (!rids[1].has_value()) return Status::NotFound("district missing");
+  if (!rids[2].has_value()) return Status::NotFound("customer missing");
+  std::vector<uint64_t> item_rids;
+  item_rids.reserve(input.lines.size());
+  for (size_t i = kFirstItem; i < first_stock; ++i) {
+    if (!rids[i].has_value()) {
+      // Clause 2.4.2.3: unused item id -> the transaction rolls back.
+      TELL_RETURN_NOT_OK(txn.Abort());
+      TxnOutcome outcome;
+      outcome.user_abort = true;
+      return outcome;
+    }
+    item_rids.push_back(*rids[i]);
+  }
+  std::vector<uint64_t> stock_rids;
+  stock_rids.reserve(input.lines.size());
+  for (size_t i = first_stock; i < rids.size(); ++i) {
+    if (!rids[i].has_value()) return Status::NotFound("stock row missing");
+    stock_rids.push_back(*rids[i]);
+  }
+
   TELL_ASSIGN_OR_RETURN(std::optional<Tuple> warehouse,
-                        txn.ReadByKey(tables_.warehouse, {Value(w)}));
+                        txn.Read(tables_.warehouse, *rids[0]));
   if (!warehouse.has_value()) return Status::NotFound("warehouse missing");
   double w_tax = warehouse->GetDouble(col::kWTax);
   (void)w_tax;
 
-  TELL_ASSIGN_OR_RETURN(
-      auto district,
-      txn.ReadByKeyWithRid(tables_.district, {Value(w), Value(d)}));
+  TELL_ASSIGN_OR_RETURN(std::optional<Tuple> district,
+                        txn.Read(tables_.district, *rids[1]));
   if (!district.has_value()) return Status::NotFound("district missing");
-  int64_t o_id = district->second.GetInt(col::kDNextOId);
-  Tuple district_updated = district->second;
+  int64_t o_id = district->GetInt(col::kDNextOId);
+  Tuple district_updated = *district;
   district_updated.Set(col::kDNextOId, o_id + 1);
-  TELL_RETURN_NOT_OK(
-      txn.Update(tables_.district, district->first, district_updated));
+  TELL_RETURN_NOT_OK(txn.Update(tables_.district, *rids[1], district_updated));
 
-  TELL_ASSIGN_OR_RETURN(
-      std::optional<Tuple> customer,
-      txn.ReadByKey(tables_.customer,
-                    {Value(w), Value(d), Value(input.customer)}));
+  TELL_ASSIGN_OR_RETURN(std::optional<Tuple> customer,
+                        txn.Read(tables_.customer, *rids[2]));
   if (!customer.has_value()) return Status::NotFound("customer missing");
   double c_discount = customer->GetDouble(col::kCDiscount);
   (void)c_discount;
 
-  // Look up all items and stocks first, then fetch the records in two
-  // batched requests (paper §5.1: aggressive batching). The per-line index
-  // lookups go through BatchLookupPrimary, which batches the B+tree
-  // descents level by level.
-  std::vector<std::vector<Value>> item_keys;
-  std::vector<std::vector<Value>> stock_keys;
-  item_keys.reserve(input.lines.size());
-  stock_keys.reserve(input.lines.size());
-  for (const NewOrderLine& line : input.lines) {
-    item_keys.push_back({Value(line.item_id)});
-    stock_keys.push_back({Value(line.supply_warehouse), Value(line.item_id)});
-  }
-  TELL_ASSIGN_OR_RETURN(auto item_rid_opts,
-                        txn.BatchLookupPrimary(tables_.item, item_keys));
-  bool bad_item = false;
-  std::vector<uint64_t> item_rids;
-  item_rids.reserve(item_rid_opts.size());
-  for (const auto& rid : item_rid_opts) {
-    if (!rid.has_value()) {
-      bad_item = true;
-      break;
-    }
-    item_rids.push_back(*rid);
-  }
-  if (bad_item) {
-    // Clause 2.4.2.3: unused item id -> the transaction rolls back.
-    TELL_RETURN_NOT_OK(txn.Abort());
-    TxnOutcome outcome;
-    outcome.user_abort = true;
-    return outcome;
-  }
-  TELL_ASSIGN_OR_RETURN(auto stock_rid_opts,
-                        txn.BatchLookupPrimary(tables_.stock, stock_keys));
-  std::vector<uint64_t> stock_rids;
-  stock_rids.reserve(stock_rid_opts.size());
-  for (const auto& rid : stock_rid_opts) {
-    if (!rid.has_value()) {
-      return Status::NotFound("stock row missing");
-    }
-    stock_rids.push_back(*rid);
-  }
   TELL_ASSIGN_OR_RETURN(auto items, txn.BatchRead(tables_.item, item_rids));
   TELL_ASSIGN_OR_RETURN(auto stocks, txn.BatchRead(tables_.stock, stock_rids));
 
@@ -356,28 +354,48 @@ Result<TxnOutcome> TpccExecutor::Payment(const PaymentInput& input) {
   TELL_RETURN_NOT_OK(txn.Begin());
   int64_t now = static_cast<int64_t>(session_->clock()->now_ns());
 
-  TELL_ASSIGN_OR_RETURN(
-      auto warehouse,
-      txn.ReadByKeyWithRid(tables_.warehouse, {Value(input.warehouse)}));
+  // Warehouse and district — and the customer when it is selected by id —
+  // in one batched lookup; a by-name customer needs the name index scan.
+  std::vector<tx::TableKey> keys = {
+      {tables_.warehouse, {Value(input.warehouse)}},
+      {tables_.district, {Value(input.warehouse), Value(input.district)}}};
+  if (!input.by_last_name) {
+    keys.push_back({tables_.customer,
+                    {Value(input.customer_warehouse),
+                     Value(input.customer_district),
+                     Value(input.customer_id)}});
+  }
+  TELL_ASSIGN_OR_RETURN(std::vector<std::optional<uint64_t>> rids,
+                        txn.BatchLookupPrimary(keys));
+
+  if (!rids[0].has_value()) return Status::NotFound("warehouse missing");
+  TELL_ASSIGN_OR_RETURN(std::optional<Tuple> warehouse,
+                        txn.Read(tables_.warehouse, *rids[0]));
   if (!warehouse.has_value()) return Status::NotFound("warehouse missing");
-  Tuple w_row = warehouse->second;
+  Tuple w_row = std::move(*warehouse);
   w_row.Set(col::kWYtd, w_row.GetDouble(col::kWYtd) + input.amount);
-  TELL_RETURN_NOT_OK(txn.Update(tables_.warehouse, warehouse->first, w_row));
+  TELL_RETURN_NOT_OK(txn.Update(tables_.warehouse, *rids[0], w_row));
 
-  TELL_ASSIGN_OR_RETURN(
-      auto district,
-      txn.ReadByKeyWithRid(tables_.district,
-                           {Value(input.warehouse), Value(input.district)}));
+  if (!rids[1].has_value()) return Status::NotFound("district missing");
+  TELL_ASSIGN_OR_RETURN(std::optional<Tuple> district,
+                        txn.Read(tables_.district, *rids[1]));
   if (!district.has_value()) return Status::NotFound("district missing");
-  Tuple d_row = district->second;
+  Tuple d_row = std::move(*district);
   d_row.Set(col::kDYtd, d_row.GetDouble(col::kDYtd) + input.amount);
-  TELL_RETURN_NOT_OK(txn.Update(tables_.district, district->first, d_row));
+  TELL_RETURN_NOT_OK(txn.Update(tables_.district, *rids[1], d_row));
 
-  TELL_ASSIGN_OR_RETURN(
-      auto customer,
-      FindCustomer(&txn, input.customer_warehouse, input.customer_district,
-                   input.by_last_name, input.customer_id,
-                   input.customer_last));
+  std::optional<std::pair<uint64_t, Tuple>> customer;
+  if (input.by_last_name) {
+    TELL_ASSIGN_OR_RETURN(
+        customer,
+        FindCustomer(&txn, input.customer_warehouse, input.customer_district,
+                     /*by_last_name=*/true, input.customer_id,
+                     input.customer_last));
+  } else if (rids[2].has_value()) {
+    TELL_ASSIGN_OR_RETURN(std::optional<Tuple> row,
+                          txn.Read(tables_.customer, *rids[2]));
+    if (row.has_value()) customer.emplace(*rids[2], std::move(*row));
+  }
   if (!customer.has_value()) return Status::NotFound("customer missing");
   Tuple c_row = customer->second;
   c_row.Set(col::kCBalance, c_row.GetDouble(col::kCBalance) - input.amount);
@@ -424,8 +442,13 @@ Result<TxnOutcome> TpccExecutor::Delivery(const DeliveryInput& input) {
   int64_t w = input.warehouse;
   int64_t now = static_cast<int64_t>(session_->clock()->now_ns());
 
-  // Clause 2.7.4: process each district in turn; skip districts with no
-  // undelivered orders.
+  // Clause 2.7.4: the oldest undelivered order of each district; districts
+  // without one are skipped. The new-order scans run per district, then the
+  // orders of all districts go out as one batched lookup, and their lines
+  // and customers as one more.
+  std::vector<int64_t> districts;
+  std::vector<int64_t> order_ids;
+  std::vector<tx::TableKey> order_keys;
   for (int64_t d = 1; d <= 10; ++d) {
     TELL_ASSIGN_OR_RETURN(
         auto oldest,
@@ -434,31 +457,53 @@ Result<TxnOutcome> TpccExecutor::Delivery(const DeliveryInput& input) {
     if (oldest.empty()) continue;
     int64_t o_id = oldest[0].second.GetInt(col::kNoOId);
     TELL_RETURN_NOT_OK(txn.Delete(tables_.new_order, oldest[0].first));
+    districts.push_back(d);
+    order_ids.push_back(o_id);
+    order_keys.push_back({tables_.orders, {Value(w), Value(d), Value(o_id)}});
+  }
+  TELL_ASSIGN_OR_RETURN(std::vector<std::optional<uint64_t>> order_rids,
+                        txn.BatchLookupPrimary(order_keys));
 
-    TELL_ASSIGN_OR_RETURN(
-        auto order,
-        txn.ReadByKeyWithRid(tables_.orders,
-                             {Value(w), Value(d), Value(o_id)}));
-    if (!order.has_value()) continue;  // should not happen
-    Tuple o_row = order->second;
-    int64_t c_id = o_row.GetInt(col::kOCId);
-    int64_t ol_cnt = o_row.GetInt(col::kOOlCnt);
+  // A delivered order: its district, customer and line count.
+  struct Delivered {
+    int64_t district;
+    int64_t customer;
+    size_t first_line;  // index of its first line key in `keys`
+    int64_t line_count;
+  };
+  std::vector<Delivered> delivered;
+  std::vector<tx::TableKey> keys;  // every order's lines, then the customers
+  for (size_t i = 0; i < districts.size(); ++i) {
+    if (!order_rids[i].has_value()) continue;  // should not happen
+    TELL_ASSIGN_OR_RETURN(std::optional<Tuple> order,
+                          txn.Read(tables_.orders, *order_rids[i]));
+    if (!order.has_value()) continue;
+    Tuple o_row = std::move(*order);
+    const int64_t d = districts[i];
+    delivered.push_back(
+        {d, o_row.GetInt(col::kOCId), keys.size(), o_row.GetInt(col::kOOlCnt)});
     o_row.Set(col::kOCarrierId, input.carrier);
-    TELL_RETURN_NOT_OK(txn.Update(tables_.orders, order->first, o_row));
-
-    // All lines of the order in one batched lookup (the records stay
-    // buffered, so the Reads below are free and the Updates stay local
-    // until commit).
-    std::vector<std::vector<Value>> line_keys;
-    line_keys.reserve(static_cast<size_t>(ol_cnt));
-    for (int64_t ol = 1; ol <= ol_cnt; ++ol) {
-      line_keys.push_back({Value(w), Value(d), Value(o_id), Value(ol)});
+    TELL_RETURN_NOT_OK(txn.Update(tables_.orders, *order_rids[i], o_row));
+    for (int64_t ol = 1; ol <= delivered.back().line_count; ++ol) {
+      keys.push_back(
+          {tables_.order_line, {Value(w), Value(d), Value(order_ids[i]),
+                                Value(ol)}});
     }
-    TELL_ASSIGN_OR_RETURN(auto line_rids,
-                          txn.BatchLookupPrimary(tables_.order_line,
-                                                 line_keys));
+  }
+  const size_t first_customer = keys.size();
+  for (const Delivered& order : delivered) {
+    keys.push_back({tables_.customer,
+                    {Value(w), Value(order.district), Value(order.customer)}});
+  }
+  TELL_ASSIGN_OR_RETURN(std::vector<std::optional<uint64_t>> rids,
+                        txn.BatchLookupPrimary(keys));
+
+  for (size_t i = 0; i < delivered.size(); ++i) {
+    const Delivered& order = delivered[i];
     double total = 0;
-    for (const auto& line_rid : line_rids) {
+    for (int64_t ol = 0; ol < order.line_count; ++ol) {
+      const std::optional<uint64_t>& line_rid =
+          rids[order.first_line + static_cast<size_t>(ol)];
       if (!line_rid.has_value()) continue;
       TELL_ASSIGN_OR_RETURN(std::optional<Tuple> line,
                             txn.Read(tables_.order_line, *line_rid));
@@ -469,15 +514,15 @@ Result<TxnOutcome> TpccExecutor::Delivery(const DeliveryInput& input) {
       TELL_RETURN_NOT_OK(txn.Update(tables_.order_line, *line_rid, l_row));
     }
 
-    TELL_ASSIGN_OR_RETURN(
-        auto customer,
-        txn.ReadByKeyWithRid(tables_.customer,
-                             {Value(w), Value(d), Value(c_id)}));
+    const std::optional<uint64_t>& customer_rid = rids[first_customer + i];
+    if (!customer_rid.has_value()) continue;
+    TELL_ASSIGN_OR_RETURN(std::optional<Tuple> customer,
+                          txn.Read(tables_.customer, *customer_rid));
     if (!customer.has_value()) continue;
-    Tuple c_row = customer->second;
+    Tuple c_row = std::move(*customer);
     c_row.Set(col::kCBalance, c_row.GetDouble(col::kCBalance) + total);
     c_row.Set(col::kCDeliveryCnt, c_row.GetInt(col::kCDeliveryCnt) + 1);
-    TELL_RETURN_NOT_OK(txn.Update(tables_.customer, customer->first, c_row));
+    TELL_RETURN_NOT_OK(txn.Update(tables_.customer, *customer_rid, c_row));
   }
   return FinishCommit(&txn);
 }
@@ -510,13 +555,13 @@ Result<TxnOutcome> TpccExecutor::OrderStatus(const OrderStatusInput& input) {
   int64_t o_id = o_row.GetInt(col::kOId);
   int64_t ol_cnt = o_row.GetInt(col::kOOlCnt);
 
-  std::vector<std::vector<Value>> line_keys;
+  std::vector<tx::TableKey> line_keys;
   line_keys.reserve(static_cast<size_t>(ol_cnt));
   for (int64_t ol = 1; ol <= ol_cnt; ++ol) {
-    line_keys.push_back({Value(w), Value(d), Value(o_id), Value(ol)});
+    line_keys.push_back(
+        {tables_.order_line, {Value(w), Value(d), Value(o_id), Value(ol)}});
   }
-  TELL_ASSIGN_OR_RETURN(
-      auto line_rids, txn.BatchLookupPrimary(tables_.order_line, line_keys));
+  TELL_ASSIGN_OR_RETURN(auto line_rids, txn.BatchLookupPrimary(line_keys));
   for (const auto& line_rid : line_rids) {
     if (!line_rid.has_value()) continue;
     TELL_ASSIGN_OR_RETURN(std::optional<Tuple> line,
@@ -555,13 +600,13 @@ Result<TxnOutcome> TpccExecutor::StockLevel(const StockLevelInput& input) {
   // One batched lookup for every distinct item (clause 2.8.2.2 touches up
   // to 20 orders x 15 lines): the descents and record fetches are batched
   // instead of paying ~200 serial round trips.
-  std::vector<std::vector<Value>> stock_keys;
+  std::vector<tx::TableKey> stock_keys;
   stock_keys.reserve(item_ids.size());
   for (int64_t item : item_ids) {
-    stock_keys.push_back({Value(w), Value(item)});
+    stock_keys.push_back({tables_.stock, {Value(w), Value(item)}});
   }
   TELL_ASSIGN_OR_RETURN(auto stock_rid_opts,
-                        txn.BatchLookupPrimary(tables_.stock, stock_keys));
+                        txn.BatchLookupPrimary(stock_keys));
   std::vector<uint64_t> stock_rids;
   for (const auto& rid : stock_rid_opts) {
     if (rid.has_value()) stock_rids.push_back(*rid);

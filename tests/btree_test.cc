@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <thread>
 
@@ -7,6 +8,7 @@
 #include "common/serde.h"
 #include "index/btree.h"
 #include "store/cluster.h"
+#include "store/record_cache.h"
 #include "tests/test_util.h"
 
 namespace tell::index {
@@ -290,8 +292,8 @@ TEST_F(BTreeTest, CachingReducesStorageRequests) {
 
 // ---------------------------------------------------------------------------
 // Batched descents and leaf writes. BatchLookup and BatchInsert take one
-// level-synchronous path whatever the client options; `batching` only
-// decides how StorageClient::BatchGet / BatchWrite charge it.
+// batched descent whatever the client options; `batching` only decides how
+// StorageClient::BatchGet / BatchWrite charge it.
 
 /// Default (InfiniBand) client options with the batching knob set.
 store::ClientOptions BatchingOptions(bool batching) {
@@ -320,6 +322,13 @@ std::vector<std::string> ProbeKeys() {
   return keys;
 }
 
+/// `keys` as one tree's batch.
+std::vector<TreeKey> OnTree(BTree* tree, const std::vector<std::string>& keys) {
+  std::vector<TreeKey> out;
+  for (const std::string& key : keys) out.push_back({tree, key});
+  return out;
+}
+
 TEST_F(BTreeTest, BatchLookupBatchesDescentsWithoutPipelining) {
   auto loader = MakeClient();
   ASSERT_OK(BTree::Create(loader.get(), table_));
@@ -340,7 +349,7 @@ TEST_F(BTreeTest, BatchLookupBatchesDescentsWithoutPipelining) {
   ASSERT_EQ(height, 4u);
   uint64_t requests = metrics->storage_requests;
   ASSERT_OK_AND_ASSIGN(std::vector<std::vector<uint64_t>> got,
-                       tree.BatchLookup(client.get(), keys));
+                       BTree::BatchLookup(client.get(), OnTree(&tree, keys)));
   EXPECT_EQ(got, expected);
   EXPECT_TRUE(got.back().empty());
   // One batched leaf fetch: at most one request per storage node.
@@ -357,10 +366,10 @@ TEST_F(BTreeTest, BatchLookupWithoutBatchingPaysOneRequestPerKey) {
   auto client = MakeClient(BatchingOptions(/*batching=*/false));
   sim::WorkerMetrics* metrics = metrics_.back().get();
   // Warm the inner-node cache, so only the leaves cost requests below.
-  ASSERT_OK(tree.BatchLookup(client.get(), keys).status());
+  ASSERT_OK(BTree::BatchLookup(client.get(), OnTree(&tree, keys)).status());
   uint64_t requests = metrics->storage_requests;
   ASSERT_OK_AND_ASSIGN(std::vector<std::vector<uint64_t>> got,
-                       tree.BatchLookup(client.get(), keys));
+                       BTree::BatchLookup(client.get(), OnTree(&tree, keys)));
   EXPECT_EQ(metrics->storage_requests - requests, keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     ASSERT_EQ(got[i].size(), 1u);
@@ -391,7 +400,8 @@ TEST_F(BTreeTest, BatchCostsStayPinned) {
   sim::VirtualClock* clock = clocks_.back().get();
   sim::WorkerMetrics* metrics = metrics_.back().get();
 
-  ASSERT_OK(tree.BatchLookup(client.get(), ProbeKeys()).status());
+  ASSERT_OK(
+      BTree::BatchLookup(client.get(), OnTree(&tree, ProbeKeys())).status());
   EXPECT_EQ(clock->now_ns(), kPinnedLookupNs);
   EXPECT_EQ(metrics->storage_requests, kPinnedLookupRequests);
 
@@ -399,13 +409,201 @@ TEST_F(BTreeTest, BatchCostsStayPinned) {
   // no leaf overflows.
   std::vector<BatchInsertOp> ops;
   for (uint64_t k = 1; k < 400; k += 32) {
-    ops.push_back({tell::EncodeOrderedU64(k), k + 1, true});
+    ops.push_back({&tree, tell::EncodeOrderedU64(k), k + 1, true});
   }
   std::vector<bool> inserted;
-  ASSERT_OK(tree.BatchInsert(client.get(), ops, &inserted));
+  ASSERT_OK(BTree::BatchInsert(client.get(), ops, &inserted));
   EXPECT_EQ(inserted, std::vector<bool>(ops.size(), true));
   EXPECT_EQ(clock->now_ns(), kPinnedInsertNs);
   EXPECT_EQ(metrics->storage_requests, kPinnedInsertRequests);
+}
+
+// ---------------------------------------------------------------------------
+// Batches over several trees: the descents of all trees share their rounds
+// and the leaf puts of all trees travel in one BatchWrite.
+
+/// One more tree of the fixture's cluster: its own table and inner-node
+/// cache, as every index of a table has.
+struct ExtraTree {
+  ExtraTree(store::Cluster* cluster, store::StorageClient* loader,
+            const std::string& name) {
+    table = *cluster->CreateTable(name);
+    EXPECT_OK(BTree::Create(loader, table));
+    BTreeOptions options;
+    options.fanout = 8;
+    tree = std::make_unique<BTree>(table, options, &cache);
+  }
+  NodeCache cache;
+  store::TableId table;
+  std::unique_ptr<BTree> tree;
+};
+
+/// A four-level tree, a two-level tree and a tree whose root is its only
+/// leaf — node ids 1, 2, ... exist in all three — each looked up once, so
+/// their inner nodes are cached.
+class MultiTreeTest : public BTreeTest {
+ protected:
+  MultiTreeTest()
+      : loader_(MakeClient()),
+        tall_(cluster_.get(), loader_.get(), "tall"),
+        short_(cluster_.get(), loader_.get(), "short"),
+        flat_(cluster_.get(), loader_.get(), "flat") {
+    LoadEvenKeys(loader_.get(), tall_.tree.get());
+    for (uint64_t k = 0; k < 20; k += 2) {
+      EXPECT_OK(short_.tree->Insert(loader_.get(), tell::EncodeOrderedU64(k),
+                                    k + 1, true));
+    }
+    for (uint64_t k = 0; k < 6; k += 2) {
+      EXPECT_OK(flat_.tree->Insert(loader_.get(), tell::EncodeOrderedU64(k),
+                                   k + 1, true));
+    }
+    EXPECT_EQ(*tall_.tree->Height(loader_.get()), 4u);
+    EXPECT_EQ(*short_.tree->Height(loader_.get()), 2u);
+    EXPECT_EQ(*flat_.tree->Height(loader_.get()), 1u);
+    client_ = MakeClient(store::ClientOptions{});
+    metrics_of_client_ = metrics_.back().get();
+    for (const TreeKey& k : Keys()) {
+      EXPECT_OK(k.tree->Lookup(client_.get(), k.key).status());
+    }
+  }
+
+  /// Two keys of each tree (present, rid = key + 1), in different leaves
+  /// where the tree has more than one. No leaf is full, so one more entry
+  /// next to each key fits.
+  std::vector<TreeKey> Keys() {
+    return {{tall_.tree.get(), tell::EncodeOrderedU64(0)},
+            {short_.tree.get(), tell::EncodeOrderedU64(0)},
+            {flat_.tree.get(), tell::EncodeOrderedU64(0)},
+            {tall_.tree.get(), tell::EncodeOrderedU64(320)},
+            {short_.tree.get(), tell::EncodeOrderedU64(18)},
+            {flat_.tree.get(), tell::EncodeOrderedU64(4)}};
+  }
+
+  /// Storage calls of the client that issued a message.
+  uint64_t Calls() const { return metrics_of_client_->pipeline_flushes; }
+
+  std::unique_ptr<store::StorageClient> loader_;
+  ExtraTree tall_;
+  ExtraTree short_;
+  ExtraTree flat_;
+  std::unique_ptr<store::StorageClient> client_;
+  sim::WorkerMetrics* metrics_of_client_ = nullptr;
+};
+
+TEST_F(MultiTreeTest, WarmLookupAcrossTreesCostsOneCall) {
+  const std::vector<TreeKey> keys = Keys();
+  const uint64_t before = Calls();
+  ASSERT_OK_AND_ASSIGN(std::vector<std::vector<uint64_t>> got,
+                       BTree::BatchLookup(client_.get(), keys));
+  // Every leaf of every tree in one BatchGet, the flat tree's root included.
+  EXPECT_EQ(Calls() - before, 1u);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const uint64_t key = tell::DecodeOrderedU64(keys[i].key);
+    EXPECT_EQ(got[i], std::vector<uint64_t>{key + 1}) << "key " << i;
+  }
+}
+
+TEST_F(MultiTreeTest, CrossTreeBatchInsertCostsTwoCalls) {
+  std::vector<BatchInsertOp> ops;
+  for (const TreeKey& k : Keys()) {
+    const uint64_t key = tell::DecodeOrderedU64(k.key) + 1;  // odd: absent
+    ops.push_back({k.tree, tell::EncodeOrderedU64(key), key + 100, true});
+  }
+  const uint64_t before = Calls();
+  std::vector<bool> inserted;
+  ASSERT_OK(BTree::BatchInsert(client_.get(), ops, &inserted));
+  // One descent round for the leaves of all trees, one BatchWrite.
+  EXPECT_EQ(Calls() - before, 2u);
+  EXPECT_EQ(inserted, std::vector<bool>(ops.size(), true));
+  for (const BatchInsertOp& op : ops) {
+    ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> rids,
+                         op.tree->Lookup(loader_.get(), op.key));
+    EXPECT_EQ(rids, std::vector<uint64_t>{op.rid});
+  }
+}
+
+TEST_F(MultiTreeTest, UniqueViolationInOneTreeInsertsNothingInAnyTree) {
+  std::vector<BatchInsertOp> ops = {
+      {tall_.tree.get(), tell::EncodeOrderedU64(1), 2, true},
+      {short_.tree.get(), tell::EncodeOrderedU64(3), 4, true},
+      // Key 2 holds rid 3 in the flat tree: a unique violation.
+      {flat_.tree.get(), tell::EncodeOrderedU64(2), 99, true},
+      {flat_.tree.get(), tell::EncodeOrderedU64(5), 6, true}};
+  const uint64_t before = Calls();
+  std::vector<bool> inserted;
+  Status st = BTree::BatchInsert(client_.get(), ops, &inserted);
+  EXPECT_TRUE(st.IsAlreadyExists()) << st.ToString();
+  // The descent ran; no put was issued.
+  EXPECT_EQ(Calls() - before, 1u);
+  EXPECT_EQ(inserted, std::vector<bool>(ops.size(), false));
+  for (const BatchInsertOp& op : ops) {
+    ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> rids,
+                         op.tree->Lookup(loader_.get(), op.key));
+    EXPECT_EQ(std::count(rids.begin(), rids.end(), op.rid), 0)
+        << "an entry landed in table " << op.tree->table();
+  }
+}
+
+TEST_F(BTreeTest, LostLlscOnOneLeafSendsOnlyItsOpsToTheSerialPath) {
+  // One storage node with one partition per table, and a record cache: the
+  // client's cached copy of one leaf goes stale while lease epochs are
+  // frozen, so its batched put loses the LL/SC race. The other puts of the
+  // batch succeed — one of them into the stale leaf's table, which bumps
+  // the table's lease epoch, so the serial retry re-reads that leaf.
+  store::ClusterOptions cluster_options;
+  cluster_options.num_storage_nodes = 1;
+  cluster_options.partitions_per_node = 1;
+  store::Cluster cluster(cluster_options);
+  store::ClientOptions plain;
+  plain.network = sim::NetworkModel::Instant();
+  sim::VirtualClock loader_clock;
+  sim::WorkerMetrics loader_metrics;
+  store::StorageClient loader(&cluster, nullptr, plain, &loader_clock,
+                              &loader_metrics);
+  ExtraTree x(&cluster, &loader, "x");
+  ExtraTree y(&cluster, &loader, "y");
+  LoadEvenKeys(&loader, x.tree.get());
+  LoadEvenKeys(&loader, y.tree.get());
+
+  store::RecordCacheOptions cache_options;
+  cache_options.enabled = true;
+  store::RecordCache record_cache(cache_options);
+  store::ClientOptions cached = plain;
+  cached.record_cache = &record_cache;
+  sim::VirtualClock clock;
+  sim::WorkerMetrics metrics;
+  store::StorageClient client(&cluster, nullptr, cached, &clock, &metrics);
+  // Warm the inner-node caches and cache the three leaves.
+  ASSERT_OK(BTree::BatchLookup(&client,
+                               {{x.tree.get(), tell::EncodeOrderedU64(0)},
+                                {x.tree.get(), tell::EncodeOrderedU64(64)},
+                                {y.tree.get(), tell::EncodeOrderedU64(0)}})
+                .status());
+  cluster.lease_epochs().set_frozen_for_testing(true);
+  ASSERT_OK(x.tree->Insert(&loader, tell::EncodeOrderedU64(3), 4, true));
+  cluster.lease_epochs().set_frozen_for_testing(false);
+
+  const std::vector<BatchInsertOp> ops = {
+      {x.tree.get(), tell::EncodeOrderedU64(1), 2, true},    // stale leaf
+      {x.tree.get(), tell::EncodeOrderedU64(65), 66, true},  // fresh leaf
+      {y.tree.get(), tell::EncodeOrderedU64(1), 2, true}};   // other tree
+  const uint64_t calls = metrics.pipeline_flushes;
+  std::vector<bool> inserted;
+  ASSERT_OK(BTree::BatchInsert(&client, ops, &inserted));
+  EXPECT_EQ(inserted, std::vector<bool>(ops.size(), true));
+  EXPECT_EQ(metrics.llsc_failures, 1u);
+  // The descent is served from the caches; then the BatchWrite, and only
+  // the stale leaf's op re-runs serially: one leaf read and one put.
+  EXPECT_EQ(metrics.pipeline_flushes - calls, 3u);
+  for (uint64_t k : {1, 3, 65}) {
+    ASSERT_OK_AND_ASSIGN(
+        std::vector<uint64_t> rids,
+        x.tree->Lookup(&loader, tell::EncodeOrderedU64(k)));
+    EXPECT_EQ(rids, std::vector<uint64_t>{k + 1}) << "key " << k;
+  }
+  ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> rids,
+                       y.tree->Lookup(&loader, tell::EncodeOrderedU64(1)));
+  EXPECT_EQ(rids, std::vector<uint64_t>{2});
 }
 
 TEST_F(BTreeTest, BatchInsertOverflowPutsPrefixAndSplitsForTheRest) {
@@ -438,11 +636,11 @@ TEST_F(BTreeTest, BatchInsertOverflowPutsPrefixAndSplitsForTheRest) {
   }
   std::vector<BatchInsertOp> ops;
   for (uint64_t k = 5; k < 11; ++k) {
-    ops.push_back({tell::EncodeOrderedU64(k), k, true});
+    ops.push_back({&tree, tell::EncodeOrderedU64(k), k, true});
   }
   ops_before = metrics_.back()->storage_ops;
   std::vector<bool> inserted;
-  ASSERT_OK(tree.BatchInsert(client.get(), ops, &inserted));
+  ASSERT_OK(BTree::BatchInsert(client.get(), ops, &inserted));
   EXPECT_EQ(inserted, std::vector<bool>(ops.size(), true));
   // One leaf read and ONE put for the prefix 5..7; the overflow 8..10 costs
   // exactly what it costs the serial Insert on the reference tree.

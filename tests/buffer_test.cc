@@ -2,6 +2,7 @@
 
 #include "buffer/shared_record_buffer.h"
 #include "buffer/version_sync_buffer.h"
+#include "common/serde.h"
 #include "db/tell_db.h"
 #include "tests/test_util.h"
 
@@ -168,6 +169,84 @@ TEST_F(SharedBufferUnitTest, OlderOverlappingTransactionHitsBuffer) {
   EXPECT_GT(s2->metrics()->buffer_hits, hits_before);
   ASSERT_OK(older.Commit());
   ASSERT_OK(newer.Commit());
+}
+
+// Regression: SBVS write-through used to overwrite the unit's version-set
+// cell with a blind put. A committer whose write-through ran late could then
+// roll the cell back to an older label — here exactly the label PN 0 holds
+// for its buffered copy, so PN 0's cell check passed and it kept serving a
+// record older than the snapshot reading it. The cell now only grows.
+TEST(VersionSyncBufferTest, LateWriteThroughCannotRollBackTheVersionSet) {
+  store::ClusterOptions cluster_options;
+  cluster_options.num_storage_nodes = 2;
+  store::Cluster cluster(cluster_options);
+  ASSERT_OK_AND_ASSIGN(store::TableId data, cluster.CreateTable("data"));
+  ASSERT_OK_AND_ASSIGN(store::TableId version_sets, cluster.CreateTable("vs"));
+  store::ClientOptions client_options;
+  client_options.network = sim::NetworkModel::Instant();
+  sim::VirtualClock clock;
+  sim::WorkerMetrics metrics;
+  store::StorageClient client(&cluster, nullptr, client_options, &clock,
+                              &metrics);
+  VersionSyncBuffer pn0(version_sets, /*unit_size=*/4);
+  VersionSyncBuffer pn1(version_sets, /*unit_size=*/4);
+  constexpr uint64_t kRecord = 1;     // written by tids 11 and 12
+  constexpr uint64_t kNeighbour = 2;  // same unit, written by tid 10
+  for (uint64_t rid : {kRecord, kNeighbour}) {
+    schema::VersionedRecord initial;
+    initial.PutVersion(5, "v5");
+    ASSERT_OK(client.Put(data, EncodeOrderedU64(rid), initial.Serialize())
+                  .status());
+  }
+  // Commits `tid` on top of `fetched` and returns the written record and
+  // its new stamp; the caller runs (or holds back) the write-through.
+  auto write = [&](uint64_t rid, const tx::FetchedRecord& fetched,
+                   tx::Tid tid) {
+    schema::VersionedRecord record = fetched.record;
+    record.PutVersion(tid, "v" + std::to_string(tid));
+    auto stamp = client.ConditionalPut(data, EncodeOrderedU64(rid),
+                                       fetched.stamp, record.Serialize());
+    EXPECT_TRUE(stamp.ok()) << stamp.status().ToString();
+    return std::make_pair(record, stamp.ok() ? *stamp : 0);
+  };
+
+  // Tid 10 on PN 1 commits the neighbour; its write-through is delayed.
+  const tx::SnapshotDescriptor s10(9);
+  pn1.OnTransactionStart(s10);
+  ASSERT_OK_AND_ASSIGN(tx::FetchedRecord n, pn1.Read(&client, data,
+                                                     kNeighbour, s10));
+  auto [late_record, late_stamp] = write(kNeighbour, n, 10);
+
+  // Tid 11 on PN 0 writes the record; PN 0 buffers it under {<= 11}.
+  const tx::SnapshotDescriptor s11(10);
+  pn0.OnTransactionStart(s11);
+  ASSERT_OK_AND_ASSIGN(tx::FetchedRecord r11, pn0.Read(&client, data,
+                                                       kRecord, s11));
+  auto [record11, stamp11] = write(kRecord, r11, 11);
+  pn0.OnApply(&client, data, kRecord, record11, stamp11, 11, s11);
+
+  // Tid 12 on PN 1 writes the record again.
+  const tx::SnapshotDescriptor s12(11);
+  pn1.OnTransactionStart(s12);
+  ASSERT_OK_AND_ASSIGN(tx::FetchedRecord r12, pn1.Read(&client, data,
+                                                       kRecord, s12));
+  auto [record12, stamp12] = write(kRecord, r12, 12);
+  pn1.OnApply(&client, data, kRecord, record12, stamp12, 12, s12);
+
+  // Now tid 10's write-through lands. PN 1's V_max is {<= 11} by now, so a
+  // blind put would write exactly PN 0's label back into the cell.
+  pn1.OnApply(&client, data, kNeighbour, late_record, late_stamp, 10, s10);
+
+  // A PN 0 reader whose snapshot holds tid 12 must see tid 12's version,
+  // and its stamp must be the live one, or a PN 0 writer's LL/SC fails.
+  const tx::SnapshotDescriptor s13(12);
+  pn0.OnTransactionStart(s13);
+  ASSERT_OK_AND_ASSIGN(tx::FetchedRecord read, pn0.Read(&client, data,
+                                                        kRecord, s13));
+  const schema::RecordVersion* visible = read.record.VisibleVersion(s13, 13);
+  ASSERT_NE(visible, nullptr);
+  EXPECT_EQ(visible->version, 12u);
+  EXPECT_EQ(read.stamp, stamp12);
 }
 
 TEST(SnapshotSubsetTest, BufferValidityRule) {

@@ -259,6 +259,91 @@ TEST_F(TpccTest, OrderStatusAndStockLevelComplete) {
   EXPECT_TRUE(outcome2.committed);
 }
 
+// ---------------------------------------------------------------------------
+// Round budget: the storage calls that issued a message, pinned on a loaded
+// one-warehouse database whose inner-node caches a first new-order warmed.
+
+class TpccRoundBudgetTest : public ::testing::Test {
+ protected:
+  TpccRoundBudgetTest() {
+    db::TellDbOptions options;
+    options.network = sim::NetworkModel::Instant();
+    db_ = std::make_unique<db::TellDb>(options);
+    scale_.warehouses = 1;
+    EXPECT_OK(CreateTpccTables(db_.get()));
+    EXPECT_OK(LoadTpcc(db_.get(), scale_));
+    session_ = db_->OpenSession(0, 0);
+    auto tables = OpenTpccTables(db_.get(), 0);
+    EXPECT_TRUE(tables.ok());
+    tables_ = *tables;
+    executor_ = std::make_unique<TpccExecutor>(session_.get(), tables_);
+  }
+
+  static NewOrderInput Order() {
+    NewOrderInput input;
+    input.warehouse = 1;
+    input.district = 4;
+    input.customer = 7;
+    input.lines = {{3, 1, 2}, {250, 1, 1}, {777, 1, 4}, {1200, 1, 3},
+                   {1999, 1, 5}};
+    return input;
+  }
+
+  /// Storage calls that issued a message since `before`.
+  uint64_t CallsSince(uint64_t before) const {
+    return session_->metrics()->pipeline_flushes - before;
+  }
+
+  std::unique_ptr<db::TellDb> db_;
+  TpccScale scale_;
+  std::unique_ptr<tx::Session> session_;
+  TpccTables tables_;
+  std::unique_ptr<TpccExecutor> executor_;
+};
+
+TEST_F(TpccRoundBudgetTest, NewOrderLookupsShareOneLeafRoundAndOneRecordRound) {
+  ASSERT_OK_AND_ASSIGN(TxnOutcome warm, executor_->NewOrder(Order()));
+  ASSERT_TRUE(warm.committed);
+  const NewOrderInput input = Order();
+  std::vector<tx::TableKey> keys = {
+      {tables_.warehouse, {Value(int64_t{1})}},
+      {tables_.district, {Value(int64_t{1}), Value(input.district)}},
+      {tables_.customer,
+       {Value(int64_t{1}), Value(input.district), Value(input.customer)}}};
+  for (const NewOrderLine& line : input.lines) {
+    keys.push_back({tables_.item, {Value(line.item_id)}});
+    keys.push_back(
+        {tables_.stock, {Value(line.supply_warehouse), Value(line.item_id)}});
+  }
+  tx::Transaction txn(session_.get());
+  ASSERT_OK(txn.Begin());
+  const uint64_t before = session_->metrics()->pipeline_flushes;
+  ASSERT_OK_AND_ASSIGN(auto rids, txn.BatchLookupPrimary(keys));
+  // Five tables, thirteen keys: one round for the leaves of every tree, one
+  // for the records of every table.
+  EXPECT_EQ(CallsSince(before), 2u);
+  for (const auto& rid : rids) EXPECT_TRUE(rid.has_value());
+  ASSERT_OK(txn.Commit());
+}
+
+TEST_F(TpccRoundBudgetTest, NewOrderCostsOneRoundPerDependencyLevel) {
+  ASSERT_OK_AND_ASSIGN(TxnOutcome warm, executor_->NewOrder(Order()));
+  ASSERT_TRUE(warm.committed);
+  const sim::Histogram& rounds = session_->metrics()->storage_rounds;
+  const uint64_t samples = rounds.count();
+  const double sum = rounds.Mean() * static_cast<double>(samples);
+  const uint64_t before = session_->metrics()->pipeline_flushes;
+  ASSERT_OK_AND_ASSIGN(TxnOutcome outcome, executor_->NewOrder(Order()));
+  ASSERT_TRUE(outcome.committed);
+  // Two lookup rounds (leaves, records), the log append, the LL/SC apply,
+  // two index rounds (the leaves of orders, orders_by_customer, new_order
+  // and order_line; then one write of all of them) and the commit flag.
+  EXPECT_EQ(CallsSince(before), 7u);
+  // tx.storage_rounds took exactly this transaction's count.
+  ASSERT_EQ(rounds.count(), samples + 1);
+  EXPECT_EQ(rounds.Mean() * static_cast<double>(rounds.count()) - sum, 7.0);
+}
+
 TEST_F(TpccTest, GeneratorRespectsScaleBounds) {
   InputGenerator generator(scale_, Mix::kWriteIntensive, 11, 1);
   for (int i = 0; i < 500; ++i) {
