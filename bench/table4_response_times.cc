@@ -25,10 +25,12 @@ void Row(const char* mix, const char* system, const char* size,
               resp->Mean() / 1e6, resp->StdDev() / 1e6);
 }
 
-/// The round budget per transaction type: one session on PN 0 drives the
-/// standard mix serially, and each transaction's `tx.storage_rounds`
-/// sample is filed under its type. Prints the mean per type and records
-/// them as the `round_probe_<size>` run's derived values.
+/// The round budget per transaction type: one session on PN 0 of a freshly
+/// loaded database drives the standard mix serially, and each
+/// transaction's `tx.storage_rounds` sample is filed under its type. The
+/// database state each transaction meets is then the same in every build,
+/// so the means compare across builds. Prints the mean per type and
+/// records them as the `round_probe_<size>` run's derived values.
 void RoundsPerType(TellFixture* fixture, const std::string& suffix,
                    BenchJson* json) {
   constexpr int kTxns = 600;
@@ -113,8 +115,11 @@ int main() {
               "tell_standard" + suffix, *standard, fixture.db());
           Row("standard", "Tell", size, snap);
           PrintPhaseBreakdown(snap);
-          RoundsPerType(&fixture, suffix, &json);
         }
+      }
+      {
+        TellFixture fixture(options, BenchScale());
+        RoundsPerType(&fixture, suffix, &json);
       }
       {
         TellFixture fixture(options, BenchScale());

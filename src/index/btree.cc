@@ -18,8 +18,55 @@ constexpr std::string_view kNextIdKey = "meta/next_id";
 constexpr int kMaxRetries = 1024;
 // Right-sibling hops tolerated before declaring the cached path stale.
 constexpr int kMaxRightHops = 64;
+// Node ids a processing node reserves per refill of a tree's id counter.
+constexpr uint64_t kNodeIdBlock = 64;
 
 std::string NodeKey(uint64_t id) { return tell::EncodeOrderedU64(id); }
+
+// Where to cut `entries` (sorted) so that no piece holds more than about
+// `fanout` entries: as few pieces as that allows, of even size. A cut never
+// separates duplicates of one key — a descent by key must find them all in
+// one node — so a cut moves to the next key boundary, else the previous
+// one, and is dropped when there is none. Empty when nothing overflows or
+// nothing can be cut (every entry shares one key: the node grows instead).
+std::vector<size_t> CutPoints(const std::vector<IndexEntry>& entries,
+                              size_t fanout) {
+  const size_t n = entries.size();
+  std::vector<size_t> cuts;
+  if (n <= fanout) return cuts;
+  const size_t pieces = (n + fanout - 1) / fanout;
+  auto boundary = [&](size_t c) {
+    return entries[c].key != entries[c - 1].key;
+  };
+  size_t prev = 0;
+  for (size_t j = 1; j < pieces; ++j) {
+    const size_t target = std::max(j * n / pieces, prev + 1);
+    size_t c = target;
+    while (c < n && !boundary(c)) ++c;
+    if (c == n) {
+      c = target - 1;
+      while (c > prev && !boundary(c)) --c;
+      if (c <= prev) continue;
+    }
+    cuts.push_back(c);
+    prev = c;
+  }
+  return cuts;
+}
+
+// `entries` cut at `cuts` (as CutPoints returns them).
+std::vector<std::vector<IndexEntry>> CutAt(std::vector<IndexEntry> entries,
+                                           const std::vector<size_t>& cuts) {
+  std::vector<std::vector<IndexEntry>> pieces;
+  size_t from = 0;
+  for (size_t i = 0; i <= cuts.size(); ++i) {
+    const size_t to = i < cuts.size() ? cuts[i] : entries.size();
+    pieces.emplace_back(std::make_move_iterator(entries.begin() + from),
+                        std::make_move_iterator(entries.begin() + to));
+    from = to;
+  }
+  return pieces;
+}
 
 }  // namespace
 
@@ -30,7 +77,7 @@ struct BTree::Node {
   /// Distance from the leaf level (leaves are 0). A node's level never
   /// changes — except for the fixed-id root, which is rewritten in place one
   /// level higher on a root split; parent insertion therefore locates its
-  /// target by LEVEL, not by remembered id (see InsertIntoParent).
+  /// target by LEVEL, not by remembered id (see LocateNode).
   uint32_t level = 0;
   uint64_t right_sibling = 0;
   std::string high_key;  // empty = +inf (only valid when right_sibling == 0)
@@ -160,8 +207,46 @@ size_t NodeCache::entries() const {
   return nodes_.size();
 }
 
+void NodeCache::TakeNodeIds(size_t n, std::vector<uint64_t>* ids) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (; n > 0 && next_id_ < end_id_; --n) ids->push_back(next_id_++);
+}
+
+void NodeCache::SetNodeIdBlock(uint64_t first, uint64_t end) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  next_id_ = first;
+  end_id_ = end;
+}
+
 // --------------------------------------------------------------------------
 // BTree
+
+/// A separator a split owes the level above: the right node's first key and
+/// id, to be inserted into the node at `level` that covers the key.
+struct BTree::Separator {
+  BTree* tree = nullptr;
+  IndexEntry entry;
+  uint32_t level = 0;
+  /// Inner nodes above the split node, root first: the last one is the
+  /// parent as the descent saw it.
+  std::vector<NodeRef> path;
+  /// The parent image lost an LL/SC race: re-read it before the next try.
+  bool stale = false;
+};
+
+/// One node rewrite of a BatchInsert round: the image it is based on (its
+/// stamp is the LL/SC base) and the node's complete new entry list.
+struct BTree::NodeEdit {
+  BTree* tree = nullptr;
+  NodeRef base;
+  std::vector<IndexEntry> entries;
+  /// Inner nodes above `base`, root first.
+  std::vector<NodeRef> path;
+  /// The BatchInsert ops a leaf edit carries.
+  std::vector<size_t> ops;
+  /// The separators an inner edit carries.
+  std::vector<Separator> separators;
+};
 
 Status BTree::Create(store::StorageClient* client, store::TableId table) {
   Node root;
@@ -173,15 +258,28 @@ Status BTree::Create(store::StorageClient* client, store::TableId table) {
     return Status::AlreadyExists("index already initialized");
   }
   TELL_RETURN_NOT_OK(put.status());
-  // Node id 1 is the root; the counter hands out 2, 3, ...
+  // Node id 1 is the root; the counter hands out the rest.
   auto counter = client->AtomicIncrement(table, kNextIdKey, 1);
   return counter.status();
 }
 
-Result<uint64_t> BTree::AllocateNodeId(store::StorageClient* client) {
-  TELL_ASSIGN_OR_RETURN(int64_t id,
-                        client->AtomicIncrement(table_, kNextIdKey, 1));
-  return static_cast<uint64_t>(id) + 1;  // counter started at 1 = root
+Result<std::vector<uint64_t>> BTree::AllocateNodeIds(
+    store::StorageClient* client, size_t n) {
+  std::vector<uint64_t> ids;
+  ids.reserve(n);
+  if (cache_ != nullptr) cache_->TakeNodeIds(n, &ids);
+  if (ids.size() == n) return ids;
+  const uint64_t missing = n - ids.size();
+  const uint64_t block =
+      cache_ == nullptr ? missing : std::max(kNodeIdBlock, missing);
+  TELL_ASSIGN_OR_RETURN(int64_t counter,
+                        client->AtomicIncrement(table_, kNextIdKey, block));
+  // The counter now ends the new block; ids run one above the counter
+  // (it started at 1 = the root).
+  const uint64_t first = static_cast<uint64_t>(counter) - block + 2;
+  for (uint64_t id = first; id < first + missing; ++id) ids.push_back(id);
+  if (cache_ != nullptr) cache_->SetNodeIdBlock(first + missing, first + block);
+  return ids;
 }
 
 Result<BTree::Node> BTree::ReadNodeUncached(store::StorageClient* client,
@@ -207,294 +305,125 @@ Result<BTree::Node> BTree::ReadNode(store::StorageClient* client,
 
 Result<BTree::Node> BTree::DescendToLeaf(store::StorageClient* client,
                                          std::string_view key,
-                                         std::vector<uint64_t>* path) {
+                                         std::vector<NodeRef>* path) {
   // Attempt 0 uses the inner-node cache; later attempts re-read everything.
   // Concurrent structure modifications can transiently derail even a fresh
   // descent, so retry a few times before declaring the tree corrupt.
+  std::vector<uint64_t> visited;  // inner node ids, root first
   for (int attempt = 0; attempt < 16; ++attempt) {
     bool use_cache = attempt == 0;
-    path->clear();
+    visited.clear();
+    if (path != nullptr) path->clear();
     bool stale = false;
     int right_hops = 0;
     // The root is never cached as a leaf; read and inspect.
     Result<Node> current = use_cache ? ReadNode(client, kRootId, true)
                                      : ReadNodeUncached(client, kRootId);
     if (!current.ok()) return current.status();
-    Node node = std::move(*current);
+    auto node = std::make_shared<Node>(std::move(*current));
     while (true) {
       // B-link move right: a concurrent split may have shifted our key range
       // into a right sibling before the parent learned about it.
-      while (!node.CoversKey(key)) {
-        if (node.right_sibling == 0 || ++right_hops > kMaxRightHops) {
+      while (!node->CoversKey(key)) {
+        if (node->right_sibling == 0 || ++right_hops > kMaxRightHops) {
           stale = true;
           break;
         }
-        Result<Node> sibling = ReadNodeUncached(client, node.right_sibling);
+        Result<Node> sibling = ReadNodeUncached(client, node->right_sibling);
         if (!sibling.ok()) return sibling.status();
-        node = std::move(*sibling);
+        *node = std::move(*sibling);
       }
       if (stale) break;
-      if (node.is_leaf) {
+      if (node->is_leaf) {
         // Paper §5.3.1: a leaf that does not match its parent's expectation
         // means the cached path is outdated — refresh the parents.
         if (right_hops > 0 && cache_ != nullptr) {
-          for (uint64_t id : *path) cache_->Erase(id);
+          for (uint64_t id : visited) cache_->Erase(id);
         }
-        return node;
+        return std::move(*node);
       }
-      uint64_t child = node.ChildFor(key);
+      uint64_t child = node->ChildFor(key);
       if (child == 0) {
         stale = true;
         break;
       }
-      path->push_back(node.id);
+      visited.push_back(node->id);
       Result<Node> next = use_cache ? ReadNode(client, child, true)
                                     : ReadNodeUncached(client, child);
       if (!next.ok()) return next.status();
-      node = std::move(*next);
+      if (path != nullptr) {
+        path->push_back(std::move(node));
+        node = std::make_shared<Node>(std::move(*next));
+      } else {
+        *node = std::move(*next);
+      }
     }
     // Stale cached structure: drop the whole cached path and retry fresh.
     if (cache_ != nullptr) {
       cache_->Erase(kRootId);
-      for (uint64_t id : *path) cache_->Erase(id);
+      for (uint64_t id : visited) cache_->Erase(id);
     }
   }
   return Status::InternalError("B+tree descent failed twice (corrupt tree?)");
 }
 
-Status BTree::SplitNode(store::StorageClient* client, Node& node,
-                        const std::vector<uint64_t>& path) {
-  size_t count = node.entries.size();
-  TELL_CHECK(count >= 2);
-  // Choose a split point that does not separate duplicates of one key
-  // (duplicate keys must stay within one node's [low, high) range so that a
-  // descent by key finds them all).
-  size_t mid = count / 2;
-  while (mid < count && node.entries[mid].key == node.entries[mid - 1].key) {
-    ++mid;
-  }
-  if (mid == count) {
-    mid = count / 2;
-    while (mid > 1 && node.entries[mid].key == node.entries[mid - 1].key) {
-      --mid;
-    }
-    if (mid <= 1) {
-      // Every entry shares one key; the node cannot split — let it grow.
-      return Status::NotSupported("node holds a single key; cannot split");
-    }
-  }
-  const std::string split_key = node.entries[mid].key;
-
-  if (node.id == kRootId) {
-    // Root split: the root id must stay fixed, so both halves move to fresh
-    // nodes and the root is rewritten in place as their parent.
-    TELL_ASSIGN_OR_RETURN(uint64_t left_id, AllocateNodeId(client));
-    TELL_ASSIGN_OR_RETURN(uint64_t right_id, AllocateNodeId(client));
-    Node right;
-    right.id = right_id;
-    right.is_leaf = node.is_leaf;
-    right.level = node.level;
-    right.right_sibling = node.right_sibling;
-    right.high_key = node.high_key;
-    right.entries.assign(node.entries.begin() + static_cast<ptrdiff_t>(mid),
-                         node.entries.end());
-    Node left;
-    left.id = left_id;
-    left.is_leaf = node.is_leaf;
-    left.level = node.level;
-    left.right_sibling = right_id;
-    left.high_key = split_key;
-    left.entries.assign(node.entries.begin(),
-                        node.entries.begin() + static_cast<ptrdiff_t>(mid));
-    TELL_RETURN_NOT_OK(client
-                           ->ConditionalPut(table_, NodeKey(right_id),
-                                            store::kStampAbsent,
-                                            right.Serialize())
-                           .status());
-    TELL_RETURN_NOT_OK(client
-                           ->ConditionalPut(table_, NodeKey(left_id),
-                                            store::kStampAbsent,
-                                            left.Serialize())
-                           .status());
-    Node new_root;
-    new_root.id = kRootId;
-    new_root.is_leaf = false;
-    new_root.level = node.level + 1;
-    new_root.right_sibling = node.right_sibling;
-    new_root.high_key = node.high_key;
-    new_root.entries.push_back({"", left_id});
-    new_root.entries.push_back({split_key, right_id});
-    auto put = client->ConditionalPut(table_, NodeKey(kRootId), node.stamp,
-                                      new_root.Serialize());
-    if (cache_ != nullptr) cache_->Erase(kRootId);
-    // On ConditionFailed another worker raced us; the two fresh nodes become
-    // unreachable garbage, which is benign.
-    return put.status();
-  }
-
-  TELL_ASSIGN_OR_RETURN(uint64_t right_id, AllocateNodeId(client));
-  Node right;
-  right.id = right_id;
-  right.is_leaf = node.is_leaf;
-  right.level = node.level;
-  right.right_sibling = node.right_sibling;
-  right.high_key = node.high_key;
-  right.entries.assign(node.entries.begin() + static_cast<ptrdiff_t>(mid),
-                       node.entries.end());
-  // 1. Publish the right half under a fresh id.
-  TELL_RETURN_NOT_OK(client
-                         ->ConditionalPut(table_, NodeKey(right_id),
-                                          store::kStampAbsent,
-                                          right.Serialize())
-                         .status());
-  // 2. Shrink the left half in place (the LL/SC step that linearizes the
-  //    split; on failure the right node is abandoned garbage).
-  Node left = node;
-  left.right_sibling = right_id;
-  left.high_key = split_key;
-  left.entries.resize(mid);
-  auto put = client->ConditionalPut(table_, NodeKey(node.id), node.stamp,
-                                    left.Serialize());
-  if (cache_ != nullptr) cache_->Erase(node.id);
-  TELL_RETURN_NOT_OK(put.status());
-  // 3. Tell the parent. Best effort: even if this is lost (e.g. the PN
-  //    crashes), traversals reach the right node via the sibling link.
-  return InsertIntoParent(client, path, split_key, right_id, node.level + 1);
-}
-
-Status BTree::InsertIntoParent(store::StorageClient* client,
-                               const std::vector<uint64_t>& path,
-                               std::string_view separator, uint64_t right_id,
-                               uint32_t target_level) {
-  TELL_CHECK(!path.empty());
-  uint64_t start_id = path.back();
-  std::vector<uint64_t> grandparents(path.begin(), path.end() - 1);
+Result<BTree::Node> BTree::LocateNode(store::StorageClient* client,
+                                      uint64_t start_id, std::string_view key,
+                                      uint32_t level,
+                                      std::vector<NodeRef>* path) {
   for (int retry = 0; retry < kMaxRetries; ++retry) {
-    TELL_ASSIGN_OR_RETURN(Node parent, ReadNodeUncached(client, start_id));
-    bool restart_from_root = false;
-    // The remembered parent may meanwhile sit ABOVE the target level: the
-    // fixed-id root is rewritten in place one level higher on a root split.
-    // Descend by level until we are at the separator's parent level —
-    // inserting at any other level would corrupt the tree.
+    TELL_ASSIGN_OR_RETURN(Node node, ReadNodeUncached(client, start_id));
     int hops = 0;
     while (true) {
-      while (!parent.CoversKey(separator)) {
-        if (parent.right_sibling == 0) {
+      while (!node.CoversKey(key) && hops <= kMaxRightHops) {
+        if (node.right_sibling == 0) {
           // A rightmost node always covers up to +inf; this cannot happen.
           return Status::InternalError("separator key out of parent range");
         }
-        if (++hops > kMaxRightHops) {
-          // A storm of concurrent splits moved the target far right of the
-          // remembered ancestor; restart the search from the root, which
-          // descends close to the target directly.
-          restart_from_root = true;
-          break;
-        }
-        TELL_ASSIGN_OR_RETURN(parent,
-                              ReadNodeUncached(client, parent.right_sibling));
+        ++hops;
+        TELL_ASSIGN_OR_RETURN(node,
+                              ReadNodeUncached(client, node.right_sibling));
       }
-      if (restart_from_root) break;
-      if (parent.level == target_level) break;
-      if (parent.level < target_level) {
-        // The remembered ancestor is now BELOW the target (cannot happen —
-        // levels only grow at the root); treat as fatal.
+      // A storm of concurrent splits moved the target far right of the
+      // start; restart from the root, which descends close to it directly.
+      if (hops > kMaxRightHops) break;
+      if (node.level == level) return node;
+      if (node.level < level) {
+        // Levels only grow at the root: the start is BELOW the target.
         return Status::InternalError("parent level below separator level");
       }
-      uint64_t child = parent.ChildFor(separator);
-      if (child == 0) {
-        return Status::InternalError("no route to parent level");
-      }
-      TELL_ASSIGN_OR_RETURN(parent, ReadNodeUncached(client, child));
+      // The start sits above the target level (the fixed-id root grew):
+      // descend by key — inserting at any other level corrupts the tree.
+      const uint64_t child = node.ChildFor(key);
+      if (child == 0) return Status::InternalError("no route to parent level");
+      path->push_back(std::make_shared<const Node>(node));
+      TELL_ASSIGN_OR_RETURN(node, ReadNodeUncached(client, child));
     }
-    if (restart_from_root) {
-      start_id = kRootId;
-      continue;
-    }
-    // Already present (another worker completed this SMO for us)?
-    for (const IndexEntry& e : parent.entries) {
-      if (e.key == separator && e.rid == right_id) return Status::OK();
-    }
-    if (parent.entries.size() >= options_.fanout) {
-      std::vector<uint64_t> parent_path =
-          grandparents.empty() ? std::vector<uint64_t>{kRootId} : grandparents;
-      Status split = SplitNode(client, parent, parent_path);
-      if (!split.ok() && !split.IsConditionFailed() &&
-          split.code() != StatusCode::kNotSupported) {
-        return split;
-      }
-      continue;  // re-read and place the separator in the correct half
-    }
-    size_t pos = parent.PositionFor(separator, right_id);
-    parent.entries.insert(parent.entries.begin() + static_cast<ptrdiff_t>(pos),
-                          {std::string(separator), right_id});
-    auto put = client->ConditionalPut(table_, NodeKey(parent.id), parent.stamp,
-                                      parent.Serialize());
-    if (cache_ != nullptr) cache_->Erase(parent.id);
-    if (put.ok()) return Status::OK();
-    if (!put.status().IsConditionFailed()) return put.status();
-    // Lost the race; retry from a fresh read.
+    start_id = kRootId;
+    path->clear();
   }
-  return Status::InternalError("parent insert retries exhausted");
+  return Status::InternalError("parent search retries exhausted");
 }
 
 Status BTree::Insert(store::StorageClient* client, std::string_view key,
                      uint64_t rid, bool unique) {
-  for (int retry = 0; retry < kMaxRetries; ++retry) {
-    std::vector<uint64_t> path;
-    TELL_ASSIGN_OR_RETURN(Node leaf, DescendToLeaf(client, key, &path));
-    if (unique) {
-      for (const IndexEntry& e : leaf.entries) {
-        if (e.key == key && e.rid != rid) {
-          return Status::AlreadyExists("duplicate key in unique index");
-        }
-      }
-    }
-    size_t pos = leaf.PositionFor(key, rid);
-    if (pos < leaf.entries.size() && leaf.entries[pos].key == key &&
-        leaf.entries[pos].rid == rid) {
-      return Status::OK();  // idempotent
-    }
-    if (leaf.entries.size() >= options_.fanout) {
-      Status split = SplitNode(client, leaf, path);
-      if (split.ok() || split.IsConditionFailed()) {
-        continue;  // re-descend into the correct half
-      }
-      if (split.code() != StatusCode::kNotSupported) return split;
-      // Unsplittable (all entries share one key): insert oversize below.
-    }
-    leaf.entries.insert(leaf.entries.begin() + static_cast<ptrdiff_t>(pos),
-                        {std::string(key), rid});
-    auto put = client->ConditionalPut(table_, NodeKey(leaf.id), leaf.stamp,
-                                      leaf.Serialize());
-    if (put.ok()) return Status::OK();
-    if (!put.status().IsConditionFailed()) return put.status();
-  }
-  return Status::InternalError("B+tree insert retries exhausted");
+  std::vector<bool> inserted;
+  return BatchInsert(client, {{this, std::string(key), rid, unique}},
+                     &inserted);
 }
 
 Status BTree::Remove(store::StorageClient* client, std::string_view key,
                      uint64_t rid) {
-  for (int retry = 0; retry < kMaxRetries; ++retry) {
-    std::vector<uint64_t> path;
-    TELL_ASSIGN_OR_RETURN(Node leaf, DescendToLeaf(client, key, &path));
-    size_t pos = leaf.PositionFor(key, rid);
-    if (pos >= leaf.entries.size() || leaf.entries[pos].key != key ||
-        leaf.entries[pos].rid != rid) {
-      return Status::OK();  // absent — idempotent
-    }
-    leaf.entries.erase(leaf.entries.begin() + static_cast<ptrdiff_t>(pos));
-    auto put = client->ConditionalPut(table_, NodeKey(leaf.id), leaf.stamp,
-                                      leaf.Serialize());
-    if (put.ok()) return Status::OK();
-    if (!put.status().IsConditionFailed()) return put.status();
-  }
-  return Status::InternalError("B+tree remove retries exhausted");
+  std::vector<bool> removed;
+  return BatchInsert(client,
+                     {{this, std::string(key), rid, /*unique=*/false,
+                       /*remove=*/true}},
+                     &removed);
 }
 
 Result<std::vector<uint64_t>> BTree::LookupRids(store::StorageClient* client,
                                                 std::string_view key) {
-  std::vector<uint64_t> path;
-  TELL_ASSIGN_OR_RETURN(Node leaf, DescendToLeaf(client, key, &path));
+  TELL_ASSIGN_OR_RETURN(Node leaf, DescendToLeaf(client, key, nullptr));
   std::vector<uint64_t> rids;
   for (const IndexEntry& e : leaf.entries) {
     if (e.key == key) rids.push_back(e.rid);
@@ -524,18 +453,17 @@ void BTree::CacheIfInner(const Node& node) {
   }
 }
 
-Status BTree::BatchDescendToLeaves(store::StorageClient* client,
-                                   const std::vector<DescentKey>& keys,
-                                   std::vector<NodeRef>* leaves,
-                                   std::vector<size_t>* leaf_of_key) {
+Status BTree::BatchDescendToLeaves(
+    store::StorageClient* client, const std::vector<DescentKey>& keys,
+    std::vector<NodeRef>* leaves, std::vector<size_t>* leaf_of_key,
+    std::vector<std::vector<NodeRef>>* leaf_paths) {
   leaves->clear();
   leaf_of_key->assign(keys.size(), kNoLeaf);
+  if (leaf_paths != nullptr) leaf_paths->clear();
   if (keys.empty()) return Status::OK();
 
-  // Every node this batch holds or requested, by (table, node id): node ids
-  // restart at 1 in every tree. A requested node stays nullptr when its
-  // fetch fails.
-  using NodeId = std::pair<store::TableId, uint64_t>;
+  // Every node this batch holds or requested, by (table, node id). A
+  // requested node stays nullptr when its fetch fails.
   struct Slot {
     NodeRef node;
     bool requested = false;  // in the current round's fetch
@@ -560,6 +488,9 @@ Status BTree::BatchDescendToLeaves(store::StorageClient* client,
   // at[i]: the node key i stands on or waits for; nullopt once it reached
   // its leaf or dropped out of the batch (then it stays kNoLeaf).
   std::vector<std::optional<NodeId>> at(keys.size());
+  // The inner nodes key i walked through, when the caller wants paths.
+  std::vector<std::vector<NodeRef>> key_path(
+      leaf_paths != nullptr ? keys.size() : 0);
   for (size_t i = 0; i < keys.size(); ++i) {
     at[i] = NodeId{keys[i].tree->table_, kRootId};
     want(keys[i].tree, *at[i], /*inner=*/true);
@@ -579,7 +510,12 @@ Status BTree::BatchDescendToLeaves(store::StorageClient* client,
         }
         if (node->is_leaf) {
           auto [it, fresh] = leaf_index.try_emplace(*at[i], leaves->size());
-          if (fresh) leaves->push_back(node);
+          if (fresh) {
+            leaves->push_back(node);
+            if (leaf_paths != nullptr) {
+              leaf_paths->push_back(std::move(key_path[i]));
+            }
+          }
           (*leaf_of_key)[i] = it->second;
           at[i].reset();
           break;
@@ -589,6 +525,7 @@ Status BTree::BatchDescendToLeaves(store::StorageClient* client,
           at[i].reset();  // stale path
           break;
         }
+        if (leaf_paths != nullptr) key_path[i].push_back(node);
         at[i] = NodeId{at[i]->first, child};
         want(keys[i].tree, *at[i], /*inner=*/node->level > 1);
       }
@@ -656,124 +593,594 @@ Result<std::vector<std::vector<uint64_t>>> BTree::BatchLookup(
   return out;
 }
 
-Status BTree::BatchInsert(store::StorageClient* client,
-                          const std::vector<BatchInsertOp>& ops,
-                          std::vector<bool>* inserted) {
-  inserted->assign(ops.size(), false);
-  auto serial = [&](size_t i) -> Status {
-    const BatchInsertOp& op = ops[i];
-    Status st = op.tree->Insert(client, op.key, op.rid, op.unique);
-    if (st.ok()) (*inserted)[i] = true;
-    return st;
+Status BTree::PrepareLeafEdits(store::StorageClient* client,
+                               const std::vector<BatchInsertOp>& ops,
+                               const std::vector<size_t>& pending,
+                               std::vector<bool>* inserted,
+                               std::vector<NodeEdit>* edits) {
+  // The leaf each pending op lands in, and the inner nodes above it.
+  std::vector<NodeRef> leaf(pending.size());
+  std::vector<std::vector<NodeRef>> path(pending.size());
+  auto descend_alone = [&](size_t k) -> Status {
+    const BatchInsertOp& op = ops[pending[k]];
+    TELL_ASSIGN_OR_RETURN(Node node,
+                          op.tree->DescendToLeaf(client, op.key, &path[k]));
+    leaf[k] = std::make_shared<const Node>(std::move(node));
+    return Status::OK();
   };
-  if (ops.size() == 1) return serial(0);  // as for BatchLookup's lone key
-
-  std::vector<DescentKey> descents;
-  descents.reserve(ops.size());
-  for (const BatchInsertOp& op : ops) descents.push_back({op.tree, op.key});
-  std::vector<NodeRef> leaves;
-  std::vector<size_t> leaf_of_key;
-  TELL_RETURN_NOT_OK(
-      BatchDescendToLeaves(client, descents, &leaves, &leaf_of_key));
-
-  // Ops that need the serial Insert (stale path, full leaf, lost LL/SC).
-  std::vector<size_t> fallback;
-  // Leaf index -> op indices; the ops of one leaf share its tree.
-  std::map<size_t, std::vector<size_t>> groups;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (leaf_of_key[i] == kNoLeaf) {
-      fallback.push_back(i);
-    } else {
-      groups[leaf_of_key[i]].push_back(i);
+  // A lone op has nothing to share a request with: the plain descent costs
+  // the same.
+  if (pending.size() == 1) {
+    TELL_RETURN_NOT_OK(descend_alone(0));
+  } else {
+    std::vector<DescentKey> descents;
+    descents.reserve(pending.size());
+    for (size_t i : pending) descents.push_back({ops[i].tree, ops[i].key});
+    std::vector<NodeRef> leaves;
+    std::vector<size_t> leaf_of_key;
+    std::vector<std::vector<NodeRef>> leaf_paths;
+    TELL_RETURN_NOT_OK(BatchDescendToLeaves(client, descents, &leaves,
+                                            &leaf_of_key, &leaf_paths));
+    for (size_t k = 0; k < pending.size(); ++k) {
+      if (leaf_of_key[k] == kNoLeaf) {
+        TELL_RETURN_NOT_OK(descend_alone(k));
+      } else {
+        leaf[k] = leaves[leaf_of_key[k]];
+        path[k] = leaf_paths[leaf_of_key[k]];
+      }
     }
   }
 
-  // Prepare every leaf rewrite of every tree BEFORE issuing any put: a
-  // unique violation must surface while there is still nothing to undo.
-  std::vector<store::WriteOp> puts;
-  std::vector<std::vector<size_t>> put_ops;  // op indices each put carries
-  for (auto& [leaf_idx, op_indices] : groups) {
-    const BTree* tree = ops[op_indices.front()].tree;
-    Node copy = *leaves[leaf_idx];
+  // Group the ops by leaf. Single-key descents may have read a leaf again:
+  // the freshest image (highest stamp) is the base.
+  std::map<NodeId, size_t> group_of;
+  std::vector<NodeEdit> groups;
+  for (size_t k = 0; k < pending.size(); ++k) {
+    BTree* tree = ops[pending[k]].tree;
+    auto [it, fresh] =
+        group_of.try_emplace(NodeId{tree->table_, leaf[k]->id}, groups.size());
+    if (fresh) {
+      groups.push_back({tree, leaf[k], {}, std::move(path[k]), {}, {}});
+    } else if (leaf[k]->stamp > groups[it->second].base->stamp) {
+      groups[it->second].base = leaf[k];
+      groups[it->second].path = std::move(path[k]);
+    }
+    groups[it->second].ops.push_back(pending[k]);
+  }
+
+  // Apply every group's ops in op order to a copy of its leaf, BEFORE any
+  // put is issued: a unique violation must surface while there is still
+  // nothing to undo.
+  for (NodeEdit& group : groups) {
+    Node copy = *group.base;
     bool changed = false;
     std::vector<size_t> applied;
-    for (size_t i : op_indices) {
+    for (size_t i : group.ops) {
       const BatchInsertOp& op = ops[i];
+      const size_t pos = copy.PositionFor(op.key, op.rid);
+      const bool present = pos < copy.entries.size() &&
+                           copy.entries[pos].key == op.key &&
+                           copy.entries[pos].rid == op.rid;
+      if (op.remove) {
+        if (present) {
+          copy.entries.erase(copy.entries.begin() +
+                             static_cast<ptrdiff_t>(pos));
+          changed = true;
+        }
+        applied.push_back(i);
+        continue;
+      }
       if (op.unique) {
-        for (const IndexEntry& e : copy.entries) {
-          if (e.key == op.key && e.rid != op.rid) {
+        for (size_t e = copy.PositionFor(op.key, 0);
+             e < copy.entries.size() && copy.entries[e].key == op.key; ++e) {
+          if (copy.entries[e].rid != op.rid) {
             return Status::AlreadyExists("duplicate key in unique index");
           }
         }
       }
-      size_t pos = copy.PositionFor(op.key, op.rid);
-      if (pos < copy.entries.size() && copy.entries[pos].key == op.key &&
-          copy.entries[pos].rid == op.rid) {
-        applied.push_back(i);  // already present — idempotent
-        continue;
-      }
-      if (copy.entries.size() >= tree->options_.fanout) {
-        // The leaf is full: the ops that no longer fit go to the serial
-        // Insert, which owns the split machinery.
-        fallback.push_back(i);
-        continue;
-      }
+      applied.push_back(i);
+      if (present) continue;  // idempotent
       copy.entries.insert(copy.entries.begin() + static_cast<ptrdiff_t>(pos),
                           {op.key, op.rid});
-      applied.push_back(i);
       changed = true;
     }
     if (!changed) {
       for (size_t i : applied) (*inserted)[i] = true;
       continue;
     }
-    puts.push_back(
-        {tree->table_, NodeKey(copy.id), copy.Serialize(), copy.stamp});
-    put_ops.push_back(std::move(applied));
+    group.entries = std::move(copy.entries);
+    group.ops = std::move(applied);
+    edits->push_back(std::move(group));
+  }
+  return Status::OK();
+}
+
+Status BTree::PrepareSeparatorEdits(store::StorageClient* client,
+                                    std::vector<Separator> separators,
+                                    std::map<NodeId, NodeRef>* known,
+                                    std::vector<NodeEdit>* edits,
+                                    std::vector<Separator>* retry) {
+  if (separators.empty()) return Status::OK();
+  // A stale stamp re-reads its parent: all of them in one BatchGet.
+  std::vector<NodeId> reread;
+  std::vector<BTree*> reread_tree;
+  for (Separator& sep : separators) {
+    if (!sep.stale || sep.path.empty()) continue;
+    const NodeId id{sep.tree->table_, sep.path.back()->id};
+    known->erase(id);
+    if (std::find(reread.begin(), reread.end(), id) == reread.end()) {
+      reread.push_back(id);
+      reread_tree.push_back(sep.tree);
+    }
+  }
+  if (!reread.empty()) {
+    std::vector<store::GetOp> gets;
+    gets.reserve(reread.size());
+    for (const NodeId& id : reread) {
+      gets.push_back({id.first, NodeKey(id.second)});
+    }
+    std::vector<Result<store::VersionedCell>> cells = client->BatchGet(gets);
+    for (size_t g = 0; g < cells.size(); ++g) {
+      if (!cells[g].ok()) return cells[g].status();
+      TELL_ASSIGN_OR_RETURN(
+          Node node, Node::Deserialize(reread[g].second, cells[g]->stamp,
+                                       cells[g]->value));
+      reread_tree[g]->CacheIfInner(node);
+      (*known)[reread[g]] = std::make_shared<const Node>(std::move(node));
+    }
   }
 
-  // One conditional put per touched leaf, batched per storage node.
-  std::vector<Result<uint64_t>> results = client->BatchWrite(puts);
+  // The node that takes each separator: the freshest image of its parent —
+  // from the descent, this batch's own writes or the tree's cache — if that
+  // still covers the key at the right level, else a fresh search (the
+  // parent split meanwhile, or the root grew above it).
+  std::vector<NodeRef> target(separators.size());
+  for (size_t s = 0; s < separators.size(); ++s) {
+    Separator& sep = separators[s];
+    NodeRef best;
+    if (!sep.path.empty()) {
+      best = sep.path.back();
+      auto it = known->find({sep.tree->table_, best->id});
+      if (it != known->end() &&
+          (sep.stale || it->second->stamp > best->stamp)) {
+        best = it->second;
+      }
+      NodeRef cached = sep.tree->CachedInner(best->id);
+      if (!sep.stale && cached != nullptr && cached->stamp > best->stamp) {
+        best = cached;
+      }
+    }
+    sep.stale = false;
+    if (best != nullptr && best->level == sep.level &&
+        best->CoversKey(sep.entry.key)) {
+      target[s] = std::move(best);
+      continue;
+    }
+    const uint64_t start = best == nullptr ? kRootId : best->id;
+    if (!sep.path.empty()) sep.path.pop_back();
+    TELL_ASSIGN_OR_RETURN(Node node,
+                          sep.tree->LocateNode(client, start, sep.entry.key,
+                                               sep.level, &sep.path));
+    target[s] = std::make_shared<const Node>(std::move(node));
+    (*known)[{sep.tree->table_, target[s]->id}] = target[s];
+    sep.path.push_back(target[s]);
+  }
+
+  // One edit per parent with all of its separators, based on the freshest
+  // image any of them found.
+  std::map<NodeId, size_t> edit_of;
+  std::vector<NodeEdit> parents;
+  for (size_t s = 0; s < separators.size(); ++s) {
+    Separator& sep = separators[s];
+    auto [it, fresh] = edit_of.try_emplace(
+        NodeId{sep.tree->table_, target[s]->id}, parents.size());
+    if (fresh) {
+      NodeEdit& edit = parents.emplace_back();
+      edit.tree = sep.tree;
+      edit.base = target[s];
+      edit.path.assign(sep.path.begin(), sep.path.end() - 1);
+    }
+    NodeEdit& edit = parents[it->second];
+    if (target[s]->stamp > edit.base->stamp) edit.base = target[s];
+    edit.separators.push_back(std::move(sep));
+  }
+  auto entry_less = [](const IndexEntry& a, const IndexEntry& b) {
+    if (a.key != b.key) return a.key < b.key;
+    return a.rid < b.rid;
+  };
+  for (NodeEdit& edit : parents) {
+    edit.entries = edit.base->entries;
+    std::vector<Separator> placed;
+    for (Separator& sep : edit.separators) {
+      // Two images of one node disagreed (a race split it between them):
+      // a separator the freshest no longer covers waits for a re-read.
+      if (edit.base->level != sep.level ||
+          !edit.base->CoversKey(sep.entry.key)) {
+        sep.stale = true;
+        retry->push_back(std::move(sep));
+        continue;
+      }
+      auto at = std::lower_bound(edit.entries.begin(), edit.entries.end(),
+                                 sep.entry, entry_less);
+      if (at == edit.entries.end() || at->key != sep.entry.key ||
+          at->rid != sep.entry.rid) {
+        edit.entries.insert(at, sep.entry);
+      }
+      placed.push_back(std::move(sep));
+    }
+    if (placed.empty()) continue;
+    edit.separators = std::move(placed);
+    edits->push_back(std::move(edit));
+  }
+  return Status::OK();
+}
+
+Status BTree::ApplyEdits(store::StorageClient* client,
+                         std::vector<NodeEdit>* edits_in,
+                         std::map<NodeId, NodeRef>* known,
+                         std::vector<bool>* landed,
+                         std::vector<Separator>* separators) {
+  std::vector<NodeEdit>& edits = *edits_in;
+  landed->assign(edits.size(), false);
+  // What each edit writes: the nodes a split publishes first under fresh
+  // ids, then the put at the edited node's own id — a plain rewrite, the
+  // shrunk left piece of a split, or the new root of a root split.
+  struct Plan {
+    std::vector<Node> fresh;
+    Node rewrite;
+    std::vector<Separator> owed;  // for the level above, once it landed
+    uint64_t splits = 0;
+  };
+  // Cuts `edit` with its new `entries`, drawing the fresh ids from
+  // `next_id`.
+  auto plan_edit = [](const NodeEdit& edit, std::vector<IndexEntry> entries,
+                      auto&& next_id, Plan* plan) {
+    const Node& base = *edit.base;
+    const size_t fanout = edit.tree->options_.fanout;
+    plan->rewrite.id = base.id;
+    plan->rewrite.is_leaf = base.is_leaf;
+    plan->rewrite.level = base.level;
+    plan->rewrite.right_sibling = base.right_sibling;
+    plan->rewrite.high_key = base.high_key;
+    if (base.id != kRootId) {
+      const std::vector<size_t> cuts = CutPoints(entries, fanout);
+      if (cuts.empty()) {
+        plan->rewrite.entries = std::move(entries);
+        return;
+      }
+      std::vector<std::vector<IndexEntry>> pieces =
+          CutAt(std::move(entries), cuts);
+      std::vector<uint64_t> ids = {base.id};
+      for (size_t j = 1; j < pieces.size(); ++j) ids.push_back(next_id());
+      for (size_t j = 0; j < pieces.size(); ++j) {
+        Node& node = j == 0 ? plan->rewrite : plan->fresh.emplace_back();
+        node.id = ids[j];
+        node.is_leaf = base.is_leaf;
+        node.level = base.level;
+        const bool last = j + 1 == pieces.size();
+        node.right_sibling = last ? base.right_sibling : ids[j + 1];
+        node.high_key = last ? base.high_key : pieces[j + 1].front().key;
+        if (j > 0) {
+          plan->owed.push_back({edit.tree,
+                                {pieces[j].front().key, ids[j]},
+                                base.level + 1,
+                                edit.path});
+        }
+        node.entries = std::move(pieces[j]);
+      }
+      plan->splits = 1;
+      return;
+    }
+    // The root keeps its fixed id: every piece moves to a fresh node and
+    // the root becomes their parent, one level up — or a taller tower of
+    // fresh inner nodes when the pieces overflow one root.
+    plan->rewrite.entries = std::move(entries);
+    while (true) {
+      const std::vector<size_t> cuts =
+          CutPoints(plan->rewrite.entries, fanout);
+      if (cuts.empty()) return;
+      std::vector<std::vector<IndexEntry>> pieces =
+          CutAt(std::move(plan->rewrite.entries), cuts);
+      std::vector<uint64_t> ids;
+      for (size_t j = 0; j < pieces.size(); ++j) ids.push_back(next_id());
+      plan->rewrite.entries.clear();
+      for (size_t j = 0; j < pieces.size(); ++j) {
+        plan->rewrite.entries.push_back(
+            {j == 0 ? std::string() : pieces[j].front().key, ids[j]});
+        Node& node = plan->fresh.emplace_back();
+        node.id = ids[j];
+        node.is_leaf = plan->rewrite.is_leaf;
+        node.level = plan->rewrite.level;
+        const bool last = j + 1 == pieces.size();
+        node.right_sibling = last ? 0 : ids[j + 1];
+        node.high_key = last ? std::string() : pieces[j + 1].front().key;
+        node.entries = std::move(pieces[j]);
+      }
+      plan->rewrite.is_leaf = false;
+      plan->rewrite.level += 1;
+      ++plan->splits;
+    }
+  };
+
+  // Count the fresh ids of every tree, take them in one allocation per
+  // tree, then cut for real.
+  std::vector<Plan> plans(edits.size());
+  std::vector<std::pair<BTree*, size_t>> ids_needed;  // first-use order
+  for (const NodeEdit& edit : edits) {
+    if (edit.entries.size() <= edit.tree->options_.fanout) continue;
+    Plan dry;
+    size_t count = 0;
+    plan_edit(edit, edit.entries, [&count] { ++count; return uint64_t{0}; },
+              &dry);
+    if (count == 0) continue;
+    auto it = std::find_if(ids_needed.begin(), ids_needed.end(),
+                           [&](const auto& t) { return t.first == edit.tree; });
+    if (it == ids_needed.end()) {
+      ids_needed.emplace_back(edit.tree, count);
+    } else {
+      it->second += count;
+    }
+  }
+  std::map<BTree*, std::vector<uint64_t>> ids;
+  for (const auto& [tree, count] : ids_needed) {
+    TELL_ASSIGN_OR_RETURN(ids[tree], tree->AllocateNodeIds(client, count));
+  }
+  std::map<BTree*, size_t> ids_used;
+  for (size_t e = 0; e < edits.size(); ++e) {
+    BTree* tree = edits[e].tree;
+    plan_edit(edits[e], std::move(edits[e].entries),
+              [&] { return ids[tree][ids_used[tree]++]; }, &plans[e]);
+  }
+
+  // Records a written node: inner nodes enter the cache and `known` with
+  // their new stamp, so later edits of this batch and later descents start
+  // from the current image.
+  auto wrote = [&](BTree* tree, const Node& node, uint64_t stamp) {
+    if (node.is_leaf) return;
+    auto image = std::make_shared<Node>(node);
+    image->stamp = stamp;
+    tree->CacheIfInner(*image);
+    (*known)[{tree->table_, node.id}] = std::move(image);
+  };
+  // A lost LL/SC: the cached image of the node is stale.
+  auto lost = [&](const NodeEdit& edit) {
+    if (edit.tree->cache_ != nullptr) edit.tree->cache_->Erase(edit.base->id);
+    known->erase({edit.tree->table_, edit.base->id});
+  };
+
+  // Round 1: the fresh nodes of every split and the plain rewrites of
+  // every other edit, all in one BatchWrite.
+  std::vector<store::WriteOp> writes;
+  std::vector<size_t> write_edit;
+  for (size_t e = 0; e < edits.size(); ++e) {
+    const store::TableId table = edits[e].tree->table_;
+    if (plans[e].fresh.empty()) {
+      writes.push_back({table, NodeKey(edits[e].base->id),
+                        plans[e].rewrite.Serialize(), edits[e].base->stamp});
+      write_edit.push_back(e);
+      continue;
+    }
+    for (const Node& node : plans[e].fresh) {
+      writes.push_back(
+          {table, NodeKey(node.id), node.Serialize(), store::kStampAbsent});
+      write_edit.push_back(e);
+    }
+  }
+  if (writes.empty()) return Status::OK();
+  std::vector<Result<uint64_t>> results = client->BatchWrite(writes);
   Status failure;
-  for (size_t p = 0; p < results.size(); ++p) {
-    if (results[p].ok()) {
-      for (size_t i : put_ops[p]) (*inserted)[i] = true;
-    } else if (results[p].status().IsConditionFailed()) {
-      // Lost the LL/SC race on this leaf; re-run its ops serially (the
-      // serial Insert re-descends, re-checks uniqueness and is idempotent).
-      fallback.insert(fallback.end(), put_ops[p].begin(), put_ops[p].end());
-    } else if (failure.ok()) {
-      failure = results[p].status();
+  std::vector<bool> published(edits.size(), true);
+  std::vector<std::vector<uint64_t>> fresh_stamps(edits.size());
+  for (size_t w = 0; w < results.size(); ++w) {
+    const size_t e = write_edit[w];
+    if (!results[w].ok()) {
+      published[e] = false;
+      if (!results[w].status().IsConditionFailed()) {
+        if (failure.ok()) failure = results[w].status();
+      } else if (plans[e].fresh.empty()) {
+        lost(edits[e]);
+      }
+      continue;
+    }
+    if (plans[e].fresh.empty()) {
+      (*landed)[e] = true;
+      wrote(edits[e].tree, plans[e].rewrite, *results[w]);
+    } else {
+      fresh_stamps[e].push_back(*results[w]);
     }
   }
   if (!failure.ok()) return failure;
 
-  std::sort(fallback.begin(), fallback.end());
-  for (size_t i : fallback) TELL_RETURN_NOT_OK(serial(i));
-  return Status::OK();
+  // Round 2: shrink every split node whose fresh nodes are all out — the
+  // LL/SC that linearises the split. A lost race leaves only unreferenced
+  // fresh nodes behind.
+  writes.clear();
+  write_edit.clear();
+  for (size_t e = 0; e < edits.size(); ++e) {
+    if (plans[e].fresh.empty() || !published[e]) continue;
+    writes.push_back({edits[e].tree->table_, NodeKey(edits[e].base->id),
+                      plans[e].rewrite.Serialize(), edits[e].base->stamp});
+    write_edit.push_back(e);
+  }
+  results = writes.empty() ? std::vector<Result<uint64_t>>()
+                           : client->BatchWrite(writes);
+  for (size_t w = 0; w < results.size(); ++w) {
+    const size_t e = write_edit[w];
+    if (!results[w].ok()) {
+      if (results[w].status().IsConditionFailed()) {
+        lost(edits[e]);
+      } else if (failure.ok()) {
+        failure = results[w].status();
+      }
+      continue;
+    }
+    (*landed)[e] = true;
+    Plan& plan = plans[e];
+    client->metrics()->index_splits += plan.splits;
+    wrote(edits[e].tree, plan.rewrite, *results[w]);
+    for (size_t f = 0; f < plan.fresh.size(); ++f) {
+      wrote(edits[e].tree, plan.fresh[f], fresh_stamps[e][f]);
+    }
+    for (Separator& sep : plan.owed) separators->push_back(std::move(sep));
+  }
+  return failure;
+}
+
+Status BTree::BatchInsert(store::StorageClient* client,
+                          const std::vector<BatchInsertOp>& ops,
+                          std::vector<bool>* inserted) {
+  inserted->assign(ops.size(), false);
+  std::vector<size_t> pending(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) pending[i] = i;
+  // Separators the splits so far owe their parents.
+  std::vector<Separator> separators;
+  // The freshest image of every inner node this call read or wrote.
+  std::map<NodeId, NodeRef> known;
+  // A unique violation found on a retry, returned once the splits already
+  // published are linked into their parents.
+  Status failure;
+  for (int round = 0; round < kMaxRetries; ++round) {
+    if (pending.empty() && separators.empty()) return failure;
+    std::vector<NodeEdit> edits;
+    if (!pending.empty()) {
+      Status st = PrepareLeafEdits(client, ops, pending, inserted, &edits);
+      if (!st.ok()) {
+        if (!st.IsAlreadyExists() || separators.empty()) return st;
+        failure = st;
+        edits.clear();
+      }
+      pending.clear();
+    }
+    std::vector<Separator> retry;
+    TELL_RETURN_NOT_OK(PrepareSeparatorEdits(client, std::move(separators),
+                                             &known, &edits, &retry));
+    separators = std::move(retry);
+    std::vector<bool> landed;
+    Status st = ApplyEdits(client, &edits, &known, &landed, &separators);
+    for (size_t e = 0; e < edits.size(); ++e) {
+      if (landed[e]) {
+        for (size_t i : edits[e].ops) (*inserted)[i] = true;
+        continue;
+      }
+      // Lost the LL/SC race on this node: its ops re-descend, its
+      // separators re-read their parent.
+      pending.insert(pending.end(), edits[e].ops.begin(), edits[e].ops.end());
+      for (Separator& sep : edits[e].separators) {
+        sep.stale = true;
+        separators.push_back(std::move(sep));
+      }
+    }
+    TELL_RETURN_NOT_OK(st);
+    std::sort(pending.begin(), pending.end());
+  }
+  return Status::InternalError("B+tree batch retries exhausted");
+}
+
+Status BTree::BatchScan(store::StorageClient* client,
+                        const std::vector<ScanCursor*>& cursors) {
+  // Entries each cursor appended in this call.
+  std::vector<size_t> got(cursors.size(), 0);
+  auto needs_more = [&](size_t c) {
+    const ScanCursor& cursor = *cursors[c];
+    return !cursor.exhausted && (cursor.want == 0 || got[c] < cursor.want);
+  };
+  // Appends the in-range entries of `leaf` and moves the cursor past it.
+  auto consume = [&](size_t c, const Node& leaf) {
+    ScanCursor& cursor = *cursors[c];
+    for (const IndexEntry& e : leaf.entries) {
+      if (e.key < cursor.start) continue;
+      if (!cursor.end.empty() && e.key >= cursor.end) {
+        cursor.exhausted = true;
+        return;
+      }
+      cursor.entries.push_back(e);
+      ++got[c];
+    }
+    if (leaf.right_sibling == 0 ||
+        (!cursor.end.empty() && !leaf.high_key.empty() &&
+         leaf.high_key >= cursor.end)) {
+      cursor.exhausted = true;
+      return;
+    }
+    cursor.next_leaf = leaf.right_sibling;
+  };
+
+  // The cursors that have not started descend to their start keys together.
+  std::vector<size_t> starting;
+  for (size_t c = 0; c < cursors.size(); ++c) {
+    if (needs_more(c) && cursors[c]->next_leaf == 0) starting.push_back(c);
+  }
+  client->metrics()->index_lookups += starting.size();
+  auto descend_alone = [&](size_t c) -> Status {
+    ScanCursor& cursor = *cursors[c];
+    TELL_ASSIGN_OR_RETURN(
+        Node leaf, cursor.tree->DescendToLeaf(client, cursor.start, nullptr));
+    consume(c, leaf);
+    return Status::OK();
+  };
+  if (starting.size() == 1) {
+    TELL_RETURN_NOT_OK(descend_alone(starting.front()));
+  } else if (!starting.empty()) {
+    std::vector<DescentKey> descents;
+    descents.reserve(starting.size());
+    for (size_t c : starting) {
+      descents.push_back({cursors[c]->tree, cursors[c]->start});
+    }
+    std::vector<NodeRef> leaves;
+    std::vector<size_t> leaf_of_key;
+    TELL_RETURN_NOT_OK(
+        BatchDescendToLeaves(client, descents, &leaves, &leaf_of_key));
+    for (size_t k = 0; k < starting.size(); ++k) {
+      if (leaf_of_key[k] == kNoLeaf) {
+        TELL_RETURN_NOT_OK(descend_alone(starting[k]));
+      } else {
+        consume(starting[k], *leaves[leaf_of_key[k]]);
+      }
+    }
+  }
+
+  // Then every cursor that still needs entries reads its next right
+  // sibling, all of them in one BatchGet per round.
+  while (true) {
+    std::vector<size_t> hopping;
+    std::map<NodeId, size_t> get_of;
+    std::vector<store::GetOp> gets;
+    std::vector<size_t> get_index;
+    for (size_t c = 0; c < cursors.size(); ++c) {
+      if (!needs_more(c)) continue;
+      const NodeId id{cursors[c]->tree->table_, cursors[c]->next_leaf};
+      auto [it, fresh] = get_of.try_emplace(id, gets.size());
+      if (fresh) gets.push_back({id.first, NodeKey(id.second)});
+      hopping.push_back(c);
+      get_index.push_back(it->second);
+    }
+    if (hopping.empty()) return Status::OK();
+    std::vector<Result<store::VersionedCell>> cells = client->BatchGet(gets);
+    for (size_t h = 0; h < hopping.size(); ++h) {
+      const size_t g = get_index[h];
+      if (!cells[g].ok()) return cells[g].status();
+      TELL_ASSIGN_OR_RETURN(
+          Node leaf, Node::Deserialize(cursors[hopping[h]]->next_leaf,
+                                       cells[g]->stamp, cells[g]->value));
+      consume(hopping[h], leaf);
+    }
+  }
 }
 
 Result<std::vector<IndexEntry>> BTree::RangeScan(store::StorageClient* client,
                                                  std::string_view start,
                                                  std::string_view end,
                                                  size_t limit) {
-  client->metrics()->index_lookups += 1;
-  std::vector<uint64_t> path;
-  TELL_ASSIGN_OR_RETURN(Node leaf, DescendToLeaf(client, start, &path));
-  std::vector<IndexEntry> out;
-  while (true) {
-    for (const IndexEntry& e : leaf.entries) {
-      if (e.key < start) continue;
-      if (!end.empty() && e.key >= end) return out;
-      out.push_back(e);
-      if (limit != 0 && out.size() >= limit) return out;
-    }
-    if (leaf.right_sibling == 0) return out;
-    if (!end.empty() && !leaf.high_key.empty() && leaf.high_key >= end) {
-      return out;
-    }
-    TELL_ASSIGN_OR_RETURN(leaf, ReadNodeUncached(client, leaf.right_sibling));
+  ScanCursor cursor;
+  cursor.tree = this;
+  cursor.start = start;
+  cursor.end = end;
+  cursor.want = limit;
+  TELL_RETURN_NOT_OK(BatchScan(client, {&cursor}));
+  if (limit != 0 && cursor.entries.size() > limit) {
+    cursor.entries.resize(limit);
   }
+  return std::move(cursor.entries);
 }
 
 Result<uint32_t> BTree::Height(store::StorageClient* client) {

@@ -30,12 +30,33 @@ struct TreeKey {
   std::string key;
 };
 
-/// One operation of a BTree::BatchInsert call.
+/// One operation of a BTree::BatchInsert call: inserts (key, rid), or with
+/// `remove` set removes it.
 struct BatchInsertOp {
   BTree* tree = nullptr;
   std::string key;
   uint64_t rid = 0;
   bool unique = false;
+  bool remove = false;
+};
+
+/// One range of a BTree::BatchScan call: the entries of `tree` with key in
+/// [start, end) (empty `end` = unbounded), read leaf by leaf. The cursor
+/// remembers where a call stopped, so the next call continues at the next
+/// leaf instead of descending again.
+struct ScanCursor {
+  BTree* tree = nullptr;
+  std::string start;
+  std::string end;
+  /// Entries the next BatchScan call should add: it reads whole leaves until
+  /// at least this many more entries were appended or the range is
+  /// exhausted. 0 = read the whole range.
+  size_t want = 0;
+  /// The entries read so far, in key order (BatchScan appends).
+  std::vector<IndexEntry> entries;
+  bool exhausted = false;
+  /// The leaf to read next (a right sibling); 0 = descend to `start`.
+  uint64_t next_leaf = 0;
 };
 
 struct BTreeOptions {
@@ -55,6 +76,9 @@ struct BTreeOptions {
 /// next descent, so the bound affects cost only, never correctness — and the
 /// LRU order naturally pins the root and upper levels, which every descent
 /// touches. Entry count is exported as the `index.cache.entries` gauge.
+///
+/// The cache also holds the PN's block of reserved node ids for its tree's
+/// splits (see BTree::AllocateNodeIds).
 class NodeCache {
  public:
   /// Default entry bound. At the default fanout (64) this caches the entire
@@ -71,6 +95,12 @@ class NodeCache {
   void Put(uint64_t node_id, std::string value, uint64_t stamp);
   void Erase(uint64_t node_id);
   void Clear();
+
+  /// Moves up to `n` node ids of this PN's id block into `ids`.
+  void TakeNodeIds(size_t n, std::vector<uint64_t>* ids);
+  /// Replaces the id block with [first, end). Ids left in the old block are
+  /// never handed out: a racing refill leaks at most one block.
+  void SetNodeIdBlock(uint64_t first, uint64_t end);
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
@@ -92,6 +122,9 @@ class NodeCache {
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;
+  // Node ids reserved for this PN's splits: [next_id_, end_id_).
+  uint64_t next_id_ = 0;
+  uint64_t end_id_ = 0;
 };
 
 /// Latch-free distributed B+tree (paper §5.3).
@@ -101,8 +134,8 @@ class NodeCache {
 /// fresh read, so no latches are held anywhere and system-wide progress is
 /// guaranteed. Structure modifications use the B-link technique (Lehman &
 /// Yao, the paper's reference [33]): a split first publishes the new right
-/// node, then shrinks the left node (which carries a right-sibling link and
-/// a high key), and only then inserts the separator into the parent — a
+/// nodes, then shrinks the left node (which carries a right-sibling link and
+/// a high key), and only then inserts the separators into the parent — a
 /// traversal that lands left of its key follows sibling links, so lookups
 /// stay correct even when a parent update is still in flight (or was lost to
 /// a crashed processing node).
@@ -127,29 +160,33 @@ class BTree {
 
   /// Inserts key -> rid. With `unique`, fails with AlreadyExists if the key
   /// is already present under a different rid. Idempotent for the same
-  /// (key, rid) pair.
+  /// (key, rid) pair. A one-op BatchInsert.
   Status Insert(store::StorageClient* client, std::string_view key,
                 uint64_t rid, bool unique);
 
-  /// Inserts many entries, possibly into many trees, in one batched pass:
-  /// the descents of every tree share their rounds (see BatchLookup) and
-  /// the entries are grouped by target leaf: each touched leaf is rewritten
-  /// with ONE conditional put carrying all of its new entries, and the puts
-  /// of all leaves of all trees travel in one StorageClient::BatchWrite.
-  /// Entries whose path turned stale, that no longer fit into their leaf
-  /// (split needed) or whose LL/SC lost a race fall back to the serial
-  /// Insert; the entries of a full leaf's group that still fit are put in
-  /// the batch. Unique violations in any tree are detected during
-  /// preparation, before any put is issued. A batch of one op is a plain
-  /// Insert. `inserted` (resized to ops.size()) reports per op whether the
-  /// entry is durably in its tree when the call returns — on failure the
-  /// caller uses it to undo a partial batch (Remove is idempotent).
+  /// Inserts and removes many entries, possibly of many trees, in batched
+  /// rounds: the descents of every tree share their rounds (see
+  /// BatchLookup), the ops are grouped by target leaf, and each touched leaf
+  /// is rewritten with ONE conditional put carrying all of its changes.
+  /// A leaf that overflows is cut into as many nodes as it needs, and the
+  /// splits of all trees share their B-link rounds: the fresh right nodes
+  /// travel in the same StorageClient::BatchWrite as the plain leaf puts,
+  /// one round of LL/SC puts then shrinks the split nodes (the
+  /// linearisation point), and one more round rewrites each parent with all
+  /// of its new separators. A parent that overflows splits the same way one
+  /// level up; a root split rewrites the fixed-id root last. Ops whose leaf
+  /// lost its LL/SC race are retried as a batch. Unique violations in any
+  /// tree are detected during preparation, before any put is issued.
+  /// `inserted` (resized to ops.size()) reports per op whether it took
+  /// effect when the call returns — an insert's entry is durably in its
+  /// tree, a remove's entry is gone. On failure the caller uses it to undo
+  /// a partial batch (Remove is idempotent).
   static Status BatchInsert(store::StorageClient* client,
                             const std::vector<BatchInsertOp>& ops,
                             std::vector<bool>* inserted);
 
   /// Removes the entry (key, rid). OK even if absent (idempotent — index GC
-  /// races are benign).
+  /// races are benign). A one-op BatchInsert.
   Status Remove(store::StorageClient* client, std::string_view key,
                 uint64_t rid);
 
@@ -169,8 +206,17 @@ class BTree {
   static Result<std::vector<std::vector<uint64_t>>> BatchLookup(
       store::StorageClient* client, const std::vector<TreeKey>& keys);
 
+  /// Advances every cursor that is not exhausted, possibly of many trees,
+  /// until it has appended its `want` entries or reached the end of its
+  /// range. Cursors that have not started share one batched descent to
+  /// their start keys (see BatchLookup); each further round fetches the
+  /// next right sibling of every cursor that still needs entries in one
+  /// StorageClient::BatchGet.
+  static Status BatchScan(store::StorageClient* client,
+                          const std::vector<ScanCursor*>& cursors);
+
   /// Entries with key in [start, end); empty `end` = unbounded. `limit` 0 =
-  /// unlimited.
+  /// unlimited. A one-cursor BatchScan.
   Result<std::vector<IndexEntry>> RangeScan(store::StorageClient* client,
                                             std::string_view start,
                                             std::string_view end,
@@ -181,6 +227,12 @@ class BTree {
 
  private:
   struct Node;
+  /// A fetched node, shared by every key of a batch whose descent visits it.
+  using NodeRef = std::shared_ptr<const Node>;
+  /// A node of one tree: node ids restart at 1 in every tree.
+  using NodeId = std::pair<store::TableId, uint64_t>;
+  struct NodeEdit;
+  struct Separator;
 
   Result<Node> ReadNode(store::StorageClient* client, uint64_t node_id,
                         bool is_inner_level);
@@ -190,15 +242,11 @@ class BTree {
   Result<Node> ReadNodeUncached(store::StorageClient* client,
                                 uint64_t node_id);
 
-  /// Descends to the leaf that should hold `key`. Fills `path` with the
-  /// inner node ids visited (root first). Retries with the cache disabled
-  /// when a stale cached path is detected.
+  /// Descends to the leaf that should hold `key`. Fills `path` (if not
+  /// null) with the inner nodes visited, root first. Retries with the cache
+  /// disabled when a stale cached path is detected.
   Result<Node> DescendToLeaf(store::StorageClient* client,
-                             std::string_view key,
-                             std::vector<uint64_t>* path);
-
-  /// A fetched node, shared by every key of a batch whose descent visits it.
-  using NodeRef = std::shared_ptr<const Node>;
+                             std::string_view key, std::vector<NodeRef>* path);
 
   /// One key of a batched descent.
   struct DescentKey {
@@ -206,41 +254,73 @@ class BTree {
     std::string_view key;
   };
 
-  /// The shared descent behind BatchLookup and BatchInsert. Every key walks
-  /// down through the nodes its tree's cache (or this batch) already holds,
-  /// until it needs a node from the store; each round fetches the distinct
-  /// needed nodes of all keys — deduplicated by (table, node id), since node
-  /// ids restart at 1 in every tree — through one StorageClient::BatchGet.
-  /// On return, `leaf_of_key[i]` indexes into `leaves` for keys[i] — or
-  /// kNoLeaf when that key's batched path turned stale (concurrent split,
-  /// missing child, failed fetch) and the caller must use the single-key
-  /// descent, which owns the full B-link right-hop and cache-refresh
-  /// machinery. A root that cannot be read fails the call.
+  /// The shared descent behind BatchLookup, BatchInsert and BatchScan.
+  /// Every key walks down through the nodes its tree's cache (or this
+  /// batch) already holds, until it needs a node from the store; each round
+  /// fetches the distinct needed nodes of all keys — deduplicated by
+  /// (table, node id), since node ids restart at 1 in every tree — through
+  /// one StorageClient::BatchGet. On return, `leaf_of_key[i]` indexes into
+  /// `leaves` for keys[i] — or kNoLeaf when that key's batched path turned
+  /// stale (concurrent split, missing child, failed fetch) and the caller
+  /// must use the single-key descent, which owns the full B-link right-hop
+  /// and cache-refresh machinery. `leaf_paths` (if not null) receives each
+  /// leaf's inner nodes, root first. A root that cannot be read fails the
+  /// call.
   static constexpr size_t kNoLeaf = static_cast<size_t>(-1);
-  static Status BatchDescendToLeaves(store::StorageClient* client,
-                                     const std::vector<DescentKey>& keys,
-                                     std::vector<NodeRef>* leaves,
-                                     std::vector<size_t>* leaf_of_key);
+  static Status BatchDescendToLeaves(
+      store::StorageClient* client, const std::vector<DescentKey>& keys,
+      std::vector<NodeRef>* leaves, std::vector<size_t>* leaf_of_key,
+      std::vector<std::vector<NodeRef>>* leaf_paths = nullptr);
 
   /// The cached copy of inner node `node_id`, or nullptr.
   NodeRef CachedInner(uint64_t node_id);
   /// Caches `node` if it is an inner node and caching is on.
   void CacheIfInner(const Node& node);
 
-  /// Splits `node` (already full) and publishes both halves; then inserts
-  /// the separator into the parent level best-effort. Retries internally.
-  Status SplitNode(store::StorageClient* client, Node& node,
-                   const std::vector<uint64_t>& path);
+  /// BatchInsert's preparation: descends to the leaves of ops[pending] and
+  /// appends one edit per touched leaf, carrying all of its ops in op order.
+  /// Ops already in effect (idempotent) are flagged in `inserted` right
+  /// away. Fails with AlreadyExists on a unique violation.
+  static Status PrepareLeafEdits(store::StorageClient* client,
+                                 const std::vector<BatchInsertOp>& ops,
+                                 const std::vector<size_t>& pending,
+                                 std::vector<bool>* inserted,
+                                 std::vector<NodeEdit>* edits);
 
-  /// Inserts the separator at exactly `target_level` (the split node's
-  /// level + 1), descending from the remembered ancestor if the root has
-  /// since grown taller.
-  Status InsertIntoParent(store::StorageClient* client,
-                          const std::vector<uint64_t>& path,
-                          std::string_view separator, uint64_t right_id,
-                          uint32_t target_level);
+  /// Appends one edit per parent node that receives `separators`, based on
+  /// the freshest image known of it (parents that lost an LL/SC are re-read
+  /// first, in one BatchGet). Separators that a race left uncovered by
+  /// their parent's freshest image go to `retry`.
+  static Status PrepareSeparatorEdits(store::StorageClient* client,
+                                      std::vector<Separator> separators,
+                                      std::map<NodeId, NodeRef>* known,
+                                      std::vector<NodeEdit>* edits,
+                                      std::vector<Separator>* retry);
 
-  Result<uint64_t> AllocateNodeId(store::StorageClient* client);
+  /// Writes `edits` in the B-link rounds described at BatchInsert, splitting
+  /// every edit that overflows its node; their entry lists are consumed.
+  /// Sets `landed[i]` for the edits now in effect, appends the separators
+  /// their splits owe the next level up, and records every image it wrote
+  /// in `known`.
+  static Status ApplyEdits(store::StorageClient* client,
+                           std::vector<NodeEdit>* edits,
+                           std::map<NodeId, NodeRef>* known,
+                           std::vector<bool>* landed,
+                           std::vector<Separator>* separators);
+
+  /// Finds the node at `level` whose range covers `key`, starting from node
+  /// `start_id` (an ancestor or left neighbour) and re-reading every node:
+  /// right hops follow concurrent splits, a start above `level` (the root
+  /// grew) descends by key, and a long hop chain restarts from the root.
+  /// Inner nodes descended through are appended to `path`.
+  Result<Node> LocateNode(store::StorageClient* client, uint64_t start_id,
+                          std::string_view key, uint32_t level,
+                          std::vector<NodeRef>* path);
+
+  /// `n` fresh node ids, from the PN's id block when it holds enough; a
+  /// refill is one AtomicIncrement of the tree's id counter.
+  Result<std::vector<uint64_t>> AllocateNodeIds(store::StorageClient* client,
+                                                size_t n);
 
   const store::TableId table_;
   const BTreeOptions options_;

@@ -82,6 +82,11 @@ struct WorkerMetrics {
   uint64_t commit_flag_failures = 0;
   /// Index entries removed while rolling back a failed commit.
   uint64_t index_rollbacks = 0;
+  /// B+tree nodes split (a node cut into any number of pieces counts once).
+  uint64_t index_splits = 0;
+  /// Obsolete index entries removed by the read path's index GC (§5.4),
+  /// sent with the transaction's commit.
+  uint64_t gc_index_entries = 0;
   /// Storage calls (single-op or batched) that issued at least one message:
   /// every pass through StorageClient's request path that was not answered
   /// entirely from the record cache.
@@ -251,6 +256,11 @@ inline const std::vector<WorkerCounterField>& WorkerCounterFields() {
       {"tx.index_rollbacks", "entries",
        "index entries removed while rolling back a failed commit",
        &WorkerMetrics::index_rollbacks},
+      {"index.splits", "nodes", "B+tree nodes split",
+       &WorkerMetrics::index_splits},
+      {"gc.eager_index_entries_removed", "entries",
+       "obsolete index entries removed by read-path index GC",
+       &WorkerMetrics::gc_index_entries},
       {"store.pipeline.flushes", "flushes",
        "storage calls that issued at least one message",
        &WorkerMetrics::pipeline_flushes},

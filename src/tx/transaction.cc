@@ -423,13 +423,16 @@ Result<std::optional<schema::Tuple>> Transaction::ValidateIndexHit(
   }
 
   TELL_ASSIGN_OR_RETURN(RecordState * state, EnsureFetched(table, rid));
-  if (!state->exists && !state->dirty) {
-    // Record gone entirely: the entry is orphaned — index GC (§5.4). Fast
-    // transactions leave GC to the MVCC phase: no LL/SC index writes on
-    // the fast lane.
-    if (!own_pending && !fast_) {
-      (void)tree->Remove(client_, key, rid);
-    }
+  // Record gone entirely, or dead for every present and future snapshot —
+  // its newest version is a tombstone at or below the lav that this
+  // snapshot sees (the lazy sweep's rule; a deleted row's insert version
+  // outlives its commit's eager GC): the entry is orphaned — index GC
+  // (§5.4). Fast transactions leave GC to the MVCC phase: no LL/SC index
+  // writes on the fast lane.
+  if (!state->dirty &&
+      (!state->exists || (state->record.DeadAt(lav_) &&
+                          Visible(*state) == state->record.Newest()))) {
+    if (!own_pending && !fast_) QueueIndexRemoval(tree, key, rid);
     return std::optional<schema::Tuple>{};
   }
   // Does ANY version still carry this key? If not, the entry is obsolete
@@ -452,7 +455,7 @@ Result<std::optional<schema::Tuple>> Transaction::ValidateIndexHit(
     }
   }
   if (!key_in_some_version && !own_pending && !fast_) {
-    (void)tree->Remove(client_, key, rid);
+    QueueIndexRemoval(tree, key, rid);
   }
   if (fast_ && match.has_value()) {
     // A secondary-index hit may land anywhere — e.g. a customer looked up
@@ -461,6 +464,14 @@ Result<std::optional<schema::Tuple>> Transaction::ValidateIndexHit(
     TELL_RETURN_NOT_OK(CheckFastTuple(table, *match, /*for_write=*/false));
   }
   return match;
+}
+
+void Transaction::QueueIndexRemoval(index::BTree* tree, const std::string& key,
+                                    uint64_t rid) {
+  if (gc_queued_.emplace(tree->table(), key, rid).second) {
+    gc_removals_.push_back({tree, key, rid, /*unique=*/false,
+                            /*remove=*/true});
+  }
 }
 
 Result<std::vector<uint64_t>> Transaction::LookupIndex(
@@ -602,89 +613,161 @@ Result<std::vector<std::pair<uint64_t, schema::Tuple>>>
 Transaction::ScanIndexEncoded(TableHandle* table, int index,
                               const std::string& lo, const std::string& hi,
                               size_t limit) {
+  TELL_ASSIGN_OR_RETURN(auto rows,
+                        BatchScanIndex({{table, index, lo, hi, limit}}));
+  return std::move(rows.front());
+}
+
+Result<std::vector<std::vector<std::pair<uint64_t, schema::Tuple>>>>
+Transaction::BatchScanIndex(const std::vector<IndexRange>& ranges) {
   TELL_CHECK(state_ == TxnState::kRunning);
   obs::PhaseScope span(tracer_, sim::TxnPhase::kIndexLookup);
-  index::BTree* tree =
-      index < 0 ? &table->primary
-                : &table->secondaries[static_cast<size_t>(index)];
-
-  // This transaction's pending inserts in [lo, hi), merged chunk-wise below
-  // so validation stays in global key order across continuation chunks.
-  std::vector<index::IndexEntry> pending;
-  for (const auto& [key, rids] : pending_index_) {
-    if (key.first != tree->table()) continue;
-    if (key.second < lo) continue;
-    if (!hi.empty() && key.second >= hi) continue;
-    for (uint64_t rid : rids) pending.push_back({key.second, rid});
-  }
   auto entry_less = [](const index::IndexEntry& a,
                        const index::IndexEntry& b) {
     if (a.key != b.key) return a.key < b.key;
     return a.rid < b.rid;
   };
-  std::sort(pending.begin(), pending.end(), entry_less);
-  size_t pending_pos = 0;
-
-  // Over-fetch to compensate for entries that validate to nothing
-  // (invisible versions, GC debt). If a chunk's live yield still falls
-  // short of `limit`, the scan CONTINUES from the last key seen instead of
-  // returning a truncated result; `processed` filters the entries the
-  // inclusive continuation cursor re-reads (one key's entries can span a
-  // chunk boundary).
-  size_t fetch_limit = limit == 0 ? 0 : limit * 4 + 16;
-  std::set<std::pair<std::string, uint64_t>> processed;
-  std::vector<std::pair<uint64_t, schema::Tuple>> out;
-  std::string cursor = lo;
-  while (true) {
-    TELL_ASSIGN_OR_RETURN(std::vector<index::IndexEntry> chunk,
-                          tree->RangeScan(client_, cursor, hi, fetch_limit));
-    const bool tree_exhausted = fetch_limit == 0 || chunk.size() < fetch_limit;
-    const std::string horizon = chunk.empty() ? std::string() : chunk.back().key;
-    while (pending_pos < pending.size() &&
-           (tree_exhausted || pending[pending_pos].key <= horizon)) {
-      chunk.push_back(pending[pending_pos]);
-      ++pending_pos;
+  struct Scan {
+    index::BTree* tree = nullptr;
+    index::ScanCursor cursor;
+    /// This transaction's pending inserts in the range, merged into the
+    /// candidates up to the tree's scan horizon so that validation stays
+    /// in global key order.
+    std::vector<index::IndexEntry> pending;
+    size_t pending_pos = 0;
+    /// Entries to validate, in key order; [0, next) are validated.
+    std::vector<index::IndexEntry> candidates;
+    size_t next = 0;
+    /// Every (key, rid) ever made a candidate: a pending insert merged at
+    /// the horizon may meet its own tree entry in a later leaf.
+    std::set<std::pair<std::string, uint64_t>> seen;
+    bool done = false;
+  };
+  std::vector<Scan> scans(ranges.size());
+  std::vector<std::vector<std::pair<uint64_t, schema::Tuple>>> out(
+      ranges.size());
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    const IndexRange& range = ranges[r];
+    Scan& scan = scans[r];
+    scan.tree = range.index < 0
+                    ? &range.table->primary
+                    : &range.table->secondaries[static_cast<size_t>(
+                          range.index)];
+    scan.cursor.tree = scan.tree;
+    scan.cursor.start = range.lo;
+    scan.cursor.end = range.hi;
+    for (const auto& [key, rids] : pending_index_) {
+      if (key.first != scan.tree->table()) continue;
+      if (key.second < range.lo) continue;
+      if (!range.hi.empty() && key.second >= range.hi) continue;
+      for (uint64_t rid : rids) scan.pending.push_back({key.second, rid});
     }
-    std::sort(chunk.begin(), chunk.end(), entry_less);
-    std::vector<index::IndexEntry> fresh;
-    fresh.reserve(chunk.size());
-    for (const index::IndexEntry& entry : chunk) {
-      if (processed.insert({entry.key, entry.rid}).second) {
-        fresh.push_back(entry);
+    std::sort(scan.pending.begin(), scan.pending.end(), entry_less);
+  }
+  // Candidates a range still wants validated this round: the rows it
+  // lacks, or everything for an unlimited range.
+  auto wanted = [&](size_t r) -> size_t {
+    if (ranges[r].limit == 0) return static_cast<size_t>(-1);
+    return ranges[r].limit - out[r].size();
+  };
+
+  while (true) {
+    // 1. Leaf rounds for every range with fewer unvalidated candidates than
+    //    it wants (BTree::BatchScan reads whole leaves).
+    std::vector<index::ScanCursor*> cursors;
+    std::vector<size_t> scanned;
+    for (size_t r = 0; r < scans.size(); ++r) {
+      Scan& scan = scans[r];
+      if (scan.done || scan.cursor.exhausted) continue;
+      const size_t available = scan.candidates.size() - scan.next;
+      if (ranges[r].limit != 0 && available >= wanted(r)) continue;
+      scan.cursor.want = ranges[r].limit == 0 ? 0 : wanted(r) - available;
+      cursors.push_back(&scan.cursor);
+      scanned.push_back(r);
+    }
+    TELL_RETURN_NOT_OK(index::BTree::BatchScan(client_, cursors));
+    for (size_t r : scanned) {
+      Scan& scan = scans[r];
+      // Drop the validated prefix; merge the new entries with the pending
+      // inserts up to the horizon (all of them once the tree is done).
+      scan.candidates.erase(scan.candidates.begin(),
+                            scan.candidates.begin() +
+                                static_cast<ptrdiff_t>(scan.next));
+      scan.next = 0;
+      const size_t merged_from = scan.candidates.size();
+      const std::string horizon = scan.cursor.entries.empty()
+                                      ? std::string()
+                                      : scan.cursor.entries.back().key;
+      auto add = [&scan](index::IndexEntry entry) {
+        if (scan.seen.emplace(entry.key, entry.rid).second) {
+          scan.candidates.push_back(std::move(entry));
+        }
+      };
+      for (index::IndexEntry& entry : scan.cursor.entries) {
+        add(std::move(entry));
+      }
+      scan.cursor.entries.clear();
+      while (scan.pending_pos < scan.pending.size() &&
+             (scan.cursor.exhausted ||
+              scan.pending[scan.pending_pos].key <= horizon)) {
+        add(scan.pending[scan.pending_pos++]);
+      }
+      std::sort(scan.candidates.begin() + static_cast<ptrdiff_t>(merged_from),
+                scan.candidates.end(), entry_less);
+    }
+
+    // 2. One record round: the next wanted candidates of every range.
+    std::vector<std::pair<size_t, size_t>> batch;  // range, candidates end
+    std::vector<std::pair<TableHandle*, uint64_t>> records;
+    for (size_t r = 0; r < scans.size(); ++r) {
+      Scan& scan = scans[r];
+      if (scan.done) continue;
+      const size_t take =
+          std::min(scan.candidates.size() - scan.next, wanted(r));
+      if (take == 0 && scan.cursor.exhausted) {
+        scan.done = true;
+        continue;
+      }
+      batch.emplace_back(r, scan.next + take);
+      for (size_t c = scan.next; c < scan.next + take; ++c) {
+        records.emplace_back(ranges[r].table, scan.candidates[c].rid);
       }
     }
-    // Prefetch every referenced record that is not yet buffered in one
-    // batched request (§5.1 batching), so validation below is buffer-only.
-    {
-      std::vector<uint64_t> missing;
-      for (const index::IndexEntry& entry : fresh) {
-        if (buffer_.find({table->meta->data_table, entry.rid}) ==
-            buffer_.end()) {
-          missing.push_back(entry.rid);
+    if (batch.empty()) break;
+    // Records not yet buffered travel in one batched request (§5.1) and are
+    // read like BatchRead reads them, so validation below is buffer-only.
+    if (session_->record_buffer()->PrefersBatchFetch()) {
+      obs::PhaseScope read_span(tracer_, sim::TxnPhase::kRead);
+      std::vector<std::pair<TableHandle*, uint64_t>> missing;
+      for (const auto& [table, rid] : records) {
+        if (buffer_.find({table->meta->data_table, rid}) == buffer_.end()) {
+          missing.emplace_back(table, rid);
         }
       }
       std::sort(missing.begin(), missing.end());
       missing.erase(std::unique(missing.begin(), missing.end()),
                     missing.end());
-      if (!missing.empty() && session_->record_buffer()->PrefersBatchFetch()) {
-        TELL_RETURN_NOT_OK(BatchRead(table, missing).status());
+      TELL_RETURN_NOT_OK(PrefetchMissing(missing));
+      for (const auto& [table, rid] : missing) {
+        TELL_RETURN_NOT_OK(Read(table, rid).status());
       }
     }
-    for (const index::IndexEntry& entry : fresh) {
-      TELL_ASSIGN_OR_RETURN(
-          std::optional<schema::Tuple> tuple,
-          ValidateIndexHit(table, tree, entry.key, entry.rid));
-      if (tuple.has_value()) {
-        out.emplace_back(entry.rid, std::move(*tuple));
-        if (limit != 0 && out.size() >= limit) return out;
+
+    // 3. Validate in key order.
+    for (const auto& [r, end] : batch) {
+      Scan& scan = scans[r];
+      for (; scan.next < end && !scan.done; ++scan.next) {
+        const index::IndexEntry& entry = scan.candidates[scan.next];
+        TELL_ASSIGN_OR_RETURN(
+            std::optional<schema::Tuple> tuple,
+            ValidateIndexHit(ranges[r].table, scan.tree, entry.key,
+                             entry.rid));
+        if (!tuple.has_value()) continue;
+        out[r].emplace_back(entry.rid, std::move(*tuple));
+        if (ranges[r].limit != 0 && out[r].size() >= ranges[r].limit) {
+          scan.done = true;
+        }
       }
-    }
-    if (tree_exhausted) break;
-    cursor = horizon;
-    if (fresh.empty()) {
-      // A whole chunk of already-processed entries: one key has more
-      // duplicates than fetch_limit. Widen the window to get past it.
-      fetch_limit *= 2;
     }
   }
   return out;
@@ -842,6 +925,9 @@ Result<store::FragmentScanOutcome> Transaction::ExecuteScanFragment(
 }
 
 Status Transaction::FinishCommitEmpty() {
+  // A read-only transaction sends its index GC as a batch of its own; GC is
+  // best effort, so a failure does not fail the commit.
+  if (!gc_removals_.empty()) (void)ApplyIndexInserts();
   Status st = session_->commitmgr_client()->Finish(commit_manager_, tid_,
                                                    /*committed=*/true);
   state_ = TxnState::kCommitted;
@@ -1133,10 +1219,22 @@ bool Transaction::RollbackApplied(const std::vector<RecordKey>& dirty) {
 }
 
 Status Transaction::ApplyIndexInserts() {
-  std::vector<bool> inserted;
-  Status st = index::BTree::BatchInsert(client_, index_ops_, &inserted);
+  // The GC removals go first: an entry this transaction collected and then
+  // inserted again must end up present.
+  const size_t removals = gc_removals_.size();
+  std::vector<index::BatchInsertOp> ops = std::move(gc_removals_);
+  gc_removals_.clear();
+  ops.insert(ops.end(), index_ops_.begin(), index_ops_.end());
+  std::vector<bool> done;
+  Status st = index::BTree::BatchInsert(client_, ops, &done);
+  client_->metrics()->gc_index_entries += static_cast<uint64_t>(
+      std::count(done.begin(), done.begin() + static_cast<ptrdiff_t>(removals),
+                 true));
   // Undo exactly the entries that made it in before the failure.
-  if (!st.ok()) RollbackIndexInserts(inserted);
+  if (!st.ok()) {
+    RollbackIndexInserts(std::vector<bool>(
+        done.begin() + static_cast<ptrdiff_t>(removals), done.end()));
+  }
   return st;
 }
 

@@ -5,7 +5,9 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "commitmgr/commit_manager.h"
@@ -97,6 +99,17 @@ enum class TxnState { kPending, kRunning, kCommitted, kAborted };
 struct TableKey {
   TableHandle* table = nullptr;
   std::vector<schema::Value> key;
+};
+
+/// One range of a Transaction::BatchScanIndex call: the visible rows whose
+/// key in index `index` of `table` (-1 = primary) lies in [lo, hi), encoded
+/// (empty `hi` = unbounded), at most `limit` of them (0 = unlimited).
+struct IndexRange {
+  TableHandle* table = nullptr;
+  int index = -1;
+  std::string lo;
+  std::string hi;
+  size_t limit = 0;
 };
 
 /// Per-transaction options.
@@ -210,10 +223,24 @@ class Transaction {
       const std::vector<schema::Value>& end, size_t limit);
 
   /// Same, with pre-encoded byte bounds (used by the SQL planner for prefix
-  /// and range scans over composite keys).
+  /// and range scans over composite keys). A one-range BatchScanIndex.
   Result<std::vector<std::pair<uint64_t, schema::Tuple>>> ScanIndexEncoded(
       TableHandle* table, int index, const std::string& start,
       const std::string& end, size_t limit);
+
+  /// Index range scans, of one table or many, in shared rounds; results are
+  /// positionally aligned with `ranges`. One batched descent serves every
+  /// range's start key and each further leaf round fetches the next right
+  /// sibling of every range that still needs entries
+  /// (BTree::BatchScan). Each record round fetches, for every range, only
+  /// its next `limit` unvalidated candidates — all of them for unlimited
+  /// ranges — in one batched request across tables. A range whose
+  /// candidates validate to nothing (invisible versions, index garbage)
+  /// continues past them rather than returning a truncated result. Merges
+  /// this transaction's own pending inserts; obsolete entries found on the
+  /// way are queued for GC (see LookupIndex).
+  Result<std::vector<std::vector<std::pair<uint64_t, schema::Tuple>>>>
+  BatchScanIndex(const std::vector<IndexRange>& ranges);
 
   /// Full-table scan with the predicate pushed down to the storage nodes
   /// (§5.2): only records whose snapshot-visible version satisfies
@@ -346,9 +373,16 @@ class Transaction {
   /// Commit step 3: installs index_ops_ into their B-trees with one
   /// multi-tree BTree::BatchInsert — the descents of all trees share their
   /// rounds and every touched leaf of every tree is rewritten in one
-  /// BatchWrite. On failure the entries that did make it in are removed
-  /// again (Remove is idempotent) before the error is returned.
+  /// BatchWrite. The queued index GC removals ride in the same batch,
+  /// ahead of the inserts. On failure the inserted entries that did make it
+  /// in are removed again (Remove is idempotent) before the error is
+  /// returned.
   Status ApplyIndexInserts();
+
+  /// Queues the removal of an obsolete index entry that ValidateIndexHit
+  /// found; the commit sends it with its index batch (once per entry).
+  void QueueIndexRemoval(index::BTree* tree, const std::string& key,
+                         uint64_t rid);
 
   /// Rolls back a failed commit attempt: removes this transaction's version
   /// from each dirty record again. Called with the full dirty set (not just
@@ -377,8 +411,9 @@ class Transaction {
   Status ValidateReadSet();
 
   /// Validates an index hit: fetches the record, checks some version still
-  /// carries `key` (else GCs the entry), and returns the tuple if the
-  /// visible version matches the key.
+  /// carries `key` and the record is not dead below the lav (else queues
+  /// the entry for GC), and returns the tuple if the visible version
+  /// matches the key.
   Result<std::optional<schema::Tuple>> ValidateIndexHit(
       TableHandle* table, index::BTree* tree, const std::string& key,
       uint64_t rid);
@@ -403,6 +438,10 @@ class Transaction {
 
   std::map<RecordKey, RecordState> buffer_;
   std::vector<index::BatchInsertOp> index_ops_;
+  /// Index GC found by this transaction's reads (remove ops), and the
+  /// (index table, key, rid) entries they name.
+  std::vector<index::BatchInsertOp> gc_removals_;
+  std::set<std::tuple<store::TableId, std::string, uint64_t>> gc_queued_;
   /// Own pending index inserts, visible to this transaction's lookups:
   /// (index store table, key) -> rids.
   std::map<std::pair<store::TableId, std::string>, std::vector<uint64_t>>

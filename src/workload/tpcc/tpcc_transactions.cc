@@ -443,20 +443,27 @@ Result<TxnOutcome> TpccExecutor::Delivery(const DeliveryInput& input) {
   int64_t now = static_cast<int64_t>(session_->clock()->now_ns());
 
   // Clause 2.7.4: the oldest undelivered order of each district; districts
-  // without one are skipped. The new-order scans run per district, then the
-  // orders of all districts go out as one batched lookup, and their lines
-  // and customers as one more.
+  // without one are skipped. The new-order scans of all districts go out as
+  // one multi-range scan, then the orders as one batched lookup, and their
+  // lines and customers as one more.
+  std::vector<tx::IndexRange> ranges;
+  for (int64_t d = 1; d <= 10; ++d) {
+    TELL_ASSIGN_OR_RETURN(std::string lo,
+                          schema::EncodeIndexKeyValues({Value(w), Value(d)}));
+    TELL_ASSIGN_OR_RETURN(
+        std::string hi, schema::EncodeIndexKeyValues({Value(w), Value(d + 1)}));
+    ranges.push_back({tables_.new_order, /*index=*/-1, std::move(lo),
+                      std::move(hi), /*limit=*/1});
+  }
+  TELL_ASSIGN_OR_RETURN(auto oldest, txn.BatchScanIndex(ranges));
   std::vector<int64_t> districts;
   std::vector<int64_t> order_ids;
   std::vector<tx::TableKey> order_keys;
   for (int64_t d = 1; d <= 10; ++d) {
-    TELL_ASSIGN_OR_RETURN(
-        auto oldest,
-        txn.ScanIndex(tables_.new_order, /*index=*/-1, {Value(w), Value(d)},
-                      {Value(w), Value(d + 1)}, /*limit=*/1));
-    if (oldest.empty()) continue;
-    int64_t o_id = oldest[0].second.GetInt(col::kNoOId);
-    TELL_RETURN_NOT_OK(txn.Delete(tables_.new_order, oldest[0].first));
+    const auto& rows = oldest[static_cast<size_t>(d - 1)];
+    if (rows.empty()) continue;
+    int64_t o_id = rows[0].second.GetInt(col::kNoOId);
+    TELL_RETURN_NOT_OK(txn.Delete(tables_.new_order, rows[0].first));
     districts.push_back(d);
     order_ids.push_back(o_id);
     order_keys.push_back({tables_.orders, {Value(w), Value(d), Value(o_id)}});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <thread>
 
 #include "common/random.h"
@@ -159,27 +160,26 @@ TEST_F(BTreeTest, ModelCheckAgainstStdMap) {
   auto client = MakeClient();
   ASSERT_OK(BTree::Create(client.get(), table_));
   BTree tree = MakeTree(/*fanout=*/6);
-  std::multimap<std::string, uint64_t> model;
+  std::set<std::pair<std::string, uint64_t>> model;
   Random rng(77);
-  for (int op = 0; op < 3000; ++op) {
-    std::string key = tell::EncodeOrderedU64(rng.Uniform(200));
-    uint64_t rid = rng.Uniform(10) + 1;
-    if (rng.Bernoulli(0.7)) {
-      bool model_has = false;
-      for (auto [it, end] = model.equal_range(key); it != end; ++it) {
-        if (it->second == rid) model_has = true;
-      }
-      ASSERT_OK(tree.Insert(client.get(), key, rid, false));
-      if (!model_has) model.emplace(key, rid);
-    } else {
-      ASSERT_OK(tree.Remove(client.get(), key, rid));
-      for (auto [it, end] = model.equal_range(key); it != end; ++it) {
-        if (it->second == rid) {
-          model.erase(it);
-          break;
-        }
+  // Batches of 1 to 24 ops, 70% inserts: at fanout 6 many batches overflow
+  // a leaf several times over, and a batch may insert and remove one entry.
+  for (int batch = 0; batch < 400; ++batch) {
+    std::vector<BatchInsertOp> ops(rng.Uniform(24) + 1);
+    for (BatchInsertOp& op : ops) {
+      op.tree = &tree;
+      op.key = tell::EncodeOrderedU64(rng.Uniform(200));
+      op.rid = rng.Uniform(10) + 1;
+      op.remove = !rng.Bernoulli(0.7);
+      if (op.remove) {
+        model.erase({op.key, op.rid});
+      } else {
+        model.insert({op.key, op.rid});
       }
     }
+    std::vector<bool> done;
+    ASSERT_OK(BTree::BatchInsert(client.get(), ops, &done));
+    ASSERT_EQ(done, std::vector<bool>(ops.size(), true)) << "batch " << batch;
   }
   // Full scan must equal the model.
   ASSERT_OK_AND_ASSIGN(std::vector<IndexEntry> entries,
@@ -188,7 +188,13 @@ TEST_F(BTreeTest, ModelCheckAgainstStdMap) {
   auto it = model.begin();
   for (const IndexEntry& entry : entries) {
     EXPECT_EQ(entry.key, it->first);
+    EXPECT_EQ(entry.rid, it->second);
     ++it;
+  }
+  for (const auto& [key, rid] : model) {
+    ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> rids,
+                         tree.Lookup(client.get(), key));
+    EXPECT_EQ(std::count(rids.begin(), rids.end(), rid), 1);
   }
 }
 
@@ -229,6 +235,63 @@ TEST_F(BTreeTest, ConcurrentInsertsAllSurvive) {
     ASSERT_EQ(rids.size(), 1u) << "key " << key;
     EXPECT_EQ(rids[0], key + 1);
   }
+}
+
+TEST_F(BTreeTest, ConcurrentBatchedSplitsAllSurvive) {
+  // Eight PNs insert overlapping batches of 16 keys at fanout 8: every batch
+  // overflows its leaves, so splits of all threads race on the same leaves
+  // and parents, and lost LL/SC rounds retry as batches.
+  auto setup_client = MakeClient();
+  ASSERT_OK(BTree::Create(setup_client.get(), table_));
+  constexpr int kThreads = 8;
+  constexpr int kBatches = 20;
+  constexpr uint64_t kBatchKeys = 16;
+  // Thread t's batch b covers keys [start, start + 16) with start =
+  // (b * 8 + t) * 8: neighbouring threads' batches overlap by half.
+  auto key_of = [](int t, int b, uint64_t i) {
+    return static_cast<uint64_t>((b * kThreads + t) * 8) + i;
+  };
+  std::vector<std::unique_ptr<store::StorageClient>> clients;
+  std::vector<std::unique_ptr<NodeCache>> caches;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.push_back(MakeClient());
+    caches.push_back(std::make_unique<NodeCache>());
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      BTreeOptions options;
+      options.fanout = 8;
+      BTree tree(table_, options, caches[static_cast<size_t>(t)].get());
+      for (int b = 0; b < kBatches; ++b) {
+        std::vector<BatchInsertOp> ops;
+        for (uint64_t i = 0; i < kBatchKeys; ++i) {
+          const uint64_t key = key_of(t, b, i);
+          ops.push_back({&tree, tell::EncodeOrderedU64(key), key + 1, true});
+        }
+        std::vector<bool> inserted;
+        ASSERT_TRUE(BTree::BatchInsert(clients[static_cast<size_t>(t)].get(),
+                                       ops, &inserted)
+                        .ok());
+        ASSERT_EQ(inserted, std::vector<bool>(ops.size(), true));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  // Verify every key from a fresh handle, and that a full scan holds each
+  // key exactly once.
+  BTree tree = MakeTree(/*fanout=*/8);
+  auto client = MakeClient();
+  const uint64_t max_key = key_of(kThreads - 1, kBatches - 1, kBatchKeys);
+  for (uint64_t key = 0; key < max_key; ++key) {
+    ASSERT_OK_AND_ASSIGN(
+        std::vector<uint64_t> rids,
+        tree.Lookup(client.get(), tell::EncodeOrderedU64(key)));
+    ASSERT_EQ(rids, std::vector<uint64_t>{key + 1}) << "key " << key;
+  }
+  ASSERT_OK_AND_ASSIGN(std::vector<IndexEntry> entries,
+                       tree.RangeScan(client.get(), "", "", 0));
+  EXPECT_EQ(entries.size(), max_key);
 }
 
 TEST_F(BTreeTest, StaleCacheRecoversAfterRemoteSplits) {
@@ -381,8 +444,8 @@ TEST_F(BTreeTest, BatchLookupWithoutBatchingPaysOneRequestPerKey) {
 // after the inserts (the client's clock and counters start at 0).
 constexpr uint64_t kPinnedLookupNs = 28811;
 constexpr uint64_t kPinnedLookupRequests = 9;
-constexpr uint64_t kPinnedInsertNs = 94676;
-constexpr uint64_t kPinnedInsertRequests = 24;
+constexpr uint64_t kPinnedInsertNs = 62941;
+constexpr uint64_t kPinnedInsertRequests = 18;
 
 TEST_F(BTreeTest, BatchCostsStayPinned) {
   // On default options every descent level is one BatchGet and the leaf
@@ -405,8 +468,11 @@ TEST_F(BTreeTest, BatchCostsStayPinned) {
   EXPECT_EQ(clock->now_ns(), kPinnedLookupNs);
   EXPECT_EQ(metrics->storage_requests, kPinnedLookupRequests);
 
-  // One odd key next to each probe: a fifth entry in a half-full leaf, so
-  // no leaf overflows.
+  // One odd key next to each probe: a fifth entry in a half-full leaf —
+  // except for key 385, a ninth entry in the full rightmost leaf (the
+  // eight keys 384..398), which splits it: the fresh right node
+  // rides the BatchWrite, then one shrink and one parent put follow, after
+  // one id-block allocation for the cold cache.
   std::vector<BatchInsertOp> ops;
   for (uint64_t k = 1; k < 400; k += 32) {
     ops.push_back({&tree, tell::EncodeOrderedU64(k), k + 1, true});
@@ -414,6 +480,7 @@ TEST_F(BTreeTest, BatchCostsStayPinned) {
   std::vector<bool> inserted;
   ASSERT_OK(BTree::BatchInsert(client.get(), ops, &inserted));
   EXPECT_EQ(inserted, std::vector<bool>(ops.size(), true));
+  EXPECT_EQ(metrics->index_splits, 1u);
   EXPECT_EQ(clock->now_ns(), kPinnedInsertNs);
   EXPECT_EQ(metrics->storage_requests, kPinnedInsertRequests);
 }
@@ -544,7 +611,7 @@ TEST_F(MultiTreeTest, UniqueViolationInOneTreeInsertsNothingInAnyTree) {
   }
 }
 
-TEST_F(BTreeTest, LostLlscOnOneLeafSendsOnlyItsOpsToTheSerialPath) {
+TEST_F(BTreeTest, LostLlscOnOneLeafRetriesOnlyItsOps) {
   // One storage node with one partition per table, and a record cache: the
   // client's cached copy of one leaf goes stale while lease epochs are
   // frozen, so its batched put loses the LL/SC race. The other puts of the
@@ -593,7 +660,7 @@ TEST_F(BTreeTest, LostLlscOnOneLeafSendsOnlyItsOpsToTheSerialPath) {
   EXPECT_EQ(inserted, std::vector<bool>(ops.size(), true));
   EXPECT_EQ(metrics.llsc_failures, 1u);
   // The descent is served from the caches; then the BatchWrite, and only
-  // the stale leaf's op re-runs serially: one leaf read and one put.
+  // the stale leaf's op is retried: one leaf read and one put.
   EXPECT_EQ(metrics.pipeline_flushes - calls, 3u);
   for (uint64_t k : {1, 3, 65}) {
     ASSERT_OK_AND_ASSIGN(
@@ -606,51 +673,229 @@ TEST_F(BTreeTest, LostLlscOnOneLeafSendsOnlyItsOpsToTheSerialPath) {
   EXPECT_EQ(rids, std::vector<uint64_t>{2});
 }
 
-TEST_F(BTreeTest, BatchInsertOverflowPutsPrefixAndSplitsForTheRest) {
-  // Reference tree: the root leaf holds keys 0..7 (full at fanout 8), then
-  // keys 8..10 go in through the serial, splitting Insert.
-  auto ref_client = MakeClient();
-  ASSERT_OK_AND_ASSIGN(store::TableId ref_table,
-                       cluster_->CreateTable("idx_ref"));
-  ASSERT_OK(BTree::Create(ref_client.get(), ref_table));
-  NodeCache ref_cache;
-  BTreeOptions options;
-  options.fanout = 8;
-  BTree ref(ref_table, options, &ref_cache);
-  for (uint64_t k = 0; k < 8; ++k) {
-    ASSERT_OK(ref.Insert(ref_client.get(), tell::EncodeOrderedU64(k), k, true));
-  }
-  uint64_t ops_before = metrics_.back()->storage_ops;
-  for (uint64_t k = 8; k < 11; ++k) {
-    ASSERT_OK(ref.Insert(ref_client.get(), tell::EncodeOrderedU64(k), k, true));
-  }
-  const uint64_t serial_ops = metrics_.back()->storage_ops - ops_before;
+// ---------------------------------------------------------------------------
+// Batched splits. Counts are storage calls that issued a message; the
+// fixture's client has an instant network, so every call is one round.
 
-  // Batched tree: keys 0..4 are in; one BatchInsert brings 5..10 into the
-  // same leaf. 5..7 still fit, 8..10 do not.
-  auto client = MakeClient();
-  ASSERT_OK(BTree::Create(client.get(), table_));
+/// `n` ops inserting keys first, first + step, ... (rid = key + 1).
+std::vector<BatchInsertOp> Ascending(BTree* tree, uint64_t first, uint64_t n,
+                                     uint64_t step = 1) {
+  std::vector<BatchInsertOp> ops;
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t key = first + i * step;
+    ops.push_back({tree, tell::EncodeOrderedU64(key), key + 1, true});
+  }
+  return ops;
+}
+
+/// Inserts `ops` in one batch; every op must land.
+void InsertAll(store::StorageClient* client,
+               const std::vector<BatchInsertOp>& ops) {
+  std::vector<bool> inserted;
+  ASSERT_OK(BTree::BatchInsert(client, ops, &inserted));
+  ASSERT_EQ(inserted, std::vector<bool>(ops.size(), true));
+}
+
+/// Every key of [0, n) is found exactly once with rid = key + 1, and a full
+/// scan holds nothing else.
+void ExpectKeys(store::StorageClient* client, BTree* tree, uint64_t n) {
+  for (uint64_t k = 0; k < n; ++k) {
+    ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> rids,
+                         tree->Lookup(client, tell::EncodeOrderedU64(k)));
+    ASSERT_EQ(rids, std::vector<uint64_t>{k + 1}) << "key " << k;
+  }
+  ASSERT_OK_AND_ASSIGN(std::vector<IndexEntry> entries,
+                       tree->RangeScan(client, "", "", 0));
+  EXPECT_EQ(entries.size(), n);
+}
+
+class BatchSplitTest : public BTreeTest {
+ protected:
+  BatchSplitTest()
+      : client_(MakeClient()), metrics_of_client_(metrics_.back().get()) {
+    EXPECT_OK(BTree::Create(client_.get(), table_));
+  }
+
+  uint64_t Calls() const { return metrics_of_client_->pipeline_flushes; }
+  uint64_t Ops() const { return metrics_of_client_->storage_ops; }
+  uint64_t Splits() const { return metrics_of_client_->index_splits; }
+
+  /// Keys 0..9 one at a time: the root leaf splits on key 8 into [0..3] and
+  /// [4..8], so the tree is two levels high with a cached root and a
+  /// rightmost leaf of six keys (4..9).
+  void LoadTen(BTree* tree) {
+    for (uint64_t k = 0; k < 10; ++k) {
+      ASSERT_OK(tree->Insert(client_.get(), tell::EncodeOrderedU64(k), k + 1,
+                             true));
+    }
+    ASSERT_EQ(*tree->Height(client_.get()), 2u);
+  }
+
+  std::unique_ptr<store::StorageClient> client_;
+  sim::WorkerMetrics* metrics_of_client_;
+};
+
+TEST_F(BatchSplitTest, RootLeafOverflowSplitsInTheBatch) {
+  // Keys 0..4 are in the root leaf; one batch brings 5..10, three more
+  // than fit at fanout 8. The leaf is cut once, for all six entries.
   BTree tree = MakeTree(/*fanout=*/8);
   for (uint64_t k = 0; k < 5; ++k) {
-    ASSERT_OK(tree.Insert(client.get(), tell::EncodeOrderedU64(k), k, true));
+    ASSERT_OK(tree.Insert(client_.get(), tell::EncodeOrderedU64(k), k + 1,
+                          true));
   }
-  std::vector<BatchInsertOp> ops;
-  for (uint64_t k = 5; k < 11; ++k) {
-    ops.push_back({&tree, tell::EncodeOrderedU64(k), k, true});
-  }
-  ops_before = metrics_.back()->storage_ops;
-  std::vector<bool> inserted;
-  ASSERT_OK(BTree::BatchInsert(client.get(), ops, &inserted));
-  EXPECT_EQ(inserted, std::vector<bool>(ops.size(), true));
-  // One leaf read and ONE put for the prefix 5..7; the overflow 8..10 costs
-  // exactly what it costs the serial Insert on the reference tree.
-  EXPECT_EQ(metrics_.back()->storage_ops - ops_before, 2 + serial_ops);
-  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height(client.get()));
+  const uint64_t calls = Calls();
+  const uint64_t ops = Ops();
+  InsertAll(client_.get(), Ascending(&tree, 5, 6));
+  // The leaf read, the two fresh halves in one BatchWrite, then the root
+  // rewritten in place as their parent. The id-block allocation is a fifth
+  // op: an AtomicIncrement, which store.pipeline.flushes does not count.
+  EXPECT_EQ(Calls() - calls, 3u);
+  EXPECT_EQ(Ops() - ops, 5u);
+  EXPECT_EQ(Splits(), 1u);
+  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height(client_.get()));
   EXPECT_EQ(height, 2u);
-  for (uint64_t k = 0; k < 11; ++k) {
-    ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> rids,
-                         tree.Lookup(client.get(), tell::EncodeOrderedU64(k)));
-    ASSERT_EQ(rids, std::vector<uint64_t>{k}) << "key " << k;
+  ExpectKeys(client_.get(), &tree, 11);
+}
+
+TEST_F(BatchSplitTest, OverflowLargerThanALeafSplitsIntoManyNodes) {
+  BTree tree = MakeTree(/*fanout=*/8);
+  LoadTen(&tree);
+  const uint64_t calls = Calls();
+  const uint64_t ops = Ops();
+  const uint64_t splits = Splits();
+  // 20 keys join the six of the rightmost leaf: 26 entries make four
+  // nodes of 6-7 entries, and the root takes three separators in one put.
+  InsertAll(client_.get(), Ascending(&tree, 10, 20));
+  // Leaf read; three fresh nodes in one BatchWrite; the shrink; the root.
+  EXPECT_EQ(Calls() - calls, 4u);
+  EXPECT_EQ(Ops() - ops, 6u);
+  EXPECT_EQ(Splits() - splits, 1u);
+  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height(client_.get()));
+  EXPECT_EQ(height, 2u);
+  ExpectKeys(client_.get(), &tree, 30);
+}
+
+TEST_F(BatchSplitTest, RootSplitInsideABatch) {
+  BTree tree = MakeTree(/*fanout=*/8);
+  LoadTen(&tree);
+  const uint64_t calls = Calls();
+  const uint64_t splits = Splits();
+  // 60 keys make the rightmost leaf nine nodes: eight separators overflow
+  // the root, which splits in turn — its pieces go out fresh, and the
+  // fixed-id root is rewritten last, one level higher.
+  InsertAll(client_.get(), Ascending(&tree, 10, 60));
+  // Leaf read; fresh leaves; shrink; fresh inner nodes; root rewrite.
+  EXPECT_EQ(Calls() - calls, 5u);
+  EXPECT_EQ(Splits() - splits, 2u);
+  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height(client_.get()));
+  EXPECT_EQ(height, 3u);
+  ExpectKeys(client_.get(), &tree, 70);
+}
+
+TEST_F(BatchSplitTest, ParentOverflowCascadesOneLevelUp) {
+  BTree tree = MakeTree(/*fanout=*/8);
+  LoadTen(&tree);
+  InsertAll(client_.get(), Ascending(&tree, 10, 60));  // as above: height 3
+  const uint64_t calls = Calls();
+  const uint64_t splits = Splits();
+  // 40 more keys cut the rightmost leaf into six nodes; their five
+  // separators overflow the (non-root) parent, which splits and hands one
+  // separator to the root.
+  InsertAll(client_.get(), Ascending(&tree, 70, 40));
+  // Leaf read; fresh leaves; leaf shrink; fresh parent piece; parent
+  // shrink; root put.
+  EXPECT_EQ(Calls() - calls, 6u);
+  EXPECT_EQ(Splits() - splits, 2u);
+  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height(client_.get()));
+  EXPECT_EQ(height, 3u);
+  ExpectKeys(client_.get(), &tree, 110);
+}
+
+TEST_F(BatchSplitTest, SplitsOfTwoTreesShareTheirRounds) {
+  ExtraTree x(cluster_.get(), client_.get(), "x");
+  ExtraTree y(cluster_.get(), client_.get(), "y");
+  LoadTen(x.tree.get());
+  LoadTen(y.tree.get());
+  std::vector<BatchInsertOp> ops = Ascending(x.tree.get(), 10, 20);
+  for (BatchInsertOp& op : Ascending(y.tree.get(), 10, 20)) {
+    ops.push_back(std::move(op));
+  }
+  const uint64_t calls = Calls();
+  const uint64_t splits = Splits();
+  InsertAll(client_.get(), ops);
+  // Exactly the rounds of one tree's split: the leaves of both trees in
+  // one BatchGet, the fresh nodes of both in one BatchWrite, both shrinks
+  // in one, both roots in one.
+  EXPECT_EQ(Calls() - calls, 4u);
+  EXPECT_EQ(Splits() - splits, 2u);
+  ExpectKeys(client_.get(), x.tree.get(), 30);
+  ExpectKeys(client_.get(), y.tree.get(), 30);
+}
+
+TEST_F(BTreeTest, LostLlscOnASplitLeavesOnlyAnOrphanRightNode) {
+  // As in LostLlscOnOneLeafRetriesOnlyItsOps: the client's cached copy of
+  // one leaf goes stale while lease epochs are frozen. A batch that
+  // overflows that leaf publishes its fresh right node, then loses the
+  // shrink's LL/SC: the right node stays behind unreferenced, and the
+  // retry splits the current leaf.
+  store::ClusterOptions cluster_options;
+  cluster_options.num_storage_nodes = 1;
+  cluster_options.partitions_per_node = 1;
+  store::Cluster cluster(cluster_options);
+  store::ClientOptions plain;
+  plain.network = sim::NetworkModel::Instant();
+  sim::VirtualClock loader_clock;
+  sim::WorkerMetrics loader_metrics;
+  store::StorageClient loader(&cluster, nullptr, plain, &loader_clock,
+                              &loader_metrics);
+  ExtraTree x(&cluster, &loader, "x");
+  // Keys 0, 100, ..., 1900: leaves of four keys 100 apart.
+  for (uint64_t k = 0; k < 2000; k += 100) {
+    ASSERT_OK(x.tree->Insert(&loader, tell::EncodeOrderedU64(k), k + 1, true));
+  }
+  auto node_cells = [&]() -> size_t {
+    auto cells = loader.Scan(x.table, "", "", 0);
+    EXPECT_TRUE(cells.ok());
+    return cells.ok() ? cells->size() : 0;
+  };
+
+  store::RecordCacheOptions cache_options;
+  cache_options.enabled = true;
+  store::RecordCache record_cache(cache_options);
+  store::ClientOptions cached = plain;
+  cached.record_cache = &record_cache;
+  sim::VirtualClock clock;
+  sim::WorkerMetrics metrics;
+  store::StorageClient client(&cluster, nullptr, cached, &clock, &metrics);
+  // Warm the inner-node cache and cache the first leaf (keys 0..300).
+  ASSERT_OK(x.tree->Lookup(&client, tell::EncodeOrderedU64(0)).status());
+  cluster.lease_epochs().set_frozen_for_testing(true);
+  ASSERT_OK(x.tree->Insert(&loader, tell::EncodeOrderedU64(50), 51, true));
+  cluster.lease_epochs().set_frozen_for_testing(false);
+
+  const size_t cells_before = node_cells();
+  const uint64_t calls = metrics.pipeline_flushes;
+  // Ten keys into the stale leaf: 14 entries as the client sees it.
+  const std::vector<BatchInsertOp> ops = Ascending(x.tree.get(), 1, 10);
+  std::vector<bool> inserted;
+  ASSERT_OK(BTree::BatchInsert(&client, ops, &inserted));
+  EXPECT_EQ(inserted, std::vector<bool>(ops.size(), true));
+  EXPECT_EQ(metrics.llsc_failures, 1u);
+  EXPECT_EQ(metrics.index_splits, 1u);
+  // Leaf from the record cache; fresh node; lost shrink. Retry: the leaf
+  // read (the fresh node's put bumped the table's lease epoch), fresh
+  // node, shrink, parent put.
+  EXPECT_EQ(metrics.pipeline_flushes - calls, 6u);
+  // Two fresh nodes were written; only the retry's is reachable.
+  EXPECT_EQ(node_cells() - cells_before, 2u);
+  ASSERT_OK_AND_ASSIGN(std::vector<IndexEntry> entries,
+                       x.tree->RangeScan(&loader, "", "", 0));
+  EXPECT_EQ(entries.size(), 20u + 1u + ops.size());
+  for (uint64_t k : {1, 5, 10, 50}) {
+    ASSERT_OK_AND_ASSIGN(
+        std::vector<uint64_t> rids,
+        x.tree->Lookup(&loader, tell::EncodeOrderedU64(k)));
+    EXPECT_EQ(rids, std::vector<uint64_t>{k + 1}) << "key " << k;
   }
 }
 

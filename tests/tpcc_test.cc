@@ -344,6 +344,73 @@ TEST_F(TpccRoundBudgetTest, NewOrderCostsOneRoundPerDependencyLevel) {
   EXPECT_EQ(rounds.Mean() * static_cast<double>(rounds.count()) - sum, 7.0);
 }
 
+TEST_F(TpccRoundBudgetTest, NewOrderWhoseLeafSplitsPaysTwoMoreRounds) {
+  ASSERT_OK_AND_ASSIGN(TxnOutcome warm, executor_->NewOrder(Order()));
+  ASSERT_TRUE(warm.committed);
+  // Repeat the order until a commit splits a leaf: every order appends five
+  // entries to district 4's rightmost order_line leaf, which fills first.
+  sim::WorkerMetrics* metrics = session_->metrics();
+  for (int i = 0; i < 64; ++i) {
+    const uint64_t splits = metrics->index_splits;
+    const uint64_t before = metrics->pipeline_flushes;
+    ASSERT_OK_AND_ASSIGN(TxnOutcome outcome, executor_->NewOrder(Order()));
+    ASSERT_TRUE(outcome.committed);
+    if (metrics->index_splits == splits) {
+      EXPECT_EQ(CallsSince(before), 7u) << "order " << i;
+      continue;
+    }
+    // The fresh right node rides the leaf puts' BatchWrite; the shrink and
+    // the parent put are the two extra rounds.
+    EXPECT_EQ(metrics->index_splits - splits, 1u);
+    EXPECT_EQ(CallsSince(before), 9u);
+    return;
+  }
+  FAIL() << "no leaf split in 64 orders";
+}
+
+TEST_F(TpccRoundBudgetTest, DeliveryCollectsTheDeadEntriesOfTheLastDelivery) {
+  sim::WorkerMetrics* metrics = session_->metrics();
+  // The first delivery after the load meets no dead entry. The ten
+  // new-order scans share one leaf round and one record round; then the
+  // orders (leaves, records), their lines and customers (leaves, records),
+  // and the commit: log, apply, flag.
+  uint64_t before = metrics->pipeline_flushes;
+  ASSERT_OK_AND_ASSIGN(TxnOutcome first, executor_->Delivery({1, 3}));
+  ASSERT_TRUE(first.committed);
+  EXPECT_EQ(CallsSince(before), 9u);
+  // It deleted the oldest new-order row of each district. Their entries
+  // now head the next delivery's ranges, dead below its lav: one more
+  // record round meets them, and the commit removes them in one index
+  // batch (leaves, one write).
+  const uint64_t removed = metrics->gc_index_entries;
+  before = metrics->pipeline_flushes;
+  ASSERT_OK_AND_ASSIGN(TxnOutcome second, executor_->Delivery({1, 4}));
+  ASSERT_TRUE(second.committed);
+  EXPECT_EQ(CallsSince(before), 12u);
+  EXPECT_EQ(metrics->gc_index_entries - removed, 10u);
+}
+
+TEST_F(TpccRoundBudgetTest, OrderStatusAndStockLevelCalls) {
+  ASSERT_OK_AND_ASSIGN(TxnOutcome warm, executor_->NewOrder(Order()));
+  ASSERT_TRUE(warm.committed);
+  uint64_t before = session_->metrics()->pipeline_flushes;
+  OrderStatusInput status;
+  status.warehouse = 1;
+  status.district = 4;
+  status.customer_id = 7;
+  ASSERT_OK_AND_ASSIGN(TxnOutcome outcome, executor_->OrderStatus(status));
+  ASSERT_TRUE(outcome.committed);
+  // Customer (leaf, record), orders-by-customer scan (leaf, records), the
+  // last order's lines (leaves, records).
+  EXPECT_EQ(CallsSince(before), 6u);
+  before = session_->metrics()->pipeline_flushes;
+  ASSERT_OK_AND_ASSIGN(outcome, executor_->StockLevel({1, 4, 15}));
+  ASSERT_TRUE(outcome.committed);
+  // District (leaf, record), the order_line scan over the last 20 orders
+  // (leaf, sibling leaves, records), then the stock rows (leaves, records).
+  EXPECT_EQ(CallsSince(before), 10u);
+}
+
 TEST_F(TpccTest, GeneratorRespectsScaleBounds) {
   InputGenerator generator(scale_, Mix::kWriteIntensive, 11, 1);
   for (int i = 0; i < 500; ++i) {

@@ -284,6 +284,92 @@ TEST_F(TransactionTest, ScanIndexRange) {
   ASSERT_OK(txn.Commit());
 }
 
+TEST_F(TransactionTest, BatchScanIndexSharesRoundsAcrossRanges) {
+  for (int64_t id = 1; id <= 30; ++id) {
+    MustInsert(id, "user" + std::to_string(id), static_cast<double>(id));
+  }
+  auto encoded = [](int64_t id) {
+    return *schema::EncodeIndexKeyValues({Value(id)});
+  };
+  const std::vector<IndexRange> ranges = {
+      {table_, -1, encoded(3), encoded(9), /*limit=*/2},
+      {table_, -1, encoded(12), encoded(14), /*limit=*/0},
+      {table_, -1, encoded(20), "", /*limit=*/1},
+      {table_, -1, encoded(40), encoded(50), /*limit=*/1}};  // empty
+  Transaction reference(session_.get());
+  ASSERT_OK(reference.Begin());
+  std::vector<std::vector<int64_t>> expected;
+  for (const IndexRange& range : ranges) {
+    ASSERT_OK_AND_ASSIGN(auto rows,
+                         reference.ScanIndexEncoded(range.table, range.index,
+                                                    range.lo, range.hi,
+                                                    range.limit));
+    expected.emplace_back();
+    for (const auto& [rid, row] : rows) {
+      expected.back().push_back(row.GetInt(0));
+    }
+  }
+  ASSERT_OK(reference.Commit());
+  EXPECT_EQ(expected, (std::vector<std::vector<int64_t>>{
+                          {3, 4}, {12, 13}, {20}, {}}));
+
+  Transaction txn(session_.get());
+  ASSERT_OK(txn.Begin());
+  const uint64_t calls = session_->metrics()->pipeline_flushes;
+  ASSERT_OK_AND_ASSIGN(auto rows, txn.BatchScanIndex(ranges));
+  // Warm inner nodes: one round for the leaves of all four ranges, one for
+  // the records of all of them.
+  EXPECT_EQ(session_->metrics()->pipeline_flushes - calls, 2u);
+  ASSERT_EQ(rows.size(), ranges.size());
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    std::vector<int64_t> ids;
+    for (const auto& [rid, row] : rows[r]) ids.push_back(row.GetInt(0));
+    EXPECT_EQ(ids, expected[r]) << "range " << r;
+  }
+  ASSERT_OK(txn.Commit());
+}
+
+TEST_F(TransactionTest, ReadPathGcDropsEntriesOfRowsDeadBelowTheLav) {
+  const uint64_t dead = MustInsert(1, "alice", 1.0);
+  MustInsert(2, "bob", 2.0);
+  Tid deleted_at = 0;
+  {
+    Transaction txn(session_.get());
+    ASSERT_OK(txn.Begin());
+    deleted_at = txn.tid();
+    ASSERT_OK(txn.Delete(table_, dead));
+    ASSERT_OK(txn.Commit());
+  }
+  // The delete's eager GC keeps the insert version (snapshots older than
+  // the delete may still read it), so a version still carries alice's key.
+  // Once the lav passes the delete, no snapshot can see that version.
+  sim::WorkerMetrics* metrics = session_->metrics();
+  auto scan = [&]() -> std::vector<int64_t> {
+    Transaction txn(session_.get());
+    EXPECT_OK(txn.Begin());
+    EXPECT_GE(txn.lav(), deleted_at);
+    auto rows = txn.ScanIndex(table_, -1, {Value(int64_t{1})},
+                              {Value(int64_t{3})}, 0);
+    EXPECT_OK(rows.status());
+    EXPECT_OK(txn.Commit());
+    std::vector<int64_t> ids;
+    if (rows.ok()) {
+      for (const auto& [rid, row] : *rows) ids.push_back(row.GetInt(0));
+    }
+    return ids;
+  };
+  const uint64_t misses = metrics->buffer_misses;
+  const uint64_t removed = metrics->gc_index_entries;
+  EXPECT_EQ(scan(), std::vector<int64_t>{2});
+  // Both records fetched; alice's primary entry collected at commit.
+  EXPECT_EQ(metrics->buffer_misses - misses, 2u);
+  EXPECT_EQ(metrics->gc_index_entries - removed, 1u);
+  // The next scan no longer meets the entry: only bob's record is fetched.
+  EXPECT_EQ(scan(), std::vector<int64_t>{2});
+  EXPECT_EQ(metrics->buffer_misses - misses, 3u);
+  EXPECT_EQ(metrics->gc_index_entries - removed, 1u);
+}
+
 TEST_F(TransactionTest, BatchReadMixesHitsAndMisses) {
   uint64_t r1 = MustInsert(1, "a", 1.0);
   uint64_t r2 = MustInsert(2, "b", 2.0);
