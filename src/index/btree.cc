@@ -248,6 +248,11 @@ struct BTree::NodeEdit {
   std::vector<Separator> separators;
 };
 
+BTree::Prepared::Prepared() = default;
+BTree::Prepared::~Prepared() = default;
+BTree::Prepared::Prepared(Prepared&&) noexcept = default;
+BTree::Prepared& BTree::Prepared::operator=(Prepared&&) noexcept = default;
+
 Status BTree::Create(store::StorageClient* client, store::TableId table) {
   Node root;
   root.id = kRootId;
@@ -456,11 +461,14 @@ void BTree::CacheIfInner(const Node& node) {
 Status BTree::BatchDescendToLeaves(
     store::StorageClient* client, const std::vector<DescentKey>& keys,
     std::vector<NodeRef>* leaves, std::vector<size_t>* leaf_of_key,
-    std::vector<std::vector<NodeRef>>* leaf_paths) {
+    std::vector<std::vector<NodeRef>>* leaf_paths,
+    const std::vector<store::WriteOp>* riders,
+    std::vector<Result<uint64_t>>* rider_results) {
   leaves->clear();
   leaf_of_key->assign(keys.size(), kNoLeaf);
   if (leaf_paths != nullptr) leaf_paths->clear();
-  if (keys.empty()) return Status::OK();
+  if (riders != nullptr && riders->empty()) riders = nullptr;
+  if (keys.empty() && riders == nullptr) return Status::OK();
 
   // Every node this batch holds or requested, by (table, node id). A
   // requested node stays nullptr when its fetch fails.
@@ -530,17 +538,24 @@ Status BTree::BatchDescendToLeaves(
         want(keys[i].tree, *at[i], /*inner=*/node->level > 1);
       }
     }
-    if (wanted.empty()) break;
+    if (wanted.empty() && riders == nullptr) break;
 
-    // One round: every wanted node of every tree in one BatchGet. Inner
-    // nodes enter their tree's cache. An unreadable root fails the call, as
-    // it fails a single-key descent.
+    // One round: every wanted node of every tree in one BatchGet — the
+    // first round with the riders. Inner nodes enter their tree's cache.
+    // An unreadable root fails the call, as it fails a single-key descent.
     std::vector<store::GetOp> gets;
     gets.reserve(wanted.size());
     for (const NodeId& id : wanted) {
       gets.push_back({id.first, NodeKey(id.second)});
     }
-    std::vector<Result<store::VersionedCell>> cells = client->BatchGet(gets);
+    static const std::vector<store::WriteOp> kNoRiders;
+    store::BatchResults round = client->BatchReadWrite(
+        gets, riders != nullptr ? *riders : kNoRiders);
+    if (riders != nullptr) {
+      *rider_results = std::move(round.writes);
+      riders = nullptr;
+    }
+    std::vector<Result<store::VersionedCell>>& cells = round.gets;
     for (size_t g = 0; g < cells.size(); ++g) {
       Slot& slot = nodes[wanted[g]];
       slot.requested = false;
@@ -593,42 +608,35 @@ Result<std::vector<std::vector<uint64_t>>> BTree::BatchLookup(
   return out;
 }
 
-Status BTree::PrepareLeafEdits(store::StorageClient* client,
-                               const std::vector<BatchInsertOp>& ops,
-                               const std::vector<size_t>& pending,
-                               std::vector<bool>* inserted,
-                               std::vector<NodeEdit>* edits) {
-  // The leaf each pending op lands in, and the inner nodes above it.
+Status BTree::PrepareLeafEdits(
+    store::StorageClient* client, const std::vector<BatchInsertOp>& ops,
+    const std::vector<size_t>& pending, std::vector<bool>* inserted,
+    std::vector<NodeEdit>* edits, const std::vector<store::WriteOp>* riders,
+    std::vector<Result<uint64_t>>* rider_results) {
+  // The leaf each pending op lands in, and the inner nodes above it. A lone
+  // op takes the batched descent too: it costs the same rounds as a plain
+  // one, and the riders travel in its first.
   std::vector<NodeRef> leaf(pending.size());
   std::vector<std::vector<NodeRef>> path(pending.size());
-  auto descend_alone = [&](size_t k) -> Status {
+  std::vector<DescentKey> descents;
+  descents.reserve(pending.size());
+  for (size_t i : pending) descents.push_back({ops[i].tree, ops[i].key});
+  std::vector<NodeRef> leaves;
+  std::vector<size_t> leaf_of_key;
+  std::vector<std::vector<NodeRef>> leaf_paths;
+  TELL_RETURN_NOT_OK(BatchDescendToLeaves(client, descents, &leaves,
+                                          &leaf_of_key, &leaf_paths, riders,
+                                          rider_results));
+  for (size_t k = 0; k < pending.size(); ++k) {
+    if (leaf_of_key[k] != kNoLeaf) {
+      leaf[k] = leaves[leaf_of_key[k]];
+      path[k] = leaf_paths[leaf_of_key[k]];
+      continue;
+    }
     const BatchInsertOp& op = ops[pending[k]];
     TELL_ASSIGN_OR_RETURN(Node node,
                           op.tree->DescendToLeaf(client, op.key, &path[k]));
     leaf[k] = std::make_shared<const Node>(std::move(node));
-    return Status::OK();
-  };
-  // A lone op has nothing to share a request with: the plain descent costs
-  // the same.
-  if (pending.size() == 1) {
-    TELL_RETURN_NOT_OK(descend_alone(0));
-  } else {
-    std::vector<DescentKey> descents;
-    descents.reserve(pending.size());
-    for (size_t i : pending) descents.push_back({ops[i].tree, ops[i].key});
-    std::vector<NodeRef> leaves;
-    std::vector<size_t> leaf_of_key;
-    std::vector<std::vector<NodeRef>> leaf_paths;
-    TELL_RETURN_NOT_OK(BatchDescendToLeaves(client, descents, &leaves,
-                                            &leaf_of_key, &leaf_paths));
-    for (size_t k = 0; k < pending.size(); ++k) {
-      if (leaf_of_key[k] == kNoLeaf) {
-        TELL_RETURN_NOT_OK(descend_alone(k));
-      } else {
-        leaf[k] = leaves[leaf_of_key[k]];
-        path[k] = leaf_paths[leaf_of_key[k]];
-      }
-    }
   }
 
   // Group the ops by leaf. Single-key descents may have read a leaf again:
@@ -1029,9 +1037,35 @@ Status BTree::ApplyEdits(store::StorageClient* client,
 Status BTree::BatchInsert(store::StorageClient* client,
                           const std::vector<BatchInsertOp>& ops,
                           std::vector<bool>* inserted) {
-  inserted->assign(ops.size(), false);
-  std::vector<size_t> pending(ops.size());
-  for (size_t i = 0; i < ops.size(); ++i) pending[i] = i;
+  Prepared prepared;
+  Status st = PrepareInsert(client, ops, {}, nullptr, &prepared);
+  if (st.ok()) st = WriteInsert(client, &prepared);
+  *inserted = std::move(prepared.inserted_);
+  return st;
+}
+
+Status BTree::PrepareInsert(store::StorageClient* client,
+                            std::vector<BatchInsertOp> ops,
+                            const std::vector<store::WriteOp>& riders,
+                            std::vector<Result<uint64_t>>* rider_results,
+                            Prepared* prepared) {
+  prepared->ops_ = std::move(ops);
+  prepared->inserted_.assign(prepared->ops_.size(), false);
+  prepared->edits_.clear();
+  std::vector<size_t> pending(prepared->ops_.size());
+  for (size_t i = 0; i < pending.size(); ++i) pending[i] = i;
+  return PrepareLeafEdits(client, prepared->ops_, pending,
+                          &prepared->inserted_, &prepared->edits_, &riders,
+                          rider_results);
+}
+
+Status BTree::WriteInsert(store::StorageClient* client, Prepared* prepared) {
+  const std::vector<BatchInsertOp>& ops = prepared->ops_;
+  std::vector<bool>* inserted = &prepared->inserted_;
+  std::vector<NodeEdit> edits = std::move(prepared->edits_);
+  prepared->edits_.clear();
+  // Ops whose leaf lost its LL/SC race, prepared again for the next round.
+  std::vector<size_t> pending;
   // Separators the splits so far owe their parents.
   std::vector<Separator> separators;
   // The freshest image of every inner node this call read or wrote.
@@ -1040,8 +1074,6 @@ Status BTree::BatchInsert(store::StorageClient* client,
   // published are linked into their parents.
   Status failure;
   for (int round = 0; round < kMaxRetries; ++round) {
-    if (pending.empty() && separators.empty()) return failure;
-    std::vector<NodeEdit> edits;
     if (!pending.empty()) {
       Status st = PrepareLeafEdits(client, ops, pending, inserted, &edits);
       if (!st.ok()) {
@@ -1071,6 +1103,8 @@ Status BTree::BatchInsert(store::StorageClient* client,
       }
     }
     TELL_RETURN_NOT_OK(st);
+    edits.clear();
+    if (pending.empty() && separators.empty()) return failure;
     std::sort(pending.begin(), pending.end());
   }
   return Status::InternalError("B+tree batch retries exhausted");

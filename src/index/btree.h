@@ -180,10 +180,33 @@ class BTree {
   /// `inserted` (resized to ops.size()) reports per op whether it took
   /// effect when the call returns — an insert's entry is durably in its
   /// tree, a remove's entry is gone. On failure the caller uses it to undo
-  /// a partial batch (Remove is idempotent).
+  /// a partial batch (Remove is idempotent). PrepareInsert + WriteInsert.
   static Status BatchInsert(store::StorageClient* client,
                             const std::vector<BatchInsertOp>& ops,
                             std::vector<bool>* inserted);
+
+  /// A BatchInsert between its two halves.
+  class Prepared;
+
+  /// BatchInsert's first half, for callers with other storage work to do
+  /// before the puts: descends to the leaf of every op — `riders` travel in
+  /// the descent's first round, next to its node reads, even when there is
+  /// no op — and applies the ops to copies of their leaves. Fails with
+  /// AlreadyExists on a unique violation; nothing of the batch is written
+  /// either way. The riders are sent whatever the outcome, and their
+  /// results go to `rider_results` (may be null without riders),
+  /// positionally.
+  static Status PrepareInsert(store::StorageClient* client,
+                              std::vector<BatchInsertOp> ops,
+                              const std::vector<store::WriteOp>& riders,
+                              std::vector<Result<uint64_t>>* rider_results,
+                              Prepared* prepared);
+
+  /// BatchInsert's second half: writes the prepared leaves. A leaf that
+  /// changed since PrepareInsert read it loses its LL/SC, and its ops are
+  /// prepared again — a unique violation found then fails the call like
+  /// BatchInsert's. `prepared->inserted()` reports the ops in effect.
+  static Status WriteInsert(store::StorageClient* client, Prepared* prepared);
 
   /// Removes the entry (key, rid). OK even if absent (idempotent — index GC
   /// races are benign). A one-op BatchInsert.
@@ -265,27 +288,32 @@ class BTree {
   /// must use the single-key descent, which owns the full B-link right-hop
   /// and cache-refresh machinery. `leaf_paths` (if not null) receives each
   /// leaf's inner nodes, root first. A root that cannot be read fails the
-  /// call.
+  /// call. `riders` (if not null) travel in the first round, which is sent
+  /// for them even without keys; their results go to `rider_results`.
   static constexpr size_t kNoLeaf = static_cast<size_t>(-1);
   static Status BatchDescendToLeaves(
       store::StorageClient* client, const std::vector<DescentKey>& keys,
       std::vector<NodeRef>* leaves, std::vector<size_t>* leaf_of_key,
-      std::vector<std::vector<NodeRef>>* leaf_paths = nullptr);
+      std::vector<std::vector<NodeRef>>* leaf_paths = nullptr,
+      const std::vector<store::WriteOp>* riders = nullptr,
+      std::vector<Result<uint64_t>>* rider_results = nullptr);
 
   /// The cached copy of inner node `node_id`, or nullptr.
   NodeRef CachedInner(uint64_t node_id);
   /// Caches `node` if it is an inner node and caching is on.
   void CacheIfInner(const Node& node);
 
-  /// BatchInsert's preparation: descends to the leaves of ops[pending] and
+  /// BatchInsert's preparation: descends to the leaves of ops[pending] —
+  /// with `riders` in the first round, see BatchDescendToLeaves — and
   /// appends one edit per touched leaf, carrying all of its ops in op order.
   /// Ops already in effect (idempotent) are flagged in `inserted` right
   /// away. Fails with AlreadyExists on a unique violation.
-  static Status PrepareLeafEdits(store::StorageClient* client,
-                                 const std::vector<BatchInsertOp>& ops,
-                                 const std::vector<size_t>& pending,
-                                 std::vector<bool>* inserted,
-                                 std::vector<NodeEdit>* edits);
+  static Status PrepareLeafEdits(
+      store::StorageClient* client, const std::vector<BatchInsertOp>& ops,
+      const std::vector<size_t>& pending, std::vector<bool>* inserted,
+      std::vector<NodeEdit>* edits,
+      const std::vector<store::WriteOp>* riders = nullptr,
+      std::vector<Result<uint64_t>>* rider_results = nullptr);
 
   /// Appends one edit per parent node that receives `separators`, based on
   /// the freshest image known of it (parents that lost an LL/SC are re-read
@@ -325,6 +353,24 @@ class BTree {
   const store::TableId table_;
   const BTreeOptions options_;
   NodeCache* const cache_;
+};
+
+class BTree::Prepared {
+ public:
+  Prepared();
+  ~Prepared();
+  Prepared(Prepared&&) noexcept;
+  Prepared& operator=(Prepared&&) noexcept;
+
+  /// Per op: whether it is in effect — after PrepareInsert the ops that
+  /// needed no change, after WriteInsert also every op that landed.
+  const std::vector<bool>& inserted() const { return inserted_; }
+
+ private:
+  friend class BTree;
+  std::vector<BatchInsertOp> ops_;
+  std::vector<bool> inserted_;
+  std::vector<NodeEdit> edits_;
 };
 
 }  // namespace tell::index

@@ -404,16 +404,7 @@ Result<VersionedCell> StorageClient::Get(TableId table, std::string_view key) {
 
 std::vector<Result<VersionedCell>> StorageClient::BatchGet(
     const std::vector<GetOp>& ops) {
-  std::vector<Op> batch;
-  batch.reserve(ops.size());
-  for (const GetOp& op : ops) {
-    batch.push_back({.kind = Op::Kind::kGet, .table = op.table, .key = op.key});
-  }
-  Issue(batch);
-  std::vector<Result<VersionedCell>> results;
-  results.reserve(batch.size());
-  for (Op& op : batch) results.push_back(std::move(*op.get_result));
-  return results;
+  return BatchReadWrite(ops, {}).gets;
 }
 
 Result<uint64_t> StorageClient::Put(TableId table, std::string_view key,
@@ -449,9 +440,17 @@ Status StorageClient::ConditionalErase(TableId table, std::string_view key,
 
 std::vector<Result<uint64_t>> StorageClient::BatchWrite(
     const std::vector<WriteOp>& ops) {
+  return BatchReadWrite({}, ops).writes;
+}
+
+BatchResults StorageClient::BatchReadWrite(const std::vector<GetOp>& gets,
+                                           const std::vector<WriteOp>& writes) {
   std::vector<Op> batch;
-  batch.reserve(ops.size());
-  for (const WriteOp& op : ops) {
+  batch.reserve(gets.size() + writes.size());
+  for (const GetOp& op : gets) {
+    batch.push_back({.kind = Op::Kind::kGet, .table = op.table, .key = op.key});
+  }
+  for (const WriteOp& op : writes) {
     Op::Kind kind = op.erase ? (op.conditional ? Op::Kind::kConditionalErase
                                                : Op::Kind::kErase)
                              : (op.conditional ? Op::Kind::kConditionalPut
@@ -463,9 +462,15 @@ std::vector<Result<uint64_t>> StorageClient::BatchWrite(
                      .expected_stamp = op.expected_stamp});
   }
   Issue(batch);
-  std::vector<Result<uint64_t>> results;
-  results.reserve(batch.size());
-  for (Op& op : batch) results.push_back(std::move(*op.write_result));
+  BatchResults results;
+  results.gets.reserve(gets.size());
+  results.writes.reserve(writes.size());
+  for (size_t i = 0; i < gets.size(); ++i) {
+    results.gets.push_back(std::move(*batch[i].get_result));
+  }
+  for (size_t i = gets.size(); i < batch.size(); ++i) {
+    results.writes.push_back(std::move(*batch[i].write_result));
+  }
   return results;
 }
 

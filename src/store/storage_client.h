@@ -41,6 +41,13 @@ struct WriteOp {
   bool erase = false;
 };
 
+/// Results of StorageClient::BatchReadWrite, positionally aligned with its
+/// reads and its writes.
+struct BatchResults {
+  std::vector<Result<VersionedCell>> gets;
+  std::vector<Result<uint64_t>> writes;
+};
+
 /// Client-side knobs; the defaults reproduce the paper's configuration.
 struct ClientOptions {
   sim::NetworkModel network = sim::NetworkModel::InfiniBand();
@@ -170,6 +177,14 @@ class StorageClient {
   /// does not stop the others (the transaction layer decides what to roll
   /// back).
   std::vector<Result<uint64_t>> BatchWrite(const std::vector<WriteOp>& ops);
+
+  /// Reads and writes in one call: every op shares its storage node's
+  /// coalesced message with the others bound there, read or write, by the
+  /// rules of BatchGet and BatchWrite. The ops must be independent — a read
+  /// of a key this call also writes may see either image. BatchGet and
+  /// BatchWrite are this call with one side empty.
+  BatchResults BatchReadWrite(const std::vector<GetOp>& gets,
+                              const std::vector<WriteOp>& writes);
 
   /// Ordered scan; partition scans are issued in parallel.
   Result<std::vector<KeyCell>> Scan(TableId table, std::string_view start_key,

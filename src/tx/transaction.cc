@@ -927,7 +927,12 @@ Result<store::FragmentScanOutcome> Transaction::ExecuteScanFragment(
 Status Transaction::FinishCommitEmpty() {
   // A read-only transaction sends its index GC as a batch of its own; GC is
   // best effort, so a failure does not fail the commit.
-  if (!gc_removals_.empty()) (void)ApplyIndexInserts();
+  if (!gc_removals_.empty()) {
+    index::BTree::Prepared prepared;
+    if (PrepareIndexOps({}, nullptr, &prepared).ok()) {
+      (void)WriteIndexOps(&prepared);
+    }
+  }
   Status st = session_->commitmgr_client()->Finish(commit_manager_, tid_,
                                                    /*committed=*/true);
   state_ = TxnState::kCommitted;
@@ -973,18 +978,33 @@ Status Transaction::Commit() {
   }
 
   // 1. Try-Commit: append the log entry with the write set (§4.3 step 3).
+  //    Its put travels in the first round of step 3a, the index
+  //    preparation: the descent to every leaf the index ops touch, with the
+  //    unique checks. Neither reads what the apply writes, and nothing of
+  //    this transaction is visible before the apply — so a unique violation
+  //    aborts here with nothing to undo, and the unflagged log entry makes
+  //    recovery revert nothing.
   LogEntry entry;
   entry.tid = tid_;
   entry.pn_id = session_->pn_id();
   entry.timestamp_ns = session_->clock()->now_ns();
   for (const RecordKey& key : dirty) entry.write_set.push_back(key);
-  Status log_status = session_->log()->Append(client_, entry);
-  if (!log_status.ok()) {
+  index::BTree::Prepared prepared;
+  std::vector<Result<uint64_t>> appended;
+  Status prepare_status = PrepareIndexOps({session_->log()->AppendOp(entry)},
+                                          &appended, &prepared);
+  TELL_CHECK(appended.size() == 1);
+  Status log_status = session_->log()->Appended(client_, appended.front());
+  if (!log_status.ok() || !prepare_status.ok()) {
     (void)session_->commitmgr_client()->Finish(commit_manager_, tid_,
                                                /*committed=*/false);
     state_ = TxnState::kAborted;
     client_->metrics()->aborted += 1;
-    return log_status;
+    if (!log_status.ok()) return log_status;
+    if (prepare_status.IsAlreadyExists()) {
+      return Status::Aborted("unique index conflict on commit");
+    }
+    return prepare_status;
   }
 
   // 2. Apply all buffered updates with LL/SC conditional puts. Records also
@@ -1044,16 +1064,18 @@ Status Transaction::Commit() {
     }
   }
 
-  // 3. Alter the indexes to reflect the updates (§4.3 step 4a).
-  Status index_status = ApplyIndexInserts();
+  // 3b. Alter the indexes to reflect the updates (§4.3 step 4a), after the
+  //     apply: an entry must never land before its record, or a reader's
+  //     ValidateIndexHit would collect it as garbage.
+  Status index_status = WriteIndexOps(&prepared);
   if (!index_status.ok()) {
-    // Unique-index race (two transactions inserting the same key) or a
-    // storage failure: the data updates must not become durable — and
-    // neither must the index entries inserted so far (ApplyIndexInserts
-    // already removed them again), or lookups under those keys would drag a
-    // never-committed rid through validation forever (a unique index would
-    // even turn it into a permanent InternalError for the racing winner's
-    // key).
+    // Unique-index race found on a retry (a racing insert of the same key
+    // took the leaf after step 3a read it) or a storage failure: the data
+    // updates must not become durable — and neither must the index entries
+    // inserted so far (WriteIndexOps already removed them again), or
+    // lookups under those keys would drag a never-committed rid through
+    // validation forever (a unique index would even turn it into a
+    // permanent InternalError for the racing winner's key).
     RollbackApplied(dirty);
     (void)session_->commitmgr_client()->Finish(commit_manager_, tid_,
                                                /*committed=*/false);
@@ -1127,9 +1149,10 @@ Status Transaction::CommitFast() {
 
   // With the lane fenced, this transaction owns every record it wrote: no
   // log append, no LL/SC — one coalesced unconditional batch write to the
-  // owning storage node. No eager GC either: without a commit-manager Begin
-  // there is no lav_, so nothing can be proven collectible; the MVCC path's
-  // lazy GC picks these versions up later.
+  // owning storage node, which carries the first round of the index
+  // preparation. No eager GC either: without a commit-manager Begin there
+  // is no lav_, so nothing can be proven collectible; the MVCC path's lazy
+  // GC picks these versions up later.
   std::vector<store::WriteOp> ops;
   ops.reserve(dirty.size());
   for (const RecordKey& key : dirty) {
@@ -1138,20 +1161,25 @@ Status Transaction::CommitFast() {
                    store::kStampAbsent, /*conditional=*/false,
                    /*erase=*/false});
   }
-  std::vector<Result<uint64_t>> results = client_->BatchWrite(ops);
+  index::BTree::Prepared prepared;
+  std::vector<Result<uint64_t>> results;
+  Status index_status = PrepareIndexOps(ops, &results, &prepared);
+  TELL_CHECK(results.size() == ops.size());
   Status failure;
   for (const Result<uint64_t>& r : results) {
     if (!r.ok() && failure.ok()) failure = r.status();
   }
   // Data before index, same as the MVCC path: an index entry must never
   // point at a rid whose record write has not landed.
-  Status index_status = failure.ok() ? ApplyIndexInserts() : Status::OK();
+  if (failure.ok() && index_status.ok()) {
+    index_status = WriteIndexOps(&prepared);
+  }
   if (!failure.ok() || !index_status.ok()) {
     // Storage failure mid-apply (write-write races cannot happen on the
-    // fenced lane, but unconditional writes still fail on a dead node):
-    // revert what made it in. ApplyIndexInserts already removed its own
-    // entries. If any record could not be reverted, leave the tid
-    // UNCOMPLETED — it then pins the snapshot base below the orphan
+    // fenced lane, but unconditional writes still fail on a dead node) or
+    // a unique violation: revert what made it in. WriteIndexOps already
+    // removed its own entries. If any record could not be reverted, leave
+    // the tid UNCOMPLETED — it then pins the snapshot base below the orphan
     // version, so no MVCC snapshot can ever read it.
     bool reverted = RollbackApplied(dirty);
     fastpath->ReleaseFastAbort(lane_, reverted ? tid_ : 0);
@@ -1174,66 +1202,81 @@ Status Transaction::CommitFast() {
 }
 
 bool Transaction::RollbackApplied(const std::vector<RecordKey>& dirty) {
-  bool all_resolved = true;
-  for (const RecordKey& key : dirty) {
-    bool resolved = false;
-    for (int retry = 0; retry < kMaxRollbackRetries; ++retry) {
-      auto cell = client_->Get(key.first, RidKey(key.second));
-      if (!cell.ok()) {
+  uint64_t unresolved = 0;
+  std::vector<RecordKey> pending = dirty;
+  for (int retry = 0; retry < kMaxRollbackRetries && !pending.empty();
+       ++retry) {
+    std::vector<store::GetOp> gets;
+    gets.reserve(pending.size());
+    for (const RecordKey& key : pending) {
+      gets.push_back({key.first, RidKey(key.second)});
+    }
+    std::vector<Result<store::VersionedCell>> cells = client_->BatchGet(gets);
+    std::vector<store::WriteOp> reverts;
+    std::vector<RecordKey> reverting;
+    for (size_t i = 0; i < cells.size(); ++i) {
+      if (!cells[i].ok()) {
         // NotFound means there is nothing to revert. Anything else is a
         // transient failure that survived the client's own retries: leave
         // the version to lazy GC rather than giving up silently.
-        resolved = cell.status().IsNotFound();
-        break;
+        if (!cells[i].status().IsNotFound()) ++unresolved;
+        continue;
       }
-      auto record = schema::VersionedRecord::Deserialize(cell->value);
-      if (!record.ok()) break;  // corrupt cell; nothing sensible to write
-      if (!record->RemoveVersion(tid_)) {
-        resolved = true;  // no version of ours (not applied / already done)
-        break;
+      auto record = schema::VersionedRecord::Deserialize(cells[i]->value);
+      if (!record.ok()) {
+        ++unresolved;  // corrupt cell; nothing sensible to write
+        continue;
       }
-      Status st;
-      if (record->Empty()) {
-        st = client_->ConditionalErase(key.first, RidKey(key.second),
-                                       cell->stamp);
-      } else {
-        st = client_
-                 ->ConditionalPut(key.first, RidKey(key.second), cell->stamp,
-                                  record->Serialize())
-                 .status();
-      }
-      if (st.ok()) {
-        resolved = true;
-        break;
-      }
+      // No version of ours: not applied, or already reverted.
+      if (!record->RemoveVersion(tid_)) continue;
+      const bool erase = record->Empty();
+      reverts.push_back({pending[i].first, RidKey(pending[i].second),
+                         erase ? std::string() : record->Serialize(),
+                         cells[i]->stamp, /*conditional=*/true, erase});
+      reverting.push_back(pending[i]);
+    }
+    pending.clear();
+    if (reverts.empty()) break;
+    std::vector<Result<uint64_t>> results = client_->BatchWrite(reverts);
+    for (size_t i = 0; i < results.size(); ++i) {
+      if (results[i].ok()) continue;
       // ConditionFailed: a concurrent writer moved the stamp — re-read and
       // retry. Any other failure exhausted the client's retries already.
-      if (!st.IsConditionFailed()) break;
-    }
-    if (!resolved) {
-      client_->metrics()->rollback_unresolved += 1;
-      all_resolved = false;
+      if (results[i].status().IsConditionFailed()) {
+        pending.push_back(reverting[i]);
+      } else {
+        ++unresolved;
+      }
     }
   }
-  return all_resolved;
+  unresolved += pending.size();
+  client_->metrics()->rollback_unresolved += unresolved;
+  return unresolved == 0;
 }
 
-Status Transaction::ApplyIndexInserts() {
+Status Transaction::PrepareIndexOps(
+    const std::vector<store::WriteOp>& riders,
+    std::vector<Result<uint64_t>>* rider_results,
+    index::BTree::Prepared* prepared) {
   // The GC removals go first: an entry this transaction collected and then
   // inserted again must end up present.
-  const size_t removals = gc_removals_.size();
-  std::vector<index::BatchInsertOp> ops = std::move(gc_removals_);
-  gc_removals_.clear();
+  std::vector<index::BatchInsertOp> ops = gc_removals_;
   ops.insert(ops.end(), index_ops_.begin(), index_ops_.end());
-  std::vector<bool> done;
-  Status st = index::BTree::BatchInsert(client_, ops, &done);
+  return index::BTree::PrepareInsert(client_, std::move(ops), riders,
+                                     rider_results, prepared);
+}
+
+Status Transaction::WriteIndexOps(index::BTree::Prepared* prepared) {
+  Status st = index::BTree::WriteInsert(client_, prepared);
+  const std::vector<bool>& done = prepared->inserted();
+  const auto removals = static_cast<ptrdiff_t>(gc_removals_.size());
+  gc_removals_.clear();
   client_->metrics()->gc_index_entries += static_cast<uint64_t>(
-      std::count(done.begin(), done.begin() + static_cast<ptrdiff_t>(removals),
-                 true));
+      std::count(done.begin(), done.begin() + removals, true));
   // Undo exactly the entries that made it in before the failure.
   if (!st.ok()) {
-    RollbackIndexInserts(std::vector<bool>(
-        done.begin() + static_cast<ptrdiff_t>(removals), done.end()));
+    RollbackIndexInserts(std::vector<bool>(done.begin() + removals,
+                                           done.end()));
   }
   return st;
 }
@@ -1243,12 +1286,17 @@ void Transaction::RollbackIndexInserts(const std::vector<bool>& applied) {
   // can have inserted the same (key, rid) pair: reaching step 3 requires
   // winning the LL/SC on the record, so two live transactions never carry
   // index ops for the same rid.
+  std::vector<index::BatchInsertOp> removes;
   for (size_t i = 0; i < index_ops_.size(); ++i) {
     if (!applied[i]) continue;
     const index::BatchInsertOp& op = index_ops_[i];
-    (void)op.tree->Remove(client_, op.key, op.rid);
-    client_->metrics()->index_rollbacks += 1;
+    removes.push_back({op.tree, op.key, op.rid, /*unique=*/false,
+                       /*remove=*/true});
   }
+  if (removes.empty()) return;
+  std::vector<bool> removed;
+  (void)index::BTree::BatchInsert(client_, removes, &removed);
+  client_->metrics()->index_rollbacks += removes.size();
 }
 
 Status Transaction::Abort() {

@@ -138,10 +138,11 @@ struct TxnOptions {
 /// Life-cycle (§4.3): Begin (fetch tid/snapshot/lav from the commit
 /// manager) -> Running (reads fetch records and cache them in the private
 /// transaction buffer; updates are buffered) -> Commit (append the log
-/// entry, apply all buffered updates with LL/SC conditional puts — a failed
-/// store-conditional is a write-write conflict and aborts the transaction —
-/// then update indexes, set the committed flag and notify the commit
-/// manager). Manual Abort never touches the store.
+/// entry while the index leaves are read, apply all buffered updates with
+/// LL/SC conditional puts — a failed store-conditional is a write-write
+/// conflict and aborts the transaction — then write the indexes, set the
+/// committed flag and notify the commit manager). Manual Abort never
+/// touches the store.
 class Transaction {
  public:
   explicit Transaction(Session* session, const TxnOptions& options = {});
@@ -353,9 +354,9 @@ class Transaction {
                        const schema::Tuple& tuple);
 
   /// Fast-lane commit: one coalesced unconditional write of the dirty
-  /// records to the owning storage node, then index maintenance — no log
-  /// entry, no LL/SC, no commit-manager round trip (completion rides a
-  /// batched message).
+  /// records to the owning storage node, with the index preparation's first
+  /// round, then the index writes — no log entry, no LL/SC, no
+  /// commit-manager round trip (completion rides a batched message).
   Status CommitFast();
 
   /// Fills the transaction buffer with the (table, rid) records not yet
@@ -370,14 +371,19 @@ class Transaction {
                            const schema::Tuple& tuple,
                            const schema::Tuple* old_tuple);
 
-  /// Commit step 3: installs index_ops_ into their B-trees with one
-  /// multi-tree BTree::BatchInsert — the descents of all trees share their
-  /// rounds and every touched leaf of every tree is rewritten in one
-  /// BatchWrite. The queued index GC removals ride in the same batch,
-  /// ahead of the inserts. On failure the inserted entries that did make it
-  /// in are removed again (Remove is idempotent) before the error is
-  /// returned.
-  Status ApplyIndexInserts();
+  /// Commit step 3a: prepares the queued index GC removals, then
+  /// index_ops_, as one multi-tree BTree::PrepareInsert — the descents of
+  /// all trees share their rounds and `riders` travel in the first, next
+  /// to its leaf reads. Writes nothing of the index; fails with
+  /// AlreadyExists on a unique violation.
+  Status PrepareIndexOps(const std::vector<store::WriteOp>& riders,
+                         std::vector<Result<uint64_t>>* rider_results,
+                         index::BTree::Prepared* prepared);
+
+  /// Commit step 3b: writes what PrepareIndexOps prepared, every touched
+  /// leaf of every tree in one BatchWrite. On failure the inserted entries
+  /// that did make it in are removed again before the error is returned.
+  Status WriteIndexOps(index::BTree::Prepared* prepared);
 
   /// Queues the removal of an obsolete index entry that ValidateIndexHit
   /// found; the commit sends it with its index batch (once per entry).
@@ -385,19 +391,21 @@ class Transaction {
                          uint64_t rid);
 
   /// Rolls back a failed commit attempt: removes this transaction's version
-  /// from each dirty record again. Called with the full dirty set (not just
-  /// the ops that reported success) so that a conditional put whose response
-  /// was lost but that DID apply is reverted too; records without our
-  /// version are skipped after one read. Keys whose revert keeps failing on
-  /// transient errors are abandoned to lazy GC and counted in
+  /// from each dirty record again — one BatchGet of every record, one
+  /// BatchWrite of the reverts, and another pair for the records whose
+  /// LL/SC lost to a concurrent writer. Called with the full dirty set (not
+  /// just the ops that reported success) so that a conditional put whose
+  /// response was lost but that DID apply is reverted too; records without
+  /// our version are skipped after one read. Keys whose revert keeps failing
+  /// on transient errors are abandoned to lazy GC and counted in
   /// tx.rollback_unresolved.
   /// Returns true if every record was fully reverted (the fast path may
   /// only complete its tid when nothing of it can remain visible).
   bool RollbackApplied(const std::vector<RecordKey>& dirty);
 
   /// Removes the entries of index_ops_ flagged in `applied` from their
-  /// B-trees (undo of commit step 3 when an index insert or the commit flag
-  /// write fails).
+  /// B-trees in one BatchInsert of removes (undo of commit step 3 when an
+  /// index insert or the commit flag write fails).
   void RollbackIndexInserts(const std::vector<bool>& applied);
 
   /// Write-write conflict check for scenario 1 of §4.1: fails with Aborted

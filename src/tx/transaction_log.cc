@@ -40,9 +40,17 @@ Result<LogEntry> LogEntry::Deserialize(std::string_view data) {
 
 Status TransactionLog::Append(store::StorageClient* client,
                               const LogEntry& entry) const {
+  return Appended(client, client->BatchWrite({AppendOp(entry)}).front());
+}
+
+store::WriteOp TransactionLog::AppendOp(const LogEntry& entry) const {
+  return {table_, EncodeOrderedU64(entry.tid), entry.Serialize(),
+          store::kStampAbsent};
+}
+
+Status TransactionLog::Appended(store::StorageClient* client,
+                                const Result<uint64_t>& put) const {
   client->metrics()->log_appends += 1;
-  auto put = client->ConditionalPut(table_, EncodeOrderedU64(entry.tid),
-                                    store::kStampAbsent, entry.Serialize());
   if (put.status().IsConditionFailed()) {
     return Status::AlreadyExists("log entry for tid exists");
   }

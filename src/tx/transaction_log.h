@@ -45,6 +45,13 @@ class TransactionLog {
   /// Appends the entry (must be the first write for this tid).
   Status Append(store::StorageClient* client, const LogEntry& entry) const;
 
+  /// The put that appends `entry`, for a caller that sends it along with
+  /// other work in one call (Transaction::Commit), and the outcome of the
+  /// append from that put's result — counted as an append.
+  store::WriteOp AppendOp(const LogEntry& entry) const;
+  Status Appended(store::StorageClient* client,
+                  const Result<uint64_t>& put) const;
+
   /// Sets the committed flag of `entry`, the entry its transaction appended:
   /// rewrites it with `committed = true`, without reading it back.
   Status MarkCommitted(store::StorageClient* client, LogEntry entry) const;

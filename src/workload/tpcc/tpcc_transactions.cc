@@ -175,6 +175,24 @@ Result<TxnOutcome> FinishCommit(tx::Transaction* txn) {
   return st;
 }
 
+/// A primary-key point as a BatchScanIndex range: [key, key + '\0') holds
+/// the entries under exactly `key`, of which at most one is visible.
+Result<tx::IndexRange> KeyRange(tx::TableHandle* table,
+                                const std::vector<Value>& key) {
+  TELL_ASSIGN_OR_RETURN(std::string lo, schema::EncodeIndexKeyValues(key));
+  std::string hi = lo + '\0';
+  return tx::IndexRange{table, /*index=*/-1, std::move(lo), std::move(hi),
+                        /*limit=*/1};
+}
+
+/// Clause 2.5.2.2 case 2: of the customers a CustomerRange found, the row
+/// at position ceil(n/2) — by id, the only one.
+std::optional<std::pair<uint64_t, Tuple>> PickCustomer(
+    std::vector<std::pair<uint64_t, Tuple>> matches) {
+  if (matches.empty()) return std::nullopt;
+  return std::move(matches[(matches.size() - 1) / 2]);
+}
+
 }  // namespace
 
 tx::TxnOptions TpccExecutor::TxnOptionsFor(int64_t home) const {
@@ -183,28 +201,18 @@ tx::TxnOptions TpccExecutor::TxnOptionsFor(int64_t home) const {
   return options;
 }
 
-Result<std::optional<std::pair<uint64_t, Tuple>>> TpccExecutor::FindCustomer(
-    tx::Transaction* txn, int64_t w, int64_t d, bool by_last_name,
-    int64_t c_id, const std::string& c_last) {
+Result<tx::IndexRange> TpccExecutor::CustomerRange(
+    int64_t w, int64_t d, bool by_last_name, int64_t c_id,
+    const std::string& c_last) const {
   if (!by_last_name) {
-    return txn->ReadByKeyWithRid(tables_.customer,
-                                 {Value(w), Value(d), Value(c_id)});
+    return KeyRange(tables_.customer, {Value(w), Value(d), Value(c_id)});
   }
-  // Clause 2.5.2.2 case 2: all customers with the last name, sorted by
-  // first name ascending; take the row at position ceil(n/2).
   TELL_ASSIGN_OR_RETURN(
       std::string lo,
       schema::EncodeIndexKeyValues({Value(w), Value(d), Value(c_last)}));
   std::string hi = lo + '\xFF';
-  TELL_ASSIGN_OR_RETURN(
-      auto matches,
-      txn->ScanIndexEncoded(tables_.customer, kCustomerByNameIndex, lo, hi,
-                            /*limit=*/0));
-  if (matches.empty()) {
-    return std::optional<std::pair<uint64_t, Tuple>>{};
-  }
-  size_t idx = (matches.size() - 1) / 2;  // ceil(n/2) as 1-based position
-  return std::optional<std::pair<uint64_t, Tuple>>(std::move(matches[idx]));
+  return tx::IndexRange{tables_.customer, kCustomerByNameIndex, std::move(lo),
+                        std::move(hi), /*limit=*/0};
 }
 
 Result<TxnOutcome> TpccExecutor::NewOrder(const NewOrderInput& input) {
@@ -354,48 +362,34 @@ Result<TxnOutcome> TpccExecutor::Payment(const PaymentInput& input) {
   TELL_RETURN_NOT_OK(txn.Begin());
   int64_t now = static_cast<int64_t>(session_->clock()->now_ns());
 
-  // Warehouse and district — and the customer when it is selected by id —
-  // in one batched lookup; a by-name customer needs the name index scan.
-  std::vector<tx::TableKey> keys = {
-      {tables_.warehouse, {Value(input.warehouse)}},
-      {tables_.district, {Value(input.warehouse), Value(input.district)}}};
-  if (!input.by_last_name) {
-    keys.push_back({tables_.customer,
-                    {Value(input.customer_warehouse),
-                     Value(input.customer_district),
-                     Value(input.customer_id)}});
-  }
-  TELL_ASSIGN_OR_RETURN(std::vector<std::optional<uint64_t>> rids,
-                        txn.BatchLookupPrimary(keys));
+  // Warehouse, district and customer — by id or by name — in one
+  // multi-range scan: their leaves share one round and their records one
+  // more.
+  std::vector<tx::IndexRange> ranges(3);
+  TELL_ASSIGN_OR_RETURN(ranges[0],
+                        KeyRange(tables_.warehouse, {Value(input.warehouse)}));
+  TELL_ASSIGN_OR_RETURN(
+      ranges[1], KeyRange(tables_.district,
+                          {Value(input.warehouse), Value(input.district)}));
+  TELL_ASSIGN_OR_RETURN(
+      ranges[2],
+      CustomerRange(input.customer_warehouse, input.customer_district,
+                    input.by_last_name, input.customer_id,
+                    input.customer_last));
+  TELL_ASSIGN_OR_RETURN(auto rows, txn.BatchScanIndex(ranges));
 
-  if (!rids[0].has_value()) return Status::NotFound("warehouse missing");
-  TELL_ASSIGN_OR_RETURN(std::optional<Tuple> warehouse,
-                        txn.Read(tables_.warehouse, *rids[0]));
-  if (!warehouse.has_value()) return Status::NotFound("warehouse missing");
-  Tuple w_row = std::move(*warehouse);
+  if (rows[0].empty()) return Status::NotFound("warehouse missing");
+  Tuple w_row = std::move(rows[0][0].second);
   w_row.Set(col::kWYtd, w_row.GetDouble(col::kWYtd) + input.amount);
-  TELL_RETURN_NOT_OK(txn.Update(tables_.warehouse, *rids[0], w_row));
+  TELL_RETURN_NOT_OK(txn.Update(tables_.warehouse, rows[0][0].first, w_row));
 
-  if (!rids[1].has_value()) return Status::NotFound("district missing");
-  TELL_ASSIGN_OR_RETURN(std::optional<Tuple> district,
-                        txn.Read(tables_.district, *rids[1]));
-  if (!district.has_value()) return Status::NotFound("district missing");
-  Tuple d_row = std::move(*district);
+  if (rows[1].empty()) return Status::NotFound("district missing");
+  Tuple d_row = std::move(rows[1][0].second);
   d_row.Set(col::kDYtd, d_row.GetDouble(col::kDYtd) + input.amount);
-  TELL_RETURN_NOT_OK(txn.Update(tables_.district, *rids[1], d_row));
+  TELL_RETURN_NOT_OK(txn.Update(tables_.district, rows[1][0].first, d_row));
 
-  std::optional<std::pair<uint64_t, Tuple>> customer;
-  if (input.by_last_name) {
-    TELL_ASSIGN_OR_RETURN(
-        customer,
-        FindCustomer(&txn, input.customer_warehouse, input.customer_district,
-                     /*by_last_name=*/true, input.customer_id,
-                     input.customer_last));
-  } else if (rids[2].has_value()) {
-    TELL_ASSIGN_OR_RETURN(std::optional<Tuple> row,
-                          txn.Read(tables_.customer, *rids[2]));
-    if (row.has_value()) customer.emplace(*rids[2], std::move(*row));
-  }
+  std::optional<std::pair<uint64_t, Tuple>> customer =
+      PickCustomer(std::move(rows[2]));
   if (!customer.has_value()) return Status::NotFound("customer missing");
   Tuple c_row = customer->second;
   c_row.Set(col::kCBalance, c_row.GetDouble(col::kCBalance) - input.amount);
@@ -540,23 +534,45 @@ Result<TxnOutcome> TpccExecutor::OrderStatus(const OrderStatusInput& input) {
   int64_t w = input.warehouse;
   int64_t d = input.district;
 
+  // Most recent order of the customer (orders-by-customer index). By id
+  // that scan goes out with the customer's own; by name it needs the id the
+  // name scan finds.
+  auto orders_of = [&](int64_t c_id) -> Result<tx::IndexRange> {
+    TELL_ASSIGN_OR_RETURN(
+        std::string lo,
+        schema::EncodeIndexKeyValues({Value(w), Value(d), Value(c_id)}));
+    TELL_ASSIGN_OR_RETURN(
+        std::string hi,
+        schema::EncodeIndexKeyValues({Value(w), Value(d), Value(c_id + 1)}));
+    return tx::IndexRange{tables_.orders, kOrdersByCustomerIndex,
+                          std::move(lo), std::move(hi), /*limit=*/0};
+  };
   TELL_ASSIGN_OR_RETURN(
-      auto customer,
-      FindCustomer(&txn, w, d, input.by_last_name, input.customer_id,
-                   input.customer_last));
+      tx::IndexRange customer_range,
+      CustomerRange(w, d, input.by_last_name, input.customer_id,
+                    input.customer_last));
+  std::vector<tx::IndexRange> ranges = {std::move(customer_range)};
+  if (!input.by_last_name) {
+    TELL_ASSIGN_OR_RETURN(tx::IndexRange orders,
+                          orders_of(input.customer_id));
+    ranges.push_back(std::move(orders));
+  }
+  TELL_ASSIGN_OR_RETURN(auto rows, txn.BatchScanIndex(ranges));
+  std::optional<std::pair<uint64_t, Tuple>> customer =
+      PickCustomer(std::move(rows[0]));
   if (!customer.has_value()) {
     // A NURand last name can miss under scaled-down population; that is a
     // completed (empty) read.
     return FinishCommit(&txn);
   }
-  int64_t c_id = customer->second.GetInt(col::kCId);
-
-  // Most recent order of this customer (orders-by-customer index).
-  TELL_ASSIGN_OR_RETURN(
-      auto orders,
-      txn.ScanIndex(tables_.orders, kOrdersByCustomerIndex,
-                    {Value(w), Value(d), Value(c_id)},
-                    {Value(w), Value(d), Value(c_id + 1)}, /*limit=*/0));
+  if (input.by_last_name) {
+    TELL_ASSIGN_OR_RETURN(
+        tx::IndexRange range,
+        orders_of(customer->second.GetInt(col::kCId)));
+    TELL_ASSIGN_OR_RETURN(auto more, txn.BatchScanIndex({range}));
+    rows.push_back(std::move(more[0]));
+  }
+  const std::vector<std::pair<uint64_t, Tuple>>& orders = rows[1];
   if (orders.empty()) return FinishCommit(&txn);
   const Tuple& o_row = orders.back().second;
   int64_t o_id = o_row.GetInt(col::kOId);

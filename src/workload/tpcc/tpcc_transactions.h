@@ -164,11 +164,13 @@ class TpccExecutor {
   Result<TxnOutcome> StockLevel(const StockLevelInput& input);
 
  private:
-  /// Customer lookup per clause 2.5.2.2: by id, or the middle row (ordered
-  /// by first name) of all customers with the last name.
-  Result<std::optional<std::pair<uint64_t, schema::Tuple>>> FindCustomer(
-      tx::Transaction* txn, int64_t w, int64_t d, bool by_last_name,
-      int64_t c_id, const std::string& c_last);
+  /// The BatchScanIndex range that selects a customer per clause 2.5.2.2:
+  /// the primary-key point by id, or every customer with the last name
+  /// (name index, ordered by first name). The customer is the middle row of
+  /// its result.
+  Result<tx::IndexRange> CustomerRange(int64_t w, int64_t d,
+                                       bool by_last_name, int64_t c_id,
+                                       const std::string& c_last) const;
 
   /// Per-transaction options with the declared home partition (= warehouse)
   /// filled in: a single-warehouse transaction runs on the fast lane when

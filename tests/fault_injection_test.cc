@@ -313,15 +313,14 @@ TEST(RollbackRetryTest, RevertSurvivesDroppedRead) {
   const store::TableId data_table =
       (*make_db(nullptr)->GetTable(0, "users"))->meta->data_table;
 
-  // The rule drops the SECOND Get on the data table: the first is the
-  // update's read of row A, the second is the rollback's re-read of A after
-  // the unique-index conflict aborts the commit.
+  // The rule drops the FIRST Get on the data table after it is armed: the
+  // rollback's re-read of the records after a write-write conflict aborts
+  // the commit.
   sim::FaultInjector injector(FaultPlan{
       .seed = 99,
       .rules = {FaultRule{.kind = FaultRule::Kind::kDropRequest,
                           .op = FaultOpClass::kGet,
                           .table = data_table,
-                          .skip_matches = 1,
                           .probability = 1.0,
                           .max_fires = 1}}});
   injector.Disarm();
@@ -333,6 +332,7 @@ TEST(RollbackRetryTest, RevertSurvivesDroppedRead) {
   ASSERT_EQ(table->meta->data_table, data_table);
 
   uint64_t rid_a = 0;
+  uint64_t rid_b = 0;
   {
     Transaction txn(session.get());
     ASSERT_OK(txn.Begin());
@@ -343,26 +343,35 @@ TEST(RollbackRetryTest, RevertSurvivesDroppedRead) {
     Tuple b(2);
     b.Set(0, int64_t{2});
     b.Set(1, "b@example.com");
-    ASSERT_OK(txn.Insert(table, b, false).status());
+    ASSERT_OK_AND_ASSIGN(rid_b, txn.Insert(table, b, false));
     ASSERT_OK(txn.Commit());
   }
 
-  injector.Arm();
   Transaction txn(session.get());
   ASSERT_OK(txn.Begin());
   const commitmgr::Tid doomed_tid = txn.tid();
-  // Get #1 on the data table: fetch A for the update (skipped by the rule).
   Tuple a2(2);
   a2.Set(0, int64_t{1});
   a2.Set(1, "a2@example.com");
   ASSERT_OK(txn.Update(table, rid_a, a2));
-  // Insert C with B's email; the unique index rejects it at commit, after
-  // A's new version was already applied — forcing a rollback whose re-read
-  // of A (Get #2) is dropped by the rule.
-  Tuple c(2);
-  c.Set(0, int64_t{3});
-  c.Set(1, "b@example.com");
-  ASSERT_OK(txn.Insert(table, c, /*check_unique=*/false).status());
+  Tuple b2(2);
+  b2.Set(0, int64_t{2});
+  b2.Set(1, "b2@example.com");
+  ASSERT_OK(txn.Update(table, rid_b, b2));
+  // A second session updates B first: the doomed commit applies A's new
+  // version, loses B's LL/SC and rolls back — and the rollback's re-read
+  // (Get #1 once armed) is dropped by the rule.
+  {
+    auto other = db.OpenSession(0, 1);
+    Transaction winner(other.get());
+    ASSERT_OK(winner.Begin());
+    Tuple b3(2);
+    b3.Set(0, int64_t{2});
+    b3.Set(1, "b@example.com");
+    ASSERT_OK(winner.Update(table, rid_b, b3));
+    ASSERT_OK(winner.Commit());
+  }
+  injector.Arm();
   Status st = txn.Commit();
   injector.Disarm();
   ASSERT_FALSE(st.ok());
@@ -391,6 +400,169 @@ TEST(RollbackRetryTest, RevertSurvivesDroppedRead) {
   ASSERT_TRUE(row.has_value());
   EXPECT_EQ(row->GetString(1), "a@example.com");
   ASSERT_OK(check.Commit());
+}
+
+// ---------------------------------------------------------------------------
+// The commit's index preparation rides the log append
+// ---------------------------------------------------------------------------
+
+/// A users table (id, email) with a unique index on email.
+std::unique_ptr<db::TellDb> MakeUsersDb(db::TellDbOptions options) {
+  auto db = std::make_unique<db::TellDb>(options);
+  schema::IndexDef by_email;
+  by_email.name = "by_email";
+  by_email.key_columns = {1};
+  by_email.unique = true;
+  Status st = db->CreateTable("users",
+                              schema::SchemaBuilder()
+                                  .AddInt64("id")
+                                  .AddString("email")
+                                  .SetPrimaryKey({"id"})
+                                  .Build(),
+                              {by_email});
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return db;
+}
+
+Tuple User(int64_t id, const std::string& email) {
+  Tuple t(2);
+  t.Set(0, id);
+  t.Set(1, email);
+  return t;
+}
+
+/// True if some record of `table` still holds a version of `tid`.
+bool HasVersionOf(db::TellDb* db, store::TableId table, commitmgr::Tid tid) {
+  auto cells = db->cluster()->Scan(table, "", "", 0);
+  EXPECT_OK(cells.status());
+  if (!cells.ok()) return true;
+  for (const auto& cell : *cells) {
+    if (cell.key.size() != 8) continue;  // meta cells (rid counter)
+    auto record = schema::VersionedRecord::Deserialize(cell.value);
+    if (!record.ok() || record->HasVersion(tid)) return true;
+  }
+  return false;
+}
+
+// The unique check runs in the index preparation, whose first round also
+// carries the log append — before the apply. A violation found there
+// aborts with the entry logged but nothing applied: no record holds a
+// version of the tid, no index entry needs undoing, and recovery, which
+// reverts the records of unflagged entries, finds nothing to revert.
+TEST(PrepareRidesLogTest, UniqueViolationAtPrepareAppliesNothing) {
+  db::TellDbOptions options;
+  options.network = sim::NetworkModel::Instant();
+  auto db = MakeUsersDb(options);
+  auto session = db->OpenSession(0, 0);
+  auto table = *db->GetTable(0, "users");
+  uint64_t rid = 0;
+  {
+    Transaction txn(session.get());
+    ASSERT_OK(txn.Begin());
+    ASSERT_OK_AND_ASSIGN(rid, txn.Insert(table, User(1, "x@example.com")));
+    ASSERT_OK(txn.Commit());
+  }
+
+  // The loser updates row 1 and inserts a row whose email is taken: a
+  // write set with something to revert had it been applied.
+  Transaction loser(session.get());
+  ASSERT_OK(loser.Begin());
+  const commitmgr::Tid tid = loser.tid();
+  ASSERT_OK(loser.Update(table, rid, User(1, "z@example.com")));
+  ASSERT_OK(loser.Insert(table, User(2, "x@example.com"), false).status());
+  const uint64_t appends = session->metrics()->log_appends;
+  Status st = loser.Commit();
+  ASSERT_TRUE(st.IsAborted()) << st.ToString();
+  EXPECT_EQ(session->metrics()->log_appends - appends, 1u);
+  EXPECT_EQ(session->metrics()->index_rollbacks, 0u);
+  EXPECT_EQ(session->metrics()->rollback_unresolved, 0u);
+  EXPECT_FALSE(HasVersionOf(db.get(), table->meta->data_table, tid));
+
+  ASSERT_OK_AND_ASSIGN(auto entry,
+                       db->transaction_log()->Get(session->client(), tid));
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_FALSE(entry->committed);
+  EXPECT_EQ(entry->write_set.size(), 2u);
+  ASSERT_OK_AND_ASSIGN(auto stats, db->recovery()->RecoverProcessingNode(
+                                       session->client(), /*failed_pn=*/0));
+  EXPECT_EQ(stats.versions_removed, 0u);
+
+  Transaction check(session.get());
+  ASSERT_OK(check.Begin());
+  ASSERT_OK_AND_ASSIGN(auto row, check.Read(table, rid));
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ(row->GetString(1), "x@example.com");
+  ASSERT_OK_AND_ASSIGN(auto missing,
+                       check.ReadByKey(table, {Value(int64_t{2})}));
+  EXPECT_FALSE(missing.has_value());
+  ASSERT_OK(check.Commit());
+}
+
+// With one storage node, the log put and the leaf reads of the commit's
+// index preparation travel in one message. Losing that message — before
+// the node executed it, or after — must still end in one consistent
+// outcome: the ambiguous log put is resolved by a re-read, the lost leaf
+// reads are re-issued, and the commit lands whole.
+TEST(PrepareRidesLogTest, DroppedLogAndLeafMessageYieldsOneOutcome) {
+  for (FaultRule::Kind kind :
+       {FaultRule::Kind::kDropRequest, FaultRule::Kind::kDropResponse}) {
+    SCOPED_TRACE(kind == FaultRule::Kind::kDropRequest ? "request"
+                                                       : "response");
+    db::TellDbOptions probe;
+    probe.network = sim::NetworkModel::Instant();
+    probe.num_storage_nodes = 1;
+    const store::TableId log_table =
+        MakeUsersDb(probe)->transaction_log()->table();
+    sim::FaultInjector injector(
+        FaultPlan{.seed = 3,
+                  .rules = {FaultRule{.kind = kind,
+                                      .op = FaultOpClass::kConditionalPut,
+                                      .table = log_table,
+                                      .probability = 1.0,
+                                      .max_fires = 1}}});
+    injector.Disarm();
+    db::TellDbOptions options = probe;
+    options.fault_injector = &injector;
+    auto db = MakeUsersDb(options);
+    ASSERT_EQ(db->transaction_log()->table(), log_table);
+    auto session = db->OpenSession(0, 0);
+    auto table = *db->GetTable(0, "users");
+
+    Transaction txn(session.get());
+    ASSERT_OK(txn.Begin());
+    const commitmgr::Tid tid = txn.tid();
+    ASSERT_OK(txn.Insert(table, User(7, "q@example.com"), false).status());
+    injector.Arm();
+    Status st = txn.Commit();
+    injector.Disarm();
+    EXPECT_EQ(injector.stats().injected, 1u);
+    EXPECT_GT(session->metrics()->storage_retries, 0u);
+
+    // Committed or aborted, the record, both index entries and the log
+    // flag agree.
+    ASSERT_OK_AND_ASSIGN(auto entry,
+                         db->transaction_log()->Get(session->client(), tid));
+    Transaction check(session.get());
+    ASSERT_OK(check.Begin());
+    ASSERT_OK_AND_ASSIGN(auto row,
+                         check.ReadByKey(table, {Value(int64_t{7})}));
+    ASSERT_OK_AND_ASSIGN(
+        auto by_email,
+        check.LookupIndex(table, 0, {Value(std::string("q@example.com"))}));
+    ASSERT_OK(check.Commit());
+    if (st.ok()) {
+      ASSERT_TRUE(entry.has_value());
+      EXPECT_TRUE(entry->committed);
+      EXPECT_TRUE(row.has_value());
+      EXPECT_EQ(by_email.size(), 1u);
+    } else {
+      EXPECT_TRUE(st.IsAborted()) << st.ToString();
+      EXPECT_TRUE(!entry.has_value() || !entry->committed);
+      EXPECT_FALSE(row.has_value());
+      EXPECT_TRUE(by_email.empty());
+      EXPECT_FALSE(HasVersionOf(db.get(), table->meta->data_table, tid));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -335,13 +335,14 @@ TEST_F(TpccRoundBudgetTest, NewOrderCostsOneRoundPerDependencyLevel) {
   const uint64_t before = session_->metrics()->pipeline_flushes;
   ASSERT_OK_AND_ASSIGN(TxnOutcome outcome, executor_->NewOrder(Order()));
   ASSERT_TRUE(outcome.committed);
-  // Two lookup rounds (leaves, records), the log append, the LL/SC apply,
-  // two index rounds (the leaves of orders, orders_by_customer, new_order
-  // and order_line; then one write of all of them) and the commit flag.
-  EXPECT_EQ(CallsSince(before), 7u);
+  // Two lookup rounds (leaves, records), then the commit: the log append
+  // together with the leaves of orders, orders_by_customer, new_order and
+  // order_line, the LL/SC apply, one write of all the leaves and the
+  // commit flag.
+  EXPECT_EQ(CallsSince(before), 6u);
   // tx.storage_rounds took exactly this transaction's count.
   ASSERT_EQ(rounds.count(), samples + 1);
-  EXPECT_EQ(rounds.Mean() * static_cast<double>(rounds.count()) - sum, 7.0);
+  EXPECT_EQ(rounds.Mean() * static_cast<double>(rounds.count()) - sum, 6.0);
 }
 
 TEST_F(TpccRoundBudgetTest, NewOrderWhoseLeafSplitsPaysTwoMoreRounds) {
@@ -356,13 +357,13 @@ TEST_F(TpccRoundBudgetTest, NewOrderWhoseLeafSplitsPaysTwoMoreRounds) {
     ASSERT_OK_AND_ASSIGN(TxnOutcome outcome, executor_->NewOrder(Order()));
     ASSERT_TRUE(outcome.committed);
     if (metrics->index_splits == splits) {
-      EXPECT_EQ(CallsSince(before), 7u) << "order " << i;
+      EXPECT_EQ(CallsSince(before), 6u) << "order " << i;
       continue;
     }
     // The fresh right node rides the leaf puts' BatchWrite; the shrink and
     // the parent put are the two extra rounds.
     EXPECT_EQ(metrics->index_splits - splits, 1u);
-    EXPECT_EQ(CallsSince(before), 9u);
+    EXPECT_EQ(CallsSince(before), 8u);
     return;
   }
   FAIL() << "no leaf split in 64 orders";
@@ -373,7 +374,7 @@ TEST_F(TpccRoundBudgetTest, DeliveryCollectsTheDeadEntriesOfTheLastDelivery) {
   // The first delivery after the load meets no dead entry. The ten
   // new-order scans share one leaf round and one record round; then the
   // orders (leaves, records), their lines and customers (leaves, records),
-  // and the commit: log, apply, flag.
+  // and the commit: log, apply, flag — no index op, so the log goes alone.
   uint64_t before = metrics->pipeline_flushes;
   ASSERT_OK_AND_ASSIGN(TxnOutcome first, executor_->Delivery({1, 3}));
   ASSERT_TRUE(first.committed);
@@ -381,13 +382,40 @@ TEST_F(TpccRoundBudgetTest, DeliveryCollectsTheDeadEntriesOfTheLastDelivery) {
   // It deleted the oldest new-order row of each district. Their entries
   // now head the next delivery's ranges, dead below its lav: one more
   // record round meets them, and the commit removes them in one index
-  // batch (leaves, one write).
+  // batch (leaves with the log append, one write).
   const uint64_t removed = metrics->gc_index_entries;
   before = metrics->pipeline_flushes;
   ASSERT_OK_AND_ASSIGN(TxnOutcome second, executor_->Delivery({1, 4}));
   ASSERT_TRUE(second.committed);
-  EXPECT_EQ(CallsSince(before), 12u);
+  EXPECT_EQ(CallsSince(before), 11u);
   EXPECT_EQ(metrics->gc_index_entries - removed, 10u);
+}
+
+TEST_F(TpccRoundBudgetTest, PaymentCostsTwoLookupRoundsAndFourCommitRounds) {
+  PaymentInput by_id;
+  by_id.warehouse = 1;
+  by_id.district = 4;
+  by_id.customer_warehouse = 1;
+  by_id.customer_district = 4;
+  by_id.customer_id = 7;
+  by_id.amount = 12.5;
+  PaymentInput by_name = by_id;
+  by_name.by_last_name = true;
+  by_name.customer_last = LastName(6);  // customer 7's
+  // The first payment warms the inner nodes of the history tree.
+  ASSERT_OK_AND_ASSIGN(TxnOutcome warm, executor_->Payment(by_id));
+  ASSERT_TRUE(warm.committed);
+  for (const PaymentInput& input : {by_id, by_name}) {
+    SCOPED_TRACE(input.by_last_name ? "by name" : "by id");
+    const uint64_t before = session_->metrics()->pipeline_flushes;
+    ASSERT_OK_AND_ASSIGN(TxnOutcome outcome, executor_->Payment(input));
+    ASSERT_TRUE(outcome.committed);
+    // Warehouse, district and the customer — a primary-key point or the
+    // name-index range — in one leaf round and one record round; then the
+    // log append with the history leaf, the apply, the history entry and
+    // the flag.
+    EXPECT_EQ(CallsSince(before), 6u);
+  }
 }
 
 TEST_F(TpccRoundBudgetTest, OrderStatusAndStockLevelCalls) {
@@ -400,8 +428,16 @@ TEST_F(TpccRoundBudgetTest, OrderStatusAndStockLevelCalls) {
   status.customer_id = 7;
   ASSERT_OK_AND_ASSIGN(TxnOutcome outcome, executor_->OrderStatus(status));
   ASSERT_TRUE(outcome.committed);
-  // Customer (leaf, record), orders-by-customer scan (leaf, records), the
-  // last order's lines (leaves, records).
+  // The customer and its orders-by-customer scan (one leaf round, one
+  // record round), then the last order's lines (leaves, records).
+  EXPECT_EQ(CallsSince(before), 4u);
+  status.by_last_name = true;
+  status.customer_last = LastName(6);  // customer 7's
+  before = session_->metrics()->pipeline_flushes;
+  ASSERT_OK_AND_ASSIGN(outcome, executor_->OrderStatus(status));
+  ASSERT_TRUE(outcome.committed);
+  // By name the orders scan needs the id the name scan finds: name range
+  // (leaf, records), orders (leaf, records), lines (leaves, records).
   EXPECT_EQ(CallsSince(before), 6u);
   before = session_->metrics()->pipeline_flushes;
   ASSERT_OK_AND_ASSIGN(outcome, executor_->StockLevel({1, 4, 15}));

@@ -556,5 +556,86 @@ TEST_F(TransactionTest, CommitManagerProtocolChargesOneMessagePerBegin) {
   EXPECT_GT(m->cm_delta_bytes_saved, 0u);
 }
 
+TEST_F(TransactionTest, CommitWithIndexOpsCostsFourCalls) {
+  // Commit step 3a, the descent to every leaf the index ops touch, shares
+  // its first call with the log append; then come the apply, the leaf
+  // writes and the commit flag. Were the log put issued alone, each commit
+  // below would cost five calls.
+  MustInsert(1, "alice", 1.0);  // both trees' root leaves exist
+  sim::WorkerMetrics* metrics = session_->metrics();
+
+  // Two trees: the primary key and by_name.
+  Transaction insert(session_.get());
+  ASSERT_OK(insert.Begin());
+  ASSERT_OK_AND_ASSIGN(uint64_t rid,
+                       insert.Insert(table_, Account(2, "bob", 2.0)));
+  uint64_t calls = metrics->pipeline_flushes;
+  uint64_t appends = metrics->log_appends;
+  ASSERT_OK(insert.Commit());
+  EXPECT_EQ(metrics->pipeline_flushes - calls, 4u);
+  EXPECT_EQ(metrics->log_appends - appends, 1u);
+
+  // One tree: a new name is the only index op, which still rides the log
+  // append.
+  Transaction rename(session_.get());
+  ASSERT_OK(rename.Begin());
+  ASSERT_OK(rename.Update(table_, rid, Account(2, "robert", 2.0)));
+  calls = metrics->pipeline_flushes;
+  ASSERT_OK(rename.Commit());
+  EXPECT_EQ(metrics->pipeline_flushes - calls, 4u);
+
+  Transaction check(session_.get());
+  ASSERT_OK(check.Begin());
+  ASSERT_OK_AND_ASSIGN(auto bob, check.ReadByKey(table_, {Value(int64_t{2})}));
+  ASSERT_TRUE(bob.has_value());
+  EXPECT_EQ(bob->GetString(1), "robert");
+  ASSERT_OK_AND_ASSIGN(
+      auto robert, check.LookupIndex(table_, 0, {Value(std::string("robert"))}));
+  EXPECT_EQ(robert, std::vector<uint64_t>{rid});
+  ASSERT_OK(check.Commit());
+}
+
+TEST_F(TransactionTest, WriteWriteAbortRevertsInOneReadAndOneWrite) {
+  std::vector<uint64_t> rids;
+  for (int64_t id = 1; id <= 4; ++id) {
+    rids.push_back(MustInsert(id, "user" + std::to_string(id), 10.0));
+  }
+  auto session2 = db_->OpenSession(1, 1);
+  auto table2 = db_->GetTable(1, "accounts");
+  ASSERT_TRUE(table2.ok());
+
+  Transaction loser(session_.get());
+  ASSERT_OK(loser.Begin());
+  for (size_t i = 0; i < rids.size(); ++i) {
+    const auto id = static_cast<int64_t>(i + 1);
+    ASSERT_OK(loser.Update(table_, rids[i],
+                           Account(id, "user" + std::to_string(id), 0.0)));
+  }
+  Transaction winner(session2.get());
+  ASSERT_OK(winner.Begin());
+  ASSERT_OK(winner.Update(*table2, rids[2], Account(3, "user3", 99.0)));
+  ASSERT_OK(winner.Commit());
+
+  sim::WorkerMetrics* metrics = session_->metrics();
+  const uint64_t calls = metrics->pipeline_flushes;
+  Status st = loser.Commit();
+  EXPECT_TRUE(st.IsAborted()) << st.ToString();
+  // The log append (no index op rides it), the apply that loses record 3,
+  // then the rollback: one read of all four records and one write of the
+  // three reverts. A revert per record would cost two calls each.
+  EXPECT_EQ(metrics->pipeline_flushes - calls, 4u);
+  EXPECT_EQ(metrics->rollback_unresolved, 0u);
+  EXPECT_EQ(metrics->index_rollbacks, 0u);
+
+  Transaction check(session_.get());
+  ASSERT_OK(check.Begin());
+  ASSERT_OK_AND_ASSIGN(auto rows, check.BatchRead(table_, rids));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(rows[i].has_value());
+    EXPECT_EQ(rows[i]->GetDouble(2), i == 2 ? 99.0 : 10.0) << "record " << i;
+  }
+  ASSERT_OK(check.Commit());
+}
+
 }  // namespace
 }  // namespace tell::tx
