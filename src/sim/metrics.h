@@ -141,13 +141,13 @@ struct WorkerMetrics {
   /// Reads that fell back to the two-sided RPC path after a one-sided
   /// attempt (validation failure, fault, or unroutable partition).
   uint64_t onesided_fallbacks = 0;
-  /// Vectorized scan fragments executed on storage nodes (one per partition
-  /// per analytical query lowered to the pushdown path).
+  /// Scan fragments executed on storage nodes (one per partition per
+  /// pushed-down scan: an aggregate or a filtered row scan).
   uint64_t scan_fragments = 0;
-  /// Cells examined by fragment + pushdown scans on the storage nodes.
+  /// Cells scan fragments fed to their sinks on the storage nodes.
   uint64_t scan_rows_scanned = 0;
-  /// Rows (matching rows, or aggregate groups) shipped back from fragment +
-  /// pushdown scans.
+  /// Rows (matching rows, or aggregate groups) shipped back by scan
+  /// fragments, counted per partition.
   uint64_t scan_rows_returned = 0;
   /// Response bytes avoided by shipping partial-aggregate states instead of
   /// matching rows (row-shipping baseline minus actual partial-state bytes).
@@ -324,13 +324,13 @@ inline const std::vector<WorkerCounterField>& WorkerCounterFields() {
        "reads that fell back to the two-sided path after a one-sided attempt",
        &WorkerMetrics::onesided_fallbacks},
       {"sql.scan.fragments", "fragments",
-       "vectorized scan fragments executed on storage nodes",
+       "scan fragments executed on storage nodes",
        &WorkerMetrics::scan_fragments},
       {"sql.scan.rows_scanned", "rows",
-       "cells examined by fragment and pushdown scans",
+       "cells examined by scan fragments",
        &WorkerMetrics::scan_rows_scanned},
       {"sql.scan.rows_returned", "rows",
-       "rows or aggregate groups shipped back by fragment and pushdown scans",
+       "rows or aggregate groups shipped back by scan fragments",
        &WorkerMetrics::scan_rows_returned},
       {"sql.scan.bytes_saved", "bytes",
        "response bytes avoided by shipping partial-aggregate states instead "

@@ -176,9 +176,10 @@ Result<std::vector<std::pair<uint64_t, Tuple>>> Executor::FetchRows(
         TELL_ASSIGN_OR_RETURN(
             rows, txn->FilteredScan(
                       handle,
-                      [where](const Tuple& tuple) {
-                        auto pass = EvalExpr(where, tuple);
-                        return pass.ok() && ValueIsTruthy(*pass);
+                      [where](const Tuple& tuple) -> Result<bool> {
+                        TELL_ASSIGN_OR_RETURN(Value pass,
+                                              EvalExpr(where, tuple));
+                        return ValueIsTruthy(pass);
                       },
                       limit));
         return rows;
@@ -431,9 +432,8 @@ Result<ResultSet> Executor::ExecuteFragmentSelect(tx::Transaction* txn,
   // to the row path (both key by ValueToString + 0x1F).
   std::map<std::string, AggregateFragmentSink::GroupState> merged;
   for (const auto& sink : outcome.sinks) {
-    auto* agg = static_cast<AggregateFragmentSink*>(sink.get());
-    TELL_RETURN_NOT_OK(agg->status());
-    MergeGroupStates(agg->groups(), &merged);
+    MergeGroupStates(static_cast<AggregateFragmentSink*>(sink.get())->groups(),
+                     &merged);
   }
   if (merged.empty() && fragment.group_by.empty()) {
     // SELECT COUNT(*) over an empty table still yields one row.

@@ -171,10 +171,13 @@ bool AggregateFragmentSink::Absorb(std::string_view key,
     return false;
   }
   if (fragment_->predicate != nullptr) {
-    // Same convention as the row-shipping pushdown path: an erroring
-    // predicate rejects the row instead of failing the scan.
+    // An erroring predicate fails the scan, as it does on the row path.
     auto pass = EvalExpr(fragment_->predicate, *tuple);
-    if (!pass.ok() || !ValueIsTruthy(*pass)) return true;
+    if (!pass.ok()) {
+      status_ = pass.status();
+      return false;
+    }
+    if (!ValueIsTruthy(*pass)) return true;
   }
   baseline_bytes_ += key.size() + payload_.size() + 16;
 

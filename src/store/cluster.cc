@@ -182,47 +182,6 @@ Result<std::vector<KeyCell>> Cluster::Scan(TableId table,
   return merged;
 }
 
-Result<std::vector<KeyCell>> Cluster::ScanFiltered(
-    TableId table, std::string_view start_key, std::string_view end_key,
-    size_t limit,
-    const std::function<bool(std::string_view, std::string_view, std::string*)>&
-        transform,
-    uint64_t* scanned) const {
-  TELL_ASSIGN_OR_RETURN(uint32_t num_partitions,
-                        partition_map_.NumPartitions(table));
-  std::vector<std::vector<KeyCell>> runs;
-  runs.reserve(num_partitions);
-  size_t total = 0;
-  for (uint32_t p = 0; p < num_partitions; ++p) {
-    TELL_ASSIGN_OR_RETURN(Route route, RouteForPartition(table, p));
-    TELL_ASSIGN_OR_RETURN(
-        std::vector<KeyCell> part,
-        route.master->ScanFiltered(table, p, start_key, end_key, limit,
-                                   transform, scanned));
-    total += part.size();
-    runs.push_back(std::move(part));
-  }
-  // Each per-partition run is already key-sorted (the node's merge scan
-  // emits in key order), so a linear-min k-way merge — same shape as the
-  // striped engine's ordered-scan path — replaces the former
-  // concat-and-std::sort over the whole result.
-  std::vector<KeyCell> merged;
-  merged.reserve(limit != 0 ? std::min(limit, total) : total);
-  std::vector<size_t> cur(runs.size(), 0);
-  while (limit == 0 || merged.size() < limit) {
-    size_t best = runs.size();
-    for (size_t r = 0; r < runs.size(); ++r) {
-      if (cur[r] == runs[r].size()) continue;
-      if (best == runs.size() || runs[r][cur[r]].key < runs[best][cur[best]].key)
-        best = r;
-    }
-    if (best == runs.size()) break;
-    merged.push_back(std::move(runs[best][cur[best]]));
-    ++cur[best];
-  }
-  return merged;
-}
-
 Status Cluster::FragmentScan(TableId table, uint32_t partition,
                              size_t chunk_cells, FragmentSink* sink,
                              FragmentScanStats* stats) const {

@@ -81,18 +81,6 @@ class Cluster {
                                     std::string_view end_key, size_t limit,
                                     bool reverse = false) const;
 
-  /// Filtered scan with the transform evaluated on the storage nodes
-  /// (§5.2 operator push-down); only matching rows' shipped bytes (the
-  /// visible payload the transform wrote, not the stored multi-version
-  /// cell) are returned. `scanned` (optional) counts cells examined
-  /// server-side.
-  Result<std::vector<KeyCell>> ScanFiltered(
-      TableId table, std::string_view start_key, std::string_view end_key,
-      size_t limit,
-      const std::function<bool(std::string_view, std::string_view,
-                               std::string*)>& transform,
-      uint64_t* scanned = nullptr) const;
-
   /// Runs a vectorized scan fragment over ONE partition of a table on its
   /// master node (DESIGN.md "Vectorized scans & aggregate pushdown"). The
   /// caller owns the sink and merges partial states across partitions.

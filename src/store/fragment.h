@@ -15,7 +15,8 @@ namespace tell::store {
 /// (StorageNode::FragmentScan). Aggregated by the caller across partitions
 /// and surfaced as the `sql.scan.*` worker counters.
 struct FragmentScanStats {
-  /// Cells the node examined (every live key of the partition range).
+  /// Cells the node fed to the sink: every key of the partition, or those
+  /// up to the one at which the sink stopped the scan.
   uint64_t cells_scanned = 0;
   /// Times the scan dropped every stripe lock mid-pass and re-acquired for
   /// the next chunk. Zero means the whole partition fit in one chunk; under
@@ -28,12 +29,13 @@ struct FragmentScanStats {
   }
 };
 
-/// Storage-side consumer of a vectorized scan fragment (DESIGN.md
-/// "Vectorized scans & aggregate pushdown"). The storage layer is
-/// schema-agnostic — tell_store does not link tell_schema — so the node only
-/// streams raw (key, cell) pairs into this interface; the typed work
-/// (visibility, tuple decode, filter, projection, partial-aggregate fold)
-/// lives in the sql-layer implementation (sql/scan_fragment.h).
+/// Storage-side consumer of a scan fragment (DESIGN.md "Vectorized scans &
+/// aggregate pushdown"). The storage layer is schema-agnostic — tell_store
+/// does not link tell_schema — so the node only streams raw (key, cell)
+/// pairs into this interface; the typed work (visibility, tuple decode,
+/// filter, then a partial-aggregate fold or row collection) lives in the
+/// implementations: sql::AggregateFragmentSink and the row sink behind
+/// tx::Transaction::FilteredScan.
 ///
 /// Absorb() runs on the storage node with NO stripe locks held: the node
 /// copies a chunk of cells out under its locks, releases them, then feeds
@@ -49,11 +51,12 @@ class FragmentSink {
   /// stop the scan early (limit reached); errors are latched in status().
   virtual bool Absorb(std::string_view key, std::string_view value) = 0;
 
-  /// Serialized partial state after the scan — the bytes that travel back to
-  /// the processing node, charged as the response payload. Size O(groups).
+  /// Serialized result after the scan — the bytes that travel back to the
+  /// processing node, charged as the response payload: O(groups) for an
+  /// aggregate, the matching rows' visible payloads for a row scan.
   virtual std::string Finish() = 0;
 
-  /// Rows (groups) the partial state carries.
+  /// Rows (groups, for an aggregate) the result carries.
   virtual uint64_t rows_returned() const = 0;
   /// Bytes a row-shipping scan would have sent for the same matches
   /// (key + visible payload + framing per matching row) — the baseline that

@@ -506,43 +506,6 @@ Result<std::vector<KeyCell>> StorageClient::Scan(TableId table,
 /// of it (§5.2).
 constexpr uint64_t kServerScanPerRecordNs = 50;
 
-Result<std::vector<KeyCell>> StorageClient::PushdownScan(
-    TableId table, std::string_view start_key, std::string_view end_key,
-    size_t limit,
-    const std::function<bool(std::string_view, std::string_view, std::string*)>&
-        transform,
-    uint64_t filter_descriptor_bytes, uint64_t* scanned_out) {
-  metrics_->storage_ops += 1;
-  clock_->Advance(options_.cpu.per_op_ns);
-  uint64_t scanned = 0;
-  auto result = IssueWithRetry(sim::FaultOpClass::kScan, table, [&] {
-    scanned = 0;  // a retried attempt re-examines the range from scratch
-    return cluster_->ScanFiltered(table, start_key, end_key, limit, transform,
-                                  &scanned);
-  });
-  // Only the MATCHING rows' visible payloads travel over the network (the
-  // transform strips version history and tombstones server-side); the
-  // examined cells cost storage-node CPU.
-  uint64_t response_bytes = 16;
-  if (result.ok()) {
-    for (const auto& cell : *result) {
-      response_bytes += cell.key.size() + cell.value.size() + 16;
-    }
-  }
-  auto num_partitions = cluster_->partition_map().NumPartitions(table);
-  uint64_t parts = num_partitions.ok() ? *num_partitions : 1;
-  std::vector<std::pair<uint64_t, uint64_t>> requests(
-      parts,
-      {start_key.size() + end_key.size() + filter_descriptor_bytes +
-           kPerOpHeaderBytes,
-       response_bytes / std::max<uint64_t>(parts, 1)});
-  ChargeParallelRequests(requests);
-  clock_->Advance(scanned * kServerScanPerRecordNs /
-                  std::max<uint64_t>(parts, 1));
-  if (scanned_out != nullptr) *scanned_out += scanned;
-  return result;
-}
-
 Result<FragmentScanOutcome> StorageClient::ExecuteFragmentScan(
     TableId table, uint64_t descriptor_bytes,
     const FragmentSinkFactory& make_sink) {

@@ -191,19 +191,6 @@ class StorageClient {
                                     std::string_view end_key, size_t limit,
                                     bool reverse = false);
 
-  /// Push-down scan (§5.2): the transform executes on the storage nodes and
-  /// only matching rows' visible payloads (not the stored multi-version
-  /// cells) cross the network, so the charged traffic is the live result
-  /// set, not the table. `filter_descriptor_bytes` models the size of the
-  /// serialized predicate shipped with the request; `scanned` (optional)
-  /// reports cells examined server-side.
-  Result<std::vector<KeyCell>> PushdownScan(
-      TableId table, std::string_view start_key, std::string_view end_key,
-      size_t limit,
-      const std::function<bool(std::string_view, std::string_view,
-                               std::string*)>& transform,
-      uint64_t filter_descriptor_bytes = 64, uint64_t* scanned = nullptr);
-
   /// Vectorized fragment fan-out (DESIGN.md "Vectorized scans & aggregate
   /// pushdown"): runs one sink per partition of `table` through the chunked
   /// FragmentScan path and charges the fan-out as parallel requests — the

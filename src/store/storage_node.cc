@@ -347,34 +347,6 @@ Result<std::vector<KeyCell>> StorageNode::Scan(TableId table,
   return out;
 }
 
-Result<std::vector<KeyCell>> StorageNode::ScanFiltered(
-    TableId table, uint32_t partition, std::string_view start_key,
-    std::string_view end_key, size_t limit,
-    const std::function<bool(std::string_view, std::string_view, std::string*)>&
-        transform,
-    uint64_t* scanned) const {
-  TELL_RETURN_NOT_OK(CheckAlive());
-  stats_.scans.fetch_add(1, std::memory_order_relaxed);
-  Partition* part = FindPartition(table, partition);
-  if (part == nullptr) return Status::NotFound("no such partition");
-  auto locks = LockAllShared(*part);
-  std::vector<KeyCell> out;
-  if (limit != 0) out.reserve(limit);
-  uint64_t examined = 0;
-  std::string shipped;
-  MergeScan(*part, start_key, end_key, /*reverse=*/false,
-            [&](const std::string& key, const VersionedCell& cell) {
-              ++examined;
-              shipped.clear();
-              if (!transform(key, cell.value, &shipped)) return true;
-              out.push_back({key, std::move(shipped), cell.stamp});
-              return limit == 0 || out.size() < limit;
-            });
-  if (scanned != nullptr) *scanned += examined;
-  stats_.cells_scanned.fetch_add(examined, std::memory_order_relaxed);
-  return out;
-}
-
 Status StorageNode::FragmentScan(TableId table, uint32_t partition,
                                  size_t chunk_cells, FragmentSink* sink,
                                  FragmentScanStats* stats) const {
@@ -412,8 +384,8 @@ Status StorageNode::FragmentScan(TableId table, uint32_t partition,
                 });
     }
     if (more) ++local.chunk_lock_releases;
-    local.cells_scanned += batch.size();
     for (const auto& [key, value] : batch) {
+      ++local.cells_scanned;
       if (!sink->Absorb(key, value)) {
         keep_going = false;
         break;

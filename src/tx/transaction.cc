@@ -825,69 +825,106 @@ bool Transaction::HasDirtyWrites(const TableHandle* table) const {
   return false;
 }
 
+namespace {
+
+/// Serialized size charged per partition request for FilteredScan's
+/// predicate, which travels as a closure rather than a descriptor.
+constexpr uint64_t kFilterDescriptorBytes = 64;
+
+/// Row-collecting sink behind FilteredScan. Per cell it judges visibility
+/// under the transaction's snapshot, decodes the visible tuple and applies
+/// the predicate; each match ships its visible payload (not the stored
+/// version history). Stops after `limit` matches (0 = unlimited).
+class RowFragmentSink : public store::FragmentSink {
+ public:
+  using VisibleFn = std::function<bool(std::string_view, std::string*)>;
+
+  RowFragmentSink(const schema::Schema* schema,
+                  const Transaction::RowPredicate* predicate,
+                  const VisibleFn* visible, size_t limit)
+      : schema_(schema),
+        predicate_(predicate),
+        visible_(visible),
+        limit_(limit) {}
+
+  bool Absorb(std::string_view key, std::string_view value) override {
+    if (!status_.ok()) return false;
+    if (key.size() != sizeof(uint64_t)) return true;  // meta cells
+    payload_.clear();
+    if (!(*visible_)(value, &payload_)) return true;
+    auto tuple = schema::Tuple::Deserialize(*schema_, payload_);
+    Result<bool> pass = tuple.ok() ? (*predicate_)(*tuple) : tuple.status();
+    if (!pass.ok()) {
+      status_ = pass.status();
+      return false;
+    }
+    if (!*pass) return true;
+    wire_.PutString(key);
+    wire_.PutString(payload_);
+    rows_.emplace_back(DecodeOrderedU64(key), std::move(*tuple));
+    return limit_ == 0 || rows_.size() < limit_;
+  }
+  std::string Finish() override { return wire_.data(); }
+  uint64_t rows_returned() const override { return rows_.size(); }
+  /// The shipped rows are the row-shipping baseline itself: nothing saved.
+  uint64_t baseline_bytes() const override { return wire_.size(); }
+  Status status() const override { return status_; }
+
+  /// Matches in rid order, decoded once on the storage side.
+  std::vector<std::pair<uint64_t, schema::Tuple>>& rows() { return rows_; }
+
+ private:
+  const schema::Schema* const schema_;
+  const Transaction::RowPredicate* const predicate_;
+  const VisibleFn* const visible_;
+  const size_t limit_;
+  std::vector<std::pair<uint64_t, schema::Tuple>> rows_;
+  BufferWriter wire_;
+  Status status_ = Status::OK();
+  std::string payload_;  // scratch, reused across cells
+};
+
+}  // namespace
+
 Result<std::vector<std::pair<uint64_t, schema::Tuple>>>
-Transaction::FilteredScan(
-    TableHandle* table,
-    const std::function<bool(const schema::Tuple&)>& predicate,
-    size_t limit) {
+Transaction::FilteredScan(TableHandle* table, const RowPredicate& predicate,
+                          size_t limit) {
   TELL_CHECK(state_ == TxnState::kRunning);
   obs::PhaseScope span(tracer_, sim::TxnPhase::kRead);
-  if (fast_) {
-    // A pushdown scan covers every partition of the table by design.
-    fallback_ = true;
-    return Status::CrossPartition("pushdown scans run on the MVCC path");
-  }
   const schema::Schema& schema = table->meta->schema;
   // Dirty buffered rows overlay the server's result below; they could both
   // displace and add rows, so a server-side limit would truncate wrongly.
   const bool has_dirty = HasDirtyWrites(table);
   if (has_dirty) limit = 0;
-  // The closure below executes on the storage nodes: visibility check plus
-  // the pushed-down predicate. Matches ship only the visible version's
-  // payload — not the stored multi-version cell — so non-matching records
-  // never hit the wire and matching ones pay for live bytes only.
-  auto visible_payload = VisibilityClosure();
-  auto server_side = [&schema, &visible_payload, &predicate](
-                         std::string_view key, std::string_view value,
-                         std::string* out) {
-    if (key.size() != sizeof(uint64_t)) return false;  // meta cells
-    if (!visible_payload(value, out)) return false;
-    auto tuple = schema::Tuple::Deserialize(schema, *out);
-    if (!tuple.ok()) return false;
-    return predicate(*tuple);
-  };
-  uint64_t scanned = 0;
+  const auto visible = VisibilityClosure();
   TELL_ASSIGN_OR_RETURN(
-      std::vector<store::KeyCell> cells,
-      client_->PushdownScan(table->meta->data_table, "", "", limit,
-                            server_side, /*filter_descriptor_bytes=*/64,
-                            &scanned));
-  client_->metrics()->scan_rows_scanned += scanned;
-  client_->metrics()->scan_rows_returned += cells.size();
+      store::FragmentScanOutcome outcome,
+      FanOutFragment(table, kFilterDescriptorBytes, [&](uint32_t) {
+        return std::make_unique<RowFragmentSink>(&schema, &predicate,
+                                                 &visible, limit);
+      }));
   std::vector<std::pair<uint64_t, schema::Tuple>> out;
-  out.reserve(cells.size());
-  for (const store::KeyCell& cell : cells) {
-    uint64_t rid = DecodeOrderedU64(cell.key);
-    // Own dirty records are overlaid below from the private buffer.
-    RecordKey record_key{table->meta->data_table, rid};
-    auto buffered = buffer_.find(record_key);
-    if (buffered != buffer_.end() && buffered->second.dirty) continue;
-    // The shipped bytes are the visible payload already judged server-side:
-    // one tuple decode, no re-deserialization of version history.
-    TELL_ASSIGN_OR_RETURN(schema::Tuple tuple,
-                          schema::Tuple::Deserialize(schema, cell.value));
-    client_->ChargeCpu(client_->options().cpu.per_record_ns);
-    out.emplace_back(rid, std::move(tuple));
+  for (const auto& sink : outcome.sinks) {
+    auto* row_sink = static_cast<RowFragmentSink*>(sink.get());
+    for (auto& [rid, tuple] : row_sink->rows()) {
+      // Own dirty records are overlaid below from the private buffer.
+      auto buffered = buffer_.find(RecordKey{table->meta->data_table, rid});
+      if (buffered != buffer_.end() && buffered->second.dirty) continue;
+      client_->ChargeCpu(client_->options().cpu.per_record_ns);
+      out.emplace_back(rid, std::move(tuple));
+    }
   }
   // Merge this transaction's own pending writes that match.
   for (const auto& [key, state] : buffer_) {
     if (!state.dirty || key.first != table->meta->data_table) continue;
-    const schema::RecordVersion* visible =
+    const schema::RecordVersion* visible_version =
         state.record.VisibleVersion(snapshot_, tid_);
-    if (visible == nullptr || visible->tombstone) continue;
-    auto tuple = schema::Tuple::Deserialize(schema, visible->payload);
-    if (!tuple.ok() || !predicate(*tuple)) continue;
-    out.emplace_back(key.second, std::move(*tuple));
+    if (visible_version == nullptr || visible_version->tombstone) continue;
+    TELL_ASSIGN_OR_RETURN(
+        schema::Tuple tuple,
+        schema::Tuple::Deserialize(schema, visible_version->payload));
+    TELL_ASSIGN_OR_RETURN(bool pass, predicate(tuple));
+    if (pass) out.emplace_back(key.second, std::move(tuple));
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -900,13 +937,20 @@ Result<store::FragmentScanOutcome> Transaction::ExecuteScanFragment(
     const store::FragmentSinkFactory& make_sink) {
   TELL_CHECK(state_ == TxnState::kRunning);
   obs::PhaseScope span(tracer_, sim::TxnPhase::kRead);
-  if (fast_) {
-    fallback_ = true;
-    return Status::CrossPartition("scan fragments run on the MVCC path");
-  }
   if (HasDirtyWrites(table)) {
     return Status::InvalidArgument(
         "scan fragment with buffered dirty writes: use the row path");
+  }
+  return FanOutFragment(table, descriptor_bytes, make_sink);
+}
+
+Result<store::FragmentScanOutcome> Transaction::FanOutFragment(
+    TableHandle* table, uint64_t descriptor_bytes,
+    const store::FragmentSinkFactory& make_sink) {
+  if (fast_) {
+    // A storage-side scan covers every partition of the table by design.
+    fallback_ = true;
+    return Status::CrossPartition("scan fragments run on the MVCC path");
   }
   TELL_ASSIGN_OR_RETURN(
       store::FragmentScanOutcome outcome,

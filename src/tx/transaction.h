@@ -243,18 +243,22 @@ class Transaction {
   Result<std::vector<std::vector<std::pair<uint64_t, schema::Tuple>>>>
   BatchScanIndex(const std::vector<IndexRange>& ranges);
 
+  /// Row predicate of FilteredScan; an error fails the scan with it.
+  using RowPredicate = std::function<Result<bool>(const schema::Tuple&)>;
+
   /// Full-table scan with the predicate pushed down to the storage nodes
-  /// (§5.2): only records whose snapshot-visible version satisfies
-  /// `predicate` travel over the network — and only their visible payloads,
-  /// not the stored version history. Own buffered writes are merged in
-  /// afterwards. `limit` (0 = unlimited) stops each partition's scan early;
+  /// (§5.2): one row-collecting scan fragment per partition, run through
+  /// the same chunked, lock-releasing path as ExecuteScanFragment. Only
+  /// records whose snapshot-visible version satisfies `predicate` travel
+  /// over the network — and only their visible payloads, not the stored
+  /// version history. Own buffered writes are merged in afterwards and the
+  /// result is sorted by rid. `limit` (0 = unlimited) stops each
+  /// partition's scan after that many matches and cuts the merged result;
   /// it is ignored while this transaction holds dirty writes on the table,
   /// because the private overlay could displace server-chosen rows.
   /// Designed for the OLAP side of mixed workloads.
   Result<std::vector<std::pair<uint64_t, schema::Tuple>>> FilteredScan(
-      TableHandle* table,
-      const std::function<bool(const schema::Tuple&)>& predicate,
-      size_t limit = 0);
+      TableHandle* table, const RowPredicate& predicate, size_t limit = 0);
 
   /// Snapshot-visibility closure for storage-side scan execution: maps raw
   /// VersionedRecord bytes to the payload of the version visible under this
@@ -271,9 +275,9 @@ class Transaction {
   /// `descriptor_bytes` is the serialized fragment size charged per
   /// request. Updates the sql.scan.* worker counters. Fails with
   /// InvalidArgument while the transaction holds dirty writes on the
-  /// table (the caller must fall back to the row-shipping path, which
-  /// overlays the private buffer); falls back to the MVCC path on fast
-  /// transactions like FilteredScan.
+  /// table (the caller must fall back to the row path, which overlays the
+  /// private buffer); falls back to the MVCC path on fast transactions
+  /// like FilteredScan.
   Result<store::FragmentScanOutcome> ExecuteScanFragment(
       TableHandle* table, uint64_t descriptor_bytes,
       const store::FragmentSinkFactory& make_sink);
@@ -425,6 +429,13 @@ class Transaction {
   Result<std::optional<schema::Tuple>> ValidateIndexHit(
       TableHandle* table, index::BTree* tree, const std::string& key,
       uint64_t rid);
+
+  /// Shared storage step of FilteredScan and ExecuteScanFragment: falls
+  /// back from the fast path, fans one sink per partition out through
+  /// StorageClient::ExecuteFragmentScan and updates the sql.scan.* counters.
+  Result<store::FragmentScanOutcome> FanOutFragment(
+      TableHandle* table, uint64_t descriptor_bytes,
+      const store::FragmentSinkFactory& make_sink);
 
   Status FinishCommitEmpty();
 

@@ -271,7 +271,7 @@ TEST_F(FastPathTest, SecondaryIndexScanInsideHomeStaysFast) {
   ASSERT_OK(fast.Commit());
 }
 
-TEST_F(FastPathTest, PushdownScanFallsBack) {
+TEST_F(FastPathTest, FilteredScanFallsBack) {
   SeedRow(1, 1, 10, 1);
   Transaction fast(session_.get(), FastHome(1));
   ASSERT_OK(fast.Begin());

@@ -17,7 +17,7 @@ using schema::Tuple;
 using schema::Value;
 
 // ---------------------------------------------------------------------------
-// Store-level filtered scan
+// Store-level filtered scan: raw-cell sinks through the fragment path
 
 class FilteredScanStoreTest : public ::testing::Test {
  protected:
@@ -31,68 +31,68 @@ class FilteredScanStoreTest : public ::testing::Test {
       EXPECT_TRUE(
           cluster_->Put(table_, EncodeOrderedU64(i), value).ok());
     }
+    client_ = std::make_unique<store::StorageClient>(
+        cluster_.get(), nullptr, store::ClientOptions{}, &clock_, &metrics_);
   }
+
+  /// One MatchSink per partition, fanned out like any scan fragment.
+  Result<store::FragmentScanOutcome> ScanMatching(const std::string& match,
+                                                  size_t limit = 0) {
+    return client_->ExecuteFragmentScan(
+        table_, /*descriptor_bytes=*/64, [&](uint32_t) {
+          return std::make_unique<test::MatchSink>(match, limit);
+        });
+  }
+
+  static const test::MatchSink& Sink(
+      const std::unique_ptr<store::FragmentSink>& sink) {
+    return static_cast<const test::MatchSink&>(*sink);
+  }
+
   std::unique_ptr<store::Cluster> cluster_;
   store::TableId table_;
+  sim::VirtualClock clock_;
+  sim::WorkerMetrics metrics_;
+  std::unique_ptr<store::StorageClient> client_;
 };
 
 TEST_F(FilteredScanStoreTest, PredicateFiltersServerSide) {
-  uint64_t scanned = 0;
-  ASSERT_OK_AND_ASSIGN(
-      auto cells,
-      cluster_->ScanFiltered(
-          table_, "", "", 0,
-          [](std::string_view, std::string_view value, std::string* out) {
-            if (value != "even") return false;
-            out->assign(value);
-            return true;
-          },
-          &scanned));
-  EXPECT_EQ(cells.size(), 50u);
-  EXPECT_EQ(scanned, 100u);  // every cell examined on the nodes
-  for (const auto& cell : cells) EXPECT_EQ(cell.value, "even");
+  ASSERT_OK_AND_ASSIGN(store::FragmentScanOutcome outcome,
+                       ScanMatching("even"));
+  EXPECT_EQ(outcome.rows_returned, 50u);
+  EXPECT_EQ(outcome.rows_scanned, 100u);  // every cell examined on the nodes
+  for (const auto& sink : outcome.sinks) {
+    for (const auto& [key, value] : Sink(sink).matches()) {
+      EXPECT_EQ(value, "even");
+    }
+  }
 }
 
 TEST_F(FilteredScanStoreTest, LimitStopsEarly) {
-  ASSERT_OK_AND_ASSIGN(
-      auto cells,
-      cluster_->ScanFiltered(table_, "", "", 5,
-                             [](std::string_view, std::string_view value,
-                                std::string* out) {
-                               out->assign(value);
-                               return true;
-                             }));
-  EXPECT_EQ(cells.size(), 5u);
+  ASSERT_OK_AND_ASSIGN(store::FragmentScanOutcome outcome,
+                       ScanMatching("", /*limit=*/5));
+  ASSERT_EQ(outcome.sinks.size(), outcome.partitions);
+  for (const auto& sink : outcome.sinks) {
+    EXPECT_LE(Sink(sink).matches().size(), 5u);
+  }
+  // Every cell matches, so each partition stopped right at its fifth cell
+  // and examined nothing past it.
+  EXPECT_EQ(outcome.rows_scanned, outcome.rows_returned);
+  EXPECT_LT(outcome.rows_returned, 100u);
 }
 
 TEST_F(FilteredScanStoreTest, PushdownChargesOnlyMatchedBytes) {
-  sim::VirtualClock clock;
-  sim::WorkerMetrics metrics;
-  store::ClientOptions client_options;
-  store::StorageClient client(cluster_.get(), nullptr, client_options,
-                              &clock, &metrics);
-  uint64_t bytes_before = metrics.bytes_received;
-  ASSERT_OK(client
-                .PushdownScan(table_, "", "", 0,
-                              [](std::string_view, std::string_view value,
-                                 std::string* out) {
-                                if (value != "even") return false;
-                                out->assign(value);
-                                return true;
-                              })
-                .status());
-  uint64_t selective = metrics.bytes_received - bytes_before;
-  bytes_before = metrics.bytes_received;
-  ASSERT_OK(client
-                .PushdownScan(table_, "", "", 0,
-                              [](std::string_view, std::string_view value,
-                                 std::string* out) {
-                                out->assign(value);
-                                return true;
-                              })
-                .status());
-  uint64_t full = metrics.bytes_received - bytes_before;
+  uint64_t bytes_before = metrics_.bytes_received;
+  ASSERT_OK(ScanMatching("even").status());
+  uint64_t selective = metrics_.bytes_received - bytes_before;
+  bytes_before = metrics_.bytes_received;
+  ASSERT_OK(ScanMatching("").status());
+  uint64_t full = metrics_.bytes_received - bytes_before;
   EXPECT_LT(selective, full);
+  // Both passes cover the same 100 cells; only the 50 shipped "even"
+  // cells of 12 bytes (8-byte key + value) separate them from the full
+  // pass's 50 + 50 "odd" cells of 11 bytes.
+  EXPECT_EQ(full - selective, 50u * 11);
 }
 
 // ---------------------------------------------------------------------------

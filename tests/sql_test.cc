@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <set>
+#include <string>
 #include <thread>
 
+#include "common/serde.h"
 #include "db/tell_db.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
@@ -404,20 +408,74 @@ TEST_F(PushdownParityTest, DirtyWritesFallBackToRowPath) {
 
 TEST_F(PushdownParityTest, LimitPushedToStorageNodes) {
   ExpectParity("SELECT id FROM sale WHERE qty >= 0 LIMIT 5");
-  // With LIMIT 1 the merged scan returns exactly one row to the PN.
+  // Partitions holding a row with a non-NULL qty (a match of qty >= 0).
+  ASSERT_OK_AND_ASSIGN(tx::TableHandle * handle, with_->GetTable(0, "sale"));
+  std::set<uint32_t> matching_partitions;
+  {
+    tx::Transaction txn(with_session_.get());
+    ASSERT_OK(txn.Begin());
+    ASSERT_OK_AND_ASSIGN(
+        auto rows, txn.FilteredScan(handle, [](const schema::Tuple& t) {
+          return !schema::ValueIsNull(t.at(2));
+        }));
+    const store::PartitionMap& map = with_->cluster()->partition_map();
+    for (const auto& [rid, tuple] : rows) {
+      ASSERT_OK_AND_ASSIGN(
+          uint32_t partition,
+          map.PartitionFor(handle->meta->data_table, EncodeOrderedU64(rid)));
+      matching_partitions.insert(partition);
+    }
+    ASSERT_OK(txn.Commit());
+  }
+  // With LIMIT 1 every partition stops at its first match and ships it; the
+  // processing node keeps one row of the merged result.
   uint64_t returned = with_session_->metrics()->scan_rows_returned;
   ASSERT_OK_AND_ASSIGN(ResultSet rs,
                        with_->AutoCommitSql(
                            with_session_.get(),
                            "SELECT id FROM sale WHERE qty >= 0 LIMIT 1"));
   ASSERT_EQ(rs.rows.size(), 1u);
-  EXPECT_EQ(with_session_->metrics()->scan_rows_returned, returned + 1);
+  EXPECT_GT(matching_partitions.size(), 1u);
+  EXPECT_EQ(with_session_->metrics()->scan_rows_returned,
+            returned + matching_partitions.size());
+}
+
+TEST_F(PushdownParityTest, ErroringPredicateFailsAlike) {
+  // qty is 0 on every seventh row: the predicate divides by zero there.
+  for (const char* sql : {"SELECT id FROM sale WHERE 10 / qty > 1",
+                          "SELECT COUNT(*) FROM sale WHERE 10 / qty > 1"}) {
+    auto on = with_->AutoCommitSql(with_session_.get(), sql);
+    auto off = without_->AutoCommitSql(without_session_.get(), sql);
+    EXPECT_FALSE(off.ok()) << sql;
+    EXPECT_EQ(on.status().ToString(), off.status().ToString()) << sql;
+  }
+}
+
+TEST_F(PushdownParityTest, FilteredSelectReleasesChunkLocks) {
+  // 52 rows over the partitions with 4-cell chunks: a filtered row scan
+  // drops the stripe locks between chunks like an aggregate fragment.
+  const sim::WorkerMetrics& metrics = *with_session_->metrics();
+  uint64_t fragments = metrics.scan_fragments;
+  uint64_t releases = metrics.scan_chunk_lock_releases;
+  ExpectParity("SELECT id, region, amount FROM sale WHERE qty > 2");
+  EXPECT_GT(metrics.scan_fragments, fragments);
+  EXPECT_GT(metrics.scan_chunk_lock_releases, releases);
 }
 
 // ---------------------------------------------------------------------------
 // Snapshot consistency of chunked fragment scans under concurrent writers
 
-TEST(SqlScanConsistencyTest, AggregatesSeeConsistentSnapshotUnderTransfers) {
+constexpr int kAccounts = 64;
+constexpr int64_t kTotal = kAccounts * 100;
+
+/// Runs `sql` on a reader session at least 50 times, handing each result
+/// to `check`, while a writer makes balance-preserving transfers between
+/// kAccounts accounts of 100 each. Any snapshot-consistent reader sees the
+/// invariants; a scan that mixed chunks from different snapshots would catch
+/// a transfer halfway. Chunks of 4 cells make every scan drop its stripe
+/// locks many times.
+void RunUnderTransfers(const std::string& sql,
+                       const std::function<void(const ResultSet&)>& check) {
   db::TellDbOptions options;
   options.network = sim::NetworkModel::Instant();
   options.operator_pushdown = true;
@@ -426,8 +484,6 @@ TEST(SqlScanConsistencyTest, AggregatesSeeConsistentSnapshotUnderTransfers) {
   ASSERT_OK(db.ExecuteDdl(
       "CREATE TABLE acct (id INT, bal INT, PRIMARY KEY (id))"));
   auto loader = db.OpenSession(0, 0);
-  constexpr int kAccounts = 64;
-  constexpr int64_t kTotal = kAccounts * 100;
   for (int i = 0; i < kAccounts; ++i) {
     ASSERT_OK(db.AutoCommitSql(loader.get(),
                                "INSERT INTO acct VALUES (" +
@@ -435,9 +491,6 @@ TEST(SqlScanConsistencyTest, AggregatesSeeConsistentSnapshotUnderTransfers) {
                   .status());
   }
 
-  // Writer: balance-preserving transfers. Any snapshot-consistent reader
-  // must see the invariants below; a scan that mixed chunks from different
-  // snapshots would catch a transfer halfway.
   std::atomic<bool> stop{false};
   std::atomic<int> transfers{0};
   std::thread writer([&] {
@@ -470,22 +523,48 @@ TEST(SqlScanConsistencyTest, AggregatesSeeConsistentSnapshotUnderTransfers) {
 
   auto reader = db.OpenSession(0, 2);
   for (int i = 0; i < 50 || transfers.load() < 20; ++i) {
-    ASSERT_LT(i, 5000) << "writer made no progress";
-    ASSERT_OK_AND_ASSIGN(
-        ResultSet rs,
-        db.AutoCommitSql(reader.get(),
-                         "SELECT COUNT(*), SUM(bal), MIN(bal) FROM acct"));
-    ASSERT_EQ(rs.rows.size(), 1u);
-    EXPECT_EQ(std::get<int64_t>(rs.rows[0].at(0)), kAccounts);
-    // SUM over ints folds through exactly-representable doubles.
-    EXPECT_DOUBLE_EQ(std::get<double>(rs.rows[0].at(1)),
-                     static_cast<double>(kTotal));
+    if (i >= 5000) {
+      ADD_FAILURE() << "writer made no progress";
+      break;
+    }
+    auto rs = db.AutoCommitSql(reader.get(), sql);
+    if (!rs.ok()) {
+      ADD_FAILURE() << rs.status().ToString();
+      break;
+    }
+    check(*rs);
   }
   stop.store(true);
   writer.join();
   EXPECT_GT(transfers.load(), 0);
   EXPECT_GT(reader->metrics()->scan_fragments, 0u);
   EXPECT_GT(reader->metrics()->scan_chunk_lock_releases, 0u);
+}
+
+TEST(SqlScanConsistencyTest, AggregatesSeeConsistentSnapshotUnderTransfers) {
+  RunUnderTransfers(
+      "SELECT COUNT(*), SUM(bal), MIN(bal) FROM acct",
+      [](const ResultSet& rs) {
+        ASSERT_EQ(rs.rows.size(), 1u);
+        EXPECT_EQ(std::get<int64_t>(rs.rows[0].at(0)), kAccounts);
+        // SUM over ints folds through exactly-representable doubles.
+        EXPECT_DOUBLE_EQ(std::get<double>(rs.rows[0].at(1)),
+                         static_cast<double>(kTotal));
+      });
+}
+
+TEST(SqlScanConsistencyTest, FilteredRowsSeeConsistentSnapshotUnderTransfers) {
+  // bal is not indexed: a full scan whose WHERE runs in the row sink.
+  RunUnderTransfers("SELECT * FROM acct WHERE bal IS NOT NULL",
+                    [](const ResultSet& rs) {
+                      ASSERT_EQ(rs.rows.size(),
+                                static_cast<size_t>(kAccounts));
+                      int64_t total = 0;
+                      for (const schema::Tuple& row : rs.rows) {
+                        total += std::get<int64_t>(row.at(1));
+                      }
+                      EXPECT_EQ(total, kTotal);
+                    });
 }
 
 TEST(SqlScanConsistencyTest, OrderLineAggregatesStayCoherentUnderTpcc) {

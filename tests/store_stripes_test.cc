@@ -373,10 +373,11 @@ TEST(StoreStripesTest, ScanMergeDeduplicatesOverwritesAcrossStripeBoundaries) {
   }
 }
 
-/// ScanFiltered pushes the predicate through the same merge: `scanned`
-/// counts every cell examined in the range (not just matches), the limit
-/// applies to *matching* cells, and empty stripes contribute nothing.
-TEST(StoreStripesTest, ScanFilteredMergeCountsExaminedCellsWithEmptyStripes) {
+/// FragmentScan feeds a sink through the same merge, chunk by chunk:
+/// `cells_scanned` counts every cell examined in the range (not just
+/// matches), a sink's limit applies to *matching* cells, and empty stripes
+/// contribute nothing — at any chunk size.
+TEST(StoreStripesTest, FragmentScanCountsExaminedCellsWithEmptyStripes) {
   StorageNode node(0, 64 << 20, /*stripes_per_partition=*/32);
   node.CreatePartition(kTable, kPart);
   constexpr int kKeys = 30;
@@ -389,42 +390,30 @@ TEST(StoreStripesTest, ScanFilteredMergeCountsExaminedCellsWithEmptyStripes) {
                   .status());
   }
 
-  uint64_t scanned = 0;
-  ASSERT_OK_AND_ASSIGN(
-      std::vector<KeyCell> matches,
-      node.ScanFiltered(kTable, kPart, "", "", 0,
-                        [](std::string_view, std::string_view value,
-                           std::string* out) {
-                          if (value != "match") return false;
-                          out->assign(value);
-                          return true;
-                        },
-                        &scanned));
-  ASSERT_EQ(matches.size(), 10u);
-  EXPECT_EQ(scanned, static_cast<uint64_t>(kKeys));
-  for (size_t i = 0; i < matches.size(); ++i) {
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "key_%03d", static_cast<int>(i) * 3);
-    EXPECT_EQ(matches[i].key, buf);
-  }
+  for (size_t chunk_cells : {size_t{4}, size_t{1024}}) {
+    SCOPED_TRACE(chunk_cells);
+    test::MatchSink all("match");
+    FragmentScanStats stats;
+    ASSERT_OK(node.FragmentScan(kTable, kPart, chunk_cells, &all, &stats));
+    ASSERT_EQ(all.matches().size(), 10u);
+    EXPECT_EQ(stats.cells_scanned, static_cast<uint64_t>(kKeys));
+    EXPECT_EQ(stats.chunk_lock_releases, chunk_cells < kKeys ? 7u : 0u);
+    for (size_t i = 0; i < all.matches().size(); ++i) {
+      char buf[16];
+      std::snprintf(buf, sizeof(buf), "key_%03d", static_cast<int>(i) * 3);
+      EXPECT_EQ(all.matches()[i].first, buf);
+    }
 
-  // Limit counts matches: stop after 2 matching cells, having examined
-  // everything up to and including the second match (keys 000..003).
-  scanned = 0;
-  ASSERT_OK_AND_ASSIGN(
-      std::vector<KeyCell> two,
-      node.ScanFiltered(kTable, kPart, "", "", 2,
-                        [](std::string_view, std::string_view value,
-                           std::string* out) {
-                          if (value != "match") return false;
-                          out->assign(value);
-                          return true;
-                        },
-                        &scanned));
-  ASSERT_EQ(two.size(), 2u);
-  EXPECT_EQ(two[0].key, "key_000");
-  EXPECT_EQ(two[1].key, "key_003");
-  EXPECT_EQ(scanned, 4u);
+    // Limit counts matches: stop after 2 matching cells, having examined
+    // everything up to and including the second match (keys 000..003).
+    test::MatchSink two("match", /*limit=*/2);
+    stats = FragmentScanStats{};
+    ASSERT_OK(node.FragmentScan(kTable, kPart, chunk_cells, &two, &stats));
+    ASSERT_EQ(two.matches().size(), 2u);
+    EXPECT_EQ(two.matches()[0].first, "key_000");
+    EXPECT_EQ(two.matches()[1].first, "key_003");
+    EXPECT_EQ(stats.cells_scanned, 4u);
+  }
 }
 
 /// Contention counters move when threads actually collide on one stripe.
