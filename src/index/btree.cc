@@ -18,6 +18,11 @@ constexpr std::string_view kNextIdKey = "meta/next_id";
 constexpr int kMaxRetries = 1024;
 // Right-sibling hops tolerated before declaring the cached path stale.
 constexpr int kMaxRightHops = 64;
+// Attempts of one key's descent: the walk through the cache, then restarts
+// that re-read every node. Concurrent structure modifications can derail
+// even a fresh walk, so it retries a few times before declaring the tree
+// corrupt.
+constexpr int kMaxDescentAttempts = 16;
 // Node ids a processing node reserves per refill of a tree's id counter.
 constexpr uint64_t kNodeIdBlock = 64;
 
@@ -294,84 +299,6 @@ Result<BTree::Node> BTree::ReadNodeUncached(store::StorageClient* client,
   return Node::Deserialize(node_id, cell.stamp, cell.value);
 }
 
-Result<BTree::Node> BTree::ReadNode(store::StorageClient* client,
-                                    uint64_t node_id, bool is_inner_level) {
-  if (options_.cache_inner_nodes && is_inner_level && cache_ != nullptr) {
-    std::string value;
-    uint64_t stamp;
-    if (cache_->Get(node_id, &value, &stamp)) {
-      return Node::Deserialize(node_id, stamp, value);
-    }
-  }
-  TELL_ASSIGN_OR_RETURN(Node node, ReadNodeUncached(client, node_id));
-  CacheIfInner(node);
-  return node;
-}
-
-Result<BTree::Node> BTree::DescendToLeaf(store::StorageClient* client,
-                                         std::string_view key,
-                                         std::vector<NodeRef>* path) {
-  // Attempt 0 uses the inner-node cache; later attempts re-read everything.
-  // Concurrent structure modifications can transiently derail even a fresh
-  // descent, so retry a few times before declaring the tree corrupt.
-  std::vector<uint64_t> visited;  // inner node ids, root first
-  for (int attempt = 0; attempt < 16; ++attempt) {
-    bool use_cache = attempt == 0;
-    visited.clear();
-    if (path != nullptr) path->clear();
-    bool stale = false;
-    int right_hops = 0;
-    // The root is never cached as a leaf; read and inspect.
-    Result<Node> current = use_cache ? ReadNode(client, kRootId, true)
-                                     : ReadNodeUncached(client, kRootId);
-    if (!current.ok()) return current.status();
-    auto node = std::make_shared<Node>(std::move(*current));
-    while (true) {
-      // B-link move right: a concurrent split may have shifted our key range
-      // into a right sibling before the parent learned about it.
-      while (!node->CoversKey(key)) {
-        if (node->right_sibling == 0 || ++right_hops > kMaxRightHops) {
-          stale = true;
-          break;
-        }
-        Result<Node> sibling = ReadNodeUncached(client, node->right_sibling);
-        if (!sibling.ok()) return sibling.status();
-        *node = std::move(*sibling);
-      }
-      if (stale) break;
-      if (node->is_leaf) {
-        // Paper §5.3.1: a leaf that does not match its parent's expectation
-        // means the cached path is outdated — refresh the parents.
-        if (right_hops > 0 && cache_ != nullptr) {
-          for (uint64_t id : visited) cache_->Erase(id);
-        }
-        return std::move(*node);
-      }
-      uint64_t child = node->ChildFor(key);
-      if (child == 0) {
-        stale = true;
-        break;
-      }
-      visited.push_back(node->id);
-      Result<Node> next = use_cache ? ReadNode(client, child, true)
-                                    : ReadNodeUncached(client, child);
-      if (!next.ok()) return next.status();
-      if (path != nullptr) {
-        path->push_back(std::move(node));
-        node = std::make_shared<Node>(std::move(*next));
-      } else {
-        *node = std::move(*next);
-      }
-    }
-    // Stale cached structure: drop the whole cached path and retry fresh.
-    if (cache_ != nullptr) {
-      cache_->Erase(kRootId);
-      for (uint64_t id : visited) cache_->Erase(id);
-    }
-  }
-  return Status::InternalError("B+tree descent failed twice (corrupt tree?)");
-}
-
 Result<BTree::Node> BTree::LocateNode(store::StorageClient* client,
                                       uint64_t start_id, std::string_view key,
                                       uint32_t level,
@@ -426,20 +353,11 @@ Status BTree::Remove(store::StorageClient* client, std::string_view key,
                      &removed);
 }
 
-Result<std::vector<uint64_t>> BTree::LookupRids(store::StorageClient* client,
-                                                std::string_view key) {
-  TELL_ASSIGN_OR_RETURN(Node leaf, DescendToLeaf(client, key, nullptr));
-  std::vector<uint64_t> rids;
-  for (const IndexEntry& e : leaf.entries) {
-    if (e.key == key) rids.push_back(e.rid);
-  }
-  return rids;
-}
-
 Result<std::vector<uint64_t>> BTree::Lookup(store::StorageClient* client,
                                             std::string_view key) {
-  client->metrics()->index_lookups += 1;
-  return LookupRids(client, key);
+  TELL_ASSIGN_OR_RETURN(std::vector<std::vector<uint64_t>> rids,
+                        BatchLookup(client, {{this, std::string(key)}}));
+  return std::move(rids.front());
 }
 
 BTree::NodeRef BTree::CachedInner(uint64_t node_id) {
@@ -465,88 +383,150 @@ Status BTree::BatchDescendToLeaves(
     const std::vector<store::WriteOp>* riders,
     std::vector<Result<uint64_t>>* rider_results) {
   leaves->clear();
-  leaf_of_key->assign(keys.size(), kNoLeaf);
+  leaf_of_key->assign(keys.size(), 0);
   if (leaf_paths != nullptr) leaf_paths->clear();
   if (riders != nullptr && riders->empty()) riders = nullptr;
   if (keys.empty() && riders == nullptr) return Status::OK();
 
-  // Every node this batch holds or requested, by (table, node id). A
-  // requested node stays nullptr when its fetch fails.
+  // Every node image this batch holds or requested, by (table, node id) and
+  // the attempt whose keys read it: attempt 0 walks through the cached
+  // inner nodes, a restart (attempt 1, 2, ...) through images it read from
+  // the store itself.
+  using SlotId = std::pair<NodeId, int>;
   struct Slot {
-    NodeRef node;
-    bool requested = false;  // in the current round's fetch
+    NodeRef node;             // nullptr when the fetch failed: `status`
+    Status status;
+    bool requested = false;   // in the current round's fetch
+    bool cached = false;      // `node` came from the tree's cache
+    bool fill_cache = false;  // the fetched image enters the cache
   };
-  std::map<NodeId, Slot> nodes;
-  // The nodes the current round fetches, in first-request order, and the
+  std::map<SlotId, Slot> nodes;
+  // The images the current round fetches, in first-request order, and the
   // tree each belongs to.
-  std::vector<NodeId> wanted;
+  std::vector<SlotId> wanted;
   std::vector<BTree*> wanted_tree;
-  // Makes the batch hold node `id` of `tree`: from the tree's cache when it
-  // is an inner node there, else by requesting it for this round.
-  auto want = [&](BTree* tree, const NodeId& id, bool inner) {
+  // Makes the batch hold image `id` of `tree`. Attempt 0 descends through
+  // the tree's cache — an inner node there needs no request, one fetched
+  // enters it — while right hops and restarts read the store only and
+  // leave the cache alone.
+  auto want = [&](BTree* tree, const SlotId& id, bool descent, bool inner) {
+    const bool use_cache = descent && id.second == 0;
     auto [it, fresh] = nodes.try_emplace(id);
-    if (!fresh) return;
-    if (inner) it->second.node = tree->CachedInner(id.second);
-    if (it->second.node != nullptr) return;
-    it->second.requested = true;
+    Slot& slot = it->second;
+    if (!fresh && (slot.requested || use_cache || !slot.cached)) return;
+    if (fresh && use_cache && inner) {
+      slot.node = tree->CachedInner(id.first.second);
+      slot.cached = slot.node != nullptr;
+      if (slot.cached) return;
+    }
+    slot.requested = true;
+    slot.cached = false;
+    slot.fill_cache = use_cache;
     wanted.push_back(id);
     wanted_tree.push_back(tree);
   };
 
-  // at[i]: the node key i stands on or waits for; nullopt once it reached
-  // its leaf or dropped out of the batch (then it stays kNoLeaf).
-  std::vector<std::optional<NodeId>> at(keys.size());
-  // The inner nodes key i walked through, when the caller wants paths.
-  std::vector<std::vector<NodeRef>> key_path(
-      leaf_paths != nullptr ? keys.size() : 0);
+  // Where each key stands: the image it stands on or waits for (nullopt
+  // once it reached its leaf), its right hops in this attempt, and the
+  // inner nodes it descended through, root first.
+  struct Walk {
+    std::optional<SlotId> at;
+    int hops = 0;
+    std::vector<NodeRef> path;
+  };
+  std::vector<Walk> walks(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    at[i] = NodeId{keys[i].tree->table_, kRootId};
-    want(keys[i].tree, *at[i], /*inner=*/true);
+    walks[i].at = SlotId{{keys[i].tree->table_, kRootId}, 0};
+    want(keys[i].tree, *walks[i].at, /*descent=*/true, /*inner=*/true);
   }
-  std::map<NodeId, size_t> leaf_index;  // distinct leaves -> `leaves` index
+  // A stale path: drop it from the cache and start the key over at the
+  // root, reading every node from the store.
+  auto restart = [&](size_t i) -> Status {
+    Walk& walk = walks[i];
+    BTree* tree = keys[i].tree;
+    if (tree->cache_ != nullptr) {
+      tree->cache_->Erase(kRootId);
+      for (const NodeRef& node : walk.path) tree->cache_->Erase(node->id);
+    }
+    const int attempt = walk.at->second + 1;
+    if (attempt == kMaxDescentAttempts) {
+      return Status::InternalError(
+          "B+tree descent keeps finding stale paths (corrupt tree?)");
+    }
+    walk.at = SlotId{{tree->table_, kRootId}, attempt};
+    walk.hops = 0;
+    walk.path.clear();
+    want(tree, *walk.at, /*descent=*/true, /*inner=*/true);
+    return Status::OK();
+  };
+  // Distinct leaf images -> `leaves` index.
+  std::map<const Node*, size_t> leaf_index;
   while (true) {
-    // Walk every key down through the nodes the batch holds, until it
-    // reaches its leaf or waits for a node of this round.
+    // Walk every key through the images the batch holds, until it reaches
+    // its leaf or waits for an image of this round.
     for (size_t i = 0; i < keys.size(); ++i) {
-      while (at[i].has_value()) {
-        const Slot& slot = nodes[*at[i]];
+      Walk& walk = walks[i];
+      BTree* tree = keys[i].tree;
+      const std::string_view key = keys[i].key;
+      while (walk.at.has_value()) {
+        const Slot& slot = nodes[*walk.at];
         if (slot.requested) break;  // resumes after the round
+        const int attempt = walk.at->second;
         const NodeRef node = slot.node;
-        if (node == nullptr || !node->CoversKey(keys[i].key)) {
-          at[i].reset();  // failed fetch or stale path
-          break;
+        if (node == nullptr) {
+          if (attempt > 0) return slot.status;
+          TELL_RETURN_NOT_OK(restart(i));
+          continue;
+        }
+        if (!node->CoversKey(key)) {
+          // B-link move right: a split shifted the key's range into a right
+          // sibling before the parent — or this PN's cache — learned of it.
+          if (node->right_sibling == 0 || ++walk.hops > kMaxRightHops) {
+            TELL_RETURN_NOT_OK(restart(i));
+            continue;
+          }
+          walk.at = SlotId{{tree->table_, node->right_sibling}, attempt};
+          want(tree, *walk.at, /*descent=*/false, /*inner=*/false);
+          continue;
         }
         if (node->is_leaf) {
-          auto [it, fresh] = leaf_index.try_emplace(*at[i], leaves->size());
+          // Paper §5.3.1: a leaf that does not match its parent's
+          // expectation means the cached path is outdated — refresh it.
+          if (walk.hops > 0 && tree->cache_ != nullptr) {
+            for (const NodeRef& inner : walk.path) {
+              tree->cache_->Erase(inner->id);
+            }
+          }
+          auto [it, fresh] =
+              leaf_index.try_emplace(node.get(), leaves->size());
           if (fresh) {
             leaves->push_back(node);
             if (leaf_paths != nullptr) {
-              leaf_paths->push_back(std::move(key_path[i]));
+              leaf_paths->push_back(std::move(walk.path));
             }
           }
           (*leaf_of_key)[i] = it->second;
-          at[i].reset();
+          walk.at.reset();
           break;
         }
-        const uint64_t child = node->ChildFor(keys[i].key);
+        const uint64_t child = node->ChildFor(key);
         if (child == 0) {
-          at[i].reset();  // stale path
-          break;
+          TELL_RETURN_NOT_OK(restart(i));
+          continue;
         }
-        if (leaf_paths != nullptr) key_path[i].push_back(node);
-        at[i] = NodeId{at[i]->first, child};
-        want(keys[i].tree, *at[i], /*inner=*/node->level > 1);
+        walk.path.push_back(node);
+        walk.at = SlotId{{tree->table_, child}, attempt};
+        want(tree, *walk.at, /*descent=*/true, /*inner=*/node->level > 1);
       }
     }
     if (wanted.empty() && riders == nullptr) break;
 
-    // One round: every wanted node of every tree in one BatchGet — the
-    // first round with the riders. Inner nodes enter their tree's cache.
-    // An unreadable root fails the call, as it fails a single-key descent.
+    // One round: every wanted image of every tree in one BatchGet — the
+    // first round with the riders. An unreadable root fails the call.
     std::vector<store::GetOp> gets;
     gets.reserve(wanted.size());
-    for (const NodeId& id : wanted) {
-      gets.push_back({id.first, NodeKey(id.second)});
+    for (const SlotId& id : wanted) {
+      gets.push_back({id.first.first, NodeKey(id.first.second)});
     }
     static const std::vector<store::WriteOp> kNoRiders;
     store::BatchResults round = client->BatchReadWrite(
@@ -559,15 +539,17 @@ Status BTree::BatchDescendToLeaves(
     for (size_t g = 0; g < cells.size(); ++g) {
       Slot& slot = nodes[wanted[g]];
       slot.requested = false;
+      const uint64_t id = wanted[g].first.second;
       Result<Node> node =
-          cells[g].ok() ? Node::Deserialize(wanted[g].second, cells[g]->stamp,
-                                            cells[g]->value)
-                        : Result<Node>(cells[g].status());
+          cells[g].ok()
+              ? Node::Deserialize(id, cells[g]->stamp, cells[g]->value)
+              : Result<Node>(cells[g].status());
       if (!node.ok()) {
-        if (wanted[g].second == kRootId) return node.status();
+        if (id == kRootId) return node.status();
+        slot.status = node.status();
         continue;
       }
-      wanted_tree[g]->CacheIfInner(*node);
+      if (slot.fill_cache) wanted_tree[g]->CacheIfInner(*node);
       slot.node = std::make_shared<const Node>(std::move(*node));
     }
     wanted.clear();
@@ -579,15 +561,6 @@ Status BTree::BatchDescendToLeaves(
 Result<std::vector<std::vector<uint64_t>>> BTree::BatchLookup(
     store::StorageClient* client, const std::vector<TreeKey>& keys) {
   client->metrics()->index_lookups += keys.size();
-  std::vector<std::vector<uint64_t>> out(keys.size());
-  // A lone key has nothing to share a request with: the plain descent costs
-  // the same.
-  if (keys.size() == 1) {
-    TELL_ASSIGN_OR_RETURN(out[0],
-                          keys[0].tree->LookupRids(client, keys[0].key));
-    return out;
-  }
-
   std::vector<DescentKey> descents;
   descents.reserve(keys.size());
   for (const TreeKey& k : keys) descents.push_back({k.tree, k.key});
@@ -595,12 +568,8 @@ Result<std::vector<std::vector<uint64_t>>> BTree::BatchLookup(
   std::vector<size_t> leaf_of_key;
   TELL_RETURN_NOT_OK(
       BatchDescendToLeaves(client, descents, &leaves, &leaf_of_key));
+  std::vector<std::vector<uint64_t>> out(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    if (leaf_of_key[i] == kNoLeaf) {
-      TELL_ASSIGN_OR_RETURN(out[i],
-                            keys[i].tree->LookupRids(client, keys[i].key));
-      continue;
-    }
     for (const IndexEntry& e : leaves[leaf_of_key[i]]->entries) {
       if (e.key == keys[i].key) out[i].push_back(e.rid);
     }
@@ -613,11 +582,7 @@ Status BTree::PrepareLeafEdits(
     const std::vector<size_t>& pending, std::vector<bool>* inserted,
     std::vector<NodeEdit>* edits, const std::vector<store::WriteOp>* riders,
     std::vector<Result<uint64_t>>* rider_results) {
-  // The leaf each pending op lands in, and the inner nodes above it. A lone
-  // op takes the batched descent too: it costs the same rounds as a plain
-  // one, and the riders travel in its first.
-  std::vector<NodeRef> leaf(pending.size());
-  std::vector<std::vector<NodeRef>> path(pending.size());
+  // The leaf each pending op lands in, and the inner nodes above it.
   std::vector<DescentKey> descents;
   descents.reserve(pending.size());
   for (size_t i : pending) descents.push_back({ops[i].tree, ops[i].key});
@@ -627,33 +592,19 @@ Status BTree::PrepareLeafEdits(
   TELL_RETURN_NOT_OK(BatchDescendToLeaves(client, descents, &leaves,
                                           &leaf_of_key, &leaf_paths, riders,
                                           rider_results));
-  for (size_t k = 0; k < pending.size(); ++k) {
-    if (leaf_of_key[k] != kNoLeaf) {
-      leaf[k] = leaves[leaf_of_key[k]];
-      path[k] = leaf_paths[leaf_of_key[k]];
-      continue;
-    }
-    const BatchInsertOp& op = ops[pending[k]];
-    TELL_ASSIGN_OR_RETURN(Node node,
-                          op.tree->DescendToLeaf(client, op.key, &path[k]));
-    leaf[k] = std::make_shared<const Node>(std::move(node));
-  }
 
-  // Group the ops by leaf. Single-key descents may have read a leaf again:
-  // the freshest image (highest stamp) is the base.
-  std::map<NodeId, size_t> group_of;
+  // Group the ops by leaf, in the order of their first op.
+  constexpr size_t kNoGroup = static_cast<size_t>(-1);
+  std::vector<size_t> group_of(leaves.size(), kNoGroup);
   std::vector<NodeEdit> groups;
   for (size_t k = 0; k < pending.size(); ++k) {
-    BTree* tree = ops[pending[k]].tree;
-    auto [it, fresh] =
-        group_of.try_emplace(NodeId{tree->table_, leaf[k]->id}, groups.size());
-    if (fresh) {
-      groups.push_back({tree, leaf[k], {}, std::move(path[k]), {}, {}});
-    } else if (leaf[k]->stamp > groups[it->second].base->stamp) {
-      groups[it->second].base = leaf[k];
-      groups[it->second].path = std::move(path[k]);
+    const size_t leaf = leaf_of_key[k];
+    if (group_of[leaf] == kNoGroup) {
+      group_of[leaf] = groups.size();
+      groups.push_back({ops[pending[k]].tree, leaves[leaf], {},
+                        std::move(leaf_paths[leaf]), {}, {}});
     }
-    groups[it->second].ops.push_back(pending[k]);
+    groups[group_of[leaf]].ops.push_back(pending[k]);
   }
 
   // Apply every group's ops in op order to a copy of its leaf, BEFORE any
@@ -1145,32 +1096,17 @@ Status BTree::BatchScan(store::StorageClient* client,
     if (needs_more(c) && cursors[c]->next_leaf == 0) starting.push_back(c);
   }
   client->metrics()->index_lookups += starting.size();
-  auto descend_alone = [&](size_t c) -> Status {
-    ScanCursor& cursor = *cursors[c];
-    TELL_ASSIGN_OR_RETURN(
-        Node leaf, cursor.tree->DescendToLeaf(client, cursor.start, nullptr));
-    consume(c, leaf);
-    return Status::OK();
-  };
-  if (starting.size() == 1) {
-    TELL_RETURN_NOT_OK(descend_alone(starting.front()));
-  } else if (!starting.empty()) {
-    std::vector<DescentKey> descents;
-    descents.reserve(starting.size());
-    for (size_t c : starting) {
-      descents.push_back({cursors[c]->tree, cursors[c]->start});
-    }
-    std::vector<NodeRef> leaves;
-    std::vector<size_t> leaf_of_key;
-    TELL_RETURN_NOT_OK(
-        BatchDescendToLeaves(client, descents, &leaves, &leaf_of_key));
-    for (size_t k = 0; k < starting.size(); ++k) {
-      if (leaf_of_key[k] == kNoLeaf) {
-        TELL_RETURN_NOT_OK(descend_alone(starting[k]));
-      } else {
-        consume(starting[k], *leaves[leaf_of_key[k]]);
-      }
-    }
+  std::vector<DescentKey> descents;
+  descents.reserve(starting.size());
+  for (size_t c : starting) {
+    descents.push_back({cursors[c]->tree, cursors[c]->start});
+  }
+  std::vector<NodeRef> leaves;
+  std::vector<size_t> leaf_of_key;
+  TELL_RETURN_NOT_OK(
+      BatchDescendToLeaves(client, descents, &leaves, &leaf_of_key));
+  for (size_t k = 0; k < starting.size(); ++k) {
+    consume(starting[k], *leaves[leaf_of_key[k]]);
   }
 
   // Then every cursor that still needs entries reads its next right

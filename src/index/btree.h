@@ -213,7 +213,7 @@ class BTree {
   Status Remove(store::StorageClient* client, std::string_view key,
                 uint64_t rid);
 
-  /// All rids stored under exactly `key`.
+  /// All rids stored under exactly `key`. A one-key BatchLookup.
   Result<std::vector<uint64_t>> Lookup(store::StorageClient* client,
                                        std::string_view key);
 
@@ -223,9 +223,8 @@ class BTree {
   /// key's next uncached node — in particular the leaves, which are never
   /// cached — through one StorageClient::BatchGet, whatever tree it belongs
   /// to. With warm inner caches K lookups over any number of trees cost one
-  /// round instead of K descents. A batch of one key is a plain Lookup;
-  /// keys whose path turns stale under a concurrent split fall back to a
-  /// single-key descent.
+  /// round instead of K descents. Keys whose path a concurrent split made
+  /// stale recover inside the same rounds (see BatchDescendToLeaves).
   static Result<std::vector<std::vector<uint64_t>>> BatchLookup(
       store::StorageClient* client, const std::vector<TreeKey>& keys);
 
@@ -257,19 +256,8 @@ class BTree {
   struct NodeEdit;
   struct Separator;
 
-  Result<Node> ReadNode(store::StorageClient* client, uint64_t node_id,
-                        bool is_inner_level);
-  /// Lookup without the index_lookups metric (callers count themselves).
-  Result<std::vector<uint64_t>> LookupRids(store::StorageClient* client,
-                                           std::string_view key);
   Result<Node> ReadNodeUncached(store::StorageClient* client,
                                 uint64_t node_id);
-
-  /// Descends to the leaf that should hold `key`. Fills `path` (if not
-  /// null) with the inner nodes visited, root first. Retries with the cache
-  /// disabled when a stale cached path is detected.
-  Result<Node> DescendToLeaf(store::StorageClient* client,
-                             std::string_view key, std::vector<NodeRef>* path);
 
   /// One key of a batched descent.
   struct DescentKey {
@@ -277,20 +265,25 @@ class BTree {
     std::string_view key;
   };
 
-  /// The shared descent behind BatchLookup, BatchInsert and BatchScan.
-  /// Every key walks down through the nodes its tree's cache (or this
-  /// batch) already holds, until it needs a node from the store; each round
-  /// fetches the distinct needed nodes of all keys — deduplicated by
+  /// The one B+tree traversal, behind BatchLookup, BatchInsert and
+  /// BatchScan. Every key walks down through the nodes its tree's cache (or
+  /// this batch) already holds, until it needs a node from the store; each
+  /// round fetches the distinct needed nodes of all keys — deduplicated by
   /// (table, node id), since node ids restart at 1 in every tree — through
-  /// one StorageClient::BatchGet. On return, `leaf_of_key[i]` indexes into
-  /// `leaves` for keys[i] — or kNoLeaf when that key's batched path turned
-  /// stale (concurrent split, missing child, failed fetch) and the caller
-  /// must use the single-key descent, which owns the full B-link right-hop
-  /// and cache-refresh machinery. `leaf_paths` (if not null) receives each
+  /// one StorageClient::BatchGet. A stale path recovers inside the rounds,
+  /// while the other keys keep sharing them (B-link, §5.3.1):
+  ///   * a key whose node does not cover it follows the right sibling,
+  ///     read from the store, at most kMaxRightHops times; a leaf reached
+  ///     after a hop drops the key's inner path from the tree's cache;
+  ///   * a key that runs out of hops, finds no child, or whose node fetch
+  ///     failed drops its cached path and restarts at the root, reading
+  ///     every node from the store; a restart whose fetch fails returns the
+  ///     error, and the 16th attempt fails the call.
+  /// On return `leaf_of_key[i]` indexes into `leaves` for keys[i]; each
+  /// leaf image appears once. `leaf_paths` (if not null) receives each
   /// leaf's inner nodes, root first. A root that cannot be read fails the
   /// call. `riders` (if not null) travel in the first round, which is sent
   /// for them even without keys; their results go to `rider_results`.
-  static constexpr size_t kNoLeaf = static_cast<size_t>(-1);
   static Status BatchDescendToLeaves(
       store::StorageClient* client, const std::vector<DescentKey>& keys,
       std::vector<NodeRef>* leaves, std::vector<size_t>* leaf_of_key,

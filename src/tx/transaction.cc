@@ -109,25 +109,6 @@ Result<Transaction::RecordState*> Transaction::EnsureFetched(
   obs::PhaseScope span(tracer_, sim::TxnPhase::kRead);
   RecordState state;
   state.table = table;
-  if (fast_) {
-    // Fast reads bypass the PN-level buffer: the buffer layers label
-    // records with snapshots, which a fast transaction does not have. One
-    // direct fetch from the owning storage node (TellDb only enables the
-    // fast path under the passthrough strategy, so there is no shared
-    // state to go stale).
-    auto cell = client_->Get(table->meta->data_table, RidKey(rid));
-    client_->metrics()->buffer_misses += 1;
-    if (cell.ok()) {
-      TELL_ASSIGN_OR_RETURN(state.record,
-                            schema::VersionedRecord::Deserialize(cell->value));
-      state.stamp = cell->stamp;
-      state.exists = true;
-    } else if (!cell.status().IsNotFound()) {
-      return cell.status();
-    }
-    auto [inserted, _] = buffer_.emplace(key, std::move(state));
-    return &inserted->second;
-  }
   auto fetched = session_->record_buffer()->Read(
       client_, table->meta->data_table, rid, snapshot_);
   if (fetched.ok()) {
@@ -474,63 +455,19 @@ void Transaction::QueueIndexRemoval(index::BTree* tree, const std::string& key,
   }
 }
 
-Result<std::vector<uint64_t>> Transaction::LookupIndex(
-    TableHandle* table, int index, const std::vector<schema::Value>& key) {
+Result<std::vector<std::vector<uint64_t>>> Transaction::LookupVisible(
+    const std::vector<TableHandle*>& tables,
+    const std::vector<index::TreeKey>& keys) {
   TELL_CHECK(state_ == TxnState::kRunning);
-  // Index-lookup span; the nested record fetches of ValidateIndexHit
-  // re-attribute their time to the read phase (exclusive attribution).
+  // Index-lookup span; the record fetches re-attribute their time to the
+  // read phase (exclusive attribution).
   obs::PhaseScope span(tracer_, sim::TxnPhase::kIndexLookup);
-  index::BTree* tree =
-      index < 0 ? &table->primary
-                : &table->secondaries[static_cast<size_t>(index)];
-  TELL_ASSIGN_OR_RETURN(std::string encoded,
-                        schema::EncodeIndexKeyValues(key));
-  TELL_ASSIGN_OR_RETURN(std::vector<uint64_t> rids,
-                        tree->Lookup(client_, encoded));
-  auto pending_it = pending_index_.find({tree->table(), encoded});
-  if (pending_it != pending_index_.end()) {
-    for (uint64_t rid : pending_it->second) rids.push_back(rid);
-  }
-  std::sort(rids.begin(), rids.end());
-  rids.erase(std::unique(rids.begin(), rids.end()), rids.end());
-  std::vector<uint64_t> visible;
-  for (uint64_t rid : rids) {
-    TELL_ASSIGN_OR_RETURN(std::optional<schema::Tuple> tuple,
-                          ValidateIndexHit(table, tree, encoded, rid));
-    if (tuple.has_value()) visible.push_back(rid);
-  }
-  return visible;
-}
-
-Result<std::optional<uint64_t>> Transaction::LookupPrimary(
-    TableHandle* table, const std::vector<schema::Value>& key) {
-  TELL_ASSIGN_OR_RETURN(std::vector<uint64_t> rids,
-                        LookupIndex(table, -1, key));
-  if (rids.empty()) return std::optional<uint64_t>{};
-  if (rids.size() > 1) {
-    return Status::InternalError("unique index returned multiple rids");
-  }
-  return std::optional<uint64_t>(rids.front());
-}
-
-Result<std::vector<std::optional<uint64_t>>> Transaction::BatchLookupPrimary(
-    const std::vector<TableKey>& keys) {
-  TELL_CHECK(state_ == TxnState::kRunning);
-  obs::PhaseScope span(tracer_, sim::TxnPhase::kIndexLookup);
-  std::vector<index::TreeKey> tree_keys;
-  tree_keys.reserve(keys.size());
-  for (const TableKey& k : keys) {
-    TELL_ASSIGN_OR_RETURN(std::string encoded,
-                          schema::EncodeIndexKeyValues(k.key));
-    tree_keys.push_back({&k.table->primary, std::move(encoded)});
-  }
   TELL_ASSIGN_OR_RETURN(std::vector<std::vector<uint64_t>> rid_lists,
-                        index::BTree::BatchLookup(client_, tree_keys));
-  TELL_CHECK(rid_lists.size() == tree_keys.size());
-  // Merge this transaction's pending inserts and dedup, like LookupIndex.
-  for (size_t i = 0; i < tree_keys.size(); ++i) {
-    auto pending_it =
-        pending_index_.find({tree_keys[i].tree->table(), tree_keys[i].key});
+                        index::BTree::BatchLookup(client_, keys));
+  TELL_CHECK(rid_lists.size() == keys.size());
+  // Merge this transaction's pending inserts and dedup.
+  for (size_t i = 0; i < keys.size(); ++i) {
+    auto pending_it = pending_index_.find({keys[i].tree->table(), keys[i].key});
     if (pending_it != pending_index_.end()) {
       for (uint64_t rid : pending_it->second) rid_lists[i].push_back(rid);
     }
@@ -538,35 +475,72 @@ Result<std::vector<std::optional<uint64_t>>> Transaction::BatchLookupPrimary(
     rid_lists[i].erase(std::unique(rid_lists[i].begin(), rid_lists[i].end()),
                        rid_lists[i].end());
   }
-  // Prefetch every candidate record of every table up front so the per-key
-  // validation below is served from the transaction buffer (record fetches
-  // attribute to the read phase, like EnsureFetched would).
+  // Prefetch every candidate record of every table up front so the
+  // validation below is served from the transaction buffer.
   {
     obs::PhaseScope read_span(tracer_, sim::TxnPhase::kRead);
     std::vector<std::pair<TableHandle*, uint64_t>> candidates;
     for (size_t i = 0; i < keys.size(); ++i) {
       for (uint64_t rid : rid_lists[i]) {
-        candidates.emplace_back(keys[i].table, rid);
+        candidates.emplace_back(tables[i], rid);
       }
     }
     TELL_RETURN_NOT_OK(PrefetchMissing(candidates));
   }
-  std::vector<std::optional<uint64_t>> out;
-  out.reserve(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    std::optional<uint64_t> found;
+    std::vector<uint64_t> visible;
     for (uint64_t rid : rid_lists[i]) {
       TELL_ASSIGN_OR_RETURN(
           std::optional<schema::Tuple> tuple,
-          ValidateIndexHit(keys[i].table, tree_keys[i].tree, tree_keys[i].key,
-                           rid));
-      if (!tuple.has_value()) continue;
-      if (found.has_value()) {
-        return Status::InternalError("unique index returned multiple rids");
-      }
-      found = rid;
+          ValidateIndexHit(tables[i], keys[i].tree, keys[i].key, rid));
+      if (tuple.has_value()) visible.push_back(rid);
     }
-    out.push_back(found);
+    rid_lists[i] = std::move(visible);
+  }
+  return rid_lists;
+}
+
+Result<std::vector<uint64_t>> Transaction::LookupIndex(
+    TableHandle* table, int index, const std::vector<schema::Value>& key) {
+  index::BTree* tree =
+      index < 0 ? &table->primary
+                : &table->secondaries[static_cast<size_t>(index)];
+  TELL_ASSIGN_OR_RETURN(std::string encoded,
+                        schema::EncodeIndexKeyValues(key));
+  TELL_ASSIGN_OR_RETURN(std::vector<std::vector<uint64_t>> rids,
+                        LookupVisible({table}, {{tree, std::move(encoded)}}));
+  return std::move(rids.front());
+}
+
+Result<std::optional<uint64_t>> Transaction::LookupPrimary(
+    TableHandle* table, const std::vector<schema::Value>& key) {
+  TELL_ASSIGN_OR_RETURN(std::vector<std::optional<uint64_t>> rids,
+                        BatchLookupPrimary({{table, key}}));
+  return rids.front();
+}
+
+Result<std::vector<std::optional<uint64_t>>> Transaction::BatchLookupPrimary(
+    const std::vector<TableKey>& keys) {
+  std::vector<TableHandle*> tables;
+  std::vector<index::TreeKey> tree_keys;
+  tables.reserve(keys.size());
+  tree_keys.reserve(keys.size());
+  for (const TableKey& k : keys) {
+    TELL_ASSIGN_OR_RETURN(std::string encoded,
+                          schema::EncodeIndexKeyValues(k.key));
+    tables.push_back(k.table);
+    tree_keys.push_back({&k.table->primary, std::move(encoded)});
+  }
+  TELL_ASSIGN_OR_RETURN(std::vector<std::vector<uint64_t>> rid_lists,
+                        LookupVisible(tables, tree_keys));
+  std::vector<std::optional<uint64_t>> out;
+  out.reserve(keys.size());
+  for (const std::vector<uint64_t>& rids : rid_lists) {
+    if (rids.size() > 1) {
+      return Status::InternalError("unique index returned multiple rids");
+    }
+    out.push_back(rids.empty() ? std::nullopt
+                               : std::optional<uint64_t>(rids.front()));
   }
   return out;
 }

@@ -198,6 +198,7 @@ class Transaction {
 
   /// Rid under the primary key, if the record is visible. One index lookup
   /// plus one record fetch (the fetch stays buffered for a following Read).
+  /// A one-key BatchLookupPrimary.
   Result<std::optional<uint64_t>> LookupPrimary(
       TableHandle* table, const std::vector<schema::Value>& key);
 
@@ -211,7 +212,8 @@ class Transaction {
   Result<std::vector<std::optional<uint64_t>>> BatchLookupPrimary(
       const std::vector<TableKey>& keys);
 
-  /// All visible rids under `key` in the given index (-1 = primary).
+  /// All visible rids under `key` in the given index (-1 = primary): one
+  /// index lookup plus one batched fetch of every candidate record.
   /// Version-unaware index entries are validated against the fetched
   /// records; obsolete entries are garbage collected on the way (§5.4).
   Result<std::vector<uint64_t>> LookupIndex(
@@ -365,7 +367,7 @@ class Transaction {
 
   /// Fills the transaction buffer with the (table, rid) records not yet
   /// buffered, in one batched request across tables when the buffering
-  /// strategy allows it (BatchRead and BatchLookupPrimary share this).
+  /// strategy allows it (BatchRead and LookupVisible share this).
   Status PrefetchMissing(
       const std::vector<std::pair<TableHandle*, uint64_t>>& records);
 
@@ -421,6 +423,16 @@ class Transaction {
   /// (fetched but not written). OK if every read returned the newest
   /// version in its cell and no stamp changed since; Aborted otherwise.
   Status ValidateReadSet();
+
+  /// The lookup core of LookupIndex and BatchLookupPrimary, for keys of any
+  /// index of any table (`tables[i]` owns `keys[i].tree`): one shared
+  /// descent (BTree::BatchLookup), this transaction's pending inserts
+  /// merged in, every candidate record prefetched in one batched request,
+  /// then each candidate validated (ValidateIndexHit). Returns the visible
+  /// rids of each key, in rid order.
+  Result<std::vector<std::vector<uint64_t>>> LookupVisible(
+      const std::vector<TableHandle*>& tables,
+      const std::vector<index::TreeKey>& keys);
 
   /// Validates an index hit: fetches the record, checks some version still
   /// carries `key` and the record is not dead below the lav (else queues

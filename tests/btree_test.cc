@@ -48,6 +48,34 @@ class BTreeTest : public ::testing::Test {
     return BTree(table_, options, &cache_);
   }
 
+  /// A handle on the fixture's tree with its own inner-node cache, as
+  /// another processing node holds it.
+  BTree MakeTree(uint32_t fanout, NodeCache* node_cache) {
+    BTreeOptions options;
+    options.fanout = fanout;
+    return BTree(table_, options, node_cache);
+  }
+
+  /// PN A creates the tree, inserts the even keys 0..78 (rid key / 2) and
+  /// caches the inner nodes; then PN B inserts the odd keys 1..79 (rid
+  /// 100 + key / 2) and splits nodes underneath A's cache.
+  void SplitUnderneathCache(BTree* tree_a, BTree* tree_b) {
+    auto client_a = MakeClient();
+    auto client_b = MakeClient();
+    ASSERT_OK(BTree::Create(client_a.get(), table_));
+    for (uint64_t i = 0; i < 40; ++i) {
+      ASSERT_OK(tree_a->Insert(client_a.get(), tell::EncodeOrderedU64(i * 2),
+                               i, true));
+    }
+    ASSERT_OK(
+        tree_a->Lookup(client_a.get(), tell::EncodeOrderedU64(10)).status());
+    for (uint64_t i = 0; i < 40; ++i) {
+      ASSERT_OK(tree_b->Insert(client_b.get(),
+                               tell::EncodeOrderedU64(i * 2 + 1), 100 + i,
+                               true));
+    }
+  }
+
   std::unique_ptr<store::Cluster> cluster_;
   std::vector<std::unique_ptr<sim::VirtualClock>> clocks_;
   std::vector<std::unique_ptr<sim::WorkerMetrics>> metrics_;
@@ -295,26 +323,12 @@ TEST_F(BTreeTest, ConcurrentBatchedSplitsAllSurvive) {
 }
 
 TEST_F(BTreeTest, StaleCacheRecoversAfterRemoteSplits) {
-  auto client_a = MakeClient();
-  auto client_b = MakeClient();
-  ASSERT_OK(BTree::Create(client_a.get(), table_));
   NodeCache cache_a, cache_b;
-  BTreeOptions options;
-  options.fanout = 4;
-  BTree tree_a(table_, options, &cache_a);
-  BTree tree_b(table_, options, &cache_b);
-  // PN A builds some structure and caches the inner nodes.
-  for (uint64_t i = 0; i < 40; ++i) {
-    ASSERT_OK(tree_a.Insert(client_a.get(), tell::EncodeOrderedU64(i * 2), i, true));
-  }
-  ASSERT_OK(tree_a.Lookup(client_a.get(), tell::EncodeOrderedU64(10)).status());
-  // PN B splits nodes underneath A's cache.
-  for (uint64_t i = 0; i < 40; ++i) {
-    ASSERT_OK(
-        tree_b.Insert(client_b.get(), tell::EncodeOrderedU64(i * 2 + 1), 100 + i,
-                      true));
-  }
+  BTree tree_a = MakeTree(/*fanout=*/4, &cache_a);
+  BTree tree_b = MakeTree(/*fanout=*/4, &cache_b);
+  ASSERT_NO_FATAL_FAILURE(SplitUnderneathCache(&tree_a, &tree_b));
   // A's stale cache must still find everything (right-links + refresh).
+  auto client_a = MakeClient();
   for (uint64_t i = 0; i < 40; ++i) {
     ASSERT_OK_AND_ASSIGN(
         std::vector<uint64_t> rids,
@@ -322,6 +336,66 @@ TEST_F(BTreeTest, StaleCacheRecoversAfterRemoteSplits) {
     ASSERT_EQ(rids.size(), 1u) << "key " << i * 2 + 1;
     EXPECT_EQ(rids[0], 100 + i);
   }
+}
+
+// Storage requests of StaleBatchFollowsRightLinksInSharedRounds' batch. A
+// serial descent per stale key pays 10.
+constexpr uint64_t kPinnedStaleBatchRequests = 5;
+
+TEST_F(BTreeTest, StaleBatchFollowsRightLinksInSharedRounds) {
+  NodeCache cache_a, cache_b;
+  BTree tree_a = MakeTree(/*fanout=*/4, &cache_a);
+  BTree tree_b = MakeTree(/*fanout=*/4, &cache_b);
+  ASSERT_NO_FATAL_FAILURE(SplitUnderneathCache(&tree_a, &tree_b));
+  // One batch of every odd key on A: the keys whose cached path went stale
+  // hop right and restart inside the batch's shared rounds.
+  std::vector<TreeKey> keys;
+  for (uint64_t i = 0; i < 40; ++i) {
+    keys.push_back({&tree_a, tell::EncodeOrderedU64(i * 2 + 1)});
+  }
+  auto client = MakeClient(store::ClientOptions{});
+  sim::WorkerMetrics* metrics = metrics_.back().get();
+  ASSERT_OK_AND_ASSIGN(std::vector<std::vector<uint64_t>> got,
+                       BTree::BatchLookup(client.get(), keys));
+  for (uint64_t i = 0; i < 40; ++i) {
+    EXPECT_EQ(got[i], std::vector<uint64_t>{100 + i}) << "key " << i * 2 + 1;
+  }
+  EXPECT_EQ(metrics->storage_requests, kPinnedStaleBatchRequests);
+}
+
+TEST_F(BTreeTest, StalePathRestartsFromTheRoot) {
+  NodeCache cache_a, cache_b;
+  BTree tree_a = MakeTree(/*fanout=*/4, &cache_a);
+  BTree tree_b = MakeTree(/*fanout=*/4, &cache_b);
+  auto client = MakeClient();
+  ASSERT_OK(BTree::Create(client.get(), table_));
+  // A caches a two-level tree.
+  for (uint64_t k = 0; k < 6; ++k) {
+    ASSERT_OK(tree_a.Insert(client.get(), tell::EncodeOrderedU64(k), k, true));
+  }
+  // B appends keys on the right: the leaf A's cached root points to for
+  // them heads a chain of right siblings far longer than the 64 hops a
+  // descent may take.
+  for (uint64_t k = 6; k < 406; ++k) {
+    ASSERT_OK(tree_b.Insert(client.get(), tell::EncodeOrderedU64(k), k, true));
+  }
+  ASSERT_OK_AND_ASSIGN(uint32_t height, tree_b.Height(client.get()));
+  // A's lookup reads the leaf its cached root names, hops right 64 times,
+  // runs out of hops and restarts at the root, reading one node per level
+  // from the store.
+  sim::WorkerMetrics* metrics = metrics_.back().get();
+  uint64_t rounds = metrics->pipeline_flushes;
+  ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> rids,
+                       tree_a.Lookup(client.get(), tell::EncodeOrderedU64(405)));
+  EXPECT_EQ(rids, std::vector<uint64_t>{405});
+  EXPECT_EQ(metrics->pipeline_flushes - rounds, 1 + 64 + height);
+  // The restart dropped A's stale root: the next lookup reads one node per
+  // level and lands on the right leaf without a hop.
+  rounds = metrics->pipeline_flushes;
+  ASSERT_OK_AND_ASSIGN(rids,
+                       tree_a.Lookup(client.get(), tell::EncodeOrderedU64(404)));
+  EXPECT_EQ(rids, std::vector<uint64_t>{404});
+  EXPECT_EQ(metrics->pipeline_flushes - rounds, height);
 }
 
 TEST_F(BTreeTest, CachingReducesStorageRequests) {
@@ -401,20 +475,19 @@ TEST_F(BTreeTest, BatchLookupBatchesDescentsWithoutPipelining) {
   keys.push_back(tell::EncodeOrderedU64(1001));  // absent
   auto client = MakeClient(BatchingOptions(/*batching=*/true));
   sim::WorkerMetrics* metrics = metrics_.back().get();
-  // The reference: K single-key lookups (which also warm the inner nodes).
+  // The expected rids come from the loaded content: key 2i holds rid
+  // 2i + 1, and 1001 is absent.
   std::vector<std::vector<uint64_t>> expected;
-  for (const std::string& key : keys) {
-    ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> rids,
-                         tree.Lookup(client.get(), key));
-    expected.push_back(rids);
-  }
+  for (uint64_t k = 0; k < 400; k += 32) expected.push_back({k + 1});
+  expected.push_back({});
+  // Warm the inner-node cache, so the batch below reads only the leaves.
+  ASSERT_OK(BTree::BatchLookup(client.get(), OnTree(&tree, keys)).status());
   ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height(loader.get()));
   ASSERT_EQ(height, 4u);
   uint64_t requests = metrics->storage_requests;
   ASSERT_OK_AND_ASSIGN(std::vector<std::vector<uint64_t>> got,
                        BTree::BatchLookup(client.get(), OnTree(&tree, keys)));
   EXPECT_EQ(got, expected);
-  EXPECT_TRUE(got.back().empty());
   // One batched leaf fetch: at most one request per storage node.
   EXPECT_LE(metrics->storage_requests - requests, height);
   EXPECT_LT(metrics->storage_requests - requests, keys.size());

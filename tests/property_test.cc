@@ -4,6 +4,7 @@
 // checks for concurrent counter increments.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <thread>
 
@@ -185,14 +186,19 @@ TEST_P(BTreePropertyTest, MatchesModelUnderRandomOps) {
   store::StorageClient client(&cluster, nullptr, client_options, &clock,
                               &metrics);
   ASSERT_OK(index::BTree::Create(&client, table));
-  index::NodeCache cache;
   index::BTreeOptions tree_options;
   tree_options.fanout = GetParam();
-  index::BTree tree(table, tree_options, &cache);
+  // Two handles on the tree with their own inner-node caches, as two
+  // processing nodes hold them: each one's splits leave the other's cache
+  // stale.
+  index::NodeCache caches[2];
+  index::BTree trees[2] = {index::BTree(table, tree_options, &caches[0]),
+                           index::BTree(table, tree_options, &caches[1])};
 
   std::multimap<std::string, uint64_t> model;
   Random rng(GetParam() * 1000 + 1);
   for (int op = 0; op < 1500; ++op) {
+    index::BTree& writer = trees[op % 2];
     std::string key = EncodeOrderedU64(rng.Uniform(120));
     uint64_t rid = rng.Uniform(6) + 1;
     if (rng.Bernoulli(0.65)) {
@@ -200,10 +206,10 @@ TEST_P(BTreePropertyTest, MatchesModelUnderRandomOps) {
       for (auto [it, end] = model.equal_range(key); it != end; ++it) {
         if (it->second == rid) model_has = true;
       }
-      ASSERT_OK(tree.Insert(&client, key, rid, false));
+      ASSERT_OK(writer.Insert(&client, key, rid, false));
       if (!model_has) model.emplace(key, rid);
     } else {
-      ASSERT_OK(tree.Remove(&client, key, rid));
+      ASSERT_OK(writer.Remove(&client, key, rid));
       for (auto [it, end] = model.equal_range(key); it != end; ++it) {
         if (it->second == rid) {
           model.erase(it);
@@ -212,17 +218,43 @@ TEST_P(BTreePropertyTest, MatchesModelUnderRandomOps) {
       }
     }
     if (op % 300 == 0) {
-      // Spot-check lookups against the model.
+      // Spot-check one batched lookup of every probe key and a batched
+      // two-cursor scan of the whole tree, through the other handle.
+      index::BTree* reader = &trees[(op + 1) % 2];
+      std::vector<index::TreeKey> probes;
       for (uint64_t probe = 0; probe < 120; probe += 17) {
-        std::string probe_key = EncodeOrderedU64(probe);
-        ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> rids,
-                             tree.Lookup(&client, probe_key));
-        ASSERT_EQ(rids.size(), model.count(probe_key));
+        probes.push_back({reader, EncodeOrderedU64(probe)});
       }
+      ASSERT_OK_AND_ASSIGN(std::vector<std::vector<uint64_t>> rids,
+                           index::BTree::BatchLookup(&client, probes));
+      for (size_t p = 0; p < probes.size(); ++p) {
+        std::vector<uint64_t> expected;
+        for (auto [it, end] = model.equal_range(probes[p].key); it != end;
+             ++it) {
+          expected.push_back(it->second);
+        }
+        std::sort(expected.begin(), expected.end());
+        std::sort(rids[p].begin(), rids[p].end());
+        ASSERT_EQ(rids[p], expected) << "op " << op << " probe " << p;
+      }
+      const std::string middle = EncodeOrderedU64(60);
+      index::ScanCursor low{reader, "", middle};
+      index::ScanCursor high{reader, middle, ""};
+      ASSERT_OK(index::BTree::BatchScan(&client, {&low, &high}));
+      std::vector<std::pair<std::string, uint64_t>> scanned;
+      for (const index::ScanCursor* cursor : {&low, &high}) {
+        for (const index::IndexEntry& e : cursor->entries) {
+          scanned.emplace_back(e.key, e.rid);
+        }
+      }
+      std::vector<std::pair<std::string, uint64_t>> expected(model.begin(),
+                                                             model.end());
+      std::sort(expected.begin(), expected.end());
+      ASSERT_EQ(scanned, expected) << "op " << op;
     }
   }
   ASSERT_OK_AND_ASSIGN(std::vector<index::IndexEntry> entries,
-                       tree.RangeScan(&client, "", "", 0));
+                       trees[0].RangeScan(&client, "", "", 0));
   ASSERT_EQ(entries.size(), model.size());
 }
 

@@ -241,11 +241,26 @@ TEST_F(TransactionTest, SecondaryIndexLookup) {
   MustInsert(1, "alice", 1.0);
   MustInsert(2, "bob", 2.0);
   MustInsert(3, "alice", 3.0);
+  MustInsert(4, "alice", 4.0);
+  const Value alice(std::string("alice"));
+  // The rounds of the bare index lookup, with the inner-node cache as warm
+  // as for LookupIndex below.
+  ASSERT_OK_AND_ASSIGN(std::string encoded,
+                       schema::EncodeIndexKeyValues({alice}));
+  const sim::WorkerMetrics* metrics = session_->metrics();
+  uint64_t before = metrics->pipeline_flushes;
+  ASSERT_OK(
+      table_->secondaries[0].Lookup(session_->client(), encoded).status());
+  const uint64_t index_rounds = metrics->pipeline_flushes - before;
+
+  // A fresh transaction's buffer is cold: the three candidate records of
+  // the non-unique key are fetched in one record round.
   Transaction txn(session_.get());
   ASSERT_OK(txn.Begin());
-  ASSERT_OK_AND_ASSIGN(
-      auto rids, txn.LookupIndex(table_, 0, {Value(std::string("alice"))}));
-  EXPECT_EQ(rids.size(), 2u);
+  before = metrics->pipeline_flushes;
+  ASSERT_OK_AND_ASSIGN(auto rids, txn.LookupIndex(table_, 0, {alice}));
+  EXPECT_EQ(metrics->pipeline_flushes - before, index_rounds + 1);
+  EXPECT_EQ(rids.size(), 3u);
   ASSERT_OK(txn.Commit());
 }
 
