@@ -84,6 +84,10 @@ struct WorkerMetrics {
   uint64_t index_rollbacks = 0;
   /// B+tree nodes split (a node cut into any number of pieces counts once).
   uint64_t index_splits = 0;
+  /// Serialized B+tree node cells written (share of bytes_sent).
+  uint64_t index_node_bytes_sent = 0;
+  /// Serialized B+tree node cells read (share of bytes_received).
+  uint64_t index_node_bytes_received = 0;
   /// Obsolete index entries removed by the read path's index GC (§5.4),
   /// sent with the transaction's commit.
   uint64_t gc_index_entries = 0;
@@ -258,6 +262,11 @@ inline const std::vector<WorkerCounterField>& WorkerCounterFields() {
        &WorkerMetrics::index_rollbacks},
       {"index.splits", "nodes", "B+tree nodes split",
        &WorkerMetrics::index_splits},
+      {"index.node_bytes_sent", "bytes", "serialized B+tree node cells written",
+       &WorkerMetrics::index_node_bytes_sent},
+      {"index.node_bytes_received", "bytes",
+       "serialized B+tree node cells read",
+       &WorkerMetrics::index_node_bytes_received},
       {"gc.eager_index_entries_removed", "entries",
        "obsolete index entries removed by read-path index GC",
        &WorkerMetrics::gc_index_entries},
