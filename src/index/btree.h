@@ -169,14 +169,14 @@ class BTree {
   /// BatchLookup), the ops are grouped by target leaf, and each touched leaf
   /// is rewritten with ONE conditional put carrying all of its changes.
   /// A leaf that overflows is cut into as many nodes as it needs, and the
-  /// splits of all trees share their B-link rounds: the fresh right nodes
-  /// travel in the same StorageClient::BatchWrite as the plain leaf puts,
-  /// one round of LL/SC puts then shrinks the split nodes (the
-  /// linearisation point), and one more round rewrites each parent with all
-  /// of its new separators. A parent that overflows splits the same way one
-  /// level up; a root split rewrites the fixed-id root last. Ops whose leaf
-  /// lost its LL/SC race are retried as a batch. Unique violations in any
-  /// tree are detected during preparation, before any put is issued.
+  /// splits of all trees share their B-link rounds: one BatchWrite publishes
+  /// the fresh right nodes, one round of LL/SC puts then rewrites the plain
+  /// leaves and shrinks the split nodes (the linearisation point), and one
+  /// more round rewrites each parent with all of its new separators. A
+  /// parent that overflows splits the same way one level up; a root split
+  /// rewrites the fixed-id root last. Ops whose leaf lost its LL/SC race are
+  /// retried as a batch. Unique violations in any tree are detected during
+  /// preparation, before any put is issued.
   /// `inserted` (resized to ops.size()) reports per op whether it took
   /// effect when the call returns — an insert's entry is durably in its
   /// tree, a remove's entry is gone. On failure the caller uses it to undo
@@ -185,28 +185,54 @@ class BTree {
                             const std::vector<BatchInsertOp>& ops,
                             std::vector<bool>* inserted);
 
-  /// A BatchInsert between its two halves.
+  /// A BatchInsert between its steps.
   class Prepared;
 
-  /// BatchInsert's first half, for callers with other storage work to do
+  /// BatchInsert's first step, for callers with other storage work to do
   /// before the puts: descends to the leaf of every op — `riders` travel in
   /// the descent's first round, next to its node reads, even when there is
-  /// no op — and applies the ops to copies of their leaves. Fails with
-  /// AlreadyExists on a unique violation; nothing of the batch is written
-  /// either way. The riders are sent whatever the outcome, and their
-  /// results go to `rider_results` (may be null without riders),
-  /// positionally.
+  /// no op — applies the ops to copies of their leaves, and plans every
+  /// split: its cut points and fresh node ids. Fails with AlreadyExists on
+  /// a unique violation; nothing of the batch is written either way. The
+  /// riders are sent whatever the outcome, and their results go to
+  /// `rider_results` (may be null without riders), positionally.
   static Status PrepareInsert(store::StorageClient* client,
                               std::vector<BatchInsertOp> ops,
                               const std::vector<store::WriteOp>& riders,
                               std::vector<Result<uint64_t>>* rider_results,
                               Prepared* prepared);
 
-  /// BatchInsert's second half: writes the prepared leaves. A leaf that
+  /// The round that publishes the fresh nodes of the planned splits, with
+  /// `riders` in the same BatchWrite — sent even when nothing splits — and
+  /// their results in `rider_results`. Nothing of the batch is reachable
+  /// yet: a fresh node's id is known only to the shrink of its split node
+  /// and to its separator, which WriteInsert writes (B-link). Fails on a
+  /// storage failure of a fresh node's put. WriteInsert sends this round
+  /// itself when the caller did not.
+  static Status PublishFresh(store::StorageClient* client, Prepared* prepared,
+                             std::vector<store::WriteOp> riders,
+                             std::vector<Result<uint64_t>>* rider_results);
+
+  /// Erases of the fresh nodes PublishFresh sent, for a caller that
+  /// abandons the batch before WriteInsert: they are unreachable and only
+  /// hold their cells.
+  static std::vector<store::WriteOp> FreshNodeErases(const Prepared& prepared);
+
+  /// BatchInsert's remaining steps: the fresh nodes (unless PublishFresh
+  /// sent them), one round of LL/SC puts of every leaf rewrite and split
+  /// shrink, then the separators the splits owe their parents. A leaf that
   /// changed since PrepareInsert read it loses its LL/SC, and its ops are
   /// prepared again — a unique violation found then fails the call like
-  /// BatchInsert's. `prepared->inserted()` reports the ops in effect.
-  static Status WriteInsert(store::StorageClient* client, Prepared* prepared);
+  /// BatchInsert's. `riders` travel in the first round after every op is
+  /// in effect — next to the separators, or alone — so the call returns OK
+  /// exactly when it sent them, with their results in `rider_results`. Once
+  /// every op is in effect a separator that cannot be written is given up:
+  /// its node stays reachable through its left neighbour's right link.
+  /// `prepared->inserted()` reports the ops in effect.
+  static Status WriteInsert(store::StorageClient* client, Prepared* prepared,
+                            std::vector<store::WriteOp> riders = {},
+                            std::vector<Result<uint64_t>>* rider_results =
+                                nullptr);
 
   /// Removes the entry (key, rid). OK even if absent (idempotent — index GC
   /// races are benign). A one-op BatchInsert.
@@ -255,6 +281,7 @@ class BTree {
   using NodeId = std::pair<store::TableId, uint64_t>;
   struct NodeEdit;
   struct Separator;
+  struct Riders;
 
   Result<Node> ReadNodeUncached(store::StorageClient* client,
                                 uint64_t node_id);
@@ -318,16 +345,35 @@ class BTree {
                                       std::vector<NodeEdit>* edits,
                                       std::vector<Separator>* retry);
 
-  /// Writes `edits` in the B-link rounds described at BatchInsert, splitting
-  /// every edit that overflows its node; their entry lists are consumed.
-  /// Sets `landed[i]` for the edits now in effect, appends the separators
-  /// their splits owe the next level up, and records every image it wrote
-  /// in `known`.
-  static Status ApplyEdits(store::StorageClient* client,
-                           std::vector<NodeEdit>* edits,
-                           std::map<NodeId, NodeRef>* known,
-                           std::vector<bool>* landed,
-                           std::vector<Separator>* separators);
+  /// Plans every edit: cuts each one that overflows its node into pieces —
+  /// fresh nodes from one id allocation per tree — and consumes its entry
+  /// list.
+  static Status PlanEdits(store::StorageClient* client,
+                          std::vector<NodeEdit>* edits);
+
+  /// The edits of WriteInsert's next round: the ops whose leaf lost its
+  /// LL/SC, prepared again, and the separators the landed splits owe.
+  static Status PrepareNextEdits(store::StorageClient* client,
+                                 Prepared* prepared);
+
+  /// One BatchWrite of `puts`, with the riders (if not null and not sent
+  /// yet) in front; their results go to the riders. No round without
+  /// either.
+  static std::vector<Result<uint64_t>> SendWrites(
+      store::StorageClient* client, std::vector<store::WriteOp> puts,
+      Riders* riders);
+
+  /// Sends the fresh nodes of every edit that has not sent them, with
+  /// `riders`; an edit with a fresh node that did not land is not
+  /// published. No round without fresh nodes: the riders wait.
+  static Status PublishRound(store::StorageClient* client,
+                             std::vector<NodeEdit>* edits, Riders* riders);
+
+  /// One round of LL/SC puts at the node ids of every published edit, with
+  /// `riders`. A landed edit's ops are in effect and its splits' separators
+  /// are owed; a lost one's ops are pending again. Consumes the edits.
+  static Status WriteEdits(store::StorageClient* client, Prepared* prepared,
+                           Riders* riders);
 
   /// Finds the node at `level` whose range covers `key`, starting from node
   /// `start_id` (an ancestor or left neighbour) and re-reading every node:
@@ -363,7 +409,17 @@ class BTree::Prepared {
   friend class BTree;
   std::vector<BatchInsertOp> ops_;
   std::vector<bool> inserted_;
+  /// The next round's edits, planned.
   std::vector<NodeEdit> edits_;
+  /// Ops whose leaf lost its LL/SC race, to prepare again.
+  std::vector<size_t> pending_;
+  /// Separators the landed splits owe their parents.
+  std::vector<Separator> separators_;
+  /// The freshest image of every inner node this batch read or wrote.
+  std::map<NodeId, NodeRef> known_;
+  /// A unique violation found on a retry, returned once the splits already
+  /// published are linked into their parents.
+  Status failure_;
 };
 
 }  // namespace tell::index

@@ -1028,7 +1028,11 @@ Status Transaction::Commit() {
   // 2. Apply all buffered updates with LL/SC conditional puts. Records also
   //    get their eager version GC here (§5.4: "record GC is part of the
   //    update process"). The apply + read-set validation is the conflict
-  //    detection window, traced as the validate phase.
+  //    detection window, traced as the validate phase. The fresh nodes of
+  //    the index splits planned in step 3a ride the apply's round: nothing
+  //    reaches a fresh node before its split node's shrink lands in step
+  //    3b (B-link), so no entry becomes reachable before its record. An
+  //    abort from here to step 3b erases them again.
   std::vector<uint64_t> new_stamps(dirty.size(), 0);
   {
     obs::PhaseScope validate_span(tracer_, sim::TxnPhase::kValidate);
@@ -1041,8 +1045,9 @@ Status Transaction::Commit() {
       ops.push_back({key.first, RidKey(key.second), state.record.Serialize(),
                      state.stamp, /*conditional=*/true, /*erase=*/false});
     }
-    std::vector<Result<uint64_t>> results = client_->BatchWrite(ops);
-
+    std::vector<Result<uint64_t>> results;
+    Status published = index::BTree::PublishFresh(client_, &prepared,
+                                                  std::move(ops), &results);
     Status failure;
     for (size_t i = 0; i < results.size(); ++i) {
       if (results[i].ok()) {
@@ -1051,12 +1056,16 @@ Status Transaction::Commit() {
         failure = results[i].status();
       }
     }
+    if (failure.ok()) failure = published;
+    // 2b. Serializable SI: validate the read set AFTER the writes are
+    //     installed (Silo-style ordering — see TxnOptions::serializable).
+    if (failure.ok() && options_.serializable) failure = ValidateReadSet();
     if (!failure.ok()) {
-      // Write-write conflict (or storage failure): revert the whole dirty
-      // set — an ambiguous conditional put may have applied even though it
-      // reported failure, and RollbackApplied skips records without our
-      // version after one read.
-      RollbackApplied(dirty);
+      // Write-write conflict, read-set conflict or storage failure: revert
+      // the whole dirty set — an ambiguous conditional put may have applied
+      // even though it reported failure, and RollbackApplied skips records
+      // without our version after one read.
+      RollbackApplied(dirty, index::BTree::FreshNodeErases(prepared));
       (void)session_->commitmgr_client()->Finish(commit_manager_, tid_,
                                                /*committed=*/false);
       state_ = TxnState::kAborted;
@@ -1066,26 +1075,27 @@ Status Transaction::Commit() {
       }
       return failure;
     }
-
-    // 2b. Serializable SI: validate the read set AFTER the writes are
-    //     installed (Silo-style ordering — see TxnOptions::serializable).
-    if (options_.serializable) {
-      Status valid = ValidateReadSet();
-      if (!valid.ok()) {
-        RollbackApplied(dirty);
-        (void)session_->commitmgr_client()->Finish(commit_manager_, tid_,
-                                               /*committed=*/false);
-        state_ = TxnState::kAborted;
-        client_->metrics()->aborted += 1;
-        return valid;
-      }
-    }
   }
 
   // 3b. Alter the indexes to reflect the updates (§4.3 step 4a), after the
   //     apply: an entry must never land before its record, or a reader's
-  //     ValidateIndexHit would collect it as garbage.
-  Status index_status = WriteIndexOps(&prepared);
+  //     ValidateIndexHit would collect it as garbage. One round writes
+  //     every leaf and shrinks every split node.
+  // 4. The commit flag in the log rides the next round, with the
+  //    separators the splits owe their parents — it waits for every index
+  //    entry, and a lost separator leaves only a node reachable by its
+  //    left neighbour's right link. Then notify the commit manager. The
+  //    log's committed flag is the SOURCE OF TRUTH: recovery rolls back
+  //    every unflagged entry, so telling the commit manager "committed"
+  //    while the flag write failed would let recovery silently undo a
+  //    transaction other workers already observed. If the flag cannot be
+  //    written even after the client's retries, the transaction must abort
+  //    instead: undo indexes and data, then notify the manager of the
+  //    abort.
+  std::vector<Result<uint64_t>> flagged;
+  Status index_status = WriteIndexOps(
+      &prepared, {session_->log()->MarkCommittedOp(std::move(entry))},
+      &flagged);
   if (!index_status.ok()) {
     // Unique-index race found on a retry (a racing insert of the same key
     // took the leaf after step 3a read it) or a storage failure: the data
@@ -1104,15 +1114,8 @@ Status Transaction::Commit() {
     }
     return index_status;
   }
-
-  // 4. Commit flag in the log, then notify the commit manager. The log's
-  //    committed flag is the SOURCE OF TRUTH: recovery rolls back every
-  //    unflagged entry, so telling the commit manager "committed" while the
-  //    flag write failed would let recovery silently undo a transaction
-  //    other workers already observed. If the flag cannot be written even
-  //    after the client's retries, the transaction must abort instead:
-  //    undo indexes and data, then notify the manager of the abort.
-  Status mark = session_->log()->MarkCommitted(client_, std::move(entry));
+  TELL_CHECK(flagged.size() == 1);
+  Status mark = flagged.front().status();
   if (!mark.ok()) {
     client_->metrics()->commit_flag_failures += 1;
     TELL_LOG(kWarn) << "commit flag write failed for tid " << tid_ << " ("
@@ -1219,7 +1222,8 @@ Status Transaction::CommitFast() {
   return Status::OK();
 }
 
-bool Transaction::RollbackApplied(const std::vector<RecordKey>& dirty) {
+bool Transaction::RollbackApplied(const std::vector<RecordKey>& dirty,
+                                  const std::vector<store::WriteOp>& riders) {
   uint64_t unresolved = 0;
   std::vector<RecordKey> pending = dirty;
   for (int retry = 0; retry < kMaxRollbackRetries && !pending.empty();
@@ -1229,7 +1233,9 @@ bool Transaction::RollbackApplied(const std::vector<RecordKey>& dirty) {
     for (const RecordKey& key : pending) {
       gets.push_back({key.first, RidKey(key.second)});
     }
-    std::vector<Result<store::VersionedCell>> cells = client_->BatchGet(gets);
+    static const std::vector<store::WriteOp> kNoRiders;
+    std::vector<Result<store::VersionedCell>> cells =
+        client_->BatchReadWrite(gets, retry == 0 ? riders : kNoRiders).gets;
     std::vector<store::WriteOp> reverts;
     std::vector<RecordKey> reverting;
     for (size_t i = 0; i < cells.size(); ++i) {
@@ -1284,8 +1290,11 @@ Status Transaction::PrepareIndexOps(
                                      rider_results, prepared);
 }
 
-Status Transaction::WriteIndexOps(index::BTree::Prepared* prepared) {
-  Status st = index::BTree::WriteInsert(client_, prepared);
+Status Transaction::WriteIndexOps(
+    index::BTree::Prepared* prepared, std::vector<store::WriteOp> riders,
+    std::vector<Result<uint64_t>>* rider_results) {
+  Status st = index::BTree::WriteInsert(client_, prepared, std::move(riders),
+                                        rider_results);
   const std::vector<bool>& done = prepared->inserted();
   const auto removals = static_cast<ptrdiff_t>(gc_removals_.size());
   gc_removals_.clear();

@@ -387,9 +387,13 @@ class Transaction {
                          index::BTree::Prepared* prepared);
 
   /// Commit step 3b: writes what PrepareIndexOps prepared, every touched
-  /// leaf of every tree in one BatchWrite. On failure the inserted entries
-  /// that did make it in are removed again before the error is returned.
-  Status WriteIndexOps(index::BTree::Prepared* prepared);
+  /// leaf of every tree in one BatchWrite, then the separators of their
+  /// splits with `riders` (see BTree::WriteInsert). On failure the inserted
+  /// entries that did make it in are removed again before the error is
+  /// returned, and the riders were not sent.
+  Status WriteIndexOps(index::BTree::Prepared* prepared,
+                       std::vector<store::WriteOp> riders = {},
+                       std::vector<Result<uint64_t>>* rider_results = nullptr);
 
   /// Queues the removal of an obsolete index entry that ValidateIndexHit
   /// found; the commit sends it with its index batch (once per entry).
@@ -405,9 +409,12 @@ class Transaction {
   /// our version are skipped after one read. Keys whose revert keeps failing
   /// on transient errors are abandoned to lazy GC and counted in
   /// tx.rollback_unresolved.
+  /// `riders` (erases of unreachable fresh B+tree nodes) travel in the
+  /// first BatchGet's round, best effort.
   /// Returns true if every record was fully reverted (the fast path may
   /// only complete its tid when nothing of it can remain visible).
-  bool RollbackApplied(const std::vector<RecordKey>& dirty);
+  bool RollbackApplied(const std::vector<RecordKey>& dirty,
+                       const std::vector<store::WriteOp>& riders = {});
 
   /// Removes the entries of index_ops_ flagged in `applied` from their
   /// B-trees in one BatchInsert of removes (undo of commit step 3 when an

@@ -57,13 +57,12 @@ Status TransactionLog::Appended(store::StorageClient* client,
   return put.status();
 }
 
-Status TransactionLog::MarkCommitted(store::StorageClient* client,
-                                     LogEntry entry) const {
+store::WriteOp TransactionLog::MarkCommittedOp(LogEntry entry) const {
   entry.committed = true;
   // Only the owning transaction ever sets this flag, so an unconditional
   // put is safe; recovery only reads entries of *dead* PNs.
-  return client->Put(table_, EncodeOrderedU64(entry.tid), entry.Serialize())
-      .status();
+  return {table_, EncodeOrderedU64(entry.tid), entry.Serialize(),
+          store::kStampAbsent, /*conditional=*/false};
 }
 
 Result<std::optional<LogEntry>> TransactionLog::Get(

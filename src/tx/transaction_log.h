@@ -52,9 +52,11 @@ class TransactionLog {
   Status Appended(store::StorageClient* client,
                   const Result<uint64_t>& put) const;
 
-  /// Sets the committed flag of `entry`, the entry its transaction appended:
-  /// rewrites it with `committed = true`, without reading it back.
-  Status MarkCommitted(store::StorageClient* client, LogEntry entry) const;
+  /// The put that sets the committed flag of `entry`, the entry its
+  /// transaction appended: an unconditional rewrite with `committed = true`,
+  /// without reading it back. Transaction::Commit sends it in the first
+  /// round after every index entry is in, next to the splits' separators.
+  store::WriteOp MarkCommittedOp(LogEntry entry) const;
 
   /// Reads one entry; nullopt if the tid never logged.
   Result<std::optional<LogEntry>> Get(store::StorageClient* client,

@@ -650,6 +650,292 @@ TEST(CommitFlagRegressionTest, FailedFlagWriteAbortsAndRollsBack) {
 }
 
 // ---------------------------------------------------------------------------
+// Crash windows of a commit whose index splits ride its rounds
+// ---------------------------------------------------------------------------
+
+// A users table whose B+trees split every few rows (fanout 8), on one
+// storage node so that each commit round is one message, with two
+// processing nodes. Emails ascend with ids, so both trees split alike.
+class SplitCommitTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kFanout = 8;
+  /// Ten rows, one commit each: both trees have a root over two leaves,
+  /// the rightmost holding the six ids 18..28.
+  static inline const std::vector<int64_t> kLoaded = {10, 12, 14, 16, 18,
+                                                      20, 22, 24, 26, 28};
+
+  explicit SplitCommitTest(FaultPlan plan = {}) : injector_(std::move(plan)) {
+    injector_.Disarm();
+    options_.network = sim::NetworkModel::Instant();
+    options_.num_storage_nodes = 1;
+    options_.num_processing_nodes = 2;
+    options_.btree.fanout = kFanout;
+    options_.fault_injector = &injector_;
+    db_ = MakeUsersDb(options_);
+    session_ = db_->OpenSession(0, 0);
+    table_ = *db_->GetTable(0, "users");
+  }
+
+  static std::string Email(int64_t id) {
+    std::string digits = std::to_string(id);
+    return "user" + std::string(4 - digits.size(), '0') + digits +
+           "@example.com";
+  }
+
+  /// Begins a transaction on `session` that inserts `ids`, recording the
+  /// rid of each in `rids` — kept only if the commit succeeds.
+  void InsertUsers(Session* session, Transaction* txn,
+                   const std::vector<int64_t>& ids,
+                   std::map<int64_t, uint64_t>* rids) {
+    tx::TableHandle* table = *db_->GetTable(session->pn_id(), "users");
+    ASSERT_OK(txn->Begin());
+    for (int64_t id : ids) {
+      ASSERT_OK_AND_ASSIGN((*rids)[id],
+                           txn->Insert(table, User(id, Email(id)), false));
+    }
+  }
+
+  /// Commits one transaction per id, so PN 0's inner-node caches and
+  /// node-id blocks are warm and both trees are two levels high.
+  void Load(const std::vector<int64_t>& ids) {
+    for (int64_t id : ids) {
+      Transaction txn(session_.get());
+      ASSERT_NO_FATAL_FAILURE(InsertUsers(session_.get(), &txn, {id},
+                                          &committed_));
+      ASSERT_OK(txn.Commit());
+    }
+  }
+
+  /// Through a fresh handle on the primary index (its own node cache, so
+  /// every node comes from the store): one BatchLookup of every id finds
+  /// exactly the committed rids, and a scan of the whole tree holds
+  /// exactly the committed keys.
+  void ExpectPrimaryIndexHolds(const std::vector<int64_t>& absent) {
+    index::NodeCache cache;
+    index::BTree tree(table_->meta->primary.store_table, options_.btree,
+                      &cache);
+    auto key_of = [](int64_t id) {
+      return *schema::EncodeIndexKeyValues({Value(id)});
+    };
+    std::vector<index::TreeKey> keys;
+    for (const auto& [id, rid] : committed_) keys.push_back({&tree, key_of(id)});
+    for (int64_t id : absent) keys.push_back({&tree, key_of(id)});
+    auto client = db_->OpenSession(1, 7);
+    ASSERT_OK_AND_ASSIGN(auto rids,
+                         index::BTree::BatchLookup(client->client(), keys));
+    size_t k = 0;
+    for (const auto& [id, rid] : committed_) {
+      EXPECT_EQ(rids[k++], std::vector<uint64_t>{rid}) << "committed id " << id;
+    }
+    for (int64_t id : absent) {
+      EXPECT_TRUE(rids[k++].empty()) << "aborted id " << id;
+    }
+    index::ScanCursor all;
+    all.tree = &tree;
+    ASSERT_OK(index::BTree::BatchScan(client->client(), {&all}));
+    std::set<std::string> scanned;
+    for (const index::IndexEntry& e : all.entries) scanned.insert(e.key);
+    std::set<std::string> expected;
+    for (const auto& [id, rid] : committed_) expected.insert(key_of(id));
+    EXPECT_EQ(scanned, expected);
+  }
+
+  /// Node cells of both trees of the table.
+  size_t NodeCells() {
+    size_t cells = 0;
+    for (store::TableId t : {table_->meta->primary.store_table,
+                             table_->meta->secondaries[0].store_table}) {
+      auto scanned = db_->cluster()->Scan(t, "", "", 0);
+      EXPECT_OK(scanned.status());
+      if (scanned.ok()) cells += scanned->size();
+    }
+    return cells;
+  }
+
+  sim::FaultInjector injector_;
+  db::TellDbOptions options_;
+  std::unique_ptr<db::TellDb> db_;
+  std::unique_ptr<Session> session_;
+  tx::TableHandle* table_ = nullptr;
+  std::map<int64_t, uint64_t> committed_;
+};
+
+// The round that applies the records also publishes the fresh nodes of the
+// commit's splits. Losing its response leaves every put of it ambiguous:
+// the re-reads settle the records and the fresh nodes alike, and the commit
+// lands whole.
+class ApplyRoundResponseLostTest : public SplitCommitTest {
+ protected:
+  // The commit's second message carrying a conditional put — the first is
+  // the log append — is the apply round.
+  ApplyRoundResponseLostTest()
+      : SplitCommitTest(FaultPlan{
+            .seed = 11,
+            .rules = {FaultRule{.kind = FaultRule::Kind::kDropResponse,
+                                .op = FaultOpClass::kConditionalPut,
+                                .skip_matches = 1,
+                                .max_fires = 1}}}) {}
+};
+
+TEST_F(ApplyRoundResponseLostTest, CommitLandsWhole) {
+  ASSERT_NO_FATAL_FAILURE(Load(kLoaded));
+  sim::WorkerMetrics* metrics = session_->metrics();
+  const uint64_t splits = metrics->index_splits;
+  std::map<int64_t, uint64_t> rids;
+  Transaction txn(session_.get());
+  ASSERT_NO_FATAL_FAILURE(
+      InsertUsers(session_.get(), &txn, {29, 30, 31, 32, 33, 34}, &rids));
+  injector_.Arm();
+  ASSERT_OK(txn.Commit());
+  injector_.Disarm();
+  EXPECT_EQ(injector_.stats().dropped_responses, 1u);
+  EXPECT_GT(metrics->ambiguous_resolved, 0u);
+  EXPECT_GT(metrics->index_splits, splits);
+  committed_.insert(rids.begin(), rids.end());
+  ExpectPrimaryIndexHolds({});
+}
+
+// An apply that loses its LL/SC aborts the commit after its fresh nodes
+// went out: they are unreachable, and the rollback erases them.
+TEST_F(SplitCommitTest, AbortAfterTheApplyErasesTheFreshNodes) {
+  ASSERT_NO_FATAL_FAILURE(Load(kLoaded));
+  std::map<int64_t, uint64_t> rids;
+  Transaction winner(session_.get());
+  Transaction loser(session_.get());
+  ASSERT_OK(winner.Begin());
+  ASSERT_NO_FATAL_FAILURE(
+      InsertUsers(session_.get(), &loser, {29, 30, 31, 32, 33, 34}, &rids));
+  ASSERT_OK(winner.Update(table_, committed_[10], User(10, Email(10))));
+  ASSERT_OK(loser.Update(table_, committed_[10], User(10, Email(10))));
+  ASSERT_OK(winner.Commit());
+  const size_t cells = NodeCells();
+  const uint64_t splits = session_->metrics()->index_splits;
+  Status st = loser.Commit();
+  ASSERT_TRUE(st.IsAborted()) << st.ToString();
+  EXPECT_EQ(session_->metrics()->index_splits, splits);
+  EXPECT_EQ(NodeCells(), cells);
+  ExpectPrimaryIndexHolds({29, 30, 31, 32, 33, 34});
+}
+
+// The processing node dies after the round that writes the leaves and
+// shrinks the split nodes, before the round of the commit flag and the
+// separators. The commit's steps run by hand as Transaction::Commit runs
+// them — a crashed node sends no abort to its commit manager — and every
+// message from the flag's round on is lost. Recovery reverts the records
+// of the unflagged entry. The split nodes' fresh right neighbours, which
+// no parent names, are reached through right links, and the crashed
+// entries are garbage that the read path's index GC collects.
+class KilledBeforeTheFlagTest : public SplitCommitTest {
+ protected:
+  KilledBeforeTheFlagTest()
+      : SplitCommitTest(FaultPlan{
+            .seed = 13,
+            .rules = {FaultRule{.kind = FaultRule::Kind::kDropRequest,
+                                .skip_matches = 1,
+                                .max_fires = 0}}}) {}
+};
+
+TEST_F(KilledBeforeTheFlagTest, SplitNodesStayReachable) {
+  ASSERT_NO_FATAL_FAILURE(Load(kLoaded));
+  sim::WorkerMetrics* metrics = session_->metrics();
+  store::StorageClient* client = session_->client();
+  Transaction txn(session_.get());
+  ASSERT_OK(txn.Begin());
+  const commitmgr::Tid tid = txn.tid();
+  const std::vector<int64_t> crashed = {29, 30, 31, 32, 33, 34};
+  LogEntry entry;
+  entry.tid = tid;
+  entry.pn_id = session_->pn_id();
+  std::vector<store::WriteOp> records;
+  std::vector<index::BatchInsertOp> index_ops;
+  for (int64_t id : crashed) {
+    const uint64_t rid = 1000000 + static_cast<uint64_t>(id);
+    const Tuple user = User(id, Email(id));
+    schema::VersionedRecord record;
+    record.PutVersion(tid, user.Serialize(table_->meta->schema));
+    entry.write_set.emplace_back(table_->meta->data_table, rid);
+    records.push_back({table_->meta->data_table, EncodeOrderedU64(rid),
+                       record.Serialize(), store::kStampAbsent});
+    index_ops.push_back({&table_->primary,
+                         *schema::EncodeIndexKeyValues({Value(id)}), rid,
+                         /*unique=*/true});
+    index_ops.push_back({&table_->secondaries[0],
+                         *schema::EncodeIndexKeyValues({Value(Email(id))}),
+                         rid, /*unique=*/true});
+  }
+  index::BTree::Prepared prepared;
+  std::vector<Result<uint64_t>> appended, applied, flagged;
+  ASSERT_OK(index::BTree::PrepareInsert(client, index_ops,
+                                        {db_->transaction_log()->AppendOp(entry)},
+                                        &appended, &prepared));
+  ASSERT_OK(index::BTree::PublishFresh(client, &prepared, records, &applied));
+  for (const Result<uint64_t>& put : applied) ASSERT_OK(put.status());
+  const uint64_t splits = metrics->index_splits;
+  injector_.Arm();
+  // The leaves and shrinks land; the flag and the separators are lost.
+  (void)index::BTree::WriteInsert(
+      client, &prepared, {db_->transaction_log()->MarkCommittedOp(entry)},
+      &flagged);
+  injector_.Disarm();
+  EXPECT_EQ(prepared.inserted(), std::vector<bool>(index_ops.size(), true));
+  EXPECT_GT(metrics->index_splits, splits);
+  ASSERT_EQ(flagged.size(), 1u);
+  EXPECT_FALSE(flagged.front().ok());
+  ASSERT_OK(db_->KillProcessingNode(0).status());
+  EXPECT_FALSE(HasVersionOf(db_.get(), table_->meta->data_table, tid));
+
+  // PN 1 finds every committed row and no crashed one; its lookups queue
+  // the crashed primary-index entries for GC, which its commit sends.
+  auto survivor = db_->OpenSession(1, 0);
+  tx::TableHandle* table = *db_->GetTable(1, "users");
+  Transaction check(survivor.get());
+  ASSERT_OK(check.Begin());
+  for (int64_t id : crashed) {
+    ASSERT_OK_AND_ASSIGN(auto row, check.ReadByKey(table, {Value(id)}));
+    EXPECT_FALSE(row.has_value()) << "crashed id " << id;
+  }
+  for (const auto& [id, rid] : committed_) {
+    ASSERT_OK_AND_ASSIGN(auto row, check.ReadByKey(table, {Value(id)}));
+    EXPECT_TRUE(row.has_value()) << "committed id " << id;
+  }
+  ASSERT_OK(check.Commit());
+  EXPECT_EQ(survivor->metrics()->gc_index_entries, crashed.size());
+  ExpectPrimaryIndexHolds(crashed);
+}
+
+// PN 1 splits the rightmost leaf of both trees under PN 0's cached roots.
+// PN 0's next commit splits the leftmost leaves: its separators ride the
+// flag with the stale root images and lose their LL/SC; the roots are read
+// again and the separators land in the rounds after the flag.
+TEST_F(SplitCommitTest, SeparatorLosesToAConcurrentSplitOfItsParent) {
+  ASSERT_NO_FATAL_FAILURE(Load(kLoaded));
+  auto other = db_->OpenSession(1, 0);
+  std::map<int64_t, uint64_t> rids;
+  {
+    Transaction txn(other.get());
+    ASSERT_NO_FATAL_FAILURE(
+        InsertUsers(other.get(), &txn, {40, 41, 42, 43, 44, 45}, &rids));
+    ASSERT_OK(txn.Commit());
+    EXPECT_GT(other->metrics()->index_splits, 0u);
+  }
+  sim::WorkerMetrics* metrics = session_->metrics();
+  const uint64_t splits = metrics->index_splits;
+  const uint64_t losses = metrics->llsc_failures;
+  Transaction txn(session_.get());
+  ASSERT_NO_FATAL_FAILURE(
+      InsertUsers(session_.get(), &txn, {1, 3, 11, 13, 15, 17}, &rids));
+  const uint64_t before = metrics->pipeline_flushes;
+  ASSERT_OK(txn.Commit());
+  EXPECT_GT(metrics->index_splits, splits);
+  EXPECT_GT(metrics->llsc_failures, losses);
+  // Log, apply, leaves, flag with the losing separators; then the roots'
+  // re-read and their puts.
+  EXPECT_EQ(metrics->pipeline_flushes - before, 6u);
+  committed_.insert(rids.begin(), rids.end());
+  ExpectPrimaryIndexHolds({});
+}
+
+// ---------------------------------------------------------------------------
 // Chaos suite: randomized fault plans, full invariant check
 // ---------------------------------------------------------------------------
 

@@ -345,7 +345,7 @@ TEST_F(TpccRoundBudgetTest, NewOrderCostsOneRoundPerDependencyLevel) {
   EXPECT_EQ(rounds.Mean() * static_cast<double>(rounds.count()) - sum, 6.0);
 }
 
-TEST_F(TpccRoundBudgetTest, NewOrderWhoseLeafSplitsPaysTwoMoreRounds) {
+TEST_F(TpccRoundBudgetTest, NewOrderWhoseLeafSplitsCostsTheSameRounds) {
   ASSERT_OK_AND_ASSIGN(TxnOutcome warm, executor_->NewOrder(Order()));
   ASSERT_TRUE(warm.committed);
   // Repeat the order until a commit splits a leaf: every order appends five
@@ -356,14 +356,12 @@ TEST_F(TpccRoundBudgetTest, NewOrderWhoseLeafSplitsPaysTwoMoreRounds) {
     const uint64_t before = metrics->pipeline_flushes;
     ASSERT_OK_AND_ASSIGN(TxnOutcome outcome, executor_->NewOrder(Order()));
     ASSERT_TRUE(outcome.committed);
-    if (metrics->index_splits == splits) {
-      EXPECT_EQ(CallsSince(before), 6u) << "order " << i;
-      continue;
-    }
-    // The fresh right node rides the leaf puts' BatchWrite; the shrink and
-    // the parent put are the two extra rounds.
+    EXPECT_EQ(CallsSince(before), 6u) << "order " << i;
+    if (metrics->index_splits == splits) continue;
+    // The split rides the commit's rounds: the fresh right node travels
+    // with the apply, the shrink with the other leaf puts, and the parent
+    // put with the commit flag.
     EXPECT_EQ(metrics->index_splits - splits, 1u);
-    EXPECT_EQ(CallsSince(before), 8u);
     return;
   }
   FAIL() << "no leaf split in 64 orders";
