@@ -1,7 +1,5 @@
 #include "buffer/shared_record_buffer.h"
 
-#include "common/serde.h"
-
 namespace tell::buffer {
 
 namespace {
@@ -23,13 +21,11 @@ void SharedRecordBuffer::TouchLocked(const Key& key, Entry& entry) {
   entry.lru_position = lru_.begin();
 }
 
-void SharedRecordBuffer::InsertLocked(const Key& key, std::string bytes,
-                                      uint64_t stamp,
+void SharedRecordBuffer::InsertLocked(const Key& key, tx::FetchedRecord record,
                                       tx::SnapshotDescriptor valid_for) {
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    it->second.record_bytes = std::move(bytes);
-    it->second.stamp = stamp;
+    it->second.record = std::move(record);
     it->second.valid_for = std::move(valid_for);
     TouchLocked(key, it->second);
     return;
@@ -40,50 +36,51 @@ void SharedRecordBuffer::InsertLocked(const Key& key, std::string bytes,
     stats_.evictions += 1;
   }
   lru_.push_front(key);
-  Entry entry;
-  entry.record_bytes = std::move(bytes);
-  entry.stamp = stamp;
-  entry.valid_for = std::move(valid_for);
-  entry.lru_position = lru_.begin();
-  entries_.emplace(key, std::move(entry));
+  entries_.emplace(key, Entry{std::move(record), std::move(valid_for),
+                              lru_.begin()});
 }
 
-Result<tx::FetchedRecord> SharedRecordBuffer::Read(
-    store::StorageClient* client, store::TableId table, uint64_t rid,
+std::vector<Result<tx::FetchedRecord>> SharedRecordBuffer::Read(
+    store::StorageClient* client, const std::vector<tx::RecordKey>& keys,
     const tx::SnapshotDescriptor& snapshot) {
   // Buffer management is not free (paper §5.5.2 / Fig. 11: "the overhead of
   // buffer management outweighs the caching benefits"): every probe pays
   // the lock + map lookup + version-set comparison.
-  client->ChargeCpu(kManagementOverheadNs);
-  Key key{table, rid};
+  client->ChargeCpu(kManagementOverheadNs * keys.size());
+  std::vector<Result<tx::FetchedRecord>> out(keys.size(), Status::NotFound());
+  std::vector<Key> misses;
+  std::vector<size_t> miss_at;
+  tx::SnapshotDescriptor label;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key);
-    if (it != entries_.end() && snapshot.IsSubsetOf(it->second.valid_for)) {
-      // Condition 1: V_tx ⊆ B — serve from the buffer, no storage trip.
-      client->metrics()->buffer_hits += 1;
-      stats_.hits += 1;
-      TELL_ASSIGN_OR_RETURN(
-          schema::VersionedRecord record,
-          schema::VersionedRecord::Deserialize(it->second.record_bytes));
-      uint64_t stamp = it->second.stamp;
-      TouchLocked(key, it->second);
-      return tx::FetchedRecord{std::move(record), stamp};
+    for (size_t i = 0; i < keys.size(); ++i) {
+      auto it = entries_.find(keys[i]);
+      if (it != entries_.end() && snapshot.IsSubsetOf(it->second.valid_for)) {
+        // Condition 1: V_tx ⊆ B — serve from the buffer, no storage trip.
+        client->metrics()->buffer_hits += 1;
+        stats_.hits += 1;
+        out[i] = it->second.record;
+        TouchLocked(keys[i], it->second);
+      } else {
+        misses.push_back(keys[i]);
+        miss_at.push_back(i);
+      }
     }
+    // B = V_max as of now, before the fetch: a transaction that starts
+    // after it may hold a writer whose commit the fetch missed.
+    label = v_max_;
   }
-  // Condition 2: the cache might be outdated — fetch from the storage
-  // system and replace the entry with B = V_max.
-  client->metrics()->buffer_misses += 1;
-  auto cell = client->Get(table, EncodeOrderedU64(rid));
-  if (!cell.ok()) return cell.status();
-  TELL_ASSIGN_OR_RETURN(schema::VersionedRecord record,
-                        schema::VersionedRecord::Deserialize(cell->value));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats_.misses += 1;
-    InsertLocked(key, cell->value, cell->stamp, v_max_);
+  // Condition 2: the copies might be outdated — fetch every miss from the
+  // storage system in one batched request and replace the entries.
+  std::vector<Result<tx::FetchedRecord>> fetched =
+      tx::FetchRecords(client, misses);
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats_.misses += misses.size();
+  for (size_t m = 0; m < misses.size(); ++m) {
+    if (fetched[m].ok()) InsertLocked(misses[m], *fetched[m], label);
+    out[miss_at[m]] = std::move(fetched[m]);
   }
-  return tx::FetchedRecord{std::move(record), cell->stamp};
+  return out;
 }
 
 void SharedRecordBuffer::OnApply(store::StorageClient* client,
@@ -93,14 +90,16 @@ void SharedRecordBuffer::OnApply(store::StorageClient* client,
                                  const tx::SnapshotDescriptor& snapshot) {
   (void)snapshot;
   client->ChargeCpu(2 * kManagementOverheadNs);  // write-through + B update
-  // Write-through: B = V_max ∪ {tid}. V_max is valid for the new copy
-  // because any V_max transaction that had changed this record would have
-  // made our LL/SC apply fail.
+  // Write-through: B = V_max ∪ {tid}. The commit runs this before the
+  // commit manager learns of it, so no V_max transaction wrote the record
+  // after us (it would have had to see us committed), and the image our
+  // LL/SC apply installed holds every one that wrote it before us.
   std::lock_guard<std::mutex> lock(mutex_);
   stats_.write_throughs += 1;
   tx::SnapshotDescriptor valid_for = v_max_;
   valid_for.MarkCompleted(tid);
-  InsertLocked({table, rid}, record.Serialize(), stamp, std::move(valid_for));
+  InsertLocked({table, rid}, tx::FetchedRecord{record, stamp},
+               std::move(valid_for));
 }
 
 void SharedRecordBuffer::AccumulateStats(tx::BufferStats* out) const {

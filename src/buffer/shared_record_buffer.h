@@ -5,6 +5,7 @@
 #include <list>
 #include <map>
 #include <mutex>
+#include <vector>
 
 #include "tx/record_buffer.h"
 
@@ -18,20 +19,21 @@ namespace tell::buffer {
 /// snapshot descriptor) stating for which snapshots the copy is valid. A
 /// transaction with version set V_tx may read the buffered copy iff
 /// V_tx ⊆ B; otherwise the record is re-fetched and B is reset to V_max, the
-/// version set of the most recently started transaction on this PN (all
-/// transactions in V_max committed before the fetch, so V_max is certainly
-/// valid — and keeping B as large as possible maximizes future hits).
-/// Updates are written through: after a successful commit apply, B becomes
+/// version set of the most recently started transaction on this PN, sampled
+/// before the fetch (all transactions in it completed before the fetch, so
+/// it is certainly valid — and keeping B as large as possible maximizes
+/// future hits). One Read serves its hits and fetches all its misses in one
+/// batched request. Updates are written through: after a successful commit
+/// apply, and before the commit manager learns of the commit, B becomes
 /// V_max ∪ {tid}.
 class SharedRecordBuffer final : public tx::RecordBuffer {
  public:
   explicit SharedRecordBuffer(size_t capacity = 1 << 18)
       : capacity_(capacity) {}
 
-  Result<tx::FetchedRecord> Read(store::StorageClient* client,
-                                 store::TableId table, uint64_t rid,
-                                 const tx::SnapshotDescriptor& snapshot)
-      override;
+  std::vector<Result<tx::FetchedRecord>> Read(
+      store::StorageClient* client, const std::vector<tx::RecordKey>& keys,
+      const tx::SnapshotDescriptor& snapshot) override;
 
   void OnApply(store::StorageClient* client, store::TableId table,
                uint64_t rid, const schema::VersionedRecord& record,
@@ -45,17 +47,16 @@ class SharedRecordBuffer final : public tx::RecordBuffer {
   size_t size() const;
 
  private:
+  using Key = tx::RecordKey;
+
   struct Entry {
-    std::string record_bytes;
-    uint64_t stamp = 0;
+    tx::FetchedRecord record;
     tx::SnapshotDescriptor valid_for;  // B
-    std::list<std::pair<store::TableId, uint64_t>>::iterator lru_position;
+    std::list<Key>::iterator lru_position;
   };
 
-  using Key = std::pair<store::TableId, uint64_t>;
-
   void TouchLocked(const Key& key, Entry& entry);
-  void InsertLocked(const Key& key, std::string bytes, uint64_t stamp,
+  void InsertLocked(const Key& key, tx::FetchedRecord record,
                     tx::SnapshotDescriptor valid_for);
 
   const size_t capacity_;

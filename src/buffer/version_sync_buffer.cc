@@ -23,77 +23,86 @@ std::string VersionSyncBuffer::UnitCellKey(const UnitKey& unit) const {
   return writer.Release();
 }
 
-Result<tx::FetchedRecord> VersionSyncBuffer::FetchAndCache(
-    store::StorageClient* client, store::TableId table, uint64_t rid,
-    Unit* unit) {
-  client->metrics()->buffer_misses += 1;
-  stats_.misses += 1;
-  auto cell = client->Get(table, EncodeOrderedU64(rid));
-  if (!cell.ok()) return cell.status();
-  TELL_ASSIGN_OR_RETURN(schema::VersionedRecord record,
-                        schema::VersionedRecord::Deserialize(cell->value));
-  if (cached_records_ < capacity_) {
-    auto [it, inserted] =
-        unit->records.insert_or_assign(rid, CachedRecord{cell->value,
-                                                         cell->stamp});
-    if (inserted) ++cached_records_;
-  }
-  return tx::FetchedRecord{std::move(record), cell->stamp};
-}
-
-Result<tx::FetchedRecord> VersionSyncBuffer::Read(
-    store::StorageClient* client, store::TableId table, uint64_t rid,
+std::vector<Result<tx::FetchedRecord>> VersionSyncBuffer::Read(
+    store::StorageClient* client, const std::vector<tx::RecordKey>& keys,
     const tx::SnapshotDescriptor& snapshot) {
+  std::vector<Result<tx::FetchedRecord>> out(keys.size(), Status::NotFound());
   std::lock_guard<std::mutex> lock(mutex_);
-  UnitKey unit_key = UnitFor(table, rid);
-  Unit& unit = units_[unit_key];
-
-  auto serve_cached = [&](const CachedRecord& cached)
-      -> Result<tx::FetchedRecord> {
+  auto serve = [&](size_t i, const tx::FetchedRecord& cached) {
     client->metrics()->buffer_hits += 1;
     stats_.hits += 1;
-    TELL_ASSIGN_OR_RETURN(
-        schema::VersionedRecord record,
-        schema::VersionedRecord::Deserialize(cached.record_bytes));
-    return tx::FetchedRecord{std::move(record), cached.stamp};
+    out[i] = cached;
   };
-
-  auto cached_it = unit.records.find(rid);
-  if (cached_it != unit.records.end() && unit.has_version_set &&
-      snapshot.IsSubsetOf(unit.valid_for)) {
-    // Condition 1: the local B already covers V_tx.
-    return serve_cached(cached_it->second);
-  }
-
-  // Condition 2: validate via the unit's version set in the store — one
-  // small request instead of re-fetching whole records.
-  auto vs_cell = client->Get(version_set_table_, UnitCellKey(unit_key));
-  if (vs_cell.ok()) {
-    auto remote = tx::SnapshotDescriptor::Deserialize(vs_cell->value);
-    if (remote.ok()) {
-      if (unit.has_version_set && *remote == unit.valid_for &&
-          cached_it != unit.records.end()) {
-        // 2(a): nothing changed since we cached the unit.
-        return serve_cached(cached_it->second);
-      }
-      // 2(b): the unit changed (or we never had its version set):
-      // invalidate every buffered record of the unit and adopt B'.
-      cached_records_ -= unit.records.size();
-      stats_.evictions += unit.records.size();
-      unit.records.clear();
-      unit.valid_for = std::move(*remote);
-      unit.has_version_set = true;
-      return FetchAndCache(client, table, rid, &unit);
+  // Condition 1: the local B already covers V_tx. The other keys wait for
+  // their unit's version set.
+  std::map<UnitKey, std::vector<size_t>> pending;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const UnitKey unit_key = UnitFor(keys[i].first, keys[i].second);
+    Unit& unit = units_[unit_key];
+    auto cached = unit.records.find(keys[i].second);
+    if (cached != unit.records.end() && unit.has_version_set &&
+        snapshot.IsSubsetOf(unit.valid_for)) {
+      serve(i, cached->second);
+    } else {
+      pending[unit_key].push_back(i);
     }
   }
-  // No version set cell yet (unit never written through SBVS): fall back to
-  // labelling with V_max, like the plain shared buffer.
-  cached_records_ -= unit.records.size();
-  stats_.evictions += unit.records.size();
-  unit.records.clear();
-  unit.valid_for = v_max_;
-  unit.has_version_set = true;
-  return FetchAndCache(client, table, rid, &unit);
+  if (pending.empty()) return out;
+
+  // Condition 2: validate via the units' version sets in the store — one
+  // batched request of small cells instead of re-fetching whole records.
+  std::vector<store::GetOp> cell_ops;
+  for (const auto& [unit_key, at] : pending) {
+    cell_ops.push_back({version_set_table_, UnitCellKey(unit_key)});
+  }
+  std::vector<Result<store::VersionedCell>> cells = client->BatchGet(cell_ops);
+  std::vector<tx::RecordKey> refetch;
+  std::vector<size_t> refetch_at;
+  size_t c = 0;
+  for (const auto& [unit_key, at] : pending) {
+    Unit& unit = units_[unit_key];
+    const Result<store::VersionedCell>& cell = cells[c++];
+    auto remote = cell.ok() ? tx::SnapshotDescriptor::Deserialize(cell->value)
+                            : Result<tx::SnapshotDescriptor>(cell.status());
+    bool all_cached = true;
+    for (size_t i : at) all_cached &= unit.records.count(keys[i].second) > 0;
+    if (remote.ok() && unit.has_version_set && *remote == unit.valid_for &&
+        all_cached) {
+      // 2(a): nothing changed since we cached the unit.
+      for (size_t i : at) serve(i, unit.records.at(keys[i].second));
+      continue;
+    }
+    // 2(b): the unit changed, we never had its version set, or a requested
+    // record is not buffered: invalidate every buffered record of the unit
+    // and adopt B'. Keeping the unit's other copies would let a stale stamp
+    // outlive the check — a rollback changes a stamp without growing the
+    // cell — and the unit's writers would keep losing their LL/SC. With no
+    // version set cell yet (unit never written through SBVS), label with
+    // V_max, like the plain shared buffer.
+    cached_records_ -= unit.records.size();
+    stats_.evictions += unit.records.size();
+    unit.records.clear();
+    unit.valid_for = remote.ok() ? std::move(*remote) : v_max_;
+    unit.has_version_set = true;
+    for (size_t i : at) {
+      refetch.push_back(keys[i]);
+      refetch_at.push_back(i);
+    }
+  }
+  std::vector<Result<tx::FetchedRecord>> fetched =
+      tx::FetchRecords(client, refetch);
+  stats_.misses += refetch.size();
+  for (size_t f = 0; f < refetch.size(); ++f) {
+    if (fetched[f].ok() && cached_records_ < capacity_) {
+      Unit& unit = units_[UnitFor(refetch[f].first, refetch[f].second)];
+      if (unit.records.insert_or_assign(refetch[f].second, *fetched[f])
+              .second) {
+        ++cached_records_;
+      }
+    }
+    out[refetch_at[f]] = std::move(fetched[f]);
+  }
+  return out;
 }
 
 void VersionSyncBuffer::OnApply(store::StorageClient* client,
@@ -153,7 +162,7 @@ void VersionSyncBuffer::OnApply(store::StorageClient* client,
   unit.valid_for = std::move(label);
   unit.has_version_set = true;
   if (!foreign && cached_records_ < capacity_) {
-    unit.records.emplace(rid, CachedRecord{record.Serialize(), stamp});
+    unit.records.emplace(rid, tx::FetchedRecord{record, stamp});
     ++cached_records_;
   }
 }

@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "tx/record_buffer.h"
 
@@ -19,8 +20,12 @@ namespace tell::buffer {
 ///
 ///   1. V_tx ⊆ B(local unit)        -> serve from the buffer.
 ///   2. otherwise fetch B' from the store:
-///      (a) B' == B  -> the buffered record is still valid;
-///      (b) B' != B  -> invalidate the unit and re-fetch the record.
+///      (a) B' == B  -> the buffered records are still valid;
+///      (b) B' != B, or a requested record is not buffered -> invalidate
+///          the unit and re-fetch its requested records.
+///
+/// One Read costs at most two batched requests: the version set cells of
+/// every unit that condition 1 does not cover, then the records to re-fetch.
 ///
 /// On every record update the committing transaction additionally grows
 /// the unit's version set cell by B = V_max ∪ {tid} (read, merge, LL/SC
@@ -39,10 +44,9 @@ class VersionSyncBuffer final : public tx::RecordBuffer {
         unit_size_(unit_size),
         capacity_(capacity) {}
 
-  Result<tx::FetchedRecord> Read(store::StorageClient* client,
-                                 store::TableId table, uint64_t rid,
-                                 const tx::SnapshotDescriptor& snapshot)
-      override;
+  std::vector<Result<tx::FetchedRecord>> Read(
+      store::StorageClient* client, const std::vector<tx::RecordKey>& keys,
+      const tx::SnapshotDescriptor& snapshot) override;
 
   void OnApply(store::StorageClient* client, store::TableId table,
                uint64_t rid, const schema::VersionedRecord& record,
@@ -56,14 +60,10 @@ class VersionSyncBuffer final : public tx::RecordBuffer {
   uint64_t unit_size() const { return unit_size_; }
 
  private:
-  struct CachedRecord {
-    std::string record_bytes;
-    uint64_t stamp = 0;
-  };
   struct Unit {
     tx::SnapshotDescriptor valid_for;  // B of the whole unit
     bool has_version_set = false;
-    std::map<uint64_t, CachedRecord> records;  // rid -> copy
+    std::map<uint64_t, tx::FetchedRecord> records;  // rid -> copy
   };
   using UnitKey = std::pair<store::TableId, uint64_t>;
 
@@ -71,11 +71,6 @@ class VersionSyncBuffer final : public tx::RecordBuffer {
     return {table, rid / unit_size_};
   }
   std::string UnitCellKey(const UnitKey& unit) const;
-
-  /// Fetches the record from the store and caches it under the unit.
-  Result<tx::FetchedRecord> FetchAndCache(store::StorageClient* client,
-                                          store::TableId table, uint64_t rid,
-                                          Unit* unit);
 
   const store::TableId version_set_table_;
   const uint64_t unit_size_;

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "commitmgr/snapshot_descriptor.h"
 #include "common/result.h"
@@ -41,6 +43,37 @@ struct BufferStats {
   }
 };
 
+/// A record of a RecordBuffer::Read batch: its data table and rid.
+using RecordKey = std::pair<store::TableId, uint64_t>;
+
+/// The record fetch of every buffering strategy: gets the cells under
+/// `keys` in one batched request and decodes them, positionally aligned with
+/// `keys` (NotFound for an absent record). Counts each key as a buffer miss.
+inline std::vector<Result<FetchedRecord>> FetchRecords(
+    store::StorageClient* client, const std::vector<RecordKey>& keys) {
+  if (keys.empty()) return {};
+  std::vector<store::GetOp> ops;
+  ops.reserve(keys.size());
+  for (const auto& [table, rid] : keys) {
+    ops.push_back({table, EncodeOrderedU64(rid)});
+  }
+  std::vector<Result<store::VersionedCell>> cells = client->BatchGet(ops);
+  client->metrics()->buffer_misses += keys.size();
+  auto decode = [](const Result<store::VersionedCell>& cell)
+      -> Result<FetchedRecord> {
+    if (!cell.ok()) return cell.status();
+    TELL_ASSIGN_OR_RETURN(schema::VersionedRecord record,
+                          schema::VersionedRecord::Deserialize(cell->value));
+    return FetchedRecord{std::move(record), cell->stamp};
+  };
+  std::vector<Result<FetchedRecord>> out;
+  out.reserve(keys.size());
+  for (const Result<store::VersionedCell>& cell : cells) {
+    out.push_back(decode(cell));
+  }
+  return out;
+}
+
 /// PN-level record buffering strategy (paper §5.5). The transaction's own
 /// private buffer (strategy TB, §5.5.1) always exists inside Transaction;
 /// an implementation of this interface optionally adds a buffer layer shared
@@ -52,17 +85,19 @@ class RecordBuffer {
  public:
   virtual ~RecordBuffer() = default;
 
-  /// Produces the record under (table, rid) in a state valid for a
-  /// transaction reading with `snapshot`. Either serves a buffered copy or
-  /// fetches from the storage system through `client` (charging its costs).
-  /// NotFound if the record does not exist.
-  virtual Result<FetchedRecord> Read(store::StorageClient* client,
-                                     store::TableId table, uint64_t rid,
-                                     const SnapshotDescriptor& snapshot) = 0;
+  /// Produces the records under `keys` in a state valid for a transaction
+  /// reading with `snapshot`, positionally aligned with `keys` (NotFound for
+  /// a record that does not exist). Serves buffered copies and fetches the
+  /// rest from the storage system through `client` in batched requests
+  /// (FetchRecords), charging their costs.
+  virtual std::vector<Result<FetchedRecord>> Read(
+      store::StorageClient* client, const std::vector<RecordKey>& keys,
+      const SnapshotDescriptor& snapshot) = 0;
 
-  /// Called after a transaction successfully applied a record at commit:
-  /// write-through so the buffer stays coherent. `tid` is the writer and
-  /// `snapshot` its descriptor; `stamp` the new LL/SC stamp.
+  /// Called after a transaction successfully applied a record at commit,
+  /// before the commit manager learns of the commit: write-through so the
+  /// buffer stays coherent. `tid` is the writer and `snapshot` its
+  /// descriptor; `stamp` the new LL/SC stamp.
   virtual void OnApply(store::StorageClient* client, store::TableId table,
                        uint64_t rid, const schema::VersionedRecord& record,
                        uint64_t stamp, Tid tid,
@@ -72,10 +107,6 @@ class RecordBuffer {
   /// the buffers use the most recent snapshot (V_max) to label fetched
   /// records with the largest valid version set.
   virtual void OnTransactionStart(const SnapshotDescriptor& snapshot) = 0;
-
-  /// True if the strategy has no PN-level state, so the transaction layer
-  /// may fetch groups of records itself with one batched request.
-  virtual bool PrefersBatchFetch() const { return false; }
 
   /// Adds this buffer's counters into `*out`. Strategies without PN-level
   /// state contribute nothing (their misses are visible in the per-worker
@@ -88,16 +119,10 @@ class RecordBuffer {
 /// default and, per §6.7, the fastest strategy under TPC-C with fast RDMA.
 class PassthroughBuffer final : public RecordBuffer {
  public:
-  Result<FetchedRecord> Read(store::StorageClient* client,
-                             store::TableId table, uint64_t rid,
-                             const SnapshotDescriptor& snapshot) override {
-    (void)snapshot;
-    auto cell = client->Get(table, EncodeOrderedU64(rid));
-    client->metrics()->buffer_misses += 1;
-    if (!cell.ok()) return cell.status();
-    TELL_ASSIGN_OR_RETURN(schema::VersionedRecord record,
-                          schema::VersionedRecord::Deserialize(cell->value));
-    return FetchedRecord{std::move(record), cell->stamp};
+  std::vector<Result<FetchedRecord>> Read(
+      store::StorageClient* client, const std::vector<RecordKey>& keys,
+      const SnapshotDescriptor&) override {
+    return FetchRecords(client, keys);
   }
 
   void OnApply(store::StorageClient*, store::TableId, uint64_t,
@@ -105,8 +130,6 @@ class PassthroughBuffer final : public RecordBuffer {
                const SnapshotDescriptor&) override {}
 
   void OnTransactionStart(const SnapshotDescriptor&) override {}
-
-  bool PrefersBatchFetch() const override { return true; }
 };
 
 }  // namespace tell::tx

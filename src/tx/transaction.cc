@@ -103,25 +103,11 @@ Status Transaction::Begin() {
 Result<Transaction::RecordState*> Transaction::EnsureFetched(
     TableHandle* table, uint64_t rid) {
   RecordKey key{table->meta->data_table, rid};
-  auto it = buffer_.find(key);
-  if (it != buffer_.end()) return &it->second;
-
-  obs::PhaseScope span(tracer_, sim::TxnPhase::kRead);
-  RecordState state;
-  state.table = table;
-  auto fetched = session_->record_buffer()->Read(
-      client_, table->meta->data_table, rid, snapshot_);
-  if (fetched.ok()) {
-    state.record = std::move(fetched->record);
-    state.stamp = fetched->stamp;
-    state.exists = true;
-  } else if (fetched.status().IsNotFound()) {
-    state.exists = false;
-  } else {
-    return fetched.status();
+  if (buffer_.find(key) == buffer_.end()) {
+    obs::PhaseScope span(tracer_, sim::TxnPhase::kRead);
+    TELL_RETURN_NOT_OK(PrefetchMissing({{table, rid}}).status());
   }
-  auto [inserted, _] = buffer_.emplace(key, std::move(state));
-  return &inserted->second;
+  return &buffer_.at(key);
 }
 
 Status Transaction::CheckFastTuple(TableHandle* table,
@@ -194,7 +180,8 @@ Result<std::optional<schema::Tuple>> Transaction::Read(TableHandle* table,
   return std::optional<schema::Tuple>(std::move(tuple));
 }
 
-Status Transaction::PrefetchMissing(
+Result<std::vector<std::pair<TableHandle*, uint64_t>>>
+Transaction::PrefetchMissing(
     const std::vector<std::pair<TableHandle*, uint64_t>>& records) {
   // Ordered by (data table, rid): one table's records go out in rid order.
   std::map<RecordKey, TableHandle*> missing;
@@ -202,44 +189,38 @@ Status Transaction::PrefetchMissing(
     RecordKey key{table->meta->data_table, rid};
     if (buffer_.find(key) == buffer_.end()) missing.emplace(key, table);
   }
-  if (missing.empty() || !session_->record_buffer()->PrefersBatchFetch()) {
-    return Status::OK();
-  }
-  std::vector<store::GetOp> ops;
-  ops.reserve(missing.size());
+  std::vector<RecordKey> keys;
+  std::vector<std::pair<TableHandle*, uint64_t>> fetched;
   for (const auto& [key, table] : missing) {
-    ops.push_back({key.first, RidKey(key.second)});
+    keys.push_back(key);
+    fetched.emplace_back(table, key.second);
   }
-  std::vector<Result<store::VersionedCell>> cells = client_->BatchGet(ops);
-  size_t i = 0;
-  for (const auto& [key, table] : missing) {
-    const Result<store::VersionedCell>& cell = cells[i++];
-    client_->metrics()->buffer_misses += 1;
+  std::vector<Result<FetchedRecord>> read =
+      session_->record_buffer()->Read(client_, keys, snapshot_);
+  for (size_t i = 0; i < keys.size(); ++i) {
     RecordState state;
-    state.table = table;
-    if (cell.ok()) {
-      TELL_ASSIGN_OR_RETURN(state.record,
-                            schema::VersionedRecord::Deserialize(cell->value));
-      state.stamp = cell->stamp;
+    state.table = fetched[i].first;
+    if (read[i].ok()) {
+      state.record = std::move(read[i]->record);
+      state.stamp = read[i]->stamp;
       state.exists = true;
-    } else if (!cell.status().IsNotFound()) {
-      return cell.status();
+    } else if (!read[i].status().IsNotFound()) {
+      return read[i].status();
     }
-    buffer_.emplace(key, std::move(state));
+    buffer_.emplace(keys[i], std::move(state));
   }
-  return Status::OK();
+  return fetched;
 }
 
 Result<std::vector<std::optional<schema::Tuple>>> Transaction::BatchRead(
     TableHandle* table, const std::vector<uint64_t>& rids) {
   TELL_CHECK(state_ == TxnState::kRunning);
   obs::PhaseScope span(tracer_, sim::TxnPhase::kRead);
-  // Fetch everything not yet buffered, in one batched request when the
-  // buffering strategy allows it.
+  // Fetch everything not yet buffered in one buffer read.
   std::vector<std::pair<TableHandle*, uint64_t>> records;
   records.reserve(rids.size());
   for (uint64_t rid : rids) records.emplace_back(table, rid);
-  TELL_RETURN_NOT_OK(PrefetchMissing(records));
+  TELL_RETURN_NOT_OK(PrefetchMissing(records).status());
   std::vector<std::optional<schema::Tuple>> out;
   out.reserve(rids.size());
   for (uint64_t rid : rids) {
@@ -485,7 +466,7 @@ Result<std::vector<std::vector<uint64_t>>> Transaction::LookupVisible(
         candidates.emplace_back(tables[i], rid);
       }
     }
-    TELL_RETURN_NOT_OK(PrefetchMissing(candidates));
+    TELL_RETURN_NOT_OK(PrefetchMissing(candidates).status());
   }
   for (size_t i = 0; i < keys.size(); ++i) {
     std::vector<uint64_t> visible;
@@ -710,19 +691,10 @@ Transaction::BatchScanIndex(const std::vector<IndexRange>& ranges) {
     if (batch.empty()) break;
     // Records not yet buffered travel in one batched request (§5.1) and are
     // read like BatchRead reads them, so validation below is buffer-only.
-    if (session_->record_buffer()->PrefersBatchFetch()) {
+    {
       obs::PhaseScope read_span(tracer_, sim::TxnPhase::kRead);
-      std::vector<std::pair<TableHandle*, uint64_t>> missing;
-      for (const auto& [table, rid] : records) {
-        if (buffer_.find({table->meta->data_table, rid}) == buffer_.end()) {
-          missing.emplace_back(table, rid);
-        }
-      }
-      std::sort(missing.begin(), missing.end());
-      missing.erase(std::unique(missing.begin(), missing.end()),
-                    missing.end());
-      TELL_RETURN_NOT_OK(PrefetchMissing(missing));
-      for (const auto& [table, rid] : missing) {
+      TELL_ASSIGN_OR_RETURN(auto fetched, PrefetchMissing(records));
+      for (const auto& [table, rid] : fetched) {
         TELL_RETURN_NOT_OK(Read(table, rid).status());
       }
     }
@@ -1084,14 +1056,13 @@ Status Transaction::Commit() {
   // 4. The commit flag in the log rides the next round, with the
   //    separators the splits owe their parents — it waits for every index
   //    entry, and a lost separator leaves only a node reachable by its
-  //    left neighbour's right link. Then notify the commit manager. The
-  //    log's committed flag is the SOURCE OF TRUTH: recovery rolls back
-  //    every unflagged entry, so telling the commit manager "committed"
-  //    while the flag write failed would let recovery silently undo a
-  //    transaction other workers already observed. If the flag cannot be
-  //    written even after the client's retries, the transaction must abort
-  //    instead: undo indexes and data, then notify the manager of the
-  //    abort.
+  //    left neighbour's right link. The log's committed flag is the
+  //    SOURCE OF TRUTH: recovery rolls back every unflagged entry, so
+  //    telling the commit manager "committed" (step 5) while the flag
+  //    write failed would let recovery silently undo a transaction other
+  //    workers already observed. If the flag cannot be written even after
+  //    the client's retries, the transaction must abort instead: undo
+  //    indexes and data, then notify the manager of the abort.
   std::vector<Result<uint64_t>> flagged;
   Status index_status = WriteIndexOps(
       &prepared, {session_->log()->MarkCommittedOp(std::move(entry))},
@@ -1128,10 +1099,11 @@ Status Transaction::Commit() {
     client_->metrics()->aborted += 1;
     return Status::Aborted("commit flag write failed: " + mark.ToString());
   }
-  (void)session_->commitmgr_client()->Finish(commit_manager_, tid_,
-                                             /*committed=*/true);
 
-  // 5. Write-through to the PN's shared buffer (if any).
+  // 5. Write-through to the PN's shared buffer (if any), then notify the
+  //    commit manager. Until Finish no snapshot holds this transaction, so
+  //    no buffer can serve a pre-commit copy to a snapshot that holds it,
+  //    nor label this image valid for one that holds a later writer.
   {
     obs::PhaseScope sync_span(tracer_, sim::TxnPhase::kBufferSync);
     for (size_t i = 0; i < dirty.size(); ++i) {
@@ -1141,6 +1113,8 @@ Status Transaction::Commit() {
                                          new_stamps[i], tid_, snapshot_);
     }
   }
+  (void)session_->commitmgr_client()->Finish(commit_manager_, tid_,
+                                             /*committed=*/true);
 
   state_ = TxnState::kCommitted;
   client_->metrics()->committed += 1;

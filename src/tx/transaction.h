@@ -328,9 +328,8 @@ class Transaction {
     bool unpartitioned = false;
   };
 
-  using RecordKey = std::pair<store::TableId, uint64_t>;
-
-  /// Fetches (or returns the buffered) record state.
+  /// Fetches (or returns the buffered) record state: a one-record
+  /// PrefetchMissing.
   Result<RecordState*> EnsureFetched(TableHandle* table, uint64_t rid);
 
   /// The version this transaction reads from `state`: the snapshot-visible
@@ -366,9 +365,10 @@ class Transaction {
   Status CommitFast();
 
   /// Fills the transaction buffer with the (table, rid) records not yet
-  /// buffered, in one batched request across tables when the buffering
-  /// strategy allows it (BatchRead and LookupVisible share this).
-  Status PrefetchMissing(
+  /// buffered through one RecordBuffer::Read across tables, and returns
+  /// them (each once, in (data table, rid) order). Every record fetch of
+  /// the transaction goes through here.
+  Result<std::vector<std::pair<TableHandle*, uint64_t>>> PrefetchMissing(
       const std::vector<std::pair<TableHandle*, uint64_t>>& records);
 
   /// Registers index insertions for the new tuple (vs. the previously

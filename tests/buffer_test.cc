@@ -99,6 +99,39 @@ TEST_P(BufferStrategyTest, RepeatedUpdatesStayCoherent) {
   }
 }
 
+TEST_P(BufferStrategyTest, BatchReadServesHitsAndFetchesTheRestTogether) {
+  // Rids 1-3 fall in SBVS unit 0, rids 4-6 in unit 1; rid 7 is never used.
+  std::vector<uint64_t> rids;
+  for (int64_t id = 1; id <= 6; ++id) rids.push_back(InsertRow(id, id * 1.5));
+  ASSERT_EQ(rids, (std::vector<uint64_t>{1, 2, 3, 4, 5, 6}));
+  // The older transaction begins first; a newer one on the same PN then
+  // buffers rid 1 for every snapshot up to its own (paper §5.5.2).
+  tx::Transaction older(session0_.get());
+  ASSERT_OK(older.Begin());
+  auto other = db_->OpenSession(0, 2);
+  EXPECT_EQ(ReadOn(other.get(), table0_, 1), 1.5);
+
+  sim::WorkerMetrics* metrics = session0_->metrics();
+  const uint64_t hits = metrics->buffer_hits;
+  const uint64_t misses = metrics->buffer_misses;
+  const uint64_t calls = metrics->pipeline_flushes;
+  ASSERT_OK_AND_ASSIGN(auto rows, older.BatchRead(table0_, {1, 5, 7}));
+  ASSERT_EQ(rows.size(), 3u);
+  ASSERT_TRUE(rows[0].has_value());
+  EXPECT_EQ(rows[0]->GetDouble(1), 1.5);
+  ASSERT_TRUE(rows[1].has_value());
+  EXPECT_EQ(rows[1]->GetDouble(1), 7.5);
+  EXPECT_FALSE(rows[2].has_value());
+  // TB fetches all three in one request. SB serves rid 1 and fetches the
+  // rest in one request; SBVS first checks both units' version sets in one.
+  const bool shared = GetParam() != db::BufferStrategy::kTransactionOnly;
+  EXPECT_EQ(metrics->buffer_hits - hits, shared ? 1u : 0u);
+  EXPECT_EQ(metrics->buffer_misses - misses, shared ? 2u : 3u);
+  EXPECT_LE(metrics->pipeline_flushes - calls,
+            GetParam() == db::BufferStrategy::kVersionSync ? 2u : 1u);
+  ASSERT_OK(older.Commit());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, BufferStrategyTest,
     ::testing::Values(db::BufferStrategy::kTransactionOnly,
@@ -210,26 +243,29 @@ TEST(VersionSyncBufferTest, LateWriteThroughCannotRollBackTheVersionSet) {
     return std::make_pair(record, stamp.ok() ? *stamp : 0);
   };
 
+  // A one-key buffer read.
+  auto read = [&](VersionSyncBuffer& pn, uint64_t rid,
+                  const tx::SnapshotDescriptor& snapshot) {
+    return pn.Read(&client, {{data, rid}}, snapshot).front();
+  };
+
   // Tid 10 on PN 1 commits the neighbour; its write-through is delayed.
   const tx::SnapshotDescriptor s10(9);
   pn1.OnTransactionStart(s10);
-  ASSERT_OK_AND_ASSIGN(tx::FetchedRecord n, pn1.Read(&client, data,
-                                                     kNeighbour, s10));
+  ASSERT_OK_AND_ASSIGN(tx::FetchedRecord n, read(pn1, kNeighbour, s10));
   auto [late_record, late_stamp] = write(kNeighbour, n, 10);
 
   // Tid 11 on PN 0 writes the record; PN 0 buffers it under {<= 11}.
   const tx::SnapshotDescriptor s11(10);
   pn0.OnTransactionStart(s11);
-  ASSERT_OK_AND_ASSIGN(tx::FetchedRecord r11, pn0.Read(&client, data,
-                                                       kRecord, s11));
+  ASSERT_OK_AND_ASSIGN(tx::FetchedRecord r11, read(pn0, kRecord, s11));
   auto [record11, stamp11] = write(kRecord, r11, 11);
   pn0.OnApply(&client, data, kRecord, record11, stamp11, 11, s11);
 
   // Tid 12 on PN 1 writes the record again.
   const tx::SnapshotDescriptor s12(11);
   pn1.OnTransactionStart(s12);
-  ASSERT_OK_AND_ASSIGN(tx::FetchedRecord r12, pn1.Read(&client, data,
-                                                       kRecord, s12));
+  ASSERT_OK_AND_ASSIGN(tx::FetchedRecord r12, read(pn1, kRecord, s12));
   auto [record12, stamp12] = write(kRecord, r12, 12);
   pn1.OnApply(&client, data, kRecord, record12, stamp12, 12, s12);
 
@@ -241,12 +277,11 @@ TEST(VersionSyncBufferTest, LateWriteThroughCannotRollBackTheVersionSet) {
   // and its stamp must be the live one, or a PN 0 writer's LL/SC fails.
   const tx::SnapshotDescriptor s13(12);
   pn0.OnTransactionStart(s13);
-  ASSERT_OK_AND_ASSIGN(tx::FetchedRecord read, pn0.Read(&client, data,
-                                                        kRecord, s13));
-  const schema::RecordVersion* visible = read.record.VisibleVersion(s13, 13);
+  ASSERT_OK_AND_ASSIGN(tx::FetchedRecord r13, read(pn0, kRecord, s13));
+  const schema::RecordVersion* visible = r13.record.VisibleVersion(s13, 13);
   ASSERT_NE(visible, nullptr);
   EXPECT_EQ(visible->version, 12u);
-  EXPECT_EQ(read.stamp, stamp12);
+  EXPECT_EQ(r13.stamp, stamp12);
 }
 
 TEST(SnapshotSubsetTest, BufferValidityRule) {

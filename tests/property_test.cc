@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <iterator>
 #include <map>
 #include <string>
@@ -378,6 +379,97 @@ TEST_P(SiInvariantTest, CommittedIncrementsAllVisible) {
   ASSERT_TRUE(row.has_value());
   EXPECT_EQ(row->GetInt(1), static_cast<int64_t>(workers) * kPerWorker);
   ASSERT_OK(check.Commit());
+}
+
+// Read-only snapshots see every commit whole: one writer per PN sets two
+// rows of different SBVS units to max + 1 in one transaction, and one reader
+// per PN must always find them equal. A shared buffer that labels a copy
+// valid for a snapshot which holds a newer write of it serves half a commit.
+TEST_P(SiInvariantTest, ReadOnlySnapshotsSeeWholeCommits) {
+  db::TellDbOptions options;
+  options.num_processing_nodes = GetParam().pns;
+  options.num_storage_nodes = 3;
+  options.network = sim::NetworkModel::Instant();
+  options.buffer_strategy = GetParam().buffer;
+  options.buffer_unit_size = 4;
+  db::TellDb db(options);
+  ASSERT_OK(db.CreateTable("c",
+                           schema::SchemaBuilder()
+                               .AddInt64("id")
+                               .AddInt64("n")
+                               .SetPrimaryKey({"id"})
+                               .Build(),
+                           {}));
+  std::vector<uint64_t> rids;
+  {
+    auto session = db.OpenSession(0, 0);
+    auto table = *db.GetTable(0, "c");
+    tx::Transaction txn(session.get());
+    ASSERT_OK(txn.Begin());
+    for (int64_t id = 0; id < 8; ++id) {
+      schema::Tuple row(2);
+      row.Set(0, id);
+      row.Set(1, int64_t{0});
+      ASSERT_OK_AND_ASSIGN(uint64_t rid, txn.Insert(table, row));
+      rids.push_back(rid);
+    }
+    ASSERT_OK(txn.Commit());
+  }
+  const uint64_t a = rids.front();
+  const uint64_t b = rids.back();
+  ASSERT_NE(a / options.buffer_unit_size, b / options.buffer_unit_size);
+  constexpr int kReadsPerReader = 3000;
+  std::atomic<uint32_t> readers_left{GetParam().pns};
+  std::atomic<int> torn{0};
+  std::vector<std::thread> threads;
+  for (uint32_t pn = 0; pn < GetParam().pns; ++pn) {
+    threads.emplace_back([&, pn] {
+      auto session = db.OpenSession(pn, 2 * pn + 1);
+      tx::TableHandle* table = *db.GetTable(pn, "c");
+      while (readers_left.load() > 0) {
+        tx::Transaction txn(session.get());
+        ASSERT_TRUE(txn.Begin().ok());
+        auto row_a = txn.Read(table, a);
+        auto row_b = txn.Read(table, b);
+        ASSERT_TRUE(row_a.ok() && row_a->has_value());
+        ASSERT_TRUE(row_b.ok() && row_b->has_value());
+        const int64_t next =
+            std::max((*row_a)->GetInt(1), (*row_b)->GetInt(1)) + 1;
+        schema::Tuple new_a = **row_a;
+        schema::Tuple new_b = **row_b;
+        new_a.Set(1, next);
+        new_b.Set(1, next);
+        Status st = txn.Update(table, a, new_a);
+        if (st.ok()) st = txn.Update(table, b, new_b);
+        if (st.ok()) st = txn.Commit();
+        if (!st.ok()) {
+          ASSERT_TRUE(st.IsAborted()) << st.ToString();
+          if (txn.state() == tx::TxnState::kRunning) (void)txn.Abort();
+        }
+      }
+    });
+    threads.emplace_back([&, pn] {
+      struct Done {
+        std::atomic<uint32_t>* left;
+        ~Done() { left->fetch_sub(1); }
+      } done{&readers_left};
+      auto session = db.OpenSession(pn, 2 * pn + 2);
+      tx::TableHandle* table = *db.GetTable(pn, "c");
+      for (int i = 0; i < kReadsPerReader; ++i) {
+        tx::Transaction txn(session.get());
+        ASSERT_TRUE(txn.Begin().ok());
+        auto row_a = txn.Read(table, a);
+        auto row_b = txn.Read(table, b);
+        ASSERT_TRUE(row_a.ok() && row_a->has_value());
+        ASSERT_TRUE(row_b.ok() && row_b->has_value());
+        if ((*row_a)->GetInt(1) != (*row_b)->GetInt(1)) torn.fetch_add(1);
+        ASSERT_TRUE(txn.Commit().ok());
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(torn.load(), 0) << "of " << GetParam().pns * kReadsPerReader
+                            << " reads";
 }
 
 INSTANTIATE_TEST_SUITE_P(

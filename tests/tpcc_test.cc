@@ -265,9 +265,11 @@ TEST_F(TpccTest, OrderStatusAndStockLevelComplete) {
 
 class TpccRoundBudgetTest : public ::testing::Test {
  protected:
-  TpccRoundBudgetTest() {
+  explicit TpccRoundBudgetTest(
+      db::BufferStrategy buffer = db::BufferStrategy::kTransactionOnly) {
     db::TellDbOptions options;
     options.network = sim::NetworkModel::Instant();
+    options.buffer_strategy = buffer;
     db_ = std::make_unique<db::TellDb>(options);
     scale_.warehouses = 1;
     EXPECT_OK(CreateTpccTables(db_.get()));
@@ -444,6 +446,50 @@ TEST_F(TpccRoundBudgetTest, OrderStatusAndStockLevelCalls) {
   // (leaf, sibling leaves, records), then the stock rows (leaves, records).
   EXPECT_EQ(CallsSince(before), 10u);
 }
+
+// The shared buffers read through the same batched buffer read as TB: a
+// new-order costs TB's six calls under SB, whether its rows are buffered
+// or not. SBVS checks the units' version sets in one round before the
+// record round, which a warm order skips (every buffered row is still
+// valid), and its write-through reads and conditionally puts a unit's cell
+// per written record: 26 calls for new-order's 13 writes.
+class TpccSharedBufferRoundBudgetTest
+    : public TpccRoundBudgetTest,
+      public ::testing::WithParamInterface<db::BufferStrategy> {
+ protected:
+  TpccSharedBufferRoundBudgetTest() : TpccRoundBudgetTest(GetParam()) {}
+};
+
+TEST_P(TpccSharedBufferRoundBudgetTest, NewOrderReadsInOneBatchPerLevel) {
+  ASSERT_OK_AND_ASSIGN(TxnOutcome warm, executor_->NewOrder(Order()));
+  ASSERT_TRUE(warm.committed);
+  // The same order again: its rows are buffered now.
+  uint64_t before = session_->metrics()->pipeline_flushes;
+  ASSERT_OK_AND_ASSIGN(TxnOutcome again, executor_->NewOrder(Order()));
+  ASSERT_TRUE(again.committed);
+  const uint64_t warm_calls = CallsSince(before);
+  // Another district, customer and items: no row of it is buffered.
+  NewOrderInput fresh = Order();
+  fresh.district = 5;
+  fresh.customer = 8;
+  fresh.lines = {{4, 1, 2}, {251, 1, 1}, {778, 1, 4}, {1201, 1, 3},
+                 {1998, 1, 5}};
+  before = session_->metrics()->pipeline_flushes;
+  ASSERT_OK_AND_ASSIGN(TxnOutcome outcome, executor_->NewOrder(fresh));
+  ASSERT_TRUE(outcome.committed);
+  const uint64_t fresh_calls = CallsSince(before);
+  const bool sbvs = GetParam() == db::BufferStrategy::kVersionSync;
+  EXPECT_EQ(warm_calls, sbvs ? 32u : 6u);
+  EXPECT_EQ(fresh_calls, sbvs ? 33u : 6u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SharedBuffers, TpccSharedBufferRoundBudgetTest,
+    ::testing::Values(db::BufferStrategy::kSharedRecord,
+                      db::BufferStrategy::kVersionSync),
+    [](const ::testing::TestParamInfo<db::BufferStrategy>& info) {
+      return info.param == db::BufferStrategy::kSharedRecord ? "SB" : "SBVS";
+    });
 
 TEST_F(TpccTest, GeneratorRespectsScaleBounds) {
   InputGenerator generator(scale_, Mix::kWriteIntensive, 11, 1);
