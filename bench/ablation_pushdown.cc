@@ -95,9 +95,9 @@ int main() {
         {{"mb_received", mb_received},
          {"query_requests", static_cast<double>(requests)},
          {"virtual_ms_per_query", virtual_ms_per_query},
-         // Vectorized-scan accounting (0 on the row path): cells examined on
-         // the nodes vs partial states shipped, and the response bytes the
-         // fragment path avoided.
+         // Vectorized-scan accounting (0 with pushdown off, whose scan
+         // pushes nothing down): cells examined on the nodes vs partial
+         // states shipped, and the response bytes the fragment path avoided.
          {"rows_scanned",
           static_cast<double>(session->metrics()->scan_rows_scanned)},
          {"rows_returned",

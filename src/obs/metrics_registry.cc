@@ -161,7 +161,6 @@ MetricId MetricsRegistry::AddMetric(std::string name, std::string unit,
       return id;
     }
   }
-  TELL_CHECK(!frozen_);
   MetricId id = static_cast<MetricId>(defs_.size());
   defs_.push_back({std::move(name), std::move(unit), std::move(help), kind});
   if (kind == MetricKind::kHistogram) {
@@ -199,14 +198,6 @@ std::optional<MetricId> MetricsRegistry::Find(std::string_view name) const {
   return std::nullopt;
 }
 
-MetricsRegistry::Shard* MetricsRegistry::NewShard() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  frozen_ = true;
-  shards_.push_back(std::unique_ptr<Shard>(
-      new Shard(defs_.size(), &hist_index_, num_hists_)));
-  return shards_.back().get();
-}
-
 void MetricsRegistry::SetGauge(MetricId id, uint64_t value) {
   std::lock_guard<std::mutex> lock(mutex_);
   TELL_CHECK(id < defs_.size() && defs_[id].kind == MetricKind::kGauge);
@@ -239,15 +230,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 
   for (MetricId id = 0; id < defs_.size(); ++id) {
     if (defs_[id].kind == MetricKind::kGauge) snap.scalars_[id] = gauges_[id];
-  }
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    for (MetricId id = 0; id < defs_.size(); ++id) {
-      snap.scalars_[id] +=
-          shard->scalars_[id].load(std::memory_order_relaxed);
-    }
-    for (size_t slot = 0; slot < shard->hists_.size(); ++slot) {
-      snap.hists_[slot].Merge(shard->hists_[slot]);
-    }
   }
   // Absorbed worker metrics, mapped through the shared descriptor tables.
   for (const sim::WorkerCounterField& f : sim::WorkerCounterFields()) {

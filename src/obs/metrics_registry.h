@@ -1,9 +1,7 @@
 #ifndef TELL_OBS_METRICS_REGISTRY_H_
 #define TELL_OBS_METRICS_REGISTRY_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -28,8 +26,8 @@ struct MetricDef {
 
 using MetricId = uint32_t;
 
-/// A consistent point-in-time view of a registry: merged shards + absorbed
-/// worker metrics + gauges. Self-contained (owns copies), so it survives the
+/// A consistent point-in-time view of a registry: absorbed worker metrics
+/// + gauges. Self-contained (owns copies), so it survives the
 /// registry and can be handed to the JSON exporter.
 class MetricsSnapshot {
  public:
@@ -54,43 +52,17 @@ class MetricsSnapshot {
 
 /// A registry of named counters, gauges and histograms.
 ///
-/// Writers never contend: each worker obtains its own Shard whose counters
-/// are relaxed atomics (so a racing Snapshot tears at worst by a few
-/// increments, never corrupts) and whose histograms are single-writer.
-/// Snapshot() merges all shards, everything absorbed from per-worker
-/// sim::WorkerMetrics (the simulation's native metric carrier — absorbed
+/// Every value arrives at the end of a run: AbsorbWorker() folds per-worker
+/// sim::WorkerMetrics (the simulation's native metric carrier, absorbed
 /// through the descriptor tables in sim/metrics.h, so the names always
-/// match), and the gauges set from node-side stats.
+/// match) and SetGauge() sets the gauges read from node-side stats.
+/// Snapshot() copies both out.
 ///
 /// Construction registers the builtin catalog: every WorkerMetrics field
 /// plus the node-side gauges exported by db::TellDb. Additional metrics may
-/// be registered until the first shard is handed out.
+/// be registered at any time.
 class MetricsRegistry {
  public:
-  /// One worker's write handle. Owned by the registry; pointers stay valid
-  /// for the registry's lifetime.
-  class Shard {
-   public:
-    void Add(MetricId id, uint64_t delta = 1) {
-      scalars_[id].fetch_add(delta, std::memory_order_relaxed);
-    }
-    /// Records into this shard's (single-writer) histogram.
-    void Record(MetricId id, uint64_t value) {
-      int32_t slot = (*hist_index_)[id];
-      if (slot >= 0) hists_[static_cast<size_t>(slot)].Record(value);
-    }
-
-   private:
-    friend class MetricsRegistry;
-    Shard(size_t num_metrics, const std::vector<int32_t>* hist_index,
-          size_t num_hists)
-        : scalars_(num_metrics), hist_index_(hist_index), hists_(num_hists) {}
-
-    std::vector<std::atomic<uint64_t>> scalars_;
-    const std::vector<int32_t>* hist_index_;
-    std::vector<sim::Histogram> hists_;
-  };
-
   /// `builtins` = false creates an empty registry (tests).
   explicit MetricsRegistry(bool builtins = true);
 
@@ -105,9 +77,6 @@ class MetricsRegistry {
 
   std::optional<MetricId> Find(std::string_view name) const;
   const std::vector<MetricDef>& metrics() const { return defs_; }
-
-  /// Creates a per-worker shard; freezes registration.
-  Shard* NewShard();
 
   /// Sets a gauge to an absolute value (last write wins).
   void SetGauge(MetricId id, uint64_t value);
@@ -128,8 +97,6 @@ class MetricsRegistry {
   std::vector<MetricDef> defs_;
   std::vector<int32_t> hist_index_;  // MetricId -> hist slot or -1
   size_t num_hists_ = 0;
-  bool frozen_ = false;
-  std::vector<std::unique_ptr<Shard>> shards_;
   /// Everything AbsorbWorker collected, merged.
   sim::WorkerMetrics absorbed_;
   /// Gauge values, indexed by MetricId (0 for non-gauges).

@@ -333,7 +333,8 @@ inline const std::vector<WorkerCounterField>& WorkerCounterFields() {
        "reads that fell back to the two-sided path after a one-sided attempt",
        &WorkerMetrics::onesided_fallbacks},
       {"sql.scan.fragments", "fragments",
-       "scan fragments executed on storage nodes",
+       "scan fragments that pushed a predicate or an aggregate down to "
+       "storage nodes",
        &WorkerMetrics::scan_fragments},
       {"sql.scan.rows_scanned", "rows",
        "cells examined by scan fragments",

@@ -353,19 +353,15 @@ Result<Plan> PlanStatement(Statement statement, const tx::Catalog* catalog) {
         }
         plan.order_by.push_back(resolved);
       }
-      // Lower eligible aggregate queries into a storage-side scan fragment
-      // (DESIGN.md "Vectorized scans & aggregate pushdown"): full scan, no
-      // join, and an aggregate and/or GROUP BY select list. ORDER BY and
-      // LIMIT stay PN-side over the O(groups) merged result. The fragment
-      // is computed unconditionally; the executor uses it only when
-      // operator pushdown is enabled.
+      // Lower every aggregate and/or GROUP BY select list into its fold
+      // (DESIGN.md "Vectorized scans & aggregate pushdown"); where the fold
+      // runs is the executor's choice. ORDER BY and LIMIT apply to the
+      // merged O(groups) result.
       bool has_aggregate = false;
       for (const SelectItem& item : select.items) {
         if (item.aggregate != AggregateFunc::kNone) has_aggregate = true;
       }
-      if (plan.join_table == nullptr && !select.select_star &&
-          plan.access.kind == AccessPath::Kind::kFullScan &&
-          (has_aggregate || !select.group_by.empty())) {
+      if (has_aggregate || !select.group_by.empty()) {
         ScanFragment fragment;
         fragment.predicate = select.where.get();
         for (const SelectItem& item : select.items) {

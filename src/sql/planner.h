@@ -16,7 +16,7 @@ namespace tell::sql {
 /// How the executor reaches the rows of one table.
 struct AccessPath {
   enum class Kind {
-    /// Scan the whole primary index ("data is shipped to the query").
+    /// Scan the whole table (Transaction::FilteredScan).
     kFullScan,
     /// Exact match on the full key of a unique index.
     kIndexPoint,
@@ -66,11 +66,11 @@ struct Plan {
   };
   std::vector<ResolvedOrderBy> order_by;
 
-  /// Storage-side lowering of an eligible aggregate query (full scan, no
-  /// join, aggregates and/or GROUP BY): the serializable fragment the
-  /// executor fans out to every partition when operator pushdown is on.
-  /// Expr pointers reach into `statement` (heap nodes, stable across Plan
-  /// moves). Ignored by the executor when pushdown is off.
+  /// Aggregate spec of an aggregate and/or GROUP BY query, whatever its
+  /// access path: the fold the executor runs, fanned out to every
+  /// partition when operator pushdown is on and the plan qualifies, on the
+  /// processing node otherwise. Expr pointers reach into `statement` (heap
+  /// nodes, stable across Plan moves).
   std::optional<ScanFragment> fragment;
 };
 

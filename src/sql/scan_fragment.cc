@@ -166,54 +166,48 @@ bool AggregateFragmentSink::Absorb(std::string_view key,
   payload_.clear();
   if (!visible_(value, &payload_)) return true;
   auto tuple = schema::Tuple::Deserialize(*schema_, payload_);
-  if (!tuple.ok()) {
-    status_ = tuple.status();
+  Result<bool> matched =
+      tuple.ok() ? Fold(DecodeOrderedU64(key), *tuple) : tuple.status();
+  if (!matched.ok()) {
+    status_ = matched.status();
     return false;
   }
-  if (fragment_->predicate != nullptr) {
-    // An erroring predicate fails the scan, as it does on the row path.
-    auto pass = EvalExpr(fragment_->predicate, *tuple);
-    if (!pass.ok()) {
-      status_ = pass.status();
-      return false;
-    }
-    if (!ValueIsTruthy(*pass)) return true;
-  }
-  baseline_bytes_ += key.size() + payload_.size() + 16;
+  if (*matched) baseline_bytes_ += key.size() + payload_.size() + 16;
+  return true;
+}
 
+Result<bool> AggregateFragmentSink::Fold(uint64_t rid,
+                                         const schema::Tuple& tuple) {
+  if (fragment_->predicate != nullptr) {
+    TELL_ASSIGN_OR_RETURN(Value pass, EvalExpr(fragment_->predicate, tuple));
+    if (!ValueIsTruthy(pass)) return false;
+  }
   std::string group_key;
   for (uint32_t column : fragment_->group_by) {
-    AppendGroupKey(tuple->at(column), &group_key);
+    AppendGroupKey(tuple.at(column), &group_key);
   }
+  const std::vector<ScanFragment::AggSpec>& items = fragment_->items;
   auto [it, inserted] = groups_.try_emplace(std::move(group_key));
   GroupState& group = it->second;
   if (inserted) {
-    // Cells arrive in rid order within a partition, so the first member
-    // seen is the partition's lowest-rid member of this group.
-    group.first_rid = DecodeOrderedU64(key);
-    group.first_values.resize(fragment_->items.size());
-    group.folds.resize(fragment_->items.size());
-    for (size_t i = 0; i < fragment_->items.size(); ++i) {
-      const ScanFragment::AggSpec& item = fragment_->items[i];
-      if (item.func != AggregateFunc::kNone) continue;
-      auto v = EvalExpr(item.expr, *tuple);
-      if (!v.ok()) {
-        status_ = v.status();
-        return false;
-      }
-      group.first_values[i] = std::move(*v);
+    group.first_values.resize(items.size());
+    group.folds.resize(items.size());
+  }
+  // The lowest-rid member supplies the plain items. A storage-side scan
+  // feeds cells in rid order, so there only a group's first tuple sets them.
+  if (inserted || rid < group.first_rid) {
+    group.first_rid = rid;
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (items[i].func != AggregateFunc::kNone) continue;
+      TELL_ASSIGN_OR_RETURN(group.first_values[i],
+                            EvalExpr(items[i].expr, tuple));
     }
   }
   ++group.count_star;
-  for (size_t i = 0; i < fragment_->items.size(); ++i) {
-    const ScanFragment::AggSpec& item = fragment_->items[i];
-    if (item.func == AggregateFunc::kNone || item.count_star) continue;
-    auto v = EvalExpr(item.expr, *tuple);
-    if (!v.ok()) {
-      status_ = v.status();
-      return false;
-    }
-    group.folds[i].Add(*v);
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (items[i].func == AggregateFunc::kNone || items[i].count_star) continue;
+    TELL_ASSIGN_OR_RETURN(Value v, EvalExpr(items[i].expr, tuple));
+    group.folds[i].Add(v);
   }
   return true;
 }

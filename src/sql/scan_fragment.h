@@ -17,13 +17,12 @@
 
 namespace tell::sql {
 
-/// One partial-aggregate fold, bit-compatible with Executor::ExecuteSelect's
-/// per-group loop: NULLs are skipped, the running sum is a double (ints
-/// widened, strings contribute 0.0), min/max track by schema::CompareValues.
-/// Partition-local folds merge commutatively; the double sum reassociates
-/// across partitions, so SUM/AVG over values that are not exactly
-/// representable may differ from the single-pass result in the last ulps
-/// (DESIGN.md "Vectorized scans & aggregate pushdown").
+/// Running fold of one aggregate item: NULLs are skipped, the running sum is
+/// a double (ints widened, strings contribute 0.0), min/max track by
+/// schema::CompareValues. Partition-local folds merge commutatively; the
+/// double sum reassociates across partitions, so SUM/AVG over values that
+/// are not exactly representable may differ from a single-pass fold in the
+/// last ulps (DESIGN.md "Vectorized scans & aggregate pushdown").
 struct AggFold {
   int64_t count = 0;
   double sum = 0.0;
@@ -32,20 +31,19 @@ struct AggFold {
 
   void Add(const schema::Value& v);
   void MergeFrom(const AggFold& other);
-  /// Finalizes exactly like the executor's switch: COUNT -> count, empty
-  /// SUM/AVG/MIN/MAX -> NULL, AVG = sum / count.
+  /// COUNT -> count, empty SUM/AVG/MIN/MAX -> NULL, AVG = sum / count.
   schema::Value Final(AggregateFunc func) const;
 };
 
-/// Appends one group-by column value to a group key, byte-identical to the
-/// executor's grouping loop (ValueToString + 0x1F separator).
+/// Appends one group-by column value to a group key (ValueToString + 0x1F
+/// separator).
 void AppendGroupKey(const schema::Value& value, std::string* key);
 
-/// Serializable descriptor of a storage-side analytical scan: predicate,
-/// projection list, and partial-aggregate spec with optional GROUP BY.
-/// The planner lowers an eligible SELECT (full scan, no join, aggregates
-/// and/or GROUP BY) into one of these; the executor fans it out to every
-/// partition via StorageClient::ExecuteFragmentScan.
+/// Serializable descriptor of an aggregate SELECT: predicate, projection
+/// list, and aggregate spec with optional GROUP BY. The planner lowers
+/// every aggregate and/or GROUP BY SELECT into one of these; the executor
+/// folds through it either storage-side (fanned out to every partition via
+/// StorageClient::ExecuteFragmentScan) or on the processing node.
 ///
 /// Expr pointers reach into the owning Plan's Statement (heap AST nodes,
 /// stable across Plan moves); the fragment must not outlive its Plan.
@@ -73,11 +71,13 @@ struct ScanFragment {
 /// and GROUP BY — the projection list, sorted and deduplicated.
 std::vector<uint32_t> CollectFragmentColumns(const ScanFragment& fragment);
 
-/// Typed storage-side consumer of one partition's fragment scan. Implements
-/// the schema-agnostic store::FragmentSink: per absorbed cell it applies the
-/// transaction's snapshot-visibility closure, decodes the visible payload,
-/// filters, and folds into per-group partial states. Finish() serializes
-/// the states — O(groups) bytes, the fragment's whole response.
+/// The aggregate fold of every aggregate SELECT. Storage-side it consumes
+/// one partition's fragment scan through the schema-agnostic
+/// store::FragmentSink: per absorbed cell it applies the transaction's
+/// snapshot-visibility closure, decodes the visible payload and hands the
+/// tuple to Fold(). Finish() serializes the states — O(groups) bytes, the
+/// fragment's whole response. On the processing node one instance is fed
+/// already fetched rows through Fold() directly.
 class AggregateFragmentSink : public store::FragmentSink {
  public:
   /// Judges a stored cell under the owning transaction's snapshot: returns
@@ -87,9 +87,8 @@ class AggregateFragmentSink : public store::FragmentSink {
       std::function<bool(std::string_view cell_value, std::string* payload)>;
 
   /// Per-group partial state. `first_rid`/`first_values` carry the
-  /// lowest-rid member's non-aggregate item values so the merged result
-  /// evaluates plain items on the globally first member, exactly like the
-  /// executor's members[0].
+  /// lowest-rid member's non-aggregate item values, so plain items
+  /// evaluate on the group's lowest-rid member wherever the fold runs.
   struct GroupState {
     uint64_t first_rid = 0;
     std::vector<schema::Value> first_values;
@@ -102,6 +101,11 @@ class AggregateFragmentSink : public store::FragmentSink {
       : schema_(schema), fragment_(fragment), visible_(std::move(visible)) {}
 
   bool Absorb(std::string_view key, std::string_view value) override;
+  /// Filters one visible tuple by the fragment's predicate and folds it
+  /// into its group. Returns whether it matched; an erroring expression
+  /// fails the fold. Tuples may come in any order: a member with a lower
+  /// `rid` than its group's first member becomes the first member.
+  Result<bool> Fold(uint64_t rid, const schema::Tuple& tuple);
   std::string Finish() override;
   uint64_t rows_returned() const override { return groups_.size(); }
   uint64_t baseline_bytes() const override { return baseline_bytes_; }

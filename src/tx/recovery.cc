@@ -3,44 +3,9 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/serde.h"
-#include "schema/versioned_record.h"
+#include "tx/transaction.h"
 
 namespace tell::tx {
-
-namespace {
-constexpr int kMaxRevertRetries = 1024;
-}
-
-bool RecoveryManager::RevertRecord(store::StorageClient* client,
-                                   store::TableId table, uint64_t rid,
-                                   Tid tid) {
-  std::string key = EncodeOrderedU64(rid);
-  for (int retry = 0; retry < kMaxRevertRetries; ++retry) {
-    auto cell = client->Get(table, key);
-    if (!cell.ok()) return false;  // record gone
-    auto record = schema::VersionedRecord::Deserialize(cell->value);
-    if (!record.ok()) {
-      TELL_LOG(kWarn) << "recovery: corrupt record " << rid << " in table "
-                      << table;
-      return false;
-    }
-    if (!record->RemoveVersion(tid)) return false;  // nothing to revert
-    Status st;
-    if (record->Empty()) {
-      st = client->ConditionalErase(table, key, cell->stamp);
-    } else {
-      st = client->ConditionalPut(table, key, cell->stamp,
-                                  record->Serialize())
-               .status();
-    }
-    if (st.ok()) return true;
-    if (!st.IsConditionFailed()) return false;
-    // LL/SC race with a live transaction; retry from a fresh read.
-  }
-  TELL_LOG(kError) << "recovery: revert retries exhausted for rid " << rid;
-  return false;
-}
 
 Result<RecoveryStats> RecoveryManager::RecoverProcessingNode(
     store::StorageClient* client, uint32_t failed_pn) {
@@ -59,14 +24,14 @@ Result<RecoveryStats> RecoveryManager::RecoverProcessingNode(
                         log_->ScanBackwards(client, highest, lav));
   for (const LogEntry& entry : entries) {
     if (entry.pn_id != failed_pn || entry.committed) continue;
-    bool reverted_any = false;
-    for (const auto& [table, rid] : entry.write_set) {
-      if (RevertRecord(client, table, rid, entry.tid)) {
-        ++stats.versions_removed;
-        reverted_any = true;
-      }
+    RevertCounts counts = RevertVersions(client, entry.write_set, entry.tid);
+    if (counts.unresolved > 0) {
+      TELL_LOG(kError) << "recovery: " << counts.unresolved
+                       << " record(s) of tid " << entry.tid
+                       << " left to lazy GC";
     }
-    if (reverted_any) ++stats.transactions_rolled_back;
+    stats.versions_removed += counts.reverted;
+    if (counts.reverted > 0) ++stats.transactions_rolled_back;
     // The transaction is finished (aborted) from the system's perspective.
     for (uint32_t i = 0; i < commit_managers_->size(); ++i) {
       if (commit_managers_->manager(i)->alive()) {

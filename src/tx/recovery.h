@@ -31,7 +31,8 @@ struct RecoveryStats {
 /// the highest assigned tid down to the lowest active version number (the
 /// lav acts as a rolling checkpoint), reverts the write set of every
 /// uncommitted entry belonging to the failed PN (removing the version with
-/// number tid from each record), and finally aborts the node's still-active
+/// number tid from each record, in RevertVersions' batched rounds), and
+/// finally aborts the node's still-active
 /// tids at the commit managers. The management node ensures only one
 /// recovery process runs at a time; this class is driven by TellDb.
 class RecoveryManager {
@@ -50,10 +51,6 @@ class RecoveryManager {
                                               uint32_t failed_pn);
 
  private:
-  /// Removes version `tid` from the record at (table, rid), retrying LL/SC
-  /// failures. Returns true if a version was actually removed.
-  bool RevertRecord(store::StorageClient* client, store::TableId table,
-                    uint64_t rid, Tid tid);
 
   const TransactionLog* const log_;
   commitmgr::CommitManagerGroup* const commit_managers_;

@@ -96,10 +96,15 @@ Result<size_t> TransactionLog::Truncate(store::StorageClient* client,
   TELL_ASSIGN_OR_RETURN(
       std::vector<store::KeyCell> cells,
       client->Scan(table_, "", EncodeOrderedU64(lav + 1), /*limit=*/0));
-  size_t removed = 0;
+  std::vector<store::WriteOp> erases;
+  erases.reserve(cells.size());
   for (const auto& cell : cells) {
-    Status st = client->Erase(table_, cell.key);
-    if (st.ok()) ++removed;
+    erases.push_back({table_, cell.key, std::string(), store::kStampAbsent,
+                      /*conditional=*/false, /*erase=*/true});
+  }
+  size_t removed = 0;
+  for (const Result<uint64_t>& result : client->BatchWrite(erases)) {
+    if (result.ok()) ++removed;
   }
   return removed;
 }

@@ -66,8 +66,9 @@ class TransactionLog {
   Result<std::vector<LogEntry>> ScanBackwards(store::StorageClient* client,
                                               Tid from_tid, Tid lav) const;
 
-  /// Deletes entries with tid <= `lav` (log truncation; the lav is a rolling
-  /// checkpoint so nothing below it is ever needed again).
+  /// Deletes entries with tid <= `lav` in one BatchWrite of erases (log
+  /// truncation; the lav is a rolling checkpoint so nothing below it is
+  /// ever needed again). Returns the number of entries erased.
   Result<size_t> Truncate(store::StorageClient* client, Tid lav) const;
 
  private:

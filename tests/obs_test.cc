@@ -1,12 +1,11 @@
-// Tests for the observability layer: metrics registry sharding/merge,
-// histogram percentiles, phase tracing attribution, JSON export round-trip
-// and the docs/METRICS.md coverage contract.
+// Tests for the observability layer: metrics registry registration, gauges
+// and worker absorption, histogram percentiles, phase tracing attribution,
+// JSON export round-trip and the docs/METRICS.md coverage contract.
 #include <cctype>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -170,37 +169,6 @@ class JsonParser {
 // ---------------------------------------------------------------------------
 // MetricsRegistry
 // ---------------------------------------------------------------------------
-
-TEST(MetricsRegistryTest, MergesRacingShards) {
-  obs::MetricsRegistry registry(/*builtins=*/false);
-  obs::MetricId counter = registry.AddCounter("test.ops", "ops", "test");
-  obs::MetricId hist = registry.AddHistogram("test.latency", "ns", "test");
-
-  constexpr int kWorkers = 4;
-  constexpr int kPerWorker = 20000;
-  std::vector<obs::MetricsRegistry::Shard*> shards;
-  for (int w = 0; w < kWorkers; ++w) shards.push_back(registry.NewShard());
-
-  std::vector<std::thread> threads;
-  for (int w = 0; w < kWorkers; ++w) {
-    threads.emplace_back([&, w] {
-      for (int i = 0; i < kPerWorker; ++i) {
-        shards[w]->Add(counter);
-        shards[w]->Record(hist, static_cast<uint64_t>(i % 1000) + 1);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  obs::MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.Scalar("test.ops"),
-            std::optional<uint64_t>(kWorkers * kPerWorker));
-  const sim::Histogram* h = snapshot.Hist("test.latency");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), static_cast<uint64_t>(kWorkers * kPerWorker));
-  EXPECT_EQ(h->min(), 1u);
-  EXPECT_EQ(h->max(), 1000u);
-}
 
 TEST(MetricsRegistryTest, RegistrationIsIdempotentAndKindChecked) {
   obs::MetricsRegistry registry(/*builtins=*/false);
