@@ -192,6 +192,54 @@ TEST_F(SerializableSiTest, BankInvariantHoldsUnderConcurrency) {
       << "serializable mode must preserve the sum invariant";
 }
 
+TEST(SerializableSqlTest, SqlWriteSkewAbortsOnEverySetting) {
+  // The textbook skew through SQL: each transaction reads both balances
+  // with a full scan, then withdraws from its own account. On either
+  // pushdown setting, and whether the scan feeds an aggregate or plain
+  // rows, the scanned records must join the read set.
+  for (bool pushdown : {false, true}) {
+    for (const char* read_sql : {"SELECT SUM(bal) FROM acct",
+                                 "SELECT bal FROM acct WHERE bal > 0"}) {
+      SCOPED_TRACE(std::string(read_sql) +
+                   (pushdown ? " (pushdown)" : " (no pushdown)"));
+      db::TellDbOptions options;
+      options.num_processing_nodes = 2;
+      options.network = sim::NetworkModel::Instant();
+      options.operator_pushdown = pushdown;
+      db::TellDb db(options);
+      ASSERT_OK(db.ExecuteDdl(
+          "CREATE TABLE acct (id INT, bal INT, PRIMARY KEY (id))"));
+      auto s1 = db.OpenSession(0, 0);
+      auto s2 = db.OpenSession(1, 1);
+      ASSERT_OK(db.AutoCommitSql(s1.get(), "INSERT INTO acct VALUES (1, 10)")
+                    .status());
+      ASSERT_OK(db.AutoCommitSql(s1.get(), "INSERT INTO acct VALUES (2, 10)")
+                    .status());
+      tx::TxnOptions serializable;
+      serializable.serializable = true;
+      tx::Transaction t1(s1.get(), serializable);
+      tx::Transaction t2(s2.get(), serializable);
+      ASSERT_OK(t1.Begin());
+      ASSERT_OK(t2.Begin());
+      ASSERT_OK(db.ExecuteSql(&t1, 0, read_sql).status());
+      ASSERT_OK(db.ExecuteSql(&t2, 1, read_sql).status());
+      ASSERT_OK(db.ExecuteSql(&t1, 0,
+                              "UPDATE acct SET bal = bal - 15 WHERE id = 1")
+                    .status());
+      ASSERT_OK(db.ExecuteSql(&t2, 1,
+                              "UPDATE acct SET bal = bal - 15 WHERE id = 2")
+                    .status());
+      Status c1 = t1.Commit();
+      Status c2 = t2.Commit();
+      EXPECT_FALSE(c1.ok() && c2.ok()) << "SQL write skew slipped through";
+      ASSERT_OK_AND_ASSIGN(
+          sql::ResultSet rs,
+          db.AutoCommitSql(s1.get(), "SELECT SUM(bal) FROM acct"));
+      EXPECT_GE(std::get<double>(rs.rows[0].at(0)), 0.0);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Operator push-down
 
