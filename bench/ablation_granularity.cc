@@ -51,14 +51,18 @@ int main() {
   std::string version_value = rng.AlphaString(kRecordBytes / kVersionsPerRecord,
                                               kRecordBytes / kVersionsPerRecord);
   for (int i = 0; i < kRecords; ++i) {
-    (void)setup.Put(record_table, EncodeOrderedU64(i), record_value);
+    (void)setup.Write({.table = record_table, .key = EncodeOrderedU64(i),
+                       .value = record_value, .conditional = false});
     if (i % kPageSize == 0) {
-      (void)setup.Put(page_table, EncodeOrderedU64(i / kPageSize), page_value);
+      (void)setup.Write({.table = page_table,
+                         .key = EncodeOrderedU64(i / kPageSize),
+                         .value = page_value, .conditional = false});
     }
     for (int v = 0; v < kVersionsPerRecord; ++v) {
-      (void)setup.Put(version_table,
-                      EncodeOrderedU64(static_cast<uint64_t>(i) * 8 + v),
-                      version_value);
+      (void)setup.Write(
+          {.table = version_table,
+           .key = EncodeOrderedU64(static_cast<uint64_t>(i) * 8 + v),
+           .value = version_value, .conditional = false});
     }
   }
 

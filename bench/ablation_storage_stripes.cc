@@ -60,7 +60,8 @@ MicroResult RunMicro(uint32_t stripes, uint32_t workers,
     keys[w].reserve(kKeysPerWorker);
     for (uint32_t k = 0; k < kKeysPerWorker; ++k) {
       keys[w].push_back("t" + std::to_string(w) + "_k" + std::to_string(k));
-      (void)node.Put(1, 0, keys[w].back(), value);
+      (void)node.Write(0, {.table = 1, .key = keys[w].back(), .value = value,
+                           .conditional = false});
     }
   }
 
@@ -79,7 +80,8 @@ MicroResult RunMicro(uint32_t stripes, uint32_t workers,
           if ((rng >> 8) % 10 == 0) {
             (void)node.Get(1, 0, key);
           } else {
-            (void)node.Put(1, 0, key, value);
+            (void)node.Write(0, {.table = 1, .key = key, .value = value,
+                                 .conditional = false});
           }
         }
       });

@@ -30,7 +30,8 @@ void BM_StorageNodePut(benchmark::State& state) {
   uint64_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        node.Put(1, 0, EncodeOrderedU64(i++ % 100000), value));
+        node.Write(0, {.table = 1, .key = EncodeOrderedU64(i++ % 100000),
+                       .value = value, .conditional = false}));
   }
 }
 BENCHMARK(BM_StorageNodePut);
@@ -40,7 +41,8 @@ void BM_StorageNodeGet(benchmark::State& state) {
   node.CreatePartition(1, 0);
   std::string value(128, 'x');
   for (uint64_t i = 0; i < 10000; ++i) {
-    (void)node.Put(1, 0, EncodeOrderedU64(i), value);
+    (void)node.Write(0, {.table = 1, .key = EncodeOrderedU64(i), .value = value,
+                         .conditional = false});
   }
   uint64_t i = 0;
   for (auto _ : state) {
@@ -52,9 +54,11 @@ BENCHMARK(BM_StorageNodeGet);
 void BM_LlScConditionalPut(benchmark::State& state) {
   store::StorageNode node(0, 1ULL << 30);
   node.CreatePartition(1, 0);
-  uint64_t stamp = *node.Put(1, 0, "cell", "v0");
+  uint64_t stamp = *node.Write(0, {.table = 1, .key = "cell", .value = "v0",
+                                   .conditional = false});
   for (auto _ : state) {
-    auto result = node.ConditionalPut(1, 0, "cell", stamp, "v");
+    auto result = node.Write(0, {.table = 1, .key = "cell", .value = "v",
+                                 .expected_stamp = stamp});
     stamp = *result;
     benchmark::DoNotOptimize(stamp);
   }
@@ -185,7 +189,8 @@ void ExportJsonArtifact() {
                               &metrics);
   std::string value(128, 'x');
   for (uint64_t i = 0; i < 1000; ++i) {
-    (void)client.Put(table, EncodeOrderedU64(i), value);
+    (void)client.Write({.table = table, .key = EncodeOrderedU64(i),
+                        .value = value, .conditional = false});
   }
   Random rng(11);
   for (int i = 0; i < 4000; ++i) {

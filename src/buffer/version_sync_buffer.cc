@@ -141,8 +141,10 @@ void VersionSyncBuffer::OnApply(store::StorageClient* client,
       merged.MergeFrom(*remote);
       expected = cell->stamp;
     }
-    auto put = client->ConditionalPut(version_set_table_, cell_key, expected,
-                                      merged.Serialize());
+    auto put = client->Write({.table = version_set_table_,
+                              .key = cell_key,
+                              .value = merged.Serialize(),
+                              .expected_stamp = expected});
     if (put.ok()) {
       label = std::move(merged);
       foreign = unseen;

@@ -341,8 +341,10 @@ Status CommitManager::SyncWithPeers(uint32_t num_peers) {
     return Status::Unavailable("not the slot leader");
   }
   // 1. Publish our own state.
-  auto put = cluster_->Put(state_table_, StateKey(manager_id_),
-                           SerializeStateLocked());
+  auto put = cluster_->Write({.table = state_table_,
+                              .key = StateKey(manager_id_),
+                              .value = SerializeStateLocked(),
+                              .conditional = false});
   TELL_RETURN_NOT_OK(put.status());
   // 2. Read and merge every peer's most recent state.
   Tid min_peer_lav = 0;

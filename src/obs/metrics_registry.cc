@@ -23,7 +23,7 @@ const BuiltinGauge kBuiltinGauges[] = {
      "store-conditional Put requests served"},
     {"store.node.llsc_failures", "ops",
      "store-conditionals rejected by stamp mismatch (server-side)"},
-    {"store.node.erases", "ops", "Erase/ConditionalErase requests served"},
+    {"store.node.erases", "ops", "erase writes (conditional or not) served"},
     {"store.node.scans", "ops", "scan requests served"},
     {"store.node.cells_scanned", "cells",
      "cells examined while serving scans"},

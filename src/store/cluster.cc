@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -89,53 +90,15 @@ Result<VersionedCell> Cluster::OneSidedGet(TableId table,
   return route.master->OneSidedRead(table, route.partition, key);
 }
 
-Result<uint64_t> Cluster::Put(TableId table, std::string_view key,
-                              std::string_view value) {
-  TELL_ASSIGN_OR_RETURN(Route route, RouteFor(table, key));
+Result<uint64_t> Cluster::Write(const WriteOp& op) {
+  TELL_ASSIGN_OR_RETURN(Route route, RouteFor(op.table, op.key));
   if (route.write_frozen) {
     return Status::Unavailable("partition write-frozen for migration");
   }
   TELL_ASSIGN_OR_RETURN(uint64_t stamp,
-                        route.master->Put(table, route.partition, key, value));
-  Replicate(table, route.partition, route.replicas, key, value, stamp);
+                        route.master->Write(route.partition, op));
+  Replicate(route, op, stamp);
   return stamp;
-}
-
-Result<uint64_t> Cluster::ConditionalPut(TableId table, std::string_view key,
-                                         uint64_t expected_stamp,
-                                         std::string_view value) {
-  TELL_ASSIGN_OR_RETURN(Route route, RouteFor(table, key));
-  if (route.write_frozen) {
-    return Status::Unavailable("partition write-frozen for migration");
-  }
-  TELL_ASSIGN_OR_RETURN(uint64_t stamp,
-                        route.master->ConditionalPut(table, route.partition,
-                                                     key, expected_stamp,
-                                                     value));
-  Replicate(table, route.partition, route.replicas, key, value, stamp);
-  return stamp;
-}
-
-Status Cluster::ConditionalErase(TableId table, std::string_view key,
-                                 uint64_t expected_stamp) {
-  TELL_ASSIGN_OR_RETURN(Route route, RouteFor(table, key));
-  if (route.write_frozen) {
-    return Status::Unavailable("partition write-frozen for migration");
-  }
-  TELL_RETURN_NOT_OK(route.master->ConditionalErase(table, route.partition,
-                                                    key, expected_stamp));
-  ReplicateErase(table, route.partition, route.replicas, key);
-  return Status::OK();
-}
-
-Status Cluster::Erase(TableId table, std::string_view key) {
-  TELL_ASSIGN_OR_RETURN(Route route, RouteFor(table, key));
-  if (route.write_frozen) {
-    return Status::Unavailable("partition write-frozen for migration");
-  }
-  TELL_RETURN_NOT_OK(route.master->Erase(table, route.partition, key));
-  ReplicateErase(table, route.partition, route.replicas, key);
-  return Status::OK();
 }
 
 Result<int64_t> Cluster::AtomicIncrement(TableId table, std::string_view key,
@@ -150,7 +113,10 @@ Result<int64_t> Cluster::AtomicIncrement(TableId table, std::string_view key,
   // Replicate the counter cell so it survives master failure.
   auto cell = route.master->Get(table, route.partition, key);
   if (cell.ok()) {
-    Replicate(table, route.partition, route.replicas, key, cell->value,
+    Replicate(route,
+              {.table = table,
+               .key = std::string(key),
+               .value = std::move(cell->value)},
               cell->stamp);
   }
   return value;
@@ -216,29 +182,14 @@ uint64_t Cluster::TotalMemoryUsed() const {
   return total;
 }
 
-void Cluster::Replicate(TableId table, uint32_t partition,
-                        const std::vector<StorageNode*>& replicas,
-                        std::string_view key, std::string_view value,
+void Cluster::Replicate(const Route& route, const WriteOp& op,
                         uint64_t stamp) {
-  for (StorageNode* replica : replicas) {
+  for (StorageNode* replica : route.replicas) {
     // A replica that died mid-write is simply skipped; the management node
     // will notice and restore the replication level (paper §4.4.2).
-    Status st =
-        replica->ApplyReplicatedPut(table, partition, key, value, stamp);
+    Status st = replica->ApplyReplicated(route.partition, op, stamp);
     if (!st.ok() && !st.IsUnavailable()) {
       TELL_LOG(kWarn) << "replication to node " << replica->node_id()
-                      << " failed: " << st.ToString();
-    }
-  }
-}
-
-void Cluster::ReplicateErase(TableId table, uint32_t partition,
-                             const std::vector<StorageNode*>& replicas,
-                             std::string_view key) {
-  for (StorageNode* replica : replicas) {
-    Status st = replica->ApplyReplicatedErase(table, partition, key);
-    if (!st.ok() && !st.IsUnavailable() && !st.IsNotFound()) {
-      TELL_LOG(kWarn) << "replicated erase to node " << replica->node_id()
                       << " failed: " << st.ToString();
     }
   }

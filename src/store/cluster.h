@@ -64,14 +64,10 @@ class Cluster {
   /// RDMA READ never touches the server CPU). Clients must validate the
   /// result against the partition's lease epoch before trusting it.
   Result<VersionedCell> OneSidedGet(TableId table, std::string_view key) const;
-  Result<uint64_t> Put(TableId table, std::string_view key,
-                       std::string_view value);
-  Result<uint64_t> ConditionalPut(TableId table, std::string_view key,
-                                  uint64_t expected_stamp,
-                                  std::string_view value);
-  Status ConditionalErase(TableId table, std::string_view key,
-                          uint64_t expected_stamp);
-  Status Erase(TableId table, std::string_view key);
+  /// The one write: routes `op` to its partition's master, applies it there
+  /// (StorageNode::Write) and, once it succeeded, synchronously on every
+  /// live backup. Returns the new stamp of a put, 0 for an erase.
+  Result<uint64_t> Write(const WriteOp& op);
   Result<int64_t> AtomicIncrement(TableId table, std::string_view key,
                                   int64_t delta);
 
@@ -125,13 +121,9 @@ class Cluster {
   Result<Route> RouteFor(TableId table, std::string_view key) const;
   Result<Route> RouteForPartition(TableId table, uint32_t partition) const;
 
-  /// Pushes a successful master write to every live backup.
-  void Replicate(TableId table, uint32_t partition,
-                 const std::vector<StorageNode*>& replicas,
-                 std::string_view key, std::string_view value, uint64_t stamp);
-  void ReplicateErase(TableId table, uint32_t partition,
-                      const std::vector<StorageNode*>& replicas,
-                      std::string_view key);
+  /// Pushes a write its master applied (with the master's `stamp`) to every
+  /// live backup of the route.
+  void Replicate(const Route& route, const WriteOp& op, uint64_t stamp);
 
   const ClusterOptions options_;
   std::vector<std::unique_ptr<StorageNode>> nodes_;

@@ -19,12 +19,6 @@ constexpr uint64_t kWriteResponseBytes = 16;
 uint64_t ReadResponseBytes(const Result<VersionedCell>& result) {
   return result.ok() ? result->value.size() + 8 : 8;
 }
-
-// Erases report 0 on success, so every write carries a Result<uint64_t>.
-Result<uint64_t> ErasedOrStatus(const Status& status) {
-  if (!status.ok()) return status;
-  return uint64_t{0};
-}
 }  // namespace
 
 void StorageClient::ApplyNodeKill(const sim::FaultInjector::Decision& d) {
@@ -35,7 +29,7 @@ void StorageClient::ApplyNodeKill(const sim::FaultInjector::Decision& d) {
 }
 
 void StorageClient::SetFailed(Op* op, const Status& status) {
-  if (op->kind == Op::Kind::kGet) {
+  if (op->write == nullptr) {
     op->get_result = Result<VersionedCell>(status);
   } else {
     op->write_result = Result<uint64_t>(status);
@@ -154,75 +148,45 @@ std::optional<Result<VersionedCell>> StorageClient::OneSidedFetch(
 // any other) and decide. An unreadable cell leaves the outcome open; the
 // stamp check keeps a re-issue safe.
 std::optional<Result<uint64_t>> StorageClient::ResolveAmbiguousWrite(
-    const Op& op) {
+    const WriteOp& op) {
   // Unconditional puts are idempotent in value (a re-applied put just mints
   // a fresh stamp), so they re-issue without a re-read.
-  if (op.kind == Op::Kind::kPut) return std::nullopt;
+  if (!op.conditional && !op.erase) return std::nullopt;
   auto cell = Get(op.table, op.key);
   const bool absent = cell.status().IsNotFound();
-  switch (op.kind) {
-    case Op::Kind::kErase:
-      // The postcondition is "key absent".
-      if (absent) return uint64_t{0};
+  if (op.erase) {
+    // The postcondition is "key absent". For a conditional erase: absent ->
+    // our erase applied; stamp unchanged -> not applied; new stamp ->
+    // someone else wrote.
+    if (absent) return uint64_t{0};
+    if (!op.conditional || !cell.ok() || cell->stamp == op.expected_stamp) {
       return std::nullopt;
-    case Op::Kind::kConditionalErase:
-      // Absent -> our erase applied; stamp unchanged -> not applied; new
-      // stamp -> someone else wrote.
-      if (absent) return uint64_t{0};
-      if (!cell.ok() || cell->stamp == op.expected_stamp) return std::nullopt;
-      return Status::ConditionFailed(
-          "cell overwritten during ambiguous conditional erase");
-    case Op::Kind::kConditionalPut:
-      // Stamp unchanged -> not applied; the cell holds OUR value -> applied,
-      // its stamp is the result; anything else -> a concurrent writer won.
-      if (absent) {
-        if (op.expected_stamp == kStampAbsent) return std::nullopt;
-        return Status::ConditionFailed(
-            "cell erased during ambiguous conditional put");
-      }
-      if (!cell.ok() || cell->stamp == op.expected_stamp) return std::nullopt;
-      if (cell->value == op.value) return uint64_t{cell->stamp};
-      return Status::ConditionFailed(
-          "concurrent write superseded ambiguous conditional put");
-    case Op::Kind::kGet:
-    case Op::Kind::kPut:
-      break;
+    }
+    return Status::ConditionFailed(
+        "cell overwritten during ambiguous conditional erase");
   }
-  return std::nullopt;
+  // A conditional put: stamp unchanged -> not applied; the cell holds OUR
+  // value -> applied, its stamp is the result; anything else -> a
+  // concurrent writer won.
+  if (absent) {
+    if (op.expected_stamp == kStampAbsent) return std::nullopt;
+    return Status::ConditionFailed(
+        "cell erased during ambiguous conditional put");
+  }
+  if (!cell.ok() || cell->stamp == op.expected_stamp) return std::nullopt;
+  if (cell->value == op.value) return uint64_t{cell->stamp};
+  return Status::ConditionFailed(
+      "concurrent write superseded ambiguous conditional put");
 }
 
-sim::FaultOpClass StorageClient::OpClassOf(Op::Kind kind) {
-  switch (kind) {
-    case Op::Kind::kGet:
-      return sim::FaultOpClass::kGet;
-    case Op::Kind::kPut:
-      return sim::FaultOpClass::kPut;
-    case Op::Kind::kConditionalPut:
-      return sim::FaultOpClass::kConditionalPut;
-    case Op::Kind::kErase:
-      return sim::FaultOpClass::kErase;
-    case Op::Kind::kConditionalErase:
-      return sim::FaultOpClass::kConditionalErase;
+sim::FaultOpClass StorageClient::OpClassOf(const Op& op) {
+  if (op.write == nullptr) return sim::FaultOpClass::kGet;
+  if (op.write->erase) {
+    return op.write->conditional ? sim::FaultOpClass::kConditionalErase
+                                 : sim::FaultOpClass::kErase;
   }
-  return sim::FaultOpClass::kAny;
-}
-
-Result<uint64_t> StorageClient::SendWrite(const Op& op) {
-  switch (op.kind) {
-    case Op::Kind::kPut:
-      return cluster_->Put(op.table, op.key, op.value);
-    case Op::Kind::kConditionalPut:
-      return cluster_->ConditionalPut(op.table, op.key, op.expected_stamp,
-                                      op.value);
-    case Op::Kind::kErase:
-      return ErasedOrStatus(cluster_->Erase(op.table, op.key));
-    case Op::Kind::kConditionalErase:
-      return ErasedOrStatus(
-          cluster_->ConditionalErase(op.table, op.key, op.expected_stamp));
-    case Op::Kind::kGet:
-      break;
-  }
-  return Status::InternalError("not a write");
+  return op.write->conditional ? sim::FaultOpClass::kConditionalPut
+                               : sim::FaultOpClass::kPut;
 }
 
 sim::NetworkModel::CoalescedCost StorageClient::SendMessage(
@@ -234,8 +198,7 @@ sim::NetworkModel::CoalescedCost StorageClient::SendMessage(
     std::vector<std::pair<sim::FaultOpClass, uint32_t>> classes;
     classes.reserve(members.size());
     for (const auto& member : members) {
-      classes.emplace_back(OpClassOf(member.second->kind),
-                           member.second->table);
+      classes.emplace_back(OpClassOf(*member.second), member.second->table);
     }
     d = options_.fault_injector->OnMessage(classes);
     ApplyNodeKill(d);
@@ -244,22 +207,24 @@ sim::NetworkModel::CoalescedCost StorageClient::SendMessage(
   per_op_bytes.reserve(members.size());
   for (const auto& member : members) {
     Op* op = member.second;
+    const uint64_t value_bytes =
+        op->write == nullptr || op->write->erase ? 0 : op->write->value.size();
     const uint64_t request_bytes =
-        op->key.size() + op->value.size() + kPerOpHeaderBytes;
+        op->key.size() + value_bytes + kPerOpHeaderBytes;
     uint64_t response_bytes = 0;
     if (d.drop_request) {
       // The message never reached the node: nothing executed, no response
       // bytes received or charged.
       SetFailed(op, Status::Unavailable("injected fault: request dropped"));
     } else {
-      if (op->kind == Op::Kind::kGet) {
+      if (op->write == nullptr) {
         // Cache-fill tag: the epoch must be sampled before the fetch
         // executes (store/record_cache.h).
         op->fill_epoch = LeaseEpochOf(op->table, op->key);
         op->get_result = cluster_->Get(op->table, op->key);
         response_bytes = ReadResponseBytes(*op->get_result);
       } else {
-        op->write_result = SendWrite(*op);
+        op->write_result = cluster_->Write(*op->write);
         response_bytes = kWriteResponseBytes;
       }
       if (d.drop_response) {
@@ -269,7 +234,7 @@ sim::NetworkModel::CoalescedCost StorageClient::SendMessage(
                           "injected fault: response dropped (ambiguous "
                           "outcome)"));
         response_bytes = 0;
-      } else if (op->kind == Op::Kind::kGet && op->get_result->ok()) {
+      } else if (op->write == nullptr && op->get_result->ok()) {
         CacheFill(op->table, op->key, **op->get_result, op->fill_epoch);
       }
     }
@@ -295,7 +260,7 @@ void StorageClient::Issue(std::span<Op> ops) {
   size_t in_flight = 0;
   for (Op& op : ops) {
     VersionedCell cached;
-    if (op.kind == Op::Kind::kGet && CacheProbe(op.table, op.key, &cached)) {
+    if (op.write == nullptr && CacheProbe(op.table, op.key, &cached)) {
       op.get_result = Result<VersionedCell>(std::move(cached));
       op.done = true;
     } else {
@@ -316,7 +281,7 @@ void StorageClient::Issue(std::span<Op> ops) {
   // that does not joins its node's two-sided message like any other get.
   if (OneSidedEnabled()) {
     for (Op& op : ops) {
-      if (op.done || op.kind != Op::Kind::kGet) continue;
+      if (op.done || op.write != nullptr) continue;
       uint64_t response_bytes = 0;
       auto fetched =
           OneSidedFetch(op.table, op.key, &op.fill_epoch, &response_bytes);
@@ -372,7 +337,7 @@ void StorageClient::Issue(std::span<Op> ops) {
   uint64_t applied_writes = 0;
   for (Op& op : ops) {
     if (op.done) continue;
-    if (op.kind == Op::Kind::kGet) {
+    if (op.write == nullptr) {
       op.get_result = RetryLoop(
           sim::FaultOpClass::kGet, op.table, std::move(*op.get_result),
           [&] { return cluster_->Get(op.table, op.key); },
@@ -380,9 +345,9 @@ void StorageClient::Issue(std::span<Op> ops) {
       continue;
     }
     op.write_result = RetryLoop(
-        OpClassOf(op.kind), op.table, std::move(*op.write_result),
-        [&] { return SendWrite(op); },
-        [&] { return ResolveAmbiguousWrite(op); });
+        OpClassOf(op), op.table, std::move(*op.write_result),
+        [&] { return cluster_->Write(*op.write); },
+        [&] { return ResolveAmbiguousWrite(*op.write); });
     if (op.write_result->status().IsConditionFailed()) {
       metrics_->llsc_failures += 1;
     }
@@ -391,13 +356,8 @@ void StorageClient::Issue(std::span<Op> ops) {
   ChargeReplication(applied_writes);
 }
 
-Result<uint64_t> StorageClient::IssueWrite(Op op) {
-  Issue({&op, 1});
-  return std::move(*op.write_result);
-}
-
 Result<VersionedCell> StorageClient::Get(TableId table, std::string_view key) {
-  Op op{.kind = Op::Kind::kGet, .table = table, .key = key};
+  Op op{.table = table, .key = key};
   Issue({&op, 1});
   return std::move(*op.get_result);
 }
@@ -407,35 +367,10 @@ std::vector<Result<VersionedCell>> StorageClient::BatchGet(
   return BatchReadWrite(ops, {}).gets;
 }
 
-Result<uint64_t> StorageClient::Put(TableId table, std::string_view key,
-                                    std::string_view value) {
-  return IssueWrite(
-      {.kind = Op::Kind::kPut, .table = table, .key = key, .value = value});
-}
-
-Result<uint64_t> StorageClient::ConditionalPut(TableId table,
-                                               std::string_view key,
-                                               uint64_t expected_stamp,
-                                               std::string_view value) {
-  return IssueWrite({.kind = Op::Kind::kConditionalPut,
-                     .table = table,
-                     .key = key,
-                     .value = value,
-                     .expected_stamp = expected_stamp});
-}
-
-Status StorageClient::Erase(TableId table, std::string_view key) {
-  return IssueWrite({.kind = Op::Kind::kErase, .table = table, .key = key})
-      .status();
-}
-
-Status StorageClient::ConditionalErase(TableId table, std::string_view key,
-                                       uint64_t expected_stamp) {
-  return IssueWrite({.kind = Op::Kind::kConditionalErase,
-                     .table = table,
-                     .key = key,
-                     .expected_stamp = expected_stamp})
-      .status();
+Result<uint64_t> StorageClient::Write(const WriteOp& write) {
+  Op op{.table = write.table, .key = write.key, .write = &write};
+  Issue({&op, 1});
+  return std::move(*op.write_result);
 }
 
 std::vector<Result<uint64_t>> StorageClient::BatchWrite(
@@ -448,18 +383,10 @@ BatchResults StorageClient::BatchReadWrite(const std::vector<GetOp>& gets,
   std::vector<Op> batch;
   batch.reserve(gets.size() + writes.size());
   for (const GetOp& op : gets) {
-    batch.push_back({.kind = Op::Kind::kGet, .table = op.table, .key = op.key});
+    batch.push_back({.table = op.table, .key = op.key});
   }
   for (const WriteOp& op : writes) {
-    Op::Kind kind = op.erase ? (op.conditional ? Op::Kind::kConditionalErase
-                                               : Op::Kind::kErase)
-                             : (op.conditional ? Op::Kind::kConditionalPut
-                                               : Op::Kind::kPut);
-    batch.push_back({.kind = kind,
-                     .table = op.table,
-                     .key = op.key,
-                     .value = op.erase ? std::string_view() : op.value,
-                     .expected_stamp = op.expected_stamp});
+    batch.push_back({.table = op.table, .key = op.key, .write = &op});
   }
   Issue(batch);
   BatchResults results;

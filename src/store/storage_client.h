@@ -20,6 +20,7 @@
 #include "store/cluster.h"
 #include "store/management_node.h"
 #include "store/retry_policy.h"
+#include "store/write_op.h"
 
 namespace tell::store {
 
@@ -27,18 +28,6 @@ namespace tell::store {
 struct GetOp {
   TableId table;
   std::string key;
-};
-
-/// One logical write in a batch. `conditional` selects LL/SC semantics
-/// (expected_stamp must match; kStampAbsent means insert-if-absent);
-/// `erase` deletes instead of writing.
-struct WriteOp {
-  TableId table;
-  std::string key;
-  std::string value;
-  uint64_t expected_stamp = kStampAbsent;
-  bool conditional = true;
-  bool erase = false;
 };
 
 /// Results of StorageClient::BatchReadWrite, positionally aligned with its
@@ -158,18 +147,9 @@ class StorageClient {
   /// so the charged time is the *maximum* over nodes, not the sum.
   std::vector<Result<VersionedCell>> BatchGet(const std::vector<GetOp>& ops);
 
-  /// Unconditional single write.
-  Result<uint64_t> Put(TableId table, std::string_view key,
-                       std::string_view value);
-
-  /// Store-conditional single write (the LL/SC commit primitive).
-  Result<uint64_t> ConditionalPut(TableId table, std::string_view key,
-                                  uint64_t expected_stamp,
-                                  std::string_view value);
-
-  Status Erase(TableId table, std::string_view key);
-  Status ConditionalErase(TableId table, std::string_view key,
-                          uint64_t expected_stamp);
+  /// One write (store/write_op.h): a put or an erase, store-conditional or
+  /// not. Returns the new stamp of a put, 0 for an erase, or the failure.
+  Result<uint64_t> Write(const WriteOp& op);
 
   /// Applies many writes; same batching rules as BatchGet. Results are
   /// positionally aligned with `ops`: the new stamp for puts, 0 for erases,
@@ -343,29 +323,22 @@ class StorageClient {
                                                      uint64_t* fill_epoch,
                                                      uint64_t* response_bytes);
 
-  /// One logical op on the request path. Keys and values point into the
-  /// caller's arguments, which outlive the synchronous Issue() call.
+  /// One logical op on the request path: a read of `key`, or the write
+  /// `write` points to. Keys and writes point into the caller's arguments,
+  /// which outlive the synchronous Issue() call.
   struct Op {
-    enum class Kind : uint8_t {
-      kGet,
-      kPut,
-      kConditionalPut,
-      kErase,
-      kConditionalErase,
-    };
-    Kind kind;
     TableId table;
     std::string_view key;
-    std::string_view value = {};  // puts only
-    uint64_t expected_stamp = 0;  // conditional ops only
-    /// kGet only: lease epoch sampled immediately before the fetch executed
+    /// nullptr for a read.
+    const WriteOp* write = nullptr;
+    /// Reads only: lease epoch sampled immediately before the fetch executed
     /// (the cache-fill tag and the seqlock "before" sample).
     uint64_t fill_epoch = 0;
     /// Set once the op needs no message: a cache hit or a validated
     /// one-sided read.
     bool done = false;
-    /// The op's result, matching `kind`; first the coalesced attempt's,
-    /// final once Issue() returns. Erases carry 0 on success.
+    /// The op's result, a read's or a write's; first the coalesced
+    /// attempt's, final once Issue() returns. Erases carry 0 on success.
     std::optional<Result<VersionedCell>> get_result = std::nullopt;
     std::optional<Result<uint64_t>> write_result = std::nullopt;
   };
@@ -373,8 +346,6 @@ class StorageClient {
   /// The request path every point read and write takes (the five stages in
   /// the class comment). Fills each op's result.
   void Issue(std::span<Op> ops);
-  /// Issue() of one write; returns its result.
-  Result<uint64_t> IssueWrite(Op op);
   /// Stage 3 for one message (`members` share its key, the master node):
   /// one fault decision, every member executed against the cluster, bytes
   /// and the request counted. Returns the cost, injected latency included,
@@ -382,16 +353,14 @@ class StorageClient {
   sim::NetworkModel::CoalescedCost SendMessage(
       std::span<const std::pair<uint32_t, Op*>> members);
 
-  static sim::FaultOpClass OpClassOf(Op::Kind kind);
+  static sim::FaultOpClass OpClassOf(const Op& op);
   /// Marks an op's first attempt as lost in transit.
   static void SetFailed(Op* op, const Status& status);
-  /// Executes one write against the cluster (no injection, no charges).
-  Result<uint64_t> SendWrite(const Op& op);
 
   /// Consulted by the retry loop after a write came back Unavailable: from
   /// a re-read through Get, decides the outcome of a write whose response
   /// was lost (applied / superseded), or returns nullopt to re-issue.
-  std::optional<Result<uint64_t>> ResolveAmbiguousWrite(const Op& op);
+  std::optional<Result<uint64_t>> ResolveAmbiguousWrite(const WriteOp& op);
 
   Cluster* const cluster_;
   ManagementNode* const management_;

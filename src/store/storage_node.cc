@@ -117,8 +117,7 @@ template <typename Emit>
 void StorageNode::MergeScan(const Partition& part, std::string_view start_key,
                             std::string_view end_key, bool reverse,
                             Emit&& emit) {
-  using Iter =
-      std::map<std::string, VersionedCell, std::less<>>::const_iterator;
+  using Iter = CellMap::const_iterator;
   const size_t n = part.stripes.size();
   std::vector<Iter> lo(n), hi(n), cur(n);
   for (size_t s = 0; s < n; ++s) {
@@ -190,133 +189,70 @@ Result<VersionedCell> StorageNode::OneSidedRead(TableId table,
   return it->second;
 }
 
-Result<uint64_t> StorageNode::Put(TableId table, uint32_t partition,
-                                  std::string_view key,
-                                  std::string_view value) {
-  TELL_RETURN_NOT_OK(CheckAlive());
-  stats_.puts.fetch_add(1, std::memory_order_relaxed);
-  Partition* part = FindPartition(table, partition);
-  if (part == nullptr) return Status::NotFound("no such partition");
-  Stripe& stripe = part->StripeOf(key);
-  auto lock = LockExclusive(stripe);
-  if (part->sealed.load(std::memory_order_relaxed)) {
-    return Status::Unavailable("partition sealed for migration");
-  }
-  auto it = stripe.cells.find(key);
-  uint64_t stamp = part->next_stamp.fetch_add(1, std::memory_order_relaxed);
-  if (it == stripe.cells.end()) {
-    uint64_t bytes = key.size() + value.size() + sizeof(VersionedCell);
-    if (memory_used_.fetch_add(bytes, std::memory_order_relaxed) + bytes >
-        memory_capacity_) {
+Status StorageNode::SetCell(CellMap& cells, CellMap::iterator it,
+                            std::string_view key, std::string_view value,
+                            uint64_t stamp, bool capacity_checked) {
+  if (it == cells.end()) {
+    const uint64_t bytes = key.size() + value.size() + sizeof(VersionedCell);
+    const uint64_t used =
+        memory_used_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    if (capacity_checked && used > memory_capacity_) {
       memory_used_.fetch_sub(bytes, std::memory_order_relaxed);
       return Status::CapacityExceeded("storage node " +
                                       std::to_string(node_id_) + " is full");
     }
-    stripe.cells.emplace(std::string(key),
-                         VersionedCell{std::string(value), stamp});
-  } else {
-    int64_t delta = static_cast<int64_t>(value.size()) -
-                    static_cast<int64_t>(it->second.value.size());
-    memory_used_.fetch_add(static_cast<uint64_t>(delta),
-                           std::memory_order_relaxed);
-    it->second.value.assign(value);
-    it->second.stamp = stamp;
+    cells.emplace(std::string(key), VersionedCell{std::string(value), stamp});
+    return Status::OK();
   }
-  BumpLeaseEpoch(table, partition);
-  return stamp;
+  // Unsigned wrap-around makes the add a subtraction when the value shrinks.
+  memory_used_.fetch_add(value.size() - it->second.value.size(),
+                         std::memory_order_relaxed);
+  it->second.value.assign(value);
+  it->second.stamp = stamp;
+  return Status::OK();
 }
 
-Result<uint64_t> StorageNode::ConditionalPut(TableId table, uint32_t partition,
-                                             std::string_view key,
-                                             uint64_t expected_stamp,
-                                             std::string_view value) {
+void StorageNode::EraseCell(CellMap& cells, CellMap::iterator it) {
+  memory_used_.fetch_sub(
+      it->first.size() + it->second.value.size() + sizeof(VersionedCell),
+      std::memory_order_relaxed);
+  cells.erase(it);
+}
+
+Result<uint64_t> StorageNode::Write(uint32_t partition, const WriteOp& op) {
   TELL_RETURN_NOT_OK(CheckAlive());
-  stats_.conditional_puts.fetch_add(1, std::memory_order_relaxed);
-  Partition* part = FindPartition(table, partition);
+  std::atomic<uint64_t>& requests =
+      op.erase ? stats_.erases
+               : (op.conditional ? stats_.conditional_puts : stats_.puts);
+  requests.fetch_add(1, std::memory_order_relaxed);
+  Partition* part = FindPartition(op.table, partition);
   if (part == nullptr) return Status::NotFound("no such partition");
-  Stripe& stripe = part->StripeOf(key);
+  Stripe& stripe = part->StripeOf(op.key);
   auto lock = LockExclusive(stripe);
   if (part->sealed.load(std::memory_order_relaxed)) {
     return Status::Unavailable("partition sealed for migration");
   }
-  auto it = stripe.cells.find(key);
-  uint64_t current = it == stripe.cells.end() ? kStampAbsent : it->second.stamp;
-  if (current != expected_stamp) {
+  auto it = stripe.cells.find(op.key);
+  const bool present = it != stripe.cells.end();
+  if (op.erase && !present) return Status::NotFound();
+  const uint64_t current = present ? it->second.stamp : kStampAbsent;
+  if (op.conditional && current != op.expected_stamp) {
     stats_.llsc_failures.fetch_add(1, std::memory_order_relaxed);
     return Status::ConditionFailed("stamp mismatch: expected " +
-                                   std::to_string(expected_stamp) + ", have " +
-                                   std::to_string(current));
+                                   std::to_string(op.expected_stamp) +
+                                   ", have " + std::to_string(current));
   }
-  uint64_t stamp = part->next_stamp.fetch_add(1, std::memory_order_relaxed);
-  if (it == stripe.cells.end()) {
-    uint64_t bytes = key.size() + value.size() + sizeof(VersionedCell);
-    if (memory_used_.fetch_add(bytes, std::memory_order_relaxed) + bytes >
-        memory_capacity_) {
-      memory_used_.fetch_sub(bytes, std::memory_order_relaxed);
-      return Status::CapacityExceeded("storage node " +
-                                      std::to_string(node_id_) + " is full");
-    }
-    stripe.cells.emplace(std::string(key),
-                         VersionedCell{std::string(value), stamp});
+  uint64_t stamp = 0;
+  if (op.erase) {
+    EraseCell(stripe.cells, it);
+    JournalEraseLocked(part, op.key);
   } else {
-    int64_t delta = static_cast<int64_t>(value.size()) -
-                    static_cast<int64_t>(it->second.value.size());
-    memory_used_.fetch_add(static_cast<uint64_t>(delta),
-                           std::memory_order_relaxed);
-    it->second.value.assign(value);
-    it->second.stamp = stamp;
+    stamp = part->next_stamp.fetch_add(1, std::memory_order_relaxed);
+    TELL_RETURN_NOT_OK(SetCell(stripe.cells, it, op.key, op.value, stamp,
+                               /*capacity_checked=*/true));
   }
-  BumpLeaseEpoch(table, partition);
+  BumpLeaseEpoch(op.table, partition);
   return stamp;
-}
-
-Status StorageNode::ConditionalErase(TableId table, uint32_t partition,
-                                     std::string_view key,
-                                     uint64_t expected_stamp) {
-  TELL_RETURN_NOT_OK(CheckAlive());
-  stats_.erases.fetch_add(1, std::memory_order_relaxed);
-  Partition* part = FindPartition(table, partition);
-  if (part == nullptr) return Status::NotFound("no such partition");
-  Stripe& stripe = part->StripeOf(key);
-  auto lock = LockExclusive(stripe);
-  if (part->sealed.load(std::memory_order_relaxed)) {
-    return Status::Unavailable("partition sealed for migration");
-  }
-  auto it = stripe.cells.find(key);
-  if (it == stripe.cells.end()) return Status::NotFound();
-  if (it->second.stamp != expected_stamp) {
-    stats_.llsc_failures.fetch_add(1, std::memory_order_relaxed);
-    return Status::ConditionFailed();
-  }
-  memory_used_.fetch_sub(key.size() + it->second.value.size() +
-                             sizeof(VersionedCell),
-                         std::memory_order_relaxed);
-  stripe.cells.erase(it);
-  JournalEraseLocked(part, key);
-  BumpLeaseEpoch(table, partition);
-  return Status::OK();
-}
-
-Status StorageNode::Erase(TableId table, uint32_t partition,
-                          std::string_view key) {
-  TELL_RETURN_NOT_OK(CheckAlive());
-  stats_.erases.fetch_add(1, std::memory_order_relaxed);
-  Partition* part = FindPartition(table, partition);
-  if (part == nullptr) return Status::NotFound("no such partition");
-  Stripe& stripe = part->StripeOf(key);
-  auto lock = LockExclusive(stripe);
-  if (part->sealed.load(std::memory_order_relaxed)) {
-    return Status::Unavailable("partition sealed for migration");
-  }
-  auto it = stripe.cells.find(key);
-  if (it == stripe.cells.end()) return Status::NotFound();
-  memory_used_.fetch_sub(key.size() + it->second.value.size() +
-                             sizeof(VersionedCell),
-                         std::memory_order_relaxed);
-  stripe.cells.erase(it);
-  JournalEraseLocked(part, key);
-  BumpLeaseEpoch(table, partition);
-  return Status::OK();
 }
 
 Result<std::vector<KeyCell>> StorageNode::Scan(TableId table,
@@ -423,14 +359,8 @@ Result<int64_t> StorageNode::AtomicIncrement(TableId table, uint32_t partition,
   std::string encoded(sizeof(int64_t), '\0');
   std::memcpy(encoded.data(), &updated, sizeof(int64_t));
   uint64_t stamp = part->next_stamp.fetch_add(1, std::memory_order_relaxed);
-  if (it == stripe.cells.end()) {
-    memory_used_.fetch_add(key.size() + encoded.size() + sizeof(VersionedCell),
-                           std::memory_order_relaxed);
-    stripe.cells.emplace(std::string(key), VersionedCell{encoded, stamp});
-  } else {
-    it->second.value = encoded;
-    it->second.stamp = stamp;
-  }
+  (void)SetCell(stripe.cells, it, key, encoded, stamp,
+                /*capacity_checked=*/false);
   BumpLeaseEpoch(table, partition);
   return updated;
 }
@@ -569,27 +499,14 @@ Status StorageNode::InstallMigrationDelta(TableId table, uint32_t partition,
     max_stamp = std::max(max_stamp, op.stamp);
     // Stamp guard: only apply over strictly older state. Replayed ops from
     // an overlapping delta round hit equal stamps and no-op.
-    if (op.is_erase) {
-      if (it == stripe.cells.end() || it->second.stamp >= op.stamp) continue;
-      memory_used_.fetch_sub(op.key.size() + it->second.value.size() +
-                                 sizeof(VersionedCell),
-                             std::memory_order_relaxed);
-      stripe.cells.erase(it);
+    const bool present = it != stripe.cells.end();
+    if (present && it->second.stamp >= op.stamp) continue;
+    if (!op.is_erase) {
+      (void)SetCell(stripe.cells, it, op.key, op.value, op.stamp,
+                    /*capacity_checked=*/false);
+    } else if (present) {
+      EraseCell(stripe.cells, it);
       if (erases_applied != nullptr) ++*erases_applied;
-    } else {
-      if (it == stripe.cells.end()) {
-        memory_used_.fetch_add(op.key.size() + op.value.size() +
-                                   sizeof(VersionedCell),
-                               std::memory_order_relaxed);
-        stripe.cells.emplace(op.key, VersionedCell{op.value, op.stamp});
-      } else if (it->second.stamp < op.stamp) {
-        int64_t delta = static_cast<int64_t>(op.value.size()) -
-                        static_cast<int64_t>(it->second.value.size());
-        memory_used_.fetch_add(static_cast<uint64_t>(delta),
-                               std::memory_order_relaxed);
-        it->second.value = op.value;
-        it->second.stamp = op.stamp;
-      }
     }
   }
   part->AdvanceStampPast(max_stamp);
@@ -613,13 +530,8 @@ Status StorageNode::InstallPartition(TableId table, uint32_t partition,
   uint64_t max_stamp = 0;
   for (const KeyCell& cell : cells) {
     Stripe& stripe = part->StripeOf(cell.key);
-    auto [it, inserted] = stripe.cells.insert_or_assign(
-        cell.key, VersionedCell{cell.value, cell.stamp});
-    if (inserted) {
-      memory_used_.fetch_add(cell.key.size() + cell.value.size() +
-                                 sizeof(VersionedCell),
-                             std::memory_order_relaxed);
-    }
+    (void)SetCell(stripe.cells, stripe.cells.find(cell.key), cell.key,
+                  cell.value, cell.stamp, /*capacity_checked=*/false);
     max_stamp = std::max(max_stamp, cell.stamp);
   }
   // Keep the stamp source ahead of every installed stamp so post-fail-over
@@ -629,45 +541,22 @@ Status StorageNode::InstallPartition(TableId table, uint32_t partition,
   return Status::OK();
 }
 
-Status StorageNode::ApplyReplicatedPut(TableId table, uint32_t partition,
-                                       std::string_view key,
-                                       std::string_view value,
-                                       uint64_t stamp) {
+Status StorageNode::ApplyReplicated(uint32_t partition, const WriteOp& op,
+                                    uint64_t stamp) {
   TELL_RETURN_NOT_OK(CheckAlive());
-  Partition* part = FindPartition(table, partition);
+  Partition* part = FindPartition(op.table, partition);
   if (part == nullptr) return Status::NotFound("no such partition");
-  Stripe& stripe = part->StripeOf(key);
+  Stripe& stripe = part->StripeOf(op.key);
   auto lock = LockExclusive(stripe);
-  auto it = stripe.cells.find(key);
-  if (it == stripe.cells.end()) {
-    memory_used_.fetch_add(key.size() + value.size() + sizeof(VersionedCell),
-                           std::memory_order_relaxed);
-    stripe.cells.emplace(std::string(key),
-                         VersionedCell{std::string(value), stamp});
-  } else {
-    it->second.value.assign(value);
-    it->second.stamp = stamp;
+  auto it = stripe.cells.find(op.key);
+  if (!op.erase) {
+    (void)SetCell(stripe.cells, it, op.key, op.value, stamp,
+                  /*capacity_checked=*/false);
+    part->AdvanceStampPast(stamp);
+  } else if (it != stripe.cells.end()) {
+    EraseCell(stripe.cells, it);
   }
-  part->AdvanceStampPast(stamp);
-  BumpLeaseEpoch(table, partition);
-  return Status::OK();
-}
-
-Status StorageNode::ApplyReplicatedErase(TableId table, uint32_t partition,
-                                         std::string_view key) {
-  TELL_RETURN_NOT_OK(CheckAlive());
-  Partition* part = FindPartition(table, partition);
-  if (part == nullptr) return Status::NotFound("no such partition");
-  Stripe& stripe = part->StripeOf(key);
-  auto lock = LockExclusive(stripe);
-  auto it = stripe.cells.find(key);
-  if (it != stripe.cells.end()) {
-    memory_used_.fetch_sub(key.size() + it->second.value.size() +
-                               sizeof(VersionedCell),
-                           std::memory_order_relaxed);
-    stripe.cells.erase(it);
-  }
-  BumpLeaseEpoch(table, partition);
+  BumpLeaseEpoch(op.table, partition);
   return Status::OK();
 }
 

@@ -14,8 +14,8 @@ inline constexpr uint64_t kStampAbsent = 0;
 /// One stored cell: the value bytes plus a monotonically increasing stamp.
 ///
 /// The stamp is the load-link token for the LL/SC protocol (paper §2.2/§4.1):
-/// a Get returns (value, stamp); a ConditionalPut succeeds only if the cell's
-/// stamp still equals the stamp the caller read. Because the stamp increments
+/// a Get returns (value, stamp); a conditional write succeeds only if the
+/// cell's stamp still equals the stamp the caller read. Because the stamp increments
 /// on *every* successful write and is never reused, a cell that was changed
 /// and changed back still fails the store-conditional — exactly the
 /// ABA-safety property the paper requires of LL/SC (stronger than

@@ -1,5 +1,7 @@
 #include "tx/garbage_collector.h"
 
+#include <algorithm>
+
 #include "common/serde.h"
 #include "schema/tuple.h"
 #include "schema/versioned_record.h"
@@ -13,6 +15,13 @@ Result<GcStats> GarbageCollector::SweepTable(store::StorageClient* client,
   store::TableId data_table = table->meta->data_table;
   TELL_ASSIGN_OR_RETURN(std::vector<store::KeyCell> cells,
                         client->Scan(data_table, "", "", /*limit=*/0));
+  // Judge every record first, then act in two batched rounds whatever the
+  // number of records: one BatchInsert removes the index entries of every
+  // dead record, then one BatchWrite erases the dead records and rewrites
+  // the trimmed ones — index entries before their records.
+  std::vector<index::BatchInsertOp> removals;
+  std::vector<store::WriteOp> writes;
+  std::vector<size_t> versions_of_write;
   for (const store::KeyCell& cell : cells) {
     if (cell.key.size() != sizeof(uint64_t)) continue;  // meta cells
     auto record = schema::VersionedRecord::Deserialize(cell.value);
@@ -31,9 +40,8 @@ Result<GcStats> GarbageCollector::SweepTable(store::StorageClient* client,
           if (!tuple.ok()) continue;
           auto key = schema::EncodeIndexKey(*tuple, def.key_columns);
           if (!key.ok()) continue;
-          if (tree->Remove(client, *key, rid).ok()) {
-            ++stats.index_entries_removed;
-          }
+          removals.push_back({tree, std::move(*key), rid, /*unique=*/false,
+                              /*remove=*/true});
         }
       };
       remove_entries(&table->primary, table->meta->primary.def);
@@ -41,26 +49,33 @@ Result<GcStats> GarbageCollector::SweepTable(store::StorageClient* client,
         remove_entries(&table->secondaries[i],
                        table->meta->secondaries[i].def);
       }
-      Status st = client->ConditionalErase(data_table, cell.key, cell.stamp);
-      if (st.ok()) {
-        ++stats.records_erased;
-        stats.versions_removed += record->NumVersions();
-      }
-      continue;  // ConditionFailed: a live writer raced us; next sweep
+      writes.push_back({data_table, cell.key, "", cell.stamp,
+                        /*conditional=*/true, /*erase=*/true});
+      versions_of_write.push_back(record->NumVersions());
+      continue;
     }
 
     size_t removed = record->CollectGarbage(lav);
     if (removed == 0) continue;
-    Status st = client
-                    ->ConditionalPut(data_table, cell.key, cell.stamp,
-                                     record->Serialize())
-                    .status();
-    if (st.ok()) {
-      ++stats.records_rewritten;
-      stats.versions_removed += removed;
+    writes.push_back({data_table, cell.key, record->Serialize(), cell.stamp});
+    versions_of_write.push_back(removed);
+  }
+  if (!removals.empty()) {
+    std::vector<bool> removed;
+    (void)index::BTree::BatchInsert(client, removals, &removed);
+    stats.index_entries_removed += static_cast<size_t>(
+        std::count(removed.begin(), removed.end(), true));
+  }
+  if (!writes.empty()) {
+    std::vector<Result<uint64_t>> results = client->BatchWrite(writes);
+    for (size_t i = 0; i < writes.size(); ++i) {
+      // On ConditionFailed a live writer raced us: an erase waits for the
+      // next sweep, and a concurrent update already rewrote the record —
+      // performing its own eager GC in the process.
+      if (!results[i].ok()) continue;
+      ++(writes[i].erase ? stats.records_erased : stats.records_rewritten);
+      stats.versions_removed += versions_of_write[i];
     }
-    // On ConditionFailed a concurrent update already rewrote the record —
-    // and performed its own eager GC in the process.
   }
   {
     std::lock_guard<std::mutex> lock(totals_mutex_);

@@ -954,6 +954,20 @@ Status Transaction::FinishCommitEmpty() {
   return st;
 }
 
+Status Transaction::AbortCommit(const Status& cause) {
+  (void)session_->commitmgr_client()->Finish(commit_manager_, tid_,
+                                             /*committed=*/false);
+  state_ = TxnState::kAborted;
+  client_->metrics()->aborted += 1;
+  if (cause.IsConditionFailed()) {
+    return Status::Aborted("write-write conflict on commit");
+  }
+  if (cause.IsAlreadyExists()) {
+    return Status::Aborted("unique index conflict on commit");
+  }
+  return cause;
+}
+
 Status Transaction::Commit() {
   if (state_ != TxnState::kRunning) {
     return Status::InvalidArgument("transaction not running");
@@ -1010,15 +1024,10 @@ Status Transaction::Commit() {
   TELL_CHECK(appended.size() == 1);
   Status log_status = session_->log()->Appended(client_, appended.front());
   if (!log_status.ok() || !prepare_status.ok()) {
-    (void)session_->commitmgr_client()->Finish(commit_manager_, tid_,
-                                               /*committed=*/false);
-    state_ = TxnState::kAborted;
-    client_->metrics()->aborted += 1;
-    if (!log_status.ok()) return log_status;
-    if (prepare_status.IsAlreadyExists()) {
-      return Status::Aborted("unique index conflict on commit");
-    }
-    return prepare_status;
+    // A failed append is reported as it is: its AlreadyExists means a log
+    // entry for this tid exists, not a unique violation.
+    Status aborted = AbortCommit(prepare_status);
+    return log_status.ok() ? aborted : log_status;
   }
 
   // 2. Apply all buffered updates with LL/SC conditional puts. Records also
@@ -1062,14 +1071,7 @@ Status Transaction::Commit() {
       // even though it reported failure, and RollbackApplied skips records
       // without our version after one read.
       RollbackApplied(dirty, index::BTree::FreshNodeErases(prepared));
-      (void)session_->commitmgr_client()->Finish(commit_manager_, tid_,
-                                               /*committed=*/false);
-      state_ = TxnState::kAborted;
-      client_->metrics()->aborted += 1;
-      if (failure.IsConditionFailed()) {
-        return Status::Aborted("write-write conflict on commit");
-      }
-      return failure;
+      return AbortCommit(failure);
     }
   }
 
@@ -1100,14 +1102,7 @@ Status Transaction::Commit() {
     // validation forever (a unique index would even turn it into a
     // permanent InternalError for the racing winner's key).
     RollbackApplied(dirty);
-    (void)session_->commitmgr_client()->Finish(commit_manager_, tid_,
-                                               /*committed=*/false);
-    state_ = TxnState::kAborted;
-    client_->metrics()->aborted += 1;
-    if (index_status.IsAlreadyExists()) {
-      return Status::Aborted("unique index conflict on commit");
-    }
-    return index_status;
+    return AbortCommit(index_status);
   }
   TELL_CHECK(flagged.size() == 1);
   Status mark = flagged.front().status();
@@ -1117,11 +1112,8 @@ Status Transaction::Commit() {
                     << mark.ToString() << "); aborting";
     RollbackIndexInserts(std::vector<bool>(index_ops_.size(), true));
     RollbackApplied(dirty);
-    (void)session_->commitmgr_client()->Finish(commit_manager_, tid_,
-                                               /*committed=*/false);
-    state_ = TxnState::kAborted;
-    client_->metrics()->aborted += 1;
-    return Status::Aborted("commit flag write failed: " + mark.ToString());
+    return AbortCommit(
+        Status::Aborted("commit flag write failed: " + mark.ToString()));
   }
 
   // 5. Write-through to the PN's shared buffer (if any), then notify the

@@ -483,6 +483,10 @@ class Transaction {
       const store::FragmentSinkFactory& make_sink, bool pushed_down);
 
   Status FinishCommitEmpty();
+  /// The one abort tail of Commit once step 1 ran: tells the commit manager,
+  /// marks the transaction aborted and counts it, and returns `cause` with
+  /// a lost LL/SC or a unique-index violation reported as Aborted.
+  Status AbortCommit(const Status& cause);
 
   Session* const session_;
   store::StorageClient* const client_;

@@ -413,7 +413,8 @@ TEST_F(BTreeTest, CorruptNodeFailsCleanly) {
   // Stores `value` as node `id` and looks the first key up through a fresh
   // handle, whose descent reads every node from the store.
   auto lookup_with = [&](uint64_t id, const std::string& value) {
-    EXPECT_OK(client->Put(table_, tell::EncodeOrderedU64(id), value).status());
+    EXPECT_OK(client->Write({.table = table_, .key = tell::EncodeOrderedU64(id),
+                             .value = value, .conditional = false}).status());
     NodeCache fresh_cache;
     BTree fresh = MakeTree(/*fanout=*/8, &fresh_cache);
     return BTree::BatchLookup(client.get(), {{&fresh, key_of(0)}}).status();

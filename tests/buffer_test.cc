@@ -228,7 +228,8 @@ TEST(VersionSyncBufferTest, LateWriteThroughCannotRollBackTheVersionSet) {
   for (uint64_t rid : {kRecord, kNeighbour}) {
     schema::VersionedRecord initial;
     initial.PutVersion(5, "v5");
-    ASSERT_OK(client.Put(data, EncodeOrderedU64(rid), initial.Serialize())
+    ASSERT_OK(client.Write({.table = data, .key = EncodeOrderedU64(rid),
+                            .value = initial.Serialize(), .conditional = false})
                   .status());
   }
   // Commits `tid` on top of `fetched` and returns the written record and
@@ -237,8 +238,9 @@ TEST(VersionSyncBufferTest, LateWriteThroughCannotRollBackTheVersionSet) {
                    tx::Tid tid) {
     schema::VersionedRecord record = fetched.record;
     record.PutVersion(tid, "v" + std::to_string(tid));
-    auto stamp = client.ConditionalPut(data, EncodeOrderedU64(rid),
-                                       fetched.stamp, record.Serialize());
+    auto stamp = client.Write({.table = data, .key = EncodeOrderedU64(rid),
+                               .value = record.Serialize(),
+                               .expected_stamp = fetched.stamp});
     EXPECT_TRUE(stamp.ok()) << stamp.status().ToString();
     return std::make_pair(record, stamp.ok() ? *stamp : 0);
   };

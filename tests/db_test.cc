@@ -6,6 +6,7 @@
 #include "common/serde.h"
 #include "db/tell_db.h"
 #include "tests/test_util.h"
+#include "tx/garbage_collector.h"
 
 namespace tell::db {
 namespace {
@@ -240,6 +241,49 @@ TEST_F(TxLogDbTest, VersionChainBoundedAfterGc) {
   ASSERT_OK_AND_ASSIGN(schema::VersionedRecord record,
                        schema::VersionedRecord::Deserialize(cell->value));
   EXPECT_LE(record.NumVersions(), 2u);
+}
+
+TEST_F(TxLogDbTest, GcSweepRoundsDoNotGrowWithDeadRecords) {
+  std::vector<uint64_t> rids;
+  for (int i = 0; i < 200; ++i) {
+    tx::Transaction txn(session_.get());
+    ASSERT_OK(txn.Begin());
+    ASSERT_OK_AND_ASSIGN(uint64_t rid, txn.Insert(table_, Row(i, i)));
+    ASSERT_OK(txn.Commit());
+    rids.push_back(rid);
+  }
+  // Deletes rids[first, first + dead), lets the lav pass the delete, and
+  // returns the storage calls that issued a message during one sweep of
+  // the table.
+  tx::GarbageCollector gc(db_->commit_managers());
+  store::StorageClient* client = session_->client();
+  auto sweep_flushes = [&](size_t first, size_t dead) -> uint64_t {
+    {
+      tx::Transaction txn(session_.get());
+      EXPECT_OK(txn.Begin());
+      for (size_t i = first; i < first + dead; ++i) {
+        EXPECT_OK(txn.Delete(table_, rids[i]));
+      }
+      EXPECT_OK(txn.Commit());
+    }
+    {
+      tx::Transaction txn(session_.get());
+      EXPECT_OK(txn.Begin());
+      EXPECT_OK(txn.Commit());
+    }
+    const uint64_t before = client->metrics()->pipeline_flushes;
+    auto stats = gc.SweepTable(client, table_);
+    EXPECT_OK(stats.status());
+    if (stats.ok()) {
+      EXPECT_EQ(stats->records_erased, dead);
+      EXPECT_EQ(stats->index_entries_removed, dead);
+    }
+    return client->metrics()->pipeline_flushes - before;
+  };
+  const uint64_t few = sweep_flushes(0, 2);
+  const uint64_t many = sweep_flushes(2, 64);
+  EXPECT_GT(few, 0u);
+  EXPECT_EQ(many, few);
 }
 
 }  // namespace

@@ -74,7 +74,8 @@ TEST(MigrationDeltaTest, WatermarkedDeltaCatchesWritesAndErases) {
 
   for (int i = 1; i <= 5; ++i) {
     ASSERT_OK(
-        src.Put(kTable, kPartition, "k" + std::to_string(i), "v0").status());
+        src.Write(kPartition, {.table = kTable, .key = "k" + std::to_string(i),
+                               .value = "v0", .conditional = false}).status());
   }
 
   // Phase 1: journal on, watermark, bulk copy.
@@ -85,9 +86,13 @@ TEST(MigrationDeltaTest, WatermarkedDeltaCatchesWritesAndErases) {
   ASSERT_OK(dest.InstallPartition(kTable, kPartition, bulk));
 
   // Writes that race the copy: a new key, an overwrite, and an erase.
-  ASSERT_OK(src.Put(kTable, kPartition, "k6", "v0").status());
-  ASSERT_OK(src.Put(kTable, kPartition, "k2", "v1").status());
-  ASSERT_OK(src.Erase(kTable, kPartition, "k3"));
+  ASSERT_OK(src.Write(kPartition, {.table = kTable, .key = "k6", .value = "v0",
+                                   .conditional = false}).status());
+  ASSERT_OK(src.Write(kPartition, {.table = kTable, .key = "k2", .value = "v1",
+                                   .conditional = false}).status());
+  ASSERT_OK(src.Write(kPartition, {.table = kTable, .key = "k3",
+                                   .conditional = false, .erase = true})
+      .status());
 
   // Catch-up round: everything since the watermark, puts and erases.
   ASSERT_OK_AND_ASSIGN(uint64_t next_watermark,
@@ -116,8 +121,11 @@ TEST(MigrationDeltaTest, WatermarkedDeltaCatchesWritesAndErases) {
   EXPECT_EQ(mid.count("k3"), 0u);
 
   // Final writes, then the sealed cut-over round.
-  ASSERT_OK(src.Put(kTable, kPartition, "k7", "v0").status());
-  ASSERT_OK(src.Erase(kTable, kPartition, "k1"));
+  ASSERT_OK(src.Write(kPartition, {.table = kTable, .key = "k7", .value = "v0",
+                                   .conditional = false}).status());
+  ASSERT_OK(src.Write(kPartition, {.table = kTable, .key = "k1",
+                                   .conditional = false, .erase = true})
+      .status());
   ASSERT_OK_AND_ASSIGN(
       auto final_delta,
       src.SealPartitionAndDump(kTable, kPartition, next_watermark));
@@ -125,8 +133,11 @@ TEST(MigrationDeltaTest, WatermarkedDeltaCatchesWritesAndErases) {
 
   // The partition is sealed: every write on the source now bounces.
   EXPECT_TRUE(
-      src.Put(kTable, kPartition, "k8", "v").status().IsUnavailable());
-  EXPECT_TRUE(src.Erase(kTable, kPartition, "k4").IsUnavailable());
+      src.Write(kPartition, {.table = kTable, .key = "k8", .value = "v",
+                             .conditional = false}).status().IsUnavailable());
+  EXPECT_TRUE(src.Write(kPartition, {.table = kTable, .key = "k4",
+                                     .conditional = false, .erase = true})
+      .status().IsUnavailable());
   EXPECT_TRUE(src.AtomicIncrement(kTable, kPartition, "ctr", 1)
                   .status()
                   .IsUnavailable());
@@ -142,9 +153,11 @@ TEST(MigrationDeltaTest, EraseJournalClearedByEndMigrationLogging) {
   constexpr store::TableId kTable = 1;
   StorageNode src(0, 1ULL << 30);
   src.CreatePartition(kTable, 0);
-  ASSERT_OK(src.Put(kTable, 0, "a", "1").status());
+  ASSERT_OK(src.Write(0, {.table = kTable, .key = "a", .value = "1",
+                          .conditional = false}).status());
   ASSERT_OK(src.BeginMigrationLogging(kTable, 0));
-  ASSERT_OK(src.Erase(kTable, 0, "a"));
+  ASSERT_OK(src.Write(0, {.table = kTable, .key = "a", .conditional = false,
+                          .erase = true}).status());
   ASSERT_OK_AND_ASSIGN(auto journaled, src.ErasesSince(kTable, 0, 0));
   ASSERT_EQ(journaled.size(), 1u);
   // Aborting the migration drops the journal and stops logging.
@@ -152,8 +165,10 @@ TEST(MigrationDeltaTest, EraseJournalClearedByEndMigrationLogging) {
   ASSERT_OK_AND_ASSIGN(auto after, src.ErasesSince(kTable, 0, 0));
   EXPECT_TRUE(after.empty());
   // Erases outside a migration are not journaled.
-  ASSERT_OK(src.Put(kTable, 0, "b", "1").status());
-  ASSERT_OK(src.Erase(kTable, 0, "b"));
+  ASSERT_OK(src.Write(0, {.table = kTable, .key = "b", .value = "1",
+                          .conditional = false}).status());
+  ASSERT_OK(src.Write(0, {.table = kTable, .key = "b", .conditional = false,
+                          .erase = true}).status());
   ASSERT_OK_AND_ASSIGN(auto still, src.ErasesSince(kTable, 0, 0));
   EXPECT_TRUE(still.empty());
 }
@@ -167,18 +182,22 @@ TEST(MigrationRoutingTest, FrozenPartitionBouncesWritesServesReads) {
   options.num_storage_nodes = 2;
   store::Cluster cluster(options);
   ASSERT_OK_AND_ASSIGN(store::TableId table, cluster.CreateTable("t"));
-  ASSERT_OK(cluster.Put(table, "key", "v0").status());
+  ASSERT_OK(cluster.Write({.table = table, .key = "key", .value = "v0",
+                           .conditional = false}).status());
   ASSERT_OK_AND_ASSIGN(uint32_t partition,
                        cluster.partition_map().PartitionFor(table, "key"));
 
   ASSERT_OK(cluster.partition_map().FreezeWrites(table, partition));
-  EXPECT_TRUE(cluster.Put(table, "key", "v1").status().IsUnavailable());
-  EXPECT_TRUE(cluster.Erase(table, "key").IsUnavailable());
+  EXPECT_TRUE(cluster.Write({.table = table, .key = "key", .value = "v1",
+                             .conditional = false}).status().IsUnavailable());
+  EXPECT_TRUE(cluster.Write({.table = table, .key = "key", .conditional = false,
+                             .erase = true}).status().IsUnavailable());
   ASSERT_OK_AND_ASSIGN(auto cell, cluster.Get(table, "key"));
   EXPECT_EQ(cell.value, "v0");  // reads pass: the data is static
 
   ASSERT_OK(cluster.partition_map().UnfreezeWrites(table, partition));
-  ASSERT_OK(cluster.Put(table, "key", "v1").status());
+  ASSERT_OK(cluster.Write({.table = table, .key = "key", .value = "v1",
+                           .conditional = false}).status());
 }
 
 TEST(MigrationRoutingTest, MigrateMovesMasterAndAllData) {
@@ -189,7 +208,9 @@ TEST(MigrationRoutingTest, MigrateMovesMasterAndAllData) {
   ASSERT_OK_AND_ASSIGN(store::TableId table, cluster.CreateTable("t"));
   for (int i = 0; i < 60; ++i) {
     const std::string key = "key" + std::to_string(i);
-    ASSERT_OK(cluster.Put(table, key, "v" + std::to_string(i)).status());
+    ASSERT_OK(cluster.Write({.table = table, .key = key,
+                             .value = "v" + std::to_string(i),
+                             .conditional = false}).status());
   }
   ASSERT_OK_AND_ASSIGN(uint32_t partition,
                        cluster.partition_map().PartitionFor(table, "key0"));
@@ -214,7 +235,9 @@ TEST(MigrationRoutingTest, MigrateMovesMasterAndAllData) {
     ASSERT_OK_AND_ASSIGN(auto cell, cluster.Get(table, key));
     EXPECT_EQ(cell.value, "v" + std::to_string(i)) << key;
   }
-  ASSERT_OK(cluster.Put(table, "key0", "post-migration").status());
+  ASSERT_OK(cluster.Write({.table = table, .key = "key0",
+                           .value = "post-migration", .conditional = false})
+      .status());
   ASSERT_OK_AND_ASSIGN(auto cell, cluster.Get(table, "key0"));
   EXPECT_EQ(cell.value, "post-migration");
 
@@ -376,7 +399,8 @@ TEST(MigrationConcurrencyTest, AtomicIncrementsExactAcrossCutOver) {
       for (int i = 0; i < kKeysPerThread; ++i) {
         const std::string key =
             "w" + std::to_string(t) + "-" + std::to_string(i);
-        while (!cluster.Put(table, key, key).ok()) {
+        while (!cluster.Write({.table = table, .key = key, .value = key,
+                               .conditional = false}).ok()) {
           std::this_thread::yield();
         }
       }

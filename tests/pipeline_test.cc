@@ -91,7 +91,9 @@ TEST_F(PipelineTest, FlushCoalescesIntoOneMessagePerNode) {
   std::set<uint32_t> masters;
   for (int i = 0; i < 16; ++i) {
     std::string key = "key" + std::to_string(i);
-    ASSERT_OK(client->Put(table_, key, "v" + std::to_string(i)).status());
+    ASSERT_OK(client->Write({.table = table_, .key = key,
+                             .value = "v" + std::to_string(i),
+                             .conditional = false}).status());
     ops.push_back({table_, key});
     masters.insert(*cluster_->MasterOf(table_, key));
   }
@@ -124,7 +126,8 @@ TEST_F(PipelineTest, FlushChargesSlowestMessageNotSum) {
   {
     auto seeder = MakeClient(options);
     for (const std::string& key : keys) {
-      ASSERT_OK(seeder->Put(table_, key, "v").status());
+      ASSERT_OK(seeder->Write({.table = table_, .key = key, .value = "v",
+                               .conditional = false}).status());
       ops.push_back({table_, key});
     }
   }
@@ -165,7 +168,8 @@ TEST_F(PipelineTest, DroppedCoalescedMessageRetriesPerOp) {
   auto client = MakeClient(options);
   std::vector<GetOp> ops;
   for (const std::string& key : KeysOnOneNode(3)) {
-    ASSERT_OK(client->Put(table_, key, "v").status());
+    ASSERT_OK(client->Write({.table = table_, .key = key, .value = "v",
+                             .conditional = false}).status());
     ops.push_back({table_, key});
   }
 
@@ -197,8 +201,12 @@ TEST_F(PipelineTest, AmbiguousConditionalPutOnCoalescedMessageIsResolved) {
   options.fault_injector = &injector;
   auto client = MakeClient(options);
   std::vector<std::string> keys = KeysOnOneNode(2);
-  ASSERT_OK_AND_ASSIGN(uint64_t stamp, client->Put(table_, keys[0], "v1"));
-  ASSERT_OK(client->Put(table_, keys[1], "other").status());
+  ASSERT_OK_AND_ASSIGN(uint64_t stamp, client->Write({.table = table_,
+                                                      .key = keys[0],
+                                                      .value = "v1",
+                                                      .conditional = false}));
+  ASSERT_OK(client->Write({.table = table_, .key = keys[1], .value = "other",
+                           .conditional = false}).status());
 
   // The coalesced message carries a conditional put AND a plain put; the
   // rule matches the message because ANY contained op matches, and the lost
@@ -249,7 +257,9 @@ TEST_F(PipelineTest, DroppedMessageChargesNoResponseBytes) {
   auto client = MakeClient(options);
   std::vector<GetOp> ops;
   for (const std::string& key : KeysOnOneNode(3)) {
-    ASSERT_OK(client->Put(table_, key, std::string(512, 'x')).status());
+    ASSERT_OK(client->Write({.table = table_, .key = key,
+                             .value = std::string(512, 'x'),
+                             .conditional = false}).status());
     ops.push_back({table_, key});
   }
 
@@ -286,11 +296,14 @@ TEST_F(PipelineTest, AmbiguousEraseChargesTheReReadsResponse) {
   ClientOptions options;
   options.fault_injector = &injector;
   auto client = MakeClient(options);
-  ASSERT_OK(client->Put(table_, "k", std::string(1024, 'x')).status());
+  ASSERT_OK(client->Write(
+      {.table = table_, .key = "k", .value = std::string(1024, 'x'),
+       .conditional = false}).status());
 
   injector.Arm();
   const uint64_t received = metrics_.bytes_received;
-  ASSERT_OK(client->Erase(table_, "k"));
+  ASSERT_OK(client->Write({.table = table_, .key = "k", .conditional = false,
+                           .erase = true}).status());
   injector.Disarm();
 
   EXPECT_EQ(injector.stats().dropped_requests, 1u);

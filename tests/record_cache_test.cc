@@ -174,7 +174,8 @@ class ClientCacheTest : public ::testing::Test {
 
 TEST_F(ClientCacheTest, HitSkipsNetworkAndIsByteIdentical) {
   auto client = MakeClient(ClientOptions{});
-  ASSERT_OK(client->Put(table_, "k", "value-bytes").status());
+  ASSERT_OK(client->Write({.table = table_, .key = "k", .value = "value-bytes",
+                           .conditional = false}).status());
   ASSERT_OK_AND_ASSIGN(VersionedCell first, client->Get(table_, "k"));
   const uint64_t requests = metrics_.storage_requests;
   EXPECT_EQ(metrics_.cache_misses, 1u);
@@ -188,11 +189,13 @@ TEST_F(ClientCacheTest, HitSkipsNetworkAndIsByteIdentical) {
 
 TEST_F(ClientCacheTest, WriteInvalidatesCachedEntry) {
   auto client = MakeClient(ClientOptions{});
-  ASSERT_OK(client->Put(table_, "k", "v0").status());
+  ASSERT_OK(client->Write({.table = table_, .key = "k", .value = "v0",
+                           .conditional = false}).status());
   ASSERT_OK(client->Get(table_, "k").status());  // fill
   // The write bumps the partition's lease epoch inside the storage node's
   // critical section, so the cached v0 can never be served again.
-  ASSERT_OK(client->Put(table_, "k", "v1").status());
+  ASSERT_OK(client->Write({.table = table_, .key = "k", .value = "v1",
+                           .conditional = false}).status());
   ASSERT_OK_AND_ASSIGN(VersionedCell cell, client->Get(table_, "k"));
   EXPECT_EQ(cell.value, "v1");
   EXPECT_EQ(metrics_.cache_hits, 0u);
@@ -203,7 +206,8 @@ TEST_F(ClientCacheTest, OneSidedReadBypassesStorageNodeRequestPath) {
   ClientOptions options;  // InfiniBand default: RDMA-class
   options.one_sided_reads = true;
   auto client = MakeClient(options);
-  ASSERT_OK(client->Put(table_, "k", "v").status());
+  ASSERT_OK(client->Write({.table = table_, .key = "k", .value = "v",
+                           .conditional = false}).status());
   const uint64_t gets_before = NodeGets();
   ASSERT_OK_AND_ASSIGN(VersionedCell cell, client->Get(table_, "k"));
   EXPECT_EQ(cell.value, "v");
@@ -218,7 +222,8 @@ TEST_F(ClientCacheTest, KernelTcpModelNeverGoesOneSided) {
   options.network = sim::NetworkModel::TenGbEthernet();
   options.one_sided_reads = true;  // requested, but the model can't
   auto client = MakeClient(options);
-  ASSERT_OK(client->Put(table_, "k", "v").status());
+  ASSERT_OK(client->Write({.table = table_, .key = "k", .value = "v",
+                           .conditional = false}).status());
   const uint64_t gets_before = NodeGets();
   ASSERT_OK(client->Get(table_, "k").status());
   EXPECT_EQ(metrics_.onesided_reads, 0u);
@@ -235,7 +240,8 @@ TEST_F(ClientCacheTest, InjectedOneSidedFaultFallsBackTwoSided) {
   options.one_sided_reads = true;
   options.fault_injector = &injector;
   auto client = MakeClient(options);
-  ASSERT_OK(client->Put(table_, "k", "v").status());
+  ASSERT_OK(client->Write({.table = table_, .key = "k", .value = "v",
+                           .conditional = false}).status());
   // The one-sided attempt is dropped; the read must still succeed via the
   // two-sided retry path, counting the validation failure and the fallback.
   ASSERT_OK_AND_ASSIGN(VersionedCell cell, client->Get(table_, "k"));
@@ -244,7 +250,8 @@ TEST_F(ClientCacheTest, InjectedOneSidedFaultFallsBackTwoSided) {
   EXPECT_EQ(metrics_.onesided_fallbacks, 1u);
   EXPECT_EQ(metrics_.onesided_reads, 0u);
   // The rule disarmed: the next read goes one-sided again.
-  ASSERT_OK(client->Put(table_, "k", "v2").status());
+  ASSERT_OK(client->Write({.table = table_, .key = "k", .value = "v2",
+                           .conditional = false}).status());
   ASSERT_OK(client->Get(table_, "k").status());
   EXPECT_EQ(metrics_.onesided_reads, 1u);
 }

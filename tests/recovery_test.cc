@@ -96,9 +96,10 @@ TEST_F(RecoveryTest, PartiallyAppliedUpdatesAreRolledBack) {
                          schema::VersionedRecord::Deserialize(cell->value));
     record.PutVersion(doomed_tid, Row(1, -999.0).Serialize(table1->meta->schema));
     ASSERT_OK(db_->cluster()
-                  ->ConditionalPut(table1->meta->data_table,
-                                   EncodeOrderedU64(rid), cell->stamp,
-                                   record.Serialize())
+                  ->Write({.table = table1->meta->data_table,
+                           .key = EncodeOrderedU64(rid),
+                           .value = record.Serialize(),
+                           .expected_stamp = cell->stamp})
                   .status());
   }
 

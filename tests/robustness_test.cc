@@ -29,7 +29,8 @@ class FilteredScanStoreTest : public ::testing::Test {
     for (int i = 0; i < 100; ++i) {
       std::string value = (i % 2 == 0) ? "even" : "odd";
       EXPECT_TRUE(
-          cluster_->Put(table_, EncodeOrderedU64(i), value).ok());
+          cluster_->Write({.table = table_, .key = EncodeOrderedU64(i),
+                           .value = value, .conditional = false}).ok());
     }
     client_ = std::make_unique<store::StorageClient>(
         cluster_.get(), nullptr, store::ClientOptions{}, &clock_, &metrics_);

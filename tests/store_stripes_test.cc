@@ -45,7 +45,9 @@ std::string EncodeInt(int64_t v) {
 TEST(StoreStripesTest, RacingConditionalPutsSameKeyLoseNoIncrements) {
   StorageNode node(0, 64 << 20, /*stripes_per_partition=*/16);
   node.CreatePartition(kTable, kPart);
-  ASSERT_OK(node.Put(kTable, kPart, "hot", EncodeInt(0)).status());
+  ASSERT_OK(node.Write(kPart, {.table = kTable, .key = "hot",
+                               .value = EncodeInt(0), .conditional = false})
+      .status());
 
   constexpr int kThreads = 4;
   constexpr int kIterations = 400;
@@ -56,8 +58,10 @@ TEST(StoreStripesTest, RacingConditionalPutsSameKeyLoseNoIncrements) {
       for (int i = 0; i < kIterations; ++i) {
         auto cell = node.Get(kTable, kPart, "hot");
         ASSERT_OK(cell.status());
-        auto put = node.ConditionalPut(kTable, kPart, "hot", cell->stamp,
-                                       EncodeInt(DecodeInt(cell->value) + 1));
+        auto put = node.Write(
+            kPart, {.table = kTable, .key = "hot",
+                    .value = EncodeInt(DecodeInt(cell->value) + 1),
+                    .expected_stamp = cell->stamp});
         if (put.ok()) {
           successes.fetch_add(1, std::memory_order_relaxed);
         } else {
@@ -89,12 +93,14 @@ TEST(StoreStripesTest, RacingConditionalPutsDisjointKeysNeverConflict) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       const std::string key = "worker_" + std::to_string(t);
-      auto put = node.ConditionalPut(kTable, kPart, key, kStampAbsent, "0");
+      auto put = node.Write(kPart, {.table = kTable, .key = key, .value = "0",
+                                    .expected_stamp = kStampAbsent});
       ASSERT_OK(put.status());
       uint64_t stamp = *put;
       for (int i = 1; i <= kIterations; ++i) {
-        auto next = node.ConditionalPut(kTable, kPart, key, stamp,
-                                        std::to_string(i));
+        auto next = node.Write(kPart, {.table = kTable, .key = key,
+                                       .value = std::to_string(i),
+                                       .expected_stamp = stamp});
         ASSERT_TRUE(next.ok())
             << key << " iteration " << i << ": " << next.status().ToString();
         EXPECT_GT(*next, stamp);
@@ -121,7 +127,8 @@ TEST(StoreStripesTest, ScanDuringWritesSeesConsistentSnapshots) {
   for (int k = 0; k < kKeys; ++k) {
     char buf[16];
     std::snprintf(buf, sizeof(buf), "key_%03d", k);
-    ASSERT_OK(node.Put(kTable, kPart, buf, "v0").status());
+    ASSERT_OK(node.Write(kPart, {.table = kTable, .key = buf, .value = "v0",
+                                 .conditional = false}).status());
   }
 
   std::atomic<bool> stop{false};
@@ -134,7 +141,8 @@ TEST(StoreStripesTest, ScanDuringWritesSeesConsistentSnapshots) {
         char buf[16];
         std::snprintf(buf, sizeof(buf), "key_%03d",
                       static_cast<int>((rng >> 33) % kKeys));
-        ASSERT_OK(node.Put(kTable, kPart, buf, "v1").status());
+        ASSERT_OK(node.Write(kPart, {.table = kTable, .key = buf, .value = "v1",
+                                     .conditional = false}).status());
       }
     });
   }
@@ -184,7 +192,9 @@ TEST(StoreStripesTest, InstallPartitionUnderLoadKeepsStampsMonotonic) {
       int i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         ASSERT_OK(
-            node.Put(kTable, kPart, key, std::to_string(i++)).status());
+            node.Write(kPart, {.table = kTable, .key = key,
+                               .value = std::to_string(i++),
+                               .conditional = false}).status());
       }
     });
   }
@@ -201,7 +211,9 @@ TEST(StoreStripesTest, InstallPartitionUnderLoadKeepsStampsMonotonic) {
   // And the partition's stamp source moved past them: a fresh write must
   // get a stamp above every installed one.
   ASSERT_OK_AND_ASSIGN(uint64_t stamp,
-                       node.Put(kTable, kPart, "after_install", "x"));
+                       node.Write(kPart, {.table = kTable,
+                                          .key = "after_install", .value = "x",
+                                          .conditional = false}));
   EXPECT_GT(stamp, kHighStamp + 31);
 }
 
@@ -225,8 +237,10 @@ TEST(StoreStripesTest, SingleThreadedBitIdenticalAcrossStripeCounts) {
     switch (next() % 5) {
       case 0: {
         const std::string value = "v" + std::to_string(next() % 1000);
-        auto a = one.Put(kTable, kPart, key, value);
-        auto b = many.Put(kTable, kPart, key, value);
+        auto a = one.Write(kPart, {.table = kTable, .key = key, .value = value,
+                                   .conditional = false});
+        auto b = many.Write(kPart, {.table = kTable, .key = key, .value = value,
+                                    .conditional = false});
         ASSERT_OK(a.status());
         ASSERT_OK(b.status());
         ASSERT_EQ(*a, *b) << "put stamp diverged at op " << i;
@@ -235,15 +249,21 @@ TEST(StoreStripesTest, SingleThreadedBitIdenticalAcrossStripeCounts) {
       case 1: {
         const uint64_t expected = next() % 3 == 0 ? kStampAbsent : next() % 64;
         const std::string value = "c" + std::to_string(next() % 1000);
-        auto a = one.ConditionalPut(kTable, kPart, key, expected, value);
-        auto b = many.ConditionalPut(kTable, kPart, key, expected, value);
+        auto a = one.Write(kPart, {.table = kTable, .key = key, .value = value,
+                                   .expected_stamp = expected});
+        auto b = many.Write(kPart, {.table = kTable, .key = key, .value = value,
+                                    .expected_stamp = expected});
         ASSERT_EQ(a.status().code(), b.status().code()) << "op " << i;
         if (a.ok()) ASSERT_EQ(*a, *b);
         break;
       }
       case 2: {
-        Status a = one.Erase(kTable, kPart, key);
-        Status b = many.Erase(kTable, kPart, key);
+        Status a = one.Write(kPart, {.table = kTable, .key = key,
+                                     .conditional = false, .erase = true})
+            .status();
+        Status b = many.Write(kPart, {.table = kTable, .key = key,
+                                      .conditional = false, .erase = true})
+            .status();
         ASSERT_EQ(a.code(), b.code()) << "op " << i;
         break;
       }
@@ -293,7 +313,9 @@ TEST(StoreStripesTest, ScanMergeSkipsEmptyStripes) {
                                          "dog", "elk", "fox"};
   // Insert out of order so merge order cannot accidentally be insert order.
   for (const auto& key : {"fox", "bee", "elk", "ant", "dog", "cat"}) {
-    ASSERT_OK(node.Put(kTable, kPart, key, std::string("v_") + key).status());
+    ASSERT_OK(node.Write(kPart, {.table = kTable, .key = key,
+                                 .value = std::string("v_") + key,
+                                 .conditional = false}).status());
   }
 
   ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> all,
@@ -349,7 +371,8 @@ TEST(StoreStripesTest, ScanMergeDeduplicatesOverwritesAcrossStripeBoundaries) {
       const std::string& key =
           keys[round % 2 == 0 ? i : keys.size() - 1 - i];
       const std::string value = key + "@" + std::to_string(round);
-      ASSERT_OK(node.Put(kTable, kPart, key, value).status());
+      ASSERT_OK(node.Write(kPart, {.table = kTable, .key = key, .value = value,
+                                   .conditional = false}).status());
       reference[key] = value;
     }
   }
@@ -385,8 +408,9 @@ TEST(StoreStripesTest, FragmentScanCountsExaminedCellsWithEmptyStripes) {
     char buf[16];
     std::snprintf(buf, sizeof(buf), "key_%03d", k);
     ASSERT_OK(node
-                  .Put(kTable, kPart, buf,
-                       k % 3 == 0 ? "match" : "miss")
+                  .Write(kPart, {.table = kTable, .key = buf,
+                                 .value = k % 3 == 0 ? "match" : "miss",
+                                 .conditional = false})
                   .status());
   }
 
@@ -425,7 +449,8 @@ TEST(StoreStripesTest, ContentionCountersRecordCollisions) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 2000; ++i) {
         ASSERT_OK(
-            node.Put(kTable, kPart, "k" + std::to_string(t), "v").status());
+            node.Write(kPart, {.table = kTable, .key = "k" + std::to_string(t),
+                               .value = "v", .conditional = false}).status());
       }
     });
   }

@@ -21,7 +21,9 @@ class StorageNodeTest : public ::testing::Test {
 };
 
 TEST_F(StorageNodeTest, PutGetRoundTrip) {
-  ASSERT_OK_AND_ASSIGN(uint64_t stamp, node_.Put(1, 0, "k", "v"));
+  ASSERT_OK_AND_ASSIGN(uint64_t stamp, node_.Write(0, {.table = 1, .key = "k",
+                                                       .value = "v",
+                                                       .conditional = false}));
   EXPECT_GT(stamp, kStampAbsent);
   ASSERT_OK_AND_ASSIGN(VersionedCell cell, node_.Get(1, 0, "k"));
   EXPECT_EQ(cell.value, "v");
@@ -38,8 +40,10 @@ TEST_F(StorageNodeTest, HighPartitionIdsDoNotAlias) {
   // writes meant for one landed in the other. The key now keeps the full
   // 32-bit partition id.
   node_.CreatePartition(1, 65536);
-  ASSERT_OK(node_.Put(1, 0, "k", "low").status());
-  ASSERT_OK(node_.Put(1, 65536, "k", "high").status());
+  ASSERT_OK(node_.Write(0, {.table = 1, .key = "k", .value = "low",
+                            .conditional = false}).status());
+  ASSERT_OK(node_.Write(65536, {.table = 1, .key = "k", .value = "high",
+                                .conditional = false}).status());
   ASSERT_OK_AND_ASSIGN(VersionedCell low, node_.Get(1, 0, "k"));
   ASSERT_OK_AND_ASSIGN(VersionedCell high, node_.Get(1, 65536, "k"));
   EXPECT_EQ(low.value, "low");
@@ -54,41 +58,57 @@ TEST_F(StorageNodeTest, HighPartitionIdsDoNotAlias) {
 TEST_F(StorageNodeTest, ConditionalPutInsertSemantics) {
   // kStampAbsent means "must not exist".
   ASSERT_OK_AND_ASSIGN(uint64_t stamp,
-                       node_.ConditionalPut(1, 0, "k", kStampAbsent, "v1"));
+                       node_.Write(0, {.table = 1, .key = "k", .value = "v1",
+                                       .expected_stamp = kStampAbsent}));
   EXPECT_GT(stamp, 0u);
   // Second insert fails.
-  EXPECT_TRUE(node_.ConditionalPut(1, 0, "k", kStampAbsent, "v2")
+  EXPECT_TRUE(node_.Write(0, {.table = 1, .key = "k", .value = "v2",
+                              .expected_stamp = kStampAbsent})
                   .status()
                   .IsConditionFailed());
 }
 
 TEST_F(StorageNodeTest, LlScDetectsIntermediateWrite) {
-  ASSERT_OK_AND_ASSIGN(uint64_t s1, node_.Put(1, 0, "k", "v1"));
+  ASSERT_OK_AND_ASSIGN(uint64_t s1, node_.Write(0, {.table = 1, .key = "k",
+                                                    .value = "v1",
+                                                    .conditional = false}));
   // Another writer changes the cell...
-  ASSERT_OK_AND_ASSIGN(uint64_t s2, node_.Put(1, 0, "k", "v2"));
+  ASSERT_OK_AND_ASSIGN(uint64_t s2, node_.Write(0, {.table = 1, .key = "k",
+                                                    .value = "v2",
+                                                    .conditional = false}));
   // ...and even changes it *back* to the original value (ABA):
-  ASSERT_OK_AND_ASSIGN(uint64_t s3, node_.Put(1, 0, "k", "v1"));
+  ASSERT_OK_AND_ASSIGN(uint64_t s3, node_.Write(0, {.table = 1, .key = "k",
+                                                    .value = "v1",
+                                                    .conditional = false}));
   EXPECT_LT(s1, s2);
   EXPECT_LT(s2, s3);
   // Store-conditional against the first stamp still fails: LL/SC is
   // ABA-safe, unlike value-compare-and-swap.
-  EXPECT_TRUE(node_.ConditionalPut(1, 0, "k", s1, "v3")
+  EXPECT_TRUE(node_.Write(0, {.table = 1, .key = "k", .value = "v3",
+                              .expected_stamp = s1})
                   .status()
                   .IsConditionFailed());
   // Against the current stamp it succeeds.
-  EXPECT_OK(node_.ConditionalPut(1, 0, "k", s3, "v3").status());
+  EXPECT_OK(node_.Write(0, {.table = 1, .key = "k", .value = "v3",
+                            .expected_stamp = s3}).status());
 }
 
 TEST_F(StorageNodeTest, ConditionalEraseChecksStamp) {
-  ASSERT_OK_AND_ASSIGN(uint64_t stamp, node_.Put(1, 0, "k", "v"));
-  EXPECT_TRUE(node_.ConditionalErase(1, 0, "k", stamp + 1).IsConditionFailed());
-  EXPECT_OK(node_.ConditionalErase(1, 0, "k", stamp));
+  ASSERT_OK_AND_ASSIGN(uint64_t stamp, node_.Write(0, {.table = 1, .key = "k",
+                                                       .value = "v",
+                                                       .conditional = false}));
+  EXPECT_TRUE(node_.Write(0, {.table = 1, .key = "k",
+                              .expected_stamp = stamp + 1, .erase = true})
+      .status().IsConditionFailed());
+  EXPECT_OK(node_.Write(0, {.table = 1, .key = "k", .expected_stamp = stamp,
+                            .erase = true}).status());
   EXPECT_TRUE(node_.Get(1, 0, "k").status().IsNotFound());
 }
 
 TEST_F(StorageNodeTest, ScanOrderedAndBounded) {
   for (char c = 'a'; c <= 'e'; ++c) {
-    ASSERT_OK(node_.Put(1, 0, std::string(1, c), "v").status());
+    ASSERT_OK(node_.Write(0, {.table = 1, .key = std::string(1, c),
+                              .value = "v", .conditional = false}).status());
   }
   ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> cells,
                        node_.Scan(1, 0, "b", "e", 0));
@@ -99,7 +119,8 @@ TEST_F(StorageNodeTest, ScanOrderedAndBounded) {
 
 TEST_F(StorageNodeTest, ReverseScan) {
   for (char c = 'a'; c <= 'e'; ++c) {
-    ASSERT_OK(node_.Put(1, 0, std::string(1, c), "v").status());
+    ASSERT_OK(node_.Write(0, {.table = 1, .key = std::string(1, c),
+                              .value = "v", .conditional = false}).status());
   }
   ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> cells,
                        node_.Scan(1, 0, "", "", 2, /*reverse=*/true));
@@ -132,14 +153,17 @@ TEST_F(StorageNodeTest, AtomicIncrementIsAtomicUnderThreads) {
 }
 
 TEST_F(StorageNodeTest, ConcurrentLlScExactlyOneWinner) {
-  ASSERT_OK_AND_ASSIGN(uint64_t stamp, node_.Put(1, 0, "k", "v0"));
+  ASSERT_OK_AND_ASSIGN(uint64_t stamp, node_.Write(0, {.table = 1, .key = "k",
+                                                       .value = "v0",
+                                                       .conditional = false}));
   constexpr int kThreads = 8;
   std::atomic<int> winners{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      auto result = node_.ConditionalPut(1, 0, "k", stamp,
-                                         "v" + std::to_string(t + 1));
+      auto result = node_.Write(0, {.table = 1, .key = "k",
+                                    .value = "v" + std::to_string(t + 1),
+                                    .expected_stamp = stamp});
       if (result.ok()) winners.fetch_add(1);
     });
   }
@@ -150,23 +174,34 @@ TEST_F(StorageNodeTest, ConcurrentLlScExactlyOneWinner) {
 TEST_F(StorageNodeTest, DeadNodeRejectsRequests) {
   node_.Kill();
   EXPECT_TRUE(node_.Get(1, 0, "k").status().IsUnavailable());
-  EXPECT_TRUE(node_.Put(1, 0, "k", "v").status().IsUnavailable());
+  EXPECT_TRUE(node_.Write(0, {.table = 1, .key = "k", .value = "v",
+                              .conditional = false}).status().IsUnavailable());
   node_.Revive();
-  EXPECT_OK(node_.Put(1, 0, "k", "v").status());
+  EXPECT_OK(node_.Write(0, {.table = 1, .key = "k", .value = "v",
+                            .conditional = false}).status());
 }
 
 TEST_F(StorageNodeTest, CapacityLimitEnforced) {
   StorageNode tiny(1, 256);
   tiny.CreatePartition(1, 0);
   std::string big(300, 'x');
-  EXPECT_TRUE(tiny.Put(1, 0, "k", big).status().IsCapacityExceeded());
+  EXPECT_TRUE(tiny.Write(0, {.table = 1, .key = "k", .value = big,
+                             .conditional = false})
+      .status().IsCapacityExceeded());
 }
 
 TEST_F(StorageNodeTest, MemoryAccountingTracksPutsAndErases) {
   uint64_t before = node_.memory_used();
-  ASSERT_OK(node_.Put(1, 0, "key1", std::string(100, 'a')).status());
-  EXPECT_GT(node_.memory_used(), before);
-  ASSERT_OK(node_.Erase(1, 0, "key1"));
+  // A put, then a growing overwrite of the same cell.
+  for (size_t size : {100, 1000}) {
+    ASSERT_OK(node_.Write(0, {.table = 1, .key = "key1",
+                              .value = std::string(size, 'a'),
+                              .conditional = false}).status());
+    EXPECT_EQ(node_.memory_used(),
+              before + 4 + size + sizeof(VersionedCell));
+  }
+  ASSERT_OK(node_.Write(0, {.table = 1, .key = "key1", .conditional = false,
+                            .erase = true}).status());
   EXPECT_EQ(node_.memory_used(), before);
 }
 
@@ -249,8 +284,71 @@ class ClusterTest : public ::testing::Test {
   TableId table_;
 };
 
+TEST_F(ClusterTest, MemoryUsedMatchesHeldCellsAfterEveryMutationKind) {
+  // Client writes of every kind, replicated to the backups at RF2.
+  ASSERT_OK(cluster_->Write({.table = table_, .key = "a",
+                             .value = std::string(10, 'x'),
+                             .conditional = false}).status());
+  ASSERT_OK_AND_ASSIGN(uint64_t stamp,
+                       cluster_->Write({.table = table_, .key = "a",
+                                        .value = std::string(1000, 'y'),
+                                        .conditional = false}));
+  ASSERT_OK(cluster_->Write({.table = table_, .key = "a", .value = "z",
+                             .expected_stamp = stamp}).status());
+  ASSERT_OK(cluster_->Write({.table = table_, .key = "b",
+                             .value = std::string(300, 'b')}).status());
+  ASSERT_OK(cluster_->Write({.table = table_, .key = "b", .conditional = false,
+                             .erase = true}).status());
+  ASSERT_OK(cluster_->AtomicIncrement(table_, "counter", 5).status());
+  // An increment over a 1-byte cell turns it into an 8-byte counter.
+  ASSERT_OK(cluster_->AtomicIncrement(table_, "a", 1).status());
+
+  // A migration delta and a reinstall over existing cells, applied to every
+  // copy of "a"'s partition.
+  ASSERT_OK_AND_ASSIGN(uint32_t partition,
+                       cluster_->partition_map().PartitionFor(table_, "a"));
+  ASSERT_OK_AND_ASSIGN(
+      PartitionPlacement placement,
+      cluster_->partition_map().PlacementOf(table_, partition));
+  std::vector<StorageNode*> copies = {cluster_->node(placement.master)};
+  for (uint32_t replica : placement.replicas) {
+    copies.push_back(cluster_->node(replica));
+  }
+  ASSERT_OK_AND_ASSIGN(uint64_t next,
+                       copies.front()->PartitionNextStamp(table_, partition));
+  const std::vector<MigrationOp> delta = {
+      {"a", std::string(500, 'm'), next + 1, false},
+      {"fresh", "f", next + 2, false},
+      {"fresh", "", next + 3, true}};
+  for (StorageNode* node : copies) {
+    ASSERT_OK(node->InstallMigrationDelta(table_, partition, delta));
+  }
+  ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> image,
+                       copies.front()->DumpPartition(table_, partition));
+  for (KeyCell& cell : image) cell.value += std::string(100, 'i');
+  for (StorageNode* node : copies) {
+    ASSERT_OK(node->InstallPartition(table_, partition, image));
+  }
+
+  // Every node's counter equals the bytes of the cells it holds.
+  ASSERT_OK_AND_ASSIGN(uint32_t partitions,
+                       cluster_->partition_map().NumPartitions(table_));
+  for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
+    uint64_t held = 0;
+    for (uint32_t p = 0; p < partitions; ++p) {
+      auto cells = cluster_->node(n)->DumpPartition(table_, p);
+      if (!cells.ok()) continue;  // no copy of p on this node
+      for (const KeyCell& cell : *cells) {
+        held += cell.key.size() + cell.value.size() + sizeof(VersionedCell);
+      }
+    }
+    EXPECT_EQ(cluster_->node(n)->memory_used(), held) << "node " << n;
+  }
+}
+
 TEST_F(ClusterTest, WritesAreReplicated) {
-  ASSERT_OK(cluster_->Put(table_, "key", "value").status());
+  ASSERT_OK(cluster_->Write({.table = table_, .key = "key", .value = "value",
+                             .conditional = false}).status());
   // The cell must exist on RF=2 nodes in total.
   int copies = 0;
   ASSERT_OK_AND_ASSIGN(uint32_t partition,
@@ -263,7 +361,8 @@ TEST_F(ClusterTest, WritesAreReplicated) {
 }
 
 TEST_F(ClusterTest, FailoverServesDataFromReplica) {
-  ASSERT_OK(cluster_->Put(table_, "key", "value").status());
+  ASSERT_OK(cluster_->Write({.table = table_, .key = "key", .value = "value",
+                             .conditional = false}).status());
   ASSERT_OK_AND_ASSIGN(uint32_t master, cluster_->MasterOf(table_, "key"));
   cluster_->node(master)->Kill();
   // Before fail-over the read fails...
@@ -279,7 +378,8 @@ TEST_F(ClusterTest, FailoverServesDataFromReplica) {
 }
 
 TEST_F(ClusterTest, FailoverRestoresReplicationLevel) {
-  ASSERT_OK(cluster_->Put(table_, "key", "value").status());
+  ASSERT_OK(cluster_->Write({.table = table_, .key = "key", .value = "value",
+                             .conditional = false}).status());
   ASSERT_OK_AND_ASSIGN(uint32_t master, cluster_->MasterOf(table_, "key"));
   cluster_->node(master)->Kill();
   ASSERT_TRUE(management_->DetectAndRecover().ok());
@@ -287,17 +387,22 @@ TEST_F(ClusterTest, FailoverRestoresReplicationLevel) {
 }
 
 TEST_F(ClusterTest, StampsSurviveFailover) {
-  ASSERT_OK_AND_ASSIGN(uint64_t stamp, cluster_->Put(table_, "key", "v1"));
+  ASSERT_OK_AND_ASSIGN(uint64_t stamp, cluster_->Write({.table = table_,
+                                                        .key = "key",
+                                                        .value = "v1",
+                                                        .conditional = false}));
   ASSERT_OK_AND_ASSIGN(uint32_t master, cluster_->MasterOf(table_, "key"));
   cluster_->node(master)->Kill();
   ASSERT_TRUE(management_->DetectAndRecover().ok());
   // LL/SC tokens held by clients remain valid against the promoted replica.
-  EXPECT_OK(cluster_->ConditionalPut(table_, "key", stamp, "v2").status());
+  EXPECT_OK(cluster_->Write({.table = table_, .key = "key", .value = "v2",
+                             .expected_stamp = stamp}).status());
 }
 
 TEST_F(ClusterTest, ScanMergesPartitions) {
   for (int i = 0; i < 20; ++i) {
-    ASSERT_OK(cluster_->Put(table_, "k" + std::to_string(i), "v").status());
+    ASSERT_OK(cluster_->Write({.table = table_, .key = "k" + std::to_string(i),
+                               .value = "v", .conditional = false}).status());
   }
   ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> cells,
                        cluster_->Scan(table_, "", "", 0));
@@ -337,7 +442,8 @@ TEST_F(StorageClientTest, GetChargesOneRoundTrip) {
   options.network = sim::NetworkModel::InfiniBand();
   options.cpu.per_op_ns = 0;
   auto client = MakeClient(options);
-  ASSERT_OK(client->Put(table_, "k", "v").status());
+  ASSERT_OK(client->Write({.table = table_, .key = "k", .value = "v",
+                           .conditional = false}).status());
   uint64_t before = clock_.now_ns();
   ASSERT_OK(client->Get(table_, "k").status());
   uint64_t cost = clock_.now_ns() - before;
@@ -353,7 +459,8 @@ TEST_F(StorageClientTest, BatchingChargesMaxNotSum) {
   std::vector<GetOp> ops;
   for (int i = 0; i < 32; ++i) {
     std::string key = "key" + std::to_string(i);
-    ASSERT_OK(client->Put(table_, key, "v").status());
+    ASSERT_OK(client->Write({.table = table_, .key = key, .value = "v",
+                             .conditional = false}).status());
     ops.push_back({table_, key});
   }
   uint64_t before = clock_.now_ns();
@@ -376,7 +483,8 @@ TEST_F(StorageClientTest, UnbatchedChargesSum) {
     auto client = MakeClient(batched);
     for (int i = 0; i < 16; ++i) {
       std::string key = "key" + std::to_string(i);
-      ASSERT_OK(client->Put(table_, key, "v").status());
+      ASSERT_OK(client->Write({.table = table_, .key = key, .value = "v",
+                               .conditional = false}).status());
       ops.push_back({table_, key});
     }
   }
@@ -398,8 +506,10 @@ TEST_F(StorageClientTest, ReplicationChargesExtraHops) {
   sim::WorkerMetrics m1, m3;
   StorageClient c1(cluster_.get(), nullptr, rf1, &clock1, &m1);
   StorageClient c3(cluster_.get(), nullptr, rf3, &clock3, &m3);
-  ASSERT_OK(c1.Put(table_, "a", "v").status());
-  ASSERT_OK(c3.Put(table_, "b", "v").status());
+  ASSERT_OK(c1.Write({.table = table_, .key = "a", .value = "v",
+                      .conditional = false}).status());
+  ASSERT_OK(c3.Write({.table = table_, .key = "b", .value = "v",
+                      .conditional = false}).status());
   // 2 extra hops, each costing the backup write path (2 rtt-equivalents).
   EXPECT_EQ(clock3.now_ns() - clock1.now_ns(),
             2 * 2 * (rf1.network.base_rtt_ns +
@@ -417,7 +527,8 @@ TEST_F(StorageClientTest, ReplicationChargesAppliedWritesOnly) {
       2 * 2 * (rf1.network.base_rtt_ns + rf1.network.software_overhead_ns);
   auto seeder = MakeClient(rf1);
   for (const char* key : {"a", "b", "c"}) {
-    ASSERT_OK(seeder->Put(table_, key, "v").status());
+    ASSERT_OK(seeder->Write({.table = table_, .key = key, .value = "v",
+                             .conditional = false}).status());
   }
   auto cost = [&](const ClientOptions& options, auto&& call) {
     sim::VirtualClock clock;
@@ -428,10 +539,12 @@ TEST_F(StorageClientTest, ReplicationChargesAppliedWritesOnly) {
   };
 
   const uint64_t erase_rf1 = cost(rf1, [&](StorageClient* c) {
-    ASSERT_OK(c->Erase(table_, "a"));
+    ASSERT_OK(c->Write({.table = table_, .key = "a", .conditional = false,
+                        .erase = true}).status());
   });
   const uint64_t erase_rf3 = cost(rf3, [&](StorageClient* c) {
-    ASSERT_OK(c->Erase(table_, "b"));
+    ASSERT_OK(c->Write({.table = table_, .key = "b", .conditional = false,
+                        .erase = true}).status());
   });
   const uint64_t batch_erase_rf3 = cost(rf3, [&](StorageClient* c) {
     auto results = c->BatchWrite({WriteOp{.table = table_,
@@ -447,10 +560,12 @@ TEST_F(StorageClientTest, ReplicationChargesAppliedWritesOnly) {
   // A put to a table that does not exist fails without being applied.
   const TableId missing = table_ + 100;
   const uint64_t failed_put_rf1 = cost(rf1, [&](StorageClient* c) {
-    EXPECT_FALSE(c->Put(missing, "k", "v").ok());
+    EXPECT_FALSE(c->Write({.table = missing, .key = "k", .value = "v",
+                           .conditional = false}).ok());
   });
   const uint64_t failed_put_rf3 = cost(rf3, [&](StorageClient* c) {
-    EXPECT_FALSE(c->Put(missing, "k", "v").ok());
+    EXPECT_FALSE(c->Write({.table = missing, .key = "k", .value = "v",
+                           .conditional = false}).ok());
   });
   EXPECT_EQ(failed_put_rf3, failed_put_rf1);
 }
@@ -464,15 +579,19 @@ TEST_F(StorageClientTest, EthernetCostsMoreThanInfiniBand) {
   sim::WorkerMetrics m1, m2;
   StorageClient c1(cluster_.get(), nullptr, ib, &clock_ib, &m1);
   StorageClient c2(cluster_.get(), nullptr, eth, &clock_eth, &m2);
-  ASSERT_OK(c1.Put(table_, "a", "v").status());
-  ASSERT_OK(c2.Put(table_, "b", "v").status());
+  ASSERT_OK(c1.Write({.table = table_, .key = "a", .value = "v",
+                      .conditional = false}).status());
+  ASSERT_OK(c2.Write({.table = table_, .key = "b", .value = "v",
+                      .conditional = false}).status());
   EXPECT_GT(clock_eth.now_ns(), 5 * clock_ib.now_ns());
 }
 
 TEST_F(StorageClientTest, MetricsCountBytes) {
   ClientOptions options;
   auto client = MakeClient(options);
-  ASSERT_OK(client->Put(table_, "key", std::string(1000, 'x')).status());
+  ASSERT_OK(client->Write(
+      {.table = table_, .key = "key", .value = std::string(1000, 'x'),
+       .conditional = false}).status());
   EXPECT_GT(metrics_.bytes_sent, 1000u);
 }
 
@@ -504,7 +623,10 @@ TEST_F(StorageClientTest, SingleOpCostsStayPinned) {
   auto one_sided = MakeClient(one_sided_options);
   auto cached = MakeClient(cached_options);
   const std::string value(100, 'v');
-  ASSERT_OK_AND_ASSIGN(uint64_t stamp, client->Put(table_, "k", value));
+  ASSERT_OK_AND_ASSIGN(uint64_t stamp, client->Write({.table = table_,
+                                                      .key = "k",
+                                                      .value = value,
+                                                      .conditional = false}));
   ASSERT_OK(cached->Get(table_, "k").status());  // fills the cache
 
   auto measure = [&](auto&& call) {
@@ -527,17 +649,25 @@ TEST_F(StorageClientTest, SingleOpCostsStayPinned) {
             (OpCost{300, 0, 0, 0}))
       << "cache-hit Get";
   EXPECT_EQ(
-      measure([&] { ASSERT_OK(client->Put(table_, "p", value).status()); }),
+      measure([&] { ASSERT_OK(client->Write({.table = table_, .key = "p",
+                                             .value = value,
+                                             .conditional = false})
+          .status()); }),
       (OpCost{5333, 1, 149, 16}))
       << "Put";
   EXPECT_EQ(measure([&] {
-              EXPECT_TRUE(client->ConditionalPut(table_, "k", stamp + 1, value)
+              EXPECT_TRUE(client->Write({.table = table_, .key = "k",
+                                         .value = value,
+                                         .expected_stamp = stamp + 1})
                               .status()
                               .IsConditionFailed());
             }),
             (OpCost{5333, 1, 149, 16}))
       << "failing ConditionalPut";
-  EXPECT_EQ(measure([&] { ASSERT_OK(client->Erase(table_, "p")); }),
+  EXPECT_EQ(measure([&] { ASSERT_OK(client->Write({.table = table_, .key = "p",
+                                                   .conditional = false,
+                                                   .erase = true})
+      .status()); }),
             (OpCost{5313, 1, 49, 16}))
       << "Erase";
 }
