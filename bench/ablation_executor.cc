@@ -4,7 +4,7 @@
 // in-flight transactions = OS threads and the striped storage engine never
 // sees more runnable work than cores unless the OS oversubscribes. The
 // executor runtime breaks that coupling: workers become fiber tasks that
-// park at commit-manager begins (and fast-path fence waits), multiplexed
+// park at commit-manager begins, multiplexed
 // onto a fixed pool of core-pinned executor threads with per-core run
 // queues and work stealing.
 //

@@ -23,9 +23,9 @@ ChangeRecord CompleteRecord(Tid tid) {
   return record;
 }
 
-ChangeRecord RangeRecord(ChangeRecord::Type type, Tid first, Tid last) {
+ChangeRecord RangeGrantRecord(Tid first, Tid last) {
   ChangeRecord record;
-  record.type = type;
+  record.type = ChangeRecord::Type::kRangeGrant;
   record.tid = first;
   record.tid_end = last;
   return record;
@@ -66,8 +66,7 @@ Status CommitManager::RefillTidRangeLocked() {
   // remainder: those tids can never be handed out again (the counter is
   // past them) and must be completed at promotion or they would pin the
   // snapshot base and GC horizon forever.
-  EmitLocked(RangeRecord(ChangeRecord::Type::kRangeGrant, range_next_,
-                         range_end_));
+  EmitLocked(RangeGrantRecord(range_next_, range_end_));
   return Status::OK();
 }
 
@@ -233,76 +232,6 @@ Status CommitManager::SetAborted(Tid tid) {
   Status st = Complete(tid, &newly);
   if (st.ok() && newly) stats_.aborts.fetch_add(1, std::memory_order_relaxed);
   return st;
-}
-
-Result<std::vector<Tid>> CommitManager::LeaseFastTids(uint32_t count) {
-  if (!alive()) return Status::Unavailable("commit manager is down");
-  if (count == 0) return Status::InvalidArgument("lease count must be > 0");
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (role_ == ReplicaRole::kFollower) {
-    return Status::Unavailable("not the slot leader");
-  }
-  // From the SAME sequential stream as StartDelta(), not a separate counter
-  // jump: version order within a record is tid order, so correctness needs
-  // tid assignment order == begin order across BOTH phases. A counter jump
-  // would leave later MVCC begins with smaller tids from the cached range,
-  // burying their (logically newer) writes under the fast version. Leasing
-  // from the shared range keeps one monotone stream: any transaction that
-  // begins after this lease gets a larger tid, and any earlier-begun
-  // transaction that commits later fails its snapshot write check against
-  // the fast version first (tid not in its snapshot) and retries with a
-  // fresh, larger tid.
-  std::vector<Tid> tids;
-  tids.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    if (range_next_ > range_end_) {
-      Status refill = RefillTidRangeLocked();
-      if (!refill.ok()) {
-        // The tids drawn so far were consumed from the range but will never
-        // be handed out: mark them completed here, or they would pin the
-        // snapshot base and the GC horizon forever.
-        for (Tid tid : tids) {
-          snapshot_.MarkCompleted(tid);
-          RecordCompletionLocked(tid);
-          EmitLocked(CompleteRecord(tid));
-        }
-        if (!tids.empty()) {
-          highest_assigned_ = std::max(highest_assigned_, tids.back());
-        }
-        return refill;
-      }
-    }
-    tids.push_back(range_next_++);
-  }
-  highest_assigned_ = std::max(highest_assigned_, tids.back());
-  // Log the lease as contiguous runs (a mid-lease refill can split the
-  // range), so a promoted follower's range mirror points past the leased
-  // tids: leased-but-uncompleted tids stay pending — only the owning lane
-  // may CompleteFast() them, against whichever leader is current.
-  size_t run_start = 0;
-  for (size_t i = 1; i <= tids.size(); ++i) {
-    if (i == tids.size() || tids[i] != tids[i - 1] + 1) {
-      EmitLocked(RangeRecord(ChangeRecord::Type::kLease, tids[run_start],
-                             tids[i - 1]));
-      run_start = i;
-    }
-  }
-  return tids;
-}
-
-Status CommitManager::CompleteFast(const std::vector<Tid>& tids) {
-  if (!alive()) return Status::Unavailable("commit manager is down");
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (role_ == ReplicaRole::kFollower) {
-    return Status::Unavailable("not the slot leader");
-  }
-  for (Tid tid : tids) {
-    if (snapshot_.CanRead(tid)) continue;  // duplicate delivery
-    snapshot_.MarkCompleted(tid);
-    RecordCompletionLocked(tid);
-    EmitLocked(CompleteRecord(tid));
-  }
-  return Status::OK();
 }
 
 Tid CommitManager::Lav() const {
@@ -484,10 +413,6 @@ void CommitManager::ApplyChangeLocked(const ChangeRecord& record) {
       RecordCompletionLocked(record.tid);
       break;
     }
-    case ChangeRecord::Type::kLease:
-      range_next_ = record.tid_end + 1;
-      highest_assigned_ = std::max(highest_assigned_, record.tid_end);
-      break;
     case ChangeRecord::Type::kEpochBump: {
       auto merged = SnapshotDescriptor::Deserialize(record.payload);
       if (!merged.ok()) break;
@@ -581,8 +506,7 @@ Status CommitManager::PromoteToLeader() {
   // Complete the dead leader's granted-but-never-assigned remainder: the
   // shared counter is already past those tids, so they can never be handed
   // out, and left pending they would pin the snapshot base (and the GC
-  // horizon) forever. Leased tids are NOT here — the lease consumed them
-  // from the range, and the owning lane completes them via CompleteFast().
+  // horizon) forever.
   for (Tid tid = range_next_; tid <= range_end_; ++tid) {
     if (!snapshot_.CanRead(tid)) snapshot_.MarkCompleted(tid);
   }

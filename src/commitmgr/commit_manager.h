@@ -154,9 +154,7 @@ class CommitManager {
   /// cached client re-syncs, and publish a fresh snapshot to the log.
   /// KEEPS active transactions and start tokens: a begin retried against the
   /// new leader resolves to the tid the old leader assigned (BeginRequest
-  /// token idempotency), so fail-over cannot leak active tids. Leased
-  /// fast-path tids stay pending until their lane flushes CompleteFast() to
-  /// this new leader.
+  /// token idempotency), so fail-over cannot leak active tids.
   Status PromoteToLeader();
 
   /// Replication counters of this replica (aggregated by the group).
@@ -188,29 +186,6 @@ class CommitManager {
 
   /// setAborted(tid): the transaction rolled back.
   Status SetAborted(Tid tid);
-
-  /// Leases `count` tids for the single-partition fast path (DESIGN.md
-  /// "Phase-switching fast path"), taken from the SAME sequential stream as
-  /// StartDelta() (the manager's cached range, refilled from the global
-  /// counter). Version order within a record is tid order, so the fast path
-  /// needs tid assignment order to match begin order across both phases:
-  /// every transaction beginning after a lease gets a larger tid, so a fast
-  /// commit can write the newest version of a record without LL/SC (the
-  /// lane-epoch invalidation in FastPathCoordinator covers MVCC tids handed
-  /// out after the lease). This single-stream argument needs ONE manager;
-  /// TellDb disables the fast path otherwise. Leased tids are NOT registered
-  /// as active: an uncompleted leased tid pins the snapshot base (and thus
-  /// the GC horizon) by simply being a zero bit above it, which is exactly
-  /// the safety we need until the owning lane completes it via
-  /// CompleteFast().
-  Result<std::vector<Tid>> LeaseFastTids(uint32_t count);
-
-  /// Marks fast-path tids completed (committed or discarded), batched.
-  /// Duplicate-safe like SetCommitted; does not require the tids to be
-  /// active here. Fast commits intentionally do NOT count in stats().commits
-  /// (that gauge tracks MVCC finish notifications; the worker-side
-  /// tx.fastpath.* counters cover the fast path).
-  Status CompleteFast(const std::vector<Tid>& tids);
 
   /// Writes this manager's state to the store and merges the peers' states
   /// (called periodically by CommitManagerGroup's sync thread, or directly

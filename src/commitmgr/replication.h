@@ -37,8 +37,7 @@ struct ChangeRecord {
   enum class Type : uint8_t {
     kRangeGrant = 0,  ///< leader drew tids [tid, tid_end] from the counter
     kBegin,           ///< tid assigned to a transaction (pn_id, token)
-    kComplete,        ///< tid completed: commit, abort, or fast completion
-    kLease,           ///< tids [tid, tid_end] leased to the fast path
+    kComplete,        ///< tid completed: commit or abort
     kEpochBump,       ///< peer merge changed the descriptor (payload)
   };
   Type type = Type::kComplete;

@@ -4,8 +4,8 @@
 namespace tell::exec_hooks {
 
 /// Low-level bridge between the common layer and the executor runtime
-/// (src/exec), kept in common so the commit-manager client and the fast
-/// path can park without depending on the exec library.
+/// (src/exec), kept in common so the commit-manager client can park
+/// without depending on the exec library.
 ///
 /// An executor worker thread installs a yield hook for the duration of its
 /// scheduling loop; task code that is about to wait on something modelled
@@ -25,9 +25,6 @@ struct TaskHook {
 /// Per-OS-thread hook. Only exec::Runtime writes this (on its own worker
 /// threads); everything else just reads it through MaybeYield().
 inline thread_local TaskHook g_task_hook;
-
-/// True when the calling thread is an executor worker running a task.
-inline bool InTask() { return g_task_hook.yield != nullptr; }
 
 /// Park point: yields the current task's fiber back to its scheduler when
 /// running under the executor; no-op otherwise. Never touches virtual

@@ -26,8 +26,6 @@ std::string_view StatusCodeName(StatusCode code) {
       return "InternalError";
     case StatusCode::kNotSupported:
       return "NotSupported";
-    case StatusCode::kCrossPartition:
-      return "CrossPartition";
   }
   return "Unknown";
 }

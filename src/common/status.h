@@ -32,10 +32,6 @@ enum class StatusCode : int {
   kInternalError = 9,
   /// Operation not supported by this engine/configuration.
   kNotSupported = 10,
-  /// A fast-path transaction touched data outside its declared home
-  /// partition. Not a failure: the caller must re-run the transaction on
-  /// the general MVCC path (DESIGN.md "Phase-switching fast path").
-  kCrossPartition = 11,
 };
 
 /// A lightweight success/error value. Ok status carries no allocation.
@@ -81,9 +77,6 @@ class Status {
   static Status NotSupported(std::string msg) {
     return Status(StatusCode::kNotSupported, std::move(msg));
   }
-  static Status CrossPartition(std::string msg = "crosses home partition") {
-    return Status(StatusCode::kCrossPartition, std::move(msg));
-  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   bool IsNotFound() const { return code_ == StatusCode::kNotFound; }
@@ -95,9 +88,6 @@ class Status {
   bool IsAlreadyExists() const { return code_ == StatusCode::kAlreadyExists; }
   bool IsCapacityExceeded() const {
     return code_ == StatusCode::kCapacityExceeded;
-  }
-  bool IsCrossPartition() const {
-    return code_ == StatusCode::kCrossPartition;
   }
 
   StatusCode code() const { return code_; }

@@ -46,32 +46,6 @@ TellDb::TellDb(const TellDbOptions& options)
       cluster_.get(), options_.num_commit_managers, options_.commit_manager,
       options_.commit_manager_sync_ms, options_.commit_replication);
 
-  if (options_.fastpath.enabled) {
-    // The fast path needs one monotone tid stream (fast leases and MVCC
-    // begins interleave in assignment order — the basis of the "fast write
-    // is the newest version" invariant, see CommitManager::LeaseFastTids)
-    // and private transaction buffers (a fast commit never runs OnApply, so
-    // a PN-shared buffer would go stale). Incompatible configurations are a
-    // HARD disable: fastpath_ stays null, every transaction runs MVCC-only,
-    // and the reason is queryable (fastpath_disabled_reason). Replication
-    // of the single slot is fine — a promoted leader restarts the range
-    // strictly above every granted tid, so the stream stays monotone.
-    if (options_.num_commit_managers != 1) {
-      fastpath_disabled_reason_ =
-          "requires a single commit manager (tids from one sequential "
-          "stream)";
-    } else if (options_.buffer_strategy != BufferStrategy::kTransactionOnly) {
-      fastpath_disabled_reason_ =
-          "requires the TB (transaction-only) buffer strategy";
-    } else {
-      fastpath_ = std::make_unique<tx::FastPathCoordinator>(
-          options_.fastpath, commit_managers_.get());
-    }
-    if (fastpath_ == nullptr) {
-      TELL_LOG(kWarn) << "fast path disabled: " << fastpath_disabled_reason_;
-    }
-  }
-
   auto log_table = cluster_->CreateTable("__transaction_log");
   TELL_CHECK(log_table.ok());
   log_ = std::make_unique<tx::TransactionLog>(*log_table);
@@ -92,22 +66,14 @@ TellDb::TellDb(const TellDbOptions& options)
       management_.get(),
       MakeClientOptions(options_, /*pn_id=*/UINT32_MAX, /*worker_id=*/0,
                         /*with_faults=*/false),
-      commit_managers_.get(), log_.get(), admin_buffer_.get(),
-      fastpath_.get());
+      commit_managers_.get(), log_.get(), admin_buffer_.get());
 
   for (uint32_t i = 0; i < options_.num_processing_nodes; ++i) {
     AddProcessingNode();
   }
 }
 
-TellDb::~TellDb() {
-  if (fastpath_ != nullptr) {
-    // Deliver any still-queued fast completions so the final commit-manager
-    // state (snapshot base, GC horizon) reflects every fast commit.
-    fastpath_->FlushPending(admin_session_->worker_id(),
-                            admin_session_->client());
-  }
-}
+TellDb::~TellDb() = default;
 
 std::unique_ptr<tx::RecordBuffer> TellDb::MakeBuffer() {
   switch (options_.buffer_strategy) {
@@ -186,8 +152,7 @@ std::unique_ptr<tx::Session> TellDb::OpenSession(uint32_t pn_id,
   client.record_cache = pns_[pn_id]->record_cache.get();
   return std::make_unique<tx::Session>(
       pn_id, worker_id, cluster_.get(), management_.get(), client,
-      commit_managers_.get(), log_.get(), pns_[pn_id]->buffer.get(),
-      fastpath_.get());
+      commit_managers_.get(), log_.get(), pns_[pn_id]->buffer.get());
 }
 
 Result<tx::TableHandle*> TellDb::GetTable(uint32_t pn_id,

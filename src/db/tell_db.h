@@ -19,7 +19,6 @@
 #include "store/management_node.h"
 #include "store/storage_client.h"
 #include "tx/catalog.h"
-#include "tx/fast_path.h"
 #include "tx/garbage_collector.h"
 #include "tx/recovery.h"
 #include "tx/transaction.h"
@@ -69,19 +68,13 @@ struct TellDbOptions {
   BufferStrategy buffer_strategy = BufferStrategy::kTransactionOnly;
   uint64_t buffer_unit_size = 10;  // SBVS cache unit size
 
-  /// Phase-switching single-partition fast path (DESIGN.md). Requires a
-  /// single commit manager and the TB buffer strategy; incompatible
-  /// combinations disable the fast path with a warning.
-  tx::FastPathOptions fastpath;
-
   commitmgr::CommitManagerOptions commit_manager;
   /// <= 0 disables the background sync thread (then call SyncCommitManagers
   /// manually; irrelevant with one manager).
   double commit_manager_sync_ms = 1.0;
   /// Commit-manager replication (docs/RECOVERY.md): `replicas` > 1 runs
   /// each commit-manager slot as a leader + followers group with a change
-  /// log and deterministic re-election on leader death. Orthogonal to the
-  /// fast path: a replicated single slot still supports it.
+  /// log and deterministic re-election on leader death.
   commitmgr::ReplicationOptions commit_replication;
 
   uint64_t memory_per_storage_node = 4ULL << 30;
@@ -199,15 +192,6 @@ class TellDb {
   const tx::TransactionLog* transaction_log() const { return log_.get(); }
   tx::Catalog* catalog() { return &catalog_; }
   tx::RecoveryManager* recovery() { return recovery_.get(); }
-  /// Null when the fast path is off (or was disabled at construction).
-  tx::FastPathCoordinator* fastpath() { return fastpath_.get(); }
-  /// Why the fast path is off despite fastpath.enabled=true: empty when it
-  /// is running (or was never requested). The incompatible configurations
-  /// are a hard disable — MVCC-only operation, never a half-armed fast
-  /// path.
-  const std::string& fastpath_disabled_reason() const {
-    return fastpath_disabled_reason_;
-  }
 
  private:
   struct ProcessingNode {
@@ -225,8 +209,6 @@ class TellDb {
   std::unique_ptr<store::Cluster> cluster_;
   std::unique_ptr<store::ManagementNode> management_;
   std::unique_ptr<commitmgr::CommitManagerGroup> commit_managers_;
-  std::unique_ptr<tx::FastPathCoordinator> fastpath_;
-  std::string fastpath_disabled_reason_;
   std::unique_ptr<tx::TransactionLog> log_;
   tx::Catalog catalog_;
   std::unique_ptr<tx::RecoveryManager> recovery_;

@@ -143,9 +143,9 @@ void Runtime::WorkerLoop(uint32_t core_id) {
     }
   }
 #endif
-  // Park point for the commit-manager client and the fast path: yield the
-  // current fiber. Installed for the whole scheduling loop; it is a no-op
-  // unless a fiber is actually running on this thread.
+  // Park point for the commit-manager client: yield the current fiber.
+  // Installed for the whole scheduling loop; it is a no-op unless a fiber is
+  // actually running on this thread.
   exec_hooks::g_task_hook = {+[](void*) { Runtime::Yield(); }, nullptr};
 
   std::unique_lock<std::mutex> lock(mutex_);
@@ -172,9 +172,9 @@ void Runtime::WorkerLoop(uint32_t core_id) {
         work_cv_.notify_all();
       }
     } else {
-      // The task yielded (a commit-manager begin, a fence wait or an
-      // explicit Runtime::Yield): back of our own queue, so every other
-      // runnable task on this core gets a slice first.
+      // The task yielded (a commit-manager begin or an explicit
+      // Runtime::Yield): back of our own queue, so every other runnable
+      // task on this core gets a slice first.
       ++cs.yields;
       Core& own = *cores_[core_id];
       own.queue.push_back(task);

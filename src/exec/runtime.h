@@ -93,10 +93,8 @@ class Runtime {
   void Submit(std::function<void()> body);
 
   /// Enqueues a task PINNED to run queue `queue_hint % threads`: thieves
-  /// skip it, so it only ever runs on that core. Used for home-partition
-  /// affinity (all fast-path tasks of one partition share a core, so its
-  /// serial lane never bounces between caches). Pinning trades load balance
-  /// for locality — skewed hints leave cores idle.
+  /// skip it, so it only ever runs on that core. Pinning trades load
+  /// balance for locality — skewed hints leave cores idle.
   void Submit(std::function<void()> body, uint64_t queue_hint);
 
   /// Runs every submitted task to completion. Blocks the caller; the

@@ -14,7 +14,6 @@ const char* FaultOpClassName(FaultOpClass op) {
     case FaultOpClass::kAtomicIncrement: return "atomic_increment";
     case FaultOpClass::kCommitMgrStart: return "commitmgr_start";
     case FaultOpClass::kCommitMgrFinish: return "commitmgr_finish";
-    case FaultOpClass::kCommitMgrLease: return "commitmgr_lease";
     case FaultOpClass::kOneSidedGet: return "one_sided_get";
   }
   return "unknown";

@@ -28,8 +28,6 @@ enum class FaultOpClass : uint32_t {
   /// Commit-manager finish notification (setCommitted / setAborted); it
   /// travels in the next begin's coalesced message.
   kCommitMgrFinish,
-  /// Commit-manager fast-path tid lease (LeaseFastTids).
-  kCommitMgrLease,
   /// One-sided (RDMA READ) record fetch. A dropped request or response
   /// models a lost/failed READ completion; the client counts a validation
   /// failure and retries through the two-sided path.
@@ -60,8 +58,8 @@ const char* FaultOpClassName(FaultOpClass op);
 ///                      naturally if it routes to the dead node.
 ///   * kKillCommitLeader — crash-stops the commit-manager leader the request
 ///                      was addressed to (docs/RECOVERY.md). Only honored by
-///                      commit-manager request paths (begin / finish /
-///                      lease); other paths ignore the flag. Alone, the
+///                      commit-manager request paths (begin / finish); other
+///                      paths ignore the flag. Alone, the
 ///                      leader dies BEFORE the request executes (request
 ///                      lost); combined with kDropResponse firing on the
 ///                      same request, the request executes first and the

@@ -119,19 +119,6 @@ struct WorkerMetrics {
   /// Virtual time saved by carrying finish notifications on the next begin
   /// versus paying each op its own round trip.
   uint64_t cm_batch_saved_ns = 0;
-  /// Transactions committed on the single-partition fast path (no commit
-  /// manager begin, no LL/SC).
-  uint64_t fastpath_hits = 0;
-  /// Fast-path attempts that touched data outside the declared home
-  /// partition and were re-run on the MVCC path.
-  uint64_t fastpath_fallbacks = 0;
-  /// Lane/reference fence acquisitions that had to wait for the other phase
-  /// to drain (fast waiting on MVCC or vice versa).
-  uint64_t fastpath_fence_waits = 0;
-  /// Fast-tid lease messages sent to the commit manager's tid counter.
-  uint64_t fastpath_tid_leases = 0;
-  /// Batched fast-commit completion flushes sent to the commit manager.
-  uint64_t fastpath_flushes = 0;
   /// Record reads served from the client record cache (lease epochs valid).
   uint64_t cache_hits = 0;
   /// Record reads that missed (or lease-invalidated) the client record cache.
@@ -300,22 +287,6 @@ inline const std::vector<WorkerCounterField>& WorkerCounterFields() {
       {"commitmgr.batch.saved_ns", "ns",
        "virtual time saved by piggybacking finish notifications on begins",
        &WorkerMetrics::cm_batch_saved_ns},
-      {"tx.fastpath.hits", "txns",
-       "transactions committed on the single-partition fast path",
-       &WorkerMetrics::fastpath_hits},
-      {"tx.fastpath.fallbacks", "txns",
-       "fast-path attempts re-run on the MVCC path after a cross-partition "
-       "touch",
-       &WorkerMetrics::fastpath_fallbacks},
-      {"tx.fastpath.fence_waits", "acquisitions",
-       "phase-fence acquisitions that waited for the other phase to drain",
-       &WorkerMetrics::fastpath_fence_waits},
-      {"tx.fastpath.tid_leases", "messages",
-       "fast-tid lease messages sent to the commit-manager tid counter",
-       &WorkerMetrics::fastpath_tid_leases},
-      {"tx.fastpath.flushes", "messages",
-       "batched fast-commit completion flushes sent to the commit manager",
-       &WorkerMetrics::fastpath_flushes},
       {"store.cache.hits", "reads",
        "record reads served from the client record cache",
        &WorkerMetrics::cache_hits},

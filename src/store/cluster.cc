@@ -95,10 +95,7 @@ Result<uint64_t> Cluster::Write(const WriteOp& op) {
   if (route.write_frozen) {
     return Status::Unavailable("partition write-frozen for migration");
   }
-  TELL_ASSIGN_OR_RETURN(uint64_t stamp,
-                        route.master->Write(route.partition, op));
-  Replicate(route, op, stamp);
-  return stamp;
+  return route.master->Write(route.partition, op, route.replicas);
 }
 
 Result<int64_t> Cluster::AtomicIncrement(TableId table, std::string_view key,
@@ -107,19 +104,9 @@ Result<int64_t> Cluster::AtomicIncrement(TableId table, std::string_view key,
   if (route.write_frozen) {
     return Status::Unavailable("partition write-frozen for migration");
   }
-  TELL_ASSIGN_OR_RETURN(int64_t value,
-                        route.master->AtomicIncrement(table, route.partition,
-                                                      key, delta));
-  // Replicate the counter cell so it survives master failure.
-  auto cell = route.master->Get(table, route.partition, key);
-  if (cell.ok()) {
-    Replicate(route,
-              {.table = table,
-               .key = std::string(key),
-               .value = std::move(cell->value)},
-              cell->stamp);
-  }
-  return value;
+  // The counter cell is replicated so it survives master failure.
+  return route.master->AtomicIncrement(table, route.partition, key, delta,
+                                       route.replicas);
 }
 
 Result<std::vector<KeyCell>> Cluster::Scan(TableId table,
@@ -180,19 +167,6 @@ uint64_t Cluster::TotalMemoryUsed() const {
     if (node->alive()) total += node->memory_used();
   }
   return total;
-}
-
-void Cluster::Replicate(const Route& route, const WriteOp& op,
-                        uint64_t stamp) {
-  for (StorageNode* replica : route.replicas) {
-    // A replica that died mid-write is simply skipped; the management node
-    // will notice and restore the replication level (paper §4.4.2).
-    Status st = replica->ApplyReplicated(route.partition, op, stamp);
-    if (!st.ok() && !st.IsUnavailable()) {
-      TELL_LOG(kWarn) << "replication to node " << replica->node_id()
-                      << " failed: " << st.ToString();
-    }
-  }
 }
 
 }  // namespace tell::store

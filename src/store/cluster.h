@@ -66,7 +66,8 @@ class Cluster {
   Result<VersionedCell> OneSidedGet(TableId table, std::string_view key) const;
   /// The one write: routes `op` to its partition's master, applies it there
   /// (StorageNode::Write) and, once it succeeded, synchronously on every
-  /// live backup. Returns the new stamp of a put, 0 for an erase.
+  /// live backup while the master still holds the key's stripe lock.
+  /// Returns the new stamp of a put, 0 for an erase.
   Result<uint64_t> Write(const WriteOp& op);
   Result<int64_t> AtomicIncrement(TableId table, std::string_view key,
                                   int64_t delta);
@@ -120,10 +121,6 @@ class Cluster {
   };
   Result<Route> RouteFor(TableId table, std::string_view key) const;
   Result<Route> RouteForPartition(TableId table, uint32_t partition) const;
-
-  /// Pushes a write its master applied (with the master's `stamp`) to every
-  /// live backup of the route.
-  void Replicate(const Route& route, const WriteOp& op, uint64_t stamp);
 
   const ClusterOptions options_;
   std::vector<std::unique_ptr<StorageNode>> nodes_;

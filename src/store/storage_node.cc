@@ -29,6 +29,20 @@ uint64_t MonotonicNowNs() {
 
 }  // namespace
 
+void StorageNode::ApplyToBackups(const std::vector<StorageNode*>& backups,
+                                 uint32_t partition, const WriteOp& op,
+                                 uint64_t stamp) {
+  for (StorageNode* backup : backups) {
+    // A backup that died mid-write is simply skipped; the management node
+    // will notice and restore the replication level (paper §4.4.2).
+    Status st = backup->ApplyReplicated(partition, op, stamp);
+    if (!st.ok() && !st.IsUnavailable()) {
+      TELL_LOG(kWarn) << "replication to node " << backup->node_id()
+                      << " failed: " << st.ToString();
+    }
+  }
+}
+
 StorageNode::StorageNode(uint32_t node_id, uint64_t memory_capacity_bytes,
                          uint32_t stripes_per_partition)
     : node_id_(node_id),
@@ -219,7 +233,8 @@ void StorageNode::EraseCell(CellMap& cells, CellMap::iterator it) {
   cells.erase(it);
 }
 
-Result<uint64_t> StorageNode::Write(uint32_t partition, const WriteOp& op) {
+Result<uint64_t> StorageNode::Write(uint32_t partition, const WriteOp& op,
+                                    const std::vector<StorageNode*>& backups) {
   TELL_RETURN_NOT_OK(CheckAlive());
   std::atomic<uint64_t>& requests =
       op.erase ? stats_.erases
@@ -252,6 +267,7 @@ Result<uint64_t> StorageNode::Write(uint32_t partition, const WriteOp& op) {
                                /*capacity_checked=*/true));
   }
   BumpLeaseEpoch(op.table, partition);
+  ApplyToBackups(backups, partition, op, stamp);
   return stamp;
 }
 
@@ -338,9 +354,9 @@ Status StorageNode::FragmentScan(TableId table, uint32_t partition,
   return sink->status();
 }
 
-Result<int64_t> StorageNode::AtomicIncrement(TableId table, uint32_t partition,
-                                             std::string_view key,
-                                             int64_t delta) {
+Result<int64_t> StorageNode::AtomicIncrement(
+    TableId table, uint32_t partition, std::string_view key, int64_t delta,
+    const std::vector<StorageNode*>& backups) {
   TELL_RETURN_NOT_OK(CheckAlive());
   stats_.atomic_increments.fetch_add(1, std::memory_order_relaxed);
   Partition* part = FindPartition(table, partition);
@@ -362,6 +378,13 @@ Result<int64_t> StorageNode::AtomicIncrement(TableId table, uint32_t partition,
   (void)SetCell(stripe.cells, it, key, encoded, stamp,
                 /*capacity_checked=*/false);
   BumpLeaseEpoch(table, partition);
+  if (!backups.empty()) {
+    ApplyToBackups(backups, partition,
+                   {.table = table,
+                    .key = std::string(key),
+                    .value = std::move(encoded)},
+                   stamp);
+  }
   return updated;
 }
 

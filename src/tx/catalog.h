@@ -31,11 +31,6 @@ struct TableMeta {
   store::TableId data_table = 0;
   IndexMeta primary;
   std::vector<IndexMeta> secondaries;
-  /// Column index whose int value names the table's logical partition for
-  /// the single-partition fast path (e.g. the TPC-C warehouse id). -1 =
-  /// unpartitioned: the table is shared reference data (readable by fast
-  /// transactions, writable only under the global reference fence).
-  int32_t partition_column = -1;
 };
 
 /// Cluster-wide catalog of tables (paper Fig. 3 "Schema"). Populated at DDL
@@ -56,22 +51,6 @@ class Catalog {
       return Status::NotFound("table '" + std::string(name) + "'");
     }
     return &it->second;
-  }
-
-  /// Declares `column` as the partition column of `name` (DDL time, before
-  /// concurrent transactions run; -1 clears it back to unpartitioned).
-  Status SetPartitionColumn(std::string_view name, int32_t column) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = tables_.find(name);
-    if (it == tables_.end()) {
-      return Status::NotFound("table '" + std::string(name) + "'");
-    }
-    if (column >= 0 &&
-        static_cast<size_t>(column) >= it->second.schema.columns().size()) {
-      return Status::InvalidArgument("partition column out of range");
-    }
-    it->second.partition_column = column;
-    return Status::OK();
   }
 
   std::vector<const TableMeta*> AllTables() const {

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/serde.h"
-#include "tx/fast_path.h"
 
 namespace tell::tx {
 
@@ -62,29 +61,6 @@ Status Transaction::Begin() {
   TELL_CHECK(state_ == TxnState::kPending);
   tracer_->BeginTxn();
   obs::PhaseScope span(tracer_, sim::TxnPhase::kBegin);
-  FastPathCoordinator* fastpath = session_->fastpath();
-  if (fastpath != nullptr && options_.home_partition >= 0) {
-    // Fast phase: no commit-manager begin, no snapshot. The home lane's
-    // fence is held exclusively until commit/abort — the lane is a serial
-    // execution queue, so every version in the partition is settled and
-    // Newest() is the consistent read (see Visible()). The tid is leased
-    // lazily on first write; read-only fast transactions never contact the
-    // commit manager at all.
-    fast_ = true;
-    lane_ = fastpath->LaneFor(options_.home_partition);
-    fastpath->AcquireFastFences(lane_, client_->metrics());
-    fast_begin_vns_ = session_->clock()->now_ns();
-    state_ = TxnState::kRunning;
-    return Status::OK();
-  }
-  if (fastpath != nullptr) {
-    // MVCC begin with the fast path live: earlier fast commits must be
-    // completed at the manager BEFORE this snapshot is fetched, or the
-    // snapshot could miss a fast write this very worker already made
-    // (read-your-writes across phases, and the on/off determinism
-    // guarantee).
-    fastpath->FlushPending(session_->worker_id(), client_);
-  }
   // Each processing node talks to one dedicated commit manager (§4.2);
   // fail-over, fault injection, retries and the delta-sync/batching wire
   // accounting all live in the session's CommitManagerClient. The response
@@ -111,59 +87,6 @@ Result<Transaction::RecordState*> Transaction::EnsureFetched(
   return &buffer_.at(key);
 }
 
-Status Transaction::CheckFastTuple(TableHandle* table,
-                                   const schema::Tuple& tuple,
-                                   bool for_write) {
-  const int32_t column = table->meta->partition_column;
-  if (column < 0) {
-    // Unpartitioned reference table: reads are safe under the shared
-    // reference fence; writes would need it exclusive — MVCC's job.
-    if (!for_write) return Status::OK();
-    fallback_ = true;
-    return Status::CrossPartition("write to unpartitioned table '" +
-                                  table->meta->name + "'");
-  }
-  const int64_t* partition = std::get_if<int64_t>(&tuple.at(column));
-  if (partition == nullptr || *partition != options_.home_partition) {
-    fallback_ = true;
-    return Status::CrossPartition(
-        "touch in partition " +
-        (partition == nullptr ? std::string("<non-int>")
-                              : std::to_string(*partition)) +
-        " outside declared home " + std::to_string(options_.home_partition) +
-        " ('" + table->meta->name + "')");
-  }
-  return Status::OK();
-}
-
-Status Transaction::EnsureFastTid() {
-  if (tid_ != 0) return Status::OK();
-  auto leased = session_->fastpath()->LeaseTid(lane_, session_->worker_id(),
-                                               client_);
-  if (!leased.ok()) return leased.status();
-  tid_ = *leased;
-  return Status::OK();
-}
-
-void Transaction::RecordPartition(RecordState* state, TableHandle* table,
-                                  const schema::Tuple& tuple) {
-  const int32_t column = table->meta->partition_column;
-  if (column < 0) {
-    state->unpartitioned = true;
-    return;
-  }
-  if (const int64_t* partition = std::get_if<int64_t>(&tuple.at(column))) {
-    if (std::find(state->partitions.begin(), state->partitions.end(),
-                  *partition) == state->partitions.end()) {
-      state->partitions.push_back(*partition);
-    }
-  } else {
-    // Non-integer partition value: no lane to map it to — fall back to the
-    // exclusive reference fence.
-    state->unpartitioned = true;
-  }
-}
-
 Result<std::optional<schema::Tuple>> Transaction::Read(TableHandle* table,
                                                        uint64_t rid) {
   TELL_CHECK(state_ == TxnState::kRunning);
@@ -175,9 +98,6 @@ Result<std::optional<schema::Tuple>> Transaction::Read(TableHandle* table,
   TELL_ASSIGN_OR_RETURN(
       schema::Tuple tuple,
       schema::Tuple::Deserialize(table->meta->schema, visible->payload));
-  if (fast_) {
-    TELL_RETURN_NOT_OK(CheckFastTuple(table, tuple, /*for_write=*/false));
-  }
   return std::optional<schema::Tuple>(std::move(tuple));
 }
 
@@ -271,12 +191,6 @@ Result<uint64_t> Transaction::Insert(TableHandle* table,
                                      "' must not be NULL");
     }
   }
-  if (fast_) {
-    // Check the partition BEFORE any side effect (rid allocation, tid
-    // lease): a cross-partition insert must fall back with nothing leaked.
-    TELL_RETURN_NOT_OK(CheckFastTuple(table, tuple, /*for_write=*/true));
-    TELL_RETURN_NOT_OK(EnsureFastTid());
-  }
   if (check_unique) {
     std::vector<schema::Value> key;
     for (uint32_t column : table->meta->primary.def.key_columns) {
@@ -295,7 +209,6 @@ Result<uint64_t> Transaction::Insert(TableHandle* table,
   state.is_new = true;
   state.dirty = true;
   state.exists = false;
-  RecordPartition(&state, table, tuple);
   state.record.PutVersion(tid_, tuple.Serialize(table->meta->schema));
   buffer_[{table->meta->data_table, rid}] = std::move(state);
   TELL_RETURN_NOT_OK(QueueIndexInserts(table, rid, tuple, nullptr));
@@ -307,9 +220,7 @@ Status Transaction::Update(TableHandle* table, uint64_t rid,
   TELL_CHECK(state_ == TxnState::kRunning);
   obs::PhaseScope span(tracer_, sim::TxnPhase::kWrite);
   TELL_ASSIGN_OR_RETURN(RecordState * state, EnsureFetched(table, rid));
-  // Fast mode is trivially write-safe (the lane is serial) — and has no
-  // snapshot for CheckWritable to compare against.
-  if (!fast_) TELL_RETURN_NOT_OK(CheckWritable(*state));
+  TELL_RETURN_NOT_OK(CheckWritable(*state));
   const schema::RecordVersion* visible = Visible(*state);
   if (visible == nullptr || visible->tombstone) {
     return Status::NotFound("record not visible in this snapshot");
@@ -317,20 +228,6 @@ Status Transaction::Update(TableHandle* table, uint64_t rid,
   TELL_ASSIGN_OR_RETURN(
       schema::Tuple old_tuple,
       schema::Tuple::Deserialize(table->meta->schema, visible->payload));
-  if (fast_) {
-    // Both the record's current home and the new image must be in the
-    // declared partition, checked before the write is buffered.
-    TELL_RETURN_NOT_OK(CheckFastTuple(table, old_tuple, /*for_write=*/true));
-    TELL_RETURN_NOT_OK(CheckFastTuple(table, tuple, /*for_write=*/true));
-    TELL_RETURN_NOT_OK(EnsureFastTid());
-  }
-  // Fence the union of old and new partitions: an update that changes the
-  // partition column moves the row from lane(old) to lane(new), and a fast
-  // transaction homed on EITHER partition may hold the record buffered — the
-  // MVCC commit must hold both lanes shared or a concurrent fast commit
-  // could clobber its version.
-  RecordPartition(state, table, old_tuple);
-  RecordPartition(state, table, tuple);
   state->record.PutVersion(tid_, tuple.Serialize(table->meta->schema));
   state->dirty = true;
   return QueueIndexInserts(table, rid, tuple, &old_tuple);
@@ -340,19 +237,11 @@ Status Transaction::Delete(TableHandle* table, uint64_t rid) {
   TELL_CHECK(state_ == TxnState::kRunning);
   obs::PhaseScope span(tracer_, sim::TxnPhase::kWrite);
   TELL_ASSIGN_OR_RETURN(RecordState * state, EnsureFetched(table, rid));
-  if (!fast_) TELL_RETURN_NOT_OK(CheckWritable(*state));
+  TELL_RETURN_NOT_OK(CheckWritable(*state));
   const schema::RecordVersion* visible = Visible(*state);
   if (visible == nullptr || visible->tombstone) {
     return Status::NotFound("record not visible in this snapshot");
   }
-  TELL_ASSIGN_OR_RETURN(
-      schema::Tuple old_tuple,
-      schema::Tuple::Deserialize(table->meta->schema, visible->payload));
-  if (fast_) {
-    TELL_RETURN_NOT_OK(CheckFastTuple(table, old_tuple, /*for_write=*/true));
-    TELL_RETURN_NOT_OK(EnsureFastTid());
-  }
-  RecordPartition(state, table, old_tuple);
   state->record.PutVersion(tid_, "", /*tombstone=*/true);
   state->dirty = true;
   // Index entries stay; version-unaware indexes drop them via GC once no
@@ -390,12 +279,11 @@ Result<std::optional<schema::Tuple>> Transaction::ValidateIndexHit(
   // its newest version is a tombstone at or below the lav that this
   // snapshot sees (the lazy sweep's rule; a deleted row's insert version
   // outlives its commit's eager GC): the entry is orphaned — index GC
-  // (§5.4). Fast transactions leave GC to the MVCC phase: no LL/SC index
-  // writes on the fast lane.
+  // (§5.4).
   if (!state->dirty &&
       (!state->exists || (state->record.DeadAt(lav_) &&
                           Visible(*state) == state->record.Newest()))) {
-    if (!own_pending && !fast_) QueueIndexRemoval(tree, key, rid);
+    if (!own_pending) QueueIndexRemoval(tree, key, rid);
     return std::optional<schema::Tuple>{};
   }
   // Does ANY version still carry this key? If not, the entry is obsolete
@@ -417,14 +305,8 @@ Result<std::optional<schema::Tuple>> Transaction::ValidateIndexHit(
       }
     }
   }
-  if (!key_in_some_version && !own_pending && !fast_) {
+  if (!key_in_some_version && !own_pending) {
     QueueIndexRemoval(tree, key, rid);
-  }
-  if (fast_ && match.has_value()) {
-    // A secondary-index hit may land anywhere — e.g. a customer looked up
-    // by name whose record lives in another warehouse. Validate the hit's
-    // partition before the caller can act on it.
-    TELL_RETURN_NOT_OK(CheckFastTuple(table, *match, /*for_write=*/false));
   }
   return match;
 }
@@ -916,11 +798,6 @@ Result<store::FragmentScanOutcome> Transaction::ExecuteScanFragment(
 Result<store::FragmentScanOutcome> Transaction::FanOutFragment(
     TableHandle* table, uint64_t descriptor_bytes,
     const store::FragmentSinkFactory& make_sink, bool pushed_down) {
-  if (fast_) {
-    // A storage-side scan covers every partition of the table by design.
-    fallback_ = true;
-    return Status::CrossPartition("scan fragments run on the MVCC path");
-  }
   TELL_ASSIGN_OR_RETURN(
       store::FragmentScanOutcome outcome,
       client_->ExecuteFragmentScan(table->meta->data_table, descriptor_bytes,
@@ -972,7 +849,6 @@ Status Transaction::Commit() {
   if (state_ != TxnState::kRunning) {
     return Status::InvalidArgument("transaction not running");
   }
-  if (fast_) return CommitFast();
   obs::PhaseScope commit_span(tracer_, sim::TxnPhase::kCommit);
   client_->ChargeCpu(client_->options().cpu.per_txn_ns);
 
@@ -981,29 +857,6 @@ Status Transaction::Commit() {
     if (state.dirty) dirty.push_back(key);
   }
   if (dirty.empty()) return FinishCommitEmpty();
-
-  // Phase fence: hold the touched lanes shared for the WHOLE commit (log
-  // append through finish or rollback), so a fast transaction never
-  // observes a half-applied MVCC write set. Released by the guard on every
-  // exit path below, bumping the lanes' epochs so cached fast-tid batches
-  // are invalidated.
-  FastPathCoordinator::MvccFenceGuard fence_guard;
-  if (FastPathCoordinator* fastpath = session_->fastpath()) {
-    std::vector<uint32_t> lanes;
-    bool reference_exclusive = false;
-    for (const RecordKey& key : dirty) {
-      const RecordState& state = buffer_[key];
-      if (state.unpartitioned || state.partitions.empty()) {
-        reference_exclusive = true;
-      }
-      for (int64_t partition : state.partitions) {
-        lanes.push_back(fastpath->LaneFor(partition));
-      }
-    }
-    fence_guard = fastpath->AcquireMvccFences(std::move(lanes),
-                                              reference_exclusive,
-                                              client_->metrics());
-  }
 
   // 1. Try-Commit: append the log entry with the write set (§4.3 step 3).
   //    Its put travels in the first round of step 3a, the index
@@ -1137,81 +990,6 @@ Status Transaction::Commit() {
   return Status::OK();
 }
 
-Status Transaction::CommitFast() {
-  obs::PhaseScope commit_span(tracer_, sim::TxnPhase::kCommit);
-  client_->ChargeCpu(client_->options().cpu.per_txn_ns);
-  FastPathCoordinator* fastpath = session_->fastpath();
-
-  std::vector<RecordKey> dirty;
-  for (auto& [key, state] : buffer_) {
-    if (state.dirty) dirty.push_back(key);
-  }
-  if (dirty.empty()) {
-    // Read-only fast transaction: no tid was ever leased (writes lease
-    // lazily) and the commit manager is not contacted at all.
-    fastpath->ReleaseFastCommit(lane_, tid_, fast_begin_vns_,
-                                session_->worker_id(), client_,
-                                session_->clock());
-    state_ = TxnState::kCommitted;
-    client_->metrics()->committed += 1;
-    client_->metrics()->fastpath_hits += 1;
-    return Status::OK();
-  }
-
-  // With the lane fenced, this transaction owns every record it wrote: no
-  // log append, no LL/SC — one coalesced unconditional batch write to the
-  // owning storage node, which carries the first round of the index
-  // preparation. No eager GC either: without a commit-manager Begin there
-  // is no lav_, so nothing can be proven collectible; the MVCC path's lazy
-  // GC picks these versions up later.
-  std::vector<store::WriteOp> ops;
-  ops.reserve(dirty.size());
-  for (const RecordKey& key : dirty) {
-    RecordState& state = buffer_[key];
-    ops.push_back({key.first, RidKey(key.second), state.record.Serialize(),
-                   store::kStampAbsent, /*conditional=*/false,
-                   /*erase=*/false});
-  }
-  index::BTree::Prepared prepared;
-  std::vector<Result<uint64_t>> results;
-  Status index_status = PrepareIndexOps(ops, &results, &prepared);
-  TELL_CHECK(results.size() == ops.size());
-  Status failure;
-  for (const Result<uint64_t>& r : results) {
-    if (!r.ok() && failure.ok()) failure = r.status();
-  }
-  // Data before index, same as the MVCC path: an index entry must never
-  // point at a rid whose record write has not landed.
-  if (failure.ok() && index_status.ok()) {
-    index_status = WriteIndexOps(&prepared);
-  }
-  if (!failure.ok() || !index_status.ok()) {
-    // Storage failure mid-apply (write-write races cannot happen on the
-    // fenced lane, but unconditional writes still fail on a dead node) or
-    // a unique violation: revert what made it in. WriteIndexOps already
-    // removed its own entries. If any record could not be reverted, leave
-    // the tid UNCOMPLETED — it then pins the snapshot base below the orphan
-    // version, so no MVCC snapshot can ever read it.
-    bool reverted = RollbackApplied(dirty);
-    fastpath->ReleaseFastAbort(lane_, reverted ? tid_ : 0);
-    state_ = TxnState::kAborted;
-    client_->metrics()->aborted += 1;
-    if (!failure.ok()) return failure;
-    if (index_status.IsAlreadyExists()) {
-      return Status::Aborted("unique index conflict on commit");
-    }
-    return index_status;
-  }
-
-  fastpath->ReleaseFastCommit(lane_, tid_, fast_begin_vns_,
-                              session_->worker_id(), client_,
-                              session_->clock());
-  state_ = TxnState::kCommitted;
-  client_->metrics()->committed += 1;
-  client_->metrics()->fastpath_hits += 1;
-  return Status::OK();
-}
-
 RevertCounts RevertVersions(store::StorageClient* client,
                             const std::vector<RecordKey>& keys, Tid tid,
                             const std::vector<store::WriteOp>& riders) {
@@ -1268,11 +1046,10 @@ RevertCounts RevertVersions(store::StorageClient* client,
   return counts;
 }
 
-bool Transaction::RollbackApplied(const std::vector<RecordKey>& dirty,
+void Transaction::RollbackApplied(const std::vector<RecordKey>& dirty,
                                   const std::vector<store::WriteOp>& riders) {
-  RevertCounts counts = RevertVersions(client_, dirty, tid_, riders);
-  client_->metrics()->rollback_unresolved += counts.unresolved;
-  return counts.unresolved == 0;
+  client_->metrics()->rollback_unresolved +=
+      RevertVersions(client_, dirty, tid_, riders).unresolved;
 }
 
 Status Transaction::PrepareIndexOps(
@@ -1326,19 +1103,6 @@ void Transaction::RollbackIndexInserts(const std::vector<bool>& applied) {
 Status Transaction::Abort() {
   if (state_ != TxnState::kRunning) {
     return Status::InvalidArgument("transaction not running");
-  }
-  if (fast_) {
-    // Nothing was applied (fast writes only land in CommitFast). A fallback
-    // is not a real abort — the caller re-runs the transaction on the MVCC
-    // path — so it is counted separately.
-    session_->fastpath()->ReleaseFastAbort(lane_, tid_);
-    state_ = TxnState::kAborted;
-    if (fallback_) {
-      client_->metrics()->fastpath_fallbacks += 1;
-    } else {
-      client_->metrics()->aborted += 1;
-    }
-    return Status::OK();
   }
   // Manual abort: nothing was applied (we never reached Try-Commit), so only
   // the commit manager needs to know (§4.3 step 4b).

@@ -24,7 +24,6 @@
 
 namespace tell::tx {
 
-class FastPathCoordinator;
 class Transaction;
 
 /// Per-worker execution context on a processing node: the storage client
@@ -37,16 +36,14 @@ class Session {
           store::ManagementNode* management,
           const store::ClientOptions& client_options,
           commitmgr::CommitManagerGroup* commit_managers,
-          const TransactionLog* log, RecordBuffer* record_buffer,
-          FastPathCoordinator* fastpath = nullptr)
+          const TransactionLog* log, RecordBuffer* record_buffer)
       : pn_id_(pn_id),
         worker_id_(worker_id),
         client_(cluster, management, client_options, &clock_, &metrics_),
         commit_managers_(commit_managers),
         cm_client_(commit_managers, &client_),
         log_(log),
-        record_buffer_(record_buffer),
-        fastpath_(fastpath) {}
+        record_buffer_(record_buffer) {}
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -64,8 +61,6 @@ class Session {
   }
   /// The session's window to the commit managers.
   CommitManagerClient* commitmgr_client() { return &cm_client_; }
-  /// The PN's phase-switching fast-path coordinator (null = fast path off).
-  FastPathCoordinator* fastpath() { return fastpath_; }
 
   /// Allocates a fresh rid for `table` from the session's cached range.
   Result<uint64_t> AllocateRid(const TableMeta* table);
@@ -87,7 +82,6 @@ class Session {
   CommitManagerClient cm_client_;
   const TransactionLog* const log_;
   RecordBuffer* const record_buffer_;
-  FastPathCoordinator* const fastpath_;
   /// Cached rid ranges per data table: (next, end inclusive).
   std::map<store::TableId, std::pair<uint64_t, uint64_t>> rid_ranges_;
 };
@@ -124,13 +118,6 @@ struct TxnOptions {
   /// validation (writes install before reads validate, so the later
   /// validator observes the earlier installer's write).
   bool serializable = false;
-  /// Declared home partition for the single-partition fast path (DESIGN.md
-  /// "Phase-switching fast path"): >= 0 routes the transaction onto its
-  /// partition's serial fast lane when the session has a coordinator. Every
-  /// touched tuple is checked against this value — a touch outside the home
-  /// returns CrossPartition and the caller re-runs on the MVCC path. -1 (the
-  /// default) = general MVCC execution.
-  int64_t home_partition = -1;
 };
 
 /// Records RevertVersions reverted, and those it left to lazy GC.
@@ -180,13 +167,6 @@ class Transaction {
   Tid lav() const { return lav_; }
   const SnapshotDescriptor& snapshot() const { return snapshot_; }
   TxnState state() const { return state_; }
-  /// True when this transaction runs on the single-partition fast lane.
-  bool fast() const { return fast_; }
-  /// True once a fast transaction hit a cross-partition touch: the next
-  /// Abort (explicit or via destructor) counts tx.fastpath.fallbacks
-  /// instead of tx.aborted, since the caller re-runs the work on the MVCC
-  /// path and the logical transaction is not aborted.
-  bool fallback() const { return fallback_; }
 
   // --- Record operations --------------------------------------------------
 
@@ -303,8 +283,7 @@ class Transaction {
   /// InvalidArgument while the transaction holds dirty writes on the
   /// table, or is serializable (the fold's rows would escape read-set
   /// validation); the caller must then fold FilteredScan's rows on the
-  /// processing node instead. Falls back to the MVCC path on fast
-  /// transactions like FilteredScan.
+  /// processing node instead.
   Result<store::FragmentScanOutcome> ExecuteScanFragment(
       TableHandle* table, uint64_t descriptor_bytes,
       const store::FragmentSinkFactory& make_sink);
@@ -345,52 +324,17 @@ class Transaction {
     bool dirty = false;
     bool is_new = false;  // first version written by this transaction
     TableHandle* table = nullptr;
-    /// Partitions of every tuple image this transaction wrote for the
-    /// record — for an update, BOTH the old and the new image, so a
-    /// partition-column change fences the lanes of both the source and the
-    /// destination partition at commit (a fast transaction homed on either
-    /// may hold the record buffered). Drives which lane fences an MVCC
-    /// commit takes shared. Unpartitioned tables (or non-integer partition
-    /// values) conservatively take the reference fence exclusive instead.
-    std::vector<int64_t> partitions;
-    bool unpartitioned = false;
   };
 
   /// Fetches (or returns the buffered) record state: a one-record
   /// PrefetchMissing.
   Result<RecordState*> EnsureFetched(TableHandle* table, uint64_t rid);
 
-  /// The version this transaction reads from `state`: the snapshot-visible
-  /// version on the MVCC path; the newest version on the fast path (the
-  /// lane fence guarantees every version is settled, and fast tids are
-  /// counter-fresh, so an own write is always the newest).
+  /// The version of `state` visible in this transaction's snapshot (its
+  /// own write included).
   const schema::RecordVersion* Visible(const RecordState& state) const {
-    return fast_ ? state.record.Newest()
-                 : state.record.VisibleVersion(snapshot_, tid_);
+    return state.record.VisibleVersion(snapshot_, tid_);
   }
-
-  /// Fast path: verifies `tuple` lives in the declared home partition.
-  /// Reads of unpartitioned (reference) tables pass — they are covered by
-  /// the shared reference fence — but writes to them, and any touch of
-  /// another partition, mark the transaction for fallback and return
-  /// CrossPartition. Fires before any write is visible (fast writes stay
-  /// buffered until CommitFast).
-  Status CheckFastTuple(TableHandle* table, const schema::Tuple& tuple,
-                        bool for_write);
-
-  /// Fast path: leases this transaction's tid on first write.
-  Status EnsureFastTid();
-
-  /// Records the partition of a written tuple image in `state`
-  /// (accumulating — the MVCC commit fences every recorded lane).
-  void RecordPartition(RecordState* state, TableHandle* table,
-                       const schema::Tuple& tuple);
-
-  /// Fast-lane commit: one coalesced unconditional write of the dirty
-  /// records to the owning storage node, with the index preparation's first
-  /// round, then the index writes — no log entry, no LL/SC, no
-  /// commit-manager round trip (completion rides a batched message).
-  Status CommitFast();
 
   /// Fills the transaction buffer with the (table, rid) records not yet
   /// buffered through one RecordBuffer::Read across tables, and returns
@@ -434,9 +378,7 @@ class Transaction {
   /// but that DID apply is reverted too. Unresolved keys are counted in
   /// tx.rollback_unresolved. `riders` (erases of unreachable fresh B+tree
   /// nodes) travel in the first round, best effort.
-  /// Returns true if every record was fully reverted (the fast path may
-  /// only complete its tid when nothing of it can remain visible).
-  bool RollbackApplied(const std::vector<RecordKey>& dirty,
+  void RollbackApplied(const std::vector<RecordKey>& dirty,
                        const std::vector<store::WriteOp>& riders = {});
 
   /// Removes the entries of index_ops_ flagged in `applied` from their
@@ -474,10 +416,10 @@ class Transaction {
       TableHandle* table, index::BTree* tree, const std::string& key,
       uint64_t rid);
 
-  /// Shared storage step of FilteredScan and ExecuteScanFragment: falls
-  /// back from the fast path, fans one sink per partition out through
-  /// StorageClient::ExecuteFragmentScan and, when the fragment pushes an
-  /// operator down, updates the sql.scan.* counters.
+  /// Shared storage step of FilteredScan and ExecuteScanFragment: fans one
+  /// sink per partition out through StorageClient::ExecuteFragmentScan and,
+  /// when the fragment pushes an operator down, updates the sql.scan.*
+  /// counters.
   Result<store::FragmentScanOutcome> FanOutFragment(
       TableHandle* table, uint64_t descriptor_bytes,
       const store::FragmentSinkFactory& make_sink, bool pushed_down);
@@ -497,12 +439,6 @@ class Transaction {
   Tid lav_ = 0;
   SnapshotDescriptor snapshot_;
   commitmgr::CommitManager* commit_manager_ = nullptr;
-  /// Fast-path state: lane held exclusively for the transaction's lifetime.
-  bool fast_ = false;
-  bool fallback_ = false;
-  uint32_t lane_ = 0;
-  /// Virtual time at fast begin — base of the lane's serial-queue charge.
-  uint64_t fast_begin_vns_ = 0;
 
   std::map<RecordKey, RecordState> buffer_;
   std::vector<index::BatchInsertOp> index_ops_;

@@ -46,14 +46,13 @@ Result<DriverResult> RunTpcc(TpccBackend* backend,
 
   // The per-worker terminal loop — identical under both drivers, so the
   // virtual-time stream of a worker cannot depend on which one ran it. The
-  // executor parks/resumes inside backend->Execute (commit-manager begins,
-  // fast-path fence waits); the loop body itself never blocks.
+  // executor parks/resumes inside backend->Execute (commit-manager
+  // begins); the loop body itself never blocks.
   auto worker_body = [&](uint32_t w) {
     // Terminals are bound to a home warehouse, spread evenly.
     int64_t home = static_cast<int64_t>(w % options.scale.warehouses) + 1;
     InputGenerator generator(options.scale, options.mix,
                              options.seed * 1000003ULL + w, home);
-    generator.set_multi_partition_fraction(options.multi_partition_fraction);
     sim::VirtualClock* clock = backend->clock(w);
     sim::WorkerMetrics* metrics = backend->metrics(w);
     while (clock->now_ns() < horizon_ns) {
@@ -82,13 +81,7 @@ Result<DriverResult> RunTpcc(TpccBackend* backend,
     exec_options.pin_cores = options.pin_cores;
     exec::Runtime runtime(exec_options);
     for (uint32_t w = 0; w < options.num_workers; ++w) {
-      if (options.home_affinity) {
-        // All terminals of one warehouse on one core (see DriverOptions).
-        const uint64_t home = w % options.scale.warehouses;
-        runtime.Submit([&worker_body, w] { worker_body(w); }, home);
-      } else {
-        runtime.Submit([&worker_body, w] { worker_body(w); });
-      }
+      runtime.Submit([&worker_body, w] { worker_body(w); });
     }
     runtime.Run();
     result.exec_stats = runtime.stats();

@@ -66,22 +66,13 @@ struct DriverOptions {
   /// 0 = legacy thread-per-worker (one OS thread per worker). N >= 1 =
   /// thread-per-core executor: every worker becomes a fiber task
   /// multiplexed onto N executor threads, parking at commit-manager begins
-  /// and fast-path fence waits (docs/RUNTIME.md).
+  /// (docs/RUNTIME.md).
   /// Each worker's virtual-time stream is identical either way; only the
   /// wall-clock axis (and, with conflicts, cross-worker interleaving)
   /// changes. executor_threads=1 is fully deterministic.
   uint32_t executor_threads = 0;
   /// Pin executor threads to cores (ignored in legacy mode).
   bool pin_cores = true;
-  /// < 0: spec remote probabilities. >= 0: the fraction of new-orders and
-  /// payments that touch a second warehouse (InputGenerator override) —
-  /// the sweep axis of bench/ablation_fastpath.
-  double multi_partition_fraction = -1.0;
-  /// Executor mode only: pin each worker's fiber task to executor core
-  /// `home_warehouse % threads`, so all fast-path transactions of one
-  /// warehouse share a core and its serial lane stays cache-local. Off by
-  /// default (work stealing balances better when the fast path is off).
-  bool home_affinity = false;
 };
 
 /// Aggregated run results; the benches print these next to the paper's

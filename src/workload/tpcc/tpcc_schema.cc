@@ -113,20 +113,6 @@ Status CreateTpccTables(db::TellDb* db) {
           .SetPrimaryKey({"s_w_id", "s_i_id"})
           .Build(),
       {}));
-
-  // Home-partition declarations for the phase-switching fast path: TPC-C
-  // partitions by warehouse, so every table names its warehouse column.
-  // `item` stays unpartitioned — it is read-only reference data, shared by
-  // every partition and guarded by the global reference fence.
-  tx::Catalog* catalog = db->catalog();
-  TELL_RETURN_NOT_OK(catalog->SetPartitionColumn("warehouse", 0));
-  TELL_RETURN_NOT_OK(catalog->SetPartitionColumn("district", 0));
-  TELL_RETURN_NOT_OK(catalog->SetPartitionColumn("customer", 0));
-  TELL_RETURN_NOT_OK(catalog->SetPartitionColumn("history", col::kHWId));
-  TELL_RETURN_NOT_OK(catalog->SetPartitionColumn("new_order", 0));
-  TELL_RETURN_NOT_OK(catalog->SetPartitionColumn("orders", 0));
-  TELL_RETURN_NOT_OK(catalog->SetPartitionColumn("order_line", 0));
-  TELL_RETURN_NOT_OK(catalog->SetPartitionColumn("stock", 0));
   return Status::OK();
 }
 

@@ -31,23 +31,13 @@ NewOrderInput InputGenerator::MakeNewOrder() {
   input.customer = NURandCustomer();
   int64_t ol_cnt = rng_.UniformInt(5, 15);
   bool allow_remote = mix_ != Mix::kShardable && scale_.warehouses > 1;
-  // Sweep override: decide per TRANSACTION whether it is multi-partition
-  // (one remote line) instead of per line — the ablation controls the
-  // multi-partition share of transactions, not of lines.
-  const bool sweep = multi_partition_fraction_ >= 0.0;
-  int64_t remote_line = -1;
-  if (sweep && allow_remote && rng_.Bernoulli(multi_partition_fraction_)) {
-    remote_line = rng_.UniformInt(1, ol_cnt) - 1;
-  }
   for (int64_t i = 0; i < ol_cnt; ++i) {
     NewOrderLine line;
     line.item_id = rng_.NonUniform(8191, kOlIId, 1,
                                    static_cast<int64_t>(scale_.items));
     line.supply_warehouse = input.warehouse;
     // Clause 2.4.1.5.2: 1% of items come from a remote warehouse.
-    const bool make_remote = sweep ? i == remote_line
-                                   : allow_remote && rng_.Bernoulli(0.01);
-    if (make_remote) {
+    if (allow_remote && rng_.Bernoulli(0.01)) {
       do {
         line.supply_warehouse = rng_.UniformInt(1, scale_.warehouses);
       } while (line.supply_warehouse == input.warehouse);
@@ -69,11 +59,8 @@ PaymentInput InputGenerator::MakePayment() {
   input.warehouse = home_;
   input.district = rng_.UniformInt(1, scale_.districts_per_warehouse);
   bool allow_remote = mix_ != Mix::kShardable && scale_.warehouses > 1;
-  const double remote_fraction =
-      multi_partition_fraction_ >= 0.0 ? multi_partition_fraction_ : 0.15;
-  // Clause 2.5.1.2: 85% pay through the home warehouse, 15% remote (or the
-  // sweep override's fraction).
-  if (allow_remote && rng_.Bernoulli(remote_fraction)) {
+  // Clause 2.5.1.2: 85% pay through the home warehouse, 15% remote.
+  if (allow_remote && rng_.Bernoulli(0.15)) {
     do {
       input.customer_warehouse = rng_.UniformInt(1, scale_.warehouses);
     } while (input.customer_warehouse == input.warehouse);
@@ -195,12 +182,6 @@ std::optional<std::pair<uint64_t, Tuple>> PickCustomer(
 
 }  // namespace
 
-tx::TxnOptions TpccExecutor::TxnOptionsFor(int64_t home) const {
-  tx::TxnOptions options = txn_options_;
-  options.home_partition = force_mvcc_ ? -1 : home;
-  return options;
-}
-
 Result<tx::IndexRange> TpccExecutor::CustomerRange(
     int64_t w, int64_t d, bool by_last_name, int64_t c_id,
     const std::string& c_last) const {
@@ -216,10 +197,7 @@ Result<tx::IndexRange> TpccExecutor::CustomerRange(
 }
 
 Result<TxnOutcome> TpccExecutor::NewOrder(const NewOrderInput& input) {
-  // A known-remote order (clause 2.4.1.5.2) goes straight to MVCC; a local
-  // one declares its warehouse as home and may run on the fast lane.
-  tx::Transaction txn(session_,
-                      TxnOptionsFor(input.remote ? -1 : input.warehouse));
+  tx::Transaction txn(session_, txn_options_);
   TELL_RETURN_NOT_OK(txn.Begin());
   int64_t w = input.warehouse;
   int64_t d = input.district;
@@ -356,9 +334,7 @@ Result<TxnOutcome> TpccExecutor::NewOrder(const NewOrderInput& input) {
 }
 
 Result<TxnOutcome> TpccExecutor::Payment(const PaymentInput& input) {
-  // Remote payments (clause 2.5.1.2) touch the customer's warehouse too.
-  tx::Transaction txn(session_,
-                      TxnOptionsFor(input.remote ? -1 : input.warehouse));
+  tx::Transaction txn(session_, txn_options_);
   TELL_RETURN_NOT_OK(txn.Begin());
   int64_t now = static_cast<int64_t>(session_->clock()->now_ns());
 
@@ -431,7 +407,7 @@ Result<TxnOutcome> TpccExecutor::Payment(const PaymentInput& input) {
 }
 
 Result<TxnOutcome> TpccExecutor::Delivery(const DeliveryInput& input) {
-  tx::Transaction txn(session_, TxnOptionsFor(input.warehouse));
+  tx::Transaction txn(session_, txn_options_);
   TELL_RETURN_NOT_OK(txn.Begin());
   int64_t w = input.warehouse;
   int64_t now = static_cast<int64_t>(session_->clock()->now_ns());
@@ -529,7 +505,7 @@ Result<TxnOutcome> TpccExecutor::Delivery(const DeliveryInput& input) {
 }
 
 Result<TxnOutcome> TpccExecutor::OrderStatus(const OrderStatusInput& input) {
-  tx::Transaction txn(session_, TxnOptionsFor(input.warehouse));
+  tx::Transaction txn(session_, txn_options_);
   TELL_RETURN_NOT_OK(txn.Begin());
   int64_t w = input.warehouse;
   int64_t d = input.district;
@@ -595,7 +571,7 @@ Result<TxnOutcome> TpccExecutor::OrderStatus(const OrderStatusInput& input) {
 }
 
 Result<TxnOutcome> TpccExecutor::StockLevel(const StockLevelInput& input) {
-  tx::Transaction txn(session_, TxnOptionsFor(input.warehouse));
+  tx::Transaction txn(session_, txn_options_);
   TELL_RETURN_NOT_OK(txn.Begin());
   int64_t w = input.warehouse;
   int64_t d = input.district;
@@ -664,16 +640,6 @@ Result<TxnOutcome> TpccExecutor::Dispatch(const TxnInput& input) {
 
 Result<TxnOutcome> TpccExecutor::Execute(const TxnInput& input) {
   Result<TxnOutcome> result = Dispatch(input);
-  if (!result.ok() && result.status().IsCrossPartition()) {
-    // The fast attempt touched data outside its declared home warehouse
-    // (e.g. a secondary-index hit in another partition) and fell back
-    // BEFORE any of its writes became visible. Re-run the same input on
-    // the MVCC path; the fallback was counted in tx.fastpath.fallbacks,
-    // not tx.aborted.
-    force_mvcc_ = true;
-    result = Dispatch(input);
-    force_mvcc_ = false;
-  }
   if (!result.ok() && (result.status().IsAborted() ||
                        result.status().IsNotFound())) {
     // Aborted: conflict detected mid-transaction (a newer invisible

@@ -108,16 +108,6 @@ class InputGenerator {
 
   Random* rng() { return &rng_; }
 
-  /// < 0 (default): spec remote probabilities (1% per new-order line, 15%
-  /// of payments). >= 0: overrides BOTH — the given fraction of new-orders
-  /// supplies one line from a remote warehouse and the same fraction of
-  /// payments pays a remote customer — so a bench can sweep the
-  /// multi-partition share directly (Fig. 9-style ablation). No effect on
-  /// the shardable mix or with a single warehouse (never remote either way).
-  void set_multi_partition_fraction(double fraction) {
-    multi_partition_fraction_ = fraction;
-  }
-
  private:
   NewOrderInput MakeNewOrder();
   PaymentInput MakePayment();
@@ -131,7 +121,6 @@ class InputGenerator {
   const Mix mix_;
   Random rng_;
   const int64_t home_;
-  double multi_partition_fraction_ = -1.0;
 };
 
 // ---------------------------------------------------------------------------
@@ -172,20 +161,11 @@ class TpccExecutor {
                                        bool by_last_name, int64_t c_id,
                                        const std::string& c_last) const;
 
-  /// Per-transaction options with the declared home partition (= warehouse)
-  /// filled in: a single-warehouse transaction runs on the fast lane when
-  /// the session has a fast-path coordinator. `home` < 0 (a known
-  /// multi-warehouse input, or a re-run after a cross-partition fallback)
-  /// forces the MVCC path.
-  tx::TxnOptions TxnOptionsFor(int64_t home) const;
-
   Result<TxnOutcome> Dispatch(const TxnInput& input);
 
   tx::Session* const session_;
   TpccTables tables_;
   const tx::TxnOptions txn_options_;
-  /// Set while re-running a transaction that fell back off the fast path.
-  bool force_mvcc_ = false;
   int64_t next_history_seq_ = 0;
 };
 

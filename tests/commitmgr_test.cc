@@ -478,87 +478,5 @@ TEST_F(CommitManagerTest, DeltaPropertyRandomInterleavings) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Fast-path tid leases (single-partition fast path)
-
-TEST_F(CommitManagerTest, LeaseFastTidsContinuesTheStartStream) {
-  auto group = MakeGroup(1, /*range=*/8);
-  CommitManager* cm = group->manager(0);
-  ASSERT_OK_AND_ASSIGN(TxnBeginDelta before, cm->StartDelta({.pn_id = 0}));
-  // Leased tids are distinct, increasing, and all above every tid Start
-  // handed out earlier — one monotone assignment stream across both phases.
-  ASSERT_OK_AND_ASSIGN(std::vector<Tid> leased, cm->LeaseFastTids(12));
-  ASSERT_EQ(leased.size(), 12u);
-  Tid prev = before.tid;
-  for (Tid tid : leased) {
-    EXPECT_GT(tid, prev);
-    prev = tid;
-  }
-  // A Start after the lease continues above it (the lease crossed a range
-  // refill boundary with range=8, so this checks the refill path too).
-  ASSERT_OK_AND_ASSIGN(TxnBeginDelta after, cm->StartDelta({.pn_id = 0}));
-  EXPECT_GT(after.tid, leased.back());
-  EXPECT_EQ(cm->HighestAssignedTid(), after.tid);
-}
-
-TEST_F(CommitManagerTest, CompleteFastMakesLeasedTidsReadable) {
-  auto group = MakeGroup(1);
-  CommitManager* cm = group->manager(0);
-  ASSERT_OK_AND_ASSIGN(std::vector<Tid> leased, cm->LeaseFastTids(3));
-  // Until completed, the leased tids hold the snapshot base back.
-  ASSERT_OK_AND_ASSIGN(TxnBeginDelta blocked, cm->StartDelta({.pn_id = 0}));
-  EXPECT_FALSE(blocked.delta.snapshot.CanRead(leased[0]));
-  ASSERT_OK(cm->SetCommitted(blocked.tid));
-
-  ASSERT_OK(cm->CompleteFast(leased));
-  // Duplicate delivery is harmless (a failed flush gets re-queued).
-  ASSERT_OK(cm->CompleteFast(leased));
-  ASSERT_OK_AND_ASSIGN(TxnBeginDelta begin, cm->StartDelta({.pn_id = 0}));
-  for (Tid tid : leased) {
-    EXPECT_TRUE(begin.delta.snapshot.CanRead(tid)) << "tid " << tid;
-  }
-  ASSERT_OK(cm->SetCommitted(begin.tid));
-  EXPECT_GE(cm->Lav(), leased.back());
-}
-
-TEST_F(CommitManagerTest, LeaseFastTidsRejectsZeroCount) {
-  auto group = MakeGroup(1);
-  EXPECT_EQ(group->manager(0)->LeaseFastTids(0).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST_F(CommitManagerTest, LeaseFastTidsRefillFailureDoesNotPinSnapshotBase) {
-  // Regression: a lease that crosses a range boundary draws tids from the
-  // remaining range BEFORE the refill; if the refill fails (storage down),
-  // those drawn tids were discarded by the error return but stayed consumed
-  // from the range — never handed out, never completed — permanently
-  // pinning the snapshot base and GC horizon. They must be marked completed
-  // on the failure path.
-  auto group = MakeGroup(1, /*range=*/4);
-  CommitManager* cm = group->manager(0);
-  // Consume tid 1 of range [1,4] so the lease below exhausts the remainder.
-  ASSERT_OK_AND_ASSIGN(TxnBeginDelta first, cm->StartDelta({.pn_id = 0}));
-  ASSERT_OK(cm->SetCommitted(first.tid));
-
-  for (uint32_t i = 0; i < cluster_->num_nodes(); ++i) {
-    cluster_->node(i)->Kill();
-  }
-  // Draws tids 2..4, then fails refilling for the rest.
-  EXPECT_FALSE(cm->LeaseFastTids(8).ok());
-  for (uint32_t i = 0; i < cluster_->num_nodes(); ++i) {
-    cluster_->node(i)->Revive();
-  }
-
-  // The discarded tids must not hold the base back: a transaction begun and
-  // completed now lets the base advance contiguously over them.
-  ASSERT_OK_AND_ASSIGN(TxnBeginDelta after, cm->StartDelta({.pn_id = 0}));
-  ASSERT_OK(cm->SetCommitted(after.tid));
-  ASSERT_OK_AND_ASSIGN(TxnBeginDelta probe, cm->StartDelta({.pn_id = 0}));
-  EXPECT_GE(probe.delta.snapshot.base(), after.tid)
-      << "discarded lease tids still pin the snapshot base";
-  ASSERT_OK(cm->SetCommitted(probe.tid));
-  EXPECT_GE(cm->Lav(), after.tid);
-}
-
 }  // namespace
 }  // namespace tell::commitmgr

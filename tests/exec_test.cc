@@ -93,10 +93,10 @@ TEST(RuntimeTest, IdleThreadsStealQueuedTasks) {
 }
 
 TEST(RuntimeTest, PinnedTasksNeverMigrateOffTheirQueue) {
-  // Pinned submission (home-partition affinity for the fast path): every
-  // task names queue 0, yields a few times mid-run, and the other three
-  // cores — idle the whole time — must NOT steal any of them. Yield-requeue
-  // goes back to the home queue, so pinning holds across suspensions.
+  // Pinned submission: every task names queue 0, yields a few times
+  // mid-run, and the other three cores — idle the whole time — must NOT
+  // steal any of them. Yield-requeue goes back to the home queue, so
+  // pinning holds across suspensions.
   constexpr uint32_t kThreads = 4;
   constexpr int kTasks = 24;
   Runtime runtime(RuntimeOptions{.threads = kThreads, .pin_cores = false});

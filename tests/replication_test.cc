@@ -4,10 +4,7 @@
 //      snapshot-bounded catch-up, deterministic elections, promotion
 //      invariants (orphaned-range completion, monotone tid stream,
 //      begin-token idempotency across fail-over).
-//   2. The fast-path gate: multiple commit managers are a tested HARD
-//      disable (MVCC-only), while replicating the single slot keeps the
-//      fast path legal.
-//   3. A seeded kill-the-leader chaos suite: the leader dies mid-Start,
+//   2. A seeded kill-the-leader chaos suite: the leader dies mid-Start,
 //      mid-Finish and with an ambiguous (executed-but-unacked) begin;
 //      a follower is elected, TPC-C-style traffic resumes, and no tid is
 //      lost or duplicated (the snapshot base catches up to the last tid).
@@ -29,8 +26,6 @@
 #include "store/cluster.h"
 #include "tests/test_util.h"
 #include "tx/transaction.h"
-#include "workload/tpcc/tpcc_driver.h"
-#include "workload/tpcc/tpcc_loader.h"
 
 namespace tell {
 namespace {
@@ -260,56 +255,6 @@ TEST_F(ReplicatedGroupTest, SlotUnavailableOnlyWhenAllReplicasDead) {
 }
 
 // ---------------------------------------------------------------------------
-// Fast-path gate: multi-manager is a tested hard disable; a replicated
-// single slot stays compatible
-// ---------------------------------------------------------------------------
-
-TEST(FastPathGateTest, MultipleCommitManagersHardDisableFastPath) {
-  db::TellDbOptions options;
-  options.network = sim::NetworkModel::Instant();
-  options.fastpath.enabled = true;
-  options.num_commit_managers = 2;
-  db::TellDb db(options);
-  EXPECT_EQ(db.fastpath(), nullptr) << "fast path must be OFF, not degraded";
-  EXPECT_NE(db.fastpath_disabled_reason().find("single commit manager"),
-            std::string::npos)
-      << "actual reason: " << db.fastpath_disabled_reason();
-
-  // MVCC-only execution still works.
-  ASSERT_OK(db.CreateTable("t",
-                           schema::SchemaBuilder()
-                               .AddInt64("id")
-                               .AddInt64("v")
-                               .SetPrimaryKey({"id"})
-                               .Build(),
-                           {}));
-  auto session = db.OpenSession(0, 0);
-  auto table = *db.GetTable(0, "t");
-  Transaction txn(session.get());
-  ASSERT_OK(txn.Begin());
-  Tuple t(2);
-  t.Set(0, int64_t{1});
-  t.Set(1, int64_t{42});
-  ASSERT_OK(txn.Insert(table, t, false).status());
-  ASSERT_OK(txn.Commit());
-  EXPECT_EQ(session->metrics()->fastpath_hits, 0u);
-}
-
-TEST(FastPathGateTest, ReplicatedSingleSlotKeepsFastPathEnabled) {
-  db::TellDbOptions options;
-  options.network = sim::NetworkModel::Instant();
-  options.fastpath.enabled = true;
-  options.num_commit_managers = 1;
-  options.commit_replication.replicas = 3;
-  db::TellDb db(options);
-  EXPECT_NE(db.fastpath(), nullptr)
-      << "replicating the single slot must not disable the fast path: "
-      << db.fastpath_disabled_reason();
-  EXPECT_TRUE(db.fastpath_disabled_reason().empty());
-  EXPECT_EQ(db.commit_managers()->num_replicas(), 3u);
-}
-
-// ---------------------------------------------------------------------------
 // Kill-the-leader chaos suite (3 seeds)
 // ---------------------------------------------------------------------------
 
@@ -370,7 +315,6 @@ TEST_P(LeaderKillChaosSuite, ElectsReplacementsAndLosesNoTids) {
   options.num_commit_managers = 1;
   options.commit_replication.replicas = 4;
   options.commit_replication.snapshot_interval = 32;
-  options.fastpath.enabled = false;
   db::TellDb db(options);
 
   ASSERT_OK(db.CreateTable("accounts",
@@ -479,67 +423,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LeaderKillChaosSuite,
                          ::testing::Values(uint64_t{0xC0FFEE01},
                                            uint64_t{0xC0FFEE02},
                                            uint64_t{0xC0FFEE03}));
-
-// The third request class of the chaos spec: the leader dies mid-
-// LeaseFastTids. The lease path treats the loss as kill-before-issue (a
-// leased-but-unacked batch would orphan its tids until the next election),
-// retries against the elected successor, and the fast path keeps running.
-TEST(LeaderKillChaosSuite2, LeaderDiesMidLeaseAndFastPathResumes) {
-  sim::FaultInjector injector(FaultPlan{
-      .seed = 21,
-      .rules = {FaultRule{.kind = FaultRule::Kind::kKillCommitLeader,
-                          .op = FaultOpClass::kCommitMgrLease,
-                          .skip_matches = 1,
-                          .probability = 1.0,
-                          .max_fires = 1}}});
-  injector.Disarm();
-
-  db::TellDbOptions options;
-  options.network = sim::NetworkModel::Instant();
-  options.fault_injector = &injector;
-  options.num_commit_managers = 1;
-  options.commit_replication.replicas = 3;
-  options.fastpath.enabled = true;
-  options.fastpath.tid_lease_size = 8;  // several lease messages per run
-  db::TellDb db(options);
-  ASSERT_NE(db.fastpath(), nullptr) << db.fastpath_disabled_reason();
-
-  ASSERT_OK(tpcc::CreateTpccTables(&db));
-  tpcc::TpccScale scale;
-  scale.warehouses = 1;
-  scale.districts_per_warehouse = 2;
-  scale.customers_per_district = 10;
-  scale.items = 30;
-  scale.initial_orders_per_district = 5;
-  ASSERT_OK(tpcc::LoadTpcc(&db, scale));
-  auto session = db.OpenSession(0, 0);
-  auto tables = tpcc::OpenTpccTables(&db, 0);
-  ASSERT_TRUE(tables.ok()) << tables.status().ToString();
-  tpcc::TpccExecutor executor(session.get(), *tables);
-  tpcc::InputGenerator generator(scale, tpcc::Mix::kShardable, /*seed=*/77,
-                                 /*home_warehouse=*/1);
-
-  injector.Arm();
-  int committed = 0;
-  for (int i = 0; i < 80; ++i) {
-    tpcc::TxnInput input = generator.Next();
-    auto outcome = executor.Execute(input);
-    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    committed += outcome->committed ? 1 : 0;
-  }
-  injector.Disarm();
-
-  EXPECT_EQ(injector.stats().leader_kills, 1u);
-  EXPECT_GE(db.commit_managers()->ReplStats().elections, 1u);
-  EXPECT_GT(session->metrics()->fastpath_hits, 0u)
-      << "the fast path must keep running after the lease fail-over";
-  EXPECT_GT(committed, 0);
-
-  // An MVCC probe still begins and commits against the promoted leader.
-  Transaction probe(session.get());
-  ASSERT_OK(probe.Begin());
-  ASSERT_OK(probe.Commit());
-}
 
 }  // namespace
 }  // namespace tell

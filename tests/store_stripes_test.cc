@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstring>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
+#include "store/cluster.h"
 #include "store/storage_node.h"
 #include "tests/test_util.h"
 
@@ -461,6 +464,110 @@ TEST(StoreStripesTest, ContentionCountersRecordCollisions) {
   // lock_wait_ns accompanies every recorded conflict.
   if (stats.stripe_conflicts > 0) {
     EXPECT_GT(stats.lock_wait_ns, 0u);
+  }
+}
+
+/// Backups apply one key's writes in the order the master stamped them:
+/// Cluster::Write and Cluster::AtomicIncrement replicate while the master
+/// still holds the key's stripe lock. Four threads mix puts, erases and
+/// increments on a few keys of one partition at RF3, in rounds: every
+/// thread makes one write, then, with no write in flight, each key's cell
+/// on every backup must equal the master's (a later write to the key would
+/// hide an out-of-order apply). Afterwards every backup's DumpPartition
+/// must equal the master's, key, value and stamp.
+TEST(StoreStripesTest, BackupsMatchMasterAfterRacingWritesAtRf3) {
+  ClusterOptions options;
+  options.num_storage_nodes = 3;
+  options.replication_factor = 3;
+  options.partitions_per_node = 1;
+  Cluster cluster(options);
+  ASSERT_OK_AND_ASSIGN(TableId table, cluster.CreateTable("t"));
+  ASSERT_OK_AND_ASSIGN(uint32_t partition,
+                       cluster.partition_map().PartitionFor(table, "k0"));
+  std::vector<std::string> keys;
+  for (int i = 0; keys.size() < 3; ++i) {
+    std::string key = "k" + std::to_string(i);
+    ASSERT_OK_AND_ASSIGN(uint32_t p,
+                         cluster.partition_map().PartitionFor(table, key));
+    if (p == partition) keys.push_back(key);
+  }
+  ASSERT_OK_AND_ASSIGN(PartitionPlacement placement,
+                       cluster.partition_map().PlacementOf(table, partition));
+  ASSERT_EQ(placement.replicas.size(), 2u);
+  StorageNode* master = cluster.node(placement.master);
+
+  // Runs between rounds, while every thread waits at the barrier.
+  int mismatches = 0;
+  std::string first_mismatch;
+  auto check_round = [&]() noexcept {
+    for (const std::string& key : keys) {
+      Result<VersionedCell> want = master->Get(table, partition, key);
+      for (uint32_t backup : placement.replicas) {
+        Result<VersionedCell> have =
+            cluster.node(backup)->Get(table, partition, key);
+        const bool same =
+            want.ok() == have.ok() &&
+            (!want.ok() || (want->value == have->value &&
+                            want->stamp == have->stamp));
+        if (!same && mismatches++ == 0) {
+          first_mismatch = "key " + key + " on backup node " +
+                           std::to_string(backup) + ": master stamp " +
+                           (want.ok() ? std::to_string(want->stamp) : "-") +
+                           ", backup stamp " +
+                           (have.ok() ? std::to_string(have->stamp) : "-");
+        }
+      }
+    }
+  };
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 4000;
+  std::barrier round(kThreads, check_round);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Random rng(0x0DE5 + t);
+      for (int i = 0; i < kRounds; ++i) {
+        const std::string& key = keys[rng.Uniform(keys.size())];
+        switch (rng.Uniform(3)) {
+          case 0: {
+            auto put = cluster.Write(
+                {.table = table, .key = key,
+                 .value = std::string(1 + rng.Uniform(16), 'a' + t),
+                 .conditional = false});
+            EXPECT_OK(put.status());
+            break;
+          }
+          case 1: {
+            auto erase = cluster.Write(
+                {.table = table, .key = key, .conditional = false,
+                 .erase = true});
+            if (!erase.ok()) EXPECT_TRUE(erase.status().IsNotFound());
+            break;
+          }
+          default:
+            EXPECT_OK(cluster.AtomicIncrement(table, key, 1).status());
+        }
+        round.arrive_and_wait();
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches, 0) << "first: " << first_mismatch;
+
+  ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> want,
+                       master->DumpPartition(table, partition));
+  for (uint32_t backup : placement.replicas) {
+    ASSERT_OK_AND_ASSIGN(
+        std::vector<KeyCell> have,
+        cluster.node(backup)->DumpPartition(table, partition));
+    ASSERT_EQ(have.size(), want.size()) << "backup node " << backup;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(have[i].key, want[i].key) << "backup node " << backup;
+      EXPECT_EQ(have[i].value, want[i].value)
+          << "backup node " << backup << " key " << want[i].key;
+      EXPECT_EQ(have[i].stamp, want[i].stamp)
+          << "backup node " << backup << " key " << want[i].key;
+    }
   }
 }
 
