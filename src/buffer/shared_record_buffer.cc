@@ -107,9 +107,5 @@ void SharedRecordBuffer::AccumulateStats(tx::BufferStats* out) const {
   out->Accumulate(stats_);
 }
 
-size_t SharedRecordBuffer::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
 
 }  // namespace tell::buffer

@@ -44,8 +44,6 @@ class SharedRecordBuffer final : public tx::RecordBuffer {
 
   void AccumulateStats(tx::BufferStats* out) const override;
 
-  size_t size() const;
-
  private:
   using Key = tx::RecordKey;
 

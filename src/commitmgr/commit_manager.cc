@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 
 #include "common/logging.h"
 #include "common/serde.h"
@@ -133,9 +132,8 @@ SnapshotDelta CommitManager::DeltaSinceLocked(
     for (const auto& [tid, epoch] : completed_epoch_) {
       if (epoch > request.ack_epoch) delta.completed.push_back(tid);
     }
-    // A delta at least as large as the full descriptor is pointless;
-    // 13 + 4 is the full form's envelope + length prefix (WireBytes()).
-    resync = delta.WireBytes() >= 13 + 4 + snapshot_.SerializedBytes();
+    // A delta at least as large as the full descriptor is pointless.
+    resync = delta.WireBytes() >= SnapshotDelta::FullWireBytes(snapshot_);
     if (resync) delta.completed.clear();
   }
   if (resync) {
@@ -258,11 +256,6 @@ std::string CommitManager::SerializeStateLocked() const {
   return writer.Release();
 }
 
-size_t CommitManager::StateBlobBytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return SerializeStateLocked().size();
-}
-
 Status CommitManager::SyncWithPeers(uint32_t num_peers) {
   if (!alive()) return Status::Unavailable("commit manager is down");
   std::lock_guard<std::mutex> lock(mutex_);
@@ -310,48 +303,6 @@ Status CommitManager::SyncWithPeers(uint32_t num_peers) {
   return Status::OK();
 }
 
-Status CommitManager::RecoverFromStore(uint32_t num_peers) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Last used tid: read the shared counter. Our replacement range starts
-  // fresh, so nothing of the failed instance's unassigned range is reused —
-  // the snapshot simply never advances into it, which is safe (those tids
-  // will never be observed).
-  active_.clear();
-  range_next_ = 1;
-  range_end_ = 0;
-  // Merge whatever the peers (or our own previous incarnation) published.
-  for (uint32_t peer = 0; peer < num_peers; ++peer) {
-    auto cell = cluster_->Get(state_table_, StateKey(peer));
-    if (!cell.ok()) continue;
-    BufferReader reader(cell->value);
-    auto peer_lav = reader.GetU64();
-    if (!peer_lav.ok()) continue;
-    auto blob = reader.GetString();
-    if (!blob.ok()) continue;
-    auto peer_snapshot = SnapshotDescriptor::Deserialize(*blob);
-    if (!peer_snapshot.ok()) continue;
-    snapshot_.MergeFrom(*peer_snapshot);
-  }
-  auto counter = cluster_->Get(state_table_, kTidCounterKey);
-  if (counter.ok() && counter->value.size() == sizeof(int64_t)) {
-    int64_t value;
-    std::memcpy(&value, counter->value.data(), sizeof(value));
-    highest_assigned_ = static_cast<Tid>(value);
-  }
-  // New incarnation: client-acked epochs of the previous incarnation are
-  // meaningless against the rebuilt state, so force every cached client
-  // through a full resync and rebuild the epoch map from the descriptor.
-  ++generation_;
-  ++epoch_;
-  token_tids_.clear();
-  completed_epoch_.clear();
-  Tid highest = snapshot_.HighestCompleted();
-  for (Tid tid = snapshot_.base() + 1; tid <= highest; ++tid) {
-    if (snapshot_.CanRead(tid)) completed_epoch_[tid] = epoch_;
-  }
-  return Status::OK();
-}
-
 std::pair<uint32_t, uint64_t> CommitManager::SyncState() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return {generation_, epoch_};
@@ -364,11 +315,6 @@ void CommitManager::AttachReplication(ReplicationLog* log, ReplicaRole role) {
   std::lock_guard<std::mutex> lock(mutex_);
   repl_log_ = log;
   role_ = role;
-}
-
-ReplicaRole CommitManager::role() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return role_;
 }
 
 void CommitManager::Demote() {

@@ -138,8 +138,6 @@ class CommitManager {
   /// state change while holding its own mutex; followers replay the log.
   void AttachReplication(ReplicationLog* log, ReplicaRole role);
 
-  ReplicaRole role() const;
-
   /// Demotes to follower (election bookkeeping: a revived old leader must
   /// not serve — the slot's current leader owns the tid stream).
   void Demote();
@@ -201,13 +199,6 @@ class CommitManager {
   /// Highest tid this manager has handed out (recovery: bound for the
   /// backwards log scan).
   Tid HighestAssignedTid() const;
-
-  /// Rebuilds state from the store after a commit manager failure: reads
-  /// the peers' published states and the tid counter (paper §4.4.3).
-  Status RecoverFromStore(uint32_t num_peers);
-
-  /// Serialized size of the state blob written on sync (tests).
-  size_t StateBlobBytes() const;
 
   /// Current (generation, epoch) of the delta protocol (tests).
   std::pair<uint32_t, uint64_t> SyncState() const;

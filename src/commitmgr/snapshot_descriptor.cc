@@ -96,13 +96,17 @@ Result<SnapshotDescriptor> SnapshotDescriptor::Deserialize(
 // ---------------------------------------------------------------------------
 // SnapshotDelta
 
+// generation + epoch + form flag.
+constexpr size_t kDeltaEnvelopeBytes = 4 + 8 + 1;
+
+size_t SnapshotDelta::FullWireBytes(const SnapshotDescriptor& snapshot) {
+  // u32 length prefix + the serialized descriptor.
+  return kDeltaEnvelopeBytes + 4 + snapshot.SerializedBytes();
+}
+
 size_t SnapshotDelta::WireBytes() const {
-  // generation + epoch + form flag.
-  size_t envelope = 4 + 8 + 1;
-  if (full) {
-    return envelope + 4 + snapshot.SerializedBytes();  // u32 length prefix
-  }
-  return envelope + 8 + 4 + 4 * completed.size();
+  if (full) return FullWireBytes(snapshot);
+  return kDeltaEnvelopeBytes + 8 + 4 + 4 * completed.size();
 }
 
 std::string SnapshotDelta::Serialize() const {

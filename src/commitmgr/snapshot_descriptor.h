@@ -114,6 +114,8 @@ struct SnapshotDelta {
 
   /// Size of Serialize()'s output without building the string (cost model).
   size_t WireBytes() const;
+  /// WireBytes() of the full form carrying `snapshot`.
+  static size_t FullWireBytes(const SnapshotDescriptor& snapshot);
   std::string Serialize() const;
   static Result<SnapshotDelta> Deserialize(std::string_view data);
 

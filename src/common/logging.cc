@@ -1,13 +1,10 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace tell {
 namespace {
-
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kWarn)};
 
 std::mutex& LogMutex() {
   static std::mutex* mu = new std::mutex();
@@ -35,14 +32,6 @@ void Emit(LogLevel level, const std::string& text) {
 }
 
 }  // namespace
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
 
 namespace internal {
 

@@ -9,10 +9,9 @@ namespace tell {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Global minimum level; messages below it are dropped. Default kWarn so
-/// tests and benchmarks stay quiet.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+/// Minimum level; messages below it are dropped. kWarn keeps tests and
+/// benchmarks quiet.
+inline constexpr LogLevel kMinLogLevel = LogLevel::kWarn;
 
 namespace internal {
 
@@ -59,7 +58,7 @@ class FatalLogMessage {
 }  // namespace tell
 
 #define TELL_LOG(level)                                        \
-  if (::tell::LogLevel::level < ::tell::GetLogLevel()) {       \
+  if (::tell::LogLevel::level < ::tell::kMinLogLevel) {       \
   } else                                                       \
     ::tell::internal::LogMessage(::tell::LogLevel::level, __FILE__, __LINE__)
 

@@ -213,7 +213,7 @@ Status TellDb::ExecuteDdl(const std::string& sql) {
     index::BTree tree(index.store_table, options_.btree, &backfill_cache);
     TELL_ASSIGN_OR_RETURN(
         std::vector<store::KeyCell> cells,
-        admin_client()->Scan(existing->data_table, "", "", /*limit=*/0));
+        admin_client()->Scan(existing->data_table, "", ""));
     for (const store::KeyCell& cell : cells) {
       if (cell.key.size() != sizeof(uint64_t)) continue;  // meta cells
       auto record = schema::VersionedRecord::Deserialize(cell.value);

@@ -15,12 +15,9 @@ namespace tell::exec {
 /// A submitted task: just a fiber. The scheduler owns the allocation and
 /// frees it when the body returns.
 struct Runtime::Task {
-  Task(std::function<void()> body, size_t stack_bytes, bool pinned)
-      : fiber(std::move(body), stack_bytes), pinned(pinned) {}
+  Task(std::function<void()> body, size_t stack_bytes)
+      : fiber(std::move(body), stack_bytes) {}
   Fiber fiber;
-  /// Pinned tasks stay on their submit queue: thieves skip them, so the
-  /// task only ever runs on its home core (see Submit with queue_hint).
-  const bool pinned;
 };
 
 /// One run queue. The owning worker pops from the front (FIFO — this is
@@ -47,22 +44,12 @@ Runtime::~Runtime() {
 }
 
 void Runtime::Submit(std::function<void()> body) {
-  Task* task = new Task(std::move(body), options_.stack_bytes,
-                        /*pinned=*/false);
+  Task* task = new Task(std::move(body), options_.stack_bytes);
   std::lock_guard<std::mutex> lock(mutex_);
   TELL_CHECK(!done_);
   const uint32_t target = next_queue_;
   next_queue_ = (next_queue_ + 1) % static_cast<uint32_t>(cores_.size());
   EnqueueLocked(task, target);
-}
-
-void Runtime::Submit(std::function<void()> body, uint64_t queue_hint) {
-  Task* task = new Task(std::move(body), options_.stack_bytes,
-                        /*pinned=*/true);
-  std::lock_guard<std::mutex> lock(mutex_);
-  TELL_CHECK(!done_);
-  EnqueueLocked(task,
-                static_cast<uint32_t>(queue_hint % cores_.size()));
 }
 
 void Runtime::EnqueueLocked(Task* task, uint32_t target) {
@@ -73,19 +60,9 @@ void Runtime::EnqueueLocked(Task* task, uint32_t target) {
                            static_cast<uint64_t>(cores_[target]->queue.size()));
   if (parked_ > 0) {
     ++cs.unparks;
-    if (task->pinned) {
-      // A pinned task runs only on its home core, but notify_one may land on
-      // a core that skips it in the steal loop, finds nothing and re-parks —
-      // consuming the wakeup while the home core stays parked, stranding the
-      // task. Wake everyone; non-home cores simply re-park.
-      work_cv_.notify_all();
-    } else {
-      work_cv_.notify_one();
-    }
+    work_cv_.notify_one();
   }
 }
-
-bool Runtime::InTask() { return Fiber::Current() != nullptr; }
 
 void Runtime::Yield() {
   if (Fiber::Current() != nullptr) Fiber::Yield();
@@ -104,17 +81,12 @@ Runtime::Task* Runtime::FindWork(uint32_t core_id,
     }
     for (uint32_t j = 1; j < cores_.size(); ++j) {
       Core& victim = *cores_[(core_id + j) % cores_.size()];
-      // Oldest-first from the back, skipping pinned tasks: those may only
-      // run on their home core (its own front-pop finds them; a core never
-      // parks while its queue is non-empty, so they cannot be stranded).
-      for (auto it = victim.queue.rbegin(); it != victim.queue.rend(); ++it) {
-        if ((*it)->pinned) continue;
-        Task* task = *it;
-        victim.queue.erase(std::next(it).base());
-        --queued_;
-        ++stats_.cores[core_id].steals;
-        return task;
-      }
+      if (victim.queue.empty()) continue;
+      Task* task = victim.queue.back();
+      victim.queue.pop_back();
+      --queued_;
+      ++stats_.cores[core_id].steals;
+      return task;
     }
     // Nothing queued anywhere. If nothing is running either, the run is
     // over (running tasks may still Submit or yield, so both must be

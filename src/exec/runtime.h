@@ -92,11 +92,6 @@ class Runtime {
   /// callable before Run() and from inside tasks while Run() is live.
   void Submit(std::function<void()> body);
 
-  /// Enqueues a task PINNED to run queue `queue_hint % threads`: thieves
-  /// skip it, so it only ever runs on that core. Pinning trades load
-  /// balance for locality — skewed hints leave cores idle.
-  void Submit(std::function<void()> body, uint64_t queue_hint);
-
   /// Runs every submitted task to completion. Blocks the caller; the
   /// executor threads are spawned here and joined before returning.
   void Run();
@@ -105,9 +100,6 @@ class Runtime {
   const RuntimeStats& stats() const { return stats_; }
 
   const RuntimeOptions& options() const { return options_; }
-
-  /// True when the calling thread is an executor thread inside a task.
-  static bool InTask();
 
   /// Cooperative reschedule from inside a task: the task goes to the back
   /// of its queue and the core runs someone else. No-op outside a task (so

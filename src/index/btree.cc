@@ -255,12 +255,6 @@ void NodeCache::Erase(uint64_t node_id) {
   nodes_.erase(it);
 }
 
-void NodeCache::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  nodes_.clear();
-  lru_.clear();
-}
-
 size_t NodeCache::entries() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return nodes_.size();
@@ -332,7 +326,6 @@ struct BTree::Riders {
 
 BTree::Prepared::Prepared() = default;
 BTree::Prepared::~Prepared() = default;
-BTree::Prepared::Prepared(Prepared&&) noexcept = default;
 BTree::Prepared& BTree::Prepared::operator=(Prepared&&) noexcept = default;
 
 Status BTree::Create(store::StorageClient* client, store::TableId table) {
@@ -416,15 +409,6 @@ Status BTree::Insert(store::StorageClient* client, std::string_view key,
   std::vector<bool> inserted;
   return BatchInsert(client, {{this, std::string(key), rid, unique}},
                      &inserted);
-}
-
-Status BTree::Remove(store::StorageClient* client, std::string_view key,
-                     uint64_t rid) {
-  std::vector<bool> removed;
-  return BatchInsert(client,
-                     {{this, std::string(key), rid, /*unique=*/false,
-                       /*remove=*/true}},
-                     &removed);
 }
 
 Result<std::vector<uint64_t>> BTree::Lookup(store::StorageClient* client,
@@ -1281,18 +1265,6 @@ Result<std::vector<IndexEntry>> BTree::RangeScan(store::StorageClient* client,
     cursor.entries.resize(limit);
   }
   return std::move(cursor.entries);
-}
-
-Result<uint32_t> BTree::Height(store::StorageClient* client) {
-  uint32_t height = 1;
-  TELL_ASSIGN_OR_RETURN(Node node, ReadNodeUncached(client, kRootId));
-  while (!node.is_leaf()) {
-    TELL_CHECK(!node.entries.empty());
-    TELL_ASSIGN_OR_RETURN(node,
-                          ReadNodeUncached(client, node.entries.front().rid));
-    ++height;
-  }
-  return height;
 }
 
 }  // namespace tell::index

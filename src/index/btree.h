@@ -94,7 +94,6 @@ class NodeCache {
   bool Get(uint64_t node_id, std::string* value, uint64_t* stamp);
   void Put(uint64_t node_id, std::string value, uint64_t stamp);
   void Erase(uint64_t node_id);
-  void Clear();
 
   /// Moves up to `n` node ids of this PN's id block into `ids`.
   void TakeNodeIds(size_t n, std::vector<uint64_t>* ids);
@@ -142,7 +141,7 @@ class NodeCache {
 ///
 /// Indexes are version-unaware (§5.3.2): one entry per record, no version
 /// information, so readers must validate fetched records against their
-/// snapshot and may GC obsolete entries via Remove().
+/// snapshot and may GC obsolete entries (a BatchInsert op with `remove`).
 ///
 /// The BTree object itself is a cheap per-PN handle: tree identity is the
 /// storage table, the inner-node cache is shared per PN, and every method
@@ -180,7 +179,7 @@ class BTree {
   /// `inserted` (resized to ops.size()) reports per op whether it took
   /// effect when the call returns — an insert's entry is durably in its
   /// tree, a remove's entry is gone. On failure the caller uses it to undo
-  /// a partial batch (Remove is idempotent). PrepareInsert + WriteInsert.
+  /// a partial batch (a remove is idempotent). PrepareInsert + WriteInsert.
   static Status BatchInsert(store::StorageClient* client,
                             const std::vector<BatchInsertOp>& ops,
                             std::vector<bool>* inserted);
@@ -234,11 +233,6 @@ class BTree {
                             std::vector<Result<uint64_t>>* rider_results =
                                 nullptr);
 
-  /// Removes the entry (key, rid). OK even if absent (idempotent — index GC
-  /// races are benign). A one-op BatchInsert.
-  Status Remove(store::StorageClient* client, std::string_view key,
-                uint64_t rid);
-
   /// All rids stored under exactly `key`. A one-key BatchLookup.
   Result<std::vector<uint64_t>> Lookup(store::StorageClient* client,
                                        std::string_view key);
@@ -269,9 +263,6 @@ class BTree {
                                             std::string_view start,
                                             std::string_view end,
                                             size_t limit);
-
-  /// Tree height (root to leaf, 1 = root is a leaf). Test/diagnostic helper.
-  Result<uint32_t> Height(store::StorageClient* client);
 
  private:
   struct Node;
@@ -398,7 +389,6 @@ class BTree::Prepared {
  public:
   Prepared();
   ~Prepared();
-  Prepared(Prepared&&) noexcept;
   Prepared& operator=(Prepared&&) noexcept;
 
   /// Per op: whether it is in effect — after PrepareInsert the ops that

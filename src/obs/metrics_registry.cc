@@ -190,20 +190,6 @@ MetricId MetricsRegistry::AddHistogram(std::string name, std::string unit,
                    MetricKind::kHistogram);
 }
 
-std::optional<MetricId> MetricsRegistry::Find(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (MetricId id = 0; id < defs_.size(); ++id) {
-    if (defs_[id].name == name) return id;
-  }
-  return std::nullopt;
-}
-
-void MetricsRegistry::SetGauge(MetricId id, uint64_t value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  TELL_CHECK(id < defs_.size() && defs_[id].kind == MetricKind::kGauge);
-  gauges_[id] = value;
-}
-
 bool MetricsRegistry::SetGauge(std::string_view name, uint64_t value) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (MetricId id = 0; id < defs_.size(); ++id) {

@@ -75,11 +75,10 @@ class MetricsRegistry {
   MetricId AddGauge(std::string name, std::string unit, std::string help);
   MetricId AddHistogram(std::string name, std::string unit, std::string help);
 
-  std::optional<MetricId> Find(std::string_view name) const;
   const std::vector<MetricDef>& metrics() const { return defs_; }
 
-  /// Sets a gauge to an absolute value (last write wins).
-  void SetGauge(MetricId id, uint64_t value);
+  /// Sets a gauge to an absolute value (last write wins). False when no
+  /// gauge has that name.
   bool SetGauge(std::string_view name, uint64_t value);
 
   /// Folds a worker's native metrics into the registry via the descriptor

@@ -4,18 +4,6 @@
 
 namespace tell::schema {
 
-std::string_view ColumnTypeName(ColumnType type) {
-  switch (type) {
-    case ColumnType::kInt64:
-      return "INT";
-    case ColumnType::kDouble:
-      return "DOUBLE";
-    case ColumnType::kString:
-      return "VARCHAR";
-  }
-  return "?";
-}
-
 Schema::Schema(std::vector<Column> columns, std::vector<uint32_t> primary_key)
     : columns_(std::move(columns)), primary_key_(std::move(primary_key)) {
   for (uint32_t i = 0; i < columns_.size(); ++i) {

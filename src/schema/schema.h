@@ -19,8 +19,6 @@ enum class ColumnType : uint8_t {
   kString = 2,
 };
 
-std::string_view ColumnTypeName(ColumnType type);
-
 struct Column {
   std::string name;
   ColumnType type;

@@ -120,14 +120,6 @@ Result<Tuple> Tuple::Deserialize(const Schema& schema, std::string_view data) {
   return tuple;
 }
 
-bool Tuple::operator==(const Tuple& other) const {
-  if (values_.size() != other.values_.size()) return false;
-  for (size_t i = 0; i < values_.size(); ++i) {
-    if (CompareValues(values_[i], other.values_[i]) != 0) return false;
-  }
-  return true;
-}
-
 namespace {
 
 Status AppendKeyValue(const Value& v, std::string* out) {

@@ -46,7 +46,6 @@ class Tuple {
   static Result<Tuple> Deserialize(const Schema& schema,
                                    std::string_view data);
 
-  bool operator==(const Tuple& other) const;
 
  private:
   std::vector<Value> values_;

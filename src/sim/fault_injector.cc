@@ -2,42 +2,6 @@
 
 namespace tell::sim {
 
-const char* FaultOpClassName(FaultOpClass op) {
-  switch (op) {
-    case FaultOpClass::kAny: return "any";
-    case FaultOpClass::kGet: return "get";
-    case FaultOpClass::kPut: return "put";
-    case FaultOpClass::kConditionalPut: return "conditional_put";
-    case FaultOpClass::kErase: return "erase";
-    case FaultOpClass::kConditionalErase: return "conditional_erase";
-    case FaultOpClass::kScan: return "scan";
-    case FaultOpClass::kAtomicIncrement: return "atomic_increment";
-    case FaultOpClass::kCommitMgrStart: return "commitmgr_start";
-    case FaultOpClass::kCommitMgrFinish: return "commitmgr_finish";
-    case FaultOpClass::kOneSidedGet: return "one_sided_get";
-  }
-  return "unknown";
-}
-
-std::string FaultRule::ToString() const {
-  static const char* kKindNames[] = {"drop_request", "drop_response",
-                                     "latency_spike", "kill_node",
-                                     "kill_commit_leader"};
-  std::string out = kKindNames[static_cast<uint32_t>(kind)];
-  out += "(op=";
-  out += FaultOpClassName(op);
-  out += " table=" + std::to_string(table);
-  out += " skip=" + std::to_string(skip_matches);
-  out += " p=" + std::to_string(probability);
-  out += " fires=" + std::to_string(max_fires);
-  if (kind == Kind::kLatencySpike) {
-    out += " latency_ns=" + std::to_string(latency_ns);
-  }
-  if (kind == Kind::kKillNode) out += " node=" + std::to_string(node);
-  out += ")";
-  return out;
-}
-
 FaultPlan FaultPlan::Randomized(uint64_t seed, uint32_t num_nodes,
                                 bool allow_node_kill) {
   FaultPlan plan;

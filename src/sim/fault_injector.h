@@ -34,8 +34,6 @@ enum class FaultOpClass : uint32_t {
   kOneSidedGet,
 };
 
-const char* FaultOpClassName(FaultOpClass op);
-
 /// One rule of a fault plan. A rule observes the stream of storage requests
 /// that match its (op, table) filter and fires on some of them:
 ///
@@ -90,8 +88,6 @@ struct FaultRule {
   uint64_t latency_ns = 0;
   /// kKillNode: storage node to crash-stop.
   uint32_t node = 0;
-
-  std::string ToString() const;
 };
 
 /// A deterministic fault plan: a seed plus an ordered rule list. Every

@@ -21,7 +21,7 @@ Cluster::Cluster(const ClusterOptions& options) : options_(options) {
 }
 
 Result<TableId> Cluster::CreateTable(const std::string& name) {
-  std::unique_lock lock(catalog_mutex_);
+  std::lock_guard lock(catalog_mutex_);
   if (catalog_.find(name) != catalog_.end()) {
     return Status::AlreadyExists("table '" + name + "' exists");
   }
@@ -45,13 +45,6 @@ Result<TableId> Cluster::CreateTable(const std::string& name) {
   }
   catalog_.emplace(name, id);
   return id;
-}
-
-Result<TableId> Cluster::TableByName(const std::string& name) const {
-  std::shared_lock lock(catalog_mutex_);
-  auto it = catalog_.find(name);
-  if (it == catalog_.end()) return Status::NotFound("table '" + name + "'");
-  return it->second;
 }
 
 Result<Cluster::Route> Cluster::RouteFor(TableId table,
@@ -111,8 +104,7 @@ Result<int64_t> Cluster::AtomicIncrement(TableId table, std::string_view key,
 
 Result<std::vector<KeyCell>> Cluster::Scan(TableId table,
                                            std::string_view start_key,
-                                           std::string_view end_key,
-                                           size_t limit, bool reverse) const {
+                                           std::string_view end_key) const {
   TELL_ASSIGN_OR_RETURN(uint32_t num_partitions,
                         partition_map_.NumPartitions(table));
   std::vector<KeyCell> merged;
@@ -120,18 +112,12 @@ Result<std::vector<KeyCell>> Cluster::Scan(TableId table,
     TELL_ASSIGN_OR_RETURN(Route route, RouteForPartition(table, p));
     TELL_ASSIGN_OR_RETURN(
         std::vector<KeyCell> part,
-        route.master->Scan(table, p, start_key, end_key, limit, reverse));
+        route.master->Scan(table, p, start_key, end_key));
     merged.insert(merged.end(), std::make_move_iterator(part.begin()),
                   std::make_move_iterator(part.end()));
   }
-  if (reverse) {
-    std::sort(merged.begin(), merged.end(),
-              [](const KeyCell& a, const KeyCell& b) { return a.key > b.key; });
-  } else {
-    std::sort(merged.begin(), merged.end(),
-              [](const KeyCell& a, const KeyCell& b) { return a.key < b.key; });
-  }
-  if (limit != 0 && merged.size() > limit) merged.resize(limit);
+  std::sort(merged.begin(), merged.end(),
+            [](const KeyCell& a, const KeyCell& b) { return a.key < b.key; });
   return merged;
 }
 
@@ -144,11 +130,6 @@ Status Cluster::FragmentScan(TableId table, uint32_t partition,
 }
 
 StorageNode* Cluster::node(uint32_t node_id) {
-  TELL_CHECK(node_id < nodes_.size());
-  return nodes_[node_id].get();
-}
-
-const StorageNode* Cluster::node(uint32_t node_id) const {
   TELL_CHECK(node_id < nodes_.size());
   return nodes_[node_id].get();
 }

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -53,9 +53,6 @@ class Cluster {
   /// Creates a table spread across all live storage nodes. Returns its id.
   Result<TableId> CreateTable(const std::string& name);
 
-  /// Id of an existing table.
-  Result<TableId> TableByName(const std::string& name) const;
-
   // --- Record operations (routed to the master copy, replicated) ---------
 
   Result<VersionedCell> Get(TableId table, std::string_view key) const;
@@ -73,10 +70,9 @@ class Cluster {
                                   int64_t delta);
 
   /// Ordered scan of [start_key, end_key) merged across all partitions of
-  /// the table. `limit` 0 = unlimited; `reverse` walks keys descending.
+  /// the table.
   Result<std::vector<KeyCell>> Scan(TableId table, std::string_view start_key,
-                                    std::string_view end_key, size_t limit,
-                                    bool reverse = false) const;
+                                    std::string_view end_key) const;
 
   /// Runs a vectorized scan fragment over ONE partition of a table on its
   /// master node (DESIGN.md "Vectorized scans & aggregate pushdown"). The
@@ -87,7 +83,6 @@ class Cluster {
   // --- Topology ----------------------------------------------------------
 
   StorageNode* node(uint32_t node_id);
-  const StorageNode* node(uint32_t node_id) const;
   uint32_t num_nodes() const { return static_cast<uint32_t>(nodes_.size()); }
   PartitionMap& partition_map() { return partition_map_; }
   const PartitionMap& partition_map() const { return partition_map_; }
@@ -127,7 +122,7 @@ class Cluster {
   PartitionMap partition_map_;
   LeaseEpochTable lease_epochs_;
 
-  mutable std::shared_mutex catalog_mutex_;
+  std::mutex catalog_mutex_;
   std::map<std::string, TableId> catalog_;
   TableId next_table_id_ = 1;
 };

@@ -39,7 +39,6 @@ Status PartitionMap::AddTable(TableId table, uint32_t num_partitions,
     }
   }
   tables_.emplace(table, std::move(info));
-  ++version_;
   return Status::OK();
 }
 
@@ -85,7 +84,6 @@ Status PartitionMap::PromoteReplica(TableId table, uint32_t partition,
   }
   placement.replicas.erase(rit);
   placement.master = new_master;
-  ++version_;
   return Status::OK();
 }
 
@@ -104,7 +102,6 @@ Status PartitionMap::AddReplica(TableId table, uint32_t partition,
     return Status::AlreadyExists("node already hosts this partition");
   }
   placement.replicas.push_back(node_id);
-  ++version_;
   return Status::OK();
 }
 
@@ -116,7 +113,6 @@ Status PartitionMap::FreezeWrites(TableId table, uint32_t partition) {
     return Status::InvalidArgument("partition out of range");
   }
   it->second.placements[partition].write_frozen = true;
-  ++version_;
   return Status::OK();
 }
 
@@ -128,7 +124,6 @@ Status PartitionMap::UnfreezeWrites(TableId table, uint32_t partition) {
     return Status::InvalidArgument("partition out of range");
   }
   it->second.placements[partition].write_frozen = false;
-  ++version_;
   return Status::OK();
 }
 
@@ -148,7 +143,6 @@ Status PartitionMap::MovePartitionMaster(TableId table, uint32_t partition,
                                        placement.replicas.end(), new_master),
                            placement.replicas.end());
   placement.master = new_master;
-  ++version_;
   return Status::OK();
 }
 
@@ -167,13 +161,7 @@ std::vector<std::pair<TableId, uint32_t>> PartitionMap::RemoveNode(
                                placement.replicas.end());
     }
   }
-  ++version_;
   return orphaned_masters;
-}
-
-uint64_t PartitionMap::version() const {
-  std::shared_lock lock(mutex_);
-  return version_;
 }
 
 std::vector<std::pair<TableId, uint32_t>> PartitionMap::AllPartitions() const {

@@ -33,9 +33,7 @@ struct PartitionPlacement {
 /// scheme RamCloud uses for its tables. Each partition has a master copy and
 /// RF-1 synchronously maintained backups on distinct nodes.
 ///
-/// Processing nodes cache this map; it only changes on fail-over or
-/// elasticity events, at which point the map's version counter bumps and
-/// clients refresh.
+/// The map changes only on fail-over, migration and elasticity events.
 class PartitionMap {
  public:
   PartitionMap() = default;
@@ -82,10 +80,6 @@ class PartitionMap {
   /// list of partitions that lost their *master* copy and need promotion.
   std::vector<std::pair<TableId, uint32_t>> RemoveNode(uint32_t node_id);
 
-  /// Bumped on every placement change; clients compare against their cached
-  /// copy to know when to refresh.
-  uint64_t version() const;
-
   /// All (table, partition) pairs currently mapped (management / tests).
   std::vector<std::pair<TableId, uint32_t>> AllPartitions() const;
 
@@ -100,7 +94,6 @@ class PartitionMap {
 
   mutable std::shared_mutex mutex_;
   std::map<TableId, TableInfo> tables_;
-  uint64_t version_ = 1;
 };
 
 }  // namespace tell::store

@@ -403,12 +403,11 @@ BatchResults StorageClient::BatchReadWrite(const std::vector<GetOp>& gets,
 
 Result<std::vector<KeyCell>> StorageClient::Scan(TableId table,
                                                  std::string_view start_key,
-                                                 std::string_view end_key,
-                                                 size_t limit, bool reverse) {
+                                                 std::string_view end_key) {
   metrics_->storage_ops += 1;
   clock_->Advance(options_.cpu.per_op_ns);
   auto result = IssueWithRetry(sim::FaultOpClass::kScan, table, [&] {
-    return cluster_->Scan(table, start_key, end_key, limit, reverse);
+    return cluster_->Scan(table, start_key, end_key);
   });
   uint64_t response_bytes = 16;
   if (result.ok()) {

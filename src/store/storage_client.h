@@ -168,8 +168,7 @@ class StorageClient {
 
   /// Ordered scan; partition scans are issued in parallel.
   Result<std::vector<KeyCell>> Scan(TableId table, std::string_view start_key,
-                                    std::string_view end_key, size_t limit,
-                                    bool reverse = false);
+                                    std::string_view end_key);
 
   /// Vectorized fragment fan-out (DESIGN.md "Vectorized scans & aggregate
   /// pushdown"): runs one sink per partition of `table` through the chunked

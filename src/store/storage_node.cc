@@ -129,47 +129,27 @@ std::vector<std::unique_lock<std::shared_mutex>> StorageNode::LockAllExclusive(
 
 template <typename Emit>
 void StorageNode::MergeScan(const Partition& part, std::string_view start_key,
-                            std::string_view end_key, bool reverse,
-                            Emit&& emit) {
+                            std::string_view end_key, Emit&& emit) {
   using Iter = CellMap::const_iterator;
   const size_t n = part.stripes.size();
-  std::vector<Iter> lo(n), hi(n), cur(n);
+  std::vector<Iter> cur(n), hi(n);
   for (size_t s = 0; s < n; ++s) {
     const auto& cells = part.stripes[s].cells;
-    lo[s] = cells.lower_bound(start_key);
+    cur[s] = cells.lower_bound(start_key);
     hi[s] = end_key.empty() ? cells.end() : cells.lower_bound(end_key);
   }
-  // Linear min/max pick across the per-stripe runs. Stripe counts are small
+  // Linear min pick across the per-stripe runs. Stripe counts are small
   // (<= a few dozen), so this beats a heap in both simplicity and constant
   // factor; with one stripe it degenerates to the old single-map walk.
-  if (!reverse) {
-    cur = lo;
-    for (;;) {
-      size_t best = n;
-      for (size_t s = 0; s < n; ++s) {
-        if (cur[s] == hi[s]) continue;
-        if (best == n || cur[s]->first < cur[best]->first) best = s;
-      }
-      if (best == n) return;
-      if (!emit(cur[best]->first, cur[best]->second)) return;
-      ++cur[best];
+  for (;;) {
+    size_t best = n;
+    for (size_t s = 0; s < n; ++s) {
+      if (cur[s] == hi[s]) continue;
+      if (best == n || cur[s]->first < cur[best]->first) best = s;
     }
-  } else {
-    cur = hi;  // cur[s] is one past the next cell to emit from stripe s
-    for (;;) {
-      size_t best = n;
-      for (size_t s = 0; s < n; ++s) {
-        if (cur[s] == lo[s]) continue;
-        if (best == n ||
-            std::prev(cur[s])->first > std::prev(cur[best])->first) {
-          best = s;
-        }
-      }
-      if (best == n) return;
-      Iter pick = std::prev(cur[best]);
-      if (!emit(pick->first, pick->second)) return;
-      cur[best] = pick;
-    }
+    if (best == n) return;
+    if (!emit(cur[best]->first, cur[best]->second)) return;
+    ++cur[best];
   }
 }
 
@@ -271,29 +251,25 @@ Result<uint64_t> StorageNode::Write(uint32_t partition, const WriteOp& op,
   return stamp;
 }
 
-Result<std::vector<KeyCell>> StorageNode::Scan(TableId table,
-                                               uint32_t partition,
-                                               std::string_view start_key,
-                                               std::string_view end_key,
-                                               size_t limit,
-                                               bool reverse) const {
+Result<std::vector<KeyCell>> StorageNode::Scan(
+    TableId table, uint32_t partition, std::string_view start_key,
+    std::string_view end_key) const {
   TELL_RETURN_NOT_OK(CheckAlive());
   stats_.scans.fetch_add(1, std::memory_order_relaxed);
   Partition* part = FindPartition(table, partition);
   if (part == nullptr) return Status::NotFound("no such partition");
   auto locks = LockAllShared(*part);
-  size_t total = 0;
-  for (const Stripe& stripe : part->stripes) total += stripe.cells.size();
   std::vector<KeyCell> out;
-  if (limit != 0) {
-    out.reserve(std::min(limit, total));
-  } else if (start_key.empty() && end_key.empty()) {
-    out.reserve(total);  // full walk (log replay, bootstrap): exact size
+  if (start_key.empty() && end_key.empty()) {
+    // Full walk (log replay, bootstrap): exact size.
+    size_t total = 0;
+    for (const Stripe& stripe : part->stripes) total += stripe.cells.size();
+    out.reserve(total);
   }
-  MergeScan(*part, start_key, end_key, reverse,
+  MergeScan(*part, start_key, end_key,
             [&](const std::string& key, const VersionedCell& cell) {
               out.push_back({key, cell.value, cell.stamp});
-              return limit == 0 || out.size() < limit;
+              return true;
             });
   stats_.cells_scanned.fetch_add(out.size(), std::memory_order_relaxed);
   return out;
@@ -325,7 +301,7 @@ Status StorageNode::FragmentScan(TableId table, uint32_t partition,
     {
       auto locks = LockAllShared(*part);
       more = false;
-      MergeScan(*part, cursor, "", /*reverse=*/false,
+      MergeScan(*part, cursor, "",
                 [&](const std::string& key, const VersionedCell& cell) {
                   if (batch.size() == chunk_cells) {
                     more = true;  // at least one cell past this chunk
@@ -400,7 +376,7 @@ Result<std::vector<KeyCell>> StorageNode::DumpPartition(
   for (const Stripe& stripe : part->stripes) total += stripe.cells.size();
   std::vector<KeyCell> out;
   out.reserve(total);
-  MergeScan(*part, "", "", /*reverse=*/false,
+  MergeScan(*part, "", "",
             [&](const std::string& key, const VersionedCell& cell) {
               out.push_back({key, cell.value, cell.stamp});
               return true;
@@ -455,7 +431,7 @@ Result<std::vector<KeyCell>> StorageNode::DumpPartitionSince(
   if (part == nullptr) return Status::NotFound("no such partition");
   auto locks = LockAllShared(*part);
   std::vector<KeyCell> out;
-  MergeScan(*part, "", "", /*reverse=*/false,
+  MergeScan(*part, "", "",
             [&](const std::string& key, const VersionedCell& cell) {
               if (cell.stamp >= min_stamp) {
                 out.push_back({key, cell.value, cell.stamp});
@@ -486,7 +462,7 @@ Result<std::vector<MigrationOp>> StorageNode::SealPartitionAndDump(
   // write can slip in between the final delta and the seal.
   part->sealed.store(true, std::memory_order_relaxed);
   std::vector<MigrationOp> out;
-  MergeScan(*part, "", "", /*reverse=*/false,
+  MergeScan(*part, "", "",
             [&](const std::string& key, const VersionedCell& cell) {
               if (cell.stamp >= min_stamp) {
                 out.push_back({key, cell.value, cell.stamp, false});

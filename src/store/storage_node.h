@@ -150,13 +150,10 @@ class StorageNode {
   Result<uint64_t> Write(uint32_t partition, const WriteOp& op,
                          const std::vector<StorageNode*>& backups = {});
 
-  /// Ordered scan of [start_key, end_key) within one partition, at most
-  /// `limit` cells (0 = unlimited). `reverse` scans from the end backwards
-  /// (used by recovery's backwards log walk).
+  /// Ordered scan of [start_key, end_key) within one partition.
   Result<std::vector<KeyCell>> Scan(TableId table, uint32_t partition,
                                     std::string_view start_key,
-                                    std::string_view end_key, size_t limit,
-                                    bool reverse = false) const;
+                                    std::string_view end_key) const;
 
   /// Storage-side scan with pushed-down operators (paper §5.2; DESIGN.md
   /// "Vectorized scans & aggregate pushdown"): streams the partition through
@@ -371,12 +368,12 @@ class StorageNode {
       const Partition& part) const;
 
   /// Shared merge-scan core of Scan / FragmentScan / DumpPartition. Walks
-  /// the per-stripe sorted runs of [start_key, end_key) in key order
-  /// (descending when `reverse`), calling `emit` for each cell until it
-  /// returns false. Caller must hold every stripe lock.
+  /// the per-stripe sorted runs of [start_key, end_key) in key order,
+  /// calling `emit` for each cell until it returns false. Caller must hold
+  /// every stripe lock.
   template <typename Emit>
   static void MergeScan(const Partition& part, std::string_view start_key,
-                        std::string_view end_key, bool reverse, Emit&& emit);
+                        std::string_view end_key, Emit&& emit);
 
   struct AtomicStats {
     std::atomic<uint64_t> gets{0};

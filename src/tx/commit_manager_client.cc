@@ -17,11 +17,6 @@ constexpr uint64_t kStartRequestBytes = 16;
 constexpr uint64_t kStartResponseHeaderBytes = 24;
 constexpr uint64_t kFinishRequestBytes = 12;
 constexpr uint64_t kFinishResponseBytes = 4;
-// Full-form SnapshotDelta wire size for a given descriptor: the 13-byte
-// envelope + u32 length prefix + the serialized descriptor.
-uint64_t FullWireBytes(const commitmgr::SnapshotDescriptor& snapshot) {
-  return 13 + 4 + snapshot.SerializedBytes();
-}
 // Deferred finishes are bounded so a worker that stops beginning
 // transactions cannot accumulate uncharged messages without limit.
 constexpr size_t kMaxDeferredFinishes = 64;
@@ -255,7 +250,8 @@ Result<commitmgr::TxnBegin> CommitManagerClient::Begin(uint32_t pn_id) {
     m->cm_full_syncs += 1;
   } else {
     m->cm_delta_syncs += 1;
-    uint64_t full_bytes = FullWireBytes(cache.snapshot);
+    uint64_t full_bytes =
+        commitmgr::SnapshotDelta::FullWireBytes(cache.snapshot);
     uint64_t delta_bytes = delta.WireBytes();
     if (full_bytes > delta_bytes) {
       m->cm_delta_bytes_saved += full_bytes - delta_bytes;

@@ -14,7 +14,7 @@ Result<GcStats> GarbageCollector::SweepTable(store::StorageClient* client,
   Tid lav = commit_managers_->GlobalLav();
   store::TableId data_table = table->meta->data_table;
   TELL_ASSIGN_OR_RETURN(std::vector<store::KeyCell> cells,
-                        client->Scan(data_table, "", "", /*limit=*/0));
+                        client->Scan(data_table, "", ""));
   // Judge every record first, then act in two batched rounds whatever the
   // number of records: one BatchInsert removes the index entries of every
   // dead record, then one BatchWrite erases the dead records and rewrites

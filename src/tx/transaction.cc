@@ -1113,12 +1113,4 @@ Status Transaction::Abort() {
   return Status::OK();
 }
 
-size_t Transaction::PendingWrites() const {
-  size_t count = 0;
-  for (const auto& [key, state] : buffer_) {
-    if (state.dirty) ++count;
-  }
-  return count;
-}
-
 }  // namespace tell::tx

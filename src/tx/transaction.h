@@ -313,9 +313,6 @@ class Transaction {
   /// notified.
   Status Abort();
 
-  /// Number of buffered (dirty) records (tests).
-  size_t PendingWrites() const;
-
  private:
   struct RecordState {
     schema::VersionedRecord record;

@@ -38,11 +38,6 @@ Result<LogEntry> LogEntry::Deserialize(std::string_view data) {
   return entry;
 }
 
-Status TransactionLog::Append(store::StorageClient* client,
-                              const LogEntry& entry) const {
-  return Appended(client, client->BatchWrite({AppendOp(entry)}).front());
-}
-
 store::WriteOp TransactionLog::AppendOp(const LogEntry& entry) const {
   return {table_, EncodeOrderedU64(entry.tid), entry.Serialize(),
           store::kStampAbsent};
@@ -65,27 +60,17 @@ store::WriteOp TransactionLog::MarkCommittedOp(LogEntry entry) const {
           store::kStampAbsent, /*conditional=*/false};
 }
 
-Result<std::optional<LogEntry>> TransactionLog::Get(
-    store::StorageClient* client, Tid tid) const {
-  auto cell = client->Get(table_, EncodeOrderedU64(tid));
-  if (cell.status().IsNotFound()) return std::optional<LogEntry>{};
-  TELL_RETURN_NOT_OK(cell.status());
-  TELL_ASSIGN_OR_RETURN(LogEntry entry, LogEntry::Deserialize(cell->value));
-  return std::optional<LogEntry>(std::move(entry));
-}
-
 Result<std::vector<LogEntry>> TransactionLog::ScanBackwards(
     store::StorageClient* client, Tid from_tid, Tid lav) const {
   // Entries with tid in (lav, from_tid].
   std::string start = EncodeOrderedU64(lav + 1);
   std::string end = EncodeOrderedU64(from_tid + 1);
-  TELL_ASSIGN_OR_RETURN(
-      std::vector<store::KeyCell> cells,
-      client->Scan(table_, start, end, /*limit=*/0, /*reverse=*/true));
+  TELL_ASSIGN_OR_RETURN(std::vector<store::KeyCell> cells,
+                        client->Scan(table_, start, end));
   std::vector<LogEntry> entries;
   entries.reserve(cells.size());
-  for (const auto& cell : cells) {
-    TELL_ASSIGN_OR_RETURN(LogEntry entry, LogEntry::Deserialize(cell.value));
+  for (auto cell = cells.rbegin(); cell != cells.rend(); ++cell) {
+    TELL_ASSIGN_OR_RETURN(LogEntry entry, LogEntry::Deserialize(cell->value));
     entries.push_back(std::move(entry));
   }
   return entries;
@@ -93,9 +78,8 @@ Result<std::vector<LogEntry>> TransactionLog::ScanBackwards(
 
 Result<size_t> TransactionLog::Truncate(store::StorageClient* client,
                                         Tid lav) const {
-  TELL_ASSIGN_OR_RETURN(
-      std::vector<store::KeyCell> cells,
-      client->Scan(table_, "", EncodeOrderedU64(lav + 1), /*limit=*/0));
+  TELL_ASSIGN_OR_RETURN(std::vector<store::KeyCell> cells,
+                        client->Scan(table_, "", EncodeOrderedU64(lav + 1)));
   std::vector<store::WriteOp> erases;
   erases.reserve(cells.size());
   for (const auto& cell : cells) {

@@ -2,7 +2,6 @@
 #define TELL_TX_TRANSACTION_LOG_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,12 +41,10 @@ class TransactionLog {
 
   store::TableId table() const { return table_; }
 
-  /// Appends the entry (must be the first write for this tid).
-  Status Append(store::StorageClient* client, const LogEntry& entry) const;
-
-  /// The put that appends `entry`, for a caller that sends it along with
-  /// other work in one call (Transaction::Commit), and the outcome of the
-  /// append from that put's result — counted as an append.
+  /// The put that appends `entry` (it must be the first write for this
+  /// tid), for a caller that sends it along with other work in one call
+  /// (Transaction::Commit), and the outcome of the append from that put's
+  /// result — counted as an append.
   store::WriteOp AppendOp(const LogEntry& entry) const;
   Status Appended(store::StorageClient* client,
                   const Result<uint64_t>& put) const;
@@ -57,10 +54,6 @@ class TransactionLog {
   /// without reading it back. Transaction::Commit sends it in the first
   /// round after every index entry is in, next to the splits' separators.
   store::WriteOp MarkCommittedOp(LogEntry entry) const;
-
-  /// Reads one entry; nullopt if the tid never logged.
-  Result<std::optional<LogEntry>> Get(store::StorageClient* client,
-                                      Tid tid) const;
 
   /// Entries with tid in (lav, from_tid], newest first. Used by recovery.
   Result<std::vector<LogEntry>> ScanBackwards(store::StorageClient* client,

@@ -15,6 +15,25 @@
 namespace tell::index {
 namespace {
 
+/// Tree height (1 = the root is a leaf): the root's cell, node id 1, starts
+/// with the varint level of the node, and a leaf is level 0.
+Result<uint32_t> Height(store::StorageClient* client, const BTree& tree) {
+  TELL_ASSIGN_OR_RETURN(store::VersionedCell root,
+                        client->Get(tree.table(), tell::EncodeOrderedU64(1)));
+  BufferReader reader(root.value);
+  TELL_ASSIGN_OR_RETURN(uint64_t level, reader.GetVarint());
+  return static_cast<uint32_t>(level + 1);
+}
+
+/// Removes the entry (key, rid) with a one-op BatchInsert.
+Status Remove(store::StorageClient* client, BTree* tree, std::string key,
+              uint64_t rid) {
+  std::vector<bool> removed;
+  return BTree::BatchInsert(
+      client, {{tree, std::move(key), rid, /*unique=*/false, /*remove=*/true}},
+      &removed);
+}
+
 class BTreeTest : public ::testing::Test {
  protected:
   BTreeTest() {
@@ -106,7 +125,7 @@ TEST_F(BTreeTest, SplitsKeepAllKeysReachable) {
     ASSERT_OK(tree.Insert(client.get(), tell::EncodeOrderedU64(i),
                           static_cast<uint64_t>(i + 1), true));
   }
-  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height(client.get()));
+  ASSERT_OK_AND_ASSIGN(uint32_t height, Height(client.get(), tree));
   EXPECT_GE(height, 3u);
   for (int i = 0; i < kKeys; ++i) {
     ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> rids,
@@ -144,13 +163,13 @@ TEST_F(BTreeTest, RemoveDeletesOnlyThatEntry) {
   BTree tree = MakeTree();
   ASSERT_OK(tree.Insert(client.get(), "k", 1, false));
   ASSERT_OK(tree.Insert(client.get(), "k", 2, false));
-  ASSERT_OK(tree.Remove(client.get(), "k", 1));
+  ASSERT_OK(Remove(client.get(), &tree, "k", 1));
   ASSERT_OK_AND_ASSIGN(std::vector<uint64_t> rids,
                        tree.Lookup(client.get(), "k"));
   ASSERT_EQ(rids.size(), 1u);
   EXPECT_EQ(rids[0], 2u);
   // Removing an absent entry is a no-op.
-  EXPECT_OK(tree.Remove(client.get(), "k", 99));
+  EXPECT_OK(Remove(client.get(), &tree, "k", 99));
 }
 
 TEST_F(BTreeTest, RangeScanOrderedAndBounded) {
@@ -379,7 +398,7 @@ TEST_F(BTreeTest, StalePathRestartsFromTheRoot) {
   for (uint64_t k = 6; k < 406; ++k) {
     ASSERT_OK(tree_b.Insert(client.get(), tell::EncodeOrderedU64(k), k, true));
   }
-  ASSERT_OK_AND_ASSIGN(uint32_t height, tree_b.Height(client.get()));
+  ASSERT_OK_AND_ASSIGN(uint32_t height, Height(client.get(), tree_b));
   // A's lookup reads the leaf its cached root names, hops right 64 times,
   // runs out of hops and restarts at the root, reading one node per level
   // from the store.
@@ -449,12 +468,12 @@ TEST_F(BTreeTest, CorruptNodeFailsCleanly) {
   for (uint64_t i = 6; i < 20; ++i) {
     ASSERT_OK(tree.Insert(client.get(), key_of(i), 1000 - 3 * i, false));
   }
-  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height(client.get()));
+  ASSERT_OK_AND_ASSIGN(uint32_t height, Height(client.get(), tree));
   ASSERT_EQ(height, 2u);
   // The left piece of the root's split took the first fresh id, the
   // smallest node id but the root's: the leaf of key 0.
   ASSERT_OK_AND_ASSIGN(std::vector<store::KeyCell> cells,
-                       client->Scan(table_, "", "", 0));
+                       client->Scan(table_, "", ""));
   uint64_t leftmost = UINT64_MAX;
   for (const store::KeyCell& cell : cells) {
     const uint64_t id = tell::DecodeOrderedU64(cell.key);
@@ -550,7 +569,7 @@ TEST_F(BTreeTest, BatchLookupBatchesDescentsWithoutPipelining) {
   expected.push_back({});
   // Warm the inner-node cache, so the batch below reads only the leaves.
   ASSERT_OK(BTree::BatchLookup(client.get(), OnTree(&tree, keys)).status());
-  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height(loader.get()));
+  ASSERT_OK_AND_ASSIGN(uint32_t height, Height(loader.get(), tree));
   ASSERT_EQ(height, 4u);
   uint64_t requests = metrics->storage_requests;
   ASSERT_OK_AND_ASSIGN(std::vector<std::vector<uint64_t>> got,
@@ -665,9 +684,9 @@ class MultiTreeTest : public BTreeTest {
       EXPECT_OK(flat_.tree->Insert(loader_.get(), tell::EncodeOrderedU64(k),
                                    k + 1, true));
     }
-    EXPECT_EQ(*tall_.tree->Height(loader_.get()), 4u);
-    EXPECT_EQ(*short_.tree->Height(loader_.get()), 2u);
-    EXPECT_EQ(*flat_.tree->Height(loader_.get()), 1u);
+    EXPECT_EQ(*Height(loader_.get(), *tall_.tree), 4u);
+    EXPECT_EQ(*Height(loader_.get(), *short_.tree), 2u);
+    EXPECT_EQ(*Height(loader_.get(), *flat_.tree), 1u);
     client_ = MakeClient(store::ClientOptions{});
     metrics_of_client_ = metrics_.back().get();
     for (const TreeKey& k : Keys()) {
@@ -869,7 +888,7 @@ class BatchSplitTest : public BTreeTest {
       ASSERT_OK(tree->Insert(client_.get(), tell::EncodeOrderedU64(k), k + 1,
                              true));
     }
-    ASSERT_EQ(*tree->Height(client_.get()), 2u);
+    ASSERT_EQ(*Height(client_.get(), *tree), 2u);
   }
 
   std::unique_ptr<store::StorageClient> client_;
@@ -893,7 +912,7 @@ TEST_F(BatchSplitTest, RootLeafOverflowSplitsInTheBatch) {
   EXPECT_EQ(Calls() - calls, 3u);
   EXPECT_EQ(Ops() - ops, 5u);
   EXPECT_EQ(Splits(), 1u);
-  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height(client_.get()));
+  ASSERT_OK_AND_ASSIGN(uint32_t height, Height(client_.get(), tree));
   EXPECT_EQ(height, 2u);
   ExpectKeys(client_.get(), &tree, 11);
 }
@@ -911,7 +930,7 @@ TEST_F(BatchSplitTest, OverflowLargerThanALeafSplitsIntoManyNodes) {
   EXPECT_EQ(Calls() - calls, 4u);
   EXPECT_EQ(Ops() - ops, 6u);
   EXPECT_EQ(Splits() - splits, 1u);
-  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height(client_.get()));
+  ASSERT_OK_AND_ASSIGN(uint32_t height, Height(client_.get(), tree));
   EXPECT_EQ(height, 2u);
   ExpectKeys(client_.get(), &tree, 30);
 }
@@ -928,7 +947,7 @@ TEST_F(BatchSplitTest, RootSplitInsideABatch) {
   // Leaf read; fresh leaves; shrink; fresh inner nodes; root rewrite.
   EXPECT_EQ(Calls() - calls, 5u);
   EXPECT_EQ(Splits() - splits, 2u);
-  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height(client_.get()));
+  ASSERT_OK_AND_ASSIGN(uint32_t height, Height(client_.get(), tree));
   EXPECT_EQ(height, 3u);
   ExpectKeys(client_.get(), &tree, 70);
 }
@@ -947,7 +966,7 @@ TEST_F(BatchSplitTest, ParentOverflowCascadesOneLevelUp) {
   // shrink; root put.
   EXPECT_EQ(Calls() - calls, 6u);
   EXPECT_EQ(Splits() - splits, 2u);
-  ASSERT_OK_AND_ASSIGN(uint32_t height, tree.Height(client_.get()));
+  ASSERT_OK_AND_ASSIGN(uint32_t height, Height(client_.get(), tree));
   EXPECT_EQ(height, 3u);
   ExpectKeys(client_.get(), &tree, 110);
 }
@@ -995,7 +1014,7 @@ TEST_F(BTreeTest, LostLlscOnASplitLeavesOnlyAnOrphanRightNode) {
     ASSERT_OK(x.tree->Insert(&loader, tell::EncodeOrderedU64(k), k + 1, true));
   }
   auto node_cells = [&]() -> size_t {
-    auto cells = loader.Scan(x.table, "", "", 0);
+    auto cells = loader.Scan(x.table, "", "");
     EXPECT_TRUE(cells.ok());
     return cells.ok() ? cells->size() : 0;
   };

@@ -217,22 +217,6 @@ TEST_F(CommitManagerTest, ManagerForSkipsDeadManagers) {
   EXPECT_NE(cm->manager_id(), 1u);
 }
 
-TEST_F(CommitManagerTest, RecoverFromStoreRestoresState) {
-  auto group = MakeGroup(2, /*range=*/8);
-  CommitManager* cm0 = group->manager(0);
-  ASSERT_OK_AND_ASSIGN(TxnBeginDelta t0, cm0->StartDelta({.pn_id = 0}));
-  ASSERT_OK(cm0->SetCommitted(t0.tid));
-  ASSERT_OK(group->SyncAll());
-  // Manager 1 "fails" and a replacement rebuilds from the store.
-  CommitManager* cm1 = group->manager(1);
-  cm1->Kill();
-  cm1->Revive();
-  ASSERT_OK(cm1->RecoverFromStore(group->size()));
-  ASSERT_OK_AND_ASSIGN(TxnBeginDelta begin, cm1->StartDelta({.pn_id = 1}));
-  EXPECT_TRUE(begin.delta.snapshot.CanRead(t0.tid));
-  EXPECT_GT(begin.tid, t0.tid);
-}
-
 TEST_F(CommitManagerTest, AbortActiveOfCompletesPnTids) {
   auto group = MakeGroup(1);
   CommitManager* cm = group->manager(0);
@@ -352,23 +336,29 @@ TEST_F(CommitManagerTest, StartDeltaBaseAdvanceOnly) {
 }
 
 TEST_F(CommitManagerTest, StartDeltaStaleGenerationForcesFullResync) {
-  auto group = MakeGroup(1);
-  CommitManager* cm = group->manager(0);
+  ReplicationOptions replication;
+  replication.replicas = 2;
+  CommitManagerGroup group(cluster_.get(), 1, CommitManagerOptions{},
+                           /*sync_interval_ms=*/0, replication);
+  CommitManager* cm = group.manager(0);
   ClientCache cache;
   ASSERT_OK_AND_ASSIGN(TxnBeginDelta t1, BeginVia(cm, &cache));
   ASSERT_OK(cm->SetCommitted(t1.tid));
   ASSERT_OK(cm->SyncWithPeers(1));
 
-  // Recovery bumps the generation: the client's acked epoch is no longer
+  // Promotion bumps the generation: the client's acked epoch is no longer
   // comparable and the next begin must resync with a full descriptor.
   auto [gen_before, epoch_before] = cm->SyncState();
-  ASSERT_OK(cm->RecoverFromStore(1));
-  auto [gen_after, epoch_after] = cm->SyncState();
+  cm->Kill();
+  CommitManager* promoted = group.ManagerFor(0);
+  ASSERT_NE(promoted, nullptr);
+  ASSERT_NE(promoted, cm);
+  auto [gen_after, epoch_after] = promoted->SyncState();
   EXPECT_GT(gen_after, gen_before);
 
-  ASSERT_OK_AND_ASSIGN(TxnBeginDelta t2, BeginVia(cm, &cache));
+  ASSERT_OK_AND_ASSIGN(TxnBeginDelta t2, BeginVia(promoted, &cache));
   EXPECT_TRUE(t2.delta.full);
-  EXPECT_EQ(cache.snapshot, cm->CurrentSnapshot());
+  EXPECT_EQ(cache.snapshot, promoted->CurrentSnapshot());
 }
 
 TEST_F(CommitManagerTest, StartDeltaFallsBackToFullWhenDeltaIsLarger) {

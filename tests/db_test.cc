@@ -143,7 +143,8 @@ TEST_F(TxLogDbTest, CommitWritesLogEntryWithWriteSetAndFlag) {
   ASSERT_OK_AND_ASSIGN(uint64_t rid, txn.Insert(table_, Row(1, 1.0)));
   ASSERT_OK(txn.Commit());
   ASSERT_OK_AND_ASSIGN(
-      auto entry, db_->transaction_log()->Get(session_->client(), txn.tid()));
+      auto entry, test::LogEntryOf(*db_->transaction_log(), session_->client(),
+                                   txn.tid()));
   ASSERT_TRUE(entry.has_value());
   EXPECT_TRUE(entry->committed);
   EXPECT_EQ(entry->pn_id, 0u);
@@ -156,7 +157,8 @@ TEST_F(TxLogDbTest, ReadOnlyCommitWritesNoLogEntry) {
   ASSERT_OK(txn.Begin());
   ASSERT_OK(txn.Commit());
   ASSERT_OK_AND_ASSIGN(
-      auto entry, db_->transaction_log()->Get(session_->client(), txn.tid()));
+      auto entry, test::LogEntryOf(*db_->transaction_log(), session_->client(),
+                                   txn.tid()));
   EXPECT_FALSE(entry.has_value());
 }
 

@@ -57,7 +57,7 @@ std::vector<MigrationOp> MergeDelta(const std::vector<KeyCell>& puts,
 std::map<std::string, std::string> Contents(const StorageNode& node,
                                             store::TableId table,
                                             uint32_t partition) {
-  auto cells = node.Scan(table, partition, "", "", 0);
+  auto cells = node.Scan(table, partition, "", "");
   EXPECT_TRUE(cells.ok()) << cells.status().ToString();
   std::map<std::string, std::string> out;
   for (const KeyCell& cell : *cells) out[cell.key] = cell.value;

@@ -250,7 +250,10 @@ TEST_P(BTreePropertyTest, MatchesModelUnderRandomOps) {
         ASSERT_OK(writer.Insert(&client, key, rid, false));
         if (!model_has) model.emplace(key, rid);
       } else {
-        ASSERT_OK(writer.Remove(&client, key, rid));
+        std::vector<bool> removed;
+        ASSERT_OK(index::BTree::BatchInsert(
+            &client, {{&writer, key, rid, /*unique=*/false, /*remove=*/true}},
+            &removed));
         for (auto [it, end] = model.equal_range(key); it != end; ++it) {
           if (it->second == rid) {
             model.erase(it);

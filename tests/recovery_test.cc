@@ -88,7 +88,10 @@ TEST_F(RecoveryTest, PartiallyAppliedUpdatesAreRolledBack) {
     entry.tid = doomed_tid;
     entry.pn_id = 1;
     entry.write_set = {{table1->meta->data_table, rid}};
-    ASSERT_OK(db_->transaction_log()->Append(session1->client(), entry));
+    const TransactionLog* log = db_->transaction_log();
+    ASSERT_OK(log->Appended(
+        session1->client(),
+        session1->client()->BatchWrite({log->AppendOp(entry)}).front()));
     auto cell = db_->cluster()->Get(table1->meta->data_table,
                                     EncodeOrderedU64(rid));
     ASSERT_TRUE(cell.ok());

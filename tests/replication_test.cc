@@ -84,7 +84,7 @@ TEST_F(ReplicatedGroupTest, ReplicasOffBehavesAsBefore) {
 TEST_F(ReplicatedGroupTest, FollowerCatchUpReproducesLeaderState) {
   auto group = MakeGroup(1, /*replicas=*/3);
   CommitManager* leader = group->manager(0);
-  ASSERT_EQ(leader->role(), ReplicaRole::kLeader);
+  ASSERT_EQ(leader, group->replica(0, group->leader_index(0)));
 
   std::vector<commitmgr::Tid> tids;
   for (int i = 0; i < 10; ++i) {
@@ -102,7 +102,8 @@ TEST_F(ReplicatedGroupTest, FollowerCatchUpReproducesLeaderState) {
   for (uint32_t r = 0; r < 3; ++r) {
     if (r == leader_idx) continue;
     CommitManager* follower = group->replica(0, r);
-    EXPECT_EQ(follower->role(), ReplicaRole::kFollower);
+    EXPECT_TRUE(follower->StartDelta({.pn_id = 0}).status().IsUnavailable())
+        << "replica " << r << " serves begins as a follower";
     EXPECT_EQ(follower->CurrentSnapshot().base(),
               leader->CurrentSnapshot().base())
         << "replica " << r;
@@ -158,7 +159,7 @@ TEST_F(ReplicatedGroupTest, PromotionCompletesOrphanedRangeAndStaysMonotone) {
   CommitManager* new_leader = group->ManagerFor(0, &election_ns);
   ASSERT_NE(new_leader, nullptr);
   ASSERT_NE(new_leader, old_leader);
-  EXPECT_EQ(new_leader->role(), ReplicaRole::kLeader);
+  EXPECT_EQ(new_leader, group->replica(0, group->leader_index(0)));
 
   // The dead leader's granted-but-unassigned remainder [2, 16] was completed
   // at promotion — it can never be assigned, so it must not pin the base.
@@ -238,9 +239,8 @@ TEST_F(ReplicatedGroupTest, RevivedOldLeaderRejoinsAsFollower) {
   ASSERT_NE(new_leader, old_leader);
 
   old_leader->Revive();
-  EXPECT_EQ(old_leader->role(), ReplicaRole::kFollower)
+  EXPECT_TRUE(old_leader->StartDelta({.pn_id = 0}).status().IsUnavailable())
       << "a revived leader must not serve the slot it lost";
-  EXPECT_TRUE(old_leader->StartDelta({.pn_id = 0}).status().IsUnavailable());
   EXPECT_EQ(group->ManagerFor(0), new_leader);
 }
 

@@ -153,7 +153,7 @@ TEST(StoreStripesTest, ScanDuringWritesSeesConsistentSnapshots) {
   std::map<std::string, uint64_t> last_stamp;
   for (int round = 0; round < 50; ++round) {
     ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> cells,
-                         node.Scan(kTable, kPart, "", "", 0));
+                         node.Scan(kTable, kPart, "", ""));
     ASSERT_EQ(cells.size(), static_cast<size_t>(kKeys));
     for (size_t i = 0; i < cells.size(); ++i) {
       if (i > 0) {
@@ -279,10 +279,8 @@ TEST(StoreStripesTest, SingleThreadedBitIdenticalAcrossStripeCounts) {
         break;
       }
       default: {
-        const bool reverse = next() % 2 == 0;
-        const size_t limit = next() % 20;
-        auto a = one.Scan(kTable, kPart, "", "", limit, reverse);
-        auto b = many.Scan(kTable, kPart, "", "", limit, reverse);
+        auto a = one.Scan(kTable, kPart, "", "");
+        auto b = many.Scan(kTable, kPart, "", "");
         ASSERT_OK(a.status());
         ASSERT_OK(b.status());
         ASSERT_EQ(a->size(), b->size()) << "op " << i;
@@ -308,7 +306,7 @@ TEST(StoreStripesTest, SingleThreadedBitIdenticalAcrossStripeCounts) {
 
 /// Ordered scans over a heavily-striped partition holding only a handful of
 /// keys: most per-stripe runs are empty, so the k-way merge must skip
-/// exhausted runs cleanly in both directions and under limits/bounds.
+/// exhausted runs cleanly, also under bounds.
 TEST(StoreStripesTest, ScanMergeSkipsEmptyStripes) {
   StorageNode node(0, 64 << 20, /*stripes_per_partition=*/64);
   node.CreatePartition(kTable, kPart);
@@ -322,29 +320,16 @@ TEST(StoreStripesTest, ScanMergeSkipsEmptyStripes) {
   }
 
   ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> all,
-                       node.Scan(kTable, kPart, "", "", 0));
+                       node.Scan(kTable, kPart, "", ""));
   ASSERT_EQ(all.size(), keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(all[i].key, keys[i]);
     EXPECT_EQ(all[i].value, "v_" + keys[i]);
   }
 
-  ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> rev,
-                       node.Scan(kTable, kPart, "", "", 0, /*reverse=*/true));
-  ASSERT_EQ(rev.size(), keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(rev[i].key, keys[keys.size() - 1 - i]);
-  }
-
-  ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> limited,
-                       node.Scan(kTable, kPart, "", "", 2));
-  ASSERT_EQ(limited.size(), 2u);
-  EXPECT_EQ(limited[0].key, "ant");
-  EXPECT_EQ(limited[1].key, "bee");
-
   // Half-open [bee, elk): end key excluded, start key included.
   ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> ranged,
-                       node.Scan(kTable, kPart, "bee", "elk", 0));
+                       node.Scan(kTable, kPart, "bee", "elk"));
   ASSERT_EQ(ranged.size(), 3u);
   EXPECT_EQ(ranged[0].key, "bee");
   EXPECT_EQ(ranged[1].key, "cat");
@@ -381,21 +366,13 @@ TEST(StoreStripesTest, ScanMergeDeduplicatesOverwritesAcrossStripeBoundaries) {
   }
 
   ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> cells,
-                       node.Scan(kTable, kPart, "", "", 0));
+                       node.Scan(kTable, kPart, "", ""));
   ASSERT_EQ(cells.size(), reference.size());
   auto it = reference.begin();
   for (size_t i = 0; i < cells.size(); ++i, ++it) {
     ASSERT_EQ(cells[i].key, it->first) << "position " << i;
     ASSERT_EQ(cells[i].value, it->second) << cells[i].key;
     if (i > 0) ASSERT_LT(cells[i - 1].key, cells[i].key);
-  }
-
-  ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> rev,
-                       node.Scan(kTable, kPart, "", "", 0, /*reverse=*/true));
-  ASSERT_EQ(rev.size(), reference.size());
-  auto rit = reference.rbegin();
-  for (size_t i = 0; i < rev.size(); ++i, ++rit) {
-    ASSERT_EQ(rev[i].key, rit->first) << "reverse position " << i;
   }
 }
 

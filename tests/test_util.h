@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -12,6 +13,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "store/fragment.h"
+#include "tx/transaction_log.h"
 
 #define ASSERT_OK(expr)                                   \
   do {                                                    \
@@ -68,6 +70,17 @@ class MatchSink : public store::FragmentSink {
   const size_t limit_;
   std::vector<std::pair<std::string, std::string>> matches_;
 };
+
+/// The log entry of `tid`, or nullopt if the tid never logged: the one
+/// entry a ScanBackwards over (tid - 1, tid] finds.
+inline Result<std::optional<tx::LogEntry>> LogEntryOf(
+    const tx::TransactionLog& log, store::StorageClient* client,
+    commitmgr::Tid tid) {
+  TELL_ASSIGN_OR_RETURN(std::vector<tx::LogEntry> entries,
+                        log.ScanBackwards(client, tid, tid - 1));
+  if (entries.empty()) return std::optional<tx::LogEntry>{};
+  return std::optional<tx::LogEntry>(std::move(entries.front()));
+}
 
 }  // namespace tell::test
 
