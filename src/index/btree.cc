@@ -2,7 +2,9 @@
 
 #include <cstddef>
 #include <algorithm>
+#include <deque>
 #include <optional>
+#include <set>
 
 #include "common/logging.h"
 #include "common/serde.h"
@@ -437,11 +439,13 @@ void BTree::CacheIfInner(const Node& node) {
 Status BTree::BatchDescendToLeaves(
     store::StorageClient* client, const std::vector<DescentKey>& keys,
     std::vector<NodeRef>* leaves, std::vector<size_t>* leaf_of_key,
+    std::vector<std::vector<size_t>>* range_leaves,
     std::vector<std::vector<NodeRef>>* leaf_paths,
     const std::vector<store::WriteOp>* riders,
     std::vector<Result<uint64_t>>* rider_results) {
   leaves->clear();
   leaf_of_key->assign(keys.size(), 0);
+  if (range_leaves != nullptr) range_leaves->assign(keys.size(), {});
   if (leaf_paths != nullptr) leaf_paths->clear();
   if (riders != nullptr && riders->empty()) riders = nullptr;
   if (keys.empty() && riders == nullptr) return Status::OK();
@@ -484,24 +488,37 @@ Status BTree::BatchDescendToLeaves(
     wanted_tree.push_back(tree);
   };
 
-  // Where each key stands: the image it stands on or waits for (nullopt
-  // once it reached its leaf), its right hops in this attempt, and the
-  // inner nodes it descended through, root first.
+  // One walk down the tree: keys[key]'s own walk to its leaf, or a walk of
+  // its range by the separator of a later child. A walk knows the image it
+  // stands on or waits for (nullopt once it is done), its right hops in
+  // this attempt, and the inner nodes it descended through, root first —
+  // which keep alive the node whose separator `from` views.
   struct Walk {
+    size_t key = 0;
+    std::string_view from;
+    bool range_walk = false;
     std::optional<SlotId> at;
     int hops = 0;
     std::vector<NodeRef> path;
   };
-  std::vector<Walk> walks(keys.size());
+  // A deque: walks spawn walks while they are walked.
+  std::deque<Walk> walks(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
+    walks[i].key = i;
+    walks[i].from = keys[i].key;
     walks[i].at = SlotId{{keys[i].tree->table_, kRootId}, 0};
     want(keys[i].tree, *walks[i].at, /*descent=*/true, /*inner=*/true);
   }
   // A stale path: drop it from the cache and start the key over at the
-  // root, reading every node from the store.
-  auto restart = [&](size_t i) -> Status {
-    Walk& walk = walks[i];
-    BTree* tree = keys[i].tree;
+  // root, reading every node from the store. A walk of a range only
+  // prefetches: it stops instead, and the scan's right links read the
+  // leaves it did not reach.
+  auto restart = [&](Walk& walk) -> Status {
+    if (walk.range_walk) {
+      walk.at.reset();
+      return Status::OK();
+    }
+    BTree* tree = keys[walk.key].tree;
     if (tree->cache_ != nullptr) {
       tree->cache_->Erase(kRootId);
       for (const NodeRef& node : walk.path) tree->cache_->Erase(node->id);
@@ -517,15 +534,25 @@ Status BTree::BatchDescendToLeaves(
     want(tree, *walk.at, /*descent=*/true, /*inner=*/true);
     return Status::OK();
   };
+  // The nodes each range key's walks went to.
+  std::set<std::pair<size_t, SlotId>> reached;
   // Distinct leaf images -> `leaves` index.
   std::map<const Node*, size_t> leaf_index;
+  auto add_leaf = [&](const NodeRef& leaf, Walk& walk) {
+    auto [it, fresh] = leaf_index.try_emplace(leaf.get(), leaves->size());
+    if (fresh) {
+      leaves->push_back(leaf);
+      if (leaf_paths != nullptr) leaf_paths->push_back(std::move(walk.path));
+    }
+    return it->second;
+  };
   while (true) {
-    // Walk every key through the images the batch holds, until it reaches
-    // its leaf or waits for an image of this round.
-    for (size_t i = 0; i < keys.size(); ++i) {
-      Walk& walk = walks[i];
-      BTree* tree = keys[i].tree;
-      const std::string_view key = keys[i].key;
+    // Walk every walk through the images the batch holds, until it is done
+    // or waits for an image of this round.
+    for (size_t w = 0; w < walks.size(); ++w) {
+      Walk& walk = walks[w];
+      const DescentKey& key = keys[walk.key];
+      BTree* tree = key.tree;
       while (walk.at.has_value()) {
         const Slot& slot = nodes[*walk.at];
         if (slot.requested) break;  // resumes after the round
@@ -533,14 +560,14 @@ Status BTree::BatchDescendToLeaves(
         const NodeRef node = slot.node;
         if (node == nullptr) {
           if (attempt > 0) return slot.status;
-          TELL_RETURN_NOT_OK(restart(i));
+          TELL_RETURN_NOT_OK(restart(walk));
           continue;
         }
-        if (!node->CoversKey(key)) {
+        if (!node->CoversKey(walk.from)) {
           // B-link move right: a split shifted the key's range into a right
           // sibling before the parent — or this PN's cache — learned of it.
           if (node->right_sibling == 0 || ++walk.hops > kMaxRightHops) {
-            TELL_RETURN_NOT_OK(restart(i));
+            TELL_RETURN_NOT_OK(restart(walk));
             continue;
           }
           walk.at = SlotId{{tree->table_, node->right_sibling}, attempt};
@@ -548,33 +575,54 @@ Status BTree::BatchDescendToLeaves(
           continue;
         }
         if (node->is_leaf()) {
-          // Paper §5.3.1: a leaf that does not match its parent's
-          // expectation means the cached path is outdated — refresh it.
-          if (walk.hops > 0 && tree->cache_ != nullptr) {
-            for (const NodeRef& inner : walk.path) {
-              tree->cache_->Erase(inner->id);
+          if (walk.range_walk) {
+            const size_t leaf = add_leaf(node, walk);
+            if (range_leaves != nullptr) {
+              (*range_leaves)[walk.key].push_back(leaf);
             }
-          }
-          auto [it, fresh] =
-              leaf_index.try_emplace(node.get(), leaves->size());
-          if (fresh) {
-            leaves->push_back(node);
-            if (leaf_paths != nullptr) {
-              leaf_paths->push_back(std::move(walk.path));
+          } else {
+            // Paper §5.3.1: a leaf that does not match its parent's
+            // expectation means the cached path is outdated — refresh it.
+            if (walk.hops > 0 && tree->cache_ != nullptr) {
+              for (const NodeRef& inner : walk.path) {
+                tree->cache_->Erase(inner->id);
+              }
             }
+            (*leaf_of_key)[walk.key] = add_leaf(node, walk);
           }
-          (*leaf_of_key)[i] = it->second;
           walk.at.reset();
           break;
         }
-        const uint64_t child = node->ChildFor(key);
+        const uint64_t child = node->ChildFor(walk.from);
         if (child == 0) {
-          TELL_RETURN_NOT_OK(restart(i));
+          TELL_RETURN_NOT_OK(restart(walk));
           continue;
         }
         walk.path.push_back(node);
-        walk.at = SlotId{{tree->table_, child}, attempt};
-        want(tree, *walk.at, /*descent=*/true, /*inner=*/node->level > 1);
+        const SlotId next{{tree->table_, child}, attempt};
+        if (key.range && attempt == 0) {
+          // The later children that may hold keys of the range, each walked
+          // once per key even when two images name it.
+          for (const IndexEntry& e : node->entries) {
+            if (e.key <= walk.from) continue;
+            if (!key.end.empty() && e.key >= key.end) break;
+            const SlotId later{{tree->table_, e.rid}, 0};
+            if (!reached.emplace(walk.key, later).second) continue;
+            Walk& sub = walks.emplace_back();
+            sub.key = walk.key;
+            sub.from = e.key;
+            sub.range_walk = true;
+            sub.at = later;
+            sub.path = walk.path;
+            want(tree, later, /*descent=*/true, /*inner=*/node->level > 1);
+          }
+          if (!reached.emplace(walk.key, next).second && walk.range_walk) {
+            walk.at.reset();
+            break;
+          }
+        }
+        walk.at = next;
+        want(tree, next, /*descent=*/true, /*inner=*/node->level > 1);
       }
     }
     if (wanted.empty() && riders == nullptr) break;
@@ -645,8 +693,8 @@ Status BTree::PrepareLeafEdits(
   std::vector<size_t> leaf_of_key;
   std::vector<std::vector<NodeRef>> leaf_paths;
   TELL_RETURN_NOT_OK(BatchDescendToLeaves(client, descents, &leaves,
-                                          &leaf_of_key, &leaf_paths, riders,
-                                          rider_results));
+                                          &leaf_of_key, nullptr, &leaf_paths,
+                                          riders, rider_results));
 
   // Group the ops by leaf, in the order of their first op.
   constexpr size_t kNoGroup = static_cast<size_t>(-1);
@@ -1206,7 +1254,8 @@ Status BTree::BatchScan(store::StorageClient* client,
     cursor.next_leaf = leaf.right_sibling;
   };
 
-  // The cursors that have not started descend to their start keys together.
+  // The cursors that have not started descend to their start keys together,
+  // an unlimited one as a range key: its leaves arrive in the same rounds.
   std::vector<size_t> starting;
   for (size_t c = 0; c < cursors.size(); ++c) {
     if (needs_more(c) && cursors[c]->next_leaf == 0) starting.push_back(c);
@@ -1215,24 +1264,41 @@ Status BTree::BatchScan(store::StorageClient* client,
   std::vector<DescentKey> descents;
   descents.reserve(starting.size());
   for (size_t c : starting) {
-    descents.push_back({cursors[c]->tree, cursors[c]->start});
+    const ScanCursor& cursor = *cursors[c];
+    descents.push_back(
+        {cursor.tree, cursor.start, /*range=*/cursor.want == 0, cursor.end});
   }
   std::vector<NodeRef> leaves;
   std::vector<size_t> leaf_of_key;
-  TELL_RETURN_NOT_OK(
-      BatchDescendToLeaves(client, descents, &leaves, &leaf_of_key));
+  std::vector<std::vector<size_t>> range_leaves;
+  TELL_RETURN_NOT_OK(BatchDescendToLeaves(client, descents, &leaves,
+                                          &leaf_of_key, &range_leaves));
+  // The leaves each cursor holds, by id.
+  std::vector<std::map<uint64_t, NodeRef>> held(cursors.size());
   for (size_t k = 0; k < starting.size(); ++k) {
+    for (size_t leaf : range_leaves[k]) {
+      held[starting[k]].emplace(leaves[leaf]->id, leaves[leaf]);
+    }
     consume(starting[k], *leaves[leaf_of_key[k]]);
   }
 
-  // Then every cursor that still needs entries reads its next right
-  // sibling, all of them in one BatchGet per round.
+  // Then every cursor follows its right links through the leaves it holds.
+  // A link to a leaf it lacks costs a round, which fetches the missing
+  // right sibling of every cursor that still needs entries in one BatchGet.
+  // The links, not the prefetched set, decide what a cursor reads: a leaf
+  // that split after its parent image was cached costs a round, never an
+  // entry.
   while (true) {
     std::vector<size_t> hopping;
     std::map<NodeId, size_t> get_of;
     std::vector<store::GetOp> gets;
     std::vector<size_t> get_index;
     for (size_t c = 0; c < cursors.size(); ++c) {
+      while (needs_more(c)) {
+        auto it = held[c].find(cursors[c]->next_leaf);
+        if (it == held[c].end()) break;
+        consume(c, *it->second);
+      }
       if (!needs_more(c)) continue;
       const NodeId id{cursors[c]->tree->table_, cursors[c]->next_leaf};
       auto [it, fresh] = get_of.try_emplace(id, gets.size());
@@ -1241,12 +1307,14 @@ Status BTree::BatchScan(store::StorageClient* client,
       get_index.push_back(it->second);
     }
     if (hopping.empty()) return Status::OK();
+    client->metrics()->index_scan_hop_leaves += gets.size();
     std::vector<Result<store::VersionedCell>> cells = client->BatchGet(gets);
     for (size_t h = 0; h < hopping.size(); ++h) {
-      TELL_ASSIGN_OR_RETURN(
-          Node leaf, Node::Read(client, cursors[hopping[h]]->next_leaf,
-                                cells[get_index[h]]));
-      consume(hopping[h], leaf);
+      const uint64_t id = cursors[hopping[h]]->next_leaf;
+      TELL_ASSIGN_OR_RETURN(Node leaf,
+                            Node::Read(client, id, cells[get_index[h]]));
+      held[hopping[h]].emplace(id,
+                               std::make_shared<const Node>(std::move(leaf)));
     }
   }
 }

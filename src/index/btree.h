@@ -41,7 +41,7 @@ struct BatchInsertOp {
 };
 
 /// One range of a BTree::BatchScan call: the entries of `tree` with key in
-/// [start, end) (empty `end` = unbounded), read leaf by leaf. The cursor
+/// [start, end) (empty `end` = unbounded), read in whole leaves. The cursor
 /// remembers where a call stopped, so the next call continues at the next
 /// leaf instead of descending again.
 struct ScanCursor {
@@ -251,8 +251,13 @@ class BTree {
   /// Advances every cursor that is not exhausted, possibly of many trees,
   /// until it has appended its `want` entries or reached the end of its
   /// range. Cursors that have not started share one batched descent to
-  /// their start keys (see BatchLookup); each further round fetches the
-  /// next right sibling of every cursor that still needs entries in one
+  /// their start keys (see BatchLookup); an unlimited one (`want` 0)
+  /// descends as a range key, which fetches every leaf its cached inner
+  /// nodes name for the range in the same rounds. Each cursor then follows
+  /// the right-sibling links from its start leaf through the leaves it
+  /// holds; each further round fetches the next right sibling of every
+  /// cursor whose link leads to a leaf it lacks — a leaf split after the
+  /// parent image was cached, or the next leaf of a limited cursor — in one
   /// StorageClient::BatchGet.
   static Status BatchScan(store::StorageClient* client,
                           const std::vector<ScanCursor*>& cursors);
@@ -277,10 +282,14 @@ class BTree {
   Result<Node> ReadNodeUncached(store::StorageClient* client,
                                 uint64_t node_id);
 
-  /// One key of a batched descent.
+  /// One key of a batched descent. A range key (`range` set) stands for
+  /// the keys of [key, end), empty `end` = unbounded: its descent also
+  /// fetches the leaves of the range (see BatchDescendToLeaves).
   struct DescentKey {
     BTree* tree;
     std::string_view key;
+    bool range = false;
+    std::string_view end = {};
   };
 
   /// The one B+tree traversal, behind BatchLookup, BatchInsert and
@@ -297,14 +306,24 @@ class BTree {
   ///     failed drops its cached path and restarts at the root, reading
   ///     every node from the store; a restart whose fetch fails returns the
   ///     error, and the 16th attempt fails the call.
+  /// A range key also walks every inner node that overlaps [key, end):
+  /// at each one it follows, besides the child for `key`, every later child
+  /// whose separator is below `end`, in the same rounds — cached nodes cost
+  /// none. So a warm range's leaves all arrive in the round of its first
+  /// leaf. These walks only prefetch what the images name: one that would
+  /// restart stops, and a key that restarts walks no range again;
+  /// BatchScan's chain walk reads whatever they missed.
   /// On return `leaf_of_key[i]` indexes into `leaves` for keys[i]; each
-  /// leaf image appears once. `leaf_paths` (if not null) receives each
-  /// leaf's inner nodes, root first. A root that cannot be read fails the
-  /// call. `riders` (if not null) travel in the first round, which is sent
-  /// for them even without keys; their results go to `rider_results`.
+  /// leaf image appears once. `range_leaves` (if not null) receives per key
+  /// the indexes of the other leaves its range walks reached. `leaf_paths`
+  /// (if not null) receives each leaf's inner nodes, root first. A root
+  /// that cannot be read fails the call. `riders` (if not null) travel in
+  /// the first round, which is sent for them even without keys; their
+  /// results go to `rider_results`.
   static Status BatchDescendToLeaves(
       store::StorageClient* client, const std::vector<DescentKey>& keys,
       std::vector<NodeRef>* leaves, std::vector<size_t>* leaf_of_key,
+      std::vector<std::vector<size_t>>* range_leaves = nullptr,
       std::vector<std::vector<NodeRef>>* leaf_paths = nullptr,
       const std::vector<store::WriteOp>* riders = nullptr,
       std::vector<Result<uint64_t>>* rider_results = nullptr);

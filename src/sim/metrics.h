@@ -88,6 +88,9 @@ struct WorkerMetrics {
   uint64_t index_node_bytes_sent = 0;
   /// Serialized B+tree node cells read (share of bytes_received).
   uint64_t index_node_bytes_received = 0;
+  /// B+tree leaves a range scan read by a right-sibling hop round rather
+  /// than with its descent.
+  uint64_t index_scan_hop_leaves = 0;
   /// Obsolete index entries removed by the read path's index GC (§5.4),
   /// sent with the transaction's commit.
   uint64_t gc_index_entries = 0;
@@ -254,6 +257,9 @@ inline const std::vector<WorkerCounterField>& WorkerCounterFields() {
       {"index.node_bytes_received", "bytes",
        "serialized B+tree node cells read",
        &WorkerMetrics::index_node_bytes_received},
+      {"index.scan_hop_leaves", "leaves",
+       "B+tree leaves a range scan read by a right-sibling hop round",
+       &WorkerMetrics::index_scan_hop_leaves},
       {"gc.eager_index_entries_removed", "entries",
        "obsolete index entries removed by read-path index GC",
        &WorkerMetrics::gc_index_entries},

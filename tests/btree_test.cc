@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <set>
 #include <thread>
@@ -1057,6 +1058,237 @@ TEST_F(BTreeTest, LostLlscOnASplitLeavesOnlyAnOrphanRightNode) {
         x.tree->Lookup(&loader, tell::EncodeOrderedU64(k)));
     EXPECT_EQ(rids, std::vector<uint64_t>{k + 1}) << "key " << k;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Range descents: an unlimited scan fetches every leaf its cached inner
+// nodes name for the range in the round of its first leaf, then follows
+// the right links, and pays a round only for a link its leaves lack.
+
+/// The entries of LoadEvenKeys in [start, end) (empty `end` = unbounded).
+std::vector<std::pair<std::string, uint64_t>> EvenKeysIn(
+    const std::map<std::string, uint64_t>& model, const std::string& start,
+    const std::string& end) {
+  std::vector<std::pair<std::string, uint64_t>> out;
+  for (auto it = model.lower_bound(start);
+       it != model.end() && (end.empty() || it->first < end); ++it) {
+    out.push_back(*it);
+  }
+  return out;
+}
+
+std::vector<std::pair<std::string, uint64_t>> AsPairs(
+    const std::vector<IndexEntry>& entries) {
+  std::vector<std::pair<std::string, uint64_t>> out;
+  for (const IndexEntry& e : entries) out.emplace_back(e.key, e.rid);
+  return out;
+}
+
+/// Five keys just above `k`, all below k + 1 (`tag` tells batches of them
+/// apart): inserted into the half-full leaf of LoadEvenKeys that holds k,
+/// they make it nine entries, which splits it into exactly two leaves.
+std::vector<std::string> FiveKeysAbove(uint64_t k,
+                                       const std::string& tag = "") {
+  std::vector<std::string> keys;
+  for (char c = 'a'; c < 'f'; ++c) {
+    keys.push_back(tell::EncodeOrderedU64(k) + tag + c);
+  }
+  return keys;
+}
+
+class RangeDescentTest : public BTreeTest {
+ protected:
+  /// Loads the even keys 0..398 through `loader_tree` (fanout 8: leaves
+  /// of four keys, eight apart, under a four-level tree) into the model.
+  void Load(BTree* loader_tree) {
+    auto loader = MakeClient();
+    ASSERT_OK(BTree::Create(loader.get(), table_));
+    LoadEvenKeys(loader.get(), loader_tree);
+    for (uint64_t k = 0; k < 400; k += 2) {
+      model_[tell::EncodeOrderedU64(k)] = k + 1;
+    }
+  }
+
+  std::map<std::string, uint64_t> model_;
+};
+
+TEST_F(RangeDescentTest, WarmRangeOverManyParentsCostsOneCall) {
+  NodeCache cache_a;
+  BTree tree = MakeTree(/*fanout=*/8, &cache_a);
+  ASSERT_NO_FATAL_FAILURE(Load(&tree));
+  auto client = MakeClient(store::ClientOptions{});
+  sim::WorkerMetrics* metrics = metrics_.back().get();
+  // Ranges [start, end) of keys, end 400 = unbounded. A level-1 node holds
+  // at most eight leaves of at most eight keys, so each spans several
+  // level-1 parents.
+  const std::vector<std::pair<uint64_t, uint64_t>> ranges = {
+      {0, 400}, {21, 300}, {150, 400}};
+  // LoadEvenKeys' leaf j < 48 holds the keys 8j..8j+6, the rightmost one
+  // 384..398.
+  auto leaf_of = [](uint64_t k) { return std::min<uint64_t>(k / 8, 48); };
+  // The first scan warms every inner node of the tree.
+  ASSERT_OK(tree.RangeScan(client.get(), "", "", 0).status());
+  for (const auto& [from, to] : ranges) {
+    const std::string start = tell::EncodeOrderedU64(from);
+    const std::string end = to == 400 ? "" : tell::EncodeOrderedU64(to);
+    const uint64_t calls = metrics->pipeline_flushes;
+    const uint64_t ops = metrics->storage_ops;
+    const uint64_t hops = metrics->index_scan_hop_leaves;
+    ASSERT_OK_AND_ASSIGN(std::vector<IndexEntry> entries,
+                         tree.RangeScan(client.get(), start, end, 0));
+    EXPECT_EQ(AsPairs(entries), EvenKeysIn(model_, start, end));
+    EXPECT_GT(entries.size(), 64u);
+    EXPECT_EQ(metrics->pipeline_flushes - calls, 1u);
+    // Exactly the leaves the range meets.
+    EXPECT_EQ(metrics->storage_ops - ops, leaf_of(to - 1) - leaf_of(from) + 1);
+    EXPECT_EQ(metrics->index_scan_hop_leaves - hops, 0u);
+  }
+}
+
+TEST_F(RangeDescentTest, LeavesSplitUnderACachedParentCostOneRoundEach) {
+  NodeCache cache_a, cache_b;
+  BTree tree_a = MakeTree(/*fanout=*/8, &cache_a);
+  BTree tree_b = MakeTree(/*fanout=*/8, &cache_b);
+  ASSERT_NO_FATAL_FAILURE(Load(&tree_a));
+  auto client_a = MakeClient(store::ClientOptions{});
+  sim::WorkerMetrics* metrics = metrics_.back().get();
+  ASSERT_OK(tree_a.RangeScan(client_a.get(), "", "", 0).status());
+  // B splits three leaves that are not neighbours, each into two, so A's
+  // cached parents lack three links of the chain.
+  auto client_b = MakeClient();
+  std::vector<BatchInsertOp> ops;
+  for (uint64_t k : {24, 80, 200}) {
+    for (std::string& key : FiveKeysAbove(k)) {
+      model_[key] = 1000 + k;
+      ops.push_back({&tree_b, std::move(key), 1000 + k, true});
+    }
+  }
+  std::vector<bool> inserted;
+  ASSERT_OK(BTree::BatchInsert(client_b.get(), ops, &inserted));
+  EXPECT_EQ(metrics_.back()->index_splits, 3u);
+
+  const uint64_t calls = metrics->pipeline_flushes;
+  const uint64_t hops = metrics->index_scan_hop_leaves;
+  ASSERT_OK_AND_ASSIGN(std::vector<IndexEntry> entries,
+                       tree_a.RangeScan(client_a.get(), "", "", 0));
+  EXPECT_EQ(AsPairs(entries), EvenKeysIn(model_, "", ""));
+  EXPECT_EQ(metrics->pipeline_flushes - calls, 1u + 3u);
+  EXPECT_EQ(metrics->index_scan_hop_leaves - hops, 3u);
+}
+
+TEST_F(RangeDescentTest, LimitedScanReadsOneLeafPerRound) {
+  BTree tree = MakeTree(/*fanout=*/8);
+  ASSERT_NO_FATAL_FAILURE(Load(&tree));
+  auto client = MakeClient(store::ClientOptions{});
+  sim::WorkerMetrics* metrics = metrics_.back().get();
+  ASSERT_OK(tree.RangeScan(client.get(), "", "", 0).status());
+  // Limit 1: the start leaf alone.
+  uint64_t calls = metrics->pipeline_flushes;
+  uint64_t ops = metrics->storage_ops;
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<IndexEntry> entries,
+      tree.RangeScan(client.get(), tell::EncodeOrderedU64(100), "", 1));
+  EXPECT_EQ(AsPairs(entries),
+            (std::vector<std::pair<std::string, uint64_t>>{
+                {tell::EncodeOrderedU64(100), 101}}));
+  EXPECT_EQ(metrics->pipeline_flushes - calls, 1u);
+  EXPECT_EQ(metrics->storage_ops - ops, 1u);
+  // Limit 3 from the last key of a leaf (keys 96..102): its right sibling
+  // in a round of its own.
+  calls = metrics->pipeline_flushes;
+  ops = metrics->storage_ops;
+  const uint64_t hops = metrics->index_scan_hop_leaves;
+  ASSERT_OK_AND_ASSIGN(
+      entries,
+      tree.RangeScan(client.get(), tell::EncodeOrderedU64(102), "", 3));
+  EXPECT_EQ(entries.size(), 3u);
+  EXPECT_EQ(metrics->pipeline_flushes - calls, 2u);
+  EXPECT_EQ(metrics->storage_ops - ops, 2u);
+  EXPECT_EQ(metrics->index_scan_hop_leaves - hops, 1u);
+}
+
+TEST_F(RangeDescentTest, ScansDuringSplitsSeeEveryEarlierKeyOnce) {
+  // Two writers split the leaves of the scanned range while two scanners,
+  // whose cached parents go stale underneath them, scan it over and over.
+  constexpr size_t kWriters = 2;
+  constexpr size_t kScanners = 2;
+  BTree loader_tree = MakeTree(/*fanout=*/8);
+  ASSERT_NO_FATAL_FAILURE(Load(&loader_tree));
+  const std::string start = tell::EncodeOrderedU64(40);
+  const std::string end = tell::EncodeOrderedU64(360);
+  const std::vector<std::pair<std::string, uint64_t>> before =
+      EvenKeysIn(model_, start, end);
+  std::vector<std::unique_ptr<store::StorageClient>> clients;
+  std::vector<std::unique_ptr<NodeCache>> caches;
+  std::vector<BTree> trees;
+  for (size_t t = 0; t < kWriters + kScanners; ++t) {
+    clients.push_back(MakeClient());
+    caches.push_back(std::make_unique<NodeCache>());
+    trees.push_back(MakeTree(/*fanout=*/8, caches.back().get()));
+    ASSERT_OK(
+        trees.back().RangeScan(clients.back().get(), "", "", 0).status());
+  }
+  std::atomic<bool> go{false};
+  std::atomic<size_t> writers_left{kWriters};
+  std::vector<std::string> failures(kWriters + kScanners);
+  std::vector<int> scans(kScanners, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go) std::this_thread::yield();
+      // Writer t puts five keys above every eighth key of the range from
+      // 40 + 4t, one batch per key, in four passes: the batches split
+      // leaves the scanners' cached parents do not know.
+      for (char pass = 'a'; pass < 'e' && failures[t].empty(); ++pass) {
+        for (uint64_t k = 40 + 4 * t; k < 360; k += 8) {
+          std::vector<BatchInsertOp> ops;
+          for (std::string& key : FiveKeysAbove(k, std::string(1, pass))) {
+            ops.push_back({&trees[t], std::move(key), k, true});
+          }
+          std::vector<bool> inserted;
+          Status st = BTree::BatchInsert(clients[t].get(), ops, &inserted);
+          if (!st.ok()) {
+            failures[t] = st.ToString();
+            break;
+          }
+        }
+      }
+      --writers_left;
+    });
+  }
+  for (size_t s = 0; s < kScanners; ++s) {
+    const size_t t = kWriters + s;
+    threads.emplace_back([&, s, t] {
+      while (!go) std::this_thread::yield();
+      do {
+        auto entries = trees[t].RangeScan(clients[t].get(), start, end, 0);
+        if (!entries.ok()) {
+          failures[t] = entries.status().ToString();
+          return;
+        }
+        ++scans[s];
+        std::vector<std::pair<std::string, uint64_t>> seen;
+        for (size_t i = 0; i < entries->size(); ++i) {
+          const IndexEntry& e = (*entries)[i];
+          if (i > 0 && !((*entries)[i - 1].key < e.key)) {
+            failures[t] = "keys out of order at entry " + std::to_string(i);
+            return;
+          }
+          if (model_.count(e.key) > 0) seen.emplace_back(e.key, e.rid);
+        }
+        if (seen != before) {
+          failures[t] = "scan " + std::to_string(scans[s]) + " saw " +
+                        std::to_string(seen.size()) + " of the " +
+                        std::to_string(before.size()) + " earlier keys";
+          return;
+        }
+      } while (writers_left > 0);
+    });
+  }
+  go = true;
+  for (std::thread& thread : threads) thread.join();
+  for (const std::string& failure : failures) EXPECT_EQ(failure, "");
+  for (int n : scans) EXPECT_GT(n, 0);
 }
 
 }  // namespace

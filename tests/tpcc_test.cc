@@ -443,8 +443,9 @@ TEST_F(TpccRoundBudgetTest, OrderStatusAndStockLevelCalls) {
   ASSERT_OK_AND_ASSIGN(outcome, executor_->StockLevel({1, 4, 15}));
   ASSERT_TRUE(outcome.committed);
   // District (leaf, record), the order_line scan over the last 20 orders
-  // (leaf, sibling leaves, records), then the stock rows (leaves, records).
-  EXPECT_EQ(CallsSince(before), 10u);
+  // (its leaves, all fetched in the descent's round, then records), then
+  // the stock rows (leaves, records).
+  EXPECT_EQ(CallsSince(before), 6u);
 }
 
 // The shared buffers read through the same batched buffer read as TB: a
