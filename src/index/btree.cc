@@ -438,15 +438,11 @@ void BTree::CacheIfInner(const Node& node) {
 
 Status BTree::BatchDescendToLeaves(
     store::StorageClient* client, const std::vector<DescentKey>& keys,
-    std::vector<NodeRef>* leaves, std::vector<size_t>* leaf_of_key,
-    std::vector<std::vector<size_t>>* range_leaves,
-    std::vector<std::vector<NodeRef>>* leaf_paths,
+    std::vector<DescentLeaf>* leaves, std::vector<size_t>* leaf_of_key,
     const std::vector<store::WriteOp>* riders,
     std::vector<Result<uint64_t>>* rider_results) {
   leaves->clear();
   leaf_of_key->assign(keys.size(), 0);
-  if (range_leaves != nullptr) range_leaves->assign(keys.size(), {});
-  if (leaf_paths != nullptr) leaf_paths->clear();
   if (riders != nullptr && riders->empty()) riders = nullptr;
   if (keys.empty() && riders == nullptr) return Status::OK();
 
@@ -541,8 +537,7 @@ Status BTree::BatchDescendToLeaves(
   auto add_leaf = [&](const NodeRef& leaf, Walk& walk) {
     auto [it, fresh] = leaf_index.try_emplace(leaf.get(), leaves->size());
     if (fresh) {
-      leaves->push_back(leaf);
-      if (leaf_paths != nullptr) leaf_paths->push_back(std::move(walk.path));
+      leaves->push_back({keys[walk.key].tree, leaf, std::move(walk.path)});
     }
     return it->second;
   };
@@ -575,21 +570,15 @@ Status BTree::BatchDescendToLeaves(
           continue;
         }
         if (node->is_leaf()) {
-          if (walk.range_walk) {
-            const size_t leaf = add_leaf(node, walk);
-            if (range_leaves != nullptr) {
-              (*range_leaves)[walk.key].push_back(leaf);
+          // Paper §5.3.1: a leaf that does not match its parent's
+          // expectation means the cached path is outdated — refresh it.
+          if (walk.hops > 0 && !walk.range_walk && tree->cache_ != nullptr) {
+            for (const NodeRef& inner : walk.path) {
+              tree->cache_->Erase(inner->id);
             }
-          } else {
-            // Paper §5.3.1: a leaf that does not match its parent's
-            // expectation means the cached path is outdated — refresh it.
-            if (walk.hops > 0 && tree->cache_ != nullptr) {
-              for (const NodeRef& inner : walk.path) {
-                tree->cache_->Erase(inner->id);
-              }
-            }
-            (*leaf_of_key)[walk.key] = add_leaf(node, walk);
           }
+          const size_t leaf = add_leaf(node, walk);
+          if (!walk.range_walk) (*leaf_of_key)[walk.key] = leaf;
           walk.at.reset();
           break;
         }
@@ -667,13 +656,13 @@ Result<std::vector<std::vector<uint64_t>>> BTree::BatchLookup(
   std::vector<DescentKey> descents;
   descents.reserve(keys.size());
   for (const TreeKey& k : keys) descents.push_back({k.tree, k.key});
-  std::vector<NodeRef> leaves;
+  std::vector<DescentLeaf> leaves;
   std::vector<size_t> leaf_of_key;
   TELL_RETURN_NOT_OK(
       BatchDescendToLeaves(client, descents, &leaves, &leaf_of_key));
   std::vector<std::vector<uint64_t>> out(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    for (const IndexEntry& e : leaves[leaf_of_key[i]]->entries) {
+    for (const IndexEntry& e : leaves[leaf_of_key[i]].node->entries) {
       if (e.key == keys[i].key) out[i].push_back(e.rid);
     }
   }
@@ -689,12 +678,11 @@ Status BTree::PrepareLeafEdits(
   std::vector<DescentKey> descents;
   descents.reserve(pending.size());
   for (size_t i : pending) descents.push_back({ops[i].tree, ops[i].key});
-  std::vector<NodeRef> leaves;
+  std::vector<DescentLeaf> leaves;
   std::vector<size_t> leaf_of_key;
-  std::vector<std::vector<NodeRef>> leaf_paths;
   TELL_RETURN_NOT_OK(BatchDescendToLeaves(client, descents, &leaves,
-                                          &leaf_of_key, nullptr, &leaf_paths,
-                                          riders, rider_results));
+                                          &leaf_of_key, riders,
+                                          rider_results));
 
   // Group the ops by leaf, in the order of their first op.
   constexpr size_t kNoGroup = static_cast<size_t>(-1);
@@ -706,8 +694,8 @@ Status BTree::PrepareLeafEdits(
       group_of[leaf] = groups.size();
       NodeEdit& group = groups.emplace_back();
       group.tree = ops[pending[k]].tree;
-      group.base = leaves[leaf];
-      group.path = std::move(leaf_paths[leaf]);
+      group.base = leaves[leaf].node;
+      group.path = std::move(leaves[leaf].path);
     }
     groups[group_of[leaf]].ops.push_back(pending[k]);
   }
@@ -1268,53 +1256,52 @@ Status BTree::BatchScan(store::StorageClient* client,
     descents.push_back(
         {cursor.tree, cursor.start, /*range=*/cursor.want == 0, cursor.end});
   }
-  std::vector<NodeRef> leaves;
+  std::vector<DescentLeaf> leaves;
   std::vector<size_t> leaf_of_key;
-  std::vector<std::vector<size_t>> range_leaves;
-  TELL_RETURN_NOT_OK(BatchDescendToLeaves(client, descents, &leaves,
-                                          &leaf_of_key, &range_leaves));
-  // The leaves each cursor holds, by id.
-  std::vector<std::map<uint64_t, NodeRef>> held(cursors.size());
+  TELL_RETURN_NOT_OK(
+      BatchDescendToLeaves(client, descents, &leaves, &leaf_of_key));
+  // Every leaf image this call fetched, by id. Any image serves any cursor:
+  // the right links, not this set, decide what a cursor reads.
+  std::map<NodeId, NodeRef> held;
+  for (const DescentLeaf& leaf : leaves) {
+    held.emplace(NodeId{leaf.tree->table_, leaf.node->id}, leaf.node);
+  }
   for (size_t k = 0; k < starting.size(); ++k) {
-    for (size_t leaf : range_leaves[k]) {
-      held[starting[k]].emplace(leaves[leaf]->id, leaves[leaf]);
-    }
-    consume(starting[k], *leaves[leaf_of_key[k]]);
+    consume(starting[k], *leaves[leaf_of_key[k]].node);
   }
 
-  // Then every cursor follows its right links through the leaves it holds.
-  // A link to a leaf it lacks costs a round, which fetches the missing
-  // right sibling of every cursor that still needs entries in one BatchGet.
-  // The links, not the prefetched set, decide what a cursor reads: a leaf
-  // that split after its parent image was cached costs a round, never an
-  // entry.
+  // Then every cursor follows its right links through the held leaves. A
+  // link to a leaf not held — one that split after its parent image was
+  // cached, or the next leaf of a limited cursor — costs a round, which
+  // fetches every such leaf in one BatchGet. So a stale parent costs a
+  // round, never an entry.
   while (true) {
-    std::vector<size_t> hopping;
-    std::map<NodeId, size_t> get_of;
-    std::vector<store::GetOp> gets;
-    std::vector<size_t> get_index;
+    std::vector<NodeId> missing;
     for (size_t c = 0; c < cursors.size(); ++c) {
+      const store::TableId table = cursors[c]->tree->table_;
       while (needs_more(c)) {
-        auto it = held[c].find(cursors[c]->next_leaf);
-        if (it == held[c].end()) break;
+        auto it = held.find({table, cursors[c]->next_leaf});
+        if (it == held.end()) break;
         consume(c, *it->second);
       }
       if (!needs_more(c)) continue;
-      const NodeId id{cursors[c]->tree->table_, cursors[c]->next_leaf};
-      auto [it, fresh] = get_of.try_emplace(id, gets.size());
-      if (fresh) gets.push_back({id.first, NodeKey(id.second)});
-      hopping.push_back(c);
-      get_index.push_back(it->second);
+      const NodeId next{table, cursors[c]->next_leaf};
+      if (std::find(missing.begin(), missing.end(), next) == missing.end()) {
+        missing.push_back(next);
+      }
     }
-    if (hopping.empty()) return Status::OK();
-    client->metrics()->index_scan_hop_leaves += gets.size();
+    if (missing.empty()) return Status::OK();
+    client->metrics()->index_scan_hop_leaves += missing.size();
+    std::vector<store::GetOp> gets;
+    gets.reserve(missing.size());
+    for (const NodeId& id : missing) {
+      gets.push_back({id.first, NodeKey(id.second)});
+    }
     std::vector<Result<store::VersionedCell>> cells = client->BatchGet(gets);
-    for (size_t h = 0; h < hopping.size(); ++h) {
-      const uint64_t id = cursors[hopping[h]]->next_leaf;
+    for (size_t g = 0; g < missing.size(); ++g) {
       TELL_ASSIGN_OR_RETURN(Node leaf,
-                            Node::Read(client, id, cells[get_index[h]]));
-      held[hopping[h]].emplace(id,
-                               std::make_shared<const Node>(std::move(leaf)));
+                            Node::Read(client, missing[g].second, cells[g]));
+      held.emplace(missing[g], std::make_shared<const Node>(std::move(leaf)));
     }
   }
 }

@@ -254,11 +254,11 @@ class BTree {
   /// their start keys (see BatchLookup); an unlimited one (`want` 0)
   /// descends as a range key, which fetches every leaf its cached inner
   /// nodes name for the range in the same rounds. Each cursor then follows
-  /// the right-sibling links from its start leaf through the leaves it
-  /// holds; each further round fetches the next right sibling of every
-  /// cursor whose link leads to a leaf it lacks — a leaf split after the
-  /// parent image was cached, or the next leaf of a limited cursor — in one
-  /// StorageClient::BatchGet.
+  /// the right-sibling links from its start leaf through the leaves the
+  /// call has fetched, for any cursor; each further round fetches the next
+  /// right sibling of every cursor whose link leads to a leaf none fetched
+  /// — a leaf split after the parent image was cached, or the next leaf of
+  /// a limited cursor — in one StorageClient::BatchGet.
   static Status BatchScan(store::StorageClient* client,
                           const std::vector<ScanCursor*>& cursors);
 
@@ -292,6 +292,14 @@ class BTree {
     std::string_view end = {};
   };
 
+  /// One leaf image a batched descent reached: its tree, and the inner
+  /// nodes the walk that first reached it descended through, root first.
+  struct DescentLeaf {
+    BTree* tree;
+    NodeRef node;
+    std::vector<NodeRef> path;
+  };
+
   /// The one B+tree traversal, behind BatchLookup, BatchInsert and
   /// BatchScan. Every key walks down through the nodes its tree's cache (or
   /// this batch) already holds, until it needs a node from the store; each
@@ -313,18 +321,14 @@ class BTree {
   /// leaf. These walks only prefetch what the images name: one that would
   /// restart stops, and a key that restarts walks no range again;
   /// BatchScan's chain walk reads whatever they missed.
-  /// On return `leaf_of_key[i]` indexes into `leaves` for keys[i]; each
-  /// leaf image appears once. `range_leaves` (if not null) receives per key
-  /// the indexes of the other leaves its range walks reached. `leaf_paths`
-  /// (if not null) receives each leaf's inner nodes, root first. A root
+  /// On return `leaves` holds every leaf image reached, each once — a range
+  /// walk's too — and `leaf_of_key[i]` indexes into it for keys[i]. A root
   /// that cannot be read fails the call. `riders` (if not null) travel in
   /// the first round, which is sent for them even without keys; their
   /// results go to `rider_results`.
   static Status BatchDescendToLeaves(
       store::StorageClient* client, const std::vector<DescentKey>& keys,
-      std::vector<NodeRef>* leaves, std::vector<size_t>* leaf_of_key,
-      std::vector<std::vector<size_t>>* range_leaves = nullptr,
-      std::vector<std::vector<NodeRef>>* leaf_paths = nullptr,
+      std::vector<DescentLeaf>* leaves, std::vector<size_t>* leaf_of_key,
       const std::vector<store::WriteOp>* riders = nullptr,
       std::vector<Result<uint64_t>>* rider_results = nullptr);
 

@@ -1,7 +1,7 @@
 #include "store/cluster.h"
 
+#include <algorithm>
 #include <mutex>
-#include <queue>
 #include <utility>
 
 #include "common/logging.h"
@@ -107,33 +107,17 @@ Result<std::vector<KeyCell>> Cluster::Scan(TableId table,
                                            std::string_view end_key) const {
   TELL_ASSIGN_OR_RETURN(uint32_t num_partitions,
                         partition_map_.NumPartitions(table));
-  // Each partition's cells come back in key order (StorageNode::MergeScan)
-  // and a key lives in one partition: merge the sorted runs.
-  std::vector<std::vector<KeyCell>> runs;
-  size_t total = 0;
+  std::vector<KeyCell> merged;
   for (uint32_t p = 0; p < num_partitions; ++p) {
     TELL_ASSIGN_OR_RETURN(Route route, RouteForPartition(table, p));
     TELL_ASSIGN_OR_RETURN(
         std::vector<KeyCell> part,
         route.master->Scan(table, p, start_key, end_key));
-    total += part.size();
-    if (!part.empty()) runs.push_back(std::move(part));
+    merged.insert(merged.end(), std::make_move_iterator(part.begin()),
+                  std::make_move_iterator(part.end()));
   }
-  // The head of every run not yet merged, least key on top.
-  using Head = std::pair<size_t, size_t>;  // run, position
-  auto later = [&runs](const Head& a, const Head& b) {
-    return runs[a.first][a.second].key > runs[b.first][b.second].key;
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(later)> heads(later);
-  for (size_t r = 0; r < runs.size(); ++r) heads.push({r, 0});
-  std::vector<KeyCell> merged;
-  merged.reserve(total);
-  while (!heads.empty()) {
-    const auto [r, i] = heads.top();
-    heads.pop();
-    merged.push_back(std::move(runs[r][i]));
-    if (i + 1 < runs[r].size()) heads.push({r, i + 1});
-  }
+  std::sort(merged.begin(), merged.end(),
+            [](const KeyCell& a, const KeyCell& b) { return a.key < b.key; });
   return merged;
 }
 

@@ -1145,6 +1145,36 @@ TEST_F(RangeDescentTest, WarmRangeOverManyParentsCostsOneCall) {
   }
 }
 
+TEST_F(RangeDescentTest, RangesOfTwoTreesWithTheSameLeafIdsStayApart) {
+  // A second tree of the same shape: node ids restart at 1 in every tree,
+  // so its leaves carry the first tree's leaf ids, with other rids.
+  NodeCache cache_b;
+  BTree tree_a = MakeTree(/*fanout=*/8);
+  ASSERT_NO_FATAL_FAILURE(Load(&tree_a));
+  ASSERT_OK_AND_ASSIGN(store::TableId table_b, cluster_->CreateTable("idx2"));
+  BTree tree_b(table_b, BTreeOptions{.fanout = 8}, &cache_b);
+  auto client = MakeClient();
+  ASSERT_OK(BTree::Create(client.get(), table_b));
+  std::map<std::string, uint64_t> model_b;
+  for (uint64_t k = 0; k < 400; k += 2) {
+    const std::string key = tell::EncodeOrderedU64(k);
+    ASSERT_OK(tree_b.Insert(client.get(), key, 5000 + k, true));
+    model_b[key] = 5000 + k;
+  }
+  // Warm both caches, then scan overlapping ranges of both in one call.
+  ASSERT_OK(tree_a.RangeScan(client.get(), "", "", 0).status());
+  ASSERT_OK(tree_b.RangeScan(client.get(), "", "", 0).status());
+  ScanCursor a, b;
+  a.tree = &tree_a;
+  a.start = tell::EncodeOrderedU64(21);
+  a.end = tell::EncodeOrderedU64(300);
+  b.tree = &tree_b;
+  b.start = tell::EncodeOrderedU64(150);
+  ASSERT_OK(BTree::BatchScan(client.get(), {&a, &b}));
+  EXPECT_EQ(AsPairs(a.entries), EvenKeysIn(model_, a.start, a.end));
+  EXPECT_EQ(AsPairs(b.entries), EvenKeysIn(model_b, b.start, b.end));
+}
+
 TEST_F(RangeDescentTest, LeavesSplitUnderACachedParentCostOneRoundEach) {
   NodeCache cache_a, cache_b;
   BTree tree_a = MakeTree(/*fanout=*/8, &cache_a);
