@@ -366,7 +366,7 @@ void TellDb::ExportStats(obs::MetricsRegistry* registry) const {
 
   tx::BufferStats buf;
   store::RecordCacheStats cache;
-  uint64_t index_cache_entries = 0;
+  index::NodeCache::Stats index_cache;
   {
     std::lock_guard<std::mutex> lock(pns_mutex_);
     for (const std::unique_ptr<ProcessingNode>& pn : pns_) {
@@ -379,13 +379,22 @@ void TellDb::ExportStats(obs::MetricsRegistry* registry) const {
         cache.invalidations += s.invalidations;
         cache.entries += s.entries;
       }
-      index_cache_entries += pn->registry.IndexCacheStats().entries;
+      index_cache += pn->registry.IndexCacheStats();
     }
   }
   registry->SetGauge("store.cache.entries", cache.entries);
   registry->SetGauge("store.cache.evictions", cache.evictions);
   registry->SetGauge("store.cache.invalidations", cache.invalidations);
-  registry->SetGauge("index.cache.entries", index_cache_entries);
+  for (const auto& [kind, stats] :
+       {std::pair{"inner", &index_cache.inner},
+        std::pair{"leaf", &index_cache.leaf}}) {
+    const std::string prefix = std::string("index.cache.") + kind + "_";
+    registry->SetGauge(prefix + "entries", stats->entries);
+    registry->SetGauge(prefix + "hits", stats->hits);
+    registry->SetGauge(prefix + "misses", stats->misses);
+    registry->SetGauge(prefix + "evictions", stats->evictions);
+  }
+  registry->SetGauge("index.cache.leaf_stale", index_cache.stale_leaves);
   registry->SetGauge("buffer.shared.hits", buf.hits);
   registry->SetGauge("buffer.shared.misses", buf.misses);
   registry->SetGauge("buffer.shared.evictions", buf.evictions);

@@ -77,7 +77,7 @@ std::vector<std::vector<IndexEntry>> CutAt(std::vector<IndexEntry> entries,
 
 }  // namespace
 
-struct BTree::Node {
+struct Node {
   uint64_t id = 0;
   uint64_t stamp = 0;
   /// Distance from the leaf level (leaves are 0). A node's level never
@@ -187,6 +187,12 @@ struct BTree::Node {
     return high_key.empty() || key < high_key;
   }
 
+  /// True if an entry of this node has exactly `key`.
+  bool HoldsKey(std::string_view key) const {
+    const size_t pos = PositionFor(key, 0);
+    return pos < entries.size() && entries[pos].key == key;
+  }
+
   /// Child id for `key` in an inner node; 0 if no entry qualifies (stale).
   uint64_t ChildFor(std::string_view key) const {
     uint64_t child = 0;
@@ -217,35 +223,47 @@ struct BTree::Node {
 // --------------------------------------------------------------------------
 // NodeCache
 
-bool NodeCache::Get(uint64_t node_id, std::string* value, uint64_t* stamp) {
+NodeCache::NodeCache(size_t max_inner, size_t max_leaves)
+    : inner_{max_inner == 0 ? 1 : max_inner, {}, {}},
+      leaves_{max_leaves == 0 ? 1 : max_leaves, {}, {}} {}
+
+NodeRef NodeCache::Get(uint64_t node_id, bool leaf) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = nodes_.find(node_id);
-  if (it == nodes_.end()) {
-    ++misses_;
-    return false;
+  if (it == nodes_.end() || (it->second.leaf && !leaf)) {
+    if (!leaf) ++inner_.stats.misses;
+    return nullptr;
   }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  *value = it->second.value;
-  *stamp = it->second.stamp;
-  return true;
+  Entry& entry = it->second;
+  Kind& kind = KindOf(entry.leaf);
+  if (!entry.leaf) ++kind.stats.hits;
+  kind.lru.splice(kind.lru.begin(), kind.lru, entry.lru_it);
+  return entry.node;
 }
 
-void NodeCache::Put(uint64_t node_id, std::string value, uint64_t stamp) {
+void NodeCache::Put(NodeRef node) {
+  const uint64_t id = node->id;
+  const bool leaf = node->is_leaf();
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = nodes_.find(node_id);
-  if (it != nodes_.end()) {
-    it->second.value = std::move(value);
-    it->second.stamp = stamp;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return;
+  Kind& kind = KindOf(leaf);
+  auto [it, fresh] = nodes_.try_emplace(id);
+  Entry& entry = it->second;
+  if (fresh) {
+    kind.lru.push_front(id);
+  } else if (entry.leaf != leaf) {
+    // The fixed-id root grew from a leaf into an inner node.
+    KindOf(entry.leaf).lru.erase(entry.lru_it);
+    kind.lru.push_front(id);
+  } else {
+    kind.lru.splice(kind.lru.begin(), kind.lru, entry.lru_it);
   }
-  lru_.push_front(node_id);
-  nodes_[node_id] = {std::move(value), stamp, lru_.begin()};
-  while (nodes_.size() > max_entries_) {
-    nodes_.erase(lru_.back());
-    lru_.pop_back();
-    ++evictions_;
+  entry.node = std::move(node);
+  entry.leaf = leaf;
+  entry.lru_it = kind.lru.begin();
+  while (kind.lru.size() > kind.max_entries) {
+    nodes_.erase(kind.lru.back());
+    kind.lru.pop_back();
+    ++kind.stats.evictions;
   }
 }
 
@@ -253,13 +271,50 @@ void NodeCache::Erase(uint64_t node_id) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = nodes_.find(node_id);
   if (it == nodes_.end()) return;
-  lru_.erase(it->second.lru_it);
+  KindOf(it->second.leaf).lru.erase(it->second.lru_it);
   nodes_.erase(it);
 }
 
-size_t NodeCache::entries() const {
+void NodeCache::CountLeafLookup(LeafLookup lookup) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return nodes_.size();
+  KindStats& leaf = leaves_.stats;
+  switch (lookup) {
+    case LeafLookup::kHit:
+      ++leaf.hits;
+      break;
+    case LeafLookup::kMiss:
+      ++leaf.misses;
+      break;
+    case LeafLookup::kInvalid:
+      if (leaf.hits > 0) --leaf.hits;
+      [[fallthrough]];
+    case LeafLookup::kStale:
+      ++stale_leaves_;
+      break;
+  }
+}
+
+NodeCache::Stats& NodeCache::Stats::operator+=(const Stats& other) {
+  for (auto [to, from] : {std::pair{&inner, &other.inner},
+                          std::pair{&leaf, &other.leaf}}) {
+    to->entries += from->entries;
+    to->hits += from->hits;
+    to->misses += from->misses;
+    to->evictions += from->evictions;
+  }
+  stale_leaves += other.stale_leaves;
+  return *this;
+}
+
+NodeCache::Stats NodeCache::stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Stats stats;
+  stats.inner = inner_.stats;
+  stats.inner.entries = inner_.lru.size();
+  stats.leaf = leaves_.stats;
+  stats.leaf.entries = leaves_.lru.size();
+  stats.stale_leaves = stale_leaves_;
+  return stats;
 }
 
 void NodeCache::TakeNodeIds(size_t n, std::vector<uint64_t>* ids) {
@@ -363,12 +418,12 @@ Result<std::vector<uint64_t>> BTree::AllocateNodeIds(
   return ids;
 }
 
-Result<BTree::Node> BTree::ReadNodeUncached(store::StorageClient* client,
+Result<Node> BTree::ReadNodeUncached(store::StorageClient* client,
                                             uint64_t node_id) {
   return Node::Read(client, node_id, client->Get(table_, NodeKey(node_id)));
 }
 
-Result<BTree::Node> BTree::LocateNode(store::StorageClient* client,
+Result<Node> BTree::LocateNode(store::StorageClient* client,
                                       uint64_t start_id, std::string_view key,
                                       uint32_t level,
                                       std::vector<NodeRef>* path) {
@@ -420,19 +475,18 @@ Result<std::vector<uint64_t>> BTree::Lookup(store::StorageClient* client,
   return std::move(rids.front());
 }
 
-BTree::NodeRef BTree::CachedInner(uint64_t node_id) {
+NodeRef BTree::Cached(uint64_t node_id, bool leaf) {
   if (!options_.cache_inner_nodes || cache_ == nullptr) return nullptr;
-  std::string value;
-  uint64_t stamp;
-  if (!cache_->Get(node_id, &value, &stamp)) return nullptr;
-  auto node = Node::Deserialize(node_id, stamp, value);
-  if (!node.ok()) return nullptr;
-  return std::make_shared<const Node>(std::move(*node));
+  return cache_->Get(node_id, leaf);
 }
 
-void BTree::CacheIfInner(const Node& node) {
-  if (options_.cache_inner_nodes && cache_ != nullptr && !node.is_leaf()) {
-    cache_->Put(node.id, node.Serialize(), node.stamp);
+void BTree::Cache(const NodeRef& node) {
+  if (options_.cache_inner_nodes && cache_ != nullptr) cache_->Put(node);
+}
+
+void BTree::CountLeafLookup(NodeCache::LeafLookup lookup) {
+  if (options_.cache_inner_nodes && cache_ != nullptr) {
+    cache_->CountLeafLookup(lookup);
   }
 }
 
@@ -456,24 +510,35 @@ Status BTree::BatchDescendToLeaves(
     Status status;
     bool requested = false;   // in the current round's fetch
     bool cached = false;      // `node` came from the tree's cache
-    bool fill_cache = false;  // the fetched image enters the cache
+    bool fill_cache = false;  // a fetched inner image enters the cache
+    bool fill_leaf = false;   // a fetched leaf image enters the cache
   };
   std::map<SlotId, Slot> nodes;
   // The images the current round fetches, in first-request order, and the
   // tree each belongs to.
   std::vector<SlotId> wanted;
   std::vector<BTree*> wanted_tree;
-  // Makes the batch hold image `id` of `tree`. Attempt 0 descends through
-  // the tree's cache — an inner node there needs no request, one fetched
-  // enters it — while right hops and restarts read the store only and
-  // leave the cache alone.
-  auto want = [&](BTree* tree, const SlotId& id, bool descent, bool inner) {
+  // Makes the batch hold image `id` of `key`'s tree. Attempt 0 descends
+  // through the tree's cache — an inner node there needs no request, nor
+  // does a leaf image for a key that takes them (LeafCache::kUse); a
+  // fetched inner node enters the cache, and so does a fetched leaf for a
+  // key whose leaf mode is not kBypass — while right hops and restarts
+  // read the store only and leave the cache alone. `inner`: the node is an
+  // inner node or the root, which may be the tree's only leaf. A slot
+  // holding a cached image is requested again by a want that may not use
+  // the cache.
+  auto want = [&](const DescentKey& key, const SlotId& id, bool descent,
+                  bool inner) {
+    BTree* tree = key.tree;
     const bool use_cache = descent && id.second == 0;
     auto [it, fresh] = nodes.try_emplace(id);
     Slot& slot = it->second;
+    if (use_cache && key.leaf != LeafCache::kBypass) slot.fill_leaf = true;
     if (!fresh && (slot.requested || use_cache || !slot.cached)) return;
-    if (fresh && use_cache && inner) {
-      slot.node = tree->CachedInner(id.first.second);
+    const bool leaf = key.leaf == LeafCache::kUse &&
+                      (!inner || id.first.second == kRootId);
+    if (fresh && use_cache && (inner || leaf)) {
+      slot.node = tree->Cached(id.first.second, leaf);
       slot.cached = slot.node != nullptr;
       if (slot.cached) return;
     }
@@ -496,6 +561,7 @@ Status BTree::BatchDescendToLeaves(
     std::optional<SlotId> at;
     int hops = 0;
     std::vector<NodeRef> path;
+    bool rejected_image = false;  // a cached leaf image was stale for it
   };
   // A deque: walks spawn walks while they are walked.
   std::deque<Walk> walks(keys.size());
@@ -503,7 +569,10 @@ Status BTree::BatchDescendToLeaves(
     walks[i].key = i;
     walks[i].from = keys[i].key;
     walks[i].at = SlotId{{keys[i].tree->table_, kRootId}, 0};
-    want(keys[i].tree, *walks[i].at, /*descent=*/true, /*inner=*/true);
+    want(keys[i], *walks[i].at, /*descent=*/true, /*inner=*/true);
+    if (keys[i].leaf == LeafCache::kRefresh) {
+      keys[i].tree->CountLeafLookup(NodeCache::LeafLookup::kInvalid);
+    }
   }
   // A stale path: drop it from the cache and start the key over at the
   // root, reading every node from the store. A walk of a range only
@@ -527,17 +596,18 @@ Status BTree::BatchDescendToLeaves(
     walk.at = SlotId{{tree->table_, kRootId}, attempt};
     walk.hops = 0;
     walk.path.clear();
-    want(tree, *walk.at, /*descent=*/true, /*inner=*/true);
+    want(keys[walk.key], *walk.at, /*descent=*/true, /*inner=*/true);
     return Status::OK();
   };
   // The nodes each range key's walks went to.
   std::set<std::pair<size_t, SlotId>> reached;
   // Distinct leaf images -> `leaves` index.
   std::map<const Node*, size_t> leaf_index;
-  auto add_leaf = [&](const NodeRef& leaf, Walk& walk) {
+  auto add_leaf = [&](const NodeRef& leaf, Walk& walk, bool cached) {
     auto [it, fresh] = leaf_index.try_emplace(leaf.get(), leaves->size());
     if (fresh) {
-      leaves->push_back({keys[walk.key].tree, leaf, std::move(walk.path)});
+      leaves->push_back(
+          {keys[walk.key].tree, leaf, std::move(walk.path), cached});
     }
     return it->second;
   };
@@ -558,7 +628,15 @@ Status BTree::BatchDescendToLeaves(
           TELL_RETURN_NOT_OK(restart(walk));
           continue;
         }
+        // A cached leaf image answers only a point key that takes it; any
+        // other walk reads the leaf from the store.
+        const bool cached_leaf = slot.cached && node->is_leaf();
+        if (cached_leaf && key.leaf != LeafCache::kUse) {
+          want(key, *walk.at, /*descent=*/false, /*inner=*/false);
+          break;
+        }
         if (!node->CoversKey(walk.from)) {
+          if (cached_leaf) walk.rejected_image = true;
           // B-link move right: a split shifted the key's range into a right
           // sibling before the parent — or this PN's cache — learned of it.
           if (node->right_sibling == 0 || ++walk.hops > kMaxRightHops) {
@@ -566,8 +644,15 @@ Status BTree::BatchDescendToLeaves(
             continue;
           }
           walk.at = SlotId{{tree->table_, node->right_sibling}, attempt};
-          want(tree, *walk.at, /*descent=*/false, /*inner=*/false);
+          want(key, *walk.at, /*descent=*/false, /*inner=*/false);
           continue;
+        }
+        if (cached_leaf && !node->HoldsKey(walk.from)) {
+          // A negative answer never comes from a cached image: the leaf is
+          // read again, and its image replaces this one.
+          walk.rejected_image = true;
+          want(key, *walk.at, /*descent=*/false, /*inner=*/false);
+          break;
         }
         if (node->is_leaf()) {
           // Paper §5.3.1: a leaf that does not match its parent's
@@ -577,7 +662,13 @@ Status BTree::BatchDescendToLeaves(
               tree->cache_->Erase(inner->id);
             }
           }
-          const size_t leaf = add_leaf(node, walk);
+          if (key.leaf == LeafCache::kUse) {
+            tree->CountLeafLookup(cached_leaf ? NodeCache::LeafLookup::kHit
+                                  : walk.rejected_image
+                                      ? NodeCache::LeafLookup::kStale
+                                      : NodeCache::LeafLookup::kMiss);
+          }
+          const size_t leaf = add_leaf(node, walk, cached_leaf);
           if (!walk.range_walk) (*leaf_of_key)[walk.key] = leaf;
           walk.at.reset();
           break;
@@ -603,7 +694,7 @@ Status BTree::BatchDescendToLeaves(
             sub.range_walk = true;
             sub.at = later;
             sub.path = walk.path;
-            want(tree, later, /*descent=*/true, /*inner=*/node->level > 1);
+            want(key, later, /*descent=*/true, /*inner=*/node->level > 1);
           }
           if (!reached.emplace(walk.key, next).second && walk.range_walk) {
             walk.at.reset();
@@ -611,7 +702,7 @@ Status BTree::BatchDescendToLeaves(
           }
         }
         walk.at = next;
-        want(tree, next, /*descent=*/true, /*inner=*/node->level > 1);
+        want(key, next, /*descent=*/true, /*inner=*/node->level > 1);
       }
     }
     if (wanted.empty() && riders == nullptr) break;
@@ -641,8 +732,10 @@ Status BTree::BatchDescendToLeaves(
         slot.status = node.status();
         continue;
       }
-      if (slot.fill_cache) wanted_tree[g]->CacheIfInner(*node);
       slot.node = std::make_shared<const Node>(std::move(*node));
+      if (slot.node->is_leaf() ? slot.fill_leaf : slot.fill_cache) {
+        wanted_tree[g]->Cache(slot.node);
+      }
     }
     wanted.clear();
     wanted_tree.clear();
@@ -651,20 +744,29 @@ Status BTree::BatchDescendToLeaves(
 }
 
 Result<std::vector<std::vector<uint64_t>>> BTree::BatchLookup(
-    store::StorageClient* client, const std::vector<TreeKey>& keys) {
-  client->metrics()->index_lookups += keys.size();
+    store::StorageClient* client, const std::vector<TreeKey>& keys,
+    std::vector<bool>* from_cache) {
   std::vector<DescentKey> descents;
   descents.reserve(keys.size());
-  for (const TreeKey& k : keys) descents.push_back({k.tree, k.key});
+  for (const TreeKey& k : keys) {
+    descents.push_back({k.tree, k.key, /*range=*/false, {}, k.leaf});
+    // A refresh repeats a lookup a cached image answered.
+    if (k.leaf != LeafCache::kRefresh) ++client->metrics()->index_lookups;
+  }
   std::vector<DescentLeaf> leaves;
   std::vector<size_t> leaf_of_key;
   TELL_RETURN_NOT_OK(
       BatchDescendToLeaves(client, descents, &leaves, &leaf_of_key));
   std::vector<std::vector<uint64_t>> out(keys.size());
+  if (from_cache != nullptr) from_cache->assign(keys.size(), false);
   for (size_t i = 0; i < keys.size(); ++i) {
-    for (const IndexEntry& e : leaves[leaf_of_key[i]].node->entries) {
-      if (e.key == keys[i].key) out[i].push_back(e.rid);
+    const DescentLeaf& leaf = leaves[leaf_of_key[i]];
+    const std::vector<IndexEntry>& entries = leaf.node->entries;
+    for (size_t e = leaf.node->PositionFor(keys[i].key, 0);
+         e < entries.size() && entries[e].key == keys[i].key; ++e) {
+      out[i].push_back(entries[e].rid);
     }
+    if (from_cache != nullptr) (*from_cache)[i] = leaf.cached;
   }
   return out;
 }
@@ -775,8 +877,9 @@ Status BTree::PrepareSeparatorEdits(store::StorageClient* client,
     for (size_t g = 0; g < cells.size(); ++g) {
       TELL_ASSIGN_OR_RETURN(Node node,
                             Node::Read(client, reread[g].second, cells[g]));
-      reread_tree[g]->CacheIfInner(node);
-      (*known)[reread[g]] = std::make_shared<const Node>(std::move(node));
+      NodeRef image = std::make_shared<const Node>(std::move(node));
+      if (!image->is_leaf()) reread_tree[g]->Cache(image);
+      (*known)[reread[g]] = std::move(image);
     }
   }
 
@@ -795,7 +898,7 @@ Status BTree::PrepareSeparatorEdits(store::StorageClient* client,
           (sep.stale || it->second->stamp > best->stamp)) {
         best = it->second;
       }
-      NodeRef cached = sep.tree->CachedInner(best->id);
+      NodeRef cached = sep.tree->Cached(best->id, /*leaf=*/false);
       if (!sep.stale && cached != nullptr && cached->stamp > best->stamp) {
         best = cached;
       }
@@ -1035,7 +1138,7 @@ Status BTree::WriteEdits(store::StorageClient* client, Prepared* prepared,
     if (node.is_leaf()) return;
     auto image = std::make_shared<Node>(node);
     image->stamp = stamp;
-    tree->CacheIfInner(*image);
+    tree->Cache(image);
     known[{tree->table_, node.id}] = std::move(image);
   };
   // A lost LL/SC: the cached image of the node is stale.
@@ -1248,26 +1351,34 @@ Status BTree::BatchScan(store::StorageClient* client,
   for (size_t c = 0; c < cursors.size(); ++c) {
     if (needs_more(c) && cursors[c]->next_leaf == 0) starting.push_back(c);
   }
-  client->metrics()->index_lookups += starting.size();
   std::vector<DescentKey> descents;
   descents.reserve(starting.size());
   for (size_t c : starting) {
     const ScanCursor& cursor = *cursors[c];
-    descents.push_back(
-        {cursor.tree, cursor.start, /*range=*/cursor.want == 0, cursor.end});
+    const bool range = cursor.want == 0;
+    descents.push_back({cursor.tree, cursor.start, range, cursor.end,
+                        range ? LeafCache::kBypass : cursor.leaf});
+    // A refresh repeats a lookup a cached image answered.
+    if (cursor.leaf != LeafCache::kRefresh) {
+      ++client->metrics()->index_lookups;
+    }
   }
   std::vector<DescentLeaf> leaves;
   std::vector<size_t> leaf_of_key;
   TELL_RETURN_NOT_OK(
       BatchDescendToLeaves(client, descents, &leaves, &leaf_of_key));
-  // Every leaf image this call fetched, by id. Any image serves any cursor:
-  // the right links, not this set, decide what a cursor reads.
+  // Every leaf image this call read from the store, by id. Any such image
+  // serves any cursor: the right links, not this set, decide what a cursor
+  // reads. A cached image serves only the cursor whose key took it.
   std::map<NodeId, NodeRef> held;
   for (const DescentLeaf& leaf : leaves) {
+    if (leaf.cached) continue;
     held.emplace(NodeId{leaf.tree->table_, leaf.node->id}, leaf.node);
   }
   for (size_t k = 0; k < starting.size(); ++k) {
-    consume(starting[k], *leaves[leaf_of_key[k]].node);
+    const DescentLeaf& leaf = leaves[leaf_of_key[k]];
+    cursors[starting[k]]->from_cache = leaf.cached;
+    consume(starting[k], *leaf.node);
   }
 
   // Then every cursor follows its right links through the held leaves. A

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -24,10 +25,31 @@ struct IndexEntry {
 
 class BTree;
 
+/// A decoded B+tree node (defined in btree.cc). An image never changes once
+/// decoded, so a batch's keys and the PN's NodeCache share it.
+struct Node;
+using NodeRef = std::shared_ptr<const Node>;
+
+/// How a point lookup uses the leaf images in its PN's NodeCache.
+enum class LeafCache : uint8_t {
+  /// Reads the leaf from the store and leaves the cache alone.
+  kBypass,
+  /// Takes a cached image of the leaf if that covers the key and holds it,
+  /// else reads the leaf from the store and caches it. Only for a key of a
+  /// unique tree whose caller validates every rid against its record: an
+  /// image may be stale, so it only proposes rids.
+  kUse,
+  /// A cached image's rids all failed validation: reads the leaf from the
+  /// store and caches it in place of the stale image. Counted as a stale
+  /// leaf, not as a lookup.
+  kRefresh,
+};
+
 /// One key of a BTree::BatchLookup call: the tree to look in and the key.
 struct TreeKey {
   BTree* tree = nullptr;
   std::string key;
+  LeafCache leaf = LeafCache::kBypass;
 };
 
 /// One operation of a BTree::BatchInsert call: inserts (key, rid), or with
@@ -52,48 +74,74 @@ struct ScanCursor {
   /// at least this many more entries were appended or the range is
   /// exhausted. 0 = read the whole range.
   size_t want = 0;
+  /// The start leaf's source, as for a point lookup of `start`. Anything
+  /// but kBypass only for a range of exactly one key, [k, k + '\0').
+  LeafCache leaf = LeafCache::kBypass;
   /// The entries read so far, in key order (BatchScan appends).
   std::vector<IndexEntry> entries;
   bool exhausted = false;
   /// The leaf to read next (a right sibling); 0 = descend to `start`.
   uint64_t next_leaf = 0;
+  /// The start leaf was a cached image (LeafCache::kUse).
+  bool from_cache = false;
 };
 
 struct BTreeOptions {
   /// Max entries per node before it splits.
   uint32_t fanout = 64;
-  /// Paper §5.3.1: all index nodes except the leaf level are cached on the
-  /// processing node; leaves are always fetched from the storage system.
-  /// Disabled by the index-cache ablation bench.
+  /// Caching of index nodes on the processing node: inner nodes serve
+  /// every descent (paper §5.3.1), leaf images only validated unique-key
+  /// point lookups (LeafCache::kUse; the paper fetches every leaf from the
+  /// storage system). Off disables both; the index-cache ablation bench
+  /// turns it off.
   bool cache_inner_nodes = true;
 };
 
-/// Per-processing-node cache of inner B+tree nodes. Shared by all workers of
-/// one PN; thread safe. Entries are (node id -> serialized node + stamp).
+/// Per-processing-node cache of decoded B+tree node images, shared by all
+/// workers of one PN; thread safe. A hit costs no decode: the cache hands
+/// out the immutable image itself.
 ///
-/// Bounded: at most `max_entries` nodes are held, evicted least-recently-used
-/// (Get refreshes recency). An evicted inner node is simply re-fetched on the
-/// next descent, so the bound affects cost only, never correctness — and the
-/// LRU order naturally pins the root and upper levels, which every descent
-/// touches. Entry count is exported as the `index.cache.entries` gauge.
+/// Inner nodes and leaves have a bound each, both least-recently-used (Get
+/// refreshes recency), so leaves never evict inner nodes. An evicted node
+/// is simply re-fetched on the next descent, so the bounds affect cost
+/// only, never correctness — and the LRU order naturally pins the root and
+/// upper levels, which every descent touches. A leaf image may be stale:
+/// it only proposes rids to a caller that validates them (LeafCache). The
+/// counters are exported as the `index.cache.*` gauges.
 ///
 /// The cache also holds the PN's block of reserved node ids for its tree's
 /// splits (see BTree::AllocateNodeIds).
 class NodeCache {
  public:
-  /// Default entry bound. At the default fanout (64) this caches the entire
-  /// inner-node set of trees with ~4096*64 leaves — far past what the
-  /// benchmarks build — while capping memory for adversarial workloads.
+  /// Default bound of each kind. At the default fanout (64) this caches
+  /// the entire inner-node set of trees with ~4096*64 leaves — far past
+  /// what the benchmarks build — and every leaf of a tree of up to ~100k
+  /// entries, while capping memory for adversarial workloads.
   static constexpr size_t kDefaultMaxEntries = 4096;
 
-  explicit NodeCache(size_t max_entries = kDefaultMaxEntries)
-      : max_entries_(max_entries == 0 ? 1 : max_entries) {}
+  explicit NodeCache(size_t max_inner = kDefaultMaxEntries,
+                     size_t max_leaves = kDefaultMaxEntries);
   NodeCache(const NodeCache&) = delete;
   NodeCache& operator=(const NodeCache&) = delete;
 
-  bool Get(uint64_t node_id, std::string* value, uint64_t* stamp);
-  void Put(uint64_t node_id, std::string value, uint64_t stamp);
+  /// The image of `node_id` if it is an inner node, or a leaf and `leaf`
+  /// is set; nullptr otherwise. Counts an inner hit, or an inner miss when
+  /// `leaf` is not set; leaf lookups are counted by CountLeafLookup.
+  NodeRef Get(uint64_t node_id, bool leaf);
+  /// Caches `node` under its id, within the bound of its kind.
+  void Put(NodeRef node);
   void Erase(uint64_t node_id);
+
+  /// How a unique-key point lookup (LeafCache::kUse) found its leaf.
+  enum class LeafLookup {
+    kHit,    // a cached image answered it
+    kMiss,   // no image was cached: the leaf came from the store
+    kStale,  // the image lacked the key or did not cover it: the store
+    /// The image's rids all failed validation (LeafCache::kRefresh): a
+    /// hit turns stale.
+    kInvalid,
+  };
+  void CountLeafLookup(LeafLookup lookup);
 
   /// Moves up to `n` node ids of this PN's id block into `ids`.
   void TakeNodeIds(size_t n, std::vector<uint64_t>* ids);
@@ -101,26 +149,45 @@ class NodeCache {
   /// never handed out: a racing refill leaks at most one block.
   void SetNodeIdBlock(uint64_t first, uint64_t end);
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t evictions() const { return evictions_; }
-  size_t entries() const;
-  size_t max_entries() const { return max_entries_; }
+  /// The counters of one kind of node. For leaves, hits and misses count
+  /// unique-key point lookups (CountLeafLookup).
+  struct KindStats {
+    uint64_t entries = 0;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t evictions = 0;
+  };
+  struct Stats {
+    KindStats inner;
+    KindStats leaf;
+    /// Unique-key point lookups whose cached leaf image was stale — the
+    /// key was absent or past the high key, or no rid validated — and
+    /// that read the leaf from the store. Hits, misses and these add up
+    /// to every such lookup.
+    uint64_t stale_leaves = 0;
+    Stats& operator+=(const Stats& other);
+  };
+  Stats stats() const;
 
  private:
   struct Entry {
-    std::string value;
-    uint64_t stamp = 0;
+    NodeRef node;
+    bool leaf = false;
     std::list<uint64_t>::iterator lru_it;
   };
+  /// The nodes of one kind, front = most recently used.
+  struct Kind {
+    size_t max_entries;
+    std::list<uint64_t> lru;
+    KindStats stats;
+  };
+  Kind& KindOf(bool leaf) { return leaf ? leaves_ : inner_; }
 
-  const size_t max_entries_;
   mutable std::mutex mutex_;
-  std::map<uint64_t, Entry> nodes_;
-  std::list<uint64_t> lru_;  // front = most recently used
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t evictions_ = 0;
+  std::unordered_map<uint64_t, Entry> nodes_;
+  Kind inner_;
+  Kind leaves_;
+  uint64_t stale_leaves_ = 0;
   // Node ids reserved for this PN's splits: [next_id_, end_id_).
   uint64_t next_id_ = 0;
   uint64_t end_id_ = 0;
@@ -240,18 +307,24 @@ class BTree {
   /// Point lookups for many keys, possibly of many trees, positionally
   /// aligned with `keys`. The descents share rounds: a key walks through
   /// cached inner nodes without a request, and each round fetches every
-  /// key's next uncached node — in particular the leaves, which are never
-  /// cached — through one StorageClient::BatchGet, whatever tree it belongs
-  /// to. With warm inner caches K lookups over any number of trees cost one
-  /// round instead of K descents. Keys whose path a concurrent split made
-  /// stale recover inside the same rounds (see BatchDescendToLeaves).
+  /// key's next uncached node — in particular the leaves, unless a key
+  /// takes a cached leaf image (LeafCache::kUse) — through one
+  /// StorageClient::BatchGet, whatever tree it belongs to. With warm inner
+  /// caches K lookups over any number of trees cost one round instead of K
+  /// descents, and none when every key's leaf image is cached. Keys whose
+  /// path a concurrent split made stale recover inside the same rounds
+  /// (see BatchDescendToLeaves). `from_cache` (if not null) tells per key
+  /// whether its rids came from a cached leaf image.
   static Result<std::vector<std::vector<uint64_t>>> BatchLookup(
-      store::StorageClient* client, const std::vector<TreeKey>& keys);
+      store::StorageClient* client, const std::vector<TreeKey>& keys,
+      std::vector<bool>* from_cache = nullptr);
 
   /// Advances every cursor that is not exhausted, possibly of many trees,
   /// until it has appended its `want` entries or reached the end of its
   /// range. Cursors that have not started share one batched descent to
-  /// their start keys (see BatchLookup); an unlimited one (`want` 0)
+  /// their start keys (see BatchLookup; a cursor's `leaf` acts as a point
+  /// key's, and the leaf images it takes serve no other cursor's chain
+  /// walk); an unlimited one (`want` 0)
   /// descends as a range key, which fetches every leaf its cached inner
   /// nodes name for the range in the same rounds. Each cursor then follows
   /// the right-sibling links from its start leaf through the leaves the
@@ -270,9 +343,6 @@ class BTree {
                                             size_t limit);
 
  private:
-  struct Node;
-  /// A fetched node, shared by every key of a batch whose descent visits it.
-  using NodeRef = std::shared_ptr<const Node>;
   /// A node of one tree: node ids restart at 1 in every tree.
   using NodeId = std::pair<store::TableId, uint64_t>;
   struct NodeEdit;
@@ -284,20 +354,24 @@ class BTree {
 
   /// One key of a batched descent. A range key (`range` set) stands for
   /// the keys of [key, end), empty `end` = unbounded: its descent also
-  /// fetches the leaves of the range (see BatchDescendToLeaves).
+  /// fetches the leaves of the range (see BatchDescendToLeaves). `leaf`
+  /// applies to a point key.
   struct DescentKey {
     BTree* tree;
     std::string_view key;
     bool range = false;
     std::string_view end = {};
+    LeafCache leaf = LeafCache::kBypass;
   };
 
-  /// One leaf image a batched descent reached: its tree, and the inner
-  /// nodes the walk that first reached it descended through, root first.
+  /// One leaf image a batched descent reached: its tree, the inner nodes
+  /// the walk that first reached it descended through, root first, and
+  /// whether the image came from the tree's cache.
   struct DescentLeaf {
     BTree* tree;
     NodeRef node;
     std::vector<NodeRef> path;
+    bool cached = false;
   };
 
   /// The one B+tree traversal, behind BatchLookup, BatchInsert and
@@ -321,6 +395,13 @@ class BTree {
   /// leaf. These walks only prefetch what the images name: one that would
   /// restart stops, and a key that restarts walks no range again;
   /// BatchScan's chain walk reads whatever they missed.
+  /// A point key with LeafCache::kUse also takes a cached leaf image at
+  /// attempt 0, unless the image does not cover the key (a right hop) or
+  /// lacks it: a negative answer never comes from a cached image, so the
+  /// leaf is read again from the store in the next round and replaces the
+  /// image. Every other walk that meets a cached leaf image reads the leaf
+  /// from the store. A leaf fetched at attempt 0 for a key with a leaf
+  /// mode other than kBypass enters the cache.
   /// On return `leaves` holds every leaf image reached, each once — a range
   /// walk's too — and `leaf_of_key[i]` indexes into it for keys[i]. A root
   /// that cannot be read fails the call. `riders` (if not null) travel in
@@ -332,10 +413,13 @@ class BTree {
       const std::vector<store::WriteOp>* riders = nullptr,
       std::vector<Result<uint64_t>>* rider_results = nullptr);
 
-  /// The cached copy of inner node `node_id`, or nullptr.
-  NodeRef CachedInner(uint64_t node_id);
-  /// Caches `node` if it is an inner node and caching is on.
-  void CacheIfInner(const Node& node);
+  /// The cached image of node `node_id` if caching is on: an inner node,
+  /// or with `leaf` set also a leaf (see NodeCache::Get); else nullptr.
+  NodeRef Cached(uint64_t node_id, bool leaf);
+  /// Caches `node` if caching is on.
+  void Cache(const NodeRef& node);
+  /// Counts a unique-key point lookup's leaf in the cache if caching is on.
+  void CountLeafLookup(NodeCache::LeafLookup lookup);
 
   /// BatchInsert's preparation: descends to the leaves of ops[pending] —
   /// with `riders` in the first round, see BatchDescendToLeaves — and

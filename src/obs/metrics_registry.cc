@@ -84,9 +84,25 @@ const BuiltinGauge kBuiltinGauges[] = {
      "entries evicted from client record caches (LRU/capacity)"},
     {"store.cache.invalidations", "entries",
      "cache entries dropped because their partition's lease epoch moved"},
-    // Per-PN B+tree inner-node caches, summed over processing nodes.
-    {"index.cache.entries", "entries",
+    // Per-PN B+tree node caches, summed over processing nodes.
+    {"index.cache.inner_entries", "entries",
      "inner B+tree nodes held by per-PN node caches"},
+    {"index.cache.inner_hits", "nodes",
+     "descent steps served an inner node by a node cache"},
+    {"index.cache.inner_misses", "nodes",
+     "node-cache probes for an inner node that found none"},
+    {"index.cache.inner_evictions", "nodes",
+     "inner nodes evicted from node caches (LRU/capacity)"},
+    {"index.cache.leaf_entries", "entries",
+     "B+tree leaf images held by per-PN node caches"},
+    {"index.cache.leaf_hits", "lookups",
+     "unique-key point lookups a cached leaf image answered"},
+    {"index.cache.leaf_misses", "lookups",
+     "unique-key point lookups that found no cached leaf image"},
+    {"index.cache.leaf_evictions", "leaves",
+     "leaf images evicted from node caches (LRU/capacity)"},
+    {"index.cache.leaf_stale", "lookups",
+     "unique-key point lookups whose cached leaf image was stale"},
     // Shared record buffer (SB/SBVS) stats, summed over processing nodes.
     {"buffer.shared.hits", "reads", "shared-buffer probes served locally"},
     {"buffer.shared.misses", "reads",

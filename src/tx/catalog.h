@@ -67,7 +67,7 @@ class Catalog {
 };
 
 /// Per-processing-node view of one table: the shared metadata plus B+tree
-/// handles bound to this PN's inner-node caches.
+/// handles bound to this PN's node caches.
 struct TableHandle {
   const TableMeta* meta = nullptr;
   index::BTree primary;
@@ -149,23 +149,12 @@ class TableRegistry {
     return out;
   }
 
-  /// Aggregated inner-node cache statistics over every cache this registry
-  /// owns (feeds the `index.cache.*` gauges).
-  struct CacheStats {
-    uint64_t entries = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-  };
-  CacheStats IndexCacheStats() const {
+  /// Node-cache statistics summed over every cache this registry owns
+  /// (feeds the `index.cache.*` gauges).
+  index::NodeCache::Stats IndexCacheStats() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    CacheStats stats;
-    for (const auto& cache : caches_) {
-      stats.entries += cache->entries();
-      stats.hits += cache->hits();
-      stats.misses += cache->misses();
-      stats.evictions += cache->evictions();
-    }
+    index::NodeCache::Stats stats;
+    for (const auto& cache : caches_) stats += cache->stats();
     return stats;
   }
 

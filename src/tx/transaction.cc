@@ -18,6 +18,17 @@ constexpr uint32_t kRidRangeSize = 512;
 constexpr int kMaxRevertRetries = 1024;
 
 std::string RidKey(uint64_t rid) { return EncodeOrderedU64(rid); }
+
+/// The definition of `table`'s index that `tree` holds.
+const schema::IndexDef& IndexDefOf(const TableHandle* table,
+                                   const index::BTree* tree) {
+  if (tree == &table->primary) return table->meta->primary.def;
+  for (size_t i = 0; i < table->secondaries.size(); ++i) {
+    if (tree == &table->secondaries[i]) return table->meta->secondaries[i].def;
+  }
+  TELL_CHECK(false);
+  __builtin_unreachable();
+}
 }  // namespace
 
 Result<uint64_t> Session::AllocateRid(const TableMeta* table) {
@@ -251,27 +262,15 @@ Status Transaction::Delete(TableHandle* table, uint64_t rid) {
 
 Result<std::optional<schema::Tuple>> Transaction::ValidateIndexHit(
     TableHandle* table, index::BTree* tree, const std::string& key,
-    uint64_t rid) {
-  const schema::IndexDef* def = nullptr;
-  if (tree == &table->primary) {
-    def = &table->meta->primary.def;
-  } else {
-    for (size_t i = 0; i < table->secondaries.size(); ++i) {
-      if (tree == &table->secondaries[i]) {
-        def = &table->meta->secondaries[i].def;
-        break;
-      }
-    }
-  }
-  TELL_CHECK(def != nullptr);
-
-  RecordKey record_key{table->meta->data_table, rid};
-  bool own_pending = false;
+    uint64_t rid, bool collect) {
+  const schema::IndexDef& def = IndexDefOf(table, tree);
+  // An obsolete entry is queued for removal unless this transaction
+  // inserted it itself.
   auto pending_it = pending_index_.find({tree->table(), key});
-  if (pending_it != pending_index_.end()) {
-    own_pending = std::find(pending_it->second.begin(),
-                            pending_it->second.end(),
-                            rid) != pending_it->second.end();
+  if (pending_it != pending_index_.end() &&
+      std::find(pending_it->second.begin(), pending_it->second.end(), rid) !=
+          pending_it->second.end()) {
+    collect = false;
   }
 
   TELL_ASSIGN_OR_RETURN(RecordState * state, EnsureFetched(table, rid));
@@ -283,7 +282,7 @@ Result<std::optional<schema::Tuple>> Transaction::ValidateIndexHit(
   if (!state->dirty &&
       (!state->exists || (state->record.DeadAt(lav_) &&
                           Visible(*state) == state->record.Newest()))) {
-    if (!own_pending) QueueIndexRemoval(tree, key, rid);
+    if (collect) QueueIndexRemoval(tree, key, rid);
     return std::optional<schema::Tuple>{};
   }
   // Does ANY version still carry this key? If not, the entry is obsolete
@@ -296,7 +295,7 @@ Result<std::optional<schema::Tuple>> Transaction::ValidateIndexHit(
     auto tuple = schema::Tuple::Deserialize(table->meta->schema,
                                             version.payload);
     if (!tuple.ok()) continue;
-    auto version_key = schema::EncodeIndexKey(*tuple, def->key_columns);
+    auto version_key = schema::EncodeIndexKey(*tuple, def.key_columns);
     if (version_key.ok() && *version_key == key) {
       key_in_some_version = true;
       if (visible != nullptr && visible->version == version.version &&
@@ -305,9 +304,7 @@ Result<std::optional<schema::Tuple>> Transaction::ValidateIndexHit(
       }
     }
   }
-  if (!key_in_some_version && !own_pending) {
-    QueueIndexRemoval(tree, key, rid);
-  }
+  if (!key_in_some_version && collect) QueueIndexRemoval(tree, key, rid);
   return match;
 }
 
@@ -321,47 +318,79 @@ void Transaction::QueueIndexRemoval(index::BTree* tree, const std::string& key,
 
 Result<std::vector<std::vector<uint64_t>>> Transaction::LookupVisible(
     const std::vector<TableHandle*>& tables,
-    const std::vector<index::TreeKey>& keys) {
+    std::vector<index::TreeKey> keys) {
   TELL_CHECK(state_ == TxnState::kRunning);
   // Index-lookup span; the record fetches re-attribute their time to the
   // read phase (exclusive attribution).
   obs::PhaseScope span(tracer_, sim::TxnPhase::kIndexLookup);
-  TELL_ASSIGN_OR_RETURN(std::vector<std::vector<uint64_t>> rid_lists,
-                        index::BTree::BatchLookup(client_, keys));
-  TELL_CHECK(rid_lists.size() == keys.size());
-  // Merge this transaction's pending inserts and dedup.
+  // A key of a unique index may take its leaf from the PN's node cache:
+  // the image only proposes rids, and the record fetch decides. The index
+  // is unique, so a rid whose visible version carries the key is the one
+  // visible row with it — what a leaf read from the store would yield.
   for (size_t i = 0; i < keys.size(); ++i) {
-    auto pending_it = pending_index_.find({keys[i].tree->table(), keys[i].key});
-    if (pending_it != pending_index_.end()) {
-      for (uint64_t rid : pending_it->second) rid_lists[i].push_back(rid);
+    if (IndexDefOf(tables[i], keys[i].tree).unique) {
+      keys[i].leaf = index::LeafCache::kUse;
     }
-    std::sort(rid_lists[i].begin(), rid_lists[i].end());
-    rid_lists[i].erase(std::unique(rid_lists[i].begin(), rid_lists[i].end()),
-                       rid_lists[i].end());
   }
-  // Prefetch every candidate record of every table up front so the
-  // validation below is served from the transaction buffer.
-  {
-    obs::PhaseScope read_span(tracer_, sim::TxnPhase::kRead);
+  std::vector<bool> from_cache;
+  TELL_ASSIGN_OR_RETURN(std::vector<std::vector<uint64_t>> rid_lists,
+                        index::BTree::BatchLookup(client_, keys, &from_cache));
+  TELL_CHECK(rid_lists.size() == keys.size());
+  std::vector<std::vector<uint64_t>> visible(keys.size());
+  // Validates the candidates of keys[which]: this transaction's pending
+  // inserts merged in, every candidate record prefetched in one batched
+  // request, then each validated (ValidateIndexHit).
+  auto validate = [&](const std::vector<size_t>& which) -> Status {
     std::vector<std::pair<TableHandle*, uint64_t>> candidates;
-    for (size_t i = 0; i < keys.size(); ++i) {
+    for (size_t i : which) {
+      std::vector<uint64_t>& rids = rid_lists[i];
+      auto pending_it =
+          pending_index_.find({keys[i].tree->table(), keys[i].key});
+      if (pending_it != pending_index_.end()) {
+        rids.insert(rids.end(), pending_it->second.begin(),
+                    pending_it->second.end());
+      }
+      std::sort(rids.begin(), rids.end());
+      rids.erase(std::unique(rids.begin(), rids.end()), rids.end());
+      for (uint64_t rid : rids) candidates.emplace_back(tables[i], rid);
+    }
+    {
+      obs::PhaseScope read_span(tracer_, sim::TxnPhase::kRead);
+      TELL_RETURN_NOT_OK(PrefetchMissing(candidates).status());
+    }
+    for (size_t i : which) {
       for (uint64_t rid : rid_lists[i]) {
-        candidates.emplace_back(tables[i], rid);
+        TELL_ASSIGN_OR_RETURN(
+            std::optional<schema::Tuple> tuple,
+            ValidateIndexHit(tables[i], keys[i].tree, keys[i].key, rid,
+                             /*collect=*/!from_cache[i]));
+        if (tuple.has_value()) visible[i].push_back(rid);
       }
     }
-    TELL_RETURN_NOT_OK(PrefetchMissing(candidates).status());
-  }
+    return Status::OK();
+  };
+  std::vector<size_t> all(keys.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  TELL_RETURN_NOT_OK(validate(all));
+  // A cached image none of whose rids validated may be stale: those keys
+  // read their leaves from the store in one more round, and are validated
+  // as if no image had been cached.
+  std::vector<size_t> stale;
+  std::vector<index::TreeKey> refresh;
   for (size_t i = 0; i < keys.size(); ++i) {
-    std::vector<uint64_t> visible;
-    for (uint64_t rid : rid_lists[i]) {
-      TELL_ASSIGN_OR_RETURN(
-          std::optional<schema::Tuple> tuple,
-          ValidateIndexHit(tables[i], keys[i].tree, keys[i].key, rid));
-      if (tuple.has_value()) visible.push_back(rid);
-    }
-    rid_lists[i] = std::move(visible);
+    if (!from_cache[i] || !visible[i].empty()) continue;
+    stale.push_back(i);
+    refresh.push_back({keys[i].tree, keys[i].key, index::LeafCache::kRefresh});
+    from_cache[i] = false;
   }
-  return rid_lists;
+  if (stale.empty()) return visible;
+  TELL_ASSIGN_OR_RETURN(std::vector<std::vector<uint64_t>> fresh,
+                        index::BTree::BatchLookup(client_, refresh));
+  for (size_t s = 0; s < stale.size(); ++s) {
+    rid_lists[stale[s]] = std::move(fresh[s]);
+  }
+  TELL_RETURN_NOT_OK(validate(stale));
+  return visible;
 }
 
 Result<std::vector<uint64_t>> Transaction::LookupIndex(
@@ -494,6 +523,13 @@ Transaction::BatchScanIndex(const std::vector<IndexRange>& ranges) {
     scan.cursor.tree = scan.tree;
     scan.cursor.start = range.lo;
     scan.cursor.end = range.hi;
+    // Exactly one key of a unique index, [k, k + '\0'): a point lookup,
+    // whose leaf may come from the node cache (see LookupVisible).
+    if (range.hi.size() == range.lo.size() + 1 && range.hi.back() == '\0' &&
+        range.hi.compare(0, range.lo.size(), range.lo) == 0 &&
+        IndexDefOf(range.table, scan.tree).unique) {
+      scan.cursor.leaf = index::LeafCache::kUse;
+    }
     for (const auto& [key, rids] : pending_index_) {
       if (key.first != scan.tree->table()) continue;
       if (key.second < range.lo) continue;
@@ -557,12 +593,28 @@ Transaction::BatchScanIndex(const std::vector<IndexRange>& ranges) {
     // 2. One record round: the next wanted candidates of every range.
     std::vector<std::pair<size_t, size_t>> batch;  // range, candidates end
     std::vector<std::pair<TableHandle*, uint64_t>> records;
+    bool restarted = false;
     for (size_t r = 0; r < scans.size(); ++r) {
       Scan& scan = scans[r];
       if (scan.done) continue;
       const size_t take =
           std::min(scan.candidates.size() - scan.next, wanted(r));
       if (take == 0 && scan.cursor.exhausted) {
+        if (scan.cursor.from_cache && out[r].empty()) {
+          // None of the rids the cached leaf image proposed validated: the
+          // image may be stale, so the range starts over with the leaf
+          // from the store.
+          scan.cursor.leaf = index::LeafCache::kRefresh;
+          scan.cursor.exhausted = false;
+          scan.cursor.next_leaf = 0;
+          scan.cursor.from_cache = false;
+          scan.candidates.clear();
+          scan.next = 0;
+          scan.pending_pos = 0;
+          scan.seen.clear();
+          restarted = true;
+          continue;
+        }
         scan.done = true;
         continue;
       }
@@ -571,7 +623,10 @@ Transaction::BatchScanIndex(const std::vector<IndexRange>& ranges) {
         records.emplace_back(ranges[r].table, scan.candidates[c].rid);
       }
     }
-    if (batch.empty()) break;
+    if (batch.empty()) {
+      if (restarted) continue;
+      break;
+    }
     // Records not yet buffered travel in one batched request (§5.1) and are
     // read like BatchRead reads them, so validation below is buffer-only.
     {
@@ -590,7 +645,7 @@ Transaction::BatchScanIndex(const std::vector<IndexRange>& ranges) {
         TELL_ASSIGN_OR_RETURN(
             std::optional<schema::Tuple> tuple,
             ValidateIndexHit(ranges[r].table, scan.tree, entry.key,
-                             entry.rid));
+                             entry.rid, /*collect=*/!scan.cursor.from_cache));
         if (!tuple.has_value()) continue;
         out[r].emplace_back(entry.rid, std::move(*tuple));
         if (ranges[r].limit != 0 && out[r].size() >= ranges[r].limit) {

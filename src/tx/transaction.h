@@ -397,21 +397,27 @@ class Transaction {
 
   /// The lookup core of LookupIndex and BatchLookupPrimary, for keys of any
   /// index of any table (`tables[i]` owns `keys[i].tree`): one shared
-  /// descent (BTree::BatchLookup), this transaction's pending inserts
-  /// merged in, every candidate record prefetched in one batched request,
-  /// then each candidate validated (ValidateIndexHit). Returns the visible
-  /// rids of each key, in rid order.
+  /// descent (BTree::BatchLookup) — in which a key of a unique index may
+  /// take a leaf image from the PN's node cache (LeafCache::kUse) — this
+  /// transaction's pending inserts merged in, every candidate record
+  /// prefetched in one batched request, then each candidate validated
+  /// (ValidateIndexHit). A key whose cached image proposed no rid that
+  /// validates reads its leaf from the store in one more round shared by
+  /// all such keys (LeafCache::kRefresh) and is validated again. Returns
+  /// the visible rids of each key, in rid order.
   Result<std::vector<std::vector<uint64_t>>> LookupVisible(
       const std::vector<TableHandle*>& tables,
-      const std::vector<index::TreeKey>& keys);
+      std::vector<index::TreeKey> keys);
 
   /// Validates an index hit: fetches the record, checks some version still
   /// carries `key` and the record is not dead below the lav (else queues
-  /// the entry for GC), and returns the tuple if the visible version
-  /// matches the key.
+  /// the entry for GC if `collect` is set and this transaction did not
+  /// insert it), and returns the tuple if the visible version matches the
+  /// key. An entry only a cached leaf image proposed is not collected: the
+  /// image may be stale, and the entry gone from the tree.
   Result<std::optional<schema::Tuple>> ValidateIndexHit(
       TableHandle* table, index::BTree* tree, const std::string& key,
-      uint64_t rid);
+      uint64_t rid, bool collect = true);
 
   /// Shared storage step of FilteredScan and ExecuteScanFragment: fans one
   /// sink per partition out through StorageClient::ExecuteFragmentScan and,

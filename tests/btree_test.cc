@@ -1321,5 +1321,200 @@ TEST_F(RangeDescentTest, ScansDuringSplitsSeeEveryEarlierKeyOnce) {
   for (int n : scans) EXPECT_GT(n, 0);
 }
 
+// ---------------------------------------------------------------------------
+// Leaf images in the node cache (LeafCache). PN A looks keys up, taking
+// cached leaf images where it may; PN B changes the leaves underneath them.
+// An image only proposes rids: these tests pin what the descent does with
+// it, and the transaction layer validates what it proposes.
+
+class LeafImageTest : public BTreeTest {
+ protected:
+  LeafImageTest()
+      : tree_a_(MakeTree(/*fanout=*/8, &cache_a_)),
+        tree_b_(MakeTree(/*fanout=*/8, &cache_b_)),
+        writer_(MakeClient()),
+        writer_metrics_(metrics_.back().get()) {
+    EXPECT_OK(BTree::Create(writer_.get(), table_));
+    LoadEvenKeys(writer_.get(), &tree_b_);
+    client_ = MakeClient(store::ClientOptions{});
+    metrics_of_client_ = metrics_.back().get();
+  }
+
+  /// A's lookups of `keys` (of the form key k holds rid k + 1), reading
+  /// their leaves as `leaf` says; `from_cache` gets the per-key source.
+  std::vector<std::vector<uint64_t>> Lookup(const std::vector<uint64_t>& keys,
+                                            LeafCache leaf,
+                                            std::vector<bool>* from_cache) {
+    std::vector<TreeKey> batch;
+    for (uint64_t k : keys) {
+      batch.push_back({&tree_a_, tell::EncodeOrderedU64(k), leaf});
+    }
+    auto got = BTree::BatchLookup(client_.get(), batch, from_cache);
+    EXPECT_OK(got.status());
+    return got.ok() ? *got : std::vector<std::vector<uint64_t>>{};
+  }
+
+  /// B inserts key k with rid k + 1.
+  void InsertOnB(uint64_t k) {
+    ASSERT_OK(tree_b_.Insert(writer_.get(), tell::EncodeOrderedU64(k), k + 1,
+                             true));
+  }
+
+  uint64_t Calls() const { return metrics_of_client_->pipeline_flushes; }
+
+  NodeCache cache_a_;
+  NodeCache cache_b_;
+  BTree tree_a_;
+  BTree tree_b_;
+  std::unique_ptr<store::StorageClient> writer_;
+  sim::WorkerMetrics* writer_metrics_;
+  std::unique_ptr<store::StorageClient> client_;
+  sim::WorkerMetrics* metrics_of_client_ = nullptr;
+};
+
+/// Rids of keys k: k + 1 each.
+std::vector<std::vector<uint64_t>> RidsOf(const std::vector<uint64_t>& keys) {
+  std::vector<std::vector<uint64_t>> rids;
+  for (uint64_t k : keys) rids.push_back({k + 1});
+  return rids;
+}
+
+TEST_F(LeafImageTest, TakenImagesCostNoRound) {
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 0; k < 400; k += 32) keys.push_back(k);
+  std::vector<bool> from_cache;
+  // Cold: four levels of rounds, and every leaf enters A's cache.
+  EXPECT_EQ(Lookup(keys, LeafCache::kUse, &from_cache), RidsOf(keys));
+  EXPECT_EQ(from_cache, std::vector<bool>(keys.size(), false));
+  EXPECT_EQ(cache_a_.stats().leaf.entries, keys.size());
+  EXPECT_EQ(cache_a_.stats().leaf.misses, keys.size());
+  // Warm: every key takes its leaf's image, and the batch sends nothing.
+  uint64_t calls = Calls();
+  EXPECT_EQ(Lookup(keys, LeafCache::kUse, &from_cache), RidsOf(keys));
+  EXPECT_EQ(Calls() - calls, 0u);
+  EXPECT_EQ(from_cache, std::vector<bool>(keys.size(), true));
+  EXPECT_EQ(cache_a_.stats().leaf.hits, keys.size());
+  // A bypassing lookup reads every leaf from the store in one round.
+  calls = Calls();
+  EXPECT_EQ(Lookup(keys, LeafCache::kBypass, &from_cache), RidsOf(keys));
+  EXPECT_EQ(Calls() - calls, 1u);
+  EXPECT_EQ(from_cache, std::vector<bool>(keys.size(), false));
+  EXPECT_EQ(cache_a_.stats().stale_leaves, 0u);
+}
+
+TEST_F(BTreeTest, LeafImagesNeverEvictInnerNodes) {
+  auto loader = MakeClient();
+  ASSERT_OK(BTree::Create(loader.get(), table_));
+  BTree loaded = MakeTree(/*fanout=*/8);
+  LoadEvenKeys(loader.get(), &loaded);
+  // Room for every inner node but only two leaf images.
+  NodeCache small(NodeCache::kDefaultMaxEntries, /*max_leaves=*/2);
+  BTree tree = MakeTree(/*fanout=*/8, &small);
+  auto client = MakeClient(store::ClientOptions{});
+  sim::WorkerMetrics* metrics = metrics_.back().get();
+  std::vector<TreeKey> keys;
+  for (const std::string& key : ProbeKeys()) {
+    keys.push_back({&tree, key, LeafCache::kUse});
+  }
+  ASSERT_OK(BTree::BatchLookup(client.get(), keys).status());
+  const NodeCache::Stats cold = small.stats();
+  EXPECT_EQ(cold.leaf.entries, 2u);
+  EXPECT_EQ(cold.leaf.evictions, keys.size() - 2);
+  EXPECT_EQ(cold.inner.evictions, 0u);
+  // Every inner node is still cached: the batch again costs one round, for
+  // the leaves whose images were evicted.
+  const uint64_t calls = metrics->pipeline_flushes;
+  ASSERT_OK(BTree::BatchLookup(client.get(), keys).status());
+  EXPECT_EQ(metrics->pipeline_flushes - calls, 1u);
+  EXPECT_EQ(small.stats().inner.entries, cold.inner.entries);
+}
+
+TEST_F(LeafImageTest, ImageLackingTheKeyIsReadAgain) {
+  std::vector<bool> from_cache;
+  EXPECT_EQ(Lookup({0}, LeafCache::kUse, &from_cache), RidsOf({0}));
+  // B adds key 1 to the leaf of keys 0..6, which A holds an image of.
+  ASSERT_NO_FATAL_FAILURE(InsertOnB(1));
+  // Key 0 takes the image; key 1 is absent from it, so its leaf is read
+  // again — one round — and the fresh image replaces the stale one.
+  uint64_t calls = Calls();
+  EXPECT_EQ(Lookup({0, 1}, LeafCache::kUse, &from_cache), RidsOf({0, 1}));
+  EXPECT_EQ(Calls() - calls, 1u);
+  EXPECT_EQ(from_cache, (std::vector<bool>{true, false}));
+  EXPECT_EQ(cache_a_.stats().stale_leaves, 1u);
+  calls = Calls();
+  EXPECT_EQ(Lookup({0, 1}, LeafCache::kUse, &from_cache), RidsOf({0, 1}));
+  EXPECT_EQ(Calls() - calls, 0u);
+  EXPECT_EQ(from_cache, (std::vector<bool>{true, true}));
+  // A negative answer never comes from an image: absent key 3 costs the
+  // leaf's round.
+  calls = Calls();
+  EXPECT_EQ(Lookup({3}, LeafCache::kUse, &from_cache),
+            (std::vector<std::vector<uint64_t>>{{}}));
+  EXPECT_EQ(Calls() - calls, 1u);
+  EXPECT_EQ(from_cache, std::vector<bool>{false});
+  // A refresh reads the leaf from the store even with a current image.
+  calls = Calls();
+  EXPECT_EQ(Lookup({0}, LeafCache::kRefresh, &from_cache), RidsOf({0}));
+  EXPECT_EQ(Calls() - calls, 1u);
+  EXPECT_EQ(cache_a_.stats().stale_leaves, 3u);
+}
+
+TEST_F(LeafImageTest, ImagePastItsHighKeyHopsRight) {
+  std::vector<bool> from_cache;
+  // A caches its path to the full rightmost leaf, keys 384..398.
+  EXPECT_EQ(Lookup({384}, LeafCache::kUse, &from_cache), RidsOf({384}));
+  // B's key 385 splits that leaf into 384..388 and a fresh right node
+  // with 390..398.
+  const uint64_t splits = writer_metrics_->index_splits;
+  ASSERT_NO_FATAL_FAILURE(InsertOnB(385));
+  ASSERT_EQ(writer_metrics_->index_splits - splits, 1u);
+  // Key 396 moved right, but A's image from before the split still holds
+  // it under its rid: no round.
+  uint64_t calls = Calls();
+  EXPECT_EQ(Lookup({396}, LeafCache::kUse, &from_cache), RidsOf({396}));
+  EXPECT_EQ(Calls() - calls, 0u);
+  EXPECT_EQ(from_cache, std::vector<bool>{true});
+  // Key 385 is absent from the image: the leaf is read again, and its
+  // image now ends at 390.
+  calls = Calls();
+  EXPECT_EQ(Lookup({385}, LeafCache::kUse, &from_cache), RidsOf({385}));
+  EXPECT_EQ(Calls() - calls, 1u);
+  // A's cached parent still sends key 396 to that leaf, whose image no
+  // longer covers it: one right hop to the fresh node, read from the store.
+  calls = Calls();
+  EXPECT_EQ(Lookup({396}, LeafCache::kUse, &from_cache), RidsOf({396}));
+  EXPECT_EQ(Calls() - calls, 1u);
+  EXPECT_EQ(from_cache, std::vector<bool>{false});
+  EXPECT_EQ(cache_a_.stats().stale_leaves, 2u);
+}
+
+TEST_F(LeafImageTest, ScansNeverReadATakenImage) {
+  std::vector<bool> from_cache;
+  EXPECT_EQ(Lookup({0}, LeafCache::kUse, &from_cache), RidsOf({0}));
+  ASSERT_NO_FATAL_FAILURE(InsertOnB(1));
+  // One batch: an exact-key cursor on key 0, which takes A's image of the
+  // leaf, and a range cursor over the same leaf, which reads it from the
+  // store and sees B's key 1.
+  const std::string zero = tell::EncodeOrderedU64(0);
+  ScanCursor point;
+  point.tree = &tree_a_;
+  point.start = zero;
+  point.end = zero + '\0';
+  point.want = 1;
+  point.leaf = LeafCache::kUse;
+  ScanCursor range;
+  range.tree = &tree_a_;
+  range.start = zero;
+  range.end = tell::EncodeOrderedU64(8);
+  ASSERT_OK(BTree::BatchScan(client_.get(), {&point, &range}));
+  EXPECT_TRUE(point.from_cache);
+  ASSERT_EQ(point.entries.size(), 1u);
+  EXPECT_EQ(point.entries[0].rid, 1u);
+  EXPECT_FALSE(range.from_cache);
+  std::vector<uint64_t> rids;
+  for (const IndexEntry& e : range.entries) rids.push_back(e.rid);
+  EXPECT_EQ(rids, (std::vector<uint64_t>{1, 2, 3, 5, 7}));
+}
+
 }  // namespace
 }  // namespace tell::index

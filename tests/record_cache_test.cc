@@ -298,14 +298,21 @@ struct DigestRunConfig {
   bool freeze_epochs = false;
   /// ClientOptions::batching (the §5.1 ablation knob).
   bool batching = true;
+  /// Odd inputs run on processing node 1, even ones on node 0: each node's
+  /// cached B+tree leaf images go stale under the other's commits.
+  bool alternate_pns = false;
 };
 
-void RunTpccDigest(const DigestRunConfig& config, std::string* digest) {
+/// `stale_leaves` (if not null) gets the `index.cache.leaf_stale` gauge:
+/// cached leaf images the run's lookups read again from the store.
+void RunTpccDigest(const DigestRunConfig& config, std::string* digest,
+                   uint64_t* stale_leaves = nullptr) {
   db::TellDbOptions options;
   options.network = sim::NetworkModel::Instant();
   options.record_cache.enabled = config.cache;
   options.one_sided_reads = config.one_sided;
   options.batching = config.batching;
+  if (config.alternate_pns) options.num_processing_nodes = 2;
   db::TellDb db(options);
   ASSERT_OK(tpcc::CreateTpccTables(&db));
   tpcc::TpccScale scale;
@@ -322,6 +329,16 @@ void RunTpccDigest(const DigestRunConfig& config, std::string* digest) {
   auto tables = tpcc::OpenTpccTables(&db, 0);
   ASSERT_TRUE(tables.ok()) << tables.status().ToString();
   tpcc::TpccExecutor executor(session.get(), *tables);
+  std::unique_ptr<tx::Session> other_session;
+  std::unique_ptr<tpcc::TpccExecutor> other_executor;
+  if (config.alternate_pns) {
+    // Another worker id: payment's history keys embed it.
+    other_session = db.OpenSession(1, 1);
+    auto other_tables = tpcc::OpenTpccTables(&db, 1);
+    ASSERT_TRUE(other_tables.ok()) << other_tables.status().ToString();
+    other_executor = std::make_unique<tpcc::TpccExecutor>(
+        other_session.get(), *other_tables);
+  }
   tpcc::InputGenerator generator(scale, tpcc::Mix::kWriteIntensive,
                                  /*seed=*/9090, /*home_warehouse=*/1);
 
@@ -337,7 +354,9 @@ void RunTpccDigest(const DigestRunConfig& config, std::string* digest) {
       ASSERT_OK(db.management()->MigratePartition(stock, 0, dest));
     }
     tpcc::TxnInput input = generator.Next();
-    auto outcome = executor.Execute(input);
+    auto outcome = other_executor != nullptr && i % 2 == 1
+                       ? other_executor->Execute(input)
+                       : executor.Execute(input);
     if (!config.freeze_epochs) {
       ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     }
@@ -370,6 +389,12 @@ void RunTpccDigest(const DigestRunConfig& config, std::string* digest) {
               &out);
   ASSERT_OK(txn.Commit());
   *digest = out.str();
+  if (stale_leaves != nullptr) {
+    obs::MetricsRegistry registry;
+    db.ExportStats(&registry);
+    *stale_leaves =
+        registry.Snapshot().Scalar("index.cache.leaf_stale").value_or(0);
+  }
 }
 
 TEST(ClientCacheTpccTest, CacheAndOneSidedOnVsOffBitIdentical) {
@@ -418,6 +443,21 @@ TEST(ClientCacheTpccTest, BatchingOnVsOffBitIdentical) {
   ASSERT_FALSE(batched.empty());
   EXPECT_EQ(unbatched, batched)
       << "batching must be invisible to transaction semantics";
+}
+
+// Each processing node answers unique-key point lookups from the leaf
+// images it cached, while the other node's commits change those leaves:
+// the validated answers reach the one-node final state.
+TEST(LeafCacheTpccTest, InputsAlternatingBetweenTwoPnsMatchOnePn) {
+  std::string one_pn;
+  std::string two_pns;
+  uint64_t stale_leaves = 0;
+  RunTpccDigest({}, &one_pn);
+  RunTpccDigest({.alternate_pns = true}, &two_pns, &stale_leaves);
+  ASSERT_FALSE(one_pn.empty());
+  EXPECT_GT(stale_leaves, 0u) << "no lookup met a stale leaf image";
+  EXPECT_EQ(two_pns, one_pn)
+      << "a stale cached leaf image changed a transaction's answer";
 }
 
 // ---------------------------------------------------------------------------

@@ -261,7 +261,8 @@ TEST_F(TpccTest, OrderStatusAndStockLevelComplete) {
 
 // ---------------------------------------------------------------------------
 // Round budget: the storage calls that issued a message, pinned on a loaded
-// one-warehouse database whose inner-node caches a first new-order warmed.
+// one-warehouse database whose node caches a first new-order warmed: its
+// inner nodes, and the leaves its unique-key point lookups read.
 
 class TpccRoundBudgetTest : public ::testing::Test {
  protected:
@@ -303,7 +304,7 @@ class TpccRoundBudgetTest : public ::testing::Test {
   std::unique_ptr<TpccExecutor> executor_;
 };
 
-TEST_F(TpccRoundBudgetTest, NewOrderLookupsShareOneLeafRoundAndOneRecordRound) {
+TEST_F(TpccRoundBudgetTest, NewOrderLookupsShareOneRecordRound) {
   ASSERT_OK_AND_ASSIGN(TxnOutcome warm, executor_->NewOrder(Order()));
   ASSERT_TRUE(warm.committed);
   const NewOrderInput input = Order();
@@ -321,9 +322,9 @@ TEST_F(TpccRoundBudgetTest, NewOrderLookupsShareOneLeafRoundAndOneRecordRound) {
   ASSERT_OK(txn.Begin());
   const uint64_t before = session_->metrics()->pipeline_flushes;
   ASSERT_OK_AND_ASSIGN(auto rids, txn.BatchLookupPrimary(keys));
-  // Five tables, thirteen keys: one round for the leaves of every tree, one
-  // for the records of every table.
-  EXPECT_EQ(CallsSince(before), 2u);
+  // Five tables, thirteen keys: the warm order left every key's leaf image
+  // in the node cache, so only the records of every table cost a round.
+  EXPECT_EQ(CallsSince(before), 1u);
   for (const auto& rid : rids) EXPECT_TRUE(rid.has_value());
   ASSERT_OK(txn.Commit());
 }
@@ -337,14 +338,14 @@ TEST_F(TpccRoundBudgetTest, NewOrderCostsOneRoundPerDependencyLevel) {
   const uint64_t before = session_->metrics()->pipeline_flushes;
   ASSERT_OK_AND_ASSIGN(TxnOutcome outcome, executor_->NewOrder(Order()));
   ASSERT_TRUE(outcome.committed);
-  // Two lookup rounds (leaves, records), then the commit: the log append
-  // together with the leaves of orders, orders_by_customer, new_order and
-  // order_line, the LL/SC apply, one write of all the leaves and the
-  // commit flag.
-  EXPECT_EQ(CallsSince(before), 6u);
+  // One lookup round (the records; every leaf is a cached image), then the
+  // commit: the log append together with the leaves of orders,
+  // orders_by_customer, new_order and order_line, the LL/SC apply, one
+  // write of all the leaves and the commit flag.
+  EXPECT_EQ(CallsSince(before), 5u);
   // tx.storage_rounds took exactly this transaction's count.
   ASSERT_EQ(rounds.count(), samples + 1);
-  EXPECT_EQ(rounds.Mean() * static_cast<double>(rounds.count()) - sum, 6.0);
+  EXPECT_EQ(rounds.Mean() * static_cast<double>(rounds.count()) - sum, 5.0);
 }
 
 TEST_F(TpccRoundBudgetTest, NewOrderWhoseLeafSplitsCostsTheSameRounds) {
@@ -358,7 +359,7 @@ TEST_F(TpccRoundBudgetTest, NewOrderWhoseLeafSplitsCostsTheSameRounds) {
     const uint64_t before = metrics->pipeline_flushes;
     ASSERT_OK_AND_ASSIGN(TxnOutcome outcome, executor_->NewOrder(Order()));
     ASSERT_TRUE(outcome.committed);
-    EXPECT_EQ(CallsSince(before), 6u) << "order " << i;
+    EXPECT_EQ(CallsSince(before), 5u) << "order " << i;
     if (metrics->index_splits == splits) continue;
     // The split rides the commit's rounds: the fresh right node travels
     // with the apply, the shrink with the other leaf puts, and the parent
@@ -382,16 +383,19 @@ TEST_F(TpccRoundBudgetTest, DeliveryCollectsTheDeadEntriesOfTheLastDelivery) {
   // It deleted the oldest new-order row of each district. Their entries
   // now head the next delivery's ranges, dead below its lav: one more
   // record round meets them, and the commit removes them in one index
-  // batch (leaves with the log append, one write).
+  // batch (leaves with the log append, one write). The next orders sit on
+  // the orders leaves the first delivery's lookups cached, so they cost
+  // their record round only; some of their lines and customers sit on
+  // leaves it did not read, which keeps that leaf round.
   const uint64_t removed = metrics->gc_index_entries;
   before = metrics->pipeline_flushes;
   ASSERT_OK_AND_ASSIGN(TxnOutcome second, executor_->Delivery({1, 4}));
   ASSERT_TRUE(second.committed);
-  EXPECT_EQ(CallsSince(before), 11u);
+  EXPECT_EQ(CallsSince(before), 10u);
   EXPECT_EQ(metrics->gc_index_entries - removed, 10u);
 }
 
-TEST_F(TpccRoundBudgetTest, PaymentCostsTwoLookupRoundsAndFourCommitRounds) {
+TEST_F(TpccRoundBudgetTest, PaymentCostsItsLookupRoundsAndFourCommitRounds) {
   PaymentInput by_id;
   by_id.warehouse = 1;
   by_id.district = 4;
@@ -413,8 +417,9 @@ TEST_F(TpccRoundBudgetTest, PaymentCostsTwoLookupRoundsAndFourCommitRounds) {
     // Warehouse, district and the customer — a primary-key point or the
     // name-index range — in one leaf round and one record round; then the
     // log append with the history leaf, the apply, the history entry and
-    // the flag.
-    EXPECT_EQ(CallsSince(before), 6u);
+    // the flag. By id every point's leaf is the image the first payment
+    // cached, so the leaf round goes; the name range reads its leaf.
+    EXPECT_EQ(CallsSince(before), input.by_last_name ? 6u : 5u);
   }
 }
 
@@ -437,20 +442,28 @@ TEST_F(TpccRoundBudgetTest, OrderStatusAndStockLevelCalls) {
   ASSERT_OK_AND_ASSIGN(outcome, executor_->OrderStatus(status));
   ASSERT_TRUE(outcome.committed);
   // By name the orders scan needs the id the name scan finds: name range
-  // (leaf, records), orders (leaf, records), lines (leaves, records).
-  EXPECT_EQ(CallsSince(before), 6u);
+  // (leaf, records), orders (leaf, records), then the lines — whose leaf
+  // images the call by id cached — (records).
+  EXPECT_EQ(CallsSince(before), 5u);
   before = session_->metrics()->pipeline_flushes;
   ASSERT_OK_AND_ASSIGN(outcome, executor_->StockLevel({1, 4, 15}));
   ASSERT_TRUE(outcome.committed);
-  // District (leaf, record), the order_line scan over the last 20 orders
-  // (its leaves, all fetched in the descent's round, then records), then
-  // the stock rows (leaves, records).
-  EXPECT_EQ(CallsSince(before), 6u);
+  // District (its cached leaf image, record), the order_line scan over the
+  // last 20 orders (its leaves, all fetched in the descent's round, then
+  // records), then the stock rows (leaves — the warm order cached only its
+  // own items' — and records).
+  EXPECT_EQ(CallsSince(before), 5u);
+  before = session_->metrics()->pipeline_flushes;
+  ASSERT_OK_AND_ASSIGN(outcome, executor_->StockLevel({1, 4, 15}));
+  ASSERT_TRUE(outcome.committed);
+  // Again: now every stock leaf is a cached image too.
+  EXPECT_EQ(CallsSince(before), 4u);
 }
 
 // The shared buffers read through the same batched buffer read as TB: a
-// new-order costs TB's six calls under SB, whether its rows are buffered
-// or not. SBVS checks the units' version sets in one round before the
+// new-order costs TB's calls under SB, whether its rows are buffered or
+// not — five when its leaves are cached images (the same order again), six
+// when its items' leaves are not (another order). SBVS checks the units' version sets in one round before the
 // record round, which a warm order skips (every buffered row is still
 // valid), and its write-through reads and conditionally puts a unit's cell
 // per written record: 26 calls for new-order's 13 writes.
@@ -480,7 +493,7 @@ TEST_P(TpccSharedBufferRoundBudgetTest, NewOrderReadsInOneBatchPerLevel) {
   ASSERT_TRUE(outcome.committed);
   const uint64_t fresh_calls = CallsSince(before);
   const bool sbvs = GetParam() == db::BufferStrategy::kVersionSync;
-  EXPECT_EQ(warm_calls, sbvs ? 32u : 6u);
+  EXPECT_EQ(warm_calls, sbvs ? 31u : 5u);
   EXPECT_EQ(fresh_calls, sbvs ? 33u : 6u);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
 
 #include "db/tell_db.h"
@@ -650,6 +651,218 @@ TEST_F(TransactionTest, WriteWriteAbortRevertsInOneReadAndOneWrite) {
     EXPECT_EQ(rows[i]->GetDouble(2), i == 2 ? 99.0 : 10.0) << "record " << i;
   }
   ASSERT_OK(check.Commit());
+}
+
+// ---------------------------------------------------------------------------
+// Leaf images in the node cache. PN 0 caches the leaves of its point
+// lookups; PN 1 makes them stale in each way a unique-index leaf can go
+// stale; PN 2 has read nothing before and answers from the store. PN 0
+// must answer as PN 2 does. A cached answer costs the record round alone,
+// and each fallback to the store costs exactly one more round: the leaf,
+// plus the record round of a rid the image did not name.
+
+class LeafCacheTest : public ::testing::Test {
+ protected:
+  LeafCacheTest() {
+    db::TellDbOptions options;
+    options.num_processing_nodes = 3;
+    options.num_storage_nodes = 3;
+    options.network = sim::NetworkModel::Instant();
+    // Ids 10..90 make two leaves, 10..40 and 50..90, under an inner root.
+    options.btree.fanout = 8;
+    db_ = std::make_unique<db::TellDb>(options);
+    EXPECT_OK(db_->CreateTable("accounts",
+                               schema::SchemaBuilder()
+                                   .AddInt64("id")
+                                   .AddString("name")
+                                   .SetPrimaryKey({"id"})
+                                   .Build(),
+                               {}));
+    for (uint32_t pn = 0; pn < 3; ++pn) {
+      auto table = db_->GetTable(pn, "accounts");
+      EXPECT_TRUE(table.ok());
+      tables_[pn] = *table;
+      sessions_[pn] = db_->OpenSession(pn, 0);
+    }
+    for (int64_t id = 10; id <= 90; id += 10) {
+      rids_[id] = Insert(1, id, "v" + std::to_string(id));
+    }
+    // PN 0 reads every row once: its cache holds both leaves.
+    for (int64_t id = 10; id <= 90; id += 10) {
+      EXPECT_EQ(Lookup(0, id).rid, rids_[id]);
+    }
+  }
+
+  static Tuple Row(int64_t id, const std::string& name) {
+    Tuple t(2);
+    t.Set(0, id);
+    t.Set(1, name);
+    return t;
+  }
+
+  /// Runs `body` in one transaction on PN `pn` and commits it.
+  void Run(uint32_t pn,
+           const std::function<Status(Transaction*, TableHandle*)>& body) {
+    Transaction txn(sessions_[pn].get());
+    ASSERT_OK(txn.Begin());
+    ASSERT_OK(body(&txn, tables_[pn]));
+    ASSERT_OK(txn.Commit());
+  }
+
+  uint64_t Insert(uint32_t pn, int64_t id, const std::string& name) {
+    uint64_t rid = 0;
+    Run(pn, [&](Transaction* txn, TableHandle* table) -> Status {
+      TELL_ASSIGN_OR_RETURN(rid, txn->Insert(table, Row(id, name)));
+      return Status::OK();
+    });
+    return rid;
+  }
+
+  /// A point lookup's visible row, and the storage calls it took.
+  struct Answer {
+    std::optional<uint64_t> rid;
+    std::string name;
+    uint64_t calls = 0;
+  };
+
+  /// PN `pn` looks up primary key `id`, through BatchLookupPrimary or, with
+  /// `range`, through an exact-key BatchScanIndex range (payment's way).
+  Answer Lookup(uint32_t pn, int64_t id, bool range = false) {
+    Answer answer;
+    Transaction txn(sessions_[pn].get());
+    EXPECT_OK(txn.Begin());
+    const uint64_t before = sessions_[pn]->metrics()->pipeline_flushes;
+    if (range) {
+      const std::string key = *schema::EncodeIndexKeyValues({Value(id)});
+      auto rows = txn.ScanIndexEncoded(tables_[pn], -1, key, key + '\0', 1);
+      EXPECT_OK(rows.status());
+      if (rows.ok() && !rows->empty()) {
+        answer.rid = rows->front().first;
+        answer.name = rows->front().second.GetString(1);
+      }
+    } else {
+      auto rid = txn.LookupPrimary(tables_[pn], {Value(id)});
+      EXPECT_OK(rid.status());
+      if (rid.ok() && rid->has_value()) {
+        answer.rid = **rid;
+        auto row = txn.Read(tables_[pn], **rid);
+        if (row.ok() && row->has_value()) answer.name = (*row)->GetString(1);
+      }
+    }
+    answer.calls = sessions_[pn]->metrics()->pipeline_flushes - before;
+    EXPECT_OK(txn.Commit());
+    return answer;
+  }
+
+  /// Expects PN 0's answer for `id` to be PN 2's, in `calls` storage calls.
+  void ExpectFreshAnswer(int64_t id, uint64_t calls, bool range = false) {
+    const Answer cached = Lookup(0, id, range);
+    const Answer fresh = Lookup(2, id, range);
+    EXPECT_EQ(cached.rid, fresh.rid) << "id " << id;
+    EXPECT_EQ(cached.name, fresh.name) << "id " << id;
+    EXPECT_EQ(cached.calls, calls) << "id " << id;
+  }
+
+  /// The `index.cache.leaf_stale` gauge: images read again from the store.
+  uint64_t StaleLeaves() const {
+    obs::MetricsRegistry registry;
+    db_->ExportStats(&registry);
+    return registry.Snapshot().Scalar("index.cache.leaf_stale").value_or(0);
+  }
+
+  std::unique_ptr<db::TellDb> db_;
+  TableHandle* tables_[3] = {};
+  std::unique_ptr<Session> sessions_[3];
+  std::map<int64_t, uint64_t> rids_;
+};
+
+TEST_F(LeafCacheTest, CachedAnswerCostsTheRecordRoundOnly) {
+  const uint64_t stale = StaleLeaves();
+  ExpectFreshAnswer(30, 1);
+  ExpectFreshAnswer(70, 1, /*range=*/true);
+  EXPECT_EQ(StaleLeaves(), stale);
+}
+
+TEST_F(LeafCacheTest, SplitMovesTheKeyRight) {
+  // PN 1 adds 81..89 to the leaf of 50..90 in one commit: it splits into
+  // 50..83 and a fresh right node with 84..90, under a root that PN 0
+  // caches from before the split.
+  Run(1, [&](Transaction* txn, TableHandle* table) -> Status {
+    for (int64_t id = 81; id <= 89; ++id) {
+      TELL_ASSIGN_OR_RETURN(rids_[id],
+                            txn->Insert(table, Row(id, std::to_string(id))));
+    }
+    return Status::OK();
+  });
+  const uint64_t stale = StaleLeaves();
+  // PN 0's image from before the split still holds key 90.
+  ExpectFreshAnswer(90, 1);
+  // Key 81 is absent from that image: its leaf is read again.
+  ExpectFreshAnswer(81, 2);
+  // Now PN 0's image of that leaf ends at 84, and its cached root still
+  // sends key 90 there: one right hop to the fresh node.
+  ExpectFreshAnswer(90, 2);
+  EXPECT_EQ(StaleLeaves() - stale, 2u);
+}
+
+TEST_F(LeafCacheTest, DeletedAndReinsertedUnderANewRid) {
+  for (int64_t id : {20, 60}) {
+    Run(1, [&](Transaction* txn, TableHandle* table) {
+      return txn->Delete(table, rids_[id]);
+    });
+    const uint64_t rid = Insert(1, id, "again");
+    ASSERT_NE(rid, rids_[id]);
+  }
+  // PN 0's image proposes the deleted row's rid, which does not validate:
+  // the leaf is read again and names the new rid, whose record follows.
+  ExpectFreshAnswer(20, 3);
+  ExpectFreshAnswer(60, 3, /*range=*/true);
+  EXPECT_EQ(Lookup(0, 20).name, "again");
+  EXPECT_EQ(Lookup(0, 60, /*range=*/true).name, "again");
+}
+
+TEST_F(LeafCacheTest, UpdateChangesTheKey) {
+  Run(1, [&](Transaction* txn, TableHandle* table) {
+    return txn->Update(table, rids_[30], Row(35, "moved"));
+  });
+  // The image maps 30 to a row that now carries 35: the leaf is read again
+  // (it still holds the old entry, whose record is buffered already).
+  ExpectFreshAnswer(30, 2);
+  EXPECT_FALSE(Lookup(0, 30).rid.has_value());
+  // The leaf read again replaced PN 0's image, and it holds 35: a cached
+  // answer.
+  ExpectFreshAnswer(35, 1);
+  EXPECT_EQ(Lookup(0, 35).rid, rids_[30]);
+}
+
+TEST_F(LeafCacheTest, EntryCollectedByIndexGc) {
+  Run(1, [&](Transaction* txn, TableHandle* table) {
+    return txn->Delete(table, rids_[40]);
+  });
+  // A later lookup on PN 1 meets the dead row and collects its entry.
+  const uint64_t collected = sessions_[1]->metrics()->gc_index_entries;
+  EXPECT_FALSE(Lookup(1, 40).rid.has_value());
+  ASSERT_EQ(sessions_[1]->metrics()->gc_index_entries - collected, 1u);
+  // PN 0's image still proposes the row: its record does not validate, and
+  // the leaf read again lacks the key.
+  ExpectFreshAnswer(40, 2);
+  EXPECT_FALSE(Lookup(0, 40).rid.has_value());
+}
+
+TEST_F(LeafCacheTest, RecordErasedUnderItsEntry) {
+  // The record cell is gone while its entry stays, as after a lazy sweep
+  // whose index removal was lost.
+  ASSERT_OK(sessions_[1]
+                ->client()
+                ->Write({.table = tables_[1]->meta->data_table,
+                         .key = EncodeOrderedU64(rids_[60]),
+                         .conditional = false,
+                         .erase = true})
+                .status());
+  // The leaf read again still names the rid, whose absent record is
+  // buffered already.
+  ExpectFreshAnswer(60, 2);
+  EXPECT_FALSE(Lookup(0, 60).rid.has_value());
 }
 
 }  // namespace

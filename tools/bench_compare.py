@@ -43,6 +43,9 @@ LOWER_IS_BETTER_HINTS = (
     # direction survives a producer-side rename of the unit suffix.
     "recovery_time",
     "dip",
+    # Storage round trips per transaction type (table4's round probe,
+    # derived.rounds_<type>): fewer rounds is the gain.
+    "rounds_",
 )
 
 # Checked before the lower-is-better hints: a rate is higher-is-better no
@@ -134,8 +137,10 @@ def selftest():
 
     def artifact(tpmc, resp_ms, wall_tps=None, wall_seconds=None,
                  recovery_time_ms=None, migration_dip_pct=None,
-                 cache_hit_rate=None, olap_qps=None):
+                 cache_hit_rate=None, olap_qps=None, rounds_stock_level=None):
         derived = {"tpmc": tpmc, "resp_ms": resp_ms}
+        if rounds_stock_level is not None:
+            derived["rounds_stock_level"] = rounds_stock_level
         if wall_tps is not None:
             derived["wall_tps"] = wall_tps
         if wall_seconds is not None:
@@ -196,6 +201,13 @@ def selftest():
         # ...and more analytical queries per second is clean.
         (artifact(1000, 1.0, olap_qps=6.0),
          artifact(1000, 1.0, olap_qps=12.0), 10.0, 0),
+        # Round counts are lower-is-better: a transaction type paying more
+        # storage rounds flags...
+        (artifact(1000, 1.0, rounds_stock_level=4.0),
+         artifact(1000, 1.0, rounds_stock_level=6.0), 10.0, 1),
+        # ...and a round cut is clean.
+        (artifact(1000, 1.0, rounds_stock_level=6.0),
+         artifact(1000, 1.0, rounds_stock_level=4.0), 10.0, 0),
     ]
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
