@@ -35,20 +35,17 @@ namespace {
 
 void PrintRow(const char* label, uint32_t threads, uint32_t workers,
               const tpcc::DriverResult& r) {
-  const exec::RuntimeStats& es = r.exec_stats;
+  const exec::RuntimeStats::PerCore es = r.exec_stats.Totals();
   const double util =
       (es.threads > 0 && es.wall_ns > 0)
-          ? static_cast<double>(es.Total(
-                &exec::RuntimeStats::PerCore::busy_ns)) /
+          ? static_cast<double>(es.busy_ns) /
                 (static_cast<double>(es.threads) * es.wall_ns)
           : 0.0;
   std::printf("%-12s %8u %8u %12.0f %9.2f%% %10.3f %10.0f %10llu %8llu %7.0f%%\n",
               label, threads, workers, r.tpmc, r.abort_rate * 100,
               r.wall_seconds, r.wall_tps,
-              static_cast<unsigned long long>(
-                  es.Total(&exec::RuntimeStats::PerCore::yields)),
-              static_cast<unsigned long long>(
-                  es.Total(&exec::RuntimeStats::PerCore::steals)),
+              static_cast<unsigned long long>(es.yields),
+              static_cast<unsigned long long>(es.steals),
               util * 100);
 }
 

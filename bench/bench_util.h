@@ -109,11 +109,11 @@ inline std::vector<std::pair<std::string, double>> DerivedOf(
       {"wall_seconds", r.wall_seconds},
       {"wall_tps", r.wall_tps},
   };
-  if (r.exec_stats.threads > 0) {
+  if (!r.exec_stats.cores.empty()) {
     // Executor runs: thread count next to the per-core exec<i> node rows
     // (check_bench_json.py cross-checks the two).
     rows.emplace_back("executor_threads",
-                      static_cast<double>(r.exec_stats.threads));
+                      static_cast<double>(r.exec_stats.cores.size()));
   }
   return rows;
 }
@@ -142,14 +142,14 @@ class BenchJson {
   /// One sweep point backed by a full DriverResult (+ node stats if `db`).
   /// Returns the run's snapshot so callers can print FROM the registry data
   /// (the artifact and the stdout table then share one source of truth).
-  /// Executor runs (result.exec_stats.threads > 0) additionally get the
+  /// Executor runs (result.exec_stats has cores) additionally get the
   /// exec.* scheduler gauges and per-core `exec<i>` node rows.
   const obs::MetricsSnapshot& Add(const std::string& label,
                                   const tpcc::DriverResult& result,
                                   db::TellDb* db = nullptr) {
     return AddMetrics(label, result.merged, DerivedOf(result), db,
-                      result.exec_stats.threads > 0 ? &result.exec_stats
-                                                    : nullptr);
+                      result.exec_stats.cores.empty() ? nullptr
+                                                      : &result.exec_stats);
   }
 
   /// Lower-level entry for benches that aggregate WorkerMetrics themselves

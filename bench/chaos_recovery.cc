@@ -131,8 +131,7 @@ int main() {
           fixture.db()->commit_managers()->ReplStats();
       const double recovery_ms =
           static_cast<double>(repl.elections) *
-          static_cast<double>(options.commit_replication.election_timeout_ns) /
-          1e6;
+          static_cast<double>(commitmgr::kElectionTimeoutNs) / 1e6;
       derived.emplace_back("recovery_time_ms", recovery_ms);
       derived.emplace_back(
           "kills_injected",

@@ -60,7 +60,7 @@ Status CommitManager::RefillTidRangeLocked() {
                                              options_.tid_range_size));
   range_end_ = static_cast<Tid>(end);
   range_next_ = range_end_ - options_.tid_range_size + 1;
-  stats_.tid_range_refills.fetch_add(1, std::memory_order_relaxed);
+  AddRelaxed(stats_.tid_range_refills);
   // Logged so a promoted follower knows the dead leader's unassigned
   // remainder: those tids can never be handed out again (the counter is
   // past them) and must be completed at promotion or they would pin the
@@ -115,9 +115,8 @@ Result<TxnBeginDelta> CommitManager::StartDelta(const BeginRequest& request) {
   }
   begin.delta = DeltaSinceLocked(request);
   begin.lav = ComputeLavLocked();
-  stats_.starts.fetch_add(1, std::memory_order_relaxed);
-  (begin.delta.full ? stats_.full_starts : stats_.delta_starts)
-      .fetch_add(1, std::memory_order_relaxed);
+  AddRelaxed(stats_.starts);
+  AddRelaxed(begin.delta.full ? stats_.full_starts : stats_.delta_starts);
   return begin;
 }
 
@@ -218,7 +217,7 @@ Status CommitManager::Complete(Tid tid, bool* newly) {
 Status CommitManager::SetCommitted(Tid tid) {
   bool newly = false;
   Status st = Complete(tid, &newly);
-  if (st.ok() && newly) stats_.commits.fetch_add(1, std::memory_order_relaxed);
+  if (st.ok() && newly) AddRelaxed(stats_.commits);
   return st;
 }
 
@@ -228,7 +227,7 @@ Status CommitManager::SetAborted(Tid tid) {
   // observed, and the base must be able to advance over them.
   bool newly = false;
   Status st = Complete(tid, &newly);
-  if (st.ok() && newly) stats_.aborts.fetch_add(1, std::memory_order_relaxed);
+  if (st.ok() && newly) AddRelaxed(stats_.aborts);
   return st;
 }
 
@@ -299,7 +298,7 @@ Status CommitManager::SyncWithPeers(uint32_t num_peers) {
     peers_lav_ = min_peer_lav;
     has_peer_lav_ = true;
   }
-  stats_.syncs.fetch_add(1, std::memory_order_relaxed);
+  AddRelaxed(stats_.syncs);
   return Status::OK();
 }
 
@@ -430,12 +429,12 @@ Status CommitManager::CatchUpLocked() {
     // instead of replaying truncated history.
     TELL_RETURN_NOT_OK(InstallReplicaStateLocked(repl_log_->SnapshotBlob()));
     repl_applied_ = snapshot_index;
-    repl_snapshot_installs_.fetch_add(1, std::memory_order_relaxed);
+    AddRelaxed(repl_stats_.snapshot_installs);
   }
   for (const ChangeRecord& record : repl_log_->ReadFrom(repl_applied_)) {
     ApplyChangeLocked(record);
     ++repl_applied_;
-    repl_records_replayed_.fetch_add(1, std::memory_order_relaxed);
+    AddRelaxed(repl_stats_.records_replayed);
   }
   return Status::OK();
 }
@@ -545,9 +544,9 @@ CommitManager* CommitManagerGroup::EnsureLeader(Slot& slot,
   // applied, it replays in PromoteToLeader().
   uint32_t winner = candidates.front();
   uint64_t best_rank =
-      ElectionRank(replication_.election_seed, slot.term, winner);
+      ElectionRank(kElectionSeed, slot.term, winner);
   for (uint32_t r : candidates) {
-    uint64_t rank = ElectionRank(replication_.election_seed, slot.term, r);
+    uint64_t rank = ElectionRank(kElectionSeed, slot.term, r);
     if (rank < best_rank || (rank == best_rank && r < winner)) {
       best_rank = rank;
       winner = r;
@@ -565,13 +564,14 @@ CommitManager* CommitManagerGroup::EnsureLeader(Slot& slot,
     if (r != winner) slot.replicas[r]->Demote();
   }
   slot.leader.store(winner, std::memory_order_release);
-  elections_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t seen = max_term_.load(std::memory_order_relaxed);
+  AddRelaxed(election_stats_.elections);
+  std::atomic_ref<uint64_t> max_term(election_stats_.term);
+  uint64_t seen = max_term.load(std::memory_order_relaxed);
   while (slot.term > seen &&
-         !max_term_.compare_exchange_weak(seen, slot.term,
-                                          std::memory_order_relaxed)) {
+         !max_term.compare_exchange_weak(seen, slot.term,
+                                         std::memory_order_relaxed)) {
   }
-  if (election_ns != nullptr) *election_ns += replication_.election_timeout_ns;
+  if (election_ns != nullptr) *election_ns += kElectionTimeoutNs;
   return promoted;
 }
 
@@ -617,22 +617,13 @@ Tid CommitManagerGroup::GlobalLav() const {
 }
 
 GroupReplicationStats CommitManagerGroup::ReplStats() const {
-  GroupReplicationStats s;
+  GroupReplicationStats s = LoadRelaxed(election_stats_);
   for (const auto& slot : slots_) {
-    if (slot->log != nullptr) {
-      ReplicationLogStats log = slot->log->stats();
-      s.log_appends += log.appends;
-      s.log_bytes += log.bytes;
-      s.snapshots += log.snapshots;
-      s.log_truncated += log.truncated;
-    }
+    if (slot->log != nullptr) s.Accumulate(slot->log->stats());
     for (const auto& replica : slot->replicas) {
-      s.snapshot_installs += replica->ReplSnapshotInstalls();
-      s.records_replayed += replica->ReplRecordsReplayed();
+      s.Accumulate(replica->ReplStats());
     }
   }
-  s.elections = elections_.load(std::memory_order_relaxed);
-  s.term = max_term_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -23,19 +23,6 @@ namespace tell::commitmgr {
 /// Standalone managers (replication off) are leaders with no change log.
 enum class ReplicaRole { kLeader, kFollower };
 
-/// Aggregated replication counters of a CommitManagerGroup, exported as the
-/// commitmgr.repl.* gauges by db::TellDb.
-struct GroupReplicationStats {
-  uint64_t log_appends = 0;
-  uint64_t log_bytes = 0;
-  uint64_t snapshots = 0;
-  uint64_t log_truncated = 0;
-  uint64_t snapshot_installs = 0;
-  uint64_t records_replayed = 0;
-  uint64_t elections = 0;
-  uint64_t term = 0;
-};
-
 /// What a transaction receives from start() (paper §4.2): a system-wide
 /// unique tid, the snapshot it may read, and the lowest active version
 /// number (the GC horizon).
@@ -70,9 +57,9 @@ struct TxnBeginDelta {
   Tid lav = 0;
 };
 
-/// Point-in-time copy of one commit manager's request counters (exported
-/// into the obs::MetricsRegistry gauges `commitmgr.*` by db::TellDb).
-struct CommitManagerStats {
+/// One commit manager's request counters (exported into the
+/// obs::MetricsRegistry gauges `commitmgr.*` by db::TellDb).
+struct CommitManagerStats : StatTable<CommitManagerStats> {
   uint64_t starts = 0;
   uint64_t commits = 0;
   uint64_t aborts = 0;
@@ -84,15 +71,25 @@ struct CommitManagerStats {
   /// generation change, or delta not smaller than the bitset).
   uint64_t full_starts = 0;
 
-  void Accumulate(const CommitManagerStats& other) {
-    starts += other.starts;
-    commits += other.commits;
-    aborts += other.aborts;
-    syncs += other.syncs;
-    tid_range_refills += other.tid_range_refills;
-    delta_starts += other.delta_starts;
-    full_starts += other.full_starts;
-  }
+  static constexpr const char* kGaugePrefix = "commitmgr.";
+  static constexpr StatField<CommitManagerStats> kFields[] = {
+      {"starts", "txns", "start() calls served", &CommitManagerStats::starts},
+      {"commits", "txns", "setCommitted() calls served",
+       &CommitManagerStats::commits},
+      {"aborts", "txns", "setAborted() calls served",
+       &CommitManagerStats::aborts},
+      {"syncs", "rounds", "peer synchronization rounds",
+       &CommitManagerStats::syncs},
+      {"tid_range_refills", "refills",
+       "tid ranges acquired from the storage counter",
+       &CommitManagerStats::tid_range_refills},
+      {"delta_starts", "txns",
+       "delta-protocol starts answered with an incremental snapshot delta",
+       &CommitManagerStats::delta_starts},
+      {"full_starts", "txns",
+       "delta-protocol starts answered with the full descriptor",
+       &CommitManagerStats::full_starts},
+  };
 };
 
 struct CommitManagerOptions {
@@ -155,13 +152,8 @@ class CommitManager {
   /// token idempotency), so fail-over cannot leak active tids.
   Status PromoteToLeader();
 
-  /// Replication counters of this replica (aggregated by the group).
-  uint64_t ReplSnapshotInstalls() const {
-    return repl_snapshot_installs_.load(std::memory_order_relaxed);
-  }
-  uint64_t ReplRecordsReplayed() const {
-    return repl_records_replayed_.load(std::memory_order_relaxed);
-  }
+  /// Catch-up counters of this replica (aggregated by the group).
+  GroupReplicationStats ReplStats() const { return LoadRelaxed(repl_stats_); }
 
   /// start(): the next tid of the manager's continuous range, the snapshot
   /// and the lav. The snapshot comes back as an incremental update relative
@@ -209,18 +201,7 @@ class CommitManager {
 
   /// Copy of this manager's request counters. Relaxed atomics, so a snapshot
   /// racing live traffic is approximate but never torn per-counter.
-  CommitManagerStats stats() const {
-    CommitManagerStats s;
-    s.starts = stats_.starts.load(std::memory_order_relaxed);
-    s.commits = stats_.commits.load(std::memory_order_relaxed);
-    s.aborts = stats_.aborts.load(std::memory_order_relaxed);
-    s.syncs = stats_.syncs.load(std::memory_order_relaxed);
-    s.tid_range_refills =
-        stats_.tid_range_refills.load(std::memory_order_relaxed);
-    s.delta_starts = stats_.delta_starts.load(std::memory_order_relaxed);
-    s.full_starts = stats_.full_starts.load(std::memory_order_relaxed);
-    return s;
-  }
+  CommitManagerStats stats() const { return LoadRelaxed(stats_); }
 
  private:
   Status RefillTidRangeLocked();
@@ -264,16 +245,8 @@ class CommitManager {
   const CommitManagerOptions options_;
   std::atomic<bool> alive_{true};
 
-  struct AtomicStats {
-    std::atomic<uint64_t> starts{0};
-    std::atomic<uint64_t> commits{0};
-    std::atomic<uint64_t> aborts{0};
-    std::atomic<uint64_t> syncs{0};
-    std::atomic<uint64_t> tid_range_refills{0};
-    std::atomic<uint64_t> delta_starts{0};
-    std::atomic<uint64_t> full_starts{0};
-  };
-  mutable AtomicStats stats_;
+  /// Bumped with AddRelaxed; read without mutex_.
+  mutable CommitManagerStats stats_;
 
   mutable std::mutex mutex_;
   SnapshotDescriptor snapshot_;
@@ -310,8 +283,8 @@ class CommitManager {
   ReplicaRole role_ = ReplicaRole::kLeader;
   /// Next log index this replica has not applied yet.
   uint64_t repl_applied_ = 0;
-  std::atomic<uint64_t> repl_snapshot_installs_{0};
-  std::atomic<uint64_t> repl_records_replayed_{0};
+  /// snapshot_installs and records_replayed, bumped with AddRelaxed.
+  mutable GroupReplicationStats repl_stats_;
 };
 
 /// A cluster of commit managers sharing one storage-backed state, with an
@@ -398,8 +371,8 @@ class CommitManagerGroup {
   store::TableId state_table_ = 0;
   std::vector<std::unique_ptr<Slot>> slots_;
   ReplicationOptions replication_;
-  std::atomic<uint64_t> elections_{0};
-  std::atomic<uint64_t> max_term_{0};
+  /// elections and the highest term, updated through std::atomic_ref.
+  mutable GroupReplicationStats election_stats_;
   std::atomic<bool> stop_{false};
   double sync_interval_ms_;
   std::thread sync_thread_;

@@ -8,8 +8,8 @@ namespace tell::commitmgr {
 uint64_t ReplicationLog::Append(const ChangeRecord& record) {
   std::lock_guard<std::mutex> lock(mutex_);
   uint64_t index = first_index_ + records_.size();
-  stats_.appends += 1;
-  stats_.bytes += record.WireBytes();
+  ++stats_.log_appends;
+  stats_.log_bytes += record.WireBytes();
   ++appends_since_snapshot_;
   records_.push_back(record);
   return index;
@@ -31,10 +31,10 @@ void ReplicationLog::InstallSnapshot(std::string replica_state,
   while (first_index_ < through_index && !records_.empty()) {
     records_.pop_front();
     ++first_index_;
-    stats_.truncated += 1;
+    ++stats_.log_truncated;
   }
   appends_since_snapshot_ = tail - through_index;
-  stats_.snapshots += 1;
+  ++stats_.snapshots;
 }
 
 uint64_t ReplicationLog::TailIndex() const {
@@ -65,7 +65,7 @@ std::vector<ChangeRecord> ReplicationLog::ReadFrom(uint64_t from_index) const {
   return out;
 }
 
-ReplicationLogStats ReplicationLog::stats() const {
+GroupReplicationStats ReplicationLog::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "commitmgr/snapshot_descriptor.h"
+#include "common/stat_table.h"
 
 namespace tell::commitmgr {
 
@@ -20,13 +21,55 @@ struct ReplicationOptions {
   /// Change-log records between two state snapshots in the log. Bounds a
   /// follower's catch-up replay at promotion time.
   uint64_t snapshot_interval = 256;
-  /// Seed of the deterministic election tie-break: every observer computes
-  /// the same winner from (seed, term, candidate id) with no communication.
-  uint64_t election_seed = 0x5EED;
-  /// Virtual nanoseconds a client is charged when its request triggered an
-  /// election (the timeout a real deployment would wait before claiming the
-  /// leader dead).
-  uint64_t election_timeout_ns = 200'000;
+};
+
+/// Seed of the deterministic election tie-break: every observer computes
+/// the same winner from (seed, term, candidate id) with no communication.
+inline constexpr uint64_t kElectionSeed = 0x5EED;
+/// Virtual nanoseconds a client is charged when its request triggered an
+/// election (the timeout a real deployment would wait before claiming the
+/// leader dead).
+inline constexpr uint64_t kElectionTimeoutNs = 200'000;
+
+/// Replication counters of a CommitManagerGroup, exported as the
+/// commitmgr.repl.* gauges by db::TellDb. A ReplicationLog fills the log_*
+/// and snapshots fields, each replica the catch-up fields and the group the
+/// election fields; the group's ReplStats() accumulates them.
+struct GroupReplicationStats : StatTable<GroupReplicationStats> {
+  uint64_t log_appends = 0;
+  uint64_t log_bytes = 0;
+  uint64_t snapshots = 0;
+  uint64_t log_truncated = 0;
+  uint64_t snapshot_installs = 0;
+  uint64_t records_replayed = 0;
+  uint64_t elections = 0;
+  uint64_t term = 0;
+
+  static constexpr const char* kGaugePrefix = "commitmgr.repl.";
+  static constexpr StatField<GroupReplicationStats> kFields[] = {
+      {"log_appends", "records",
+       "change records appended to replication logs by slot leaders",
+       &GroupReplicationStats::log_appends},
+      {"log_bytes", "bytes", "wire bytes of appended change records",
+       &GroupReplicationStats::log_bytes},
+      {"snapshots", "snapshots",
+       "replica-state snapshots installed into replication logs",
+       &GroupReplicationStats::snapshots},
+      {"log_truncated", "records",
+       "change records truncated below a log snapshot",
+       &GroupReplicationStats::log_truncated},
+      {"snapshot_installs", "snapshots",
+       "log snapshots installed into follower state (catch-up shortcuts)",
+       &GroupReplicationStats::snapshot_installs},
+      {"records_replayed", "records",
+       "change records replayed by followers catching up",
+       &GroupReplicationStats::records_replayed},
+      {"elections", "elections",
+       "leader elections run by commit-manager slots",
+       &GroupReplicationStats::elections},
+      {"term", "term", "highest election term reached by any slot",
+       &GroupReplicationStats::term, StatKind::kMax},
+  };
 };
 
 /// One entry of a manager slot's change log. The leader appends a record for
@@ -54,12 +97,6 @@ struct ChangeRecord {
 };
 
 /// Counters of one slot's log, exported as commitmgr.repl.* gauges.
-struct ReplicationLogStats {
-  uint64_t appends = 0;
-  uint64_t bytes = 0;
-  uint64_t snapshots = 0;
-  uint64_t truncated = 0;
-};
 
 /// The shared change log of one replicated manager slot. The leader appends
 /// and periodically installs a full-state snapshot (which truncates the
@@ -96,7 +133,8 @@ class ReplicationLog {
   /// Records with index >= `from_index` (clamped to what is retained).
   std::vector<ChangeRecord> ReadFrom(uint64_t from_index) const;
 
-  ReplicationLogStats stats() const;
+  /// The log_* and snapshots counters.
+  GroupReplicationStats stats() const;
 
  private:
   const uint64_t snapshot_interval_;
@@ -107,7 +145,7 @@ class ReplicationLog {
   uint64_t snapshot_index_ = 0;
   std::string snapshot_blob_;
   uint64_t appends_since_snapshot_ = 0;
-  ReplicationLogStats stats_;
+  GroupReplicationStats stats_;
 };
 
 /// Deterministic election tie-break: mixes (seed, term, candidate) into a

@@ -8,6 +8,12 @@ namespace tell::db {
 
 namespace {
 
+/// Base seed for the per-worker retry-jitter RNGs; each session derives its
+/// own seed from (base, pn_id, worker_id).
+constexpr uint64_t kRetrySeed = 0x7E11;
+/// Partitions of each table on every storage node.
+constexpr uint32_t kPartitionsPerStorageNode = 4;
+
 store::ClientOptions MakeClientOptions(const TellDbOptions& options,
                                        uint32_t pn_id, uint32_t worker_id,
                                        bool with_faults) {
@@ -18,7 +24,7 @@ store::ClientOptions MakeClientOptions(const TellDbOptions& options,
   client.replication_extra_hops = options.replication_factor - 1;
   client.retry = options.retry;
   // Distinct per-worker jitter streams that stay reproducible run-to-run.
-  client.retry_seed = options.retry_seed ^
+  client.retry_seed = kRetrySeed ^
                       (static_cast<uint64_t>(pn_id) * 0x9E3779B97F4A7C15ULL) ^
                       (static_cast<uint64_t>(worker_id) << 32);
   client.fault_injector = with_faults ? options.fault_injector : nullptr;
@@ -37,7 +43,7 @@ TellDb::TellDb(const TellDbOptions& options)
   store::ClusterOptions cluster_options;
   cluster_options.num_storage_nodes = options_.num_storage_nodes;
   cluster_options.replication_factor = options_.replication_factor;
-  cluster_options.partitions_per_node = options_.partitions_per_storage_node;
+  cluster_options.partitions_per_node = kPartitionsPerStorageNode;
   cluster_options.memory_per_node_bytes = options_.memory_per_storage_node;
   cluster_options.stripes_per_partition = options_.stripes_per_partition;
   cluster_ = std::make_unique<store::Cluster>(cluster_options);
@@ -66,7 +72,8 @@ TellDb::TellDb(const TellDbOptions& options)
       management_.get(),
       MakeClientOptions(options_, /*pn_id=*/UINT32_MAX, /*worker_id=*/0,
                         /*with_faults=*/false),
-      commit_managers_.get(), log_.get(), admin_buffer_.get());
+      commit_managers_.get(), log_.get(), admin_buffer_.get(),
+      &key_sequences_);
 
   for (uint32_t i = 0; i < options_.num_processing_nodes; ++i) {
     AddProcessingNode();
@@ -152,7 +159,8 @@ std::unique_ptr<tx::Session> TellDb::OpenSession(uint32_t pn_id,
   client.record_cache = pns_[pn_id]->record_cache.get();
   return std::make_unique<tx::Session>(
       pn_id, worker_id, cluster_.get(), management_.get(), client,
-      commit_managers_.get(), log_.get(), pns_[pn_id]->buffer.get());
+      commit_managers_.get(), log_.get(), pns_[pn_id]->buffer.get(),
+      &key_sequences_);
 }
 
 Result<tx::TableHandle*> TellDb::GetTable(uint32_t pn_id,
@@ -208,12 +216,13 @@ Status TellDb::ExecuteDdl(const std::string& sql) {
     TELL_RETURN_NOT_OK(
         index::BTree::Create(admin_client(), index.store_table));
     // Backfill from existing records (all versions — the index is
-    // version-unaware).
+    // version-unaware), in one batch.
     index::NodeCache backfill_cache;
     index::BTree tree(index.store_table, options_.btree, &backfill_cache);
     TELL_ASSIGN_OR_RETURN(
         std::vector<store::KeyCell> cells,
-        admin_client()->Scan(existing->data_table, "", ""));
+        store::CollectCells(admin_client(), existing->data_table, "", ""));
+    std::vector<index::BatchInsertOp> inserts;
     for (const store::KeyCell& cell : cells) {
       if (cell.key.size() != sizeof(uint64_t)) continue;  // meta cells
       auto record = schema::VersionedRecord::Deserialize(cell.value);
@@ -226,10 +235,12 @@ Status TellDb::ExecuteDdl(const std::string& sql) {
         if (!tuple.ok()) continue;
         auto key = schema::EncodeIndexKey(*tuple, def.key_columns);
         if (!key.ok()) continue;
-        TELL_RETURN_NOT_OK(
-            tree.Insert(admin_client(), *key, rid, def.unique));
+        inserts.push_back({&tree, std::move(*key), rid, def.unique});
       }
     }
+    std::vector<bool> inserted;
+    TELL_RETURN_NOT_OK(
+        index::BTree::BatchInsert(admin_client(), inserts, &inserted));
     // Publish: the catalog owns the metas, so re-register a copy with the
     // new index appended. (CREATE INDEX must precede first use on a PN.)
     const_cast<tx::TableMeta*>(existing)->secondaries.push_back(
@@ -321,171 +332,61 @@ void TellDb::ExportStats(obs::MetricsRegistry* registry) const {
   for (uint32_t i = 0; i < cluster_->num_nodes(); ++i) {
     sn.Accumulate(cluster_->node(i)->stats());
   }
-  registry->SetGauge("store.node.gets", sn.gets);
-  registry->SetGauge("store.node.puts", sn.puts);
-  registry->SetGauge("store.node.conditional_puts", sn.conditional_puts);
-  registry->SetGauge("store.node.llsc_failures", sn.llsc_failures);
-  registry->SetGauge("store.node.erases", sn.erases);
-  registry->SetGauge("store.node.scans", sn.scans);
-  registry->SetGauge("store.node.cells_scanned", sn.cells_scanned);
-  registry->SetGauge("store.node.atomic_increments", sn.atomic_increments);
-  registry->SetGauge("store.node.stripe_conflicts", sn.stripe_conflicts);
-  registry->SetGauge("store.node.lock_wait_ns", sn.lock_wait_ns);
-
+  registry->SetGauges(sn);
+  registry->SetGauges(management_->migration_stats());
   commitmgr::CommitManagerStats cm;
   for (uint32_t i = 0; i < commit_managers_->size(); ++i) {
     cm.Accumulate(commit_managers_->manager(i)->stats());
   }
-  registry->SetGauge("commitmgr.starts", cm.starts);
-  registry->SetGauge("commitmgr.commits", cm.commits);
-  registry->SetGauge("commitmgr.aborts", cm.aborts);
-  registry->SetGauge("commitmgr.syncs", cm.syncs);
-  registry->SetGauge("commitmgr.tid_range_refills", cm.tid_range_refills);
-  registry->SetGauge("commitmgr.delta_starts", cm.delta_starts);
-  registry->SetGauge("commitmgr.full_starts", cm.full_starts);
+  registry->SetGauges(cm);
+  registry->SetGauges(commit_managers_->ReplStats());
 
-  commitmgr::GroupReplicationStats repl = commit_managers_->ReplStats();
-  registry->SetGauge("commitmgr.repl.log_appends", repl.log_appends);
-  registry->SetGauge("commitmgr.repl.log_bytes", repl.log_bytes);
-  registry->SetGauge("commitmgr.repl.snapshots", repl.snapshots);
-  registry->SetGauge("commitmgr.repl.log_truncated", repl.log_truncated);
-  registry->SetGauge("commitmgr.repl.snapshot_installs",
-                     repl.snapshot_installs);
-  registry->SetGauge("commitmgr.repl.records_replayed",
-                     repl.records_replayed);
-  registry->SetGauge("commitmgr.repl.elections", repl.elections);
-  registry->SetGauge("commitmgr.repl.term", repl.term);
-
-  store::MigrationStats mig = management_->migration_stats();
-  registry->SetGauge("store.migration.started", mig.started);
-  registry->SetGauge("store.migration.completed", mig.completed);
-  registry->SetGauge("store.migration.cells_copied", mig.cells_copied);
-  registry->SetGauge("store.migration.delta_rounds", mig.delta_rounds);
-  registry->SetGauge("store.migration.delta_cells", mig.delta_cells);
-  registry->SetGauge("store.migration.erases_applied", mig.erases_applied);
-
-  tx::BufferStats buf;
   store::RecordCacheStats cache;
   index::NodeCache::Stats index_cache;
+  tx::BufferStats buf;
   {
     std::lock_guard<std::mutex> lock(pns_mutex_);
     for (const std::unique_ptr<ProcessingNode>& pn : pns_) {
-      pn->buffer->AccumulateStats(&buf);
       if (pn->record_cache != nullptr) {
-        store::RecordCacheStats s = pn->record_cache->stats();
-        cache.hits += s.hits;
-        cache.misses += s.misses;
-        cache.evictions += s.evictions;
-        cache.invalidations += s.invalidations;
-        cache.entries += s.entries;
+        cache.Accumulate(pn->record_cache->stats());
       }
-      index_cache += pn->registry.IndexCacheStats();
+      index_cache.Accumulate(pn->registry.IndexCacheStats());
+      pn->buffer->AccumulateStats(&buf);
     }
   }
-  registry->SetGauge("store.cache.entries", cache.entries);
-  registry->SetGauge("store.cache.evictions", cache.evictions);
-  registry->SetGauge("store.cache.invalidations", cache.invalidations);
-  for (const auto& [kind, stats] :
-       {std::pair{"inner", &index_cache.inner},
-        std::pair{"leaf", &index_cache.leaf}}) {
-    const std::string prefix = std::string("index.cache.") + kind + "_";
-    registry->SetGauge(prefix + "entries", stats->entries);
-    registry->SetGauge(prefix + "hits", stats->hits);
-    registry->SetGauge(prefix + "misses", stats->misses);
-    registry->SetGauge(prefix + "evictions", stats->evictions);
-  }
-  registry->SetGauge("index.cache.leaf_stale", index_cache.stale_leaves);
-  registry->SetGauge("buffer.shared.hits", buf.hits);
-  registry->SetGauge("buffer.shared.misses", buf.misses);
-  registry->SetGauge("buffer.shared.evictions", buf.evictions);
-  registry->SetGauge("buffer.shared.write_throughs", buf.write_throughs);
-
-  tx::GcStats gc = gc_->totals();
-  registry->SetGauge("gc.records_rewritten", gc.records_rewritten);
-  registry->SetGauge("gc.versions_removed", gc.versions_removed);
-  registry->SetGauge("gc.records_erased", gc.records_erased);
-  registry->SetGauge("gc.index_entries_removed", gc.index_entries_removed);
-  registry->SetGauge("gc.log_entries_truncated", gc.log_entries_truncated);
-
+  registry->SetGauges(cache);
+  registry->SetGauges(index_cache);
+  registry->SetGauges(buf);
+  registry->SetGauges(gc_->totals());
   if (options_.fault_injector != nullptr) {
-    sim::FaultStats fs = options_.fault_injector->stats();
-    registry->SetGauge("fault.requests_seen", fs.requests_seen);
-    registry->SetGauge("fault.injected", fs.injected);
-    registry->SetGauge("fault.dropped_requests", fs.dropped_requests);
-    registry->SetGauge("fault.dropped_responses", fs.dropped_responses);
-    registry->SetGauge("fault.latency_spikes", fs.latency_spikes);
-    registry->SetGauge("fault.node_kills", fs.node_kills);
-    registry->SetGauge("fault.leader_kills", fs.leader_kills);
+    registry->SetGauges(options_.fault_injector->stats());
   }
 }
 
-std::vector<std::pair<std::string,
-                      std::vector<std::pair<std::string, uint64_t>>>>
-TellDb::PerNodeStats() const {
-  std::vector<std::pair<std::string,
-                        std::vector<std::pair<std::string, uint64_t>>>> rows;
+obs::NodeRows TellDb::PerNodeStats() const {
+  obs::NodeRows rows;
   for (uint32_t i = 0; i < cluster_->num_nodes(); ++i) {
-    store::StorageNodeStats s = cluster_->node(i)->stats();
-    rows.emplace_back(
-        "sn" + std::to_string(i),
-        std::vector<std::pair<std::string, uint64_t>>{
-            {"gets", s.gets},
-            {"puts", s.puts},
-            {"conditional_puts", s.conditional_puts},
-            {"llsc_failures", s.llsc_failures},
-            {"erases", s.erases},
-            {"scans", s.scans},
-            {"cells_scanned", s.cells_scanned},
-            {"atomic_increments", s.atomic_increments},
-            {"stripe_conflicts", s.stripe_conflicts},
-            {"lock_wait_ns", s.lock_wait_ns},
-        });
+    rows.emplace_back("sn" + std::to_string(i),
+                      obs::StatRow(cluster_->node(i)->stats()));
   }
   for (uint32_t i = 0; i < commit_managers_->size(); ++i) {
-    commitmgr::CommitManagerStats s = commit_managers_->manager(i)->stats();
     rows.emplace_back("cm" + std::to_string(i),
-                      std::vector<std::pair<std::string, uint64_t>>{
-                          {"starts", s.starts},
-                          {"commits", s.commits},
-                          {"aborts", s.aborts},
-                          {"syncs", s.syncs},
-                          {"tid_range_refills", s.tid_range_refills},
-                          {"delta_starts", s.delta_starts},
-                          {"full_starts", s.full_starts},
-                      });
+                      obs::StatRow(commit_managers_->manager(i)->stats()));
   }
-  {
-    std::lock_guard<std::mutex> lock(pns_mutex_);
-    for (size_t i = 0; i < pns_.size(); ++i) {
-      tx::BufferStats s;
-      pns_[i]->buffer->AccumulateStats(&s);
-      if (s.hits == 0 && s.misses == 0 && s.evictions == 0 &&
-          s.write_throughs == 0) {
-        continue;  // PassthroughBuffer (TB) keeps no PN-level stats
-      }
-      rows.emplace_back("pn" + std::to_string(i) + ".buffer",
-                        std::vector<std::pair<std::string, uint64_t>>{
-                            {"hits", s.hits},
-                            {"misses", s.misses},
-                            {"evictions", s.evictions},
-                            {"write_throughs", s.write_throughs},
-                        });
+  std::lock_guard<std::mutex> lock(pns_mutex_);
+  for (size_t i = 0; i < pns_.size(); ++i) {
+    tx::BufferStats s;
+    pns_[i]->buffer->AccumulateStats(&s);
+    // PassthroughBuffer (TB) keeps no PN-level stats.
+    if (!s.AllZero()) {
+      rows.emplace_back("pn" + std::to_string(i) + ".buffer", obs::StatRow(s));
     }
-    for (size_t i = 0; i < pns_.size(); ++i) {
-      if (pns_[i]->record_cache == nullptr) continue;
-      store::RecordCacheStats s = pns_[i]->record_cache->stats();
-      if (s.hits == 0 && s.misses == 0 && s.evictions == 0 &&
-          s.invalidations == 0 && s.entries == 0) {
-        continue;
-      }
-      rows.emplace_back("pn" + std::to_string(i) + ".cache",
-                        std::vector<std::pair<std::string, uint64_t>>{
-                            {"hits", s.hits},
-                            {"misses", s.misses},
-                            {"evictions", s.evictions},
-                            {"invalidations", s.invalidations},
-                            {"entries", s.entries},
-                        });
+  }
+  for (size_t i = 0; i < pns_.size(); ++i) {
+    if (pns_[i]->record_cache == nullptr) continue;
+    store::RecordCacheStats s = pns_[i]->record_cache->stats();
+    if (!s.AllZero()) {
+      rows.emplace_back("pn" + std::to_string(i) + ".cache", obs::StatRow(s));
     }
   }
   return rows;

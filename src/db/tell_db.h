@@ -78,7 +78,6 @@ struct TellDbOptions {
   commitmgr::ReplicationOptions commit_replication;
 
   uint64_t memory_per_storage_node = 4ULL << 30;
-  uint32_t partitions_per_storage_node = 4;
   /// Lock stripes per partition on each storage node (power of two; see
   /// DESIGN.md "Storage engine"). More stripes let concurrent workers write
   /// disjoint keys of one partition in parallel; 1 = one lock per partition.
@@ -87,9 +86,6 @@ struct TellDbOptions {
   /// Retry/backoff policy every worker's StorageClient uses on Unavailable
   /// (fail-over, injected faults).
   store::RetryPolicy retry;
-  /// Base seed for the per-worker retry-jitter RNGs; each session derives
-  /// its own seed from (base, pn_id, worker_id).
-  uint64_t retry_seed = 0x7E11;
   /// Optional fault injector (not owned; must outlive the database). Worker
   /// sessions consult it on every storage request; the admin session (DDL,
   /// recovery, GC) is exempt so recovery itself stays deterministic.
@@ -169,18 +165,19 @@ class TellDb {
 
   // --- Observability --------------------------------------------------------
 
-  /// Exports the node-side counters into the registry's gauges: storage-node
-  /// request counts (`store.node.*`, summed over SNs), commit manager calls
-  /// (`commitmgr.*`, summed over the group), shared-buffer stats
-  /// (`buffer.shared.*`, summed over PNs) and lazy-GC sweep totals (`gc.*`).
+  /// Exports the node-side counters into the registry's gauges, each stats
+  /// struct summed over its nodes: storage nodes (`store.node.*`),
+  /// migrations (`store.migration.*`), commit managers (`commitmgr.*`,
+  /// `commitmgr.repl.*`), PN record caches, node caches and shared buffers
+  /// (`store.cache.*`, `index.cache.*`, `buffer.shared.*`), lazy-GC totals
+  /// (`gc.*`) and the fault injector (`fault.*`).
   void ExportStats(obs::MetricsRegistry* registry) const;
 
-  /// Per-node breakdown of the same counters, for the JSON artifact's
-  /// "nodes" object: one row per storage node ("sn0", ...), commit manager
-  /// ("cm0", ...) and processing-node buffer ("pn0.buffer", ...).
-  std::vector<std::pair<std::string,
-                        std::vector<std::pair<std::string, uint64_t>>>>
-  PerNodeStats() const;
+  /// Per-node breakdown for the JSON artifact's "nodes" object: one row per
+  /// storage node ("sn0", ...), commit manager ("cm0", ...), and PN shared
+  /// buffer and record cache that counted anything ("pn0.buffer",
+  /// "pn0.cache", ...).
+  obs::NodeRows PerNodeStats() const;
 
   // --- Internals exposed for tests and benches ------------------------------
 
@@ -214,6 +211,7 @@ class TellDb {
   std::unique_ptr<tx::RecoveryManager> recovery_;
   std::unique_ptr<tx::GarbageCollector> gc_;
   store::TableId version_set_table_ = 0;
+  tx::KeySequences key_sequences_;
 
   mutable std::mutex pns_mutex_;
   std::vector<std::unique_ptr<ProcessingNode>> pns_;

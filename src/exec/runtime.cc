@@ -15,8 +15,7 @@ namespace tell::exec {
 /// A submitted task: just a fiber. The scheduler owns the allocation and
 /// frees it when the body returns.
 struct Runtime::Task {
-  Task(std::function<void()> body, size_t stack_bytes)
-      : fiber(std::move(body), stack_bytes) {}
+  explicit Task(std::function<void()> body) : fiber(std::move(body)) {}
   Fiber fiber;
 };
 
@@ -30,7 +29,9 @@ struct Runtime::Core {
 Runtime::Runtime(RuntimeOptions options) : options_(options) {
   TELL_CHECK(options_.threads >= 1);
   stats_.cores.resize(options_.threads);
-  stats_.threads = options_.threads;
+  for (RuntimeStats::PerCore& core : stats_.cores) {
+    core.threads = options_.threads;
+  }
   cores_.reserve(options_.threads);
   for (uint32_t i = 0; i < options_.threads; ++i) {
     cores_.push_back(std::make_unique<Core>());
@@ -44,7 +45,7 @@ Runtime::~Runtime() {
 }
 
 void Runtime::Submit(std::function<void()> body) {
-  Task* task = new Task(std::move(body), options_.stack_bytes);
+  Task* task = new Task(std::move(body));
   std::lock_guard<std::mutex> lock(mutex_);
   TELL_CHECK(!done_);
   const uint32_t target = next_queue_;
@@ -173,44 +174,22 @@ void Runtime::Run() {
     threads.emplace_back(&Runtime::WorkerLoop, this, i);
   }
   for (std::thread& thread : threads) thread.join();
-  stats_.wall_ns = static_cast<uint64_t>(
+  const uint64_t wall_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
+  for (RuntimeStats::PerCore& core : stats_.cores) core.wall_ns = wall_ns;
 }
 
 void ExportStats(const RuntimeStats& stats, obs::MetricsRegistry* registry) {
-  using PerCore = RuntimeStats::PerCore;
-  registry->SetGauge("exec.threads", stats.threads);
-  registry->SetGauge("exec.tasks", stats.Total(&PerCore::tasks_completed));
-  registry->SetGauge("exec.yields", stats.Total(&PerCore::yields));
-  registry->SetGauge("exec.steals", stats.Total(&PerCore::steals));
-  registry->SetGauge("exec.parks", stats.Total(&PerCore::parks));
-  registry->SetGauge("exec.unparks", stats.Total(&PerCore::unparks));
-  registry->SetGauge("exec.run_queue_peak", stats.QueuePeak());
-  registry->SetGauge("exec.busy_ns", stats.Total(&PerCore::busy_ns));
-  registry->SetGauge("exec.wall_ns", stats.wall_ns);
+  registry->SetGauges(stats.Totals());
 }
 
-std::vector<std::pair<std::string, std::vector<std::pair<std::string,
-                                                         uint64_t>>>>
-PerCoreRows(const RuntimeStats& stats) {
-  std::vector<std::pair<std::string, std::vector<std::pair<std::string,
-                                                           uint64_t>>>> rows;
+obs::NodeRows PerCoreRows(const RuntimeStats& stats) {
+  obs::NodeRows rows;
   rows.reserve(stats.cores.size());
   for (size_t i = 0; i < stats.cores.size(); ++i) {
-    const RuntimeStats::PerCore& c = stats.cores[i];
-    rows.emplace_back(
-        "exec" + std::to_string(i),
-        std::vector<std::pair<std::string, uint64_t>>{
-            {"tasks_completed", c.tasks_completed},
-            {"steals", c.steals},
-            {"yields", c.yields},
-            {"parks", c.parks},
-            {"unparks", c.unparks},
-            {"busy_ns", c.busy_ns},
-            {"queue_peak", c.queue_peak},
-        });
+    rows.emplace_back("exec" + std::to_string(i), obs::StatRow(stats.cores[i]));
   }
   return rows;
 }

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/stat_table.h"
 #include "exec/fiber.h"
 #include "obs/metrics_registry.h"
 
@@ -29,38 +30,58 @@ struct RuntimeOptions {
   /// unless stealing moves it; disable for shared hosts where the pin set
   /// fights other tenants.
   bool pin_cores = true;
-  /// Stack per task fiber. The TPC-C executor path stays well under the
-  /// default; raise it for deeper workloads.
-  size_t stack_bytes = 256 * 1024;
 };
 
-/// Scheduler counters, one row per executor thread plus run-wide wall time.
-/// Exported into the metrics registry as the `exec.*` gauges (summed) by
+/// Scheduler counters, one row per executor thread. Exported into the
+/// metrics registry as the `exec.*` gauges (the run's Totals()) by
 /// ExportStats, and into bench artifacts as per-core `exec<i>` node rows by
 /// PerCoreRows.
 struct RuntimeStats {
-  struct PerCore {
+  struct PerCore : StatTable<PerCore> {
+    /// Per-run: the executor threads of the run, the same on every core.
+    uint64_t threads = 0;
     uint64_t tasks_completed = 0;
-    uint64_t steals = 0;       // tasks this core pulled from another queue
-    uint64_t yields = 0;       // task suspensions (park on a begin, etc.)
-    uint64_t parks = 0;        // times this worker slept on an empty queue
-    uint64_t unparks = 0;      // wakeups this worker issued to sleepers
-    uint64_t busy_ns = 0;      // wall time inside task code
-    uint64_t queue_peak = 0;   // peak run-queue depth
+    uint64_t yields = 0;      // task suspensions (park on a begin, etc.)
+    uint64_t steals = 0;      // tasks this core pulled from another queue
+    uint64_t parks = 0;       // times this worker slept on an empty queue
+    uint64_t unparks = 0;     // wakeups this worker issued to sleepers
+    uint64_t queue_peak = 0;  // peak run-queue depth
+    uint64_t busy_ns = 0;     // wall time inside task code
+    /// Per-run: the wall time of Run(), the same on every core.
+    uint64_t wall_ns = 0;
+
+    static constexpr const char* kGaugePrefix = "exec.";
+    static constexpr StatField<PerCore> kFields[] = {
+        {"threads", "threads", "executor threads the runtime ran with",
+         &PerCore::threads, StatKind::kPerRun},
+        {"tasks", "tasks", "tasks run to completion", &PerCore::tasks_completed,
+         StatKind::kSum, "tasks_completed"},
+        {"yields", "yields",
+         "task suspensions (park points / cooperative yields)",
+         &PerCore::yields},
+        {"steals", "tasks", "tasks stolen from another core's run queue",
+         &PerCore::steals},
+        {"parks", "parks", "executor threads sleeping on an empty queue",
+         &PerCore::parks},
+        {"unparks", "wakeups", "wakeups issued to parked executor threads",
+         &PerCore::unparks},
+        {"run_queue_peak", "tasks", "peak run-queue depth on any core",
+         &PerCore::queue_peak, StatKind::kMax, "queue_peak"},
+        {"busy_ns", "ns",
+         "wall-clock time executor threads spent inside task code (summed)",
+         &PerCore::busy_ns},
+        {"wall_ns", "ns", "wall-clock duration of the executor run",
+         &PerCore::wall_ns, StatKind::kPerRun},
+    };
   };
   std::vector<PerCore> cores;
-  uint32_t threads = 0;
-  uint64_t wall_ns = 0;  // wall time of Run()
 
-  uint64_t Total(uint64_t PerCore::* field) const {
-    uint64_t sum = 0;
-    for (const PerCore& c : cores) sum += c.*field;
-    return sum;
-  }
-  uint64_t QueuePeak() const {
-    uint64_t peak = 0;
-    for (const PerCore& c : cores) peak = std::max(peak, c.queue_peak);
-    return peak;
+  /// The whole run: per-core counters summed, the peak and the per-run
+  /// values taken once. All zero for a run that never happened.
+  PerCore Totals() const {
+    PerCore total;
+    for (const PerCore& c : cores) total.Accumulate(c);
+    return total;
   }
 };
 
@@ -138,9 +159,7 @@ void ExportStats(const RuntimeStats& stats, obs::MetricsRegistry* registry);
 
 /// Per-core breakdown in the bench artifact's `nodes` shape: one `exec<i>`
 /// row per executor thread.
-std::vector<std::pair<std::string, std::vector<std::pair<std::string,
-                                                         uint64_t>>>>
-PerCoreRows(const RuntimeStats& stats);
+obs::NodeRows PerCoreRows(const RuntimeStats& stats);
 
 }  // namespace tell::exec
 

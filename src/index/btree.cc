@@ -224,19 +224,19 @@ struct Node {
 // NodeCache
 
 NodeCache::NodeCache(size_t max_inner, size_t max_leaves)
-    : inner_{max_inner == 0 ? 1 : max_inner, {}, {}},
-      leaves_{max_leaves == 0 ? 1 : max_leaves, {}, {}} {}
+    : inner_{max_inner == 0 ? 1 : max_inner, {}},
+      leaves_{max_leaves == 0 ? 1 : max_leaves, {}} {}
 
 NodeRef NodeCache::Get(uint64_t node_id, bool leaf) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = nodes_.find(node_id);
   if (it == nodes_.end() || (it->second.leaf && !leaf)) {
-    if (!leaf) ++inner_.stats.misses;
+    if (!leaf) ++stats_.inner_misses;
     return nullptr;
   }
   Entry& entry = it->second;
   Kind& kind = KindOf(entry.leaf);
-  if (!entry.leaf) ++kind.stats.hits;
+  if (!entry.leaf) ++stats_.inner_hits;
   kind.lru.splice(kind.lru.begin(), kind.lru, entry.lru_it);
   return entry.node;
 }
@@ -263,7 +263,7 @@ void NodeCache::Put(NodeRef node) {
   while (kind.lru.size() > kind.max_entries) {
     nodes_.erase(kind.lru.back());
     kind.lru.pop_back();
-    ++kind.stats.evictions;
+    ++(leaf ? stats_.leaf_evictions : stats_.inner_evictions);
   }
 }
 
@@ -277,43 +277,27 @@ void NodeCache::Erase(uint64_t node_id) {
 
 void NodeCache::CountLeafLookup(LeafLookup lookup) {
   std::lock_guard<std::mutex> lock(mutex_);
-  KindStats& leaf = leaves_.stats;
   switch (lookup) {
     case LeafLookup::kHit:
-      ++leaf.hits;
+      ++stats_.leaf_hits;
       break;
     case LeafLookup::kMiss:
-      ++leaf.misses;
+      ++stats_.leaf_misses;
       break;
     case LeafLookup::kInvalid:
-      if (leaf.hits > 0) --leaf.hits;
+      if (stats_.leaf_hits > 0) --stats_.leaf_hits;
       [[fallthrough]];
     case LeafLookup::kStale:
-      ++stale_leaves_;
+      ++stats_.stale_leaves;
       break;
   }
-}
-
-NodeCache::Stats& NodeCache::Stats::operator+=(const Stats& other) {
-  for (auto [to, from] : {std::pair{&inner, &other.inner},
-                          std::pair{&leaf, &other.leaf}}) {
-    to->entries += from->entries;
-    to->hits += from->hits;
-    to->misses += from->misses;
-    to->evictions += from->evictions;
-  }
-  stale_leaves += other.stale_leaves;
-  return *this;
 }
 
 NodeCache::Stats NodeCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Stats stats;
-  stats.inner = inner_.stats;
-  stats.inner.entries = inner_.lru.size();
-  stats.leaf = leaves_.stats;
-  stats.leaf.entries = leaves_.lru.size();
-  stats.stale_leaves = stale_leaves_;
+  Stats stats = stats_;
+  stats.inner_entries = inner_.lru.size();
+  stats.leaf_entries = leaves_.lru.size();
   return stats;
 }
 

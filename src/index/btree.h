@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/stat_table.h"
 #include "common/status.h"
 #include "store/storage_client.h"
 
@@ -149,23 +150,53 @@ class NodeCache {
   /// never handed out: a racing refill leaks at most one block.
   void SetNodeIdBlock(uint64_t first, uint64_t end);
 
-  /// The counters of one kind of node. For leaves, hits and misses count
+  /// The counters of the cache. For leaves, hits and misses count
   /// unique-key point lookups (CountLeafLookup).
-  struct KindStats {
-    uint64_t entries = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-  };
-  struct Stats {
-    KindStats inner;
-    KindStats leaf;
+  struct Stats : StatTable<Stats> {
+    uint64_t inner_entries = 0;
+    uint64_t inner_hits = 0;
+    uint64_t inner_misses = 0;
+    uint64_t inner_evictions = 0;
+    uint64_t leaf_entries = 0;
+    uint64_t leaf_hits = 0;
+    uint64_t leaf_misses = 0;
+    uint64_t leaf_evictions = 0;
     /// Unique-key point lookups whose cached leaf image was stale — the
     /// key was absent or past the high key, or no rid validated — and
     /// that read the leaf from the store. Hits, misses and these add up
     /// to every such lookup.
     uint64_t stale_leaves = 0;
-    Stats& operator+=(const Stats& other);
+
+    static constexpr const char* kGaugePrefix = "index.cache.";
+    static constexpr StatField<Stats> kFields[] = {
+        {"inner_entries", "entries",
+         "inner B+tree nodes held by per-PN node caches",
+         &Stats::inner_entries},
+        {"inner_hits", "nodes",
+         "descent steps served an inner node by a node cache",
+         &Stats::inner_hits},
+        {"inner_misses", "nodes",
+         "node-cache probes for an inner node that found none",
+         &Stats::inner_misses},
+        {"inner_evictions", "nodes",
+         "inner nodes evicted from node caches (LRU/capacity)",
+         &Stats::inner_evictions},
+        {"leaf_entries", "entries",
+         "B+tree leaf images held by per-PN node caches",
+         &Stats::leaf_entries},
+        {"leaf_hits", "lookups",
+         "unique-key point lookups a cached leaf image answered",
+         &Stats::leaf_hits},
+        {"leaf_misses", "lookups",
+         "unique-key point lookups that found no cached leaf image",
+         &Stats::leaf_misses},
+        {"leaf_evictions", "leaves",
+         "leaf images evicted from node caches (LRU/capacity)",
+         &Stats::leaf_evictions},
+        {"leaf_stale", "lookups",
+         "unique-key point lookups whose cached leaf image was stale",
+         &Stats::stale_leaves},
+    };
   };
   Stats stats() const;
 
@@ -179,7 +210,6 @@ class NodeCache {
   struct Kind {
     size_t max_entries;
     std::list<uint64_t> lru;
-    KindStats stats;
   };
   Kind& KindOf(bool leaf) { return leaf ? leaves_ : inner_; }
 
@@ -187,7 +217,7 @@ class NodeCache {
   std::unordered_map<uint64_t, Entry> nodes_;
   Kind inner_;
   Kind leaves_;
-  uint64_t stale_leaves_ = 0;
+  Stats stats_;  // entries are read off the LRU lists
   // Node ids reserved for this PN's splits: [next_id_, end_id_).
   uint64_t next_id_ = 0;
   uint64_t end_id_ = 0;

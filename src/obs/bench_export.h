@@ -20,8 +20,7 @@ struct BenchRun {
   MetricsSnapshot snapshot;
   /// Optional per-node breakdown: (node label, counter name, value). The
   /// registry gauges carry the cross-node sums; this carries the split.
-  std::vector<std::pair<std::string, std::vector<std::pair<std::string,
-                                                           uint64_t>>>> nodes;
+  NodeRows nodes;
 };
 
 /// Machine-readable bench artifact, written as BENCH_<name>.json next to

@@ -6,8 +6,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/logging.h"
+#include "common/stat_table.h"
 #include "sim/histogram.h"
 #include "sim/metrics.h"
 
@@ -25,6 +28,21 @@ struct MetricDef {
 };
 
 using MetricId = uint32_t;
+
+/// One node's counters in a bench artifact's "nodes" object ("sn0",
+/// "pn1.buffer", "exec2", ...), and the rows of every node.
+using NodeRow = std::vector<std::pair<std::string, uint64_t>>;
+using NodeRows = std::vector<std::pair<std::string, NodeRow>>;
+
+/// `stats` as a node row: the row keys of its descriptor table, in order.
+template <typename Stats>
+NodeRow StatRow(const Stats& stats) {
+  NodeRow row;
+  for (const StatField<Stats>& f : Stats::kFields) {
+    if (f.is_row()) row.emplace_back(f.row_name(), stats.*f.member);
+  }
+  return row;
+}
 
 /// A consistent point-in-time view of a registry: absorbed worker metrics
 /// + gauges. Self-contained (owns copies), so it survives the
@@ -59,8 +77,9 @@ class MetricsSnapshot {
 /// Snapshot() copies both out.
 ///
 /// Construction registers the builtin catalog: every WorkerMetrics field
-/// plus the node-side gauges exported by db::TellDb. Additional metrics may
-/// be registered at any time.
+/// plus the gauges of every node-side stats table (common/stat_table.h),
+/// which db::TellDb::ExportStats and exec::ExportStats set through
+/// SetGauges. Additional metrics may be registered at any time.
 class MetricsRegistry {
  public:
   /// `builtins` = false creates an empty registry (tests).
@@ -81,6 +100,17 @@ class MetricsRegistry {
   /// gauge has that name.
   bool SetGauge(std::string_view name, uint64_t value);
 
+  /// Sets the gauges of `totals`' descriptor table. Each must be registered
+  /// (the builtin catalog registers every node-side table).
+  template <typename Stats>
+  void SetGauges(const Stats& totals) {
+    for (const StatField<Stats>& f : Stats::kFields) {
+      if (!f.is_gauge()) continue;
+      TELL_CHECK(SetGauge(std::string(Stats::kGaugePrefix) + f.name,
+                          totals.*f.member));
+    }
+  }
+
   /// Folds a worker's native metrics into the registry via the descriptor
   /// tables of sim/metrics.h. Call once per worker at end of run (values
   /// accumulate across calls, mirroring WorkerMetrics::Merge).
@@ -91,6 +121,15 @@ class MetricsRegistry {
  private:
   MetricId AddMetric(std::string name, std::string unit, std::string help,
                      MetricKind kind);
+  /// Registers the gauges of a node-side stats table.
+  template <typename Stats>
+  void AddGauges() {
+    for (const StatField<Stats>& f : Stats::kFields) {
+      if (f.is_gauge()) {
+        AddGauge(std::string(Stats::kGaugePrefix) + f.name, f.unit, f.help);
+      }
+    }
+  }
 
   mutable std::mutex mutex_;
   std::vector<MetricDef> defs_;

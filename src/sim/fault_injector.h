@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/stat_table.h"
 
 namespace tell::sim {
 
@@ -107,7 +108,7 @@ struct FaultPlan {
 
 /// Counters of what the injector actually did (exported as `fault.*` gauges
 /// by db::TellDb::ExportStats when an injector is attached).
-struct FaultStats {
+struct FaultStats : StatTable<FaultStats> {
   uint64_t requests_seen = 0;
   uint64_t injected = 0;
   uint64_t dropped_requests = 0;
@@ -115,6 +116,29 @@ struct FaultStats {
   uint64_t latency_spikes = 0;
   uint64_t node_kills = 0;
   uint64_t leader_kills = 0;
+
+  static constexpr const char* kGaugePrefix = "fault.";
+  static constexpr StatField<FaultStats> kFields[] = {
+      {"requests_seen", "requests",
+       "storage requests evaluated by the fault injector",
+       &FaultStats::requests_seen},
+      {"injected", "faults", "fault-rule firings of any kind",
+       &FaultStats::injected},
+      {"dropped_requests", "requests",
+       "requests dropped before reaching storage (injected)",
+       &FaultStats::dropped_requests},
+      {"dropped_responses", "requests",
+       "responses dropped after execution (injected, ambiguous outcome)",
+       &FaultStats::dropped_responses},
+      {"latency_spikes", "requests",
+       "requests charged an injected latency spike",
+       &FaultStats::latency_spikes},
+      {"node_kills", "nodes", "storage nodes crash-stopped by the fault plan",
+       &FaultStats::node_kills},
+      {"leader_kills", "kills",
+       "commit-manager leaders crash-stopped by the fault plan",
+       &FaultStats::leader_kills},
+  };
 };
 
 /// Deterministic per-request fault injection for the simulated cluster.

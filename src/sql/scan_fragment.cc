@@ -160,7 +160,8 @@ std::string ScanFragment::SerializeDescriptor() const {
 }
 
 bool AggregateFragmentSink::Absorb(std::string_view key,
-                                   std::string_view value) {
+                                   std::string_view value,
+                                   uint64_t /*stamp*/) {
   if (!status_.ok()) return false;
   if (key.size() != 8) return true;  // not a rid-keyed data cell
   payload_.clear();

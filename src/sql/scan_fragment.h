@@ -100,7 +100,8 @@ class AggregateFragmentSink : public store::FragmentSink {
                         const ScanFragment* fragment, VisibleFn visible)
       : schema_(schema), fragment_(fragment), visible_(std::move(visible)) {}
 
-  bool Absorb(std::string_view key, std::string_view value) override;
+  bool Absorb(std::string_view key, std::string_view value,
+              uint64_t stamp) override;
   /// Filters one visible tuple by the fragment's predicate and folds it
   /// into its group. Returns whether it matched; an erroring expression
   /// fails the fold. Tuples may come in any order: a member with a lower

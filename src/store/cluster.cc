@@ -102,31 +102,14 @@ Result<int64_t> Cluster::AtomicIncrement(TableId table, std::string_view key,
                                        route.replicas);
 }
 
-Result<std::vector<KeyCell>> Cluster::Scan(TableId table,
-                                           std::string_view start_key,
-                                           std::string_view end_key) const {
-  TELL_ASSIGN_OR_RETURN(uint32_t num_partitions,
-                        partition_map_.NumPartitions(table));
-  std::vector<KeyCell> merged;
-  for (uint32_t p = 0; p < num_partitions; ++p) {
-    TELL_ASSIGN_OR_RETURN(Route route, RouteForPartition(table, p));
-    TELL_ASSIGN_OR_RETURN(
-        std::vector<KeyCell> part,
-        route.master->Scan(table, p, start_key, end_key));
-    merged.insert(merged.end(), std::make_move_iterator(part.begin()),
-                  std::make_move_iterator(part.end()));
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const KeyCell& a, const KeyCell& b) { return a.key < b.key; });
-  return merged;
-}
-
 Status Cluster::FragmentScan(TableId table, uint32_t partition,
-                             size_t chunk_cells, FragmentSink* sink,
+                             std::string_view start_key,
+                             std::string_view end_key, size_t chunk_cells,
+                             FragmentSink* sink,
                              FragmentScanStats* stats) const {
   TELL_ASSIGN_OR_RETURN(Route route, RouteForPartition(table, partition));
-  return route.master->FragmentScan(table, partition, chunk_cells, sink,
-                                    stats);
+  return route.master->FragmentScan(table, partition, start_key, end_key,
+                                    chunk_cells, sink, stats);
 }
 
 StorageNode* Cluster::node(uint32_t node_id) {

@@ -69,16 +69,14 @@ class Cluster {
   Result<int64_t> AtomicIncrement(TableId table, std::string_view key,
                                   int64_t delta);
 
-  /// Ordered scan of [start_key, end_key) merged across all partitions of
-  /// the table.
-  Result<std::vector<KeyCell>> Scan(TableId table, std::string_view start_key,
-                                    std::string_view end_key) const;
-
-  /// Runs a vectorized scan fragment over ONE partition of a table on its
-  /// master node (DESIGN.md "Vectorized scans & aggregate pushdown"). The
-  /// caller owns the sink and merges partial states across partitions.
-  Status FragmentScan(TableId table, uint32_t partition, size_t chunk_cells,
-                      FragmentSink* sink, FragmentScanStats* stats) const;
+  /// Runs a scan fragment over the keys [start_key, end_key) of ONE
+  /// partition of a table on its master node (StorageNode::FragmentScan;
+  /// DESIGN.md "Vectorized scans & aggregate pushdown"). The caller owns
+  /// the sink and merges partial states across partitions.
+  Status FragmentScan(TableId table, uint32_t partition,
+                      std::string_view start_key, std::string_view end_key,
+                      size_t chunk_cells, FragmentSink* sink,
+                      FragmentScanStats* stats) const;
 
   // --- Topology ----------------------------------------------------------
 

@@ -6,8 +6,11 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "common/serde.h"
 #include "common/status.h"
+#include "store/versioned_cell.h"
 
 namespace tell::store {
 
@@ -47,9 +50,11 @@ class FragmentSink {
  public:
   virtual ~FragmentSink() = default;
 
-  /// Feeds one stored cell (raw VersionedRecord bytes). Returns false to
-  /// stop the scan early (limit reached); errors are latched in status().
-  virtual bool Absorb(std::string_view key, std::string_view value) = 0;
+  /// Feeds one stored cell (raw VersionedRecord bytes) and its LL/SC stamp.
+  /// Returns false to stop the scan early (limit reached); errors are
+  /// latched in status().
+  virtual bool Absorb(std::string_view key, std::string_view value,
+                      uint64_t stamp) = 0;
 
   /// Serialized result after the scan — the bytes that travel back to the
   /// processing node, charged as the response payload: O(groups) for an
@@ -64,6 +69,36 @@ class FragmentSink {
   virtual uint64_t baseline_bytes() const = 0;
   /// First decode/fold error, if any. The scan stops on error.
   virtual Status status() const = 0;
+};
+
+/// The raw-cell sink: keeps every cell it is fed, in the partition's key
+/// order, and ships them all. Log replay and truncation, the lazy GC's
+/// table walk and the CREATE INDEX backfill read through it.
+class CellSink : public FragmentSink {
+ public:
+  bool Absorb(std::string_view key, std::string_view value,
+              uint64_t stamp) override {
+    cells_.push_back({std::string(key), std::string(value), stamp});
+    return true;
+  }
+  std::string Finish() override {
+    BufferWriter out;
+    for (const KeyCell& cell : cells_) {
+      out.PutString(cell.key);
+      out.PutString(cell.value);
+      out.PutU64(cell.stamp);
+    }
+    return out.Release();
+  }
+  uint64_t rows_returned() const override { return cells_.size(); }
+  /// Raw cells are the row-shipping baseline itself: nothing saved.
+  uint64_t baseline_bytes() const override { return 0; }
+  Status status() const override { return Status::OK(); }
+
+  std::vector<KeyCell>& cells() { return cells_; }
+
+ private:
+  std::vector<KeyCell> cells_;
 };
 
 /// Builds a fresh sink for one partition's fragment execution. Called per

@@ -153,7 +153,7 @@ Status ManagementNode::MigratePartition(TableId table, uint32_t partition,
     TELL_ASSIGN_OR_RETURN(uint64_t next_watermark,
                           src->PartitionNextStamp(table, partition));
     TELL_ASSIGN_OR_RETURN(std::vector<KeyCell> delta,
-                          src->DumpPartitionSince(table, partition, watermark));
+                          src->DumpPartition(table, partition, watermark));
     TELL_ASSIGN_OR_RETURN(std::vector<MigrationOp> erases,
                           src->ErasesSince(table, partition, watermark));
     if (delta.empty() && erases.empty()) break;

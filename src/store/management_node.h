@@ -5,6 +5,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/stat_table.h"
 #include "common/status.h"
 #include "store/cluster.h"
 
@@ -12,7 +13,7 @@ namespace tell::store {
 
 /// Running totals of live partition migrations (exported as the
 /// `store.migration.*` gauges by db::TellDb::ExportStats).
-struct MigrationStats {
+struct MigrationStats : StatTable<MigrationStats> {
   uint64_t started = 0;
   uint64_t completed = 0;
   /// Cells moved by the initial bulk copies.
@@ -23,6 +24,25 @@ struct MigrationStats {
   uint64_t delta_cells = 0;
   /// Journaled erases the destination actually applied.
   uint64_t erases_applied = 0;
+
+  static constexpr const char* kGaugePrefix = "store.migration.";
+  static constexpr StatField<MigrationStats> kFields[] = {
+      {"started", "migrations", "live partition migrations started",
+       &MigrationStats::started},
+      {"completed", "migrations",
+       "live partition migrations completed (master moved)",
+       &MigrationStats::completed},
+      {"cells_copied", "cells", "cells moved by migration bulk copies",
+       &MigrationStats::cells_copied},
+      {"delta_rounds", "rounds",
+       "migration catch-up delta rounds (including the sealed final round)",
+       &MigrationStats::delta_rounds},
+      {"delta_cells", "cells", "put cells shipped by migration catch-up deltas",
+       &MigrationStats::delta_cells},
+      {"erases_applied", "erases",
+       "journaled erases applied on migration destinations",
+       &MigrationStats::erases_applied},
+  };
 };
 
 /// The management node of the storage layer (paper §4.4.2): detects storage

@@ -42,7 +42,8 @@ void RecordCache::EraseLocked(
     Shard& shard, std::unordered_map<std::string, Entry>::iterator it) {
   shard.lru.erase(it->second.lru_it);
   shard.map.erase(it);
-  entry_count_.fetch_sub(1, std::memory_order_relaxed);
+  std::atomic_ref<uint64_t>(stats_.entries)
+      .fetch_sub(1, std::memory_order_relaxed);
 }
 
 bool RecordCache::Get(TableId table, std::string_view key,
@@ -52,21 +53,21 @@ bool RecordCache::Get(TableId table, std::string_view key,
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.map.find(ck);
   if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    AddRelaxed(stats_.misses);
     return false;
   }
   if (it->second.fill_epoch != current_epoch) {
     // The partition changed since the fill — the lease is broken. Drop the
     // entry so the next fill re-fetches under the new epoch.
     EraseLocked(shard, it);
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    AddRelaxed(stats_.invalidations);
+    AddRelaxed(stats_.misses);
     return false;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
   out->value = it->second.value;
   out->stamp = it->second.stamp;
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  AddRelaxed(stats_.hits);
   return true;
 }
 
@@ -90,22 +91,12 @@ void RecordCache::Put(TableId table, std::string_view key,
   entry.fill_epoch = fill_epoch;
   entry.lru_it = shard.lru.begin();
   shard.map.emplace(ck, std::move(entry));
-  entry_count_.fetch_add(1, std::memory_order_relaxed);
+  AddRelaxed(stats_.entries);
   while (shard.map.size() > per_shard_capacity_) {
     auto victim = shard.map.find(shard.lru.back());
     EraseLocked(shard, victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    AddRelaxed(stats_.evictions);
   }
-}
-
-RecordCacheStats RecordCache::stats() const {
-  RecordCacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.invalidations = invalidations_.load(std::memory_order_relaxed);
-  s.entries = entry_count_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace tell::store

@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/stat_table.h"
 #include "store/versioned_cell.h"
 
 namespace tell::store {
@@ -94,15 +95,31 @@ struct RecordCacheOptions {
   uint32_t stripes = 16;
 };
 
-/// Point-in-time copy of a cache's counters (exported as the
-/// `store.cache.*` gauges; hit/miss totals also feed the per-worker
-/// `store.cache.hits`/`store.cache.misses` counters via StorageClient).
-struct RecordCacheStats {
+/// A cache's counters (exported as the `store.cache.*` gauges; hit/miss
+/// totals also feed the per-worker `store.cache.hits`/`store.cache.misses`
+/// counters via StorageClient, so here they are node-row keys only).
+struct RecordCacheStats : StatTable<RecordCacheStats> {
   uint64_t hits = 0;
   uint64_t misses = 0;
+  uint64_t entries = 0;
   uint64_t evictions = 0;
   uint64_t invalidations = 0;
-  uint64_t entries = 0;
+
+  static constexpr const char* kGaugePrefix = "store.cache.";
+  static constexpr StatField<RecordCacheStats> kFields[] = {
+      {"hits", "reads", "probes the cache answered", &RecordCacheStats::hits,
+       StatKind::kRowOnly},
+      {"misses", "reads", "probes that found no valid entry",
+       &RecordCacheStats::misses, StatKind::kRowOnly},
+      {"entries", "entries", "entries held by client record caches",
+       &RecordCacheStats::entries},
+      {"evictions", "entries",
+       "entries evicted from client record caches (LRU/capacity)",
+       &RecordCacheStats::evictions},
+      {"invalidations", "entries",
+       "cache entries dropped because their partition's lease epoch moved",
+       &RecordCacheStats::invalidations},
+  };
 };
 
 /// Per-processing-node shared cache of versioned cells, holding both data
@@ -130,10 +147,7 @@ class RecordCache {
   void Put(TableId table, std::string_view key, const VersionedCell& cell,
            uint64_t fill_epoch);
 
-  RecordCacheStats stats() const;
-  size_t entries() const {
-    return entry_count_.load(std::memory_order_relaxed);
-  }
+  RecordCacheStats stats() const { return LoadRelaxed(stats_); }
 
  private:
   struct Entry {
@@ -158,11 +172,8 @@ class RecordCache {
   const uint64_t shard_mask_;
   std::vector<Shard> shards_;
 
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> invalidations_{0};
-  std::atomic<uint64_t> entry_count_{0};
+  /// Bumped with AddRelaxed under the shard locks.
+  mutable RecordCacheStats stats_;
 };
 
 }  // namespace tell::store

@@ -401,40 +401,14 @@ BatchResults StorageClient::BatchReadWrite(const std::vector<GetOp>& gets,
   return results;
 }
 
-Result<std::vector<KeyCell>> StorageClient::Scan(TableId table,
-                                                 std::string_view start_key,
-                                                 std::string_view end_key) {
-  metrics_->storage_ops += 1;
-  clock_->Advance(options_.cpu.per_op_ns);
-  auto result = IssueWithRetry(sim::FaultOpClass::kScan, table, [&] {
-    return cluster_->Scan(table, start_key, end_key);
-  });
-  uint64_t response_bytes = 16;
-  if (result.ok()) {
-    for (const auto& cell : *result) {
-      response_bytes += cell.key.size() + cell.value.size() + 16;
-    }
-  }
-  // One request per partition, issued in parallel; the largest partition's
-  // share of the payload dominates. Approximate the parallel cost with the
-  // payload divided evenly across partitions.
-  auto num_partitions = cluster_->partition_map().NumPartitions(table);
-  uint64_t parts = num_partitions.ok() ? *num_partitions : 1;
-  std::vector<std::pair<uint64_t, uint64_t>> requests(
-      parts, {start_key.size() + end_key.size() + kPerOpHeaderBytes,
-              response_bytes / std::max<uint64_t>(parts, 1)});
-  ChargeParallelRequests(requests);
-  return result;
-}
-
 /// Modelled storage-node CPU per examined cell of a pushdown/fragment scan.
 /// Charged on the response latency; a dedicated scan thread would hide most
 /// of it (§5.2).
 constexpr uint64_t kServerScanPerRecordNs = 50;
 
 Result<FragmentScanOutcome> StorageClient::ExecuteFragmentScan(
-    TableId table, uint64_t descriptor_bytes,
-    const FragmentSinkFactory& make_sink) {
+    TableId table, std::string_view start_key, std::string_view end_key,
+    uint64_t descriptor_bytes, const FragmentSinkFactory& make_sink) {
   metrics_->storage_ops += 1;
   clock_->Advance(options_.cpu.per_op_ns);
   auto num_partitions = cluster_->partition_map().NumPartitions(table);
@@ -451,7 +425,8 @@ Result<FragmentScanOutcome> StorageClient::ExecuteFragmentScan(
           std::unique_ptr<FragmentSink> sink = make_sink(p);
           FragmentScanStats stats;
           TELL_RETURN_NOT_OK(cluster_->FragmentScan(
-              table, p, options_.scan_chunk_cells, sink.get(), &stats));
+              table, p, start_key, end_key, options_.scan_chunk_cells,
+              sink.get(), &stats));
           out.rows_scanned += stats.cells_scanned;
           out.chunk_lock_releases += stats.chunk_lock_releases;
           out.sinks.push_back(std::move(sink));
@@ -489,6 +464,24 @@ Result<int64_t> StorageClient::AtomicIncrement(TableId table,
                      [&] { return cluster_->AtomicIncrement(table, key, delta); });
   ChargeRequest(key.size() + 8 + kPerOpHeaderBytes, 16);
   return result;
+}
+
+Result<std::vector<KeyCell>> CollectCells(StorageClient* client,
+                                          TableId table,
+                                          std::string_view start_key,
+                                          std::string_view end_key) {
+  TELL_ASSIGN_OR_RETURN(
+      FragmentScanOutcome outcome,
+      client->ExecuteFragmentScan(
+          table, start_key, end_key, start_key.size() + end_key.size(),
+          [](uint32_t) { return std::make_unique<CellSink>(); }));
+  std::vector<KeyCell> cells;
+  for (const auto& sink : outcome.sinks) {
+    std::vector<KeyCell>& part = static_cast<CellSink*>(sink.get())->cells();
+    cells.insert(cells.end(), std::make_move_iterator(part.begin()),
+                 std::make_move_iterator(part.end()));
+  }
+  return cells;
 }
 
 }  // namespace tell::store

@@ -166,21 +166,18 @@ class StorageClient {
   BatchResults BatchReadWrite(const std::vector<GetOp>& gets,
                               const std::vector<WriteOp>& writes);
 
-  /// Ordered scan; partition scans are issued in parallel.
-  Result<std::vector<KeyCell>> Scan(TableId table, std::string_view start_key,
-                                    std::string_view end_key);
-
-  /// Vectorized fragment fan-out (DESIGN.md "Vectorized scans & aggregate
-  /// pushdown"): runs one sink per partition of `table` through the chunked
-  /// FragmentScan path and charges the fan-out as parallel requests — the
-  /// virtual-time cost is the slowest partition's fragment, not the sum, and
-  /// each response is the serialized partial state, O(groups) bytes.
+  /// The one scan (DESIGN.md "Vectorized scans & aggregate pushdown"):
+  /// runs one sink per partition of `table` over its keys in
+  /// [start_key, end_key) (empty bounds: the whole partition) through the
+  /// chunked FragmentScan path and charges the fan-out as parallel
+  /// requests — the virtual-time cost is the slowest partition's fragment,
+  /// not the sum, and each response is the sink's serialized result.
   /// `descriptor_bytes` is the serialized ScanFragment size shipped with
   /// every request. The factory builds a fresh sink per partition (and per
   /// retry attempt, so replays never double-fold).
   Result<FragmentScanOutcome> ExecuteFragmentScan(
-      TableId table, uint64_t descriptor_bytes,
-      const FragmentSinkFactory& make_sink);
+      TableId table, std::string_view start_key, std::string_view end_key,
+      uint64_t descriptor_bytes, const FragmentSinkFactory& make_sink);
 
   /// Atomic fetch-add on a counter cell (one round trip). NOT idempotent:
   /// a retried ambiguous increment may apply twice. All in-tree uses hand
@@ -370,6 +367,13 @@ class StorageClient {
   /// giving up reproducibility).
   Random rng_;
 };
+
+/// Every cell of `table` in [start_key, end_key): ExecuteFragmentScan with
+/// a CellSink per partition. Key order holds within a partition only.
+Result<std::vector<KeyCell>> CollectCells(StorageClient* client,
+                                          TableId table,
+                                          std::string_view start_key,
+                                          std::string_view end_key);
 
 }  // namespace tell::store
 

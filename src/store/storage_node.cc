@@ -85,11 +85,10 @@ std::shared_lock<std::shared_mutex> StorageNode::LockShared(
     const Stripe& stripe) const {
   std::shared_lock<std::shared_mutex> lock(stripe.mutex, std::try_to_lock);
   if (!lock.owns_lock()) {
-    stats_.stripe_conflicts.fetch_add(1, std::memory_order_relaxed);
+    AddRelaxed(stats_.stripe_conflicts);
     uint64_t start = MonotonicNowNs();
     lock.lock();
-    stats_.lock_wait_ns.fetch_add(MonotonicNowNs() - start,
-                                  std::memory_order_relaxed);
+    AddRelaxed(stats_.lock_wait_ns, MonotonicNowNs() - start);
   }
   return lock;
 }
@@ -98,11 +97,10 @@ std::unique_lock<std::shared_mutex> StorageNode::LockExclusive(
     const Stripe& stripe) const {
   std::unique_lock<std::shared_mutex> lock(stripe.mutex, std::try_to_lock);
   if (!lock.owns_lock()) {
-    stats_.stripe_conflicts.fetch_add(1, std::memory_order_relaxed);
+    AddRelaxed(stats_.stripe_conflicts);
     uint64_t start = MonotonicNowNs();
     lock.lock();
-    stats_.lock_wait_ns.fetch_add(MonotonicNowNs() - start,
-                                  std::memory_order_relaxed);
+    AddRelaxed(stats_.lock_wait_ns, MonotonicNowNs() - start);
   }
   return lock;
 }
@@ -156,7 +154,7 @@ void StorageNode::MergeScan(const Partition& part, std::string_view start_key,
 Result<VersionedCell> StorageNode::Get(TableId table, uint32_t partition,
                                        std::string_view key) const {
   TELL_RETURN_NOT_OK(CheckAlive());
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
+  AddRelaxed(stats_.gets);
   Partition* part = FindPartition(table, partition);
   if (part == nullptr) return Status::NotFound("no such partition");
   const Stripe& stripe = part->StripeOf(key);
@@ -216,10 +214,9 @@ void StorageNode::EraseCell(CellMap& cells, CellMap::iterator it) {
 Result<uint64_t> StorageNode::Write(uint32_t partition, const WriteOp& op,
                                     const std::vector<StorageNode*>& backups) {
   TELL_RETURN_NOT_OK(CheckAlive());
-  std::atomic<uint64_t>& requests =
-      op.erase ? stats_.erases
-               : (op.conditional ? stats_.conditional_puts : stats_.puts);
-  requests.fetch_add(1, std::memory_order_relaxed);
+  AddRelaxed(op.erase ? stats_.erases
+                      : (op.conditional ? stats_.conditional_puts
+                                        : stats_.puts));
   Partition* part = FindPartition(op.table, partition);
   if (part == nullptr) return Status::NotFound("no such partition");
   Stripe& stripe = part->StripeOf(op.key);
@@ -232,7 +229,7 @@ Result<uint64_t> StorageNode::Write(uint32_t partition, const WriteOp& op,
   if (op.erase && !present) return Status::NotFound();
   const uint64_t current = present ? it->second.stamp : kStampAbsent;
   if (op.conditional && current != op.expected_stamp) {
-    stats_.llsc_failures.fetch_add(1, std::memory_order_relaxed);
+    AddRelaxed(stats_.llsc_failures);
     return Status::ConditionFailed("stamp mismatch: expected " +
                                    std::to_string(op.expected_stamp) +
                                    ", have " + std::to_string(current));
@@ -251,35 +248,13 @@ Result<uint64_t> StorageNode::Write(uint32_t partition, const WriteOp& op,
   return stamp;
 }
 
-Result<std::vector<KeyCell>> StorageNode::Scan(
-    TableId table, uint32_t partition, std::string_view start_key,
-    std::string_view end_key) const {
-  TELL_RETURN_NOT_OK(CheckAlive());
-  stats_.scans.fetch_add(1, std::memory_order_relaxed);
-  Partition* part = FindPartition(table, partition);
-  if (part == nullptr) return Status::NotFound("no such partition");
-  auto locks = LockAllShared(*part);
-  std::vector<KeyCell> out;
-  if (start_key.empty() && end_key.empty()) {
-    // Full walk (log replay, bootstrap): exact size.
-    size_t total = 0;
-    for (const Stripe& stripe : part->stripes) total += stripe.cells.size();
-    out.reserve(total);
-  }
-  MergeScan(*part, start_key, end_key,
-            [&](const std::string& key, const VersionedCell& cell) {
-              out.push_back({key, cell.value, cell.stamp});
-              return true;
-            });
-  stats_.cells_scanned.fetch_add(out.size(), std::memory_order_relaxed);
-  return out;
-}
-
 Status StorageNode::FragmentScan(TableId table, uint32_t partition,
-                                 size_t chunk_cells, FragmentSink* sink,
+                                 std::string_view start_key,
+                                 std::string_view end_key, size_t chunk_cells,
+                                 FragmentSink* sink,
                                  FragmentScanStats* stats) const {
   TELL_RETURN_NOT_OK(CheckAlive());
-  stats_.scans.fetch_add(1, std::memory_order_relaxed);
+  AddRelaxed(stats_.scans);
   Partition* part = FindPartition(table, partition);
   if (part == nullptr) return Status::NotFound("no such partition");
   if (chunk_cells == 0) chunk_cells = 1;
@@ -290,42 +265,41 @@ Status StorageNode::FragmentScan(TableId table, uint32_t partition,
   // the previous chunk; MVCC version lists keep the result
   // snapshot-consistent across the release (tombstones, not erases, encode
   // deletes for MVCC tables).
-  std::string cursor;
+  std::string cursor(start_key);
   bool more = true;
   bool keep_going = true;
   FragmentScanStats local;
-  std::vector<std::pair<std::string, std::string>> batch;
+  std::vector<KeyCell> batch;
   batch.reserve(chunk_cells);
   while (more && keep_going) {
     batch.clear();
     {
       auto locks = LockAllShared(*part);
       more = false;
-      MergeScan(*part, cursor, "",
+      MergeScan(*part, cursor, end_key,
                 [&](const std::string& key, const VersionedCell& cell) {
                   if (batch.size() == chunk_cells) {
                     more = true;  // at least one cell past this chunk
                     return false;
                   }
-                  batch.emplace_back(key, cell.value);
+                  batch.push_back({key, cell.value, cell.stamp});
                   return true;
                 });
     }
     if (more) ++local.chunk_lock_releases;
-    for (const auto& [key, value] : batch) {
+    for (const KeyCell& cell : batch) {
       ++local.cells_scanned;
-      if (!sink->Absorb(key, value)) {
+      if (!sink->Absorb(cell.key, cell.value, cell.stamp)) {
         keep_going = false;
         break;
       }
     }
     if (more && !batch.empty()) {
-      cursor = batch.back().first;
+      cursor = batch.back().key;
       cursor.push_back('\0');
     }
   }
-  stats_.cells_scanned.fetch_add(local.cells_scanned,
-                                 std::memory_order_relaxed);
+  AddRelaxed(stats_.cells_scanned, local.cells_scanned);
   if (stats != nullptr) stats->Accumulate(local);
   return sink->status();
 }
@@ -334,7 +308,7 @@ Result<int64_t> StorageNode::AtomicIncrement(
     TableId table, uint32_t partition, std::string_view key, int64_t delta,
     const std::vector<StorageNode*>& backups) {
   TELL_RETURN_NOT_OK(CheckAlive());
-  stats_.atomic_increments.fetch_add(1, std::memory_order_relaxed);
+  AddRelaxed(stats_.atomic_increments);
   Partition* part = FindPartition(table, partition);
   if (part == nullptr) return Status::NotFound("no such partition");
   Stripe& stripe = part->StripeOf(key);
@@ -365,20 +339,24 @@ Result<int64_t> StorageNode::AtomicIncrement(
 }
 
 Result<std::vector<KeyCell>> StorageNode::DumpPartition(
-    TableId table, uint32_t partition) const {
+    TableId table, uint32_t partition, uint64_t min_stamp) const {
   // Intentionally works on a dead node: fail-over needs to read the replica
   // copies hosted on the *surviving* nodes, and tests also use it to verify
   // what a crashed node held.
   Partition* part = FindPartition(table, partition);
   if (part == nullptr) return Status::NotFound("no such partition");
   auto locks = LockAllShared(*part);
-  size_t total = 0;
-  for (const Stripe& stripe : part->stripes) total += stripe.cells.size();
   std::vector<KeyCell> out;
-  out.reserve(total);
+  if (min_stamp == 0) {
+    size_t total = 0;
+    for (const Stripe& stripe : part->stripes) total += stripe.cells.size();
+    out.reserve(total);
+  }
   MergeScan(*part, "", "",
             [&](const std::string& key, const VersionedCell& cell) {
-              out.push_back({key, cell.value, cell.stamp});
+              if (cell.stamp >= min_stamp) {
+                out.push_back({key, cell.value, cell.stamp});
+              }
               return true;
             });
   return out;
@@ -423,22 +401,6 @@ Result<uint64_t> StorageNode::PartitionNextStamp(TableId table,
   Partition* part = FindPartition(table, partition);
   if (part == nullptr) return Status::NotFound("no such partition");
   return part->next_stamp.load(std::memory_order_acquire);
-}
-
-Result<std::vector<KeyCell>> StorageNode::DumpPartitionSince(
-    TableId table, uint32_t partition, uint64_t min_stamp) const {
-  Partition* part = FindPartition(table, partition);
-  if (part == nullptr) return Status::NotFound("no such partition");
-  auto locks = LockAllShared(*part);
-  std::vector<KeyCell> out;
-  MergeScan(*part, "", "",
-            [&](const std::string& key, const VersionedCell& cell) {
-              if (cell.stamp >= min_stamp) {
-                out.push_back({key, cell.value, cell.stamp});
-              }
-              return true;
-            });
-  return out;
 }
 
 Result<std::vector<MigrationOp>> StorageNode::ErasesSince(

@@ -154,7 +154,7 @@ class TableRegistry {
   index::NodeCache::Stats IndexCacheStats() const {
     std::lock_guard<std::mutex> lock(mutex_);
     index::NodeCache::Stats stats;
-    for (const auto& cache : caches_) stats += cache->stats();
+    for (const auto& cache : caches_) stats.Accumulate(cache->stats());
     return stats;
   }
 

@@ -14,7 +14,7 @@ Result<GcStats> GarbageCollector::SweepTable(store::StorageClient* client,
   Tid lav = commit_managers_->GlobalLav();
   store::TableId data_table = table->meta->data_table;
   TELL_ASSIGN_OR_RETURN(std::vector<store::KeyCell> cells,
-                        client->Scan(data_table, "", ""));
+                        store::CollectCells(client, data_table, "", ""));
   // Judge every record first, then act in two batched rounds whatever the
   // number of records: one BatchInsert removes the index entries of every
   // dead record, then one BatchWrite erases the dead records and rewrites
@@ -63,7 +63,7 @@ Result<GcStats> GarbageCollector::SweepTable(store::StorageClient* client,
   if (!removals.empty()) {
     std::vector<bool> removed;
     (void)index::BTree::BatchInsert(client, removals, &removed);
-    stats.index_entries_removed += static_cast<size_t>(
+    stats.index_entries_removed += static_cast<uint64_t>(
         std::count(removed.begin(), removed.end(), true));
   }
   if (!writes.empty()) {
@@ -90,10 +90,7 @@ Result<GcStats> GarbageCollector::Sweep(
   GcStats total;
   for (TableHandle* table : tables) {
     TELL_ASSIGN_OR_RETURN(GcStats stats, SweepTable(client, table));
-    total.records_rewritten += stats.records_rewritten;
-    total.versions_removed += stats.versions_removed;
-    total.records_erased += stats.records_erased;
-    total.index_entries_removed += stats.index_entries_removed;
+    total.Accumulate(stats);
   }
   if (log != nullptr) {
     Tid lav = commit_managers_->GlobalLav();

@@ -7,26 +7,37 @@
 
 #include "commitmgr/commit_manager.h"
 #include "common/result.h"
+#include "common/stat_table.h"
 #include "store/storage_client.h"
 #include "tx/catalog.h"
 #include "tx/transaction_log.h"
 
 namespace tell::tx {
 
-struct GcStats {
-  size_t records_rewritten = 0;
-  size_t versions_removed = 0;
-  size_t records_erased = 0;
-  size_t index_entries_removed = 0;
-  size_t log_entries_truncated = 0;
+struct GcStats : StatTable<GcStats> {
+  uint64_t records_rewritten = 0;
+  uint64_t versions_removed = 0;
+  uint64_t records_erased = 0;
+  uint64_t index_entries_removed = 0;
+  uint64_t log_entries_truncated = 0;
 
-  void Accumulate(const GcStats& other) {
-    records_rewritten += other.records_rewritten;
-    versions_removed += other.versions_removed;
-    records_erased += other.records_erased;
-    index_entries_removed += other.index_entries_removed;
-    log_entries_truncated += other.log_entries_truncated;
-  }
+  static constexpr const char* kGaugePrefix = "gc.";
+  static constexpr StatField<GcStats> kFields[] = {
+      {"records_rewritten", "records",
+       "records rewritten with pruned version chains by lazy GC sweeps",
+       &GcStats::records_rewritten},
+      {"versions_removed", "versions",
+       "record versions removed by lazy GC sweeps",
+       &GcStats::versions_removed},
+      {"records_erased", "records", "empty records erased by lazy GC sweeps",
+       &GcStats::records_erased},
+      {"index_entries_removed", "entries",
+       "obsolete index entries removed by lazy GC sweeps",
+       &GcStats::index_entries_removed},
+      {"log_entries_truncated", "entries",
+       "transaction log entries truncated below the lav",
+       &GcStats::log_entries_truncated},
+  };
 };
 
 /// The lazy garbage collection strategy (paper §5.4): a background task that

@@ -9,6 +9,7 @@
 #include "commitmgr/snapshot_descriptor.h"
 #include "common/result.h"
 #include "common/serde.h"
+#include "common/stat_table.h"
 #include "schema/versioned_record.h"
 #include "store/storage_client.h"
 
@@ -24,23 +25,29 @@ struct FetchedRecord {
   uint64_t stamp = store::kStampAbsent;
 };
 
-/// Point-in-time copy of a shared buffer's counters (exported into the
+/// A shared buffer's counters (exported into the
 /// obs::MetricsRegistry gauges `buffer.shared.*` by db::TellDb). Unlike the
 /// per-worker `buffer_hits`/`buffer_misses` in sim::WorkerMetrics, these are
 /// the buffer's own view: they include evictions and write-throughs, which no
 /// single worker observes.
-struct BufferStats {
+struct BufferStats : StatTable<BufferStats> {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
   uint64_t write_throughs = 0;
 
-  void Accumulate(const BufferStats& other) {
-    hits += other.hits;
-    misses += other.misses;
-    evictions += other.evictions;
-    write_throughs += other.write_throughs;
-  }
+  static constexpr const char* kGaugePrefix = "buffer.shared.";
+  static constexpr StatField<BufferStats> kFields[] = {
+      {"hits", "reads", "shared-buffer probes served locally",
+       &BufferStats::hits},
+      {"misses", "reads", "shared-buffer probes that fetched from storage",
+       &BufferStats::misses},
+      {"evictions", "records", "records evicted (LRU/capacity)",
+       &BufferStats::evictions},
+      {"write_throughs", "records",
+       "commit write-throughs into the shared buffer",
+       &BufferStats::write_throughs},
+  };
 };
 
 /// A record of a RecordBuffer::Read batch: its data table and rid.

@@ -735,7 +735,8 @@ class RowFragmentSink : public store::FragmentSink {
         visible_(visible),
         limit_(limit) {}
 
-  bool Absorb(std::string_view key, std::string_view value) override {
+  bool Absorb(std::string_view key, std::string_view value,
+              uint64_t /*stamp*/) override {
     if (!status_.ok()) return false;
     if (key.size() != sizeof(uint64_t)) return true;  // meta cells
     payload_.clear();
@@ -855,8 +856,8 @@ Result<store::FragmentScanOutcome> Transaction::FanOutFragment(
     const store::FragmentSinkFactory& make_sink, bool pushed_down) {
   TELL_ASSIGN_OR_RETURN(
       store::FragmentScanOutcome outcome,
-      client_->ExecuteFragmentScan(table->meta->data_table, descriptor_bytes,
-                                   make_sink));
+      client_->ExecuteFragmentScan(table->meta->data_table, "", "",
+                                   descriptor_bytes, make_sink));
   if (!pushed_down) return outcome;
   sim::WorkerMetrics* metrics = client_->metrics();
   metrics->scan_fragments += outcome.partitions;

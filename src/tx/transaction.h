@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -26,6 +27,22 @@ namespace tell::tx {
 
 class Transaction;
 
+/// Database-wide counters for keys a client makes up itself (TPC-C history
+/// ids). Each sequence counts 0, 1, 2, ... over the database's lifetime,
+/// whichever session draws from it. Held in memory by db::TellDb, so a draw
+/// costs no virtual time. Thread safe.
+class KeySequences {
+ public:
+  int64_t Next(uint64_t sequence) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return next_[sequence]++;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::map<uint64_t, int64_t> next_;
+};
+
 /// Per-worker execution context on a processing node: the storage client
 /// (with this worker's virtual clock and metrics), the commit manager
 /// binding, the transaction log, the PN's shared record buffer and the rid
@@ -36,14 +53,16 @@ class Session {
           store::ManagementNode* management,
           const store::ClientOptions& client_options,
           commitmgr::CommitManagerGroup* commit_managers,
-          const TransactionLog* log, RecordBuffer* record_buffer)
+          const TransactionLog* log, RecordBuffer* record_buffer,
+          KeySequences* key_sequences)
       : pn_id_(pn_id),
         worker_id_(worker_id),
         client_(cluster, management, client_options, &clock_, &metrics_),
         commit_managers_(commit_managers),
         cm_client_(commit_managers, &client_),
         log_(log),
-        record_buffer_(record_buffer) {}
+        record_buffer_(record_buffer),
+        key_sequences_(key_sequences) {}
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -65,6 +84,11 @@ class Session {
   /// Allocates a fresh rid for `table` from the session's cached range.
   Result<uint64_t> AllocateRid(const TableMeta* table);
 
+  /// Next value of the database-wide key sequence `sequence`.
+  int64_t NextInSequence(uint64_t sequence) {
+    return key_sequences_->Next(sequence);
+  }
+
  private:
   friend class Transaction;
 
@@ -82,6 +106,7 @@ class Session {
   CommitManagerClient cm_client_;
   const TransactionLog* const log_;
   RecordBuffer* const record_buffer_;
+  KeySequences* const key_sequences_;
   /// Cached rid ranges per data table: (next, end inclusive).
   std::map<store::TableId, std::pair<uint64_t, uint64_t>> rid_ranges_;
 };

@@ -66,20 +66,23 @@ Result<std::vector<LogEntry>> TransactionLog::ScanBackwards(
   std::string start = EncodeOrderedU64(lav + 1);
   std::string end = EncodeOrderedU64(from_tid + 1);
   TELL_ASSIGN_OR_RETURN(std::vector<store::KeyCell> cells,
-                        client->Scan(table_, start, end));
+                        store::CollectCells(client, table_, start, end));
   std::vector<LogEntry> entries;
   entries.reserve(cells.size());
-  for (auto cell = cells.rbegin(); cell != cells.rend(); ++cell) {
-    TELL_ASSIGN_OR_RETURN(LogEntry entry, LogEntry::Deserialize(cell->value));
+  for (const store::KeyCell& cell : cells) {
+    TELL_ASSIGN_OR_RETURN(LogEntry entry, LogEntry::Deserialize(cell.value));
     entries.push_back(std::move(entry));
   }
+  std::sort(entries.begin(), entries.end(),
+            [](const LogEntry& a, const LogEntry& b) { return a.tid > b.tid; });
   return entries;
 }
 
 Result<size_t> TransactionLog::Truncate(store::StorageClient* client,
                                         Tid lav) const {
-  TELL_ASSIGN_OR_RETURN(std::vector<store::KeyCell> cells,
-                        client->Scan(table_, "", EncodeOrderedU64(lav + 1)));
+  TELL_ASSIGN_OR_RETURN(
+      std::vector<store::KeyCell> cells,
+      store::CollectCells(client, table_, "", EncodeOrderedU64(lav + 1)));
   std::vector<store::WriteOp> erases;
   erases.reserve(cells.size());
   for (const auto& cell : cells) {

@@ -102,7 +102,7 @@ struct DriverResult {
   double p99_response_ms = 0;
   double p999_response_ms = 0;
   double buffer_hit_rate = 0;
-  /// Scheduler counters of the executor run (threads == 0 in legacy mode).
+  /// Scheduler counters of the executor run (no cores in legacy mode).
   exec::RuntimeStats exec_stats;
   sim::WorkerMetrics merged;
 };

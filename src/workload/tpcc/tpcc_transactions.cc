@@ -387,10 +387,18 @@ Result<TxnOutcome> TpccExecutor::Payment(const PaymentInput& input) {
   }
   TELL_RETURN_NOT_OK(txn.Update(tables_.customer, customer->first, c_row));
 
+  // The history id is unique across PNs, sessions and runs on one
+  // database: its prefix names the session's (PN, worker) pair, and the
+  // sequence behind a prefix belongs to the database, so a later session of
+  // the same pair continues where an earlier one stopped.
+  const uint32_t pn = session_->pn_id();
+  const uint32_t worker = session_->worker_id();
+  TELL_CHECK(pn < (1u << 7) && worker < (1u << 16) - 1);
+  const int64_t prefix = (int64_t{pn} << 16) + worker + 1;
   Tuple history(9);
-  int64_t h_id =
-      (static_cast<int64_t>(session_->worker_id()) + 1) * (int64_t{1} << 40) +
-      next_history_seq_++;
+  const int64_t h_id =
+      prefix * (int64_t{1} << 40) +
+      session_->NextInSequence(static_cast<uint64_t>(prefix));
   history.Set(col::kHId, h_id);
   history.Set(col::kHCId, c_row.GetInt(col::kCId));
   history.Set(col::kHCDId, input.customer_district);

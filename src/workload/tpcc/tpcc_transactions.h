@@ -166,7 +166,6 @@ class TpccExecutor {
   tx::Session* const session_;
   TpccTables tables_;
   const tx::TxnOptions txn_options_;
-  int64_t next_history_seq_ = 0;
 };
 
 }  // namespace tell::tpcc

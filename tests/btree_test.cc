@@ -474,7 +474,7 @@ TEST_F(BTreeTest, CorruptNodeFailsCleanly) {
   // The left piece of the root's split took the first fresh id, the
   // smallest node id but the root's: the leaf of key 0.
   ASSERT_OK_AND_ASSIGN(std::vector<store::KeyCell> cells,
-                       client->Scan(table_, "", ""));
+                       test::ScanCells(client.get(), table_));
   uint64_t leftmost = UINT64_MAX;
   for (const store::KeyCell& cell : cells) {
     const uint64_t id = tell::DecodeOrderedU64(cell.key);
@@ -1015,7 +1015,7 @@ TEST_F(BTreeTest, LostLlscOnASplitLeavesOnlyAnOrphanRightNode) {
     ASSERT_OK(x.tree->Insert(&loader, tell::EncodeOrderedU64(k), k + 1, true));
   }
   auto node_cells = [&]() -> size_t {
-    auto cells = loader.Scan(x.table, "", "");
+    auto cells = test::ScanCells(&loader, x.table);
     EXPECT_TRUE(cells.ok());
     return cells.ok() ? cells->size() : 0;
   };
@@ -1386,14 +1386,14 @@ TEST_F(LeafImageTest, TakenImagesCostNoRound) {
   // Cold: four levels of rounds, and every leaf enters A's cache.
   EXPECT_EQ(Lookup(keys, LeafCache::kUse, &from_cache), RidsOf(keys));
   EXPECT_EQ(from_cache, std::vector<bool>(keys.size(), false));
-  EXPECT_EQ(cache_a_.stats().leaf.entries, keys.size());
-  EXPECT_EQ(cache_a_.stats().leaf.misses, keys.size());
+  EXPECT_EQ(cache_a_.stats().leaf_entries, keys.size());
+  EXPECT_EQ(cache_a_.stats().leaf_misses, keys.size());
   // Warm: every key takes its leaf's image, and the batch sends nothing.
   uint64_t calls = Calls();
   EXPECT_EQ(Lookup(keys, LeafCache::kUse, &from_cache), RidsOf(keys));
   EXPECT_EQ(Calls() - calls, 0u);
   EXPECT_EQ(from_cache, std::vector<bool>(keys.size(), true));
-  EXPECT_EQ(cache_a_.stats().leaf.hits, keys.size());
+  EXPECT_EQ(cache_a_.stats().leaf_hits, keys.size());
   // A bypassing lookup reads every leaf from the store in one round.
   calls = Calls();
   EXPECT_EQ(Lookup(keys, LeafCache::kBypass, &from_cache), RidsOf(keys));
@@ -1418,15 +1418,15 @@ TEST_F(BTreeTest, LeafImagesNeverEvictInnerNodes) {
   }
   ASSERT_OK(BTree::BatchLookup(client.get(), keys).status());
   const NodeCache::Stats cold = small.stats();
-  EXPECT_EQ(cold.leaf.entries, 2u);
-  EXPECT_EQ(cold.leaf.evictions, keys.size() - 2);
-  EXPECT_EQ(cold.inner.evictions, 0u);
+  EXPECT_EQ(cold.leaf_entries, 2u);
+  EXPECT_EQ(cold.leaf_evictions, keys.size() - 2);
+  EXPECT_EQ(cold.inner_evictions, 0u);
   // Every inner node is still cached: the batch again costs one round, for
   // the leaves whose images were evicted.
   const uint64_t calls = metrics->pipeline_flushes;
   ASSERT_OK(BTree::BatchLookup(client.get(), keys).status());
   EXPECT_EQ(metrics->pipeline_flushes - calls, 1u);
-  EXPECT_EQ(small.stats().inner.entries, cold.inner.entries);
+  EXPECT_EQ(small.stats().inner_entries, cold.inner_entries);
 }
 
 TEST_F(LeafImageTest, ImageLackingTheKeyIsReadAgain) {

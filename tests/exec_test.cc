@@ -36,10 +36,10 @@ TEST(RuntimeTest, SingleThreadRunsTasksInSubmissionOrder) {
   runtime.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
   const RuntimeStats& stats = runtime.stats();
-  EXPECT_EQ(stats.threads, 1u);
-  EXPECT_EQ(stats.Total(&RuntimeStats::PerCore::tasks_completed), 8u);
-  EXPECT_EQ(stats.Total(&RuntimeStats::PerCore::steals), 0u);
-  EXPECT_GE(stats.QueuePeak(), 8u);
+  EXPECT_EQ(stats.Totals().threads, 1u);
+  EXPECT_EQ(stats.Totals().tasks_completed, 8u);
+  EXPECT_EQ(stats.Totals().steals, 0u);
+  EXPECT_GE(stats.Totals().queue_peak, 8u);
 }
 
 TEST(RuntimeTest, YieldRoundRobinsOnOneThread) {
@@ -59,7 +59,7 @@ TEST(RuntimeTest, YieldRoundRobinsOnOneThread) {
   }
   runtime.Run();
   EXPECT_EQ(trace, (std::vector<char>{'A', 'B', 'A', 'B', 'A', 'B'}));
-  EXPECT_EQ(runtime.stats().Total(&RuntimeStats::PerCore::yields), 6u);
+  EXPECT_EQ(runtime.stats().Totals().yields, 6u);
 }
 
 TEST(RuntimeTest, IdleThreadsStealQueuedTasks) {
@@ -87,9 +87,9 @@ TEST(RuntimeTest, IdleThreadsStealQueuedTasks) {
   runtime.Run();
   EXPECT_EQ(completed.load(), kTasks);
   const RuntimeStats& stats = runtime.stats();
-  EXPECT_EQ(stats.Total(&RuntimeStats::PerCore::tasks_completed),
+  EXPECT_EQ(stats.Totals().tasks_completed,
             static_cast<uint64_t>(kTasks));
-  EXPECT_GT(stats.Total(&RuntimeStats::PerCore::steals), 0u);
+  EXPECT_GT(stats.Totals().steals, 0u);
 }
 
 TEST(RuntimeTest, NoLostWakeupsOnParkUnpark) {
@@ -112,12 +112,12 @@ TEST(RuntimeTest, NoLostWakeupsOnParkUnpark) {
   runtime.Run();
   EXPECT_EQ(completed.load(), kFollowOns + 1);
   const RuntimeStats& stats = runtime.stats();
-  EXPECT_EQ(stats.Total(&RuntimeStats::PerCore::tasks_completed),
+  EXPECT_EQ(stats.Totals().tasks_completed,
             static_cast<uint64_t>(kFollowOns + 1));
   // With 3 threads and a dripping producer, the two consumers must have
   // parked and been woken at least once each.
-  EXPECT_GT(stats.Total(&RuntimeStats::PerCore::parks), 0u);
-  EXPECT_GT(stats.Total(&RuntimeStats::PerCore::unparks), 0u);
+  EXPECT_GT(stats.Totals().parks, 0u);
+  EXPECT_GT(stats.Totals().unparks, 0u);
 }
 
 TEST(RuntimeTest, YieldAndInTaskAreSafeOutsideTheExecutor) {
@@ -254,8 +254,8 @@ TEST(ExecDeterminismTest, OneWorkerExecutorMatchesLegacyExactly) {
                        RunWorkload(exec_db.get(), 1, 1));
   ASSERT_GT(legacy.committed, 0u);
   ExpectSameOutcome(legacy, executor);
-  EXPECT_EQ(executor.exec_stats.threads, 1u);
-  EXPECT_EQ(executor.exec_stats.Total(&RuntimeStats::PerCore::steals), 0u);
+  EXPECT_EQ(executor.exec_stats.Totals().threads, 1u);
+  EXPECT_EQ(executor.exec_stats.Totals().steals, 0u);
 }
 
 TEST(ExecDeterminismTest, SingleExecutorThreadIsRunToRunIdentical) {
@@ -273,9 +273,9 @@ TEST(ExecDeterminismTest, SingleExecutorThreadIsRunToRunIdentical) {
   ExpectSameOutcome(first, second);
   // Parking actually happened: every transaction begin is a commit-manager
   // round trip, which yields under the executor.
-  EXPECT_GT(first.exec_stats.Total(&RuntimeStats::PerCore::yields), 0u);
-  EXPECT_EQ(first.exec_stats.Total(&RuntimeStats::PerCore::yields),
-            second.exec_stats.Total(&RuntimeStats::PerCore::yields));
+  EXPECT_GT(first.exec_stats.Totals().yields, 0u);
+  EXPECT_EQ(first.exec_stats.Totals().yields,
+            second.exec_stats.Totals().yields);
 }
 
 // ---------------------------------------------------------------------------
@@ -314,10 +314,10 @@ TEST_P(ExecChaosSuite, TpccSurvivesRandomizedFaultsUnderExecutor) {
   injector.Disarm();
 
   EXPECT_GT(result.committed, 0u);
-  EXPECT_EQ(result.exec_stats.threads, 2u);
-  EXPECT_EQ(result.exec_stats.Total(&RuntimeStats::PerCore::tasks_completed),
+  EXPECT_EQ(result.exec_stats.Totals().threads, 2u);
+  EXPECT_EQ(result.exec_stats.Totals().tasks_completed,
             4u);
-  EXPECT_GT(result.exec_stats.Total(&RuntimeStats::PerCore::yields), 0u);
+  EXPECT_GT(result.exec_stats.Totals().yields, 0u);
 
   // The chaos was real: the injector saw traffic and fired faults, and the
   // workers' retry machinery dealt with them.

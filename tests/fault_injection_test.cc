@@ -393,7 +393,7 @@ TEST(RollbackRetryTest, RevertSurvivesDroppedRead) {
   EXPECT_GT(injector.stats().dropped_requests, 0u);
 
   // No version of the aborted transaction survives anywhere in the table.
-  ASSERT_OK_AND_ASSIGN(auto cells, db.cluster()->Scan(data_table, "", ""));
+  ASSERT_OK_AND_ASSIGN(auto cells, test::ScanCells(*db.cluster(), data_table));
   for (const auto& cell : cells) {
     if (cell.key.size() != 8) continue;  // meta cells (rid counter)
     ASSERT_OK_AND_ASSIGN(auto record,
@@ -443,7 +443,7 @@ Tuple User(int64_t id, const std::string& email) {
 
 /// True if some record of `table` still holds a version of `tid`.
 bool HasVersionOf(db::TellDb* db, store::TableId table, commitmgr::Tid tid) {
-  auto cells = db->cluster()->Scan(table, "", "");
+  auto cells = test::ScanCells(*db->cluster(), table);
   EXPECT_OK(cells.status());
   if (!cells.ok()) return true;
   for (const auto& cell : *cells) {
@@ -755,7 +755,7 @@ class SplitCommitTest : public ::testing::Test {
     size_t cells = 0;
     for (store::TableId t : {table_->meta->primary.store_table,
                              table_->meta->secondaries[0].store_table}) {
-      auto scanned = db_->cluster()->Scan(t, "", "");
+      auto scanned = test::ScanCells(*db_->cluster(), t);
       EXPECT_OK(scanned.status());
       if (scanned.ok()) cells += scanned->size();
     }
@@ -1147,7 +1147,7 @@ TEST_P(ChaosSuite, InvariantsHoldUnderRandomizedFaults) {
   uint64_t dangling = 0;
   for (const auto* meta : {accounts->meta, orders->meta}) {
     ASSERT_OK_AND_ASSIGN(auto cells,
-                         db.cluster()->Scan(meta->data_table, "", ""));
+                         test::ScanCells(*db.cluster(), meta->data_table));
     for (const auto& cell : cells) {
       if (cell.key.size() != 8) continue;  // meta cells (rid counter)
       ASSERT_OK_AND_ASSIGN(auto record,

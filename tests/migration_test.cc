@@ -57,7 +57,7 @@ std::vector<MigrationOp> MergeDelta(const std::vector<KeyCell>& puts,
 std::map<std::string, std::string> Contents(const StorageNode& node,
                                             store::TableId table,
                                             uint32_t partition) {
-  auto cells = node.Scan(table, partition, "", "");
+  auto cells = test::ScanCells(node, table, partition);
   EXPECT_TRUE(cells.ok()) << cells.status().ToString();
   std::map<std::string, std::string> out;
   for (const KeyCell& cell : *cells) out[cell.key] = cell.value;
@@ -98,7 +98,7 @@ TEST(MigrationDeltaTest, WatermarkedDeltaCatchesWritesAndErases) {
   ASSERT_OK_AND_ASSIGN(uint64_t next_watermark,
                        src.PartitionNextStamp(kTable, kPartition));
   ASSERT_OK_AND_ASSIGN(auto puts,
-                       src.DumpPartitionSince(kTable, kPartition, watermark));
+                       src.DumpPartition(kTable, kPartition, watermark));
   ASSERT_OK_AND_ASSIGN(auto erases,
                        src.ErasesSince(kTable, kPartition, watermark));
   ASSERT_EQ(erases.size(), 1u);

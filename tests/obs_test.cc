@@ -3,9 +3,11 @@
 // JSON export round-trip and the docs/METRICS.md coverage contract.
 #include <cctype>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +18,9 @@
 #include "sim/histogram.h"
 #include "sim/metrics.h"
 #include "sim/virtual_clock.h"
+#include "tests/test_util.h"
+#include "workload/tpcc/tpcc_driver.h"
+#include "workload/tpcc/tpcc_loader.h"
 
 namespace tell {
 namespace {
@@ -534,6 +539,263 @@ TEST(MetricsDocTest, RecoveryDocGaugesMatchRegistry) {
     EXPECT_TRUE(mentioned.count(name))
         << "gauge " << name << " is missing from docs/RECOVERY.md";
   }
+}
+
+// ---------------------------------------------------------------------------
+// The node-side catalogue: every gauge and node-row key is pinned, and each
+// summed gauge equals the sum of its per-node rows.
+// ---------------------------------------------------------------------------
+
+struct PinnedGauge {
+  const char* name;
+  const char* unit;
+  const char* help;
+};
+
+// Every builtin gauge, in catalogue order. Changing one changes the
+// "gauges" object of every bench artifact.
+const PinnedGauge kPinnedGauges[] = {
+      {"store.node.gets", "ops", "Get requests served by storage nodes"},
+      {"store.node.puts", "ops", "unconditional Put requests served"},
+      {"store.node.conditional_puts", "ops",
+       "store-conditional Put requests served"},
+      {"store.node.llsc_failures", "ops",
+       "store-conditionals rejected by stamp mismatch (server-side)"},
+      {"store.node.erases", "ops", "erase writes (conditional or not) served"},
+      {"store.node.scans", "ops", "scan requests served"},
+      {"store.node.cells_scanned", "cells",
+       "cells examined while serving scans"},
+      {"store.node.atomic_increments", "ops",
+       "atomic counter increments served"},
+      {"store.node.stripe_conflicts", "acquisitions",
+       "stripe-lock acquisitions that found the lock held (collisions)"},
+      {"store.node.lock_wait_ns", "ns",
+       "wall-clock time threads spent blocked on stripe locks"},
+      {"store.migration.started", "migrations",
+       "live partition migrations started"},
+      {"store.migration.completed", "migrations",
+       "live partition migrations completed (master moved)"},
+      {"store.migration.cells_copied", "cells",
+       "cells moved by migration bulk copies"},
+      {"store.migration.delta_rounds", "rounds",
+       "migration catch-up delta rounds (including the sealed final round)"},
+      {"store.migration.delta_cells", "cells",
+       "put cells shipped by migration catch-up deltas"},
+      {"store.migration.erases_applied", "erases",
+       "journaled erases applied on migration destinations"},
+      {"commitmgr.starts", "txns", "start() calls served"},
+      {"commitmgr.commits", "txns", "setCommitted() calls served"},
+      {"commitmgr.aborts", "txns", "setAborted() calls served"},
+      {"commitmgr.syncs", "rounds", "peer synchronization rounds"},
+      {"commitmgr.tid_range_refills", "refills",
+       "tid ranges acquired from the storage counter"},
+      {"commitmgr.delta_starts", "txns",
+       "delta-protocol starts answered with an incremental snapshot delta"},
+      {"commitmgr.full_starts", "txns",
+       "delta-protocol starts answered with the full descriptor"},
+      {"commitmgr.repl.log_appends", "records",
+       "change records appended to replication logs by slot leaders"},
+      {"commitmgr.repl.log_bytes", "bytes",
+       "wire bytes of appended change records"},
+      {"commitmgr.repl.snapshots", "snapshots",
+       "replica-state snapshots installed into replication logs"},
+      {"commitmgr.repl.log_truncated", "records",
+       "change records truncated below a log snapshot"},
+      {"commitmgr.repl.snapshot_installs", "snapshots",
+       "log snapshots installed into follower state (catch-up shortcuts)"},
+      {"commitmgr.repl.records_replayed", "records",
+       "change records replayed by followers catching up"},
+      {"commitmgr.repl.elections", "elections",
+       "leader elections run by commit-manager slots"},
+      {"commitmgr.repl.term", "term",
+       "highest election term reached by any slot"},
+      {"store.cache.entries", "entries",
+       "entries held by client record caches"},
+      {"store.cache.evictions", "entries",
+       "entries evicted from client record caches (LRU/capacity)"},
+      {"store.cache.invalidations", "entries",
+       "cache entries dropped because their partition's lease epoch moved"},
+      {"index.cache.inner_entries", "entries",
+       "inner B+tree nodes held by per-PN node caches"},
+      {"index.cache.inner_hits", "nodes",
+       "descent steps served an inner node by a node cache"},
+      {"index.cache.inner_misses", "nodes",
+       "node-cache probes for an inner node that found none"},
+      {"index.cache.inner_evictions", "nodes",
+       "inner nodes evicted from node caches (LRU/capacity)"},
+      {"index.cache.leaf_entries", "entries",
+       "B+tree leaf images held by per-PN node caches"},
+      {"index.cache.leaf_hits", "lookups",
+       "unique-key point lookups a cached leaf image answered"},
+      {"index.cache.leaf_misses", "lookups",
+       "unique-key point lookups that found no cached leaf image"},
+      {"index.cache.leaf_evictions", "leaves",
+       "leaf images evicted from node caches (LRU/capacity)"},
+      {"index.cache.leaf_stale", "lookups",
+       "unique-key point lookups whose cached leaf image was stale"},
+      {"buffer.shared.hits", "reads", "shared-buffer probes served locally"},
+      {"buffer.shared.misses", "reads",
+       "shared-buffer probes that fetched from storage"},
+      {"buffer.shared.evictions", "records", "records evicted (LRU/capacity)"},
+      {"buffer.shared.write_throughs", "records",
+       "commit write-throughs into the shared buffer"},
+      {"gc.records_rewritten", "records",
+       "records rewritten with pruned version chains by lazy GC sweeps"},
+      {"gc.versions_removed", "versions",
+       "record versions removed by lazy GC sweeps"},
+      {"gc.records_erased", "records",
+       "empty records erased by lazy GC sweeps"},
+      {"gc.index_entries_removed", "entries",
+       "obsolete index entries removed by lazy GC sweeps"},
+      {"gc.log_entries_truncated", "entries",
+       "transaction log entries truncated below the lav"},
+      {"exec.threads", "threads", "executor threads the runtime ran with"},
+      {"exec.tasks", "tasks", "tasks run to completion"},
+      {"exec.yields", "yields",
+       "task suspensions (park points / cooperative yields)"},
+      {"exec.steals", "tasks", "tasks stolen from another core's run queue"},
+      {"exec.parks", "parks", "executor threads sleeping on an empty queue"},
+      {"exec.unparks", "wakeups", "wakeups issued to parked executor threads"},
+      {"exec.run_queue_peak", "tasks", "peak run-queue depth on any core"},
+      {"exec.busy_ns", "ns",
+       "wall-clock time executor threads spent inside task code (summed)"},
+      {"exec.wall_ns", "ns", "wall-clock duration of the executor run"},
+      {"fault.requests_seen", "requests",
+       "storage requests evaluated by the fault injector"},
+      {"fault.injected", "faults", "fault-rule firings of any kind"},
+      {"fault.dropped_requests", "requests",
+       "requests dropped before reaching storage (injected)"},
+      {"fault.dropped_responses", "requests",
+       "responses dropped after execution (injected, ambiguous outcome)"},
+      {"fault.latency_spikes", "requests",
+       "requests charged an injected latency spike"},
+      {"fault.node_kills", "nodes",
+       "storage nodes crash-stopped by the fault plan"},
+      {"fault.leader_kills", "kills",
+       "commit-manager leaders crash-stopped by the fault plan"},
+};
+
+TEST(NodeStatsCatalogTest, BuiltinGaugesArePinned) {
+  using Def = std::tuple<std::string, std::string, std::string>;
+  std::vector<Def> registered;
+  obs::MetricsRegistry registry;
+  for (const obs::MetricDef& def : registry.metrics()) {
+    if (def.kind == obs::MetricKind::kGauge) {
+      registered.emplace_back(def.name, def.unit, def.help);
+    }
+  }
+  std::vector<Def> pinned;
+  for (const PinnedGauge& g : kPinnedGauges) {
+    pinned.emplace_back(g.name, g.unit, g.help);
+  }
+  EXPECT_EQ(registered, pinned);
+}
+
+/// A node row's kind: its label without the node number ("pn1.cache" ->
+/// "pn.cache").
+std::string RowKind(const std::string& label) {
+  std::string kind;
+  for (char c : label) {
+    if (!std::isdigit(static_cast<unsigned char>(c))) kind.push_back(c);
+  }
+  return kind;
+}
+
+TEST(NodeStatsCatalogTest, NodeRowsArePinnedAndSumToTheirGauges) {
+  // Two PNs with the shared record buffer and the record cache, so the
+  // storage-node, commit-manager, buffer and cache counters all move.
+  db::TellDbOptions options;
+  options.num_processing_nodes = 2;
+  options.network = sim::NetworkModel::Instant();
+  options.buffer_strategy = db::BufferStrategy::kSharedRecord;
+  options.record_cache.enabled = true;
+  db::TellDb db(options);
+  tpcc::TpccScale scale;
+  scale.warehouses = 2;
+  scale.districts_per_warehouse = 3;
+  scale.customers_per_district = 12;
+  scale.items = 50;
+  scale.initial_orders_per_district = 9;
+  ASSERT_OK(tpcc::CreateTpccTables(&db));
+  ASSERT_OK(tpcc::LoadTpcc(&db, scale));
+  tpcc::TellBackend backend(&db);
+  tpcc::DriverOptions driver;
+  driver.scale = scale;
+  driver.num_workers = 2;
+  driver.duration_virtual_ms = 20;
+  driver.executor_threads = 1;
+  driver.pin_cores = false;
+  ASSERT_OK_AND_ASSIGN(tpcc::DriverResult result,
+                       tpcc::RunTpcc(&backend, driver));
+
+  obs::MetricsRegistry registry;
+  db.ExportStats(&registry);
+  exec::ExportStats(result.exec_stats, &registry);
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  obs::NodeRows rows = db.PerNodeStats();
+  for (auto& row : exec::PerCoreRows(result.exec_stats)) {
+    rows.push_back(std::move(row));
+  }
+
+  // Row kind -> (gauge prefix, row keys).
+  const std::map<std::string, std::pair<std::string, std::set<std::string>>>
+      kPinnedRows = {
+          {"sn",
+           {"store.node.",
+            {"gets", "puts", "conditional_puts", "llsc_failures", "erases",
+             "scans", "cells_scanned", "atomic_increments",
+             "stripe_conflicts", "lock_wait_ns"}}},
+          {"cm",
+           {"commitmgr.",
+            {"starts", "commits", "aborts", "syncs", "tid_range_refills",
+             "delta_starts", "full_starts"}}},
+          {"pn.buffer",
+           {"buffer.shared.", {"hits", "misses", "evictions",
+                               "write_throughs"}}},
+          {"pn.cache",
+           {"store.cache.",
+            {"hits", "misses", "evictions", "invalidations", "entries"}}},
+          {"exec",
+           {"exec.",
+            {"tasks_completed", "steals", "yields", "parks", "unparks",
+             "busy_ns", "queue_peak"}}},
+      };
+  std::set<std::string> gauges;
+  for (const obs::MetricDef& def : snapshot.metrics()) {
+    if (def.kind == obs::MetricKind::kGauge) gauges.insert(def.name);
+  }
+  std::map<std::string, uint64_t> sums;  // gauge name -> sum over rows
+  std::set<std::string> kinds;
+  for (const auto& [label, row] : rows) {
+    const std::string kind = RowKind(label);
+    kinds.insert(kind);
+    auto pinned = kPinnedRows.find(kind);
+    ASSERT_NE(pinned, kPinnedRows.end()) << label;
+    std::set<std::string> keys;
+    for (const auto& [key, value] : row) {
+      keys.insert(key);
+      const std::string gauge = pinned->second.first + key;
+      if (gauges.count(gauge) != 0) sums[gauge] += value;
+    }
+    EXPECT_EQ(keys, pinned->second.second) << label;
+  }
+  EXPECT_EQ(kinds.size(), kPinnedRows.size());
+
+  for (const std::string prefix :
+       {"store.node.", "commitmgr.", "buffer.shared.", "store.cache."}) {
+    for (const auto& [gauge, sum] : sums) {
+      if (gauge.rfind(prefix, 0) != 0) continue;
+      EXPECT_EQ(snapshot.Scalar(gauge), sum) << gauge;
+    }
+  }
+  for (const char* moved :
+       {"store.node.gets", "store.node.conditional_puts", "commitmgr.starts",
+        "commitmgr.commits", "buffer.shared.hits",
+        "buffer.shared.write_throughs", "store.cache.entries"}) {
+    EXPECT_GT(sums[moved], 0u) << moved;
+  }
+  // One task per worker; the exec<i> rows name the count tasks_completed.
+  EXPECT_EQ(snapshot.Scalar("exec.tasks"), driver.num_workers);
 }
 
 }  // namespace

@@ -128,7 +128,7 @@ TEST(RecordCacheTest, LruBoundEvictsOldestFirst) {
   // Touch k0 so k1 becomes the LRU victim.
   ASSERT_TRUE(cache.Get(1, "k0", 0, &out));
   cache.Put(1, "k4", MakeCell("v", 1), 0);
-  EXPECT_EQ(cache.entries(), 4u);
+  EXPECT_EQ(cache.stats().entries, 4u);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_TRUE(cache.Get(1, "k0", 0, &out));
   EXPECT_FALSE(cache.Get(1, "k1", 0, &out));  // evicted
@@ -332,8 +332,8 @@ void RunTpccDigest(const DigestRunConfig& config, std::string* digest,
   std::unique_ptr<tx::Session> other_session;
   std::unique_ptr<tpcc::TpccExecutor> other_executor;
   if (config.alternate_pns) {
-    // Another worker id: payment's history keys embed it.
-    other_session = db.OpenSession(1, 1);
+    // The same worker id on the other PN: history ids name the PN too.
+    other_session = db.OpenSession(1, 0);
     auto other_tables = tpcc::OpenTpccTables(&db, 1);
     ASSERT_TRUE(other_tables.ok()) << other_tables.status().ToString();
     other_executor = std::make_unique<tpcc::TpccExecutor>(

@@ -40,7 +40,7 @@ class FilteredScanStoreTest : public ::testing::Test {
   Result<store::FragmentScanOutcome> ScanMatching(const std::string& match,
                                                   size_t limit = 0) {
     return client_->ExecuteFragmentScan(
-        table_, /*descriptor_bytes=*/64, [&](uint32_t) {
+        table_, "", "", /*descriptor_bytes=*/64, [&](uint32_t) {
           return std::make_unique<test::MatchSink>(match, limit);
         });
   }

@@ -153,7 +153,7 @@ TEST(StoreStripesTest, ScanDuringWritesSeesConsistentSnapshots) {
   std::map<std::string, uint64_t> last_stamp;
   for (int round = 0; round < 50; ++round) {
     ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> cells,
-                         node.Scan(kTable, kPart, "", ""));
+                         test::ScanCells(node, kTable, kPart, "", ""));
     ASSERT_EQ(cells.size(), static_cast<size_t>(kKeys));
     for (size_t i = 0; i < cells.size(); ++i) {
       if (i > 0) {
@@ -279,8 +279,8 @@ TEST(StoreStripesTest, SingleThreadedBitIdenticalAcrossStripeCounts) {
         break;
       }
       default: {
-        auto a = one.Scan(kTable, kPart, "", "");
-        auto b = many.Scan(kTable, kPart, "", "");
+        auto a = test::ScanCells(one, kTable, kPart, "", "");
+        auto b = test::ScanCells(many, kTable, kPart, "", "");
         ASSERT_OK(a.status());
         ASSERT_OK(b.status());
         ASSERT_EQ(a->size(), b->size()) << "op " << i;
@@ -320,7 +320,7 @@ TEST(StoreStripesTest, ScanMergeSkipsEmptyStripes) {
   }
 
   ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> all,
-                       node.Scan(kTable, kPart, "", ""));
+                       test::ScanCells(node, kTable, kPart, "", ""));
   ASSERT_EQ(all.size(), keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(all[i].key, keys[i]);
@@ -329,7 +329,7 @@ TEST(StoreStripesTest, ScanMergeSkipsEmptyStripes) {
 
   // Half-open [bee, elk): end key excluded, start key included.
   ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> ranged,
-                       node.Scan(kTable, kPart, "bee", "elk"));
+                       test::ScanCells(node, kTable, kPart, "bee", "elk"));
   ASSERT_EQ(ranged.size(), 3u);
   EXPECT_EQ(ranged[0].key, "bee");
   EXPECT_EQ(ranged[1].key, "cat");
@@ -366,7 +366,7 @@ TEST(StoreStripesTest, ScanMergeDeduplicatesOverwritesAcrossStripeBoundaries) {
   }
 
   ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> cells,
-                       node.Scan(kTable, kPart, "", ""));
+                       test::ScanCells(node, kTable, kPart, "", ""));
   ASSERT_EQ(cells.size(), reference.size());
   auto it = reference.begin();
   for (size_t i = 0; i < cells.size(); ++i, ++it) {
@@ -398,7 +398,8 @@ TEST(StoreStripesTest, FragmentScanCountsExaminedCellsWithEmptyStripes) {
     SCOPED_TRACE(chunk_cells);
     test::MatchSink all("match");
     FragmentScanStats stats;
-    ASSERT_OK(node.FragmentScan(kTable, kPart, chunk_cells, &all, &stats));
+    ASSERT_OK(node.FragmentScan(kTable, kPart, "", "", chunk_cells, &all,
+                                &stats));
     ASSERT_EQ(all.matches().size(), 10u);
     EXPECT_EQ(stats.cells_scanned, static_cast<uint64_t>(kKeys));
     EXPECT_EQ(stats.chunk_lock_releases, chunk_cells < kKeys ? 7u : 0u);
@@ -412,7 +413,8 @@ TEST(StoreStripesTest, FragmentScanCountsExaminedCellsWithEmptyStripes) {
     // everything up to and including the second match (keys 000..003).
     test::MatchSink two("match", /*limit=*/2);
     stats = FragmentScanStats{};
-    ASSERT_OK(node.FragmentScan(kTable, kPart, chunk_cells, &two, &stats));
+    ASSERT_OK(node.FragmentScan(kTable, kPart, "", "", chunk_cells, &two,
+                                &stats));
     ASSERT_EQ(two.matches().size(), 2u);
     EXPECT_EQ(two.matches()[0].first, "key_000");
     EXPECT_EQ(two.matches()[1].first, "key_003");

@@ -111,7 +111,7 @@ TEST_F(StorageNodeTest, ScanOrderedAndBounded) {
                               .value = "v", .conditional = false}).status());
   }
   ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> cells,
-                       node_.Scan(1, 0, "b", "e"));
+                       test::ScanCells(node_, 1, 0, "b", "e"));
   ASSERT_EQ(cells.size(), 3u);
   EXPECT_EQ(cells[0].key, "b");
   EXPECT_EQ(cells[2].key, "d");
@@ -386,14 +386,14 @@ TEST_F(ClusterTest, ScanMergesPartitions) {
                                .value = "v", .conditional = false}).status());
   }
   ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> cells,
-                       cluster_->Scan(table_, "", ""));
+                       test::ScanCells(*cluster_, table_));
   EXPECT_EQ(cells.size(), 20u);
   EXPECT_TRUE(std::is_sorted(cells.begin(), cells.end(),
                              [](const KeyCell& a, const KeyCell& b) {
                                return a.key < b.key;
                              }));
   // A bounded range: exactly its keys, in strict key order.
-  ASSERT_OK_AND_ASSIGN(cells, cluster_->Scan(table_, "k12", "k5"));
+  ASSERT_OK_AND_ASSIGN(cells, test::ScanCells(*cluster_, table_, "k12", "k5"));
   std::vector<std::string> got;
   for (const KeyCell& cell : cells) got.push_back(cell.key);
   EXPECT_EQ(got, (std::vector<std::string>{"k12", "k13", "k14", "k15", "k16",

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <string>
@@ -12,7 +13,10 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "store/cluster.h"
 #include "store/fragment.h"
+#include "store/storage_client.h"
+#include "store/storage_node.h"
 #include "tx/transaction_log.h"
 
 #define ASSERT_OK(expr)                                   \
@@ -47,7 +51,8 @@ class MatchSink : public store::FragmentSink {
   explicit MatchSink(std::string match, size_t limit = 0)
       : match_(std::move(match)), limit_(limit) {}
 
-  bool Absorb(std::string_view key, std::string_view value) override {
+  bool Absorb(std::string_view key, std::string_view value,
+              uint64_t /*stamp*/) override {
     if (!match_.empty() && value != match_) return true;
     matches_.emplace_back(key, value);
     return limit_ == 0 || matches_.size() < limit_;
@@ -70,6 +75,52 @@ class MatchSink : public store::FragmentSink {
   const size_t limit_;
   std::vector<std::pair<std::string, std::string>> matches_;
 };
+
+/// The cells in [start, end) of one partition of a storage node, in key
+/// order: its FragmentScan with a CellSink.
+inline Result<std::vector<store::KeyCell>> ScanCells(
+    const store::StorageNode& node, store::TableId table, uint32_t partition,
+    std::string_view start = "", std::string_view end = "") {
+  store::CellSink sink;
+  TELL_RETURN_NOT_OK(node.FragmentScan(table, partition, start, end,
+                                       /*chunk_cells=*/1024, &sink, nullptr));
+  return std::move(sink.cells());
+}
+
+/// The cells in [start, end) of every partition of a table, in key order.
+inline Result<std::vector<store::KeyCell>> ScanCells(
+    const store::Cluster& cluster, store::TableId table,
+    std::string_view start = "", std::string_view end = "") {
+  TELL_ASSIGN_OR_RETURN(uint32_t partitions,
+                        cluster.partition_map().NumPartitions(table));
+  std::vector<store::KeyCell> cells;
+  for (uint32_t p = 0; p < partitions; ++p) {
+    store::CellSink sink;
+    TELL_RETURN_NOT_OK(cluster.FragmentScan(table, p, start, end,
+                                            /*chunk_cells=*/1024, &sink,
+                                            nullptr));
+    for (store::KeyCell& cell : sink.cells()) cells.push_back(std::move(cell));
+  }
+  std::sort(cells.begin(), cells.end(),
+            [](const store::KeyCell& a, const store::KeyCell& b) {
+              return a.key < b.key;
+            });
+  return cells;
+}
+
+/// The cells in [start, end) of a table read through a client, in key
+/// order.
+inline Result<std::vector<store::KeyCell>> ScanCells(
+    store::StorageClient* client, store::TableId table,
+    std::string_view start = "", std::string_view end = "") {
+  TELL_ASSIGN_OR_RETURN(std::vector<store::KeyCell> cells,
+                        store::CollectCells(client, table, start, end));
+  std::sort(cells.begin(), cells.end(),
+            [](const store::KeyCell& a, const store::KeyCell& b) {
+              return a.key < b.key;
+            });
+  return cells;
+}
 
 /// The log entry of `tid`, or nullopt if the tid never logged: the one
 /// entry a ScanBackwards over (tid - 1, tid] finds.
