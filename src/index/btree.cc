@@ -454,9 +454,13 @@ Status BTree::Insert(store::StorageClient* client, std::string_view key,
 
 Result<std::vector<uint64_t>> BTree::Lookup(store::StorageClient* client,
                                             std::string_view key) {
-  TELL_ASSIGN_OR_RETURN(std::vector<std::vector<uint64_t>> rids,
-                        BatchLookup(client, {{this, std::string(key)}}));
-  return std::move(rids.front());
+  TELL_ASSIGN_OR_RETURN(
+      std::vector<IndexEntry> entries,
+      RangeScan(client, key, std::string(key) + '\0', /*limit=*/0));
+  std::vector<uint64_t> rids;
+  rids.reserve(entries.size());
+  for (const IndexEntry& e : entries) rids.push_back(e.rid);
+  return rids;
 }
 
 NodeRef BTree::Cached(uint64_t node_id, bool leaf) {
@@ -725,34 +729,6 @@ Status BTree::BatchDescendToLeaves(
     wanted_tree.clear();
   }
   return Status::OK();
-}
-
-Result<std::vector<std::vector<uint64_t>>> BTree::BatchLookup(
-    store::StorageClient* client, const std::vector<TreeKey>& keys,
-    std::vector<bool>* from_cache) {
-  std::vector<DescentKey> descents;
-  descents.reserve(keys.size());
-  for (const TreeKey& k : keys) {
-    descents.push_back({k.tree, k.key, /*range=*/false, {}, k.leaf});
-    // A refresh repeats a lookup a cached image answered.
-    if (k.leaf != LeafCache::kRefresh) ++client->metrics()->index_lookups;
-  }
-  std::vector<DescentLeaf> leaves;
-  std::vector<size_t> leaf_of_key;
-  TELL_RETURN_NOT_OK(
-      BatchDescendToLeaves(client, descents, &leaves, &leaf_of_key));
-  std::vector<std::vector<uint64_t>> out(keys.size());
-  if (from_cache != nullptr) from_cache->assign(keys.size(), false);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const DescentLeaf& leaf = leaves[leaf_of_key[i]];
-    const std::vector<IndexEntry>& entries = leaf.node->entries;
-    for (size_t e = leaf.node->PositionFor(keys[i].key, 0);
-         e < entries.size() && entries[e].key == keys[i].key; ++e) {
-      out[i].push_back(entries[e].rid);
-    }
-    if (from_cache != nullptr) (*from_cache)[i] = leaf.cached;
-  }
-  return out;
 }
 
 Status BTree::PrepareLeafEdits(
@@ -1330,7 +1306,8 @@ Status BTree::BatchScan(store::StorageClient* client,
   };
 
   // The cursors that have not started descend to their start keys together,
-  // an unlimited one as a range key: its leaves arrive in the same rounds.
+  // an unlimited one as a range key — its leaves arrive in the same rounds —
+  // unless it takes a leaf image, which only a point key does.
   std::vector<size_t> starting;
   for (size_t c = 0; c < cursors.size(); ++c) {
     if (needs_more(c) && cursors[c]->next_leaf == 0) starting.push_back(c);
@@ -1339,9 +1316,9 @@ Status BTree::BatchScan(store::StorageClient* client,
   descents.reserve(starting.size());
   for (size_t c : starting) {
     const ScanCursor& cursor = *cursors[c];
-    const bool range = cursor.want == 0;
-    descents.push_back({cursor.tree, cursor.start, range, cursor.end,
-                        range ? LeafCache::kBypass : cursor.leaf});
+    const bool range = cursor.want == 0 && cursor.leaf == LeafCache::kBypass;
+    descents.push_back(
+        {cursor.tree, cursor.start, range, cursor.end, cursor.leaf});
     // A refresh repeats a lookup a cached image answered.
     if (cursor.leaf != LeafCache::kRefresh) {
       ++client->metrics()->index_lookups;

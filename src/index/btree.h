@@ -46,13 +46,6 @@ enum class LeafCache : uint8_t {
   kRefresh,
 };
 
-/// One key of a BTree::BatchLookup call: the tree to look in and the key.
-struct TreeKey {
-  BTree* tree = nullptr;
-  std::string key;
-  LeafCache leaf = LeafCache::kBypass;
-};
-
 /// One operation of a BTree::BatchInsert call: inserts (key, rid), or with
 /// `remove` set removes it.
 struct BatchInsertOp {
@@ -76,7 +69,8 @@ struct ScanCursor {
   /// exhausted. 0 = read the whole range.
   size_t want = 0;
   /// The start leaf's source, as for a point lookup of `start`. Anything
-  /// but kBypass only for a range of exactly one key, [k, k + '\0').
+  /// but kBypass only for a range of exactly one key, [k, k + '\0'), which
+  /// then descends as a point key whatever its `want`.
   LeafCache leaf = LeafCache::kBypass;
   /// The entries read so far, in key order (BatchScan appends).
   std::vector<IndexEntry> entries;
@@ -262,7 +256,7 @@ class BTree {
 
   /// Inserts and removes many entries, possibly of many trees, in batched
   /// rounds: the descents of every tree share their rounds (see
-  /// BatchLookup), the ops are grouped by target leaf, and each touched leaf
+  /// BatchScan), the ops are grouped by target leaf, and each touched leaf
   /// is rewritten with ONE conditional put carrying all of its changes.
   /// A leaf that overflows is cut into as many nodes as it needs, and the
   /// splits of all trees share their B-link rounds: one BatchWrite publishes
@@ -330,38 +324,30 @@ class BTree {
                             std::vector<Result<uint64_t>>* rider_results =
                                 nullptr);
 
-  /// All rids stored under exactly `key`. A one-key BatchLookup.
+  /// All rids stored under exactly `key`: a one-key RangeScan of
+  /// [key, key + '\0').
   Result<std::vector<uint64_t>> Lookup(store::StorageClient* client,
                                        std::string_view key);
-
-  /// Point lookups for many keys, possibly of many trees, positionally
-  /// aligned with `keys`. The descents share rounds: a key walks through
-  /// cached inner nodes without a request, and each round fetches every
-  /// key's next uncached node — in particular the leaves, unless a key
-  /// takes a cached leaf image (LeafCache::kUse) — through one
-  /// StorageClient::BatchGet, whatever tree it belongs to. With warm inner
-  /// caches K lookups over any number of trees cost one round instead of K
-  /// descents, and none when every key's leaf image is cached. Keys whose
-  /// path a concurrent split made stale recover inside the same rounds
-  /// (see BatchDescendToLeaves). `from_cache` (if not null) tells per key
-  /// whether its rids came from a cached leaf image.
-  static Result<std::vector<std::vector<uint64_t>>> BatchLookup(
-      store::StorageClient* client, const std::vector<TreeKey>& keys,
-      std::vector<bool>* from_cache = nullptr);
 
   /// Advances every cursor that is not exhausted, possibly of many trees,
   /// until it has appended its `want` entries or reached the end of its
   /// range. Cursors that have not started share one batched descent to
-  /// their start keys (see BatchLookup; a cursor's `leaf` acts as a point
-  /// key's, and the leaf images it takes serve no other cursor's chain
-  /// walk); an unlimited one (`want` 0)
-  /// descends as a range key, which fetches every leaf its cached inner
-  /// nodes name for the range in the same rounds. Each cursor then follows
-  /// the right-sibling links from its start leaf through the leaves the
-  /// call has fetched, for any cursor; each further round fetches the next
-  /// right sibling of every cursor whose link leads to a leaf none fetched
-  /// — a leaf split after the parent image was cached, or the next leaf of
-  /// a limited cursor — in one StorageClient::BatchGet.
+  /// their start keys (see BatchDescendToLeaves): a cursor walks through
+  /// cached inner nodes without a request, and each round fetches every
+  /// cursor's next uncached node, whatever tree it belongs to, through one
+  /// StorageClient::BatchGet — with warm inner caches K cursors over any
+  /// number of trees cost one round instead of K descents, and none when
+  /// every cursor's leaf image is cached. A cursor whose `leaf` is not
+  /// kBypass descends as a point key (its leaf may be a cached image,
+  /// which serves no other cursor's chain walk; `from_cache` says so). Any
+  /// other unlimited cursor (`want` 0) descends as a range key, which
+  /// fetches every leaf its cached inner nodes name for the range in the
+  /// same rounds. Each cursor then follows the right-sibling links from
+  /// its start leaf through the leaves the call has fetched, for any
+  /// cursor; each further round fetches the next right sibling of every
+  /// cursor whose link leads to a leaf none fetched — a leaf split after
+  /// the parent image was cached, or the next leaf of a limited cursor —
+  /// in one StorageClient::BatchGet.
   static Status BatchScan(store::StorageClient* client,
                           const std::vector<ScanCursor*>& cursors);
 
@@ -404,12 +390,12 @@ class BTree {
     bool cached = false;
   };
 
-  /// The one B+tree traversal, behind BatchLookup, BatchInsert and
-  /// BatchScan. Every key walks down through the nodes its tree's cache (or
-  /// this batch) already holds, until it needs a node from the store; each
-  /// round fetches the distinct needed nodes of all keys — deduplicated by
-  /// (table, node id), since node ids restart at 1 in every tree — through
-  /// one StorageClient::BatchGet. A stale path recovers inside the rounds,
+  /// The one B+tree traversal, behind BatchScan and BatchInsert. Every key
+  /// walks down through the nodes its tree's cache (or this batch) already
+  /// holds, until it needs a node from the store; each round fetches the
+  /// distinct needed nodes of all keys — deduplicated by (table, node id),
+  /// since node ids restart at 1 in every tree — through one
+  /// StorageClient::BatchGet. A stale path recovers inside the rounds,
   /// while the other keys keep sharing them (B-link, §5.3.1):
   ///   * a key whose node does not cover it follows the right sibling,
   ///     read from the store, at most kMaxRightHops times; a leaf reached

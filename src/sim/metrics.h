@@ -58,7 +58,8 @@ struct WorkerMetrics {
   uint64_t llsc_failures = 0;
   /// Transaction log entries appended (one per non-empty commit attempt).
   uint64_t log_appends = 0;
-  /// B+tree point lookups + range scans issued.
+  /// B+tree scans started (BatchScan cursors; a point lookup is a one-key
+  /// scan).
   uint64_t index_lookups = 0;
   /// Record versions removed by eager GC while serializing the write set
   /// (§5.4: "record GC is part of the update process").
@@ -224,7 +225,8 @@ inline const std::vector<WorkerCounterField>& WorkerCounterFields() {
        &WorkerMetrics::llsc_failures},
       {"txlog.appends", "entries", "transaction log entries appended",
        &WorkerMetrics::log_appends},
-      {"index.lookups", "lookups", "B+tree point lookups and range scans",
+      {"index.lookups", "lookups",
+       "B+tree scans started; a point lookup is a one-key scan",
        &WorkerMetrics::index_lookups},
       {"gc.eager_versions_removed", "versions",
        "record versions removed by eager GC at commit",

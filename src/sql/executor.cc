@@ -156,17 +156,6 @@ Result<std::vector<std::pair<uint64_t, Tuple>>> Executor::FetchRows(
     TELL_ASSIGN_OR_RETURN(rows, HashJoin(txn, handle, right, plan));
   } else {
     switch (plan.access.kind) {
-      case AccessPath::Kind::kIndexPoint: {
-        TELL_ASSIGN_OR_RETURN(std::vector<uint64_t> rids,
-                              txn->LookupIndex(handle, plan.access.index,
-                                               plan.access.point_key));
-        for (uint64_t rid : rids) {
-          TELL_ASSIGN_OR_RETURN(std::optional<Tuple> tuple,
-                                txn->Read(handle, rid));
-          if (tuple.has_value()) rows.emplace_back(rid, std::move(*tuple));
-        }
-        break;
-      }
       case AccessPath::Kind::kIndexRange: {
         TELL_ASSIGN_OR_RETURN(
             rows, txn->ScanIndexEncoded(handle, plan.access.index,

@@ -192,14 +192,17 @@ uint32_t MatchIndex(const schema::IndexDef& def, int index_position,
 
   path->index = index_position;
   path->matched_columns = matched + (has_range ? 1 : 0);
+  path->kind = AccessPath::Kind::kIndexRange;
   if (matched == def.key_columns.size() && def.unique) {
-    path->kind = AccessPath::Kind::kIndexPoint;
-    path->point_key = std::move(eq_prefix);
+    // One row at most: the range of exactly its key.
+    auto key = schema::EncodeIndexKeyValues(eq_prefix);
+    if (!key.ok()) return 0;  // e.g. NULL in key
+    path->range_lo = *key;
+    path->range_hi = *key + '\0';
     return matched * 2 + 1;
   }
   // Build encoded range bounds. The residual re-checks exact semantics, so
   // inclusive bounds everywhere are fine (over-approximation).
-  path->kind = AccessPath::Kind::kIndexRange;
   std::vector<schema::Value> lo_values = eq_prefix;
   std::vector<schema::Value> hi_values = eq_prefix;
   if (lo.has_value()) lo_values.push_back(*lo);

@@ -18,16 +18,13 @@ struct AccessPath {
   enum class Kind {
     /// Scan the whole table (Transaction::FilteredScan).
     kFullScan,
-    /// Exact match on the full key of a unique index.
-    kIndexPoint,
-    /// Range / prefix scan over one index.
+    /// Range / prefix scan over one index; an exact match on the full key
+    /// of a unique index is the one-key range [k, k + '\0').
     kIndexRange,
   };
   Kind kind = Kind::kFullScan;
   /// -1 = primary, otherwise position in TableMeta::secondaries.
   int index = -1;
-  /// kIndexPoint: the full key values.
-  std::vector<schema::Value> point_key;
   /// kIndexRange: encoded byte bounds [lo, hi); empty = unbounded.
   std::string range_lo;
   std::string range_hi;

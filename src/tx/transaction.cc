@@ -93,7 +93,7 @@ Result<Transaction::RecordState*> Transaction::EnsureFetched(
   RecordKey key{table->meta->data_table, rid};
   if (buffer_.find(key) == buffer_.end()) {
     obs::PhaseScope span(tracer_, sim::TxnPhase::kRead);
-    TELL_RETURN_NOT_OK(PrefetchMissing({{table, rid}}).status());
+    TELL_RETURN_NOT_OK(PrefetchMissing({{table, rid}}));
   }
   return &buffer_.at(key);
 }
@@ -112,8 +112,7 @@ Result<std::optional<schema::Tuple>> Transaction::Read(TableHandle* table,
   return std::optional<schema::Tuple>(std::move(tuple));
 }
 
-Result<std::vector<std::pair<TableHandle*, uint64_t>>>
-Transaction::PrefetchMissing(
+Status Transaction::PrefetchMissing(
     const std::vector<std::pair<TableHandle*, uint64_t>>& records) {
   // Ordered by (data table, rid): one table's records go out in rid order.
   std::map<RecordKey, TableHandle*> missing;
@@ -122,16 +121,16 @@ Transaction::PrefetchMissing(
     if (buffer_.find(key) == buffer_.end()) missing.emplace(key, table);
   }
   std::vector<RecordKey> keys;
-  std::vector<std::pair<TableHandle*, uint64_t>> fetched;
+  std::vector<TableHandle*> tables;
   for (const auto& [key, table] : missing) {
     keys.push_back(key);
-    fetched.emplace_back(table, key.second);
+    tables.push_back(table);
   }
   std::vector<Result<FetchedRecord>> read =
       session_->record_buffer()->Read(client_, keys, snapshot_);
   for (size_t i = 0; i < keys.size(); ++i) {
     RecordState state;
-    state.table = fetched[i].first;
+    state.table = tables[i];
     if (read[i].ok()) {
       state.record = std::move(read[i]->record);
       state.stamp = read[i]->stamp;
@@ -141,7 +140,7 @@ Transaction::PrefetchMissing(
     }
     buffer_.emplace(keys[i], std::move(state));
   }
-  return fetched;
+  return Status::OK();
 }
 
 Result<std::vector<std::optional<schema::Tuple>>> Transaction::BatchRead(
@@ -152,7 +151,7 @@ Result<std::vector<std::optional<schema::Tuple>>> Transaction::BatchRead(
   std::vector<std::pair<TableHandle*, uint64_t>> records;
   records.reserve(rids.size());
   for (uint64_t rid : rids) records.emplace_back(table, rid);
-  TELL_RETURN_NOT_OK(PrefetchMissing(records).status());
+  TELL_RETURN_NOT_OK(PrefetchMissing(records));
   std::vector<std::optional<schema::Tuple>> out;
   out.reserve(rids.size());
   for (uint64_t rid : rids) {
@@ -316,95 +315,6 @@ void Transaction::QueueIndexRemoval(index::BTree* tree, const std::string& key,
   }
 }
 
-Result<std::vector<std::vector<uint64_t>>> Transaction::LookupVisible(
-    const std::vector<TableHandle*>& tables,
-    std::vector<index::TreeKey> keys) {
-  TELL_CHECK(state_ == TxnState::kRunning);
-  // Index-lookup span; the record fetches re-attribute their time to the
-  // read phase (exclusive attribution).
-  obs::PhaseScope span(tracer_, sim::TxnPhase::kIndexLookup);
-  // A key of a unique index may take its leaf from the PN's node cache:
-  // the image only proposes rids, and the record fetch decides. The index
-  // is unique, so a rid whose visible version carries the key is the one
-  // visible row with it — what a leaf read from the store would yield.
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (IndexDefOf(tables[i], keys[i].tree).unique) {
-      keys[i].leaf = index::LeafCache::kUse;
-    }
-  }
-  std::vector<bool> from_cache;
-  TELL_ASSIGN_OR_RETURN(std::vector<std::vector<uint64_t>> rid_lists,
-                        index::BTree::BatchLookup(client_, keys, &from_cache));
-  TELL_CHECK(rid_lists.size() == keys.size());
-  std::vector<std::vector<uint64_t>> visible(keys.size());
-  // Validates the candidates of keys[which]: this transaction's pending
-  // inserts merged in, every candidate record prefetched in one batched
-  // request, then each validated (ValidateIndexHit).
-  auto validate = [&](const std::vector<size_t>& which) -> Status {
-    std::vector<std::pair<TableHandle*, uint64_t>> candidates;
-    for (size_t i : which) {
-      std::vector<uint64_t>& rids = rid_lists[i];
-      auto pending_it =
-          pending_index_.find({keys[i].tree->table(), keys[i].key});
-      if (pending_it != pending_index_.end()) {
-        rids.insert(rids.end(), pending_it->second.begin(),
-                    pending_it->second.end());
-      }
-      std::sort(rids.begin(), rids.end());
-      rids.erase(std::unique(rids.begin(), rids.end()), rids.end());
-      for (uint64_t rid : rids) candidates.emplace_back(tables[i], rid);
-    }
-    {
-      obs::PhaseScope read_span(tracer_, sim::TxnPhase::kRead);
-      TELL_RETURN_NOT_OK(PrefetchMissing(candidates).status());
-    }
-    for (size_t i : which) {
-      for (uint64_t rid : rid_lists[i]) {
-        TELL_ASSIGN_OR_RETURN(
-            std::optional<schema::Tuple> tuple,
-            ValidateIndexHit(tables[i], keys[i].tree, keys[i].key, rid,
-                             /*collect=*/!from_cache[i]));
-        if (tuple.has_value()) visible[i].push_back(rid);
-      }
-    }
-    return Status::OK();
-  };
-  std::vector<size_t> all(keys.size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  TELL_RETURN_NOT_OK(validate(all));
-  // A cached image none of whose rids validated may be stale: those keys
-  // read their leaves from the store in one more round, and are validated
-  // as if no image had been cached.
-  std::vector<size_t> stale;
-  std::vector<index::TreeKey> refresh;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (!from_cache[i] || !visible[i].empty()) continue;
-    stale.push_back(i);
-    refresh.push_back({keys[i].tree, keys[i].key, index::LeafCache::kRefresh});
-    from_cache[i] = false;
-  }
-  if (stale.empty()) return visible;
-  TELL_ASSIGN_OR_RETURN(std::vector<std::vector<uint64_t>> fresh,
-                        index::BTree::BatchLookup(client_, refresh));
-  for (size_t s = 0; s < stale.size(); ++s) {
-    rid_lists[stale[s]] = std::move(fresh[s]);
-  }
-  TELL_RETURN_NOT_OK(validate(stale));
-  return visible;
-}
-
-Result<std::vector<uint64_t>> Transaction::LookupIndex(
-    TableHandle* table, int index, const std::vector<schema::Value>& key) {
-  index::BTree* tree =
-      index < 0 ? &table->primary
-                : &table->secondaries[static_cast<size_t>(index)];
-  TELL_ASSIGN_OR_RETURN(std::string encoded,
-                        schema::EncodeIndexKeyValues(key));
-  TELL_ASSIGN_OR_RETURN(std::vector<std::vector<uint64_t>> rids,
-                        LookupVisible({table}, {{tree, std::move(encoded)}}));
-  return std::move(rids.front());
-}
-
 Result<std::optional<uint64_t>> Transaction::LookupPrimary(
     TableHandle* table, const std::vector<schema::Value>& key) {
   TELL_ASSIGN_OR_RETURN(std::vector<std::optional<uint64_t>> rids,
@@ -414,26 +324,25 @@ Result<std::optional<uint64_t>> Transaction::LookupPrimary(
 
 Result<std::vector<std::optional<uint64_t>>> Transaction::BatchLookupPrimary(
     const std::vector<TableKey>& keys) {
-  std::vector<TableHandle*> tables;
-  std::vector<index::TreeKey> tree_keys;
-  tables.reserve(keys.size());
-  tree_keys.reserve(keys.size());
+  std::vector<IndexRange> ranges;
+  ranges.reserve(keys.size());
   for (const TableKey& k : keys) {
-    TELL_ASSIGN_OR_RETURN(std::string encoded,
-                          schema::EncodeIndexKeyValues(k.key));
-    tables.push_back(k.table);
-    tree_keys.push_back({&k.table->primary, std::move(encoded)});
+    // [key, key + '\0'): the entries under exactly `key`, unlimited.
+    TELL_ASSIGN_OR_RETURN(std::string lo, schema::EncodeIndexKeyValues(k.key));
+    std::string hi = lo + '\0';
+    ranges.push_back(
+        {k.table, /*index=*/-1, std::move(lo), std::move(hi), /*limit=*/0});
   }
-  TELL_ASSIGN_OR_RETURN(std::vector<std::vector<uint64_t>> rid_lists,
-                        LookupVisible(tables, tree_keys));
+  // The caller's Read pays each row's per-record CPU.
+  TELL_ASSIGN_OR_RETURN(auto rows, ScanRanges(ranges, /*charge_rows=*/false));
   std::vector<std::optional<uint64_t>> out;
   out.reserve(keys.size());
-  for (const std::vector<uint64_t>& rids : rid_lists) {
-    if (rids.size() > 1) {
+  for (const auto& found : rows) {
+    if (found.size() > 1) {
       return Status::InternalError("unique index returned multiple rids");
     }
-    out.push_back(rids.empty() ? std::nullopt
-                               : std::optional<uint64_t>(rids.front()));
+    out.push_back(found.empty() ? std::nullopt
+                                : std::optional<uint64_t>(found[0].first));
   }
   return out;
 }
@@ -487,6 +396,12 @@ Transaction::ScanIndexEncoded(TableHandle* table, int index,
 
 Result<std::vector<std::vector<std::pair<uint64_t, schema::Tuple>>>>
 Transaction::BatchScanIndex(const std::vector<IndexRange>& ranges) {
+  return ScanRanges(ranges, /*charge_rows=*/true);
+}
+
+Result<std::vector<std::vector<std::pair<uint64_t, schema::Tuple>>>>
+Transaction::ScanRanges(const std::vector<IndexRange>& ranges,
+                        bool charge_rows) {
   TELL_CHECK(state_ == TxnState::kRunning);
   obs::PhaseScope span(tracer_, sim::TxnPhase::kIndexLookup);
   auto entry_less = [](const index::IndexEntry& a,
@@ -524,17 +439,23 @@ Transaction::BatchScanIndex(const std::vector<IndexRange>& ranges) {
     scan.cursor.start = range.lo;
     scan.cursor.end = range.hi;
     // Exactly one key of a unique index, [k, k + '\0'): a point lookup,
-    // whose leaf may come from the node cache (see LookupVisible).
+    // whose leaf may come from the node cache. The image only proposes
+    // rids, and the record fetch decides: the index is unique, so a rid
+    // whose visible version carries the key is the one visible row with
+    // it — what a leaf read from the store would yield.
     if (range.hi.size() == range.lo.size() + 1 && range.hi.back() == '\0' &&
         range.hi.compare(0, range.lo.size(), range.lo) == 0 &&
         IndexDefOf(range.table, scan.tree).unique) {
       scan.cursor.leaf = index::LeafCache::kUse;
     }
-    for (const auto& [key, rids] : pending_index_) {
-      if (key.first != scan.tree->table()) continue;
-      if (key.second < range.lo) continue;
-      if (!range.hi.empty() && key.second >= range.hi) continue;
-      for (uint64_t rid : rids) scan.pending.push_back({key.second, rid});
+    const store::TableId table = scan.tree->table();
+    for (auto it = pending_index_.lower_bound({table, range.lo});
+         it != pending_index_.end() && it->first.first == table &&
+         (range.hi.empty() || it->first.second < range.hi);
+         ++it) {
+      for (uint64_t rid : it->second) {
+        scan.pending.push_back({it->first.second, rid});
+      }
     }
     std::sort(scan.pending.begin(), scan.pending.end(), entry_less);
   }
@@ -627,17 +548,16 @@ Transaction::BatchScanIndex(const std::vector<IndexRange>& ranges) {
       if (restarted) continue;
       break;
     }
-    // Records not yet buffered travel in one batched request (§5.1) and are
-    // read like BatchRead reads them, so validation below is buffer-only.
+    // Records not yet buffered travel in one batched request (§5.1), so
+    // validation below is buffer-only.
     {
       obs::PhaseScope read_span(tracer_, sim::TxnPhase::kRead);
-      TELL_ASSIGN_OR_RETURN(auto fetched, PrefetchMissing(records));
-      for (const auto& [table, rid] : fetched) {
-        TELL_RETURN_NOT_OK(Read(table, rid).status());
-      }
+      TELL_RETURN_NOT_OK(PrefetchMissing(records));
     }
 
-    // 3. Validate in key order.
+    // 3. Validate in key order. Each row returned costs what a Read of it
+    // would, in the read phase; a lookup's caller pays that in its Read.
+    size_t rows = 0;
     for (const auto& [r, end] : batch) {
       Scan& scan = scans[r];
       for (; scan.next < end && !scan.done; ++scan.next) {
@@ -648,10 +568,15 @@ Transaction::BatchScanIndex(const std::vector<IndexRange>& ranges) {
                              entry.rid, /*collect=*/!scan.cursor.from_cache));
         if (!tuple.has_value()) continue;
         out[r].emplace_back(entry.rid, std::move(*tuple));
+        ++rows;
         if (ranges[r].limit != 0 && out[r].size() >= ranges[r].limit) {
           scan.done = true;
         }
       }
+    }
+    if (charge_rows && rows > 0) {
+      obs::PhaseScope read_span(tracer_, sim::TxnPhase::kRead);
+      client_->ChargeCpu(rows * client_->options().cpu.per_record_ns);
     }
   }
   return out;
@@ -832,7 +757,7 @@ Transaction::FilteredScan(TableHandle* table, const RowPredicate& predicate,
     std::vector<std::pair<TableHandle*, uint64_t>> records;
     records.reserve(out.size());
     for (const auto& [rid, tuple] : out) records.emplace_back(table, rid);
-    TELL_RETURN_NOT_OK(PrefetchMissing(records).status());
+    TELL_RETURN_NOT_OK(PrefetchMissing(records));
   }
   return out;
 }

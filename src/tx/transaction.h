@@ -227,21 +227,13 @@ class Transaction {
       TableHandle* table, const std::vector<schema::Value>& key);
 
   /// Primary-key lookups for many keys at once, of one table or many,
-  /// positionally aligned with `keys`. The B+tree descents of every table
-  /// share their rounds (BTree::BatchLookup) and the candidate records of
-  /// every table are prefetched in one batched request, so K independent
-  /// lookups cost about two round trips with warm inner-node caches: one
-  /// for the leaves, one for the records. The fetched records stay
-  /// buffered for following Reads.
+  /// positionally aligned with `keys`: one BatchScanIndex of the exact-key
+  /// ranges [k, k + '\0'), so K independent lookups cost about two round
+  /// trips with warm inner-node caches (one for the leaves, none when
+  /// their images are cached; one for the records). The fetched records
+  /// stay buffered for following Reads, which pay their decode.
   Result<std::vector<std::optional<uint64_t>>> BatchLookupPrimary(
       const std::vector<TableKey>& keys);
-
-  /// All visible rids under `key` in the given index (-1 = primary): one
-  /// index lookup plus one batched fetch of every candidate record.
-  /// Version-unaware index entries are validated against the fetched
-  /// records; obsolete entries are garbage collected on the way (§5.4).
-  Result<std::vector<uint64_t>> LookupIndex(
-      TableHandle* table, int index, const std::vector<schema::Value>& key);
 
   /// Visible (rid, tuple) pairs with index key in [start, end); empty end =
   /// unbounded. Merges this transaction's own pending inserts.
@@ -256,16 +248,23 @@ class Transaction {
       const std::string& end, size_t limit);
 
   /// Index range scans, of one table or many, in shared rounds; results are
-  /// positionally aligned with `ranges`. One batched descent serves every
-  /// range's start key and each further leaf round fetches the next right
-  /// sibling of every range that still needs entries
-  /// (BTree::BatchScan). Each record round fetches, for every range, only
-  /// its next `limit` unvalidated candidates — all of them for unlimited
-  /// ranges — in one batched request across tables. A range whose
-  /// candidates validate to nothing (invisible versions, index garbage)
-  /// continues past them rather than returning a truncated result. Merges
-  /// this transaction's own pending inserts; obsolete entries found on the
-  /// way are queued for GC (see LookupIndex).
+  /// positionally aligned with `ranges`, each in (key, rid) order. One
+  /// batched descent serves every range's start key and each further leaf
+  /// round fetches the next right sibling of every range that still needs
+  /// entries (BTree::BatchScan). Each record round fetches, for every
+  /// range, only its next `limit` unvalidated candidates — all of them for
+  /// unlimited ranges — in one batched request across tables, and
+  /// validates each against its record (ValidateIndexHit): the paper's
+  /// version-unaware index (§5.3.2). A range whose candidates validate to
+  /// nothing (invisible versions, index garbage) continues past them
+  /// rather than returning a truncated result. Merges this transaction's
+  /// own pending inserts; obsolete entries found on the way are queued for
+  /// GC (§5.4). A point lookup is the range of exactly its key, [k, k +
+  /// '\0'); one of a unique index may take its leaf from the PN's node
+  /// cache (LeafCache::kUse): if no rid the image proposed validates, the
+  /// range starts over with its leaf from the store (LeafCache::kRefresh),
+  /// in one more round shared by all such ranges. Each row returned is
+  /// charged the executor's per-record CPU, as a Read of it would be.
   Result<std::vector<std::vector<std::pair<uint64_t, schema::Tuple>>>>
   BatchScanIndex(const std::vector<IndexRange>& ranges);
 
@@ -359,10 +358,10 @@ class Transaction {
   }
 
   /// Fills the transaction buffer with the (table, rid) records not yet
-  /// buffered through one RecordBuffer::Read across tables, and returns
-  /// them (each once, in (data table, rid) order). Every record fetch of
-  /// the transaction goes through here.
-  Result<std::vector<std::pair<TableHandle*, uint64_t>>> PrefetchMissing(
+  /// buffered through one RecordBuffer::Read across tables, in (data
+  /// table, rid) order. Every record fetch of the transaction goes through
+  /// here.
+  Status PrefetchMissing(
       const std::vector<std::pair<TableHandle*, uint64_t>>& records);
 
   /// Registers index insertions for the new tuple (vs. the previously
@@ -420,19 +419,11 @@ class Transaction {
   /// Whether this transaction has buffered dirty writes on `table`.
   bool HasDirtyWrites(const TableHandle* table) const;
 
-  /// The lookup core of LookupIndex and BatchLookupPrimary, for keys of any
-  /// index of any table (`tables[i]` owns `keys[i].tree`): one shared
-  /// descent (BTree::BatchLookup) — in which a key of a unique index may
-  /// take a leaf image from the PN's node cache (LeafCache::kUse) — this
-  /// transaction's pending inserts merged in, every candidate record
-  /// prefetched in one batched request, then each candidate validated
-  /// (ValidateIndexHit). A key whose cached image proposed no rid that
-  /// validates reads its leaf from the store in one more round shared by
-  /// all such keys (LeafCache::kRefresh) and is validated again. Returns
-  /// the visible rids of each key, in rid order.
-  Result<std::vector<std::vector<uint64_t>>> LookupVisible(
-      const std::vector<TableHandle*>& tables,
-      std::vector<index::TreeKey> keys);
+  /// BatchScanIndex's loop, the one index read. `charge_rows` charges the
+  /// per-record CPU of each row returned; BatchLookupPrimary, which returns
+  /// rids, leaves it to its caller's Read.
+  Result<std::vector<std::vector<std::pair<uint64_t, schema::Tuple>>>>
+  ScanRanges(const std::vector<IndexRange>& ranges, bool charge_rows);
 
   /// Validates an index hit: fetches the record, checks some version still
   /// carries `key` and the record is not dead below the lav (else queues
@@ -442,7 +433,7 @@ class Transaction {
   /// image may be stale, and the entry gone from the tree.
   Result<std::optional<schema::Tuple>> ValidateIndexHit(
       TableHandle* table, index::BTree* tree, const std::string& key,
-      uint64_t rid, bool collect = true);
+      uint64_t rid, bool collect);
 
   /// Shared storage step of FilteredScan and ExecuteScanFragment: fans one
   /// sink per partition out through StorageClient::ExecuteFragmentScan and,

@@ -164,12 +164,13 @@ Result<TxnOutcome> FinishCommit(tx::Transaction* txn) {
 
 /// A primary-key point as a BatchScanIndex range: [key, key + '\0') holds
 /// the entries under exactly `key`, of which at most one is visible.
+/// Unlimited, so every candidate entry is validated in one record round.
 Result<tx::IndexRange> KeyRange(tx::TableHandle* table,
                                 const std::vector<Value>& key) {
   TELL_ASSIGN_OR_RETURN(std::string lo, schema::EncodeIndexKeyValues(key));
   std::string hi = lo + '\0';
   return tx::IndexRange{table, /*index=*/-1, std::move(lo), std::move(hi),
-                        /*limit=*/1};
+                        /*limit=*/0};
 }
 
 /// Clause 2.5.2.2 case 2: of the customers a CustomerRange found, the row

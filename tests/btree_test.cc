@@ -369,14 +369,15 @@ TEST_F(BTreeTest, StaleBatchFollowsRightLinksInSharedRounds) {
   ASSERT_NO_FATAL_FAILURE(SplitUnderneathCache(&tree_a, &tree_b));
   // One batch of every odd key on A: the keys whose cached path went stale
   // hop right and restart inside the batch's shared rounds.
-  std::vector<TreeKey> keys;
+  std::vector<ScanCursor> keys;
   for (uint64_t i = 0; i < 40; ++i) {
-    keys.push_back({&tree_a, tell::EncodeOrderedU64(i * 2 + 1)});
+    keys.push_back(
+        test::PointCursor(&tree_a, tell::EncodeOrderedU64(i * 2 + 1)));
   }
   auto client = MakeClient(store::ClientOptions{});
   sim::WorkerMetrics* metrics = metrics_.back().get();
   ASSERT_OK_AND_ASSIGN(std::vector<std::vector<uint64_t>> got,
-                       BTree::BatchLookup(client.get(), keys));
+                       test::ScanRids(client.get(), &keys));
   for (uint64_t i = 0; i < 40; ++i) {
     EXPECT_EQ(got[i], std::vector<uint64_t>{100 + i}) << "key " << i * 2 + 1;
   }
@@ -437,7 +438,7 @@ TEST_F(BTreeTest, CorruptNodeFailsCleanly) {
                              .value = value, .conditional = false}).status());
     NodeCache fresh_cache;
     BTree fresh = MakeTree(/*fanout=*/8, &fresh_cache);
-    return BTree::BatchLookup(client.get(), {{&fresh, key_of(0)}}).status();
+    return fresh.Lookup(client.get(), key_of(0)).status();
   };
   auto expect_corrupt = [&](uint64_t id, const std::string& cell) {
     ASSERT_OK_AND_ASSIGN(store::VersionedCell intact,
@@ -516,9 +517,10 @@ TEST_F(BTreeTest, CachingReducesStorageRequests) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched descents and leaf writes. BatchLookup and BatchInsert take one
+// Batched descents and leaf writes. BatchScan and BatchInsert take one
 // batched descent whatever the client options; `batching` only decides how
-// StorageClient::BatchGet / BatchWrite charge it.
+// StorageClient::BatchGet / BatchWrite charge it. A batch of point lookups
+// is a BatchScan of exact-key cursors (test::PointCursors).
 
 /// Default (InfiniBand) client options with the batching knob set.
 store::ClientOptions BatchingOptions(bool batching) {
@@ -547,13 +549,6 @@ std::vector<std::string> ProbeKeys() {
   return keys;
 }
 
-/// `keys` as one tree's batch.
-std::vector<TreeKey> OnTree(BTree* tree, const std::vector<std::string>& keys) {
-  std::vector<TreeKey> out;
-  for (const std::string& key : keys) out.push_back({tree, key});
-  return out;
-}
-
 TEST_F(BTreeTest, BatchLookupBatchesDescentsWithoutPipelining) {
   auto loader = MakeClient();
   ASSERT_OK(BTree::Create(loader.get(), table_));
@@ -569,12 +564,14 @@ TEST_F(BTreeTest, BatchLookupBatchesDescentsWithoutPipelining) {
   for (uint64_t k = 0; k < 400; k += 32) expected.push_back({k + 1});
   expected.push_back({});
   // Warm the inner-node cache, so the batch below reads only the leaves.
-  ASSERT_OK(BTree::BatchLookup(client.get(), OnTree(&tree, keys)).status());
+  ASSERT_OK(
+      test::ScanRids(client.get(), test::PointCursors(&tree, keys)).status());
   ASSERT_OK_AND_ASSIGN(uint32_t height, Height(loader.get(), tree));
   ASSERT_EQ(height, 4u);
   uint64_t requests = metrics->storage_requests;
-  ASSERT_OK_AND_ASSIGN(std::vector<std::vector<uint64_t>> got,
-                       BTree::BatchLookup(client.get(), OnTree(&tree, keys)));
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<std::vector<uint64_t>> got,
+      test::ScanRids(client.get(), test::PointCursors(&tree, keys)));
   EXPECT_EQ(got, expected);
   // One batched leaf fetch: at most one request per storage node.
   EXPECT_LE(metrics->storage_requests - requests, height);
@@ -590,10 +587,12 @@ TEST_F(BTreeTest, BatchLookupWithoutBatchingPaysOneRequestPerKey) {
   auto client = MakeClient(BatchingOptions(/*batching=*/false));
   sim::WorkerMetrics* metrics = metrics_.back().get();
   // Warm the inner-node cache, so only the leaves cost requests below.
-  ASSERT_OK(BTree::BatchLookup(client.get(), OnTree(&tree, keys)).status());
+  ASSERT_OK(
+      test::ScanRids(client.get(), test::PointCursors(&tree, keys)).status());
   uint64_t requests = metrics->storage_requests;
-  ASSERT_OK_AND_ASSIGN(std::vector<std::vector<uint64_t>> got,
-                       BTree::BatchLookup(client.get(), OnTree(&tree, keys)));
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<std::vector<uint64_t>> got,
+      test::ScanRids(client.get(), test::PointCursors(&tree, keys)));
   EXPECT_EQ(metrics->storage_requests - requests, keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     ASSERT_EQ(got[i].size(), 1u);
@@ -624,8 +623,8 @@ TEST_F(BTreeTest, BatchCostsStayPinned) {
   sim::VirtualClock* clock = clocks_.back().get();
   sim::WorkerMetrics* metrics = metrics_.back().get();
 
-  ASSERT_OK(
-      BTree::BatchLookup(client.get(), OnTree(&tree, ProbeKeys())).status());
+  ASSERT_OK(test::ScanRids(client.get(), test::PointCursors(&tree, ProbeKeys()))
+                .status());
   EXPECT_EQ(clock->now_ns(), kPinnedLookupNs);
   EXPECT_EQ(metrics->storage_requests, kPinnedLookupRequests);
 
@@ -690,21 +689,21 @@ class MultiTreeTest : public BTreeTest {
     EXPECT_EQ(*Height(loader_.get(), *flat_.tree), 1u);
     client_ = MakeClient(store::ClientOptions{});
     metrics_of_client_ = metrics_.back().get();
-    for (const TreeKey& k : Keys()) {
-      EXPECT_OK(k.tree->Lookup(client_.get(), k.key).status());
+    for (const ScanCursor& k : Keys()) {
+      EXPECT_OK(k.tree->Lookup(client_.get(), k.start).status());
     }
   }
 
   /// Two keys of each tree (present, rid = key + 1), in different leaves
   /// where the tree has more than one. No leaf is full, so one more entry
   /// next to each key fits.
-  std::vector<TreeKey> Keys() {
-    return {{tall_.tree.get(), tell::EncodeOrderedU64(0)},
-            {short_.tree.get(), tell::EncodeOrderedU64(0)},
-            {flat_.tree.get(), tell::EncodeOrderedU64(0)},
-            {tall_.tree.get(), tell::EncodeOrderedU64(320)},
-            {short_.tree.get(), tell::EncodeOrderedU64(18)},
-            {flat_.tree.get(), tell::EncodeOrderedU64(4)}};
+  std::vector<ScanCursor> Keys() {
+    return {test::PointCursor(tall_.tree.get(), tell::EncodeOrderedU64(0)),
+            test::PointCursor(short_.tree.get(), tell::EncodeOrderedU64(0)),
+            test::PointCursor(flat_.tree.get(), tell::EncodeOrderedU64(0)),
+            test::PointCursor(tall_.tree.get(), tell::EncodeOrderedU64(320)),
+            test::PointCursor(short_.tree.get(), tell::EncodeOrderedU64(18)),
+            test::PointCursor(flat_.tree.get(), tell::EncodeOrderedU64(4))};
   }
 
   /// Storage calls of the client that issued a message.
@@ -719,22 +718,22 @@ class MultiTreeTest : public BTreeTest {
 };
 
 TEST_F(MultiTreeTest, WarmLookupAcrossTreesCostsOneCall) {
-  const std::vector<TreeKey> keys = Keys();
+  std::vector<ScanCursor> keys = Keys();
   const uint64_t before = Calls();
   ASSERT_OK_AND_ASSIGN(std::vector<std::vector<uint64_t>> got,
-                       BTree::BatchLookup(client_.get(), keys));
+                       test::ScanRids(client_.get(), &keys));
   // Every leaf of every tree in one BatchGet, the flat tree's root included.
   EXPECT_EQ(Calls() - before, 1u);
   for (size_t i = 0; i < keys.size(); ++i) {
-    const uint64_t key = tell::DecodeOrderedU64(keys[i].key);
+    const uint64_t key = tell::DecodeOrderedU64(keys[i].start);
     EXPECT_EQ(got[i], std::vector<uint64_t>{key + 1}) << "key " << i;
   }
 }
 
 TEST_F(MultiTreeTest, CrossTreeBatchInsertCostsTwoCalls) {
   std::vector<BatchInsertOp> ops;
-  for (const TreeKey& k : Keys()) {
-    const uint64_t key = tell::DecodeOrderedU64(k.key) + 1;  // odd: absent
+  for (const ScanCursor& k : Keys()) {
+    const uint64_t key = tell::DecodeOrderedU64(k.start) + 1;  // odd: absent
     ops.push_back({k.tree, tell::EncodeOrderedU64(key), key + 100, true});
   }
   const uint64_t before = Calls();
@@ -802,10 +801,11 @@ TEST_F(BTreeTest, LostLlscOnOneLeafRetriesOnlyItsOps) {
   sim::WorkerMetrics metrics;
   store::StorageClient client(&cluster, nullptr, cached, &clock, &metrics);
   // Warm the inner-node caches and cache the three leaves.
-  ASSERT_OK(BTree::BatchLookup(&client,
-                               {{x.tree.get(), tell::EncodeOrderedU64(0)},
-                                {x.tree.get(), tell::EncodeOrderedU64(64)},
-                                {y.tree.get(), tell::EncodeOrderedU64(0)}})
+  ASSERT_OK(test::ScanRids(
+                &client,
+                {test::PointCursor(x.tree.get(), tell::EncodeOrderedU64(0)),
+                 test::PointCursor(x.tree.get(), tell::EncodeOrderedU64(64)),
+                 test::PointCursor(y.tree.get(), tell::EncodeOrderedU64(0))})
                 .status());
   cluster.lease_epochs().set_frozen_for_testing(true);
   ASSERT_OK(x.tree->Insert(&loader, tell::EncodeOrderedU64(3), 4, true));
@@ -1340,18 +1340,25 @@ class LeafImageTest : public BTreeTest {
     metrics_of_client_ = metrics_.back().get();
   }
 
-  /// A's lookups of `keys` (of the form key k holds rid k + 1), reading
-  /// their leaves as `leaf` says; `from_cache` gets the per-key source.
+  /// A's lookups of `keys` (of the form key k holds rid k + 1) in one
+  /// BatchScan of exact-key cursors, reading their leaves as `leaf` says.
   std::vector<std::vector<uint64_t>> Lookup(const std::vector<uint64_t>& keys,
-                                            LeafCache leaf,
-                                            std::vector<bool>* from_cache) {
-    std::vector<TreeKey> batch;
+                                            LeafCache leaf) {
+    last_.clear();
     for (uint64_t k : keys) {
-      batch.push_back({&tree_a_, tell::EncodeOrderedU64(k), leaf});
+      last_.push_back(test::PointCursor(&tree_a_, tell::EncodeOrderedU64(k),
+                                        leaf));
     }
-    auto got = BTree::BatchLookup(client_.get(), batch, from_cache);
+    auto got = test::ScanRids(client_.get(), &last_);
     EXPECT_OK(got.status());
     return got.ok() ? *got : std::vector<std::vector<uint64_t>>{};
+  }
+
+  /// Per key of the last Lookup: whether its rids came from a cached image.
+  std::vector<bool> FromImage() const {
+    std::vector<bool> images;
+    for (const ScanCursor& cursor : last_) images.push_back(cursor.from_cache);
+    return images;
   }
 
   /// B inserts key k with rid k + 1.
@@ -1370,6 +1377,7 @@ class LeafImageTest : public BTreeTest {
   sim::WorkerMetrics* writer_metrics_;
   std::unique_ptr<store::StorageClient> client_;
   sim::WorkerMetrics* metrics_of_client_ = nullptr;
+  std::vector<ScanCursor> last_;
 };
 
 /// Rids of keys k: k + 1 each.
@@ -1382,23 +1390,22 @@ std::vector<std::vector<uint64_t>> RidsOf(const std::vector<uint64_t>& keys) {
 TEST_F(LeafImageTest, TakenImagesCostNoRound) {
   std::vector<uint64_t> keys;
   for (uint64_t k = 0; k < 400; k += 32) keys.push_back(k);
-  std::vector<bool> from_cache;
   // Cold: four levels of rounds, and every leaf enters A's cache.
-  EXPECT_EQ(Lookup(keys, LeafCache::kUse, &from_cache), RidsOf(keys));
-  EXPECT_EQ(from_cache, std::vector<bool>(keys.size(), false));
+  EXPECT_EQ(Lookup(keys, LeafCache::kUse), RidsOf(keys));
+  EXPECT_EQ(FromImage(), std::vector<bool>(keys.size(), false));
   EXPECT_EQ(cache_a_.stats().leaf_entries, keys.size());
   EXPECT_EQ(cache_a_.stats().leaf_misses, keys.size());
   // Warm: every key takes its leaf's image, and the batch sends nothing.
   uint64_t calls = Calls();
-  EXPECT_EQ(Lookup(keys, LeafCache::kUse, &from_cache), RidsOf(keys));
+  EXPECT_EQ(Lookup(keys, LeafCache::kUse), RidsOf(keys));
   EXPECT_EQ(Calls() - calls, 0u);
-  EXPECT_EQ(from_cache, std::vector<bool>(keys.size(), true));
+  EXPECT_EQ(FromImage(), std::vector<bool>(keys.size(), true));
   EXPECT_EQ(cache_a_.stats().leaf_hits, keys.size());
   // A bypassing lookup reads every leaf from the store in one round.
   calls = Calls();
-  EXPECT_EQ(Lookup(keys, LeafCache::kBypass, &from_cache), RidsOf(keys));
+  EXPECT_EQ(Lookup(keys, LeafCache::kBypass), RidsOf(keys));
   EXPECT_EQ(Calls() - calls, 1u);
-  EXPECT_EQ(from_cache, std::vector<bool>(keys.size(), false));
+  EXPECT_EQ(FromImage(), std::vector<bool>(keys.size(), false));
   EXPECT_EQ(cache_a_.stats().stale_leaves, 0u);
 }
 
@@ -1412,11 +1419,9 @@ TEST_F(BTreeTest, LeafImagesNeverEvictInnerNodes) {
   BTree tree = MakeTree(/*fanout=*/8, &small);
   auto client = MakeClient(store::ClientOptions{});
   sim::WorkerMetrics* metrics = metrics_.back().get();
-  std::vector<TreeKey> keys;
-  for (const std::string& key : ProbeKeys()) {
-    keys.push_back({&tree, key, LeafCache::kUse});
-  }
-  ASSERT_OK(BTree::BatchLookup(client.get(), keys).status());
+  const std::vector<ScanCursor> keys =
+      test::PointCursors(&tree, ProbeKeys(), LeafCache::kUse);
+  ASSERT_OK(test::ScanRids(client.get(), keys).status());
   const NodeCache::Stats cold = small.stats();
   EXPECT_EQ(cold.leaf_entries, 2u);
   EXPECT_EQ(cold.leaf_evictions, keys.size() - 2);
@@ -1424,45 +1429,43 @@ TEST_F(BTreeTest, LeafImagesNeverEvictInnerNodes) {
   // Every inner node is still cached: the batch again costs one round, for
   // the leaves whose images were evicted.
   const uint64_t calls = metrics->pipeline_flushes;
-  ASSERT_OK(BTree::BatchLookup(client.get(), keys).status());
+  ASSERT_OK(test::ScanRids(client.get(), keys).status());
   EXPECT_EQ(metrics->pipeline_flushes - calls, 1u);
   EXPECT_EQ(small.stats().inner_entries, cold.inner_entries);
 }
 
 TEST_F(LeafImageTest, ImageLackingTheKeyIsReadAgain) {
-  std::vector<bool> from_cache;
-  EXPECT_EQ(Lookup({0}, LeafCache::kUse, &from_cache), RidsOf({0}));
+  EXPECT_EQ(Lookup({0}, LeafCache::kUse), RidsOf({0}));
   // B adds key 1 to the leaf of keys 0..6, which A holds an image of.
   ASSERT_NO_FATAL_FAILURE(InsertOnB(1));
   // Key 0 takes the image; key 1 is absent from it, so its leaf is read
   // again — one round — and the fresh image replaces the stale one.
   uint64_t calls = Calls();
-  EXPECT_EQ(Lookup({0, 1}, LeafCache::kUse, &from_cache), RidsOf({0, 1}));
+  EXPECT_EQ(Lookup({0, 1}, LeafCache::kUse), RidsOf({0, 1}));
   EXPECT_EQ(Calls() - calls, 1u);
-  EXPECT_EQ(from_cache, (std::vector<bool>{true, false}));
+  EXPECT_EQ(FromImage(), (std::vector<bool>{true, false}));
   EXPECT_EQ(cache_a_.stats().stale_leaves, 1u);
   calls = Calls();
-  EXPECT_EQ(Lookup({0, 1}, LeafCache::kUse, &from_cache), RidsOf({0, 1}));
+  EXPECT_EQ(Lookup({0, 1}, LeafCache::kUse), RidsOf({0, 1}));
   EXPECT_EQ(Calls() - calls, 0u);
-  EXPECT_EQ(from_cache, (std::vector<bool>{true, true}));
+  EXPECT_EQ(FromImage(), (std::vector<bool>{true, true}));
   // A negative answer never comes from an image: absent key 3 costs the
   // leaf's round.
   calls = Calls();
-  EXPECT_EQ(Lookup({3}, LeafCache::kUse, &from_cache),
+  EXPECT_EQ(Lookup({3}, LeafCache::kUse),
             (std::vector<std::vector<uint64_t>>{{}}));
   EXPECT_EQ(Calls() - calls, 1u);
-  EXPECT_EQ(from_cache, std::vector<bool>{false});
+  EXPECT_EQ(FromImage(), std::vector<bool>{false});
   // A refresh reads the leaf from the store even with a current image.
   calls = Calls();
-  EXPECT_EQ(Lookup({0}, LeafCache::kRefresh, &from_cache), RidsOf({0}));
+  EXPECT_EQ(Lookup({0}, LeafCache::kRefresh), RidsOf({0}));
   EXPECT_EQ(Calls() - calls, 1u);
   EXPECT_EQ(cache_a_.stats().stale_leaves, 3u);
 }
 
 TEST_F(LeafImageTest, ImagePastItsHighKeyHopsRight) {
-  std::vector<bool> from_cache;
   // A caches its path to the full rightmost leaf, keys 384..398.
-  EXPECT_EQ(Lookup({384}, LeafCache::kUse, &from_cache), RidsOf({384}));
+  EXPECT_EQ(Lookup({384}, LeafCache::kUse), RidsOf({384}));
   // B's key 385 splits that leaf into 384..388 and a fresh right node
   // with 390..398.
   const uint64_t splits = writer_metrics_->index_splits;
@@ -1471,26 +1474,25 @@ TEST_F(LeafImageTest, ImagePastItsHighKeyHopsRight) {
   // Key 396 moved right, but A's image from before the split still holds
   // it under its rid: no round.
   uint64_t calls = Calls();
-  EXPECT_EQ(Lookup({396}, LeafCache::kUse, &from_cache), RidsOf({396}));
+  EXPECT_EQ(Lookup({396}, LeafCache::kUse), RidsOf({396}));
   EXPECT_EQ(Calls() - calls, 0u);
-  EXPECT_EQ(from_cache, std::vector<bool>{true});
+  EXPECT_EQ(FromImage(), std::vector<bool>{true});
   // Key 385 is absent from the image: the leaf is read again, and its
   // image now ends at 390.
   calls = Calls();
-  EXPECT_EQ(Lookup({385}, LeafCache::kUse, &from_cache), RidsOf({385}));
+  EXPECT_EQ(Lookup({385}, LeafCache::kUse), RidsOf({385}));
   EXPECT_EQ(Calls() - calls, 1u);
   // A's cached parent still sends key 396 to that leaf, whose image no
   // longer covers it: one right hop to the fresh node, read from the store.
   calls = Calls();
-  EXPECT_EQ(Lookup({396}, LeafCache::kUse, &from_cache), RidsOf({396}));
+  EXPECT_EQ(Lookup({396}, LeafCache::kUse), RidsOf({396}));
   EXPECT_EQ(Calls() - calls, 1u);
-  EXPECT_EQ(from_cache, std::vector<bool>{false});
+  EXPECT_EQ(FromImage(), std::vector<bool>{false});
   EXPECT_EQ(cache_a_.stats().stale_leaves, 2u);
 }
 
 TEST_F(LeafImageTest, ScansNeverReadATakenImage) {
-  std::vector<bool> from_cache;
-  EXPECT_EQ(Lookup({0}, LeafCache::kUse, &from_cache), RidsOf({0}));
+  EXPECT_EQ(Lookup({0}, LeafCache::kUse), RidsOf({0}));
   ASSERT_NO_FATAL_FAILURE(InsertOnB(1));
   // One batch: an exact-key cursor on key 0, which takes A's image of the
   // leaf, and a range cursor over the same leaf, which reads it from the

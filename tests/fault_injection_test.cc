@@ -282,7 +282,8 @@ TEST(IndexLeakRegressionTest, AbortedCommitLeavesNoIndexEntries) {
   // The winner's unique entry is the only one under the contended email.
   ASSERT_OK_AND_ASSIGN(
       auto rids,
-      check.LookupIndex(table, 0, {Value(std::string("x@example.com"))}));
+      test::RidsUnderKey(&check, table, 0,
+                         {Value(std::string("x@example.com"))}));
   EXPECT_EQ(rids.size(), 1u);
   ASSERT_OK(check.Commit());
 }
@@ -558,7 +559,8 @@ TEST(PrepareRidesLogTest, DroppedLogAndLeafMessageYieldsOneOutcome) {
                          check.ReadByKey(table, {Value(int64_t{7})}));
     ASSERT_OK_AND_ASSIGN(
         auto by_email,
-        check.LookupIndex(table, 0, {Value(std::string("q@example.com"))}));
+        test::RidsUnderKey(&check, table, 0,
+                           {Value(std::string("q@example.com"))}));
     ASSERT_OK(check.Commit());
     if (st.ok()) {
       ASSERT_TRUE(entry.has_value());
@@ -639,7 +641,8 @@ TEST(CommitFlagRegressionTest, FailedFlagWriteAbortsAndRollsBack) {
   EXPECT_FALSE(row.has_value());
   ASSERT_OK_AND_ASSIGN(
       auto rids,
-      check.LookupIndex(table, 0, {Value(std::string("x@example.com"))}));
+      test::RidsUnderKey(&check, table, 0,
+                         {Value(std::string("x@example.com"))}));
   EXPECT_TRUE(rids.empty());
   ASSERT_OK(check.Commit());
 
@@ -717,9 +720,9 @@ class SplitCommitTest : public ::testing::Test {
   }
 
   /// Through a fresh handle on the primary index (its own node cache, so
-  /// every node comes from the store): one BatchLookup of every id finds
-  /// exactly the committed rids, and a scan of the whole tree holds
-  /// exactly the committed keys.
+  /// every node comes from the store): one BatchScan of an exact-key
+  /// cursor per id finds exactly the committed rids, and a scan of the
+  /// whole tree holds exactly the committed keys.
   void ExpectPrimaryIndexHolds(const std::vector<int64_t>& absent) {
     index::NodeCache cache;
     index::BTree tree(table_->meta->primary.store_table, options_.btree,
@@ -727,12 +730,15 @@ class SplitCommitTest : public ::testing::Test {
     auto key_of = [](int64_t id) {
       return *schema::EncodeIndexKeyValues({Value(id)});
     };
-    std::vector<index::TreeKey> keys;
-    for (const auto& [id, rid] : committed_) keys.push_back({&tree, key_of(id)});
-    for (int64_t id : absent) keys.push_back({&tree, key_of(id)});
+    std::vector<index::ScanCursor> keys;
+    for (const auto& [id, rid] : committed_) {
+      keys.push_back(test::PointCursor(&tree, key_of(id)));
+    }
+    for (int64_t id : absent) {
+      keys.push_back(test::PointCursor(&tree, key_of(id)));
+    }
     auto client = db_->OpenSession(1, 7);
-    ASSERT_OK_AND_ASSIGN(auto rids,
-                         index::BTree::BatchLookup(client->client(), keys));
+    ASSERT_OK_AND_ASSIGN(auto rids, test::ScanRids(client->client(), &keys));
     size_t k = 0;
     for (const auto& [id, rid] : committed_) {
       EXPECT_EQ(rids[k++], std::vector<uint64_t>{rid}) << "committed id " << id;
@@ -1128,7 +1134,7 @@ TEST_P(ChaosSuite, InvariantsHoldUnderRandomizedFaults) {
     for (int k = 0; k < kTagPool; ++k) {
       const std::string tag = "tag" + std::to_string(k);
       ASSERT_OK_AND_ASSIGN(auto rids,
-                           txn.LookupIndex(orders, 0, {Value(tag)}));
+                           test::RidsUnderKey(&txn, orders, 0, {Value(tag)}));
       auto it = live_tags.find(tag);
       if (it == live_tags.end()) {
         EXPECT_TRUE(rids.empty()) << "stale index entry under " << tag;

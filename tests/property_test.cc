@@ -265,15 +265,15 @@ TEST_P(BTreePropertyTest, MatchesModelUnderRandomOps) {
         // Spot-check one batched lookup of every probe key and a batched
         // two-cursor scan of the whole tree, through the other handle.
         index::BTree* reader = &trees[(op + 1) % 2];
-        std::vector<index::TreeKey> probes;
+        std::vector<index::ScanCursor> probes;
         for (uint64_t probe = 0; probe < 120; probe += 17) {
-          probes.push_back({reader, key_of(probe)});
+          probes.push_back(test::PointCursor(reader, key_of(probe)));
         }
         ASSERT_OK_AND_ASSIGN(std::vector<std::vector<uint64_t>> rids,
-                             index::BTree::BatchLookup(&client, probes));
+                             test::ScanRids(&client, &probes));
         for (size_t p = 0; p < probes.size(); ++p) {
           std::vector<uint64_t> expected;
-          for (auto [it, end] = model.equal_range(probes[p].key); it != end;
+          for (auto [it, end] = model.equal_range(probes[p].start); it != end;
                ++it) {
             expected.push_back(it->second);
           }

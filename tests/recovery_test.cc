@@ -282,8 +282,8 @@ TEST_F(RecoveryTest, DeletedRecordFullyCollected) {
   // And the pk index no longer returns it.
   Transaction check(session.get());
   ASSERT_OK(check.Begin());
-  ASSERT_OK_AND_ASSIGN(auto rids,
-                       check.LookupIndex(table, -1, {Value(int64_t{1})}));
+  ASSERT_OK_AND_ASSIGN(
+      auto rids, test::RidsUnderKey(&check, table, -1, {Value(int64_t{1})}));
   EXPECT_TRUE(rids.empty());
   ASSERT_OK(check.Commit());
 }

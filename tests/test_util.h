@@ -13,10 +13,12 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "index/btree.h"
 #include "store/cluster.h"
 #include "store/fragment.h"
 #include "store/storage_client.h"
 #include "store/storage_node.h"
+#include "tx/transaction.h"
 #include "tx/transaction_log.h"
 
 #define ASSERT_OK(expr)                                   \
@@ -120,6 +122,66 @@ inline Result<std::vector<store::KeyCell>> ScanCells(
               return a.key < b.key;
             });
   return cells;
+}
+
+/// A point lookup of `key` in `tree` as a BTree::BatchScan cursor: the
+/// range of exactly `key`, [key, key + '\0'), unlimited. Its leaf comes
+/// from the store unless `leaf` says otherwise.
+inline index::ScanCursor PointCursor(
+    index::BTree* tree, std::string key,
+    index::LeafCache leaf = index::LeafCache::kBypass) {
+  index::ScanCursor cursor;
+  cursor.tree = tree;
+  cursor.end = key + '\0';
+  cursor.start = std::move(key);
+  cursor.leaf = leaf;
+  return cursor;
+}
+
+/// `keys` as PointCursors on one tree.
+inline std::vector<index::ScanCursor> PointCursors(
+    index::BTree* tree, const std::vector<std::string>& keys,
+    index::LeafCache leaf = index::LeafCache::kBypass) {
+  std::vector<index::ScanCursor> cursors;
+  for (const std::string& key : keys) {
+    cursors.push_back(PointCursor(tree, key, leaf));
+  }
+  return cursors;
+}
+
+/// Advances every cursor in one BTree::BatchScan — a batch of point
+/// lookups when each is a PointCursor — and returns the rids each holds.
+inline Result<std::vector<std::vector<uint64_t>>> ScanRids(
+    store::StorageClient* client, std::vector<index::ScanCursor>* cursors) {
+  std::vector<index::ScanCursor*> batch;
+  for (index::ScanCursor& cursor : *cursors) batch.push_back(&cursor);
+  TELL_RETURN_NOT_OK(index::BTree::BatchScan(client, batch));
+  std::vector<std::vector<uint64_t>> rids(cursors->size());
+  for (size_t c = 0; c < cursors->size(); ++c) {
+    for (const index::IndexEntry& e : (*cursors)[c].entries) {
+      rids[c].push_back(e.rid);
+    }
+  }
+  return rids;
+}
+
+inline Result<std::vector<std::vector<uint64_t>>> ScanRids(
+    store::StorageClient* client, std::vector<index::ScanCursor> cursors) {
+  return ScanRids(client, &cursors);
+}
+
+/// The visible rids under exactly `key` in index `index` of `table` (-1 =
+/// primary), in rid order: a ScanIndexEncoded of the range [key, key + '\0').
+inline Result<std::vector<uint64_t>> RidsUnderKey(
+    tx::Transaction* txn, tx::TableHandle* table, int index,
+    const std::vector<schema::Value>& key) {
+  TELL_ASSIGN_OR_RETURN(std::string lo, schema::EncodeIndexKeyValues(key));
+  std::string hi = lo + '\0';
+  TELL_ASSIGN_OR_RETURN(auto rows,
+                        txn->ScanIndexEncoded(table, index, lo, hi, 0));
+  std::vector<uint64_t> rids;
+  for (const auto& row : rows) rids.push_back(row.first);
+  return rids;
 }
 
 /// The log entry of `tid`, or nullopt if the tid never logged: the one

@@ -232,8 +232,8 @@ TEST_F(TransactionTest, RacingInsertsSamePkOnlyOneWins) {
   EXPECT_NE(s1.ok(), s2.ok());
   Transaction check(session_.get());
   ASSERT_OK(check.Begin());
-  ASSERT_OK_AND_ASSIGN(auto rids,
-                       check.LookupIndex(table_, -1, {Value(int64_t{5})}));
+  ASSERT_OK_AND_ASSIGN(
+      auto rids, test::RidsUnderKey(&check, table_, -1, {Value(int64_t{5})}));
   EXPECT_EQ(rids.size(), 1u);
   ASSERT_OK(check.Commit());
 }
@@ -245,7 +245,7 @@ TEST_F(TransactionTest, SecondaryIndexLookup) {
   MustInsert(4, "alice", 4.0);
   const Value alice(std::string("alice"));
   // The rounds of the bare index lookup, with the inner-node cache as warm
-  // as for LookupIndex below.
+  // as for the exact-key scan below.
   ASSERT_OK_AND_ASSIGN(std::string encoded,
                        schema::EncodeIndexKeyValues({alice}));
   const sim::WorkerMetrics* metrics = session_->metrics();
@@ -259,7 +259,8 @@ TEST_F(TransactionTest, SecondaryIndexLookup) {
   Transaction txn(session_.get());
   ASSERT_OK(txn.Begin());
   before = metrics->pipeline_flushes;
-  ASSERT_OK_AND_ASSIGN(auto rids, txn.LookupIndex(table_, 0, {alice}));
+  ASSERT_OK_AND_ASSIGN(auto rids,
+                       test::RidsUnderKey(&txn, table_, 0, {alice}));
   EXPECT_EQ(metrics->pipeline_flushes - before, index_rounds + 1);
   EXPECT_EQ(rids.size(), 3u);
   ASSERT_OK(txn.Commit());
@@ -275,12 +276,14 @@ TEST_F(TransactionTest, SecondaryIndexFollowsKeyChange) {
   Transaction txn(session_.get());
   ASSERT_OK(txn.Begin());
   ASSERT_OK_AND_ASSIGN(
-      auto new_rids, txn.LookupIndex(table_, 0, {Value(std::string("alicia"))}));
+      auto new_rids,
+      test::RidsUnderKey(&txn, table_, 0, {Value(std::string("alicia"))}));
   EXPECT_EQ(new_rids.size(), 1u);
   // The old entry is version-unaware and may still exist, but must not
   // produce a visible hit.
   ASSERT_OK_AND_ASSIGN(
-      auto old_rids, txn.LookupIndex(table_, 0, {Value(std::string("alice"))}));
+      auto old_rids,
+      test::RidsUnderKey(&txn, table_, 0, {Value(std::string("alice"))}));
   EXPECT_TRUE(old_rids.empty());
   ASSERT_OK(txn.Commit());
 }
@@ -606,7 +609,8 @@ TEST_F(TransactionTest, CommitWithIndexOpsCostsFourCalls) {
   ASSERT_TRUE(bob.has_value());
   EXPECT_EQ(bob->GetString(1), "robert");
   ASSERT_OK_AND_ASSIGN(
-      auto robert, check.LookupIndex(table_, 0, {Value(std::string("robert"))}));
+      auto robert,
+      test::RidsUnderKey(&check, table_, 0, {Value(std::string("robert"))}));
   EXPECT_EQ(robert, std::vector<uint64_t>{rid});
   ASSERT_OK(check.Commit());
 }
@@ -819,6 +823,48 @@ TEST_F(LeafCacheTest, DeletedAndReinsertedUnderANewRid) {
   ExpectFreshAnswer(60, 3, /*range=*/true);
   EXPECT_EQ(Lookup(0, 20).name, "again");
   EXPECT_EQ(Lookup(0, 60, /*range=*/true).name, "again");
+}
+
+TEST_F(LeafCacheTest, DeadEntryNextToTheLiveOneCostsOneRecordRound) {
+  // PN 1 deletes the row of 50 and inserts the key again under a new rid;
+  // the insert's uniqueness lookup collects the dead entry. Putting it back
+  // makes the state of a collection that was lost: the unique key holds a
+  // dead entry next to its live one.
+  Run(1, [&](Transaction* txn, TableHandle* table) {
+    return txn->Delete(table, rids_[50]);
+  });
+  const uint64_t rid = Insert(1, 50, "again");
+  const std::string key = *schema::EncodeIndexKeyValues({Value(int64_t{50})});
+  ASSERT_OK(tables_[1]->primary.Insert(sessions_[1]->client(), key,
+                                       rids_[50], /*unique=*/false));
+  ASSERT_NE(rid, rids_[50]);
+  // PN 2 caches the leaf in a lookup it aborts, so the dead entry it met
+  // stays in the tree, next to the live one.
+  {
+    Transaction txn(sessions_[2].get());
+    ASSERT_OK(txn.Begin());
+    ASSERT_OK_AND_ASSIGN(std::optional<uint64_t> found,
+                         txn.LookupPrimary(tables_[2], {Value(int64_t{50})}));
+    EXPECT_EQ(found, rid);
+    ASSERT_OK(txn.Abort());
+  }
+  ASSERT_OK_AND_ASSIGN(
+      std::vector<uint64_t> entries,
+      tables_[2]->primary.Lookup(sessions_[2]->client(), key));
+  ASSERT_EQ(entries.size(), 2u);
+  // The exact-key range, unlimited as payment sends it, takes both rids
+  // from the cached image and validates them in one record round.
+  Transaction txn(sessions_[2].get());
+  ASSERT_OK(txn.Begin());
+  const uint64_t before = sessions_[2]->metrics()->pipeline_flushes;
+  ASSERT_OK_AND_ASSIGN(
+      auto rows,
+      txn.ScanIndexEncoded(tables_[2], -1, key, key + '\0', /*limit=*/0));
+  EXPECT_EQ(sessions_[2]->metrics()->pipeline_flushes - before, 1u);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].first, rid);
+  EXPECT_EQ(rows[0].second.GetString(1), "again");
+  ASSERT_OK(txn.Commit());
 }
 
 TEST_F(LeafCacheTest, UpdateChangesTheKey) {
