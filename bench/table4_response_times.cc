@@ -4,6 +4,12 @@
 // Single source of truth: every number printed below is read back from the
 // obs::MetricsSnapshot that BenchJson::Add recorded — the stdout table and
 // BENCH_table4_response_times.json can never disagree.
+//
+// Quick mode: set TELL_TABLE4_QUICK=1 to run only the small cluster's
+// serial round probe (`round_probe_small`). Its rounds per transaction
+// type repeat exactly run to run; ctest compares them against
+// bench/baselines/table4_round_probe.json with a threshold of 0.
+#include <cstdlib>
 #include <cstring>
 #include <iterator>
 
@@ -70,6 +76,15 @@ void RoundsPerType(TellFixture* fixture, const std::string& suffix,
                    std::move(derived));
 }
 
+/// Tell's cluster of the small (2 PN) or large (8 PN) configuration.
+db::TellDbOptions TellOptions(bool large) {
+  db::TellDbOptions options;
+  options.num_processing_nodes = large ? 8 : 2;
+  options.num_storage_nodes = 7;
+  options.replication_factor = 3;
+  return options;
+}
+
 Result<tpcc::DriverResult> RunBackend(tpcc::TpccBackend* backend,
                                       tpcc::Mix mix, uint32_t workers) {
   tpcc::DriverOptions options;
@@ -93,6 +108,13 @@ int main() {
 
   BenchJson json("table4_response_times");
   json.AddConfig("replication_factor", uint64_t{3});
+  if (std::getenv("TELL_TABLE4_QUICK") != nullptr) {
+    TellFixture fixture(TellOptions(/*large=*/false), BenchScale());
+    RoundsPerType(&fixture, "_small", &json);
+    json.Write();
+    PrintFooter();
+    return 0;
+  }
   json.AddConfig("virtual_ms", uint64_t{400});
 
   std::printf("%-10s %-22s %-7s %12s\n", "mix", "system", "size",
@@ -102,10 +124,7 @@ int main() {
     const std::string suffix = std::string("_") + size;
     // Tell — standard and shardable.
     {
-      db::TellDbOptions options;
-      options.num_processing_nodes = large ? 8 : 2;
-      options.num_storage_nodes = 7;
-      options.replication_factor = 3;
+      const db::TellDbOptions options = TellOptions(large);
       {
         TellFixture fixture(options, BenchScale());
         auto standard =

@@ -97,7 +97,11 @@ struct Node {
   /// previous key (the first entry's previous key is empty), the length and
   /// bytes of the rest of the key, and the zigzag delta of its rid from the
   /// previous rid (the first entry's from 0). Keys of one node share most
-  /// of their bytes, and neighbouring rids are close.
+  /// of their bytes, and neighbouring rids are close. Only when some entry
+  /// has a tag, the tags follow: runs of equal tags in entry order, each as
+  /// its length and the zigzag delta of its tag from the previous run's
+  /// (the first from 0). A node whose tags are all 0 — every inner node,
+  /// and every leaf written outside a transaction — has no tag bytes.
   std::string Serialize() const {
     BufferWriter writer;
     writer.Reserve(16 + high_key.size() + 8 * entries.size());
@@ -118,11 +122,25 @@ struct Node {
       prev = key;
       prev_rid = e.rid;
     }
+    const bool tagged =
+        std::any_of(entries.begin(), entries.end(),
+                    [](const IndexEntry& e) { return e.tag != 0; });
+    uint64_t prev_tag = 0;
+    for (size_t i = 0; tagged && i < entries.size();) {
+      size_t end = i + 1;
+      while (end < entries.size() && entries[end].tag == entries[i].tag) ++end;
+      writer.PutVarint(end - i);
+      writer.PutVarint(
+          ZigZagEncode(static_cast<int64_t>(entries[i].tag - prev_tag)));
+      prev_tag = entries[i].tag;
+      i = end;
+    }
     return writer.Release();
   }
 
   /// Decodes a cell written by Serialize. Any length that runs past the
-  /// cell or past the previous key, and any byte left over, is Corruption.
+  /// cell or past the previous key, a tag run that does not end with the
+  /// entries, and any byte left over, is Corruption.
   static Result<Node> Deserialize(uint64_t id, uint64_t stamp,
                                   std::string_view data) {
     BufferReader reader(data);
@@ -157,6 +175,19 @@ struct Node {
       TELL_ASSIGN_OR_RETURN(uint64_t delta, reader.GetVarint());
       rid += static_cast<uint64_t>(ZigZagDecode(delta));
       node.entries[i].rid = rid;
+    }
+    uint64_t tag = 0;
+    for (size_t i = 0; i < count && !reader.AtEnd();) {
+      TELL_ASSIGN_OR_RETURN(uint64_t run, reader.GetVarint());
+      if (run == 0 || run > count - i) {
+        return Status::Corruption("B+tree tag run past the node's entries");
+      }
+      TELL_ASSIGN_OR_RETURN(uint64_t delta, reader.GetVarint());
+      tag += static_cast<uint64_t>(ZigZagDecode(delta));
+      for (; run > 0; --run) node.entries[i++].tag = tag;
+      if (i < count && reader.AtEnd()) {
+        return Status::Corruption("B+tree tag runs end before the entries");
+      }
     }
     if (!reader.AtEnd()) {
       return Status::Corruption("trailing bytes after a B+tree node");
@@ -337,8 +368,10 @@ struct BTree::NodeEdit {
   std::vector<IndexEntry> entries;
   /// Inner nodes above `base`, root first.
   std::vector<NodeRef> path;
-  /// The BatchInsert ops a leaf edit carries.
+  /// The BatchInsert ops a leaf edit carries, and those of them whose entry
+  /// it adds.
   std::vector<size_t> ops;
+  std::vector<size_t> created;
   /// The separators an inner edit carries.
   std::vector<Separator> separators;
   /// The plan: the nodes a split publishes first under fresh ids, then the
@@ -732,10 +765,11 @@ Status BTree::BatchDescendToLeaves(
 }
 
 Status BTree::PrepareLeafEdits(
-    store::StorageClient* client, const std::vector<BatchInsertOp>& ops,
-    const std::vector<size_t>& pending, std::vector<bool>* inserted,
-    std::vector<NodeEdit>* edits, const std::vector<store::WriteOp>* riders,
+    store::StorageClient* client, Prepared* prepared,
+    const std::vector<size_t>& pending,
+    const std::vector<store::WriteOp>* riders,
     std::vector<Result<uint64_t>>* rider_results) {
+  const std::vector<BatchInsertOp>& ops = prepared->ops_;
   // The leaf each pending op lands in, and the inner nodes above it.
   std::vector<DescentKey> descents;
   descents.reserve(pending.size());
@@ -764,7 +798,8 @@ Status BTree::PrepareLeafEdits(
 
   // Apply every group's ops in op order to a copy of its leaf, BEFORE any
   // put is issued: a unique violation must surface while there is still
-  // nothing to undo.
+  // nothing to undo — with every holder of a violated key, which the caller
+  // may find dead.
   for (NodeEdit& group : groups) {
     Node copy = *group.base;
     bool changed = false;
@@ -772,11 +807,13 @@ Status BTree::PrepareLeafEdits(
     for (size_t i : group.ops) {
       const BatchInsertOp& op = ops[i];
       const size_t pos = copy.PositionFor(op.key, op.rid);
-      const bool present = pos < copy.entries.size() &&
-                           copy.entries[pos].key == op.key &&
-                           copy.entries[pos].rid == op.rid;
+      IndexEntry* present = pos < copy.entries.size() &&
+                                    copy.entries[pos].key == op.key &&
+                                    copy.entries[pos].rid == op.rid
+                                ? &copy.entries[pos]
+                                : nullptr;
       if (op.remove) {
-        if (present) {
+        if (present != nullptr && present->tag <= op.tag) {
           copy.entries.erase(copy.entries.begin() +
                              static_cast<ptrdiff_t>(pos));
           changed = true;
@@ -785,26 +822,42 @@ Status BTree::PrepareLeafEdits(
         continue;
       }
       if (op.unique) {
+        bool held = false;
         for (size_t e = copy.PositionFor(op.key, 0);
              e < copy.entries.size() && copy.entries[e].key == op.key; ++e) {
-          if (copy.entries[e].rid != op.rid) {
-            return Status::AlreadyExists("duplicate key in unique index");
-          }
+          const IndexEntry& holder = copy.entries[e];
+          if (holder.rid == op.rid) continue;
+          prepared->conflicts_.push_back({op.tree, op.key, holder.rid,
+                                          /*unique=*/false, /*remove=*/true,
+                                          holder.tag});
+          held = true;
         }
+        if (held) continue;
       }
       applied.push_back(i);
-      if (present) continue;  // idempotent
+      if (present != nullptr) {
+        // Idempotent, unless the tag rises.
+        if (present->tag < op.tag) {
+          present->tag = op.tag;
+          changed = true;
+        }
+        continue;
+      }
       copy.entries.insert(copy.entries.begin() + static_cast<ptrdiff_t>(pos),
-                          {op.key, op.rid});
+                          {op.key, op.rid, op.tag});
+      group.created.push_back(i);
       changed = true;
     }
     if (!changed) {
-      for (size_t i : applied) (*inserted)[i] = true;
+      for (size_t i : applied) prepared->inserted_[i] = true;
       continue;
     }
     group.entries = std::move(copy.entries);
     group.ops = std::move(applied);
-    edits->push_back(std::move(group));
+    prepared->edits_.push_back(std::move(group));
+  }
+  if (!prepared->conflicts_.empty()) {
+    return Status::AlreadyExists("duplicate key in unique index");
   }
   return Status::OK();
 }
@@ -1054,41 +1107,8 @@ std::vector<Result<uint64_t>> BTree::SendWrites(
   return results;
 }
 
-Status BTree::PublishRound(store::StorageClient* client,
-                           std::vector<NodeEdit>* edits, Riders* riders) {
-  std::vector<store::WriteOp> writes;
-  std::vector<size_t> write_edit;
-  for (size_t e = 0; e < edits->size(); ++e) {
-    NodeEdit& edit = (*edits)[e];
-    if (edit.sent || edit.fresh.empty()) continue;
-    edit.sent = true;
-    for (const Node& node : edit.fresh) {
-      writes.push_back(
-          node.Write(client, edit.tree->table_, store::kStampAbsent));
-      write_edit.push_back(e);
-    }
-  }
-  if (writes.empty()) return Status::OK();  // the riders wait for the puts
-  std::vector<Result<uint64_t>> results =
-      SendWrites(client, std::move(writes), riders);
-  Status failure;
-  for (size_t w = 0; w < results.size(); ++w) {
-    if (results[w].ok()) {
-      (*edits)[write_edit[w]].fresh_stamps.push_back(*results[w]);
-    } else if (!results[w].status().IsConditionFailed() && failure.ok()) {
-      failure = results[w].status();
-    }
-  }
-  // After a storage failure nothing more goes out.
-  for (NodeEdit& edit : *edits) {
-    edit.published =
-        failure.ok() && edit.fresh_stamps.size() == edit.fresh.size();
-  }
-  return failure;
-}
-
-Status BTree::WriteEdits(store::StorageClient* client, Prepared* prepared,
-                         Riders* riders) {
+Status BTree::WriteRound(store::StorageClient* client, Prepared* prepared,
+                         Riders* riders, bool puts_with_fresh) {
   std::vector<NodeEdit>& edits = prepared->edits_;
   std::map<NodeId, NodeRef>& known = prepared->known_;
   // Records a written node: inner nodes enter the cache and `known` with
@@ -1107,32 +1127,65 @@ Status BTree::WriteEdits(store::StorageClient* client, Prepared* prepared,
     known.erase({edit.tree->table_, edit.base->id});
   };
 
-  // One LL/SC put per edit whose fresh nodes are all out: plain rewrites
-  // and the shrinks that linearise the splits. A lost race leaves only
-  // unreferenced fresh nodes behind.
+  // One LL/SC put per edit whose fresh nodes are all out — plain rewrites
+  // and the shrinks that linearise the splits; a lost race leaves only
+  // unreferenced fresh nodes behind — and the fresh nodes of every edit
+  // that has not sent them. Per write: its edit, and its fresh node (-1 for
+  // the put at the edit's own id). `done`: the edits that leave the plan
+  // this round — every put sent, every edit with a fresh node that did not
+  // land, and one a storage failure stopped after its fresh nodes.
+  const bool fresh_round =
+      !puts_with_fresh &&
+      std::any_of(edits.begin(), edits.end(), [](const NodeEdit& edit) {
+        return !edit.published && !edit.sent;
+      });
+  std::vector<bool> done(edits.size(), false);
+  std::vector<bool> sent_now(edits.size(), false);
   std::vector<store::WriteOp> writes;
-  std::vector<size_t> write_edit;
+  std::vector<std::pair<size_t, ptrdiff_t>> write_of;
   for (size_t e = 0; e < edits.size(); ++e) {
-    if (!edits[e].published) continue;
-    writes.push_back(edits[e].rewrite.Write(client, edits[e].tree->table_,
-                                            edits[e].base->stamp));
-    write_edit.push_back(e);
+    NodeEdit& edit = edits[e];
+    if (edit.published) {
+      if (fresh_round) continue;
+      writes.push_back(
+          edit.rewrite.Write(client, edit.tree->table_, edit.base->stamp));
+      write_of.emplace_back(e, -1);
+      continue;
+    }
+    if (edit.sent) {
+      done[e] = true;
+      continue;
+    }
+    edit.sent = true;
+    sent_now[e] = true;
+    for (size_t f = 0; f < edit.fresh.size(); ++f) {
+      writes.push_back(
+          edit.fresh[f].Write(client, edit.tree->table_, store::kStampAbsent));
+      write_of.emplace_back(e, static_cast<ptrdiff_t>(f));
+    }
   }
   std::vector<Result<uint64_t>> results =
       SendWrites(client, std::move(writes), riders);
   std::vector<bool> landed(edits.size(), false);
   Status failure;
   for (size_t w = 0; w < results.size(); ++w) {
-    NodeEdit& edit = edits[write_edit[w]];
-    if (!results[w].ok()) {
-      if (results[w].status().IsConditionFailed()) {
-        lost(edit);
-      } else if (failure.ok()) {
-        failure = results[w].status();
-      }
+    const auto [e, fresh] = write_of[w];
+    NodeEdit& edit = edits[e];
+    if (fresh >= 0 && results[w].ok()) {
+      edit.fresh_stamps.push_back(*results[w]);
       continue;
     }
-    landed[write_edit[w]] = true;
+    if (!results[w].ok() && !results[w].status().IsConditionFailed()) {
+      if (failure.ok()) failure = results[w].status();
+      if (fresh >= 0) continue;  // decided below
+    }
+    done[e] = true;
+    if (!results[w].ok()) {
+      if (fresh < 0 && results[w].status().IsConditionFailed()) lost(edit);
+      continue;
+    }
+    landed[e] = true;
+    edit.rewrite.stamp = *results[w];
     client->metrics()->index_splits += edit.splits;
     wrote(edit.tree, edit.rewrite, *results[w]);
     for (size_t f = 0; f < edit.fresh.size(); ++f) {
@@ -1142,21 +1195,38 @@ Status BTree::WriteEdits(store::StorageClient* client, Prepared* prepared,
       prepared->separators_.push_back(std::move(sep));
     }
   }
+  std::vector<NodeEdit> waiting;
   for (size_t e = 0; e < edits.size(); ++e) {
-    if (landed[e]) {
-      for (size_t i : edits[e].ops) prepared->inserted_[i] = true;
+    NodeEdit& edit = edits[e];
+    // Its put waits, or its fresh nodes went out and the put follows next
+    // round. After a storage failure such an edit stays unpublished, for
+    // UndoFirstRound to erase its fresh nodes.
+    if (!done[e]) {
+      if (sent_now[e]) {
+        edit.published = failure.ok() &&
+                         edit.fresh_stamps.size() == edit.fresh.size();
+      }
+      waiting.push_back(std::move(edit));
       continue;
     }
-    // Lost the LL/SC race on this node, or never sent: its ops re-descend,
-    // its separators re-read their parent.
-    prepared->pending_.insert(prepared->pending_.end(), edits[e].ops.begin(),
-                              edits[e].ops.end());
-    for (Separator& sep : edits[e].separators) {
+    if (landed[e]) {
+      for (size_t i : edit.ops) prepared->inserted_[i] = true;
+      for (size_t i : edit.created) prepared->created_[i] = true;
+      if (!edit.created.empty() && edit.fresh.empty()) {
+        prepared->landed_.push_back(std::move(edit));
+      }
+      continue;
+    }
+    // Lost the LL/SC race on this node, or a fresh node did not land: its
+    // ops re-descend, its separators re-read their parent.
+    prepared->pending_.insert(prepared->pending_.end(), edit.ops.begin(),
+                              edit.ops.end());
+    for (Separator& sep : edit.separators) {
       sep.stale = true;
       prepared->separators_.push_back(std::move(sep));
     }
   }
-  edits.clear();
+  edits = std::move(waiting);
   return failure;
 }
 
@@ -1165,8 +1235,7 @@ Status BTree::PrepareNextEdits(store::StorageClient* client,
   std::vector<NodeEdit>& edits = prepared->edits_;
   if (!prepared->pending_.empty()) {
     std::sort(prepared->pending_.begin(), prepared->pending_.end());
-    Status st = PrepareLeafEdits(client, prepared->ops_, prepared->pending_,
-                                 &prepared->inserted_, &edits);
+    Status st = PrepareLeafEdits(client, prepared, prepared->pending_);
     if (!st.ok()) {
       // A unique violation found on a retry is returned once the splits
       // already published are linked into their parents.
@@ -1202,35 +1271,53 @@ Status BTree::PrepareInsert(store::StorageClient* client,
   *prepared = Prepared();
   prepared->ops_ = std::move(ops);
   prepared->inserted_.assign(prepared->ops_.size(), false);
+  prepared->created_.assign(prepared->ops_.size(), false);
   std::vector<size_t> all(prepared->ops_.size());
   for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  TELL_RETURN_NOT_OK(PrepareLeafEdits(client, prepared->ops_, all,
-                                      &prepared->inserted_, &prepared->edits_,
-                                      &riders, rider_results));
+  TELL_RETURN_NOT_OK(
+      PrepareLeafEdits(client, prepared, all, &riders, rider_results));
   return PlanEdits(client, &prepared->edits_);
 }
 
-Status BTree::PublishFresh(store::StorageClient* client, Prepared* prepared,
-                           std::vector<store::WriteOp> riders,
-                           std::vector<Result<uint64_t>>* rider_results) {
+Status BTree::WriteFirstRound(store::StorageClient* client,
+                              Prepared* prepared,
+                              std::vector<store::WriteOp> riders,
+                              std::vector<Result<uint64_t>>* rider_results) {
   Riders with{std::move(riders), rider_results};
   with.sent = with.writes.empty();
-  Status st = PublishRound(client, &prepared->edits_, &with);
-  if (!with.sent) SendWrites(client, {}, &with);
-  return st;
+  return WriteRound(client, prepared, &with, /*puts_with_fresh=*/true);
 }
 
-std::vector<store::WriteOp> BTree::FreshNodeErases(const Prepared& prepared) {
-  std::vector<store::WriteOp> erases;
+std::vector<store::WriteOp> BTree::UndoFirstRound(
+    store::StorageClient* client, const Prepared& prepared,
+    std::vector<std::vector<size_t>>* undone) {
+  std::vector<store::WriteOp> writes;
+  undone->clear();
+  for (const NodeEdit& edit : prepared.landed_) {
+    Node image = edit.rewrite;
+    for (size_t i : edit.created) {
+      const BatchInsertOp& op = prepared.ops_[i];
+      const size_t pos = image.PositionFor(op.key, op.rid);
+      if (pos < image.entries.size() && image.entries[pos].key == op.key &&
+          image.entries[pos].rid == op.rid) {
+        image.entries.erase(image.entries.begin() +
+                            static_cast<ptrdiff_t>(pos));
+      }
+    }
+    writes.push_back(
+        image.Write(client, edit.tree->table_, edit.rewrite.stamp));
+    undone->push_back(edit.created);
+  }
   for (const NodeEdit& edit : prepared.edits_) {
     if (!edit.sent) continue;
     for (const Node& node : edit.fresh) {
-      erases.push_back({edit.tree->table_, NodeKey(node.id), std::string(),
+      writes.push_back({edit.tree->table_, NodeKey(node.id), std::string(),
                         store::kStampAbsent, /*conditional=*/false,
                         /*erase=*/true});
+      undone->emplace_back();
     }
   }
-  return erases;
+  return writes;
 }
 
 Status BTree::WriteInsert(store::StorageClient* client, Prepared* prepared,
@@ -1253,10 +1340,10 @@ Status BTree::WriteInsert(store::StorageClient* client, Prepared* prepared,
     if (st.ok()) {
       // The riders go once every op is in effect — with the separators,
       // which a lost write would only leave reachable by right links.
-      Riders* now = settled() && prepared->failure_.ok() ? &waiting : nullptr;
-      st = PublishRound(client, &prepared->edits_, now);
-      Status written = WriteEdits(client, prepared, st.ok() ? now : nullptr);
-      if (st.ok()) st = written;
+      st = WriteRound(
+          client, prepared,
+          settled() && prepared->failure_.ok() ? &waiting : nullptr,
+          /*puts_with_fresh=*/false);
     }
     if (!st.ok()) {
       if (!settled()) return st;

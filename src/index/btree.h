@@ -18,10 +18,15 @@
 
 namespace tell::index {
 
-/// One index entry: encoded key -> rid.
+/// One index entry: encoded key -> rid, tagged in a leaf with the tid of
+/// the transaction that inserted it (0 for a writer outside a transaction,
+/// and in inner nodes). A reader collects an entry as garbage only once its
+/// tag is at or below the reader's lav: a higher tag's writer may be in
+/// flight.
 struct IndexEntry {
   std::string key;
   uint64_t rid = 0;
+  uint64_t tag = 0;
 };
 
 class BTree;
@@ -46,14 +51,18 @@ enum class LeafCache : uint8_t {
   kRefresh,
 };
 
-/// One operation of a BTree::BatchInsert call: inserts (key, rid), or with
-/// `remove` set removes it.
+/// One operation of a BTree::BatchInsert call: inserts (key, rid) tagged
+/// `tag`, or with `remove` set removes it. Tags never go down: inserting a
+/// present (key, rid) with a lower tag raises its tag, and a remove takes
+/// out the entry only while its tag is at most `tag` — a removal decided on
+/// the tag an entry showed leaves it alone once a later writer raised it.
 struct BatchInsertOp {
   BTree* tree = nullptr;
   std::string key;
   uint64_t rid = 0;
   bool unique = false;
   bool remove = false;
+  uint64_t tag = 0;
 };
 
 /// One range of a BTree::BatchScan call: the entries of `tree` with key in
@@ -233,6 +242,8 @@ class NodeCache {
 /// Indexes are version-unaware (§5.3.2): one entry per record, no version
 /// information, so readers must validate fetched records against their
 /// snapshot and may GC obsolete entries (a BatchInsert op with `remove`).
+/// A leaf entry does carry the tid of its writer (IndexEntry::tag), which
+/// tells a reader whether that writer may still be in flight.
 ///
 /// The BTree object itself is a cheap per-PN handle: tree identity is the
 /// storage table, the inner-node cache is shared per PN, and every method
@@ -248,9 +259,9 @@ class BTree {
 
   store::TableId table() const { return table_; }
 
-  /// Inserts key -> rid. With `unique`, fails with AlreadyExists if the key
-  /// is already present under a different rid. Idempotent for the same
-  /// (key, rid) pair. A one-op BatchInsert.
+  /// Inserts key -> rid with tag 0. With `unique`, fails with AlreadyExists
+  /// if the key is already present under a different rid. Idempotent for
+  /// the same (key, rid) pair. A one-op BatchInsert.
   Status Insert(store::StorageClient* client, std::string_view key,
                 uint64_t rid, bool unique);
 
@@ -269,8 +280,8 @@ class BTree {
   /// preparation, before any put is issued.
   /// `inserted` (resized to ops.size()) reports per op whether it took
   /// effect when the call returns — an insert's entry is durably in its
-  /// tree, a remove's entry is gone. On failure the caller uses it to undo
-  /// a partial batch (a remove is idempotent). PrepareInsert + WriteInsert.
+  /// tree, a remove's entry is gone or carries a higher tag. On failure the
+  /// caller uses it to undo a partial batch. PrepareInsert + WriteInsert.
   static Status BatchInsert(store::StorageClient* client,
                             const std::vector<BatchInsertOp>& ops,
                             std::vector<bool>* inserted);
@@ -283,42 +294,53 @@ class BTree {
   /// the descent's first round, next to its node reads, even when there is
   /// no op — applies the ops to copies of their leaves, and plans every
   /// split: its cut points and fresh node ids. Fails with AlreadyExists on
-  /// a unique violation; nothing of the batch is written either way. The
-  /// riders are sent whatever the outcome, and their results go to
-  /// `rider_results` (may be null without riders), positionally.
+  /// a unique violation, with every entry that holds a violated key under
+  /// another rid in `prepared->conflicts()`; nothing of the batch is
+  /// written either way. The riders are sent whatever the outcome, and
+  /// their results go to `rider_results` (may be null without riders),
+  /// positionally.
   static Status PrepareInsert(store::StorageClient* client,
                               std::vector<BatchInsertOp> ops,
                               const std::vector<store::WriteOp>& riders,
                               std::vector<Result<uint64_t>>* rider_results,
                               Prepared* prepared);
 
-  /// The round that publishes the fresh nodes of the planned splits, with
-  /// `riders` in the same BatchWrite — sent even when nothing splits — and
-  /// their results in `rider_results`. Nothing of the batch is reachable
-  /// yet: a fresh node's id is known only to the shrink of its split node
-  /// and to its separator, which WriteInsert writes (B-link). Fails on a
-  /// storage failure of a fresh node's put. WriteInsert sends this round
-  /// itself when the caller did not.
-  static Status PublishFresh(store::StorageClient* client, Prepared* prepared,
-                             std::vector<store::WriteOp> riders,
-                             std::vector<Result<uint64_t>>* rider_results);
+  /// The batch's first write round, with `riders` in the same BatchWrite —
+  /// sent even when the batch writes nothing: the fresh nodes of every
+  /// planned split, which nothing reaches yet (a fresh node's id is known
+  /// only to the shrink of its split node and to its separator, which later
+  /// rounds write: B-link), and the LL/SC put of every leaf that splits
+  /// nothing, whose ops are then in effect. Fails on a storage failure of
+  /// any of the batch's puts. WriteInsert sends the rounds that remain.
+  static Status WriteFirstRound(store::StorageClient* client,
+                                Prepared* prepared,
+                                std::vector<store::WriteOp> riders,
+                                std::vector<Result<uint64_t>>* rider_results);
 
-  /// Erases of the fresh nodes PublishFresh sent, for a caller that
-  /// abandons the batch before WriteInsert: they are unreachable and only
-  /// hold their cells.
-  static std::vector<store::WriteOp> FreshNodeErases(const Prepared& prepared);
+  /// What a caller that abandons the batch right after WriteFirstRound
+  /// writes to take it back: the erase of every fresh node sent — no shrink
+  /// went out, so nothing reaches them — and, per leaf put that landed and
+  /// created entries, a put of its image without them, conditional on the
+  /// stamp the leaf got. `undone[i]` lists the ops the i-th write takes
+  /// back (none for an erase); a put that loses its LL/SC leaves its ops
+  /// to a BatchInsert of removes. Entries whose tag the batch only raised
+  /// stay, as created() says.
+  static std::vector<store::WriteOp> UndoFirstRound(
+      store::StorageClient* client, const Prepared& prepared,
+      std::vector<std::vector<size_t>>* undone);
 
-  /// BatchInsert's remaining steps: the fresh nodes (unless PublishFresh
-  /// sent them), one round of LL/SC puts of every leaf rewrite and split
-  /// shrink, then the separators the splits owe their parents. A leaf that
-  /// changed since PrepareInsert read it loses its LL/SC, and its ops are
-  /// prepared again — a unique violation found then fails the call like
-  /// BatchInsert's. `riders` travel in the first round after every op is
-  /// in effect — next to the separators, or alone — so the call returns OK
-  /// exactly when it sent them, with their results in `rider_results`. Once
-  /// every op is in effect a separator that cannot be written is given up:
-  /// its node stays reachable through its left neighbour's right link.
-  /// `prepared->inserted()` reports the ops in effect.
+  /// BatchInsert's remaining steps: write rounds until every op is in
+  /// effect — the puts of the leaves, the shrinks of the splits once their
+  /// fresh nodes are out — then the separators the splits owe their
+  /// parents. A leaf that changed since PrepareInsert read it loses its
+  /// LL/SC, and its ops are prepared again — a unique violation found then
+  /// fails the call like BatchInsert's. `riders` travel in the first round
+  /// after every op is in effect — next to the separators, or alone — so
+  /// the call returns OK exactly when it sent them, with their results in
+  /// `rider_results`. Once every op is in effect a separator that cannot be
+  /// written is given up: its node stays reachable through its left
+  /// neighbour's right link. `prepared->inserted()` reports the ops in
+  /// effect.
   static Status WriteInsert(store::StorageClient* client, Prepared* prepared,
                             std::vector<store::WriteOp> riders = {},
                             std::vector<Result<uint64_t>>* rider_results =
@@ -437,15 +459,16 @@ class BTree {
   /// Counts a unique-key point lookup's leaf in the cache if caching is on.
   void CountLeafLookup(NodeCache::LeafLookup lookup);
 
-  /// BatchInsert's preparation: descends to the leaves of ops[pending] —
-  /// with `riders` in the first round, see BatchDescendToLeaves — and
-  /// appends one edit per touched leaf, carrying all of its ops in op order.
-  /// Ops already in effect (idempotent) are flagged in `inserted` right
-  /// away. Fails with AlreadyExists on a unique violation.
+  /// BatchInsert's preparation: descends to the leaves of the ops of
+  /// `prepared` listed in `pending` — with `riders` in the first round, see
+  /// BatchDescendToLeaves — and appends one edit per touched leaf to its
+  /// edits, carrying all of its ops in op order. Ops already in effect
+  /// (idempotent) are flagged inserted right away. Fails with AlreadyExists
+  /// on a unique violation, once every violated key's holders are in its
+  /// conflicts.
   static Status PrepareLeafEdits(
-      store::StorageClient* client, const std::vector<BatchInsertOp>& ops,
-      const std::vector<size_t>& pending, std::vector<bool>* inserted,
-      std::vector<NodeEdit>* edits,
+      store::StorageClient* client, Prepared* prepared,
+      const std::vector<size_t>& pending,
       const std::vector<store::WriteOp>* riders = nullptr,
       std::vector<Result<uint64_t>>* rider_results = nullptr);
 
@@ -477,17 +500,17 @@ class BTree {
       store::StorageClient* client, std::vector<store::WriteOp> puts,
       Riders* riders);
 
-  /// Sends the fresh nodes of every edit that has not sent them, with
-  /// `riders`; an edit with a fresh node that did not land is not
-  /// published. No round without fresh nodes: the riders wait.
-  static Status PublishRound(store::StorageClient* client,
-                             std::vector<NodeEdit>* edits, Riders* riders);
-
-  /// One round of LL/SC puts at the node ids of every published edit, with
-  /// `riders`. A landed edit's ops are in effect and its splits' separators
-  /// are owed; a lost one's ops are pending again. Consumes the edits.
-  static Status WriteEdits(store::StorageClient* client, Prepared* prepared,
-                           Riders* riders);
+  /// One write round of the planned edits, with `riders`: the fresh nodes
+  /// of every edit that has not sent them, whose put then waits for the
+  /// next round, and the LL/SC put at the node id of every edit whose fresh
+  /// nodes are out (plain rewrites, and the shrinks that linearise the
+  /// splits) — unless fresh nodes go out and `puts_with_fresh` is not set:
+  /// then the puts wait for the next round too. A landed put's ops are in
+  /// effect and its splits' separators are owed; a lost one's ops are
+  /// pending again, and so are an edit's whose fresh node did not land.
+  /// After a storage failure the edits that sent fresh nodes wait no more.
+  static Status WriteRound(store::StorageClient* client, Prepared* prepared,
+                           Riders* riders, bool puts_with_fresh);
 
   /// Finds the node at `level` whose range covers `key`, starting from node
   /// `start_id` (an ancestor or left neighbour) and re-reading every node:
@@ -517,13 +540,27 @@ class BTree::Prepared {
   /// Per op: whether it is in effect — after PrepareInsert the ops that
   /// needed no change, after WriteInsert also every op that landed.
   const std::vector<bool>& inserted() const { return inserted_; }
+  /// Per op: an insert in effect whose entry this batch added — absent when
+  /// its leaf was read. An entry that was present, its tag maybe raised,
+  /// is not: a caller that abandons the batch leaves it, since it may name
+  /// a version some snapshot reads.
+  const std::vector<bool>& created() const { return created_; }
+  /// After PrepareInsert failed on a unique violation: every entry that
+  /// holds a violated key under another rid, as the remove op that would
+  /// take it out (its tree, key, rid and tag).
+  const std::vector<BatchInsertOp>& conflicts() const { return conflicts_; }
 
  private:
   friend class BTree;
   std::vector<BatchInsertOp> ops_;
   std::vector<bool> inserted_;
+  std::vector<bool> created_;
+  std::vector<BatchInsertOp> conflicts_;
   /// The next round's edits, planned.
   std::vector<NodeEdit> edits_;
+  /// The leaf rewrites that landed and created entries, with the stamp
+  /// each got (UndoFirstRound).
+  std::vector<NodeEdit> landed_;
   /// Ops whose leaf lost its LL/SC race, to prepare again.
   std::vector<size_t> pending_;
   /// Separators the landed splits owe their parents.

@@ -81,7 +81,10 @@ struct WorkerMetrics {
   /// transaction is rolled back and aborted (the log flag is the source of
   /// truth for commit).
   uint64_t commit_flag_failures = 0;
-  /// Index entries removed while rolling back a failed commit.
+  /// Index entries removed while rolling back a failed commit: one that
+  /// aborts after its apply round (a lost apply LL/SC, serializable
+  /// validation), a unique violation found on a leaf retry, or a failed
+  /// commit flag.
   uint64_t index_rollbacks = 0;
   /// B+tree nodes split (a node cut into any number of pieces counts once).
   uint64_t index_splits = 0;
@@ -95,6 +98,9 @@ struct WorkerMetrics {
   /// Obsolete index entries removed by the read path's index GC (§5.4),
   /// sent with the transaction's commit.
   uint64_t gc_index_entries = 0;
+  /// Index entries the read path's GC would have collected but skipped:
+  /// tagged above the reader's lav, their writer may be in flight.
+  uint64_t index_gc_deferred = 0;
   /// Storage calls (single-op or batched) that issued at least one message:
   /// every pass through StorageClient's request path that was not answered
   /// entirely from the record cache.
@@ -250,8 +256,13 @@ inline const std::vector<WorkerCounterField>& WorkerCounterFields() {
        "commits aborted because the log commit flag could not be written",
        &WorkerMetrics::commit_flag_failures},
       {"tx.index_rollbacks", "entries",
-       "index entries removed while rolling back a failed commit",
+       "index entries removed while rolling back a commit that aborted "
+       "after its apply round",
        &WorkerMetrics::index_rollbacks},
+      {"tx.index_gc_deferred", "entries",
+       "obsolete-looking index entries left uncollected: tagged above the "
+       "reader's lav",
+       &WorkerMetrics::index_gc_deferred},
       {"index.splits", "nodes", "B+tree nodes split",
        &WorkerMetrics::index_splits},
       {"index.node_bytes_sent", "bytes", "serialized B+tree node cells written",

@@ -30,7 +30,10 @@ Result<GcStats> GarbageCollector::SweepTable(store::StorageClient* client,
 
     if (record->DeadAt(lav)) {
       // The record's newest version is a tombstone visible to everyone:
-      // remove its index entries, then the record itself.
+      // remove its index entries, then the record itself. No writer can
+      // touch the record any more, so every entry naming it is garbage;
+      // the removals name the lav, which takes out each one whose writer
+      // has finished and leaves any other to the read path's GC.
       auto remove_entries = [&](index::BTree* tree,
                                 const schema::IndexDef& def) {
         for (const schema::RecordVersion& version : record->versions()) {
@@ -41,7 +44,7 @@ Result<GcStats> GarbageCollector::SweepTable(store::StorageClient* client,
           auto key = schema::EncodeIndexKey(*tuple, def.key_columns);
           if (!key.ok()) continue;
           removals.push_back({tree, std::move(*key), rid, /*unique=*/false,
-                              /*remove=*/true});
+                              /*remove=*/true, /*tag=*/lav});
         }
       };
       remove_entries(&table->primary, table->meta->primary.def);

@@ -177,7 +177,8 @@ Status Transaction::QueueIndexInserts(TableHandle* table, uint64_t rid,
       // actually changes; obsolete entries are collected later.
       if (old_key == new_key) return Status::OK();
     }
-    index_ops_.push_back({tree, new_key, rid, def.unique});
+    index_ops_.push_back({tree, new_key, rid, def.unique, /*remove=*/false,
+                          /*tag=*/tid_});
     pending_index_[{tree->table(), new_key}].push_back(rid);
     return Status::OK();
   };
@@ -260,8 +261,10 @@ Status Transaction::Delete(TableHandle* table, uint64_t rid) {
 }
 
 Result<std::optional<schema::Tuple>> Transaction::ValidateIndexHit(
-    TableHandle* table, index::BTree* tree, const std::string& key,
-    uint64_t rid, bool collect) {
+    TableHandle* table, index::BTree* tree, const index::IndexEntry& entry,
+    bool collect) {
+  const std::string& key = entry.key;
+  const uint64_t rid = entry.rid;
   const schema::IndexDef& def = IndexDefOf(table, tree);
   // An obsolete entry is queued for removal unless this transaction
   // inserted it itself.
@@ -271,6 +274,19 @@ Result<std::optional<schema::Tuple>> Transaction::ValidateIndexHit(
           pending_it->second.end()) {
     collect = false;
   }
+  // Only an entry tagged at or below the lav is collected: the lav is at
+  // most the snapshot base, and every tid at or below the base has
+  // finished — DeadAt's bound. A higher tag's writer may be in flight: its
+  // entries land in the round that applies its records, so its record may
+  // be missing yet, or not carry the key yet.
+  auto orphaned = [&] {
+    if (!collect) return;
+    if (entry.tag > lav_) {
+      client_->metrics()->index_gc_deferred += 1;
+      return;
+    }
+    QueueIndexRemoval(tree, entry);
+  };
 
   TELL_ASSIGN_OR_RETURN(RecordState * state, EnsureFetched(table, rid));
   // Record gone entirely, or dead for every present and future snapshot —
@@ -281,7 +297,7 @@ Result<std::optional<schema::Tuple>> Transaction::ValidateIndexHit(
   if (!state->dirty &&
       (!state->exists || (state->record.DeadAt(lav_) &&
                           Visible(*state) == state->record.Newest()))) {
-    if (collect) QueueIndexRemoval(tree, key, rid);
+    orphaned();
     return std::optional<schema::Tuple>{};
   }
   // Does ANY version still carry this key? If not, the entry is obsolete
@@ -303,15 +319,15 @@ Result<std::optional<schema::Tuple>> Transaction::ValidateIndexHit(
       }
     }
   }
-  if (!key_in_some_version && collect) QueueIndexRemoval(tree, key, rid);
+  if (!key_in_some_version) orphaned();
   return match;
 }
 
-void Transaction::QueueIndexRemoval(index::BTree* tree, const std::string& key,
-                                    uint64_t rid) {
-  if (gc_queued_.emplace(tree->table(), key, rid).second) {
-    gc_removals_.push_back({tree, key, rid, /*unique=*/false,
-                            /*remove=*/true});
+void Transaction::QueueIndexRemoval(index::BTree* tree,
+                                    const index::IndexEntry& entry) {
+  if (gc_queued_.emplace(tree->table(), entry.key, entry.rid).second) {
+    gc_removals_.push_back({tree, entry.key, entry.rid, /*unique=*/false,
+                            /*remove=*/true, entry.tag});
   }
 }
 
@@ -454,7 +470,7 @@ Transaction::ScanRanges(const std::vector<IndexRange>& ranges,
          (range.hi.empty() || it->first.second < range.hi);
          ++it) {
       for (uint64_t rid : it->second) {
-        scan.pending.push_back({it->first.second, rid});
+        scan.pending.push_back({it->first.second, rid, tid_});
       }
     }
     std::sort(scan.pending.begin(), scan.pending.end(), entry_less);
@@ -564,8 +580,8 @@ Transaction::ScanRanges(const std::vector<IndexRange>& ranges,
         const index::IndexEntry& entry = scan.candidates[scan.next];
         TELL_ASSIGN_OR_RETURN(
             std::optional<schema::Tuple> tuple,
-            ValidateIndexHit(ranges[r].table, scan.tree, entry.key,
-                             entry.rid, /*collect=*/!scan.cursor.from_cache));
+            ValidateIndexHit(ranges[r].table, scan.tree, entry,
+                             /*collect=*/!scan.cursor.from_cache));
         if (!tuple.has_value()) continue;
         out[r].emplace_back(entry.rid, std::move(*tuple));
         ++rows;
@@ -845,7 +861,8 @@ Status Transaction::Commit() {
   //    unique checks. Neither reads what the apply writes, and nothing of
   //    this transaction is visible before the apply — so a unique violation
   //    aborts here with nothing to undo, and the unflagged log entry makes
-  //    recovery revert nothing.
+  //    recovery revert nothing. A violated key whose every holder turns out
+  //    dead costs two rounds more, and the insert goes ahead.
   LogEntry entry;
   entry.tid = tid_;
   entry.pn_id = session_->pn_id();
@@ -857,6 +874,9 @@ Status Transaction::Commit() {
                                           &appended, &prepared);
   TELL_CHECK(appended.size() == 1);
   Status log_status = session_->log()->Appended(client_, appended.front());
+  if (log_status.ok() && prepare_status.IsAlreadyExists()) {
+    prepare_status = ResolveUniqueConflicts(&prepared);
+  }
   if (!log_status.ok() || !prepare_status.ok()) {
     // A failed append is reported as it is: its AlreadyExists means a log
     // entry for this tid exists, not a unique violation.
@@ -867,11 +887,14 @@ Status Transaction::Commit() {
   // 2. Apply all buffered updates with LL/SC conditional puts. Records also
   //    get their eager version GC here (§5.4: "record GC is part of the
   //    update process"). The apply + read-set validation is the conflict
-  //    detection window, traced as the validate phase. The fresh nodes of
-  //    the index splits planned in step 3a ride the apply's round: nothing
-  //    reaches a fresh node before its split node's shrink lands in step
-  //    3b (B-link), so no entry becomes reachable before its record. An
-  //    abort from here to step 3b erases them again.
+  //    detection window, traced as the validate phase. The index batch's
+  //    first write round rides the apply's round (§4.3 step 4a, moved up):
+  //    every leaf rewrite that splits nothing, and the fresh nodes of the
+  //    splits, which nothing reaches before their split nodes' shrinks land
+  //    in a later round (B-link). An entry may so land before its record,
+  //    but it carries this transaction's tid, above the lav of every
+  //    reader while it runs, and ValidateIndexHit collects no such entry.
+  //    An abort from here on takes back the entries it created.
   std::vector<uint64_t> new_stamps(dirty.size(), 0);
   {
     obs::PhaseScope validate_span(tracer_, sim::TxnPhase::kValidate);
@@ -885,8 +908,8 @@ Status Transaction::Commit() {
                      state.stamp, /*conditional=*/true, /*erase=*/false});
     }
     std::vector<Result<uint64_t>> results;
-    Status published = index::BTree::PublishFresh(client_, &prepared,
-                                                  std::move(ops), &results);
+    Status written = index::BTree::WriteFirstRound(client_, &prepared,
+                                                   std::move(ops), &results);
     Status failure;
     for (size_t i = 0; i < results.size(); ++i) {
       if (results[i].ok()) {
@@ -895,34 +918,33 @@ Status Transaction::Commit() {
         failure = results[i].status();
       }
     }
-    if (failure.ok()) failure = published;
+    if (failure.ok()) failure = written;
     // 2b. Serializable SI: validate the read set AFTER the writes are
     //     installed (Silo-style ordering — see TxnOptions::serializable).
     if (failure.ok() && options_.serializable) failure = ValidateReadSet();
     if (!failure.ok()) {
       // Write-write conflict, read-set conflict or storage failure: revert
       // the whole dirty set — an ambiguous conditional put may have applied
-      // even though it reported failure, and RollbackApplied skips records
-      // without our version after one read.
-      RollbackApplied(dirty, index::BTree::FreshNodeErases(prepared));
+      // even though it reported failure, and RevertVersions skips records
+      // without our version after one read — and the index round with it.
+      RollbackFirstRound(dirty, prepared);
       return AbortCommit(failure);
     }
   }
 
-  // 3b. Alter the indexes to reflect the updates (§4.3 step 4a), after the
-  //     apply: an entry must never land before its record, or a reader's
-  //     ValidateIndexHit would collect it as garbage. One round writes
-  //     every leaf and shrinks every split node.
-  // 4. The commit flag in the log rides the next round, with the
-  //    separators the splits owe their parents — it waits for every index
-  //    entry, and a lost separator leaves only a node reachable by its
-  //    left neighbour's right link. The log's committed flag is the
-  //    SOURCE OF TRUTH: recovery rolls back every unflagged entry, so
-  //    telling the commit manager "committed" (step 5) while the flag
-  //    write failed would let recovery silently undo a transaction other
-  //    workers already observed. If the flag cannot be written even after
-  //    the client's retries, the transaction must abort instead: undo
-  //    indexes and data, then notify the manager of the abort.
+  // 3. The rounds the index batch still owes — the shrinks of its splits,
+  //    and the leaves that lost their LL/SC, prepared again — then:
+  // 4. The commit flag in the log, in the first round after every index
+  //    entry is in, with the separators the splits owe their parents — a
+  //    lost separator leaves only a node reachable by its left neighbour's
+  //    right link. A commit that splits nothing and loses no leaf sends the
+  //    flag in the round right after the apply. The log's committed flag is
+  //    the SOURCE OF TRUTH: recovery rolls back every unflagged entry, so
+  //    telling the commit manager "committed" (step 5) while the flag write
+  //    failed would let recovery silently undo a transaction other workers
+  //    already observed. If the flag cannot be written even after the
+  //    client's retries, the transaction must abort instead: undo indexes
+  //    and data, then notify the manager of the abort.
   std::vector<Result<uint64_t>> flagged;
   Status index_status = WriteIndexOps(
       &prepared, {session_->log()->MarkCommittedOp(std::move(entry))},
@@ -933,8 +955,7 @@ Status Transaction::Commit() {
     // updates must not become durable — and neither must the index entries
     // inserted so far (WriteIndexOps already removed them again), or
     // lookups under those keys would drag a never-committed rid through
-    // validation forever (a unique index would even turn it into a
-    // permanent InternalError for the racing winner's key).
+    // validation until the lav passes its tag.
     RollbackApplied(dirty);
     return AbortCommit(index_status);
   }
@@ -944,7 +965,7 @@ Status Transaction::Commit() {
     client_->metrics()->commit_flag_failures += 1;
     TELL_LOG(kWarn) << "commit flag write failed for tid " << tid_ << " ("
                     << mark.ToString() << "); aborting";
-    RollbackIndexInserts(std::vector<bool>(index_ops_.size(), true));
+    RollbackIndexInserts(CreatedInserts(prepared));
     RollbackApplied(dirty);
     return AbortCommit(
         Status::Aborted("commit flag write failed: " + mark.ToString()));
@@ -971,9 +992,49 @@ Status Transaction::Commit() {
   return Status::OK();
 }
 
+Status Transaction::ResolveUniqueConflicts(index::BTree::Prepared* prepared) {
+  const std::vector<index::BatchInsertOp>& conflicts = prepared->conflicts();
+  std::vector<std::pair<TableHandle*, uint64_t>> holders;
+  holders.reserve(conflicts.size());
+  for (const index::BatchInsertOp& holder : conflicts) {
+    holders.emplace_back(TableOf(holder.tree), holder.rid);
+  }
+  TELL_RETURN_NOT_OK(PrefetchMissing(holders));
+  for (size_t i = 0; i < conflicts.size(); ++i) {
+    const index::BatchInsertOp& holder = conflicts[i];
+    TELL_ASSIGN_OR_RETURN(
+        std::optional<schema::Tuple> visible,
+        ValidateIndexHit(holders[i].first, holder.tree,
+                         {holder.key, holder.rid, holder.tag},
+                         /*collect=*/true));
+    if (visible.has_value() ||
+        gc_queued_.count({holder.tree->table(), holder.key, holder.rid}) ==
+            0) {
+      return Status::AlreadyExists("duplicate key in unique index");
+    }
+  }
+  // Every holder is dead and queued for removal, ahead of the inserts.
+  return PrepareIndexOps({}, nullptr, prepared);
+}
+
+TableHandle* Transaction::TableOf(const index::BTree* tree) const {
+  for (const auto& [key, state] : buffer_) {
+    TableHandle* table = state.table;
+    if (&table->primary == tree) return table;
+    for (const index::BTree& secondary : table->secondaries) {
+      if (&secondary == tree) return table;
+    }
+  }
+  TELL_CHECK(false);
+  __builtin_unreachable();
+}
+
 RevertCounts RevertVersions(store::StorageClient* client,
                             const std::vector<RecordKey>& keys, Tid tid,
-                            const std::vector<store::WriteOp>& riders) {
+                            const std::vector<store::WriteOp>& riders,
+                            const std::function<void(
+                                const std::vector<Result<uint64_t>>&)>&
+                                after_riders) {
   RevertCounts counts;
   std::vector<RecordKey> pending = keys;
   for (int retry = 0; retry < kMaxRevertRetries && !pending.empty();
@@ -984,8 +1045,10 @@ RevertCounts RevertVersions(store::StorageClient* client,
       gets.push_back({key.first, RidKey(key.second)});
     }
     static const std::vector<store::WriteOp> kNoRiders;
-    std::vector<Result<store::VersionedCell>> cells =
-        client->BatchReadWrite(gets, retry == 0 ? riders : kNoRiders).gets;
+    store::BatchResults round =
+        client->BatchReadWrite(gets, retry == 0 ? riders : kNoRiders);
+    if (retry == 0 && after_riders) after_riders(round.writes);
+    std::vector<Result<store::VersionedCell>>& cells = round.gets;
     std::vector<store::WriteOp> reverts;
     std::vector<RecordKey> reverting;
     for (size_t i = 0; i < cells.size(); ++i) {
@@ -1027,10 +1090,31 @@ RevertCounts RevertVersions(store::StorageClient* client,
   return counts;
 }
 
-void Transaction::RollbackApplied(const std::vector<RecordKey>& dirty,
-                                  const std::vector<store::WriteOp>& riders) {
+void Transaction::RollbackApplied(const std::vector<RecordKey>& dirty) {
   client_->metrics()->rollback_unresolved +=
-      RevertVersions(client_, dirty, tid_, riders).unresolved;
+      RevertVersions(client_, dirty, tid_).unresolved;
+}
+
+void Transaction::RollbackFirstRound(const std::vector<RecordKey>& dirty,
+                                     const index::BTree::Prepared& prepared) {
+  CountCollected(prepared);
+  std::vector<std::vector<size_t>> undone;
+  const std::vector<store::WriteOp> undo =
+      index::BTree::UndoFirstRound(client_, prepared, &undone);
+  // The entries of a leaf whose undo did not land — a writer changed the
+  // leaf since — go in a batch of removes of their own.
+  auto after_undo = [&](const std::vector<Result<uint64_t>>& results) {
+    const size_t removals = gc_removals_.size();
+    std::vector<bool> left(index_ops_.size(), false);
+    for (size_t w = 0; w < undone.size(); ++w) {
+      const bool landed = w < results.size() && results[w].ok();
+      if (landed) client_->metrics()->index_rollbacks += undone[w].size();
+      for (size_t i : undone[w]) left[i - removals] = !landed;
+    }
+    RollbackIndexInserts(left);
+  };
+  client_->metrics()->rollback_unresolved +=
+      RevertVersions(client_, dirty, tid_, undo, after_undo).unresolved;
 }
 
 Status Transaction::PrepareIndexOps(
@@ -1050,30 +1134,40 @@ Status Transaction::WriteIndexOps(
     std::vector<Result<uint64_t>>* rider_results) {
   Status st = index::BTree::WriteInsert(client_, prepared, std::move(riders),
                                         rider_results);
-  const std::vector<bool>& done = prepared->inserted();
-  const auto removals = static_cast<ptrdiff_t>(gc_removals_.size());
-  gc_removals_.clear();
-  client_->metrics()->gc_index_entries += static_cast<uint64_t>(
-      std::count(done.begin(), done.begin() + removals, true));
+  CountCollected(*prepared);
   // Undo exactly the entries that made it in before the failure.
-  if (!st.ok()) {
-    RollbackIndexInserts(std::vector<bool>(done.begin() + removals,
-                                           done.end()));
-  }
+  if (!st.ok()) RollbackIndexInserts(CreatedInserts(*prepared));
   return st;
 }
 
-void Transaction::RollbackIndexInserts(const std::vector<bool>& applied) {
-  // Undo of commit step 3. Remove is idempotent, and no other transaction
-  // can have inserted the same (key, rid) pair: reaching step 3 requires
-  // winning the LL/SC on the record, so two live transactions never carry
-  // index ops for the same rid.
+void Transaction::CountCollected(const index::BTree::Prepared& prepared) {
+  const std::vector<bool>& done = prepared.inserted();
+  client_->metrics()->gc_index_entries += static_cast<uint64_t>(
+      std::count(done.begin(),
+                 done.begin() + static_cast<ptrdiff_t>(gc_removals_.size()),
+                 true));
+}
+
+std::vector<bool> Transaction::CreatedInserts(
+    const index::BTree::Prepared& prepared) const {
+  const std::vector<bool>& created = prepared.created();
+  return std::vector<bool>(
+      created.begin() + static_cast<ptrdiff_t>(gc_removals_.size()),
+      created.end());
+}
+
+void Transaction::RollbackIndexInserts(const std::vector<bool>& created) {
+  // Takes back the entries the commit added. Each remove names this
+  // transaction's tid as the tag, so an entry another writer has tagged
+  // since stays; an entry that was present before, its tag only raised,
+  // stays too (Prepared::created): it may name a version some snapshot
+  // reads, and readers collect it once the lav passes this tid.
   std::vector<index::BatchInsertOp> removes;
   for (size_t i = 0; i < index_ops_.size(); ++i) {
-    if (!applied[i]) continue;
+    if (!created[i]) continue;
     const index::BatchInsertOp& op = index_ops_[i];
     removes.push_back({op.tree, op.key, op.rid, /*unique=*/false,
-                       /*remove=*/true});
+                       /*remove=*/true, op.tag});
   }
   if (removes.empty()) return;
   std::vector<bool> removed;

@@ -157,12 +157,15 @@ struct RevertCounts {
 /// BatchGet of every pending record, one BatchWrite of the reverts (an
 /// erase once no version remains), and another pair for the records whose
 /// LL/SC lost to a concurrent writer. Records without version `tid` are
-/// skipped after one read. `riders` travel in the first round's request,
-/// best effort. The one revert loop of commit rollback and of processing
-/// node recovery (§4.4.1).
-RevertCounts RevertVersions(store::StorageClient* client,
-                            const std::vector<RecordKey>& keys, Tid tid,
-                            const std::vector<store::WriteOp>& riders = {});
+/// skipped after one read. `riders` travel in the first round's request
+/// (`keys` must not be empty), and `after_riders` (if set) gets their
+/// results before any revert is written. The one revert loop of commit
+/// rollback and of processing node recovery (§4.4.1).
+RevertCounts RevertVersions(
+    store::StorageClient* client, const std::vector<RecordKey>& keys, Tid tid,
+    const std::vector<store::WriteOp>& riders = {},
+    const std::function<void(const std::vector<Result<uint64_t>>&)>&
+        after_riders = nullptr);
 
 /// One ACID transaction under distributed snapshot isolation (paper §4).
 ///
@@ -171,9 +174,9 @@ RevertCounts RevertVersions(store::StorageClient* client,
 /// transaction buffer; updates are buffered) -> Commit (append the log
 /// entry while the index leaves are read, apply all buffered updates with
 /// LL/SC conditional puts — a failed store-conditional is a write-write
-/// conflict and aborts the transaction — then write the indexes, set the
-/// committed flag and notify the commit manager). Manual Abort never
-/// touches the store.
+/// conflict and aborts the transaction — together with the index leaf
+/// writes, then set the committed flag and notify the commit manager).
+/// Manual Abort never touches the store.
 class Transaction {
  public:
   explicit Transaction(Session* session, const TxnOptions& options = {});
@@ -379,33 +382,59 @@ class Transaction {
                          std::vector<Result<uint64_t>>* rider_results,
                          index::BTree::Prepared* prepared);
 
-  /// Commit step 3b: writes what PrepareIndexOps prepared, every touched
-  /// leaf of every tree in one BatchWrite, then the separators of their
-  /// splits with `riders` (see BTree::WriteInsert). On failure the inserted
-  /// entries that did make it in are removed again before the error is
-  /// returned, and the riders were not sent.
+  /// Commit step 3b: the rounds of what PrepareIndexOps prepared that
+  /// BTree::WriteFirstRound did not send, then the separators of the
+  /// splits with `riders` (see BTree::WriteInsert). On failure the entries
+  /// the batch created are removed again before the error is returned, and
+  /// the riders were not sent.
   Status WriteIndexOps(index::BTree::Prepared* prepared,
                        std::vector<store::WriteOp> riders = {},
                        std::vector<Result<uint64_t>>* rider_results = nullptr);
 
+  /// Commit step 3a after a unique violation: validates every rid that
+  /// holds a violated key in one record round (ValidateIndexHit, collecting).
+  /// If each is dead and queued for removal, prepares the index batch again
+  /// — the removals ahead of the inserts, one more leaf round — else the
+  /// violation stands (AlreadyExists).
+  Status ResolveUniqueConflicts(index::BTree::Prepared* prepared);
+
+  /// The table of a buffered record that `tree` indexes.
+  TableHandle* TableOf(const index::BTree* tree) const;
+
   /// Queues the removal of an obsolete index entry that ValidateIndexHit
-  /// found; the commit sends it with its index batch (once per entry).
-  void QueueIndexRemoval(index::BTree* tree, const std::string& key,
-                         uint64_t rid);
+  /// found, conditional on the tag it saw; the commit sends it with its
+  /// index batch (once per entry).
+  void QueueIndexRemoval(index::BTree* tree, const index::IndexEntry& entry);
 
   /// Rolls back a failed commit attempt: RevertVersions of this
   /// transaction's version over the full dirty set (not just the ops that
   /// reported success), so that a conditional put whose response was lost
   /// but that DID apply is reverted too. Unresolved keys are counted in
-  /// tx.rollback_unresolved. `riders` (erases of unreachable fresh B+tree
-  /// nodes) travel in the first round, best effort.
-  void RollbackApplied(const std::vector<RecordKey>& dirty,
-                       const std::vector<store::WriteOp>& riders = {});
+  /// tx.rollback_unresolved.
+  void RollbackApplied(const std::vector<RecordKey>& dirty);
 
-  /// Removes the entries of index_ops_ flagged in `applied` from their
-  /// B-trees in one BatchInsert of removes (undo of commit step 3 when an
-  /// index insert or the commit flag write fails).
-  void RollbackIndexInserts(const std::vector<bool>& applied);
+  /// RollbackApplied for a commit stopped right after its apply round:
+  /// BTree::UndoFirstRound's writes — the entries that round created, the
+  /// fresh nodes it published — ride the revert's first round, and only
+  /// the entries of a leaf whose undo lost its LL/SC cost a
+  /// RollbackIndexInserts of their own, before any record is reverted:
+  /// until then no other writer can insert them again.
+  void RollbackFirstRound(const std::vector<RecordKey>& dirty,
+                          const index::BTree::Prepared& prepared);
+
+  /// Counts the GC removals of `prepared` in effect in
+  /// gc.eager_index_entries_removed.
+  void CountCollected(const index::BTree::Prepared& prepared);
+
+  /// Per op of index_ops_: its entry is in effect and was created by
+  /// `prepared` (Prepared::created, past the GC removals).
+  std::vector<bool> CreatedInserts(
+      const index::BTree::Prepared& prepared) const;
+
+  /// Removes the entries of index_ops_ flagged in `created` from their
+  /// B-trees in one BatchInsert of removes tagged with this transaction's
+  /// tid (undo of the index writes when a commit aborts after them).
+  void RollbackIndexInserts(const std::vector<bool>& created);
 
   /// Write-write conflict check for scenario 1 of §4.1: fails with Aborted
   /// if the record holds a version that is neither ours nor visible in our
@@ -426,14 +455,17 @@ class Transaction {
   ScanRanges(const std::vector<IndexRange>& ranges, bool charge_rows);
 
   /// Validates an index hit: fetches the record, checks some version still
-  /// carries `key` and the record is not dead below the lav (else queues
-  /// the entry for GC if `collect` is set and this transaction did not
-  /// insert it), and returns the tuple if the visible version matches the
-  /// key. An entry only a cached leaf image proposed is not collected: the
-  /// image may be stale, and the entry gone from the tree.
+  /// carries the entry's key and the record is not dead below the lav, and
+  /// returns the tuple if the visible version matches the key. An obsolete
+  /// entry is queued for GC if `collect` is set, this transaction did not
+  /// insert it, and its tag is at or below the lav; one tagged above the
+  /// lav — its writer may be in flight, with the record not yet applied —
+  /// is skipped and counted in tx.index_gc_deferred. An entry only a cached
+  /// leaf image proposed is not collected: the image may be stale, and the
+  /// entry gone from the tree.
   Result<std::optional<schema::Tuple>> ValidateIndexHit(
-      TableHandle* table, index::BTree* tree, const std::string& key,
-      uint64_t rid, bool collect);
+      TableHandle* table, index::BTree* tree, const index::IndexEntry& entry,
+      bool collect);
 
   /// Shared storage step of FilteredScan and ExecuteScanFragment: fans one
   /// sink per partition out through StorageClient::ExecuteFragmentScan and,
@@ -461,8 +493,8 @@ class Transaction {
 
   std::map<RecordKey, RecordState> buffer_;
   std::vector<index::BatchInsertOp> index_ops_;
-  /// Index GC found by this transaction's reads (remove ops), and the
-  /// (index table, key, rid) entries they name.
+  /// Index GC found by this transaction's reads (remove ops, each naming
+  /// the tag it saw), and the (index table, key, rid) entries they name.
   std::vector<index::BatchInsertOp> gc_removals_;
   std::set<std::tuple<store::TableId, std::string, uint64_t>> gc_queued_;
   /// Own pending index inserts, visible to this transaction's lookups:

@@ -487,6 +487,80 @@ TEST_F(BTreeTest, CorruptNodeFailsCleanly) {
   EXPECT_EQ(rids, std::vector<uint64_t>{1000 - 3 * 19});
 }
 
+// Leaf entries carry their writer's tid. A node whose tags are all 0
+// encodes as if tags did not exist; a tagged one appends runs of equal
+// tags. An insert raises a lower tag and never lowers one, and a remove
+// takes out an entry only while its tag is at most the one it names.
+TEST_F(BTreeTest, TaggedEntriesEncodeRaiseAndRemoveByTag) {
+  auto client = MakeClient();
+  ASSERT_OK(BTree::Create(client.get(), table_));
+  BTree tree = MakeTree(/*fanout=*/8);
+  auto key_of = [](uint64_t i) { return "k/" + tell::EncodeOrderedU64(i); };
+  auto root_cell = [&] {
+    return client->Get(table_, tell::EncodeOrderedU64(1))->value;
+  };
+  auto tags = [&] {
+    ScanCursor all;
+    all.tree = &tree;
+    EXPECT_OK(BTree::BatchScan(client.get(), {&all}));
+    std::vector<uint64_t> out;
+    for (const IndexEntry& e : all.entries) out.push_back(e.tag);
+    return out;
+  };
+  auto batch = [&](std::vector<BatchInsertOp> ops) {
+    std::vector<bool> inserted;
+    EXPECT_OK(BTree::BatchInsert(client.get(), ops, &inserted));
+    EXPECT_EQ(inserted, std::vector<bool>(ops.size(), true));
+  };
+  std::vector<BatchInsertOp> untagged;
+  for (uint64_t i = 0; i < 5; ++i) {
+    untagged.push_back({&tree, key_of(i), i + 1});
+  }
+  batch(untagged);
+  const std::string plain = root_cell();
+
+  // Tags 7, 7, 0, 9, 9 over the same entries: the untagged cell, then the
+  // runs (2, +7), (1, -7), (2, +9).
+  batch({{&tree, key_of(0), 1, false, false, 7},
+         {&tree, key_of(1), 2, false, false, 7},
+         {&tree, key_of(3), 4, false, false, 9},
+         {&tree, key_of(4), 5, false, false, 9}});
+  EXPECT_EQ(tags(), (std::vector<uint64_t>{7, 7, 0, 9, 9}));
+  const std::string tagged = root_cell();
+  ASSERT_EQ(tagged.size(), plain.size() + 6);
+  EXPECT_EQ(tagged.substr(0, plain.size()), plain);
+  // A cut inside the runs, and a cut that leaves a run short, are corrupt.
+  for (size_t len = plain.size() + 1; len < tagged.size(); ++len) {
+    ASSERT_OK(client->Write({.table = table_,
+                             .key = tell::EncodeOrderedU64(1),
+                             .value = tagged.substr(0, len),
+                             .conditional = false})
+                  .status());
+    NodeCache fresh_cache;
+    BTree fresh = MakeTree(/*fanout=*/8, &fresh_cache);
+    EXPECT_EQ(fresh.Lookup(client.get(), key_of(0)).status().code(),
+              StatusCode::kCorruption)
+        << "truncated to " << len << " bytes";
+  }
+  ASSERT_OK(client->Write({.table = table_, .key = tell::EncodeOrderedU64(1),
+                           .value = tagged, .conditional = false})
+                .status());
+
+  // A lower tag leaves the entry as it is, without a write; a higher one
+  // raises it.
+  const uint64_t sent = metrics_.back()->index_node_bytes_sent;
+  batch({{&tree, key_of(0), 1, false, false, 3}});
+  EXPECT_EQ(metrics_.back()->index_node_bytes_sent, sent);
+  batch({{&tree, key_of(0), 1, false, false, 8}});
+  EXPECT_EQ(tags(), (std::vector<uint64_t>{8, 7, 0, 9, 9}));
+  // A remove names the highest tag it takes out: one below the entry's
+  // leaves it, one at or above removes it.
+  batch({{&tree, key_of(0), 1, false, /*remove=*/true, 7},
+         {&tree, key_of(1), 2, false, /*remove=*/true, 7},
+         {&tree, key_of(3), 4, false, /*remove=*/true, 20}});
+  EXPECT_EQ(tags(), (std::vector<uint64_t>{8, 0, 9}));
+}
+
 TEST_F(BTreeTest, CachingReducesStorageRequests) {
   auto client = MakeClient();
   ASSERT_OK(BTree::Create(client.get(), table_));

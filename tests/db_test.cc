@@ -280,7 +280,14 @@ TEST_F(TxLogDbTest, GcSweepRoundsDoNotGrowWithDeadRecords) {
       EXPECT_EQ(stats->records_erased, dead);
       EXPECT_EQ(stats->index_entries_removed, dead);
     }
-    return client->metrics()->pipeline_flushes - before;
+    const uint64_t flushes = client->metrics()->pipeline_flushes - before;
+    // The entries are gone from the tree, not only counted.
+    for (size_t i = first; i < first + dead; ++i) {
+      const std::string key =
+          *schema::EncodeIndexKeyValues({Value(static_cast<int64_t>(i))});
+      EXPECT_TRUE(table_->primary.Lookup(client, key)->empty()) << "row " << i;
+    }
+    return flushes;
   };
   const uint64_t few = sweep_flushes(0, 2);
   const uint64_t many = sweep_flushes(2, 64);

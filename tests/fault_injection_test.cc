@@ -776,10 +776,11 @@ class SplitCommitTest : public ::testing::Test {
   std::map<int64_t, uint64_t> committed_;
 };
 
-// The round that applies the records also publishes the fresh nodes of the
-// commit's splits. Losing its response leaves every put of it ambiguous:
-// the re-reads settle the records and the fresh nodes alike, and the commit
-// lands whole.
+// The round that applies the records also writes the leaves that split
+// nothing and publishes the fresh nodes of the commit's splits. Losing its
+// response leaves every put of it ambiguous: the re-reads settle the
+// records, the leaves and the fresh nodes alike, and the commit lands
+// whole.
 class ApplyRoundResponseLostTest : public SplitCommitTest {
  protected:
   // The commit's second message carrying a conditional put — the first is
@@ -811,6 +812,38 @@ TEST_F(ApplyRoundResponseLostTest, CommitLandsWhole) {
   ExpectPrimaryIndexHolds({});
 }
 
+TEST_F(ApplyRoundResponseLostTest, SplitFreeCommitLandsWhole) {
+  ASSERT_NO_FATAL_FAILURE(Load(kLoaded));
+  sim::WorkerMetrics* metrics = session_->metrics();
+  const uint64_t splits = metrics->index_splits;
+  const uint64_t resolved = metrics->ambiguous_resolved;
+  std::map<int64_t, uint64_t> rids;
+  Transaction txn(session_.get());
+  // Id 11 joins the left leaf of both trees, which holds four entries.
+  ASSERT_NO_FATAL_FAILURE(InsertUsers(session_.get(), &txn, {11}, &rids));
+  injector_.Arm();
+  const uint64_t before = metrics->pipeline_flushes;
+  ASSERT_OK(txn.Commit());
+  injector_.Disarm();
+  EXPECT_EQ(injector_.stats().dropped_responses, 1u);
+  // The record and both leaves were ambiguous.
+  EXPECT_GE(metrics->ambiguous_resolved - resolved, 3u);
+  EXPECT_EQ(metrics->index_splits, splits);
+  // Log with the leaf reads, apply with the leaf writes, flag; the re-reads
+  // that settle the lost response are the client's.
+  EXPECT_GE(metrics->pipeline_flushes - before, 3u);
+  committed_.insert(rids.begin(), rids.end());
+  ExpectPrimaryIndexHolds({});
+  auto reader = db_->OpenSession(1, 1);
+  tx::TableHandle* table = *db_->GetTable(1, "users");
+  Transaction check(reader.get());
+  ASSERT_OK(check.Begin());
+  ASSERT_OK_AND_ASSIGN(
+      auto by_email, test::RidsUnderKey(&check, table, 0, {Value(Email(11))}));
+  EXPECT_EQ(by_email, std::vector<uint64_t>{rids[11]});
+  ASSERT_OK(check.Commit());
+}
+
 // An apply that loses its LL/SC aborts the commit after its fresh nodes
 // went out: they are unreachable, and the rollback erases them.
 TEST_F(SplitCommitTest, AbortAfterTheApplyErasesTheFreshNodes) {
@@ -833,14 +866,14 @@ TEST_F(SplitCommitTest, AbortAfterTheApplyErasesTheFreshNodes) {
   ExpectPrimaryIndexHolds({29, 30, 31, 32, 33, 34});
 }
 
-// The processing node dies after the round that writes the leaves and
-// shrinks the split nodes, before the round of the commit flag and the
-// separators. The commit's steps run by hand as Transaction::Commit runs
-// them — a crashed node sends no abort to its commit manager — and every
-// message from the flag's round on is lost. Recovery reverts the records
-// of the unflagged entry. The split nodes' fresh right neighbours, which
-// no parent names, are reached through right links, and the crashed
-// entries are garbage that the read path's index GC collects.
+// The processing node dies after the round that shrinks the split nodes,
+// before the round of the commit flag and the separators. The commit's
+// steps run by hand as Transaction::Commit runs them — a crashed node sends
+// no abort to its commit manager — and every message from the flag's round
+// on is lost. Recovery reverts the records of the unflagged entry. The
+// split nodes' fresh right neighbours, which no parent names, are reached
+// through right links, and the crashed entries are garbage that the read
+// path's index GC collects once the lav reaches their tag.
 class KilledBeforeTheFlagTest : public SplitCommitTest {
  protected:
   KilledBeforeTheFlagTest()
@@ -874,21 +907,22 @@ TEST_F(KilledBeforeTheFlagTest, SplitNodesStayReachable) {
                        record.Serialize(), store::kStampAbsent});
     index_ops.push_back({&table_->primary,
                          *schema::EncodeIndexKeyValues({Value(id)}), rid,
-                         /*unique=*/true});
+                         /*unique=*/true, /*remove=*/false, tid});
     index_ops.push_back({&table_->secondaries[0],
                          *schema::EncodeIndexKeyValues({Value(Email(id))}),
-                         rid, /*unique=*/true});
+                         rid, /*unique=*/true, /*remove=*/false, tid});
   }
   index::BTree::Prepared prepared;
   std::vector<Result<uint64_t>> appended, applied, flagged;
   ASSERT_OK(index::BTree::PrepareInsert(client, index_ops,
                                         {db_->transaction_log()->AppendOp(entry)},
                                         &appended, &prepared));
-  ASSERT_OK(index::BTree::PublishFresh(client, &prepared, records, &applied));
+  ASSERT_OK(
+      index::BTree::WriteFirstRound(client, &prepared, records, &applied));
   for (const Result<uint64_t>& put : applied) ASSERT_OK(put.status());
   const uint64_t splits = metrics->index_splits;
   injector_.Arm();
-  // The leaves and shrinks land; the flag and the separators are lost.
+  // The shrinks land; the flag and the separators are lost.
   (void)index::BTree::WriteInsert(
       client, &prepared, {db_->transaction_log()->MarkCommittedOp(entry)},
       &flagged);
@@ -917,6 +951,91 @@ TEST_F(KilledBeforeTheFlagTest, SplitNodesStayReachable) {
   ASSERT_OK(check.Commit());
   EXPECT_EQ(survivor->metrics()->gc_index_entries, crashed.size());
   ExpectPrimaryIndexHolds(crashed);
+}
+
+// The processing node dies right after the round that applies the records
+// and writes the leaves, before the flag; the commit splits nothing, so its
+// entries are all in. The steps run by hand, as above. Recovery reverts the
+// records; the entries stay, tagged with the dead writer's tid. A reader
+// whose lav predates the writer skips them — for it the writer may still
+// be in flight — while a reader that begins after the recovery collects
+// them, and the same unique key inserts again.
+TEST_F(SplitCommitTest, KilledAfterTheApplyRoundLeavesEntriesToTheLav) {
+  ASSERT_NO_FATAL_FAILURE(Load(kLoaded));
+  auto survivor = db_->OpenSession(1, 0);
+  tx::TableHandle* table = *db_->GetTable(1, "users");
+  sim::WorkerMetrics* metrics = survivor->metrics();
+  Transaction pinned(survivor.get());
+  ASSERT_OK(pinned.Begin());
+
+  store::StorageClient* client = session_->client();
+  Transaction txn(session_.get());
+  ASSERT_OK(txn.Begin());
+  const commitmgr::Tid tid = txn.tid();
+  // Id 11 joins the left leaf of both trees, which holds four entries.
+  constexpr int64_t kId = 11;
+  const uint64_t rid = 1000000 + kId;
+  LogEntry entry;
+  entry.tid = tid;
+  entry.pn_id = session_->pn_id();
+  entry.write_set.emplace_back(table_->meta->data_table, rid);
+  schema::VersionedRecord record;
+  record.PutVersion(tid, User(kId, Email(kId)).Serialize(table_->meta->schema));
+  std::vector<index::BatchInsertOp> index_ops = {
+      {&table_->primary, *schema::EncodeIndexKeyValues({Value(kId)}), rid,
+       /*unique=*/true, /*remove=*/false, tid},
+      {&table_->secondaries[0],
+       *schema::EncodeIndexKeyValues({Value(Email(kId))}), rid,
+       /*unique=*/true, /*remove=*/false, tid}};
+  index::BTree::Prepared prepared;
+  std::vector<Result<uint64_t>> appended, applied;
+  ASSERT_OK(index::BTree::PrepareInsert(
+      client, index_ops, {db_->transaction_log()->AppendOp(entry)}, &appended,
+      &prepared));
+  ASSERT_OK(index::BTree::WriteFirstRound(
+      client, &prepared,
+      {{table_->meta->data_table, EncodeOrderedU64(rid), record.Serialize(),
+        store::kStampAbsent}},
+      &applied));
+  for (const Result<uint64_t>& put : applied) ASSERT_OK(put.status());
+  EXPECT_EQ(prepared.inserted(), std::vector<bool>(index_ops.size(), true));
+  ASSERT_OK(db_->KillProcessingNode(0).status());
+  EXPECT_FALSE(HasVersionOf(db_.get(), table_->meta->data_table, tid));
+
+  // The pinned reader finds no row and leaves the entry alone.
+  ASSERT_OK_AND_ASSIGN(auto row, pinned.ReadByKey(table, {Value(kId)}));
+  EXPECT_FALSE(row.has_value());
+  ASSERT_OK(pinned.Commit());
+  EXPECT_EQ(metrics->index_gc_deferred, 1u);
+  EXPECT_EQ(metrics->gc_index_entries, 0u);
+
+  // A reader that begins after the recovery collects it.
+  {
+    Transaction check(survivor.get());
+    ASSERT_OK(check.Begin());
+    ASSERT_OK_AND_ASSIGN(row, check.ReadByKey(table, {Value(kId)}));
+    EXPECT_FALSE(row.has_value());
+    ASSERT_OK(check.Commit());
+  }
+  EXPECT_EQ(metrics->gc_index_entries, 1u);
+
+  // The email's entry is still in its unique tree: the insert of the same
+  // id and email meets it, finds its record gone and removes it in the
+  // same batch.
+  Transaction again(survivor.get());
+  ASSERT_OK(again.Begin());
+  ASSERT_OK_AND_ASSIGN(committed_[kId],
+                       again.Insert(table, User(kId, Email(kId)), false));
+  ASSERT_OK(again.Commit());
+  EXPECT_EQ(metrics->gc_index_entries, 2u);
+  ExpectPrimaryIndexHolds({});
+  Transaction check(survivor.get());
+  ASSERT_OK(check.Begin());
+  ASSERT_OK_AND_ASSIGN(
+      auto by_email,
+      test::RidsUnderKey(&check, table, 0, {Value(Email(kId))}));
+  EXPECT_EQ(by_email, std::vector<uint64_t>{committed_[kId]});
+  ASSERT_OK(check.Commit());
 }
 
 // PN 1 splits the rightmost leaf of both trees under PN 0's cached roots.

@@ -575,11 +575,12 @@ TEST_F(TransactionTest, CommitManagerProtocolChargesOneMessagePerBegin) {
   EXPECT_GT(m->cm_delta_bytes_saved, 0u);
 }
 
-TEST_F(TransactionTest, CommitWithIndexOpsCostsFourCalls) {
+TEST_F(TransactionTest, CommitWithIndexOpsCostsThreeCalls) {
   // Commit step 3a, the descent to every leaf the index ops touch, shares
-  // its first call with the log append; then come the apply, the leaf
-  // writes and the commit flag. Were the log put issued alone, each commit
-  // below would cost five calls.
+  // its first call with the log append; the leaf writes share the apply's;
+  // then comes the commit flag. Were the log put issued alone, or the
+  // leaves written after the apply, each commit below would cost four
+  // calls.
   MustInsert(1, "alice", 1.0);  // both trees' root leaves exist
   sim::WorkerMetrics* metrics = session_->metrics();
 
@@ -591,7 +592,7 @@ TEST_F(TransactionTest, CommitWithIndexOpsCostsFourCalls) {
   uint64_t calls = metrics->pipeline_flushes;
   uint64_t appends = metrics->log_appends;
   ASSERT_OK(insert.Commit());
-  EXPECT_EQ(metrics->pipeline_flushes - calls, 4u);
+  EXPECT_EQ(metrics->pipeline_flushes - calls, 3u);
   EXPECT_EQ(metrics->log_appends - appends, 1u);
 
   // One tree: a new name is the only index op, which still rides the log
@@ -601,7 +602,7 @@ TEST_F(TransactionTest, CommitWithIndexOpsCostsFourCalls) {
   ASSERT_OK(rename.Update(table_, rid, Account(2, "robert", 2.0)));
   calls = metrics->pipeline_flushes;
   ASSERT_OK(rename.Commit());
-  EXPECT_EQ(metrics->pipeline_flushes - calls, 4u);
+  EXPECT_EQ(metrics->pipeline_flushes - calls, 3u);
 
   Transaction check(session_.get());
   ASSERT_OK(check.Begin());
@@ -655,6 +656,168 @@ TEST_F(TransactionTest, WriteWriteAbortRevertsInOneReadAndOneWrite) {
     EXPECT_EQ(rows[i]->GetDouble(2), i == 2 ? 99.0 : 10.0) << "record " << i;
   }
   ASSERT_OK(check.Commit());
+}
+
+TEST_F(TransactionTest, AbortAfterTheApplyTakesItsEntriesBackInTheRevert) {
+  const uint64_t contended = MustInsert(1, "alice", 1.0);
+  auto session2 = db_->OpenSession(1, 1);
+  auto table2 = db_->GetTable(1, "accounts");
+  ASSERT_TRUE(table2.ok());
+  Transaction loser(session_.get());
+  ASSERT_OK(loser.Begin());
+  ASSERT_OK_AND_ASSIGN(uint64_t rid,
+                       loser.Insert(table_, Account(2, "bob", 2.0)));
+  ASSERT_OK(loser.Update(table_, contended, Account(1, "alice", 0.0)));
+  Transaction winner(session2.get());
+  ASSERT_OK(winner.Begin());
+  ASSERT_OK(winner.Update(*table2, contended, Account(1, "alice", 9.0)));
+  ASSERT_OK(winner.Commit());
+
+  sim::WorkerMetrics* metrics = session_->metrics();
+  const uint64_t calls = metrics->pipeline_flushes;
+  Status st = loser.Commit();
+  EXPECT_TRUE(st.IsAborted()) << st.ToString();
+  // The log append with the leaf reads, the apply with the leaf writes —
+  // it loses the contended record — then the revert: one read of both
+  // records, with a put of each leaf without the entries it got, and one
+  // write of the revert.
+  EXPECT_EQ(metrics->pipeline_flushes - calls, 4u);
+  EXPECT_EQ(metrics->index_rollbacks, 2u);
+  EXPECT_EQ(metrics->rollback_unresolved, 0u);
+  const std::string key = *schema::EncodeIndexKeyValues({Value(int64_t{2})});
+  EXPECT_TRUE(table_->primary.Lookup(session_->client(), key)->empty());
+  const std::string name =
+      *schema::EncodeIndexKeyValues({Value(std::string("bob"))});
+  EXPECT_TRUE(table_->secondaries[0].Lookup(session_->client(), name)->empty());
+  Transaction check(session_.get());
+  ASSERT_OK(check.Begin());
+  ASSERT_OK_AND_ASSIGN(auto row, check.Read(table_, rid));
+  EXPECT_FALSE(row.has_value());
+  ASSERT_OK(check.Commit());
+}
+
+// ---------------------------------------------------------------------------
+// Tagged index entries: an entry carries its writer's tid, and the read
+// path's GC collects an obsolete-looking entry only once that tid is at or
+// below the reader's lav.
+
+TEST_F(TransactionTest, KeyChangedBackKeepsItsEntry) {
+  // A row inserted as "a" is renamed "b" and updated twice more: eager GC
+  // drops its "a" version, but the (a, rid) entry stays.
+  const uint64_t rid = MustInsert(1, "a", 1.0);
+  for (double balance : {2.0, 3.0, 4.0}) {
+    Transaction update(session_.get());
+    ASSERT_OK(update.Begin());
+    ASSERT_OK(update.Update(table_, rid, Account(1, "b", balance)));
+    ASSERT_OK(update.Commit());
+  }
+  const Value a(std::string("a"));
+  // A reader finds no version carrying "a" and queues the entry's removal.
+  auto reader_session = db_->OpenSession(0, 1);
+  Transaction reader(reader_session.get());
+  ASSERT_OK(reader.Begin());
+  ASSERT_OK_AND_ASSIGN(auto before,
+                       test::RidsUnderKey(&reader, table_, 0, {a}));
+  EXPECT_TRUE(before.empty());
+  // A writer on a third session renames the row back to "a" and commits.
+  // The entry is present already: its insert raises the entry's tag.
+  auto writer_session = db_->OpenSession(0, 2);
+  Transaction writer(writer_session.get());
+  ASSERT_OK(writer.Begin());
+  ASSERT_OK(writer.Update(table_, rid, Account(1, "a", 5.0)));
+  ASSERT_OK(writer.Commit());
+  // The reader's removal names the tag it saw, so it leaves the entry.
+  ASSERT_OK(reader.Commit());
+
+  Transaction check(session_.get());
+  ASSERT_OK(check.Begin());
+  ASSERT_OK_AND_ASSIGN(auto rids, test::RidsUnderKey(&check, table_, 0, {a}));
+  EXPECT_EQ(rids, std::vector<uint64_t>{rid});
+  ASSERT_OK(check.Commit());
+}
+
+TEST_F(TransactionTest, DeletedUniqueKeyInsertsAgainWithoutTheCheck) {
+  const uint64_t dead = MustInsert(50, "gone", 1.0);
+  {
+    Transaction del(session_.get());
+    ASSERT_OK(del.Begin());
+    ASSERT_OK(del.Delete(table_, dead));
+    ASSERT_OK(del.Commit());
+  }
+  // Three more commits move the lav past the delete: the row is dead for
+  // every snapshot, and nothing has read its entry since.
+  for (int64_t id : {51, 52, 53}) MustInsert(id, "other", 1.0);
+
+  sim::WorkerMetrics* metrics = session_->metrics();
+  Transaction txn(session_.get());
+  ASSERT_OK(txn.Begin());
+  ASSERT_OK_AND_ASSIGN(
+      uint64_t rid,
+      txn.Insert(table_, Account(50, "again", 2.0), /*check_unique=*/false));
+  const uint64_t calls = metrics->pipeline_flushes;
+  const uint64_t collected = metrics->gc_index_entries;
+  ASSERT_OK(txn.Commit());
+  // The first round finds key 50 held by the dead row: one record round
+  // validates it, one leaf round prepares its removal ahead of the insert,
+  // then the apply with the leaves, and the flag.
+  EXPECT_EQ(metrics->pipeline_flushes - calls, 5u);
+  EXPECT_EQ(metrics->gc_index_entries - collected, 1u);
+
+  Transaction check(session_.get());
+  ASSERT_OK(check.Begin());
+  ASSERT_OK_AND_ASSIGN(auto row, check.ReadByKey(table_, {Value(int64_t{50})}));
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ(row->GetString(1), "again");
+  ASSERT_OK_AND_ASSIGN(
+      auto rids, test::RidsUnderKey(&check, table_, -1, {Value(int64_t{50})}));
+  EXPECT_EQ(rids, std::vector<uint64_t>{rid});
+  ASSERT_OK(check.Commit());
+}
+
+TEST_F(TransactionTest, EntryOfAWriterInFlightSurvivesReaders) {
+  MustInsert(1, "alice", 1.0);
+  // A writer in flight whose entry landed before its record — the round
+  // that applies its records may deliver the leaf first: the entry carries
+  // the writer's tid, and no record sits under its rid.
+  Transaction writer(session_.get());
+  ASSERT_OK(writer.Begin());
+  const std::string key = *schema::EncodeIndexKeyValues({Value(int64_t{77})});
+  constexpr uint64_t kRid = 987654;
+  std::vector<bool> inserted;
+  ASSERT_OK(index::BTree::BatchInsert(
+      session_->client(),
+      {{&table_->primary, key, kRid, /*unique=*/true, /*remove=*/false,
+        writer.tid()}},
+      &inserted));
+  auto entries = [&] {
+    return *table_->primary.Lookup(session_->client(), key);
+  };
+
+  // A reader meets the entry, finds no record and skips it: the writer may
+  // still apply its record.
+  auto reader_session = db_->OpenSession(1, 1);
+  tx::TableHandle* table = *db_->GetTable(1, "accounts");
+  sim::WorkerMetrics* metrics = reader_session->metrics();
+  auto read = [&] {
+    Transaction reader(reader_session.get());
+    ASSERT_OK(reader.Begin());
+    ASSERT_OK_AND_ASSIGN(auto rids, test::RidsUnderKey(&reader, table, -1,
+                                                       {Value(int64_t{77})}));
+    EXPECT_TRUE(rids.empty());
+    ASSERT_OK(reader.Commit());
+  };
+  ASSERT_NO_FATAL_FAILURE(read());
+  EXPECT_EQ(entries(), std::vector<uint64_t>{kRid});
+  EXPECT_EQ(metrics->index_gc_deferred, 1u);
+  EXPECT_EQ(metrics->gc_index_entries, 0u);
+
+  // The writer aborts without taking the entry back, as a crashed one
+  // would. Once the lav passes its tid, the next reader collects it.
+  ASSERT_OK(writer.Abort());
+  ASSERT_NO_FATAL_FAILURE(read());
+  EXPECT_EQ(metrics->index_gc_deferred, 1u);
+  EXPECT_EQ(metrics->gc_index_entries, 1u);
+  EXPECT_TRUE(entries().empty());
 }
 
 // ---------------------------------------------------------------------------
