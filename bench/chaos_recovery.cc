@@ -10,8 +10,8 @@
 //     election timeout every election charged to the electing worker —
 //     and kills_injected counts the fired kill rules;
 //   * migrate_under_load — a stock partition's master copy moves to
-//     another storage node while the workload runs (bulk copy, catch-up
-//     deltas, freeze/seal cut-over). migration_dip_pct is the committed-
+//     another storage node while the workload runs (watermarked copy
+//     rounds, seal cut-over). migration_dip_pct is the committed-
 //     throughput dip vs the baseline run on the same virtual window.
 //
 // tools/check_bench_json.py enforces the coherence of the new derived
@@ -83,8 +83,9 @@ int main() {
 
     // The migration races the workload on real threads: pick the stock
     // partition that owns warehouse 1 and move its master one node over
-    // while the drivers run. Frozen-window writes bounce into the client
-    // retry loop; the dip is whatever that plus the copy traffic costs.
+    // while the drivers run. Writes that meet the sealed source bounce into
+    // the client retry loop; the dip is whatever that plus the copy traffic
+    // costs.
     std::thread migrator;
     if (migrate) {
       auto tables = tpcc::OpenTpccTables(fixture.db(), 0);

@@ -368,10 +368,11 @@ struct BTree::NodeEdit {
   std::vector<IndexEntry> entries;
   /// Inner nodes above `base`, root first.
   std::vector<NodeRef> path;
-  /// The BatchInsert ops a leaf edit carries, and those of them whose entry
-  /// it adds.
+  /// The BatchInsert ops a leaf edit carries, those of them whose entry it
+  /// adds, and the removes whose entry it takes out.
   std::vector<size_t> ops;
   std::vector<size_t> created;
+  std::vector<size_t> removed;
   /// The separators an inner edit carries.
   std::vector<Separator> separators;
   /// The plan: the nodes a split publishes first under fresh ids, then the
@@ -816,6 +817,7 @@ Status BTree::PrepareLeafEdits(
         if (present != nullptr && present->tag <= op.tag) {
           copy.entries.erase(copy.entries.begin() +
                              static_cast<ptrdiff_t>(pos));
+          group.removed.push_back(i);
           changed = true;
         }
         applied.push_back(i);
@@ -1212,6 +1214,7 @@ Status BTree::WriteRound(store::StorageClient* client, Prepared* prepared,
     if (landed[e]) {
       for (size_t i : edit.ops) prepared->inserted_[i] = true;
       for (size_t i : edit.created) prepared->created_[i] = true;
+      for (size_t i : edit.removed) prepared->removed_[i] = true;
       if (!edit.created.empty() && edit.fresh.empty()) {
         prepared->landed_.push_back(std::move(edit));
       }
@@ -1255,11 +1258,13 @@ Status BTree::PrepareNextEdits(store::StorageClient* client,
 
 Status BTree::BatchInsert(store::StorageClient* client,
                           const std::vector<BatchInsertOp>& ops,
-                          std::vector<bool>* inserted) {
+                          std::vector<bool>* inserted,
+                          std::vector<bool>* removed) {
   Prepared prepared;
   Status st = PrepareInsert(client, ops, {}, nullptr, &prepared);
   if (st.ok()) st = WriteInsert(client, &prepared);
   *inserted = std::move(prepared.inserted_);
+  if (removed != nullptr) *removed = std::move(prepared.removed_);
   return st;
 }
 
@@ -1272,6 +1277,7 @@ Status BTree::PrepareInsert(store::StorageClient* client,
   prepared->ops_ = std::move(ops);
   prepared->inserted_.assign(prepared->ops_.size(), false);
   prepared->created_.assign(prepared->ops_.size(), false);
+  prepared->removed_.assign(prepared->ops_.size(), false);
   std::vector<size_t> all(prepared->ops_.size());
   for (size_t i = 0; i < all.size(); ++i) all[i] = i;
   TELL_RETURN_NOT_OK(

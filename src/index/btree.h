@@ -281,10 +281,13 @@ class BTree {
   /// `inserted` (resized to ops.size()) reports per op whether it took
   /// effect when the call returns — an insert's entry is durably in its
   /// tree, a remove's entry is gone or carries a higher tag. On failure the
-  /// caller uses it to undo a partial batch. PrepareInsert + WriteInsert.
+  /// caller uses it to undo a partial batch. `removed` (optional) reports
+  /// per op whether it is a remove that took its entry out (see
+  /// Prepared::removed). PrepareInsert + WriteInsert.
   static Status BatchInsert(store::StorageClient* client,
                             const std::vector<BatchInsertOp>& ops,
-                            std::vector<bool>* inserted);
+                            std::vector<bool>* inserted,
+                            std::vector<bool>* removed = nullptr);
 
   /// A BatchInsert between its steps.
   class Prepared;
@@ -545,6 +548,10 @@ class BTree::Prepared {
   /// is not: a caller that abandons the batch leaves it, since it may name
   /// a version some snapshot reads.
   const std::vector<bool>& created() const { return created_; }
+  /// Per op: a remove in effect whose entry this batch took out. A remove
+  /// that found its entry absent, or tagged above the tag it names, is in
+  /// effect but removed nothing.
+  const std::vector<bool>& removed() const { return removed_; }
   /// After PrepareInsert failed on a unique violation: every entry that
   /// holds a violated key under another rid, as the remove op that would
   /// take it out (its tree, key, rid and tag).
@@ -555,6 +562,7 @@ class BTree::Prepared {
   std::vector<BatchInsertOp> ops_;
   std::vector<bool> inserted_;
   std::vector<bool> created_;
+  std::vector<bool> removed_;
   std::vector<BatchInsertOp> conflicts_;
   /// The next round's edits, planned.
   std::vector<NodeEdit> edits_;

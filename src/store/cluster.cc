@@ -60,7 +60,7 @@ Result<Cluster::Route> Cluster::RouteForPartition(TableId table,
                         partition_map_.PlacementOf(table, partition));
   Route route;
   route.partition = partition;
-  route.write_frozen = placement.write_frozen;
+  route.version = placement.version;
   route.master = const_cast<StorageNode*>(nodes_[placement.master].get());
   if (!route.master->alive()) {
     return Status::Unavailable("master of partition is down");
@@ -85,21 +85,16 @@ Result<VersionedCell> Cluster::OneSidedGet(TableId table,
 
 Result<uint64_t> Cluster::Write(const WriteOp& op) {
   TELL_ASSIGN_OR_RETURN(Route route, RouteFor(op.table, op.key));
-  if (route.write_frozen) {
-    return Status::Unavailable("partition write-frozen for migration");
-  }
-  return route.master->Write(route.partition, op, route.replicas);
+  return route.master->Write(route.partition, op, route.replicas,
+                             route.version);
 }
 
 Result<int64_t> Cluster::AtomicIncrement(TableId table, std::string_view key,
                                          int64_t delta) {
   TELL_ASSIGN_OR_RETURN(Route route, RouteFor(table, key));
-  if (route.write_frozen) {
-    return Status::Unavailable("partition write-frozen for migration");
-  }
   // The counter cell is replicated so it survives master failure.
   return route.master->AtomicIncrement(table, route.partition, key, delta,
-                                       route.replicas);
+                                       route.replicas, route.version);
 }
 
 Status Cluster::FragmentScan(TableId table, uint32_t partition,

@@ -108,9 +108,8 @@ class Cluster {
     uint32_t partition;
     StorageNode* master;
     std::vector<StorageNode*> replicas;
-    /// Migration cut-over window: write ops bounce with Unavailable (the
-    /// client RetryPolicy re-routes them after the map unfreezes).
-    bool write_frozen = false;
+    /// The placement's version; writes carry it to the master's fence.
+    uint64_t version = 0;
   };
   Result<Route> RouteFor(TableId table, std::string_view key) const;
   Result<Route> RouteForPartition(TableId table, uint32_t partition) const;

@@ -56,7 +56,7 @@ Status ManagementNode::RecoverNode(uint32_t node_id) {
           std::to_string(table) + " partition " + std::to_string(partition) +
           ")");
     }
-    TELL_RETURN_NOT_OK(map.PromoteReplica(table, partition, promoted));
+    TELL_RETURN_NOT_OK(map.MovePartitionMaster(table, partition, promoted));
   }
   return Status::OK();
 }
@@ -87,11 +87,9 @@ Status ManagementNode::RestoreReplicationLevel() {
         break;
       }
       if (candidate == UINT32_MAX) break;  // not enough live nodes
-      TELL_ASSIGN_OR_RETURN(std::vector<KeyCell> cells,
-                            master->DumpPartition(table, partition));
-      TELL_RETURN_NOT_OK(
-          cluster_->node(candidate)->InstallPartition(table, partition, cells));
-      TELL_RETURN_NOT_OK(map.AddReplica(table, partition, candidate));
+      MigrationStats copied;
+      TELL_RETURN_NOT_OK(CopyPartition(table, partition, candidate,
+                                       CutOver::kAddReplica, &copied));
       placement.replicas.push_back(candidate);
       ++live_copies;
       TELL_LOG(kInfo) << "re-replicated table " << table << " partition "
@@ -99,6 +97,102 @@ Status ManagementNode::RestoreReplicationLevel() {
     }
   }
   return Status::OK();
+}
+
+namespace {
+
+/// Rounds before the seal; the first, from watermark 0, is the bulk copy.
+/// Under steady load the delta stops shrinking, so the count is bounded.
+constexpr uint32_t kCopyRounds = 5;
+
+/// Copies `src`'s partition onto `dest` up to the sealed final delta.
+/// Migration logging must be on at `src`.
+Status CopyUntilSealed(StorageNode* src, StorageNode* dest, TableId table,
+                       uint32_t partition, MigrationStats* stats) {
+  uint64_t watermark = 0;
+  for (uint32_t round = 0; round < kCopyRounds; ++round) {
+    // Watermark before the dump: any write the dump misses carries a stamp
+    // >= `next_watermark` and is caught by the next round.
+    TELL_ASSIGN_OR_RETURN(uint64_t next_watermark,
+                          src->PartitionNextStamp(table, partition));
+    TELL_ASSIGN_OR_RETURN(std::vector<KeyCell> delta,
+                          src->DumpPartition(table, partition, watermark));
+    TELL_ASSIGN_OR_RETURN(std::vector<MigrationOp> erases,
+                          src->ErasesSince(table, partition, watermark));
+    if (delta.empty() && erases.empty()) break;
+    const size_t puts = delta.size();
+    std::vector<MigrationOp> ops;
+    ops.reserve(delta.size() + erases.size());
+    for (KeyCell& cell : delta) {
+      ops.push_back(
+          {std::move(cell.key), std::move(cell.value), cell.stamp, false});
+    }
+    ops.insert(ops.end(), std::make_move_iterator(erases.begin()),
+               std::make_move_iterator(erases.end()));
+    std::sort(ops.begin(), ops.end(),
+              [](const MigrationOp& a, const MigrationOp& b) {
+                return a.stamp < b.stamp;
+              });
+    TELL_RETURN_NOT_OK(dest->InstallMigrationDelta(table, partition, ops,
+                                                   &stats->erases_applied));
+    if (round == 0) {
+      stats->cells_copied += puts;
+    } else {
+      ++stats->delta_rounds;
+      stats->delta_cells += puts;
+    }
+    watermark = next_watermark;
+  }
+  // The seal waits out in-flight writes, so the final delta includes them.
+  TELL_ASSIGN_OR_RETURN(std::vector<MigrationOp> final_ops,
+                        src->SealPartitionAndDump(table, partition, watermark));
+  TELL_RETURN_NOT_OK(dest->InstallMigrationDelta(table, partition, final_ops,
+                                                 &stats->erases_applied));
+  ++stats->delta_rounds;
+  for (const MigrationOp& op : final_ops) {
+    if (!op.is_erase) ++stats->delta_cells;
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status ManagementNode::CopyPartition(TableId table, uint32_t partition,
+                                     uint32_t dest_node, CutOver cut_over,
+                                     MigrationStats* stats) {
+  PartitionMap& map = cluster_->partition_map();
+  TELL_ASSIGN_OR_RETURN(PartitionPlacement placement,
+                        map.PlacementOf(table, partition));
+  StorageNode* src = cluster_->node(placement.master);
+  StorageNode* dest = cluster_->node(dest_node);
+  // A node outside the placement may hold a stale copy (an old sealed
+  // source, or a revived node), so it starts empty. A backup keeps its copy.
+  if (std::find(placement.replicas.begin(), placement.replicas.end(),
+                dest_node) == placement.replicas.end()) {
+    TELL_RETURN_NOT_OK(dest->ResetPartition(table, partition));
+  }
+  // Erase journaling starts BEFORE the first watermark read and dump, so
+  // nothing disappearing after this point goes unrecorded.
+  TELL_RETURN_NOT_OK(src->BeginMigrationLogging(table, partition));
+  Status st = CopyUntilSealed(src, dest, table, partition, stats);
+  if (st.ok()) {
+    st = cut_over == CutOver::kMoveMaster
+             ? map.MovePartitionMaster(table, partition, dest_node)
+             : map.AddReplica(table, partition, dest_node);
+  }
+  if (!st.ok()) {
+    // The route did not change: the source stays master and takes writes
+    // again on the routes it took them on before.
+    (void)src->EndMigrationLogging(table, partition);
+    (void)src->OpenPartition(table, partition, placement.version);
+    return st;
+  }
+  if (cut_over == CutOver::kMoveMaster) return Status::OK();
+  // Reopen the source only to routes that name the new backup: a write
+  // routed before AddReplica would skip it, so it bounces and retries.
+  TELL_ASSIGN_OR_RETURN(PartitionPlacement grown,
+                        map.PlacementOf(table, partition));
+  return src->OpenPartition(table, partition, grown.version);
 }
 
 Status ManagementNode::MigratePartition(TableId table, uint32_t partition,
@@ -113,9 +207,8 @@ Status ManagementNode::MigratePartition(TableId table, uint32_t partition,
   if (dest_node >= cluster_->num_nodes()) {
     return Status::InvalidArgument("no such destination node");
   }
-  StorageNode* src = cluster_->node(placement.master);
-  StorageNode* dest = cluster_->node(dest_node);
-  if (!src->alive() || !dest->alive()) {
+  if (!cluster_->node(placement.master)->alive() ||
+      !cluster_->node(dest_node)->alive()) {
     return Status::Unavailable("migration needs both endpoints alive");
   }
   {
@@ -125,98 +218,17 @@ Status ManagementNode::MigratePartition(TableId table, uint32_t partition,
   TELL_LOG(kInfo) << "migrating table " << table << " partition " << partition
                   << " from node " << placement.master << " to node "
                   << dest_node;
-
-  // Phase 1 — bulk copy. Erase journaling starts BEFORE the watermark read
-  // and the dump, so nothing disappearing after this point goes unrecorded.
-  TELL_RETURN_NOT_OK(src->BeginMigrationLogging(table, partition));
-  // Watermark before the dump: any write the dump misses carries a stamp
-  // >= `watermark` and is caught by the next round.
-  TELL_ASSIGN_OR_RETURN(uint64_t watermark,
-                        src->PartitionNextStamp(table, partition));
-  TELL_ASSIGN_OR_RETURN(std::vector<KeyCell> cells,
-                        src->DumpPartition(table, partition));
-  Status st = dest->InstallPartition(table, partition, cells);
-  if (!st.ok()) {
-    (void)src->EndMigrationLogging(table, partition);
-    return st;
-  }
+  MigrationStats copied;
+  Status st = CopyPartition(table, partition, dest_node, CutOver::kMoveMaster,
+                            &copied);
   {
     std::lock_guard<std::mutex> mlock(migration_mutex_);
-    migration_stats_.cells_copied += cells.size();
+    migration_stats_.Accumulate(copied);
+    if (st.ok()) ++migration_stats_.completed;
   }
-
-  // Phase 2 — catch-up rounds while writes continue. Each round ships what
-  // changed since the previous watermark; under steady load the delta stops
-  // shrinking, so the round count is bounded and the remainder moves inside
-  // the freeze.
-  for (uint32_t round = 0; round < 4; ++round) {
-    TELL_ASSIGN_OR_RETURN(uint64_t next_watermark,
-                          src->PartitionNextStamp(table, partition));
-    TELL_ASSIGN_OR_RETURN(std::vector<KeyCell> delta,
-                          src->DumpPartition(table, partition, watermark));
-    TELL_ASSIGN_OR_RETURN(std::vector<MigrationOp> erases,
-                          src->ErasesSince(table, partition, watermark));
-    if (delta.empty() && erases.empty()) break;
-    std::vector<MigrationOp> ops;
-    ops.reserve(delta.size() + erases.size());
-    for (KeyCell& cell : delta) {
-      ops.push_back(
-          {std::move(cell.key), std::move(cell.value), cell.stamp, false});
-    }
-    ops.insert(ops.end(), std::make_move_iterator(erases.begin()),
-               std::make_move_iterator(erases.end()));
-    std::sort(ops.begin(), ops.end(),
-              [](const MigrationOp& a, const MigrationOp& b) {
-                return a.stamp < b.stamp;
-              });
-    uint64_t erases_applied = 0;
-    st = dest->InstallMigrationDelta(table, partition, ops, &erases_applied);
-    if (!st.ok()) {
-      (void)src->EndMigrationLogging(table, partition);
-      return st;
-    }
-    {
-      std::lock_guard<std::mutex> mlock(migration_mutex_);
-      ++migration_stats_.delta_rounds;
-      migration_stats_.delta_cells += delta.size();
-      migration_stats_.erases_applied += erases_applied;
-    }
-    watermark = next_watermark;
-  }
-
-  // Phase 3 — cut-over. Freeze routes (new writes bounce and retry), then
-  // seal the source under every stripe lock: in-flight writes that raced
-  // the freeze have finished by the time the seal holds all locks, and the
-  // sealed final delta includes them. After this the source image is final.
-  TELL_RETURN_NOT_OK(map.FreezeWrites(table, partition));
-  auto final_ops = src->SealPartitionAndDump(table, partition, watermark);
-  if (!final_ops.ok()) {
-    (void)map.UnfreezeWrites(table, partition);
-    (void)src->EndMigrationLogging(table, partition);
-    return final_ops.status();
-  }
-  uint64_t erases_applied = 0;
-  st = dest->InstallMigrationDelta(table, partition, *final_ops,
-                                   &erases_applied);
-  if (!st.ok()) {
-    // The source is sealed and the map frozen — this partition cannot
-    // accept writes until an operator intervenes. Surface the error rather
-    // than unfreeze onto a sealed master.
-    return st;
-  }
-  TELL_RETURN_NOT_OK(map.MovePartitionMaster(table, partition, dest_node));
-  TELL_RETURN_NOT_OK(map.UnfreezeWrites(table, partition));
-  {
-    std::lock_guard<std::mutex> mlock(migration_mutex_);
-    ++migration_stats_.delta_rounds;
-    for (const MigrationOp& op : *final_ops) {
-      if (!op.is_erase) ++migration_stats_.delta_cells;
-    }
-    migration_stats_.erases_applied += erases_applied;
-    ++migration_stats_.completed;
-  }
+  TELL_RETURN_NOT_OK(st);
   TELL_LOG(kInfo) << "migration of table " << table << " partition "
-                  << partition << " complete (" << cells.size()
+                  << partition << " complete (" << copied.cells_copied
                   << " cells bulk-copied)";
   return Status::OK();
 }

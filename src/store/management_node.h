@@ -16,9 +16,9 @@ namespace tell::store {
 struct MigrationStats : StatTable<MigrationStats> {
   uint64_t started = 0;
   uint64_t completed = 0;
-  /// Cells moved by the initial bulk copies.
+  /// Cells moved by the first round of each copy (the bulk copy).
   uint64_t cells_copied = 0;
-  /// Catch-up delta rounds run (including the sealed final round).
+  /// Rounds run after the bulk copy, the sealed final round included.
   uint64_t delta_rounds = 0;
   /// Put cells shipped by catch-up deltas.
   uint64_t delta_cells = 0;
@@ -73,20 +73,31 @@ class ManagementNode {
   bool ReplicationLevelRestored() const;
 
   /// Moves one partition's master copy to `dest_node` while writes continue
-  /// (live migration; state machine in docs/RECOVERY.md). Bulk copy, then
-  /// stamp-watermarked catch-up delta rounds, then a brief write freeze for
-  /// the sealed final delta and the atomic master re-point. Readers and
-  /// writers follow the partition map to the destination; the source copy
-  /// stays sealed. Runs under the recovery mutex — one topology change at a
-  /// time.
+  /// (live migration): CopyPartition, cut over by re-pointing the master.
+  /// Readers and writers follow the partition map to the destination; the
+  /// source copy stays sealed. Runs under the recovery mutex — one topology
+  /// change at a time.
   Status MigratePartition(TableId table, uint32_t partition,
                           uint32_t dest_node);
 
   MigrationStats migration_stats() const;
 
  private:
+  /// How a partition copy ends once the destination holds the sealed image.
+  enum class CutOver {
+    kMoveMaster,  // the destination becomes master; the source stays sealed
+    kAddReplica,  // the destination joins as a backup; the source reopens
+  };
+
   Status RecoverNode(uint32_t node_id);
   Status RestoreReplicationLevel();
+
+  /// The one partition-copy protocol of migration and re-replication
+  /// (docs/RECOVERY.md): empty the destination unless it is a backup,
+  /// watermarked rounds from 0, seal, final delta, then `cut_over`. A copy
+  /// that fails before the route changes leaves the source master and open.
+  Status CopyPartition(TableId table, uint32_t partition, uint32_t dest_node,
+                       CutOver cut_over, MigrationStats* stats);
 
   Cluster* const cluster_;
   std::mutex recovery_mutex_;

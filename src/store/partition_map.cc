@@ -68,25 +68,6 @@ Result<PartitionPlacement> PartitionMap::PlacementOf(TableId table,
   return it->second.placements[partition];
 }
 
-Status PartitionMap::PromoteReplica(TableId table, uint32_t partition,
-                                    uint32_t new_master) {
-  std::unique_lock lock(mutex_);
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("table not mapped");
-  if (partition >= it->second.num_partitions) {
-    return Status::InvalidArgument("partition out of range");
-  }
-  PartitionPlacement& placement = it->second.placements[partition];
-  auto rit = std::find(placement.replicas.begin(), placement.replicas.end(),
-                       new_master);
-  if (rit == placement.replicas.end()) {
-    return Status::InvalidArgument("node is not a replica of this partition");
-  }
-  placement.replicas.erase(rit);
-  placement.master = new_master;
-  return Status::OK();
-}
-
 Status PartitionMap::AddReplica(TableId table, uint32_t partition,
                                 uint32_t node_id) {
   std::unique_lock lock(mutex_);
@@ -102,28 +83,7 @@ Status PartitionMap::AddReplica(TableId table, uint32_t partition,
     return Status::AlreadyExists("node already hosts this partition");
   }
   placement.replicas.push_back(node_id);
-  return Status::OK();
-}
-
-Status PartitionMap::FreezeWrites(TableId table, uint32_t partition) {
-  std::unique_lock lock(mutex_);
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("table not mapped");
-  if (partition >= it->second.num_partitions) {
-    return Status::InvalidArgument("partition out of range");
-  }
-  it->second.placements[partition].write_frozen = true;
-  return Status::OK();
-}
-
-Status PartitionMap::UnfreezeWrites(TableId table, uint32_t partition) {
-  std::unique_lock lock(mutex_);
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("table not mapped");
-  if (partition >= it->second.num_partitions) {
-    return Status::InvalidArgument("partition out of range");
-  }
-  it->second.placements[partition].write_frozen = false;
+  ++placement.version;
   return Status::OK();
 }
 
@@ -143,6 +103,7 @@ Status PartitionMap::MovePartitionMaster(TableId table, uint32_t partition,
                                        placement.replicas.end(), new_master),
                            placement.replicas.end());
   placement.master = new_master;
+  ++placement.version;
   return Status::OK();
 }
 
@@ -153,12 +114,15 @@ std::vector<std::pair<TableId, uint32_t>> PartitionMap::RemoveNode(
   for (auto& [table, info] : tables_) {
     for (uint32_t p = 0; p < info.num_partitions; ++p) {
       PartitionPlacement& placement = info.placements[p];
+      auto gone = std::remove(placement.replicas.begin(),
+                              placement.replicas.end(), node_id);
       if (placement.master == node_id) {
         orphaned_masters.emplace_back(table, p);
+      } else if (gone == placement.replicas.end()) {
+        continue;
       }
-      placement.replicas.erase(std::remove(placement.replicas.begin(),
-                                           placement.replicas.end(), node_id),
-                               placement.replicas.end());
+      placement.replicas.erase(gone, placement.replicas.end());
+      ++placement.version;
     }
   }
   return orphaned_masters;

@@ -18,10 +18,9 @@ namespace tell::store {
 struct PartitionPlacement {
   uint32_t master = 0;
   std::vector<uint32_t> replicas;  // backup node ids, excludes master
-  /// Writes are fenced off (Unavailable, clients retry) — the cut-over
-  /// window of a live migration. Reads stay allowed: the data is static
-  /// while frozen.
-  bool write_frozen = false;
+  /// Bumped by every change to this placement. Writes carry the version
+  /// they were routed by to the master's fence (StorageNode::OpenPartition).
+  uint64_t version = 0;
 };
 
 /// The lookup service of the storage layer (paper §2.1: "a mechanism is
@@ -33,7 +32,8 @@ struct PartitionPlacement {
 /// scheme RamCloud uses for its tables. Each partition has a master copy and
 /// RF-1 synchronously maintained backups on distinct nodes.
 ///
-/// The map changes only on fail-over, migration and elasticity events.
+/// The map changes only on fail-over, migration and elasticity events; each
+/// change bumps the version of every placement it touches.
 class PartitionMap {
  public:
   PartitionMap() = default;
@@ -54,25 +54,13 @@ class PartitionMap {
   Result<PartitionPlacement> PlacementOf(TableId table,
                                          uint32_t partition) const;
 
-  /// Promotes `new_master` (must be a current replica) to master of the
-  /// partition, removing it from the replica list. Used on fail-over.
-  Status PromoteReplica(TableId table, uint32_t partition,
-                        uint32_t new_master);
-
   /// Adds a backup node to a partition (re-replication after a failure).
   Status AddReplica(TableId table, uint32_t partition, uint32_t node_id);
 
-  /// Fences writes to one partition (live-migration cut-over; see
-  /// docs/RECOVERY.md). Routed writes fail Unavailable until unfrozen and
-  /// retry through the client RetryPolicy.
-  Status FreezeWrites(TableId table, uint32_t partition);
-  Status UnfreezeWrites(TableId table, uint32_t partition);
-
-  /// Re-points a partition's master at `new_master` (live migration
-  /// cut-over). Unlike PromoteReplica, `new_master` need not be a current
-  /// replica — the migration just copied the data onto it — and the OLD
-  /// master is dropped from the placement entirely (its copy stays sealed
-  /// on the source node).
+  /// Re-points a partition's master at `new_master`, removing it from the
+  /// backups; the old master leaves the placement. Fail-over promotes a
+  /// backup this way, and a migration's cut-over the node its copy just
+  /// filled (the old master's copy stays sealed there).
   Status MovePartitionMaster(TableId table, uint32_t partition,
                              uint32_t new_master);
 

@@ -212,7 +212,8 @@ void StorageNode::EraseCell(CellMap& cells, CellMap::iterator it) {
 }
 
 Result<uint64_t> StorageNode::Write(uint32_t partition, const WriteOp& op,
-                                    const std::vector<StorageNode*>& backups) {
+                                    const std::vector<StorageNode*>& backups,
+                                    uint64_t placement_version) {
   TELL_RETURN_NOT_OK(CheckAlive());
   AddRelaxed(op.erase ? stats_.erases
                       : (op.conditional ? stats_.conditional_puts
@@ -221,8 +222,8 @@ Result<uint64_t> StorageNode::Write(uint32_t partition, const WriteOp& op,
   if (part == nullptr) return Status::NotFound("no such partition");
   Stripe& stripe = part->StripeOf(op.key);
   auto lock = LockExclusive(stripe);
-  if (part->sealed.load(std::memory_order_relaxed)) {
-    return Status::Unavailable("partition sealed for migration");
+  if (placement_version < part->fence.load(std::memory_order_relaxed)) {
+    return Status::Unavailable("partition sealed, or the route is stale");
   }
   auto it = stripe.cells.find(op.key);
   const bool present = it != stripe.cells.end();
@@ -306,15 +307,15 @@ Status StorageNode::FragmentScan(TableId table, uint32_t partition,
 
 Result<int64_t> StorageNode::AtomicIncrement(
     TableId table, uint32_t partition, std::string_view key, int64_t delta,
-    const std::vector<StorageNode*>& backups) {
+    const std::vector<StorageNode*>& backups, uint64_t placement_version) {
   TELL_RETURN_NOT_OK(CheckAlive());
   AddRelaxed(stats_.atomic_increments);
   Partition* part = FindPartition(table, partition);
   if (part == nullptr) return Status::NotFound("no such partition");
   Stripe& stripe = part->StripeOf(key);
   auto lock = LockExclusive(stripe);
-  if (part->sealed.load(std::memory_order_relaxed)) {
-    return Status::Unavailable("partition sealed for migration");
+  if (placement_version < part->fence.load(std::memory_order_relaxed)) {
+    return Status::Unavailable("partition sealed, or the route is stale");
   }
   auto it = stripe.cells.find(key);
   int64_t current = 0;
@@ -360,6 +361,30 @@ Result<std::vector<KeyCell>> StorageNode::DumpPartition(
               return true;
             });
   return out;
+}
+
+Status StorageNode::ResetPartition(TableId table, uint32_t partition) {
+  TELL_RETURN_NOT_OK(CheckAlive());
+  CreatePartition(table, partition);
+  TELL_RETURN_NOT_OK(EndMigrationLogging(table, partition));
+  Partition* part = FindPartition(table, partition);
+  auto locks = LockAllExclusive(*part);
+  for (Stripe& stripe : part->stripes) {
+    while (!stripe.cells.empty()) EraseCell(stripe.cells, stripe.cells.begin());
+  }
+  part->fence.store(0, std::memory_order_relaxed);
+  BumpLeaseEpoch(table, partition);
+  return Status::OK();
+}
+
+Status StorageNode::OpenPartition(TableId table, uint32_t partition,
+                                  uint64_t min_version) {
+  TELL_RETURN_NOT_OK(CheckAlive());
+  Partition* part = FindPartition(table, partition);
+  if (part == nullptr) return Status::NotFound("no such partition");
+  auto locks = LockAllExclusive(*part);
+  part->fence.store(min_version, std::memory_order_relaxed);
+  return Status::OK();
 }
 
 void StorageNode::JournalEraseLocked(Partition* part, std::string_view key) {
@@ -422,7 +447,7 @@ Result<std::vector<MigrationOp>> StorageNode::SealPartitionAndDump(
   auto locks = LockAllExclusive(*part);
   // In-flight writes finished before we got every lock; from here on no
   // write can slip in between the final delta and the seal.
-  part->sealed.store(true, std::memory_order_relaxed);
+  part->fence.store(Partition::kSealed, std::memory_order_relaxed);
   std::vector<MigrationOp> out;
   MergeScan(*part, "", "",
             [&](const std::string& key, const VersionedCell& cell) {
@@ -470,33 +495,6 @@ Status StorageNode::InstallMigrationDelta(TableId table, uint32_t partition,
       if (erases_applied != nullptr) ++*erases_applied;
     }
   }
-  part->AdvanceStampPast(max_stamp);
-  BumpLeaseEpoch(table, partition);
-  return Status::OK();
-}
-
-Status StorageNode::InstallPartition(TableId table, uint32_t partition,
-                                     const std::vector<KeyCell>& cells) {
-  TELL_RETURN_NOT_OK(CheckAlive());
-  CreatePartition(table, partition);
-  Partition* part = FindPartition(table, partition);
-  auto locks = LockAllExclusive(*part);
-  // A reinstall supersedes any migration state left on this copy.
-  part->sealed.store(false, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> jlock(part->journal_mutex);
-    part->migration_logging.store(false, std::memory_order_relaxed);
-    part->erase_journal.clear();
-  }
-  uint64_t max_stamp = 0;
-  for (const KeyCell& cell : cells) {
-    Stripe& stripe = part->StripeOf(cell.key);
-    (void)SetCell(stripe.cells, stripe.cells.find(cell.key), cell.key,
-                  cell.value, cell.stamp, /*capacity_checked=*/false);
-    max_stamp = std::max(max_stamp, cell.stamp);
-  }
-  // Keep the stamp source ahead of every installed stamp so post-fail-over
-  // writes remain ABA-safe.
   part->AdvanceStampPast(max_stamp);
   BumpLeaseEpoch(table, partition);
   return Status::OK();

@@ -64,8 +64,9 @@ Result<GcStats> GarbageCollector::SweepTable(store::StorageClient* client,
     versions_of_write.push_back(removed);
   }
   if (!removals.empty()) {
+    std::vector<bool> in_effect;
     std::vector<bool> removed;
-    (void)index::BTree::BatchInsert(client, removals, &removed);
+    (void)index::BTree::BatchInsert(client, removals, &in_effect, &removed);
     stats.index_entries_removed += static_cast<uint64_t>(
         std::count(removed.begin(), removed.end(), true));
   }

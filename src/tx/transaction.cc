@@ -1141,11 +1141,10 @@ Status Transaction::WriteIndexOps(
 }
 
 void Transaction::CountCollected(const index::BTree::Prepared& prepared) {
-  const std::vector<bool>& done = prepared.inserted();
-  client_->metrics()->gc_index_entries += static_cast<uint64_t>(
-      std::count(done.begin(),
-                 done.begin() + static_cast<ptrdiff_t>(gc_removals_.size()),
-                 true));
+  const std::vector<bool>& removed = prepared.removed();
+  client_->metrics()->gc_index_entries += static_cast<uint64_t>(std::count(
+      removed.begin(),
+      removed.begin() + static_cast<ptrdiff_t>(gc_removals_.size()), true));
 }
 
 std::vector<bool> Transaction::CreatedInserts(

@@ -422,7 +422,7 @@ class Transaction {
   void RollbackFirstRound(const std::vector<RecordKey>& dirty,
                           const index::BTree::Prepared& prepared);
 
-  /// Counts the GC removals of `prepared` in effect in
+  /// Counts the GC removals of `prepared` that took an entry out in
   /// gc.eager_index_entries_removed.
   void CountCollected(const index::BTree::Prepared& prepared);
 

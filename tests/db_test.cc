@@ -295,5 +295,45 @@ TEST_F(TxLogDbTest, GcSweepRoundsDoNotGrowWithDeadRecords) {
   EXPECT_EQ(many, few);
 }
 
+/// The sweep counts the entries it took out, not the removes it sent: a
+/// dead record whose index entry is already gone costs a remove that
+/// matches nothing, and index_entries_removed reads 0.
+TEST_F(TxLogDbTest, GcSweepCountsOnlyTheEntriesItRemoves) {
+  uint64_t rid = 0;
+  {
+    tx::Transaction txn(session_.get());
+    ASSERT_OK(txn.Begin());
+    ASSERT_OK_AND_ASSIGN(rid, txn.Insert(table_, Row(7, 7.0)));
+    ASSERT_OK(txn.Commit());
+  }
+  {
+    tx::Transaction txn(session_.get());
+    ASSERT_OK(txn.Begin());
+    ASSERT_OK(txn.Delete(table_, rid));
+    ASSERT_OK(txn.Commit());
+  }
+  {
+    tx::Transaction txn(session_.get());  // lets the lav pass the delete
+    ASSERT_OK(txn.Begin());
+    ASSERT_OK(txn.Commit());
+  }
+  store::StorageClient* client = session_->client();
+  const std::string key = *schema::EncodeIndexKeyValues({Value(int64_t{7})});
+  std::vector<bool> in_effect;
+  std::vector<bool> removed;
+  ASSERT_OK(index::BTree::BatchInsert(
+      client,
+      {{&table_->primary, key, rid, /*unique=*/false, /*remove=*/true,
+        /*tag=*/UINT64_MAX}},
+      &in_effect, &removed));
+  ASSERT_EQ(removed, std::vector<bool>{true});
+  ASSERT_TRUE(table_->primary.Lookup(client, key)->empty());
+
+  tx::GarbageCollector gc(db_->commit_managers());
+  ASSERT_OK_AND_ASSIGN(tx::GcStats stats, gc.SweepTable(client, table_));
+  EXPECT_EQ(stats.records_erased, 1u);
+  EXPECT_EQ(stats.index_entries_removed, 0u);
+}
+
 }  // namespace
 }  // namespace tell::db

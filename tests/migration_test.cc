@@ -1,11 +1,14 @@
-// Live partition migration tests (docs/RECOVERY.md):
+// Partition copy tests — live migration and re-replication
+// (docs/RECOVERY.md):
 //
 //   1. StorageNode delta machinery: watermark soundness (writes and erases
 //      after the bulk copy are caught by catch-up rounds), stamp-guarded
 //      idempotent apply, and the sealed final round.
-//   2. Routing: a write-frozen partition bounces writes and keeps serving
-//      reads; ManagementNode::MigratePartition re-points the master and the
-//      destination serves both.
+//   2. Routing: a sealed partition bounces writes and keeps serving reads;
+//      the fence bounces writes routed before a backup was added;
+//      ManagementNode::MigratePartition re-points the master and the
+//      destination serves both; a copy onto a node holding a stale copy
+//      starts from nothing.
 //   3. The determinism contract: a TPC-C run with a mid-run migration
 //      produces a bit-identical final state to the same run without it.
 //   4. Real-thread races (tsan): atomic increments and puts against a
@@ -78,12 +81,13 @@ TEST(MigrationDeltaTest, WatermarkedDeltaCatchesWritesAndErases) {
                                .value = "v0", .conditional = false}).status());
   }
 
-  // Phase 1: journal on, watermark, bulk copy.
+  // Round 0: journal on, watermark, the bulk copy from watermark 0.
   ASSERT_OK(src.BeginMigrationLogging(kTable, kPartition));
   ASSERT_OK_AND_ASSIGN(uint64_t watermark,
                        src.PartitionNextStamp(kTable, kPartition));
   ASSERT_OK_AND_ASSIGN(auto bulk, src.DumpPartition(kTable, kPartition));
-  ASSERT_OK(dest.InstallPartition(kTable, kPartition, bulk));
+  ASSERT_OK(
+      dest.InstallMigrationDelta(kTable, kPartition, MergeDelta(bulk, {})));
 
   // Writes that race the copy: a new key, an overwrite, and an erase.
   ASSERT_OK(src.Write(kPartition, {.table = kTable, .key = "k6", .value = "v0",
@@ -174,10 +178,10 @@ TEST(MigrationDeltaTest, EraseJournalClearedByEndMigrationLogging) {
 }
 
 // ---------------------------------------------------------------------------
-// Routing: freeze and cut-over
+// Routing: seal, fence and cut-over
 // ---------------------------------------------------------------------------
 
-TEST(MigrationRoutingTest, FrozenPartitionBouncesWritesServesReads) {
+TEST(MigrationRoutingTest, SealedPartitionBouncesWritesServesReads) {
   store::ClusterOptions options;
   options.num_storage_nodes = 2;
   store::Cluster cluster(options);
@@ -186,18 +190,144 @@ TEST(MigrationRoutingTest, FrozenPartitionBouncesWritesServesReads) {
                            .conditional = false}).status());
   ASSERT_OK_AND_ASSIGN(uint32_t partition,
                        cluster.partition_map().PartitionFor(table, "key"));
+  ASSERT_OK_AND_ASSIGN(store::PartitionPlacement placement,
+                       cluster.partition_map().PlacementOf(table, partition));
+  StorageNode* master = cluster.node(placement.master);
 
-  ASSERT_OK(cluster.partition_map().FreezeWrites(table, partition));
+  ASSERT_OK(master->SealPartitionAndDump(table, partition, 0).status());
   EXPECT_TRUE(cluster.Write({.table = table, .key = "key", .value = "v1",
                              .conditional = false}).status().IsUnavailable());
   EXPECT_TRUE(cluster.Write({.table = table, .key = "key", .conditional = false,
                              .erase = true}).status().IsUnavailable());
+  EXPECT_TRUE(
+      cluster.AtomicIncrement(table, "key", 1).status().IsUnavailable());
   ASSERT_OK_AND_ASSIGN(auto cell, cluster.Get(table, "key"));
   EXPECT_EQ(cell.value, "v0");  // reads pass: the data is static
 
-  ASSERT_OK(cluster.partition_map().UnfreezeWrites(table, partition));
+  // Lifting the fence to the current placement lets routed writes in again.
+  ASSERT_OK(master->OpenPartition(table, partition, placement.version));
   ASSERT_OK(cluster.Write({.table = table, .key = "key", .value = "v1",
                            .conditional = false}).status());
+}
+
+/// Re-replication's cut-over by hand: seal and final delta, AddReplica,
+/// then the source reopens only to the grown placement's version. A write
+/// routed before AddReplica (it names no new backup) bounces off the
+/// fence; one routed after it lands on the new backup too.
+TEST(MigrationRoutingTest, FenceBouncesWritesRoutedBeforeAddReplica) {
+  store::ClusterOptions options;
+  options.num_storage_nodes = 2;
+  options.partitions_per_node = 1;
+  store::Cluster cluster(options);
+  ASSERT_OK_AND_ASSIGN(store::TableId table, cluster.CreateTable("t"));
+  ASSERT_OK(cluster.Write({.table = table, .key = "key", .value = "v0",
+                           .conditional = false}).status());
+  ASSERT_OK_AND_ASSIGN(uint32_t partition,
+                       cluster.partition_map().PartitionFor(table, "key"));
+  ASSERT_OK_AND_ASSIGN(store::PartitionPlacement old,
+                       cluster.partition_map().PlacementOf(table, partition));
+  ASSERT_TRUE(old.replicas.empty());
+  StorageNode* master = cluster.node(old.master);
+  const uint32_t added = (old.master + 1) % cluster.num_nodes();
+  StorageNode* backup = cluster.node(added);
+
+  ASSERT_OK(backup->ResetPartition(table, partition));
+  ASSERT_OK(master->BeginMigrationLogging(table, partition));
+  ASSERT_OK_AND_ASSIGN(std::vector<MigrationOp> image,
+                       master->SealPartitionAndDump(table, partition, 0));
+  ASSERT_OK(backup->InstallMigrationDelta(table, partition, image));
+  ASSERT_OK(cluster.partition_map().AddReplica(table, partition, added));
+  ASSERT_OK_AND_ASSIGN(store::PartitionPlacement grown,
+                       cluster.partition_map().PlacementOf(table, partition));
+  ASSERT_GT(grown.version, old.version);
+  ASSERT_OK(master->OpenPartition(table, partition, grown.version));
+
+  const store::WriteOp put{.table = table, .key = "key", .value = "v1",
+                           .conditional = false};
+  EXPECT_TRUE(master->Write(partition, put, /*backups=*/{}, old.version)
+                  .status()
+                  .IsUnavailable());
+  EXPECT_TRUE(master
+                  ->AtomicIncrement(table, partition, "ctr", 1,
+                                    /*backups=*/{}, old.version)
+                  .status()
+                  .IsUnavailable());
+  ASSERT_OK_AND_ASSIGN(auto cell, backup->Get(table, partition, "key"));
+  EXPECT_EQ(cell.value, "v0");
+
+  ASSERT_OK(master->Write(partition, put, {backup}, grown.version).status());
+  ASSERT_OK_AND_ASSIGN(cell, backup->Get(table, partition, "key"));
+  EXPECT_EQ(cell.value, "v1");
+  // The cluster routes by the grown placement.
+  ASSERT_OK(cluster.Write({.table = table, .key = "key", .value = "v2",
+                           .conditional = false}).status());
+  ASSERT_OK_AND_ASSIGN(cell, backup->Get(table, partition, "key"));
+  EXPECT_EQ(cell.value, "v2");
+}
+
+/// A copy onto a node that holds a stale copy of the partition starts from
+/// nothing. Migrate the partition off node M (its copy stays sealed
+/// there), erase a key, kill the backup so that re-replication picks M,
+/// then kill the master: the key stays erased, and every live node's
+/// memory_used equals the bytes of the cells it holds.
+TEST(MigrationRoutingTest, ReReplicationOntoAnOldSourceStartsEmpty) {
+  store::ClusterOptions options;
+  options.num_storage_nodes = 3;
+  options.replication_factor = 2;
+  options.partitions_per_node = 1;
+  store::Cluster cluster(options);
+  store::ManagementNode management(&cluster);
+  ASSERT_OK_AND_ASSIGN(store::TableId table, cluster.CreateTable("t"));
+  ASSERT_OK_AND_ASSIGN(uint32_t partition,
+                       cluster.partition_map().PartitionFor(table, "gone"));
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_OK(cluster.Write({.table = table, .key = "k" + std::to_string(i),
+                             .value = "v", .conditional = false}).status());
+  }
+  ASSERT_OK(cluster.Write({.table = table, .key = "gone", .value = "before",
+                           .conditional = false}).status());
+  ASSERT_OK_AND_ASSIGN(store::PartitionPlacement start,
+                       cluster.partition_map().PlacementOf(table, partition));
+  ASSERT_EQ(start.replicas.size(), 1u);
+  const uint32_t old_source = start.master;
+  const uint32_t backup = start.replicas[0];
+  const uint32_t dest = 3 - old_source - backup;  // the third node
+
+  ASSERT_OK(management.MigratePartition(table, partition, dest));
+  ASSERT_OK(cluster.Write({.table = table, .key = "gone",
+                           .conditional = false, .erase = true}).status());
+
+  cluster.node(backup)->Kill();
+  ASSERT_OK_AND_ASSIGN(uint32_t recovered, management.DetectAndRecover());
+  ASSERT_EQ(recovered, 1u);
+  ASSERT_OK_AND_ASSIGN(store::PartitionPlacement grown,
+                       cluster.partition_map().PlacementOf(table, partition));
+  ASSERT_EQ(grown.master, dest);
+  ASSERT_EQ(grown.replicas, std::vector<uint32_t>{old_source});
+
+  cluster.node(dest)->Kill();
+  ASSERT_OK_AND_ASSIGN(recovered, management.DetectAndRecover());
+  ASSERT_EQ(recovered, 1u);
+  ASSERT_OK_AND_ASSIGN(store::PartitionPlacement last,
+                       cluster.partition_map().PlacementOf(table, partition));
+  ASSERT_EQ(last.master, old_source);
+  auto gone = cluster.Get(table, "gone");
+  EXPECT_TRUE(gone.status().IsNotFound())
+      << "erased key came back: " << (gone.ok() ? gone->value : "");
+  ASSERT_OK_AND_ASSIGN(auto kept, cluster.Get(table, "k0"));
+  EXPECT_EQ(kept.value, "v");
+
+  ASSERT_OK_AND_ASSIGN(uint32_t partitions,
+                       cluster.partition_map().NumPartitions(table));
+  uint64_t held = 0;
+  for (uint32_t p = 0; p < partitions; ++p) {
+    auto cells = cluster.node(old_source)->DumpPartition(table, p);
+    if (!cells.ok()) continue;  // no copy of p on this node
+    for (const KeyCell& cell : *cells) {
+      held += cell.key.size() + cell.value.size() + sizeof(store::VersionedCell);
+    }
+  }
+  EXPECT_EQ(cluster.node(old_source)->memory_used(), held);
 }
 
 TEST(MigrationRoutingTest, MigrateMovesMasterAndAllData) {
@@ -226,7 +356,7 @@ TEST(MigrationRoutingTest, MigrateMovesMasterAndAllData) {
   ASSERT_OK_AND_ASSIGN(store::PartitionPlacement after,
                        cluster.partition_map().PlacementOf(table, partition));
   EXPECT_EQ(after.master, dest);
-  EXPECT_FALSE(after.write_frozen);
+  EXPECT_GT(after.version, before.version);
 
   // Every key still reads through the cluster, and writes land on the
   // destination (the sealed source would bounce them).
@@ -389,7 +519,7 @@ TEST(MigrationConcurrencyTest, AtomicIncrementsExactAcrossCutOver) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
-      // Writes bounce with Unavailable during the freeze window; callers
+      // Writes bounce with Unavailable off the sealed source; callers
       // retry into the new route, exactly like store::RetryPolicy would.
       for (int i = 0; i < kIncrementsPerThread; ++i) {
         while (!cluster.AtomicIncrement(table, "ctr", 1).ok()) {

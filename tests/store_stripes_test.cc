@@ -17,6 +17,7 @@
 
 #include "common/random.h"
 #include "store/cluster.h"
+#include "store/management_node.h"
 #include "store/storage_node.h"
 #include "tests/test_util.h"
 
@@ -172,19 +173,22 @@ TEST(StoreStripesTest, ScanDuringWritesSeesConsistentSnapshots) {
   for (auto& thread : writers) thread.join();
 }
 
-/// Replica seeding while the partition takes writes: InstallPartition holds
-/// every stripe exclusive, and afterwards the stamp source must sit past
-/// every installed stamp so new writes stay ABA-safe.
-TEST(StoreStripesTest, InstallPartitionUnderLoadKeepsStampsMonotonic) {
+/// A copy round installed while the partition takes writes:
+/// InstallMigrationDelta holds every stripe exclusive, and afterwards the
+/// stamp source must sit past every installed stamp so new writes stay
+/// ABA-safe.
+TEST(StoreStripesTest, MigrationDeltaUnderLoadKeepsStampsMonotonic) {
   StorageNode node(0, 64 << 20, /*stripes_per_partition=*/16);
   node.CreatePartition(kTable, kPart);
 
-  // A "dumped replica" batch with high stamps, as fail-over would install.
-  std::vector<KeyCell> batch;
+  // A copy round with high stamps, as a copy from a master far ahead
+  // would install.
+  std::vector<MigrationOp> batch;
   constexpr uint64_t kHighStamp = 1'000'000;
   for (int k = 0; k < 32; ++k) {
     batch.push_back({"replica_" + std::to_string(k), "seed",
-                     kHighStamp + static_cast<uint64_t>(k)});
+                     kHighStamp + static_cast<uint64_t>(k),
+                     /*is_erase=*/false});
   }
 
   std::atomic<bool> stop{false};
@@ -202,7 +206,7 @@ TEST(StoreStripesTest, InstallPartitionUnderLoadKeepsStampsMonotonic) {
     });
   }
   for (int round = 0; round < 20; ++round) {
-    ASSERT_OK(node.InstallPartition(kTable, kPart, batch));
+    ASSERT_OK(node.InstallMigrationDelta(kTable, kPart, batch));
   }
   stop.store(true);
   for (auto& thread : writers) thread.join();
@@ -548,6 +552,152 @@ TEST(StoreStripesTest, BackupsMatchMasterAfterRacingWritesAtRf3) {
           << "backup node " << backup << " key " << want[i].key;
     }
   }
+}
+
+/// Re-replication races live writers (docs/RECOVERY.md "One copy
+/// protocol"): four nodes at RF3, two writers hammering one partition with
+/// puts and erases, each on its own keys so it knows every key's last
+/// acknowledged value. A backup of the partition is killed and
+/// DetectAndRecover copies the partition onto the fourth node while the
+/// writers go on, bouncing off the sealed source and retrying. Afterwards
+/// every backup's DumpPartition must equal its master's, key, value and
+/// stamp. Then the master and the surviving original backup die, the new
+/// backup becomes master, and every key must read its last acknowledged
+/// value.
+TEST(StoreStripesTest, ReReplicationRacingWritersLosesNoWrite) {
+  ClusterOptions options;
+  options.num_storage_nodes = 4;
+  options.replication_factor = 3;
+  options.partitions_per_node = 1;
+  Cluster cluster(options);
+  ManagementNode management(&cluster);
+  ASSERT_OK_AND_ASSIGN(TableId table, cluster.CreateTable("t"));
+  ASSERT_OK_AND_ASSIGN(uint32_t partition,
+                       cluster.partition_map().PartitionFor(table, "k0"));
+  constexpr int kWriters = 2;
+  constexpr size_t kKeys = 10000;
+  std::vector<std::string> keys;
+  for (int i = 0; keys.size() < kKeys; ++i) {
+    std::string key = "k" + std::to_string(i);
+    ASSERT_OK_AND_ASSIGN(uint32_t p,
+                         cluster.partition_map().PartitionFor(table, key));
+    if (p != partition) continue;
+    ASSERT_OK(cluster.Write({.table = table, .key = key, .value = "seed",
+                             .conditional = false}).status());
+    keys.push_back(std::move(key));
+  }
+  ASSERT_OK_AND_ASSIGN(PartitionPlacement before,
+                       cluster.partition_map().PlacementOf(table, partition));
+  ASSERT_EQ(before.replicas.size(), 2u);
+
+  // Writer t owns keys[i] with i % kWriters == t; `acked[t]` holds the last
+  // acknowledged value of each, or nothing once erased.
+  std::vector<std::map<std::string, std::string>> acked(kWriters);
+  std::atomic<uint64_t> writes{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    for (size_t i = t; i < keys.size(); i += kWriters) {
+      acked[t][keys[i]] = "seed";
+    }
+    threads.emplace_back([&, t] {
+      Random rng(0x5EED + t);
+      for (uint64_t seq = 0; !stop.load(std::memory_order_relaxed); ++seq) {
+        const std::string& key =
+            keys[t + kWriters * rng.Uniform(keys.size() / kWriters)];
+        const bool erase = acked[t].count(key) > 0 && rng.Uniform(4) == 0;
+        const std::string value =
+            "w" + std::to_string(t) + "-" + std::to_string(seq);
+        WriteOp op{.table = table, .key = key, .conditional = false,
+                   .erase = erase};
+        if (!erase) op.value = value;
+        // A bounce (the sealed source, or a route older than the fence)
+        // applied nothing: retry on a fresh route.
+        Result<uint64_t> result = cluster.Write(op);
+        while (result.status().IsUnavailable()) {
+          std::this_thread::yield();
+          result = cluster.Write(op);
+        }
+        if (!result.ok()) {
+          ADD_FAILURE() << key << ": " << result.status().ToString();
+          stop.store(true);
+          return;
+        }
+        if (erase) {
+          acked[t].erase(key);
+        } else {
+          acked[t][key] = value;
+        }
+        writes.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  auto wait_for_writes = [&](uint64_t n) {
+    const uint64_t target = writes.load() + n;
+    while (writes.load() < target && !stop.load()) std::this_thread::yield();
+  };
+
+  wait_for_writes(500);
+  const uint32_t killed = before.replicas[0];
+  cluster.node(killed)->Kill();
+  Result<uint32_t> recovered = management.DetectAndRecover();
+  wait_for_writes(500);
+  stop.store(true);
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_OK(recovered.status());
+  ASSERT_EQ(*recovered, 1u);
+
+  ASSERT_OK_AND_ASSIGN(PartitionPlacement after,
+                       cluster.partition_map().PlacementOf(table, partition));
+  ASSERT_EQ(after.master, before.master);
+  ASSERT_EQ(after.replicas.size(), 2u);
+  const uint32_t added = after.replicas.back();
+  ASSERT_NE(added, killed);
+  ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> want,
+                       cluster.node(after.master)->DumpPartition(table,
+                                                                 partition));
+  for (uint32_t backup : after.replicas) {
+    ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> have,
+                         cluster.node(backup)->DumpPartition(table, partition));
+    // Keys whose cell is missing on one side or differs in value or stamp.
+    std::map<std::string, std::pair<std::string, uint64_t>> cells;
+    for (KeyCell& cell : have) {
+      cells[cell.key] = {std::move(cell.value), cell.stamp};
+    }
+    size_t differ = 0;
+    for (const KeyCell& cell : want) {
+      auto it = cells.find(cell.key);
+      if (it == cells.end()) {
+        ++differ;
+        continue;
+      }
+      if (it->second != std::make_pair(cell.value, cell.stamp)) ++differ;
+      cells.erase(it);
+    }
+    differ += cells.size();
+    EXPECT_EQ(differ, 0u) << "backup node " << backup << " of "
+                          << want.size() << " cells";
+  }
+
+  // Only the new backup survives: it must hold every acknowledged write.
+  cluster.node(after.master)->Kill();
+  cluster.node(after.replicas.front())->Kill();
+  ASSERT_OK(management.DetectAndRecover().status());
+  ASSERT_OK_AND_ASSIGN(PartitionPlacement last,
+                       cluster.partition_map().PlacementOf(table, partition));
+  ASSERT_EQ(last.master, added);
+  size_t lost = 0;
+  for (int t = 0; t < kWriters; ++t) {
+    for (size_t i = t; i < keys.size(); i += kWriters) {
+      Result<VersionedCell> cell = cluster.Get(table, keys[i]);
+      auto it = acked[t].find(keys[i]);
+      const bool same = it == acked[t].end()
+                            ? cell.status().IsNotFound()
+                            : cell.ok() && cell->value == it->second;
+      if (!same) ++lost;
+    }
+  }
+  EXPECT_EQ(lost, 0u) << "keys whose last acknowledged write is gone";
 }
 
 }  // namespace

@@ -237,7 +237,7 @@ TEST(PartitionMapTest, PromoteReplicaChangesMaster) {
   map.RemoveNode(0);
   ASSERT_OK_AND_ASSIGN(PartitionPlacement placement, map.PlacementOf(1, 0));
   ASSERT_EQ(placement.replicas.size(), 1u);
-  ASSERT_OK(map.PromoteReplica(1, 0, placement.replicas[0]));
+  ASSERT_OK(map.MovePartitionMaster(1, 0, placement.replicas[0]));
   ASSERT_OK_AND_ASSIGN(PartitionPlacement after, map.PlacementOf(1, 0));
   EXPECT_EQ(after.master, placement.replicas[0]);
   EXPECT_TRUE(after.replicas.empty());
@@ -284,8 +284,8 @@ TEST_F(ClusterTest, MemoryUsedMatchesHeldCellsAfterEveryMutationKind) {
   // An increment over a 1-byte cell turns it into an 8-byte counter.
   ASSERT_OK(cluster_->AtomicIncrement(table_, "a", 1).status());
 
-  // A migration delta and a reinstall over existing cells, applied to every
-  // copy of "a"'s partition.
+  // A migration delta over existing cells, applied to every copy of "a"'s
+  // partition.
   ASSERT_OK_AND_ASSIGN(uint32_t partition,
                        cluster_->partition_map().PartitionFor(table_, "a"));
   ASSERT_OK_AND_ASSIGN(
@@ -304,12 +304,16 @@ TEST_F(ClusterTest, MemoryUsedMatchesHeldCellsAfterEveryMutationKind) {
   for (StorageNode* node : copies) {
     ASSERT_OK(node->InstallMigrationDelta(table_, partition, delta));
   }
-  ASSERT_OK_AND_ASSIGN(std::vector<KeyCell> image,
-                       copies.front()->DumpPartition(table_, partition));
-  for (KeyCell& cell : image) cell.value += std::string(100, 'i');
-  for (StorageNode* node : copies) {
-    ASSERT_OK(node->InstallPartition(table_, partition, image));
-  }
+  // Two copies of the partition: a move onto the node that holds none, a
+  // write, then a move back onto the old master, whose sealed stale copy
+  // the copy empties before it fills it again.
+  const uint32_t spare = 3 - placement.master - placement.replicas[0];
+  ASSERT_OK(management_->MigratePartition(table_, partition, spare));
+  ASSERT_OK(cluster_->Write({.table = table_, .key = "a",
+                             .value = std::string(50, 'w'),
+                             .conditional = false}).status());
+  ASSERT_OK(
+      management_->MigratePartition(table_, partition, placement.master));
 
   // Every node's counter equals the bytes of the cells it holds.
   ASSERT_OK_AND_ASSIGN(uint32_t partitions,
