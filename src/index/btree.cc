@@ -30,13 +30,38 @@ constexpr uint64_t kNodeIdBlock = 64;
 
 std::string NodeKey(uint64_t id) { return tell::EncodeOrderedU64(id); }
 
+/// An entry of a node a BatchInsert writes. Its key views bytes that outlive
+/// the write: an entry of the image the edit is based on, an op of the
+/// batch, or a separator the edit carries.
+struct EntryRef {
+  std::string_view key;
+  uint64_t rid = 0;
+  uint64_t tag = 0;
+};
+
+// Sorted-insert position for (key, rid) in `entries`, sorted by (key, rid).
+template <typename Entry>
+size_t PositionIn(const std::vector<Entry>& entries, std::string_view key,
+                  uint64_t rid) {
+  return static_cast<size_t>(
+      std::lower_bound(entries.begin(), entries.end(),
+                       std::make_pair(key, rid),
+                       [](const Entry& e,
+                          const std::pair<std::string_view, uint64_t>& p) {
+                         const std::string_view k = e.key;
+                         if (k != p.first) return k < p.first;
+                         return e.rid < p.second;
+                       }) -
+      entries.begin());
+}
+
 // Where to cut `entries` (sorted) so that no piece holds more than about
 // `fanout` entries: as few pieces as that allows, of even size. A cut never
 // separates duplicates of one key — a descent by key must find them all in
 // one node — so a cut moves to the next key boundary, else the previous
 // one, and is dropped when there is none. Empty when nothing overflows or
 // nothing can be cut (every entry shares one key: the node grows instead).
-std::vector<size_t> CutPoints(const std::vector<IndexEntry>& entries,
+std::vector<size_t> CutPoints(const std::vector<EntryRef>& entries,
                               size_t fanout) {
   const size_t n = entries.size();
   std::vector<size_t> cuts;
@@ -62,14 +87,15 @@ std::vector<size_t> CutPoints(const std::vector<IndexEntry>& entries,
 }
 
 // `entries` cut at `cuts` (as CutPoints returns them).
-std::vector<std::vector<IndexEntry>> CutAt(std::vector<IndexEntry> entries,
-                                           const std::vector<size_t>& cuts) {
-  std::vector<std::vector<IndexEntry>> pieces;
+std::vector<std::vector<EntryRef>> CutAt(const std::vector<EntryRef>& entries,
+                                         const std::vector<size_t>& cuts) {
+  std::vector<std::vector<EntryRef>> pieces;
+  pieces.reserve(cuts.size() + 1);
   size_t from = 0;
   for (size_t i = 0; i <= cuts.size(); ++i) {
     const size_t to = i < cuts.size() ? cuts[i] : entries.size();
-    pieces.emplace_back(std::make_move_iterator(entries.begin() + from),
-                        std::make_move_iterator(entries.begin() + to));
+    pieces.emplace_back(entries.begin() + static_cast<ptrdiff_t>(from),
+                        entries.begin() + static_cast<ptrdiff_t>(to));
     from = to;
   }
   return pieces;
@@ -91,56 +117,9 @@ struct Node {
 
   bool is_leaf() const { return level == 0; }
 
-  /// The node's cell, every integer a varint (common/serde.h): the level,
-  /// the right sibling, the high key's length and bytes, the entry count,
-  /// then per entry the length of the prefix its key shares with the
-  /// previous key (the first entry's previous key is empty), the length and
-  /// bytes of the rest of the key, and the zigzag delta of its rid from the
-  /// previous rid (the first entry's from 0). Keys of one node share most
-  /// of their bytes, and neighbouring rids are close. Only when some entry
-  /// has a tag, the tags follow: runs of equal tags in entry order, each as
-  /// its length and the zigzag delta of its tag from the previous run's
-  /// (the first from 0). A node whose tags are all 0 — every inner node,
-  /// and every leaf written outside a transaction — has no tag bytes.
-  std::string Serialize() const {
-    BufferWriter writer;
-    writer.Reserve(16 + high_key.size() + 8 * entries.size());
-    writer.PutVarint(level);
-    writer.PutVarint(right_sibling);
-    writer.PutVarString(high_key);
-    writer.PutVarint(entries.size());
-    std::string_view prev;
-    uint64_t prev_rid = 0;
-    for (const IndexEntry& e : entries) {
-      const std::string_view key = e.key;
-      const size_t limit = std::min(prev.size(), key.size());
-      size_t shared = 0;
-      while (shared < limit && prev[shared] == key[shared]) ++shared;
-      writer.PutVarint(shared);
-      writer.PutVarString(key.substr(shared));
-      writer.PutVarint(ZigZagEncode(static_cast<int64_t>(e.rid - prev_rid)));
-      prev = key;
-      prev_rid = e.rid;
-    }
-    const bool tagged =
-        std::any_of(entries.begin(), entries.end(),
-                    [](const IndexEntry& e) { return e.tag != 0; });
-    uint64_t prev_tag = 0;
-    for (size_t i = 0; tagged && i < entries.size();) {
-      size_t end = i + 1;
-      while (end < entries.size() && entries[end].tag == entries[i].tag) ++end;
-      writer.PutVarint(end - i);
-      writer.PutVarint(
-          ZigZagEncode(static_cast<int64_t>(entries[i].tag - prev_tag)));
-      prev_tag = entries[i].tag;
-      i = end;
-    }
-    return writer.Release();
-  }
-
-  /// Decodes a cell written by Serialize. Any length that runs past the
-  /// cell or past the previous key, a tag run that does not end with the
-  /// entries, and any byte left over, is Corruption.
+  /// Decodes a cell written by NodePlan::Serialize. Any length that runs
+  /// past the cell or past the previous key, a tag run that does not end
+  /// with the entries, and any byte left over, is Corruption.
   static Result<Node> Deserialize(uint64_t id, uint64_t stamp,
                                   std::string_view data) {
     BufferReader reader(data);
@@ -195,16 +174,6 @@ struct Node {
     return node;
   }
 
-  /// The put of this node's cell at its id, expecting `stamp`
-  /// (store::kStampAbsent for a fresh node); counted in
-  /// index.node_bytes_sent.
-  store::WriteOp Write(store::StorageClient* client, store::TableId table,
-                       uint64_t stamp) const {
-    std::string value = Serialize();
-    client->metrics()->index_node_bytes_sent += value.size();
-    return {table, NodeKey(id), std::move(value), stamp};
-  }
-
   /// Node `id` from a fetched cell; counted in index.node_bytes_received.
   static Result<Node> Read(store::StorageClient* client, uint64_t id,
                            const Result<store::VersionedCell>& cell) {
@@ -220,36 +189,118 @@ struct Node {
 
   /// True if an entry of this node has exactly `key`.
   bool HoldsKey(std::string_view key) const {
-    const size_t pos = PositionFor(key, 0);
+    const size_t pos = PositionIn(entries, key, 0);
     return pos < entries.size() && entries[pos].key == key;
+  }
+
+  /// In an inner node, the index of the entry whose child covers `key`: the
+  /// last entry at or below it; -1 if none qualifies (stale).
+  ptrdiff_t ChildIndex(std::string_view key) const {
+    auto above = std::upper_bound(
+        entries.begin(), entries.end(), key,
+        [](std::string_view k, const IndexEntry& e) { return k < e.key; });
+    return (above - entries.begin()) - 1;
   }
 
   /// Child id for `key` in an inner node; 0 if no entry qualifies (stale).
   uint64_t ChildFor(std::string_view key) const {
-    uint64_t child = 0;
-    for (const IndexEntry& e : entries) {
-      if (e.key <= key) {
-        child = e.rid;
-      } else {
-        break;
-      }
-    }
-    return child;
-  }
-
-  /// Sorted-insert position for (key, rid).
-  size_t PositionFor(std::string_view key, uint64_t rid) const {
-    return static_cast<size_t>(
-        std::lower_bound(entries.begin(), entries.end(),
-                         std::make_pair(key, rid),
-                         [](const IndexEntry& e,
-                            const std::pair<std::string_view, uint64_t>& p) {
-                           if (e.key != p.first) return e.key < p.first;
-                           return e.rid < p.second;
-                         }) -
-        entries.begin());
+    const ptrdiff_t child = ChildIndex(key);
+    return child < 0 ? 0 : entries[static_cast<size_t>(child)].rid;
   }
 };
+
+/// A node a BatchInsert writes: a decoded image's fields, with entries and
+/// high key that view bytes held elsewhere (EntryRef).
+struct NodePlan {
+  uint64_t id = 0;
+  uint64_t stamp = 0;
+  uint32_t level = 0;
+  uint64_t right_sibling = 0;
+  std::string_view high_key;
+  std::vector<EntryRef> entries;
+
+  bool is_leaf() const { return level == 0; }
+
+  /// The node's cell, every integer a varint (common/serde.h): the level,
+  /// the right sibling, the high key's length and bytes, the entry count,
+  /// then per entry the length of the prefix its key shares with the
+  /// previous key (the first entry's previous key is empty), the length and
+  /// bytes of the rest of the key, and the zigzag delta of its rid from the
+  /// previous rid (the first entry's from 0). Keys of one node share most
+  /// of their bytes, and neighbouring rids are close. Only when some entry
+  /// has a tag, the tags follow: runs of equal tags in entry order, each as
+  /// its length and the zigzag delta of its tag from the previous run's
+  /// (the first from 0). A node whose tags are all 0 — every inner node,
+  /// and every leaf written outside a transaction — has no tag bytes.
+  std::string Serialize() const {
+    BufferWriter writer;
+    writer.Reserve(16 + high_key.size() + 8 * entries.size());
+    writer.PutVarint(level);
+    writer.PutVarint(right_sibling);
+    writer.PutVarString(high_key);
+    writer.PutVarint(entries.size());
+    std::string_view prev;
+    uint64_t prev_rid = 0;
+    for (const EntryRef& e : entries) {
+      const std::string_view key = e.key;
+      const size_t limit = std::min(prev.size(), key.size());
+      size_t shared = 0;
+      while (shared < limit && prev[shared] == key[shared]) ++shared;
+      writer.PutVarint(shared);
+      writer.PutVarString(key.substr(shared));
+      writer.PutVarint(ZigZagEncode(static_cast<int64_t>(e.rid - prev_rid)));
+      prev = key;
+      prev_rid = e.rid;
+    }
+    const bool tagged =
+        std::any_of(entries.begin(), entries.end(),
+                    [](const EntryRef& e) { return e.tag != 0; });
+    uint64_t prev_tag = 0;
+    for (size_t i = 0; tagged && i < entries.size();) {
+      size_t end = i + 1;
+      while (end < entries.size() && entries[end].tag == entries[i].tag) ++end;
+      writer.PutVarint(end - i);
+      writer.PutVarint(
+          ZigZagEncode(static_cast<int64_t>(entries[i].tag - prev_tag)));
+      prev_tag = entries[i].tag;
+      i = end;
+    }
+    return writer.Release();
+  }
+
+  /// The put of this node's cell at its id, expecting `stamp`
+  /// (store::kStampAbsent for a fresh node); counted in
+  /// index.node_bytes_sent.
+  store::WriteOp Write(store::StorageClient* client, store::TableId table,
+                       uint64_t stamp) const {
+    std::string value = Serialize();
+    client->metrics()->index_node_bytes_sent += value.size();
+    return {table, NodeKey(id), std::move(value), stamp};
+  }
+
+  /// The decoded image this node has once written with `stamp`.
+  NodeRef Image(uint64_t stamp) const {
+    auto image = std::make_shared<Node>();
+    image->id = id;
+    image->stamp = stamp;
+    image->level = level;
+    image->right_sibling = right_sibling;
+    image->high_key.assign(high_key);
+    image->entries.reserve(entries.size());
+    for (const EntryRef& e : entries) {
+      image->entries.push_back({std::string(e.key), e.rid, e.tag});
+    }
+    return image;
+  }
+};
+
+// The entries of `node`, viewed.
+static std::vector<EntryRef> ViewEntries(const Node& node) {
+  std::vector<EntryRef> view;
+  view.reserve(node.entries.size() + 1);
+  for (const IndexEntry& e : node.entries) view.push_back({e.key, e.rid, e.tag});
+  return view;
+}
 
 // --------------------------------------------------------------------------
 // NodeCache
@@ -361,11 +412,12 @@ struct BTree::Separator {
 
 /// One node rewrite of a BatchInsert round: the image it is based on (its
 /// stamp is the LL/SC base), the node's complete new entry list, and — once
-/// PlanEdits cut it — the nodes it writes.
+/// PlanEdits cut it — the nodes it writes. The entries view the base image,
+/// the batch's ops and the edit's separators, which all outlive the edit.
 struct BTree::NodeEdit {
   BTree* tree = nullptr;
   NodeRef base;
-  std::vector<IndexEntry> entries;
+  std::vector<EntryRef> entries;
   /// Inner nodes above `base`, root first.
   std::vector<NodeRef> path;
   /// The BatchInsert ops a leaf edit carries, those of them whose entry it
@@ -378,8 +430,8 @@ struct BTree::NodeEdit {
   /// The plan: the nodes a split publishes first under fresh ids, then the
   /// put at the edited node's own id — a plain rewrite, the shrunk left
   /// piece of a split, or the new root of a root split.
-  std::vector<Node> fresh;
-  Node rewrite;
+  std::vector<NodePlan> fresh;
+  NodePlan rewrite;
   /// The separators the split owes the level above, once it landed.
   std::vector<Separator> owed;
   uint64_t splits = 0;
@@ -404,7 +456,7 @@ BTree::Prepared::~Prepared() = default;
 BTree::Prepared& BTree::Prepared::operator=(Prepared&&) noexcept = default;
 
 Status BTree::Create(store::StorageClient* client, store::TableId table) {
-  Node root;
+  NodePlan root;
   root.id = kRootId;
   std::vector<Result<uint64_t>> put =
       client->BatchWrite({root.Write(client, table, store::kStampAbsent)});
@@ -571,13 +623,34 @@ Status BTree::BatchDescendToLeaves(
     wanted_tree.push_back(tree);
   };
 
-  // One walk down the tree: keys[key]'s own walk to its leaf, or a walk of
-  // its range by the separator of a later child. A walk knows the image it
-  // stands on or waits for (nullopt once it is done), its right hops in
-  // this attempt, and the inner nodes it descended through, root first —
-  // which keep alive the node whose separator `from` views.
+  // The keys in walk order: a point key that bypasses the leaf cache walks
+  // together with the other such keys of its tree, sorted by key, so keys
+  // that share a leaf share one walk to it; every other key walks alone.
+  std::vector<size_t> order(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) order[i] = i;
+  auto shares = [&](size_t i) {
+    return !keys[i].range && keys[i].leaf == LeafCache::kBypass;
+  };
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (shares(a) != shares(b)) return shares(a);
+    if (!shares(a)) return false;
+    if (keys[a].tree->table_ != keys[b].tree->table_) {
+      return keys[a].tree->table_ < keys[b].tree->table_;
+    }
+    return keys[a].key < keys[b].key;
+  });
+
+  // One walk down the tree: the walk of the keys order[first, last), led by
+  // the first — each key would take it on its own, so one walk stands for
+  // all — or a walk of a range key's range by the separator of a later
+  // child. A walk knows the image it stands on or waits for (nullopt once
+  // it is done), its right hops in this attempt, and the inner nodes it
+  // descended through, root first — which keep alive the node whose
+  // separator `from` views. Where a key's own walk would part from its
+  // walk's, a walk of it and the keys after it splits off (Split).
   struct Walk {
-    size_t key = 0;
+    size_t first = 0;
+    size_t last = 0;
     std::string_view from;
     bool range_walk = false;
     std::optional<SlotId> at;
@@ -586,17 +659,46 @@ Status BTree::BatchDescendToLeaves(
     bool rejected_image = false;  // a cached leaf image was stale for it
   };
   // A deque: walks spawn walks while they are walked.
-  std::deque<Walk> walks(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    walks[i].key = i;
-    walks[i].from = keys[i].key;
-    walks[i].at = SlotId{{keys[i].tree->table_, kRootId}, 0};
-    want(keys[i], *walks[i].at, /*descent=*/true, /*inner=*/true);
+  std::deque<Walk> walks;
+  for (size_t k = 0; k < order.size();) {
+    const size_t i = order[k];
+    size_t last = k + 1;
+    while (shares(i) && last < order.size() && shares(order[last]) &&
+           keys[order[last]].tree == keys[i].tree) {
+      ++last;
+    }
+    Walk& walk = walks.emplace_back();
+    walk.first = k;
+    walk.last = last;
+    walk.from = keys[i].key;
+    walk.at = SlotId{{keys[i].tree->table_, kRootId}, 0};
+    want(keys[i], *walk.at, /*descent=*/true, /*inner=*/true);
     if (keys[i].leaf == LeafCache::kRefresh) {
       keys[i].tree->CountLeafLookup(NodeCache::LeafLookup::kInvalid);
     }
+    k = last;
   }
-  // A stale path: drop it from the cache and start the key over at the
+  // Splits the keys from `bound` on (empty: none) off `walk` into a walk of
+  // their own at the same image, which the current pass walks on.
+  auto split = [&](Walk& walk, std::string_view bound) {
+    if (bound.empty() || walk.last - walk.first < 2) return;
+    const auto begin = order.begin() + static_cast<ptrdiff_t>(walk.first);
+    const auto end = order.begin() + static_cast<ptrdiff_t>(walk.last);
+    const size_t at = static_cast<size_t>(
+        std::partition_point(begin, end,
+                             [&](size_t i) { return keys[i].key < bound; }) -
+        order.begin());
+    if (at == walk.last) return;
+    Walk& rest = walks.emplace_back();
+    rest.first = at;
+    rest.last = walk.last;
+    rest.from = keys[order[at]].key;
+    rest.at = walk.at;
+    rest.hops = walk.hops;
+    rest.path = walk.path;
+    walk.last = at;
+  };
+  // A stale path: drop it from the cache and start the keys over at the
   // root, reading every node from the store. A walk of a range only
   // prefetches: it stops instead, and the scan's right links read the
   // leaves it did not reach.
@@ -605,7 +707,8 @@ Status BTree::BatchDescendToLeaves(
       walk.at.reset();
       return Status::OK();
     }
-    BTree* tree = keys[walk.key].tree;
+    const DescentKey& key = keys[order[walk.first]];
+    BTree* tree = key.tree;
     if (tree->cache_ != nullptr) {
       tree->cache_->Erase(kRootId);
       for (const NodeRef& node : walk.path) tree->cache_->Erase(node->id);
@@ -618,7 +721,7 @@ Status BTree::BatchDescendToLeaves(
     walk.at = SlotId{{tree->table_, kRootId}, attempt};
     walk.hops = 0;
     walk.path.clear();
-    want(keys[walk.key], *walk.at, /*descent=*/true, /*inner=*/true);
+    want(key, *walk.at, /*descent=*/true, /*inner=*/true);
     return Status::OK();
   };
   // The nodes each range key's walks went to.
@@ -628,8 +731,8 @@ Status BTree::BatchDescendToLeaves(
   auto add_leaf = [&](const NodeRef& leaf, Walk& walk, bool cached) {
     auto [it, fresh] = leaf_index.try_emplace(leaf.get(), leaves->size());
     if (fresh) {
-      leaves->push_back(
-          {keys[walk.key].tree, leaf, std::move(walk.path), cached});
+      leaves->push_back({keys[order[walk.first]].tree, leaf,
+                         std::move(walk.path), cached});
     }
     return it->second;
   };
@@ -638,7 +741,8 @@ Status BTree::BatchDescendToLeaves(
     // or waits for an image of this round.
     for (size_t w = 0; w < walks.size(); ++w) {
       Walk& walk = walks[w];
-      const DescentKey& key = keys[walk.key];
+      const size_t lead = order[walk.first];
+      const DescentKey& key = keys[lead];
       BTree* tree = key.tree;
       while (walk.at.has_value()) {
         const Slot& slot = nodes[*walk.at];
@@ -661,6 +765,7 @@ Status BTree::BatchDescendToLeaves(
           if (cached_leaf) walk.rejected_image = true;
           // B-link move right: a split shifted the key's range into a right
           // sibling before the parent — or this PN's cache — learned of it.
+          // The later keys are past the high key too.
           if (node->right_sibling == 0 || ++walk.hops > kMaxRightHops) {
             TELL_RETURN_NOT_OK(restart(walk));
             continue;
@@ -677,6 +782,8 @@ Status BTree::BatchDescendToLeaves(
           break;
         }
         if (node->is_leaf()) {
+          // The keys at or past the high key move right on their own.
+          split(walk, node->high_key);
           // Paper §5.3.1: a leaf that does not match its parent's
           // expectation means the cached path is outdated — refresh it.
           if (walk.hops > 0 && !walk.range_walk && tree->cache_ != nullptr) {
@@ -691,15 +798,29 @@ Status BTree::BatchDescendToLeaves(
                                       : NodeCache::LeafLookup::kMiss);
           }
           const size_t leaf = add_leaf(node, walk, cached_leaf);
-          if (!walk.range_walk) (*leaf_of_key)[walk.key] = leaf;
+          if (!walk.range_walk) {
+            for (size_t k = walk.first; k < walk.last; ++k) {
+              (*leaf_of_key)[order[k]] = leaf;
+            }
+          }
           walk.at.reset();
           break;
         }
-        const uint64_t child = node->ChildFor(walk.from);
-        if (child == 0) {
+        // The keys at or past the next separator (or the high key) take
+        // another child, or move right, on their own.
+        const ptrdiff_t index = node->ChildIndex(walk.from);
+        const size_t next_entry = static_cast<size_t>(index + 1);
+        std::string_view bound = node->high_key;
+        if (next_entry < node->entries.size() &&
+            (bound.empty() || node->entries[next_entry].key < bound)) {
+          bound = node->entries[next_entry].key;
+        }
+        split(walk, bound);
+        if (index < 0) {
           TELL_RETURN_NOT_OK(restart(walk));
           continue;
         }
+        const uint64_t child = node->entries[static_cast<size_t>(index)].rid;
         walk.path.push_back(node);
         const SlotId next{{tree->table_, child}, attempt};
         if (key.range && attempt == 0) {
@@ -709,16 +830,17 @@ Status BTree::BatchDescendToLeaves(
             if (e.key <= walk.from) continue;
             if (!key.end.empty() && e.key >= key.end) break;
             const SlotId later{{tree->table_, e.rid}, 0};
-            if (!reached.emplace(walk.key, later).second) continue;
+            if (!reached.emplace(lead, later).second) continue;
             Walk& sub = walks.emplace_back();
-            sub.key = walk.key;
+            sub.first = walk.first;
+            sub.last = walk.last;
             sub.from = e.key;
             sub.range_walk = true;
             sub.at = later;
             sub.path = walk.path;
             want(key, later, /*descent=*/true, /*inner=*/node->level > 1);
           }
-          if (!reached.emplace(walk.key, next).second && walk.range_walk) {
+          if (!reached.emplace(lead, next).second && walk.range_walk) {
             walk.at.reset();
             break;
           }
@@ -797,64 +919,97 @@ Status BTree::PrepareLeafEdits(
     groups[group_of[leaf]].ops.push_back(pending[k]);
   }
 
-  // Apply every group's ops in op order to a copy of its leaf, BEFORE any
-  // put is issued: a unique violation must surface while there is still
-  // nothing to undo — with every holder of a violated key, which the caller
-  // may find dead.
+  // Apply every group's ops to its leaf, BEFORE any put is issued: a unique
+  // violation must surface while there is still nothing to undo — with
+  // every holder of a violated key, which the caller may find dead. The new
+  // entry list merges the leaf's entries with the ops sorted by key: the
+  // ops of one key apply in op order to the leaf's entries of that key.
+  std::vector<size_t> by_key;
+  std::vector<EntryRef> run;  // the entries of one key, by rid
+  std::vector<std::pair<size_t, BatchInsertOp>> conflicts;
   for (NodeEdit& group : groups) {
-    Node copy = *group.base;
-    bool changed = false;
+    const std::vector<IndexEntry>& base = group.base->entries;
+    by_key = group.ops;
+    std::stable_sort(by_key.begin(), by_key.end(), [&](size_t a, size_t b) {
+      return ops[a].key < ops[b].key;
+    });
+    std::vector<EntryRef> entries;
+    entries.reserve(base.size() + by_key.size());
     std::vector<size_t> applied;
-    for (size_t i : group.ops) {
-      const BatchInsertOp& op = ops[i];
-      const size_t pos = copy.PositionFor(op.key, op.rid);
-      IndexEntry* present = pos < copy.entries.size() &&
-                                    copy.entries[pos].key == op.key &&
-                                    copy.entries[pos].rid == op.rid
-                                ? &copy.entries[pos]
-                                : nullptr;
-      if (op.remove) {
-        if (present != nullptr && present->tag <= op.tag) {
-          copy.entries.erase(copy.entries.begin() +
-                             static_cast<ptrdiff_t>(pos));
-          group.removed.push_back(i);
-          changed = true;
+    bool changed = false;
+    size_t next = 0;  // the first base entry not yet merged
+    for (size_t k = 0; k < by_key.size();) {
+      const std::string_view key = ops[by_key[k]].key;
+      for (; next < base.size() && base[next].key < key; ++next) {
+        entries.push_back({base[next].key, base[next].rid, base[next].tag});
+      }
+      run.clear();
+      for (; next < base.size() && base[next].key == key; ++next) {
+        run.push_back({base[next].key, base[next].rid, base[next].tag});
+      }
+      for (; k < by_key.size() && ops[by_key[k]].key == key; ++k) {
+        const size_t i = by_key[k];
+        const BatchInsertOp& op = ops[i];
+        const size_t pos = PositionIn(run, op.key, op.rid);
+        EntryRef* present =
+            pos < run.size() && run[pos].rid == op.rid ? &run[pos] : nullptr;
+        if (op.remove) {
+          if (present != nullptr && present->tag <= op.tag) {
+            run.erase(run.begin() + static_cast<ptrdiff_t>(pos));
+            group.removed.push_back(i);
+            changed = true;
+          }
+          applied.push_back(i);
+          continue;
+        }
+        if (op.unique) {
+          bool held = false;
+          for (const EntryRef& holder : run) {
+            if (holder.rid == op.rid) continue;
+            conflicts.push_back({i,
+                                 {op.tree, op.key, holder.rid,
+                                  /*unique=*/false, /*remove=*/true,
+                                  holder.tag}});
+            held = true;
+          }
+          if (held) continue;
         }
         applied.push_back(i);
-        continue;
-      }
-      if (op.unique) {
-        bool held = false;
-        for (size_t e = copy.PositionFor(op.key, 0);
-             e < copy.entries.size() && copy.entries[e].key == op.key; ++e) {
-          const IndexEntry& holder = copy.entries[e];
-          if (holder.rid == op.rid) continue;
-          prepared->conflicts_.push_back({op.tree, op.key, holder.rid,
-                                          /*unique=*/false, /*remove=*/true,
-                                          holder.tag});
-          held = true;
+        if (present != nullptr) {
+          // Idempotent, unless the tag rises.
+          if (present->tag < op.tag) {
+            present->tag = op.tag;
+            changed = true;
+          }
+          continue;
         }
-        if (held) continue;
+        run.insert(run.begin() + static_cast<ptrdiff_t>(pos),
+                   {op.key, op.rid, op.tag});
+        group.created.push_back(i);
+        changed = true;
       }
-      applied.push_back(i);
-      if (present != nullptr) {
-        // Idempotent, unless the tag rises.
-        if (present->tag < op.tag) {
-          present->tag = op.tag;
-          changed = true;
-        }
-        continue;
-      }
-      copy.entries.insert(copy.entries.begin() + static_cast<ptrdiff_t>(pos),
-                          {op.key, op.rid, op.tag});
-      group.created.push_back(i);
-      changed = true;
+      entries.insert(entries.end(), run.begin(), run.end());
     }
+    // Each list in op order, as the ops' indices are.
+    std::sort(applied.begin(), applied.end());
+    std::sort(group.created.begin(), group.created.end());
+    std::sort(group.removed.begin(), group.removed.end());
+    std::stable_sort(conflicts.begin(), conflicts.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    for (auto& [i, holder] : conflicts) {
+      prepared->conflicts_.push_back(std::move(holder));
+    }
+    conflicts.clear();
     if (!changed) {
       for (size_t i : applied) prepared->inserted_[i] = true;
       continue;
     }
-    group.entries = std::move(copy.entries);
+    for (; next < base.size(); ++next) {
+      entries.push_back({base[next].key, base[next].rid, base[next].tag});
+    }
+    group.entries = std::move(entries);
     group.ops = std::move(applied);
     prepared->edits_.push_back(std::move(group));
   }
@@ -952,12 +1107,7 @@ Status BTree::PrepareSeparatorEdits(store::StorageClient* client,
     if (target[s]->stamp > edit.base->stamp) edit.base = target[s];
     edit.separators.push_back(std::move(sep));
   }
-  auto entry_less = [](const IndexEntry& a, const IndexEntry& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.rid < b.rid;
-  };
   for (NodeEdit& edit : parents) {
-    edit.entries = edit.base->entries;
     std::vector<Separator> placed;
     for (Separator& sep : edit.separators) {
       // Two images of one node disagreed (a race split it between them):
@@ -968,16 +1118,20 @@ Status BTree::PrepareSeparatorEdits(store::StorageClient* client,
         retry->push_back(std::move(sep));
         continue;
       }
-      auto at = std::lower_bound(edit.entries.begin(), edit.entries.end(),
-                                 sep.entry, entry_less);
-      if (at == edit.entries.end() || at->key != sep.entry.key ||
-          at->rid != sep.entry.rid) {
-        edit.entries.insert(at, sep.entry);
-      }
       placed.push_back(std::move(sep));
     }
     if (placed.empty()) continue;
+    // The entries view the separators where the edit keeps them.
     edit.separators = std::move(placed);
+    edit.entries = ViewEntries(*edit.base);
+    for (const Separator& sep : edit.separators) {
+      const size_t at = PositionIn(edit.entries, sep.entry.key, sep.entry.rid);
+      if (at == edit.entries.size() || edit.entries[at].key != sep.entry.key ||
+          edit.entries[at].rid != sep.entry.rid) {
+        edit.entries.insert(edit.entries.begin() + static_cast<ptrdiff_t>(at),
+                            {sep.entry.key, sep.entry.rid, sep.entry.tag});
+      }
+    }
     edits->push_back(std::move(edit));
   }
   return Status::OK();
@@ -987,7 +1141,7 @@ namespace {
 
 // Cuts `edit` (PlanEdits), drawing the fresh ids from `next_id`.
 template <typename Edit, typename NextId>
-void PlanEdit(Edit& edit, std::vector<IndexEntry> entries, size_t fanout,
+void PlanEdit(Edit& edit, std::vector<EntryRef> entries, size_t fanout,
               NextId&& next_id) {
   const auto& base = *edit.base;
   edit.rewrite.id = base.id;
@@ -1000,8 +1154,7 @@ void PlanEdit(Edit& edit, std::vector<IndexEntry> entries, size_t fanout,
       edit.rewrite.entries = std::move(entries);
       return;
     }
-    std::vector<std::vector<IndexEntry>> pieces =
-        CutAt(std::move(entries), cuts);
+    std::vector<std::vector<EntryRef>> pieces = CutAt(entries, cuts);
     std::vector<uint64_t> ids = {base.id};
     for (size_t j = 1; j < pieces.size(); ++j) ids.push_back(next_id());
     for (size_t j = 0; j < pieces.size(); ++j) {
@@ -1013,7 +1166,7 @@ void PlanEdit(Edit& edit, std::vector<IndexEntry> entries, size_t fanout,
       node.high_key = last ? base.high_key : pieces[j + 1].front().key;
       if (j > 0) {
         edit.owed.push_back({edit.tree,
-                             {pieces[j].front().key, ids[j]},
+                             {std::string(pieces[j].front().key), ids[j]},
                              base.level + 1,
                              edit.path});
       }
@@ -1029,20 +1182,20 @@ void PlanEdit(Edit& edit, std::vector<IndexEntry> entries, size_t fanout,
   while (true) {
     const std::vector<size_t> cuts = CutPoints(edit.rewrite.entries, fanout);
     if (cuts.empty()) return;
-    std::vector<std::vector<IndexEntry>> pieces =
-        CutAt(std::move(edit.rewrite.entries), cuts);
+    std::vector<std::vector<EntryRef>> pieces =
+        CutAt(edit.rewrite.entries, cuts);
     std::vector<uint64_t> ids;
     for (size_t j = 0; j < pieces.size(); ++j) ids.push_back(next_id());
     edit.rewrite.entries.clear();
     for (size_t j = 0; j < pieces.size(); ++j) {
       edit.rewrite.entries.push_back(
-          {j == 0 ? std::string() : pieces[j].front().key, ids[j]});
+          {j == 0 ? std::string_view() : pieces[j].front().key, ids[j]});
       auto& node = edit.fresh.emplace_back();
       node.id = ids[j];
       node.level = edit.rewrite.level;
       const bool last = j + 1 == pieces.size();
       node.right_sibling = last ? 0 : ids[j + 1];
-      node.high_key = last ? std::string() : pieces[j + 1].front().key;
+      node.high_key = last ? std::string_view() : pieces[j + 1].front().key;
       node.entries = std::move(pieces[j]);
     }
     edit.rewrite.level += 1;
@@ -1096,13 +1249,13 @@ std::vector<Result<uint64_t>> BTree::SendWrites(
     Riders* riders) {
   if (riders == nullptr || riders->sent) {
     if (puts.empty()) return {};
-    return client->BatchWrite(puts);
+    return client->BatchWrite(std::move(puts));
   }
   riders->sent = true;
   const size_t n = riders->writes.size();
   puts.insert(puts.begin(), std::make_move_iterator(riders->writes.begin()),
               std::make_move_iterator(riders->writes.end()));
-  std::vector<Result<uint64_t>> results = client->BatchWrite(puts);
+  std::vector<Result<uint64_t>> results = client->BatchWrite(std::move(puts));
   riders->results->assign(std::make_move_iterator(results.begin()),
                           std::make_move_iterator(results.begin() + n));
   results.erase(results.begin(), results.begin() + static_cast<ptrdiff_t>(n));
@@ -1116,10 +1269,9 @@ Status BTree::WriteRound(store::StorageClient* client, Prepared* prepared,
   // Records a written node: inner nodes enter the cache and `known` with
   // their new stamp, so later edits of this batch and later descents start
   // from the current image.
-  auto wrote = [&](BTree* tree, const Node& node, uint64_t stamp) {
+  auto wrote = [&](BTree* tree, const NodePlan& node, uint64_t stamp) {
     if (node.is_leaf()) return;
-    auto image = std::make_shared<Node>(node);
-    image->stamp = stamp;
+    NodeRef image = node.Image(stamp);
     tree->Cache(image);
     known[{tree->table_, node.id}] = std::move(image);
   };
@@ -1300,10 +1452,10 @@ std::vector<store::WriteOp> BTree::UndoFirstRound(
   std::vector<store::WriteOp> writes;
   undone->clear();
   for (const NodeEdit& edit : prepared.landed_) {
-    Node image = edit.rewrite;
+    NodePlan image = edit.rewrite;
     for (size_t i : edit.created) {
       const BatchInsertOp& op = prepared.ops_[i];
-      const size_t pos = image.PositionFor(op.key, op.rid);
+      const size_t pos = PositionIn(image.entries, op.key, op.rid);
       if (pos < image.entries.size() && image.entries[pos].key == op.key &&
           image.entries[pos].rid == op.rid) {
         image.entries.erase(image.entries.begin() +
@@ -1316,7 +1468,7 @@ std::vector<store::WriteOp> BTree::UndoFirstRound(
   }
   for (const NodeEdit& edit : prepared.edits_) {
     if (!edit.sent) continue;
-    for (const Node& node : edit.fresh) {
+    for (const NodePlan& node : edit.fresh) {
       writes.push_back({edit.tree->table_, NodeKey(node.id), std::string(),
                         store::kStampAbsent, /*conditional=*/false,
                         /*erase=*/true});

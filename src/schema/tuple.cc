@@ -66,7 +66,14 @@ std::string ValueToString(const Value& v) {
 
 std::string Tuple::Serialize(const Schema& schema) const {
   (void)schema;  // format is self-describing; schema validates on read
+  size_t bytes = 4 + 9 * values_.size();
+  for (const Value& v : values_) {
+    if (const std::string* s = std::get_if<std::string>(&v)) {
+      bytes += 4 + s->size();
+    }
+  }
   BufferWriter writer;
+  writer.Reserve(bytes);
   writer.PutU32(static_cast<uint32_t>(values_.size()));
   for (const Value& v : values_) {
     if (ValueIsNull(v)) {
@@ -159,6 +166,7 @@ Status AppendKeyValue(const Value& v, std::string* out) {
 Result<std::string> EncodeIndexKey(const Tuple& tuple,
                                    const std::vector<uint32_t>& key_columns) {
   std::string key;
+  key.reserve(9 * key_columns.size() + 16);
   for (uint32_t column : key_columns) {
     if (column >= tuple.size()) {
       return Status::InvalidArgument("key column out of range");

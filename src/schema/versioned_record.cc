@@ -72,7 +72,10 @@ bool VersionedRecord::DeadAt(Tid lav) const {
 }
 
 std::string VersionedRecord::Serialize() const {
+  size_t bytes = 4;
+  for (const RecordVersion& v : versions_) bytes += 13 + v.payload.size();
   BufferWriter writer;
+  writer.Reserve(bytes);
   writer.PutU32(static_cast<uint32_t>(versions_.size()));
   for (const RecordVersion& v : versions_) {
     writer.PutU64(v.version);

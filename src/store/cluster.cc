@@ -56,45 +56,66 @@ Result<Cluster::Route> Cluster::RouteFor(TableId table,
 
 Result<Cluster::Route> Cluster::RouteForPartition(TableId table,
                                                   uint32_t partition) const {
-  TELL_ASSIGN_OR_RETURN(PartitionPlacement placement,
-                        partition_map_.PlacementOf(table, partition));
   Route route;
   route.partition = partition;
-  route.version = placement.version;
-  route.master = const_cast<StorageNode*>(nodes_[placement.master].get());
-  if (!route.master->alive()) {
+  TELL_ASSIGN_OR_RETURN(route.placement,
+                        partition_map_.PlacementOf(table, partition));
+  return route;
+}
+
+Result<StorageNode*> Cluster::LiveMaster(const Route& route) const {
+  StorageNode* master = nodes_[route.placement.master].get();
+  if (!master->alive()) {
     return Status::Unavailable("master of partition is down");
   }
-  for (uint32_t replica : placement.replicas) {
-    StorageNode* node = const_cast<StorageNode*>(nodes_[replica].get());
-    if (node->alive()) route.replicas.push_back(node);
+  return master;
+}
+
+std::vector<StorageNode*> Cluster::LiveBackups(const Route& route) const {
+  std::vector<StorageNode*> backups;
+  for (uint32_t replica : route.placement.replicas) {
+    StorageNode* node = nodes_[replica].get();
+    if (node->alive()) backups.push_back(node);
   }
-  return route;
+  return backups;
 }
 
 Result<VersionedCell> Cluster::Get(TableId table, std::string_view key) const {
   TELL_ASSIGN_OR_RETURN(Route route, RouteFor(table, key));
-  return route.master->Get(table, route.partition, key);
+  return Get(route, table, key);
 }
 
-Result<VersionedCell> Cluster::OneSidedGet(TableId table,
+Result<VersionedCell> Cluster::Get(const Route& route, TableId table,
+                                   std::string_view key) const {
+  TELL_ASSIGN_OR_RETURN(StorageNode * master, LiveMaster(route));
+  return master->Get(table, route.partition, key);
+}
+
+Result<VersionedCell> Cluster::OneSidedGet(const Route& route, TableId table,
                                            std::string_view key) const {
-  TELL_ASSIGN_OR_RETURN(Route route, RouteFor(table, key));
-  return route.master->OneSidedRead(table, route.partition, key);
+  TELL_ASSIGN_OR_RETURN(StorageNode * master, LiveMaster(route));
+  return master->OneSidedRead(table, route.partition, key);
 }
 
 Result<uint64_t> Cluster::Write(const WriteOp& op) {
   TELL_ASSIGN_OR_RETURN(Route route, RouteFor(op.table, op.key));
-  return route.master->Write(route.partition, op, route.replicas,
-                             route.version);
+  return Write(route, op);
+}
+
+Result<uint64_t> Cluster::Write(const Route& route, const WriteOp& op,
+                                std::string* movable_value) {
+  TELL_ASSIGN_OR_RETURN(StorageNode * master, LiveMaster(route));
+  return master->Write(route.partition, op, LiveBackups(route),
+                       route.placement.version, movable_value);
 }
 
 Result<int64_t> Cluster::AtomicIncrement(TableId table, std::string_view key,
                                          int64_t delta) {
   TELL_ASSIGN_OR_RETURN(Route route, RouteFor(table, key));
+  TELL_ASSIGN_OR_RETURN(StorageNode * master, LiveMaster(route));
   // The counter cell is replicated so it survives master failure.
-  return route.master->AtomicIncrement(table, route.partition, key, delta,
-                                       route.replicas, route.version);
+  return master->AtomicIncrement(table, route.partition, key, delta,
+                                 LiveBackups(route), route.placement.version);
 }
 
 Status Cluster::FragmentScan(TableId table, uint32_t partition,
@@ -103,21 +124,14 @@ Status Cluster::FragmentScan(TableId table, uint32_t partition,
                              FragmentSink* sink,
                              FragmentScanStats* stats) const {
   TELL_ASSIGN_OR_RETURN(Route route, RouteForPartition(table, partition));
-  return route.master->FragmentScan(table, partition, start_key, end_key,
-                                    chunk_cells, sink, stats);
+  TELL_ASSIGN_OR_RETURN(StorageNode * master, LiveMaster(route));
+  return master->FragmentScan(table, partition, start_key, end_key,
+                              chunk_cells, sink, stats);
 }
 
 StorageNode* Cluster::node(uint32_t node_id) {
   TELL_CHECK(node_id < nodes_.size());
   return nodes_[node_id].get();
-}
-
-Result<uint32_t> Cluster::MasterOf(TableId table, std::string_view key) const {
-  TELL_ASSIGN_OR_RETURN(uint32_t partition,
-                        partition_map_.PartitionFor(table, key));
-  TELL_ASSIGN_OR_RETURN(PartitionPlacement placement,
-                        partition_map_.PlacementOf(table, partition));
-  return placement.master;
 }
 
 uint64_t Cluster::TotalMemoryUsed() const {

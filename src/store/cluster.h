@@ -55,17 +55,38 @@ class Cluster {
 
   // --- Record operations (routed to the master copy, replicated) ---------
 
+  /// Where the ops on one key go: the key's partition and the partition's
+  /// placement when the route was resolved. An op checks the master and the
+  /// backups for liveness when it runs, not when it is routed; a write
+  /// carries the placement's version to the master's fence.
+  struct Route {
+    uint32_t partition = 0;
+    PartitionPlacement placement;
+  };
+  /// Resolves (table, key) to its partition and placement. A client routes
+  /// each op once and runs its first attempt on that route; the ops below
+  /// that take no route resolve their own.
+  Result<Route> RouteFor(TableId table, std::string_view key) const;
+  /// The route of every key of `partition` of `table`.
+  Result<Route> RouteForPartition(TableId table, uint32_t partition) const;
+
   Result<VersionedCell> Get(TableId table, std::string_view key) const;
+  Result<VersionedCell> Get(const Route& route, TableId table,
+                            std::string_view key) const;
   /// One-sided read of the master copy: routes like Get but reads through
   /// StorageNode::OneSidedRead, which skips the node's request counters (an
   /// RDMA READ never touches the server CPU). Clients must validate the
   /// result against the partition's lease epoch before trusting it.
-  Result<VersionedCell> OneSidedGet(TableId table, std::string_view key) const;
+  Result<VersionedCell> OneSidedGet(const Route& route, TableId table,
+                                    std::string_view key) const;
   /// The one write: routes `op` to its partition's master, applies it there
   /// (StorageNode::Write) and, once it succeeded, synchronously on every
   /// live backup while the master still holds the key's stripe lock.
   /// Returns the new stamp of a put, 0 for an erase.
   Result<uint64_t> Write(const WriteOp& op);
+  /// `movable_value`: see StorageNode::Write.
+  Result<uint64_t> Write(const Route& route, const WriteOp& op,
+                         std::string* movable_value = nullptr);
   Result<int64_t> AtomicIncrement(TableId table, std::string_view key,
                                   int64_t delta);
 
@@ -91,28 +112,17 @@ class Cluster {
   LeaseEpochTable& lease_epochs() { return lease_epochs_; }
   const LeaseEpochTable& lease_epochs() const { return lease_epochs_; }
 
-  /// Number of storage nodes a request for `key` would touch (always 1;
-  /// exposed for the client's batching logic: ops are grouped per master).
-  Result<uint32_t> MasterOf(TableId table, std::string_view key) const;
-
   /// Sum of memory used across live nodes (capacity experiments, Fig 7).
   uint64_t TotalMemoryUsed() const;
 
  private:
   friend class ManagementNode;
 
-  /// Resolves (table, key) to its partition and current master node, failing
-  /// with Unavailable when the master is down (clients retry after the
-  /// management node has failed over).
-  struct Route {
-    uint32_t partition;
-    StorageNode* master;
-    std::vector<StorageNode*> replicas;
-    /// The placement's version; writes carry it to the master's fence.
-    uint64_t version = 0;
-  };
-  Result<Route> RouteFor(TableId table, std::string_view key) const;
-  Result<Route> RouteForPartition(TableId table, uint32_t partition) const;
+  /// The master `route` names, failing with Unavailable when it is down
+  /// (clients retry after the management node has failed over).
+  Result<StorageNode*> LiveMaster(const Route& route) const;
+  /// The backups `route` names that are alive.
+  std::vector<StorageNode*> LiveBackups(const Route& route) const;
 
   const ClusterOptions options_;
   std::vector<std::unique_ptr<StorageNode>> nodes_;

@@ -9,20 +9,21 @@ namespace tell::store {
 
 Result<uint32_t> ManagementNode::DetectAndRecover() {
   std::lock_guard<std::mutex> lock(recovery_mutex_);
-  if (handled_.size() < cluster_->num_nodes()) {
-    handled_.resize(cluster_->num_nodes(), false);
+  if (seen_incarnation_.size() < cluster_->num_nodes()) {
+    seen_incarnation_.resize(cluster_->num_nodes(), 0);
   }
   uint32_t recovered = 0;
   for (uint32_t id = 0; id < cluster_->num_nodes(); ++id) {
     StorageNode* node = cluster_->node(id);
-    if (node->alive()) {
-      handled_[id] = false;  // a revived node can fail again later
-      continue;
-    }
-    if (handled_[id]) continue;
+    const uint64_t incarnation = node->incarnation();
+    if (incarnation == seen_incarnation_[id]) continue;
+    const bool was_alive = node->alive();
     Status st = RecoverNode(id);
     if (!st.ok()) return st;
-    handled_[id] = true;
+    // Kill() bumps the incarnation before the node stops, so a node
+    // recovered as revived may be dying: left unseen, the next pass
+    // recovers it as dead.
+    if (!was_alive || node->alive()) seen_incarnation_[id] = incarnation;
     ++recovered;
   }
   if (recovered > 0) {
@@ -49,6 +50,8 @@ Status ManagementNode::RecoverNode(uint32_t node_id) {
       }
     }
     if (promoted == UINT32_MAX) {
+      // A revived master missed no acknowledged write: it stays master.
+      if (cluster_->node(node_id)->alive()) continue;
       // With RF1 (or all replicas dead) acknowledged data is lost — exactly
       // the risk the paper's synchronous replication exists to avoid.
       return Status::Unavailable(
@@ -104,6 +107,9 @@ namespace {
 /// Rounds before the seal; the first, from watermark 0, is the bulk copy.
 /// Under steady load the delta stops shrinking, so the count is bounded.
 constexpr uint32_t kCopyRounds = 5;
+
+/// A dump watermark above every stamp: a seal that ships no cell.
+constexpr uint64_t kNoCells = UINT64_MAX;
 
 /// Copies `src`'s partition onto `dest` up to the sealed final delta.
 /// Migration logging must be on at `src`.
@@ -165,16 +171,30 @@ Status ManagementNode::CopyPartition(TableId table, uint32_t partition,
                         map.PlacementOf(table, partition));
   StorageNode* src = cluster_->node(placement.master);
   StorageNode* dest = cluster_->node(dest_node);
-  // A node outside the placement may hold a stale copy (an old sealed
-  // source, or a revived node), so it starts empty. A backup keeps its copy.
-  if (std::find(placement.replicas.begin(), placement.replicas.end(),
-                dest_node) == placement.replicas.end()) {
+  // A backup killed since the last recovery pass missed the writes of its
+  // downtime: it is copied like a node outside the placement.
+  const bool in_sync_backup =
+      std::find(placement.replicas.begin(), placement.replicas.end(),
+                dest_node) != placement.replicas.end() &&
+      dest->incarnation() == (dest_node < seen_incarnation_.size()
+                                  ? seen_incarnation_[dest_node]
+                                  : 0);
+  Status st;
+  if (in_sync_backup) {
+    // A backup already holds every acknowledged write, and the seal waits
+    // out the writes in flight, which reach it before they finish. A copy
+    // round could only put back a cell the backup erased after the round's
+    // dump.
+    st = src->SealPartitionAndDump(table, partition, kNoCells).status();
+  } else {
+    // Any other destination may hold a stale copy (an old sealed source, or
+    // a revived node), so it starts empty.
     TELL_RETURN_NOT_OK(dest->ResetPartition(table, partition));
+    // Erase journaling starts BEFORE the first watermark read and dump, so
+    // nothing disappearing after this point goes unrecorded.
+    TELL_RETURN_NOT_OK(src->BeginMigrationLogging(table, partition));
+    st = CopyUntilSealed(src, dest, table, partition, stats);
   }
-  // Erase journaling starts BEFORE the first watermark read and dump, so
-  // nothing disappearing after this point goes unrecorded.
-  TELL_RETURN_NOT_OK(src->BeginMigrationLogging(table, partition));
-  Status st = CopyUntilSealed(src, dest, table, partition, stats);
   if (st.ok()) {
     st = cut_over == CutOver::kMoveMaster
              ? map.MovePartitionMaster(table, partition, dest_node)

@@ -61,11 +61,15 @@ class ManagementNode {
   ManagementNode(const ManagementNode&) = delete;
   ManagementNode& operator=(const ManagementNode&) = delete;
 
-  /// Scans for dead storage nodes and recovers each: every partition whose
-  /// master died is failed over to a surviving replica (which already holds
-  /// all acknowledged writes, thanks to synchronous replication), and
+  /// Scans for storage nodes killed since the last pass — dead now, or
+  /// revived meanwhile with a copy that missed the writes of its downtime —
+  /// and recovers each: it leaves every placement, every partition whose
+  /// master it was is failed over to a surviving replica (which already
+  /// holds all acknowledged writes, thanks to synchronous replication), and
   /// partitions below the configured replication factor are re-replicated
-  /// onto other live nodes. Returns the number of nodes recovered.
+  /// onto other live nodes, a revived one re-seeded from scratch. A revived
+  /// master with no live replica stays master: no write could be
+  /// acknowledged without it. Returns the number of nodes recovered.
   Result<uint32_t> DetectAndRecover();
 
   /// True if every live partition currently has `replication_factor` copies
@@ -93,15 +97,19 @@ class ManagementNode {
   Status RestoreReplicationLevel();
 
   /// The one partition-copy protocol of migration and re-replication
-  /// (docs/RECOVERY.md): empty the destination unless it is a backup,
-  /// watermarked rounds from 0, seal, final delta, then `cut_over`. A copy
+  /// (docs/RECOVERY.md): empty the destination, watermarked rounds from 0,
+  /// seal, final delta, then `cut_over`. A backup destination already holds
+  /// every write (synchronous replication) and takes only the seal, unless
+  /// it was killed since the last DetectAndRecover pass. A copy
   /// that fails before the route changes leaves the source master and open.
   Status CopyPartition(TableId table, uint32_t partition, uint32_t dest_node,
                        CutOver cut_over, MigrationStats* stats);
 
   Cluster* const cluster_;
   std::mutex recovery_mutex_;
-  std::vector<bool> handled_;  // grown lazily; true once a node was recovered
+  /// Per node, the incarnation the last pass saw (grown lazily; guarded by
+  /// recovery_mutex_).
+  std::vector<uint64_t> seen_incarnation_;
 
   mutable std::mutex migration_mutex_;  // guards migration_stats_
   MigrationStats migration_stats_;

@@ -74,20 +74,21 @@ void StorageClient::ChargeReplication(uint64_t num_writes) {
                    options_.network.software_overhead_ns));
 }
 
-uint64_t StorageClient::LeaseEpochOf(TableId table,
-                                     std::string_view key) const {
-  auto partition = cluster_->partition_map().PartitionFor(table, key);
-  if (!partition.ok()) return 0;
-  return cluster_->lease_epochs().Epoch(table, *partition);
+uint64_t StorageClient::LeaseEpochOf(
+    TableId table, const Result<Cluster::Route>& route) const {
+  if (!route.ok()) return 0;
+  return cluster_->lease_epochs().Epoch(table, route->partition);
 }
 
 bool StorageClient::CacheProbe(TableId table, std::string_view key,
+                               const Result<uint32_t>& partition,
                                VersionedCell* out) {
   if (options_.record_cache == nullptr) return false;
   // Sampling the epoch *now* and requiring the entry's fill epoch to match
   // makes the hit byte-identical to a fresh fetch at this instant — the
   // read's linearization point (store/record_cache.h has the proof).
-  uint64_t epoch = LeaseEpochOf(table, key);
+  const uint64_t epoch =
+      partition.ok() ? cluster_->lease_epochs().Epoch(table, *partition) : 0;
   if (options_.record_cache->Get(table, key, epoch, out)) {
     metrics_->cache_hits += 1;
     return true;
@@ -103,16 +104,16 @@ void StorageClient::CacheFill(TableId table, std::string_view key,
 }
 
 std::optional<Result<VersionedCell>> StorageClient::OneSidedFetch(
-    TableId table, std::string_view key, uint64_t* fill_epoch,
-    uint64_t* response_bytes) {
+    Op* op, uint64_t* response_bytes) {
   // Seqlock-style validation: sample the partition's lease epoch, fetch the
   // raw cell, re-sample. An unchanged epoch proves no write raced the fetch
   // (every write bumps the epoch after mutating, inside its critical
   // section), so the bytes are exactly what a two-sided Get would return.
-  uint64_t e0 = LeaseEpochOf(table, key);
+  const Result<Cluster::Route>& route = *op->route;
+  uint64_t e0 = LeaseEpochOf(op->table, route);
   if (options_.fault_injector != nullptr) {
     sim::FaultInjector::Decision d = options_.fault_injector->OnRequest(
-        sim::FaultOpClass::kOneSidedGet, table);
+        sim::FaultOpClass::kOneSidedGet, op->table);
     ApplyNodeKill(d);
     if (d.extra_latency_ns > 0) clock_->Advance(d.extra_latency_ns);
     if (d.drop_request || d.drop_response) {
@@ -122,7 +123,9 @@ std::optional<Result<VersionedCell>> StorageClient::OneSidedFetch(
       return std::nullopt;
     }
   }
-  auto result = cluster_->OneSidedGet(table, key);
+  Result<VersionedCell> result =
+      route.ok() ? cluster_->OneSidedGet(*route, op->table, op->key)
+                 : Result<VersionedCell>(route.status());
   if (!result.ok() && !result.status().IsNotFound()) {
     // Unroutable or dead node. The one-sided path has no fail-over story of
     // its own (there is no server to ask), so hand the op to the two-sided
@@ -130,12 +133,12 @@ std::optional<Result<VersionedCell>> StorageClient::OneSidedFetch(
     // the correct answer for an absent key.
     return std::nullopt;
   }
-  uint64_t e1 = LeaseEpochOf(table, key);
+  uint64_t e1 = LeaseEpochOf(op->table, route);
   if (e1 != e0) {
     metrics_->onesided_validation_failures += 1;
     return std::nullopt;
   }
-  *fill_epoch = e0;
+  op->fill_epoch = e0;
   *response_bytes = ReadResponseBytes(result);
   metrics_->onesided_reads += 1;
   return result;
@@ -217,14 +220,24 @@ sim::NetworkModel::CoalescedCost StorageClient::SendMessage(
       // bytes received or charged.
       SetFailed(op, Status::Unavailable("injected fault: request dropped"));
     } else {
+      const Result<Cluster::Route>& route = *op->route;
       if (op->write == nullptr) {
         // Cache-fill tag: the epoch must be sampled before the fetch
         // executes (store/record_cache.h).
-        op->fill_epoch = LeaseEpochOf(op->table, op->key);
-        op->get_result = cluster_->Get(op->table, op->key);
+        if (options_.record_cache != nullptr) {
+          op->fill_epoch = LeaseEpochOf(op->table, route);
+        }
+        op->get_result = route.ok()
+                             ? cluster_->Get(*route, op->table, op->key)
+                             : Result<VersionedCell>(route.status());
         response_bytes = ReadResponseBytes(*op->get_result);
       } else {
-        op->write_result = cluster_->Write(*op->write);
+        op->write_result =
+            route.ok()
+                ? cluster_->Write(*route, *op->write,
+                                  d.drop_response ? nullptr
+                                                  : op->movable_value)
+                : Result<uint64_t>(route.status());
         response_bytes = kWriteResponseBytes;
       }
       if (d.drop_response) {
@@ -253,19 +266,26 @@ sim::NetworkModel::CoalescedCost StorageClient::SendMessage(
 }
 
 void StorageClient::Issue(std::span<Op> ops) {
-  // Stage 1: client CPU and the record-cache probe. A hit needs no network
-  // at all; the probe instant is the read's linearization point.
+  // Stage 1: client CPU, the record-cache probe and routing. A hit needs no
+  // network at all; the probe instant is the read's linearization point.
+  // Every other op is routed once, for all the stages below.
   metrics_->storage_ops += ops.size();
   clock_->Advance(options_.cpu.per_op_ns * ops.size());
   size_t in_flight = 0;
   for (Op& op : ops) {
+    Result<uint32_t> partition =
+        cluster_->partition_map().PartitionFor(op.table, op.key);
     VersionedCell cached;
-    if (op.write == nullptr && CacheProbe(op.table, op.key, &cached)) {
+    if (op.write == nullptr &&
+        CacheProbe(op.table, op.key, partition, &cached)) {
       op.get_result = Result<VersionedCell>(std::move(cached));
       op.done = true;
-    } else {
-      ++in_flight;
+      continue;
     }
+    op.route = partition.ok()
+                   ? cluster_->RouteForPartition(op.table, *partition)
+                   : Result<Cluster::Route>(partition.status());
+    ++in_flight;
   }
   if (in_flight == 0) return;
   metrics_->pipeline_flushes += 1;
@@ -283,8 +303,7 @@ void StorageClient::Issue(std::span<Op> ops) {
     for (Op& op : ops) {
       if (op.done || op.write != nullptr) continue;
       uint64_t response_bytes = 0;
-      auto fetched =
-          OneSidedFetch(op.table, op.key, &op.fill_epoch, &response_bytes);
+      auto fetched = OneSidedFetch(&op, &response_bytes);
       if (!fetched.has_value()) {
         metrics_->onesided_fallbacks += 1;
         continue;
@@ -311,14 +330,13 @@ void StorageClient::Issue(std::span<Op> ops) {
     if (op.done) continue;
     uint32_t message = static_cast<uint32_t>(queue.size());
     if (options_.batching) {
-      auto master = cluster_->MasterOf(op.table, op.key);
-      message = master.ok() ? *master : 0;
+      message = op.route->ok() ? (*op.route)->placement.master : 0;
     }
     queue.emplace_back(message, &op);
   }
-  std::stable_sort(
-      queue.begin(), queue.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
+  // The ops lie in call order in `ops`, so their addresses order each
+  // node's ops as the call does.
+  std::sort(queue.begin(), queue.end());
   for (size_t begin = 0; begin < queue.size();) {
     size_t end = begin + 1;
     while (end < queue.size() && queue[end].first == queue[begin].first) ++end;
@@ -374,8 +392,20 @@ Result<uint64_t> StorageClient::Write(const WriteOp& write) {
 }
 
 std::vector<Result<uint64_t>> StorageClient::BatchWrite(
-    const std::vector<WriteOp>& ops) {
-  return BatchReadWrite({}, ops).writes;
+    std::vector<WriteOp> ops) {
+  std::vector<Op> batch;
+  batch.reserve(ops.size());
+  for (WriteOp& op : ops) {
+    batch.push_back({.table = op.table,
+                     .key = op.key,
+                     .write = &op,
+                     .movable_value = &op.value});
+  }
+  Issue(batch);
+  std::vector<Result<uint64_t>> results;
+  results.reserve(ops.size());
+  for (Op& op : batch) results.push_back(std::move(*op.write_result));
+  return results;
 }
 
 BatchResults StorageClient::BatchReadWrite(const std::vector<GetOp>& gets,

@@ -155,8 +155,9 @@ class StorageClient {
   /// positionally aligned with `ops`: the new stamp for puts, 0 for erases,
   /// or the failure status. Ops are *independent* — a failed conditional put
   /// does not stop the others (the transaction layer decides what to roll
-  /// back).
-  std::vector<Result<uint64_t>> BatchWrite(const std::vector<WriteOp>& ops);
+  /// back). The ops are handed over: a put whose first attempt applies and
+  /// is acknowledged may leave its value in the store.
+  std::vector<Result<uint64_t>> BatchWrite(std::vector<WriteOp> ops);
 
   /// Reads and writes in one call: every op shares its storage node's
   /// coalesced message with the others bound there, read or write, by the
@@ -295,28 +296,31 @@ class StorageClient {
     return options_.one_sided_reads && options_.network.HasOneSidedReads();
   }
 
-  /// Current lease epoch of the partition owning (table, key); 0 when the
-  /// partition cannot be resolved (the fetch will fail the same way).
-  uint64_t LeaseEpochOf(TableId table, std::string_view key) const;
+  /// Current lease epoch of the partition `route` names; 0 when the route
+  /// could not be resolved (the fetch fails the same way).
+  uint64_t LeaseEpochOf(TableId table,
+                        const Result<Cluster::Route>& route) const;
 
-  /// Record-cache probe. On a hit fills `out` (byte-identical to a fresh
-  /// fetch by the lease protocol) and counts a cache hit; no network is
-  /// charged. Counts a miss otherwise. No-op false without a cache.
-  bool CacheProbe(TableId table, std::string_view key, VersionedCell* out);
+  /// Record-cache probe of `key`, in `partition` of `table`. On a hit fills
+  /// `out` (byte-identical to a fresh fetch by the lease protocol) and
+  /// counts a cache hit; no network is charged. Counts a miss otherwise.
+  /// No-op false without a cache.
+  bool CacheProbe(TableId table, std::string_view key,
+                  const Result<uint32_t>& partition, VersionedCell* out);
 
   /// Installs a fetched cell with the epoch sampled before the fetch.
   void CacheFill(TableId table, std::string_view key,
                  const VersionedCell& cell, uint64_t fill_epoch);
 
-  /// One attempt of the one-sided protocol, uncharged: samples the epoch,
-  /// fetches the raw cell bypassing the storage-node request path, and
-  /// re-samples to validate. Returns the result (possibly NotFound) with
-  /// `fill_epoch`/`response_bytes` set, or nullopt when validation failed —
-  /// epoch moved, injected fault, or node down — in which case the caller
-  /// counts the fallback and uses the two-sided path.
-  std::optional<Result<VersionedCell>> OneSidedFetch(TableId table,
-                                                     std::string_view key,
-                                                     uint64_t* fill_epoch,
+  struct Op;
+
+  /// One attempt of the one-sided protocol for the read `op`, uncharged:
+  /// samples the epoch, fetches the raw cell bypassing the storage-node
+  /// request path, and re-samples to validate. Returns the result (possibly
+  /// NotFound) with `op->fill_epoch` and `response_bytes` set, or nullopt
+  /// when validation failed — epoch moved, injected fault, or node down — in
+  /// which case the caller counts the fallback and uses the two-sided path.
+  std::optional<Result<VersionedCell>> OneSidedFetch(Op* op,
                                                      uint64_t* response_bytes);
 
   /// One logical op on the request path: a read of `key`, or the write
@@ -327,8 +331,17 @@ class StorageClient {
     std::string_view key;
     /// nullptr for a read.
     const WriteOp* write = nullptr;
+    /// `write->value` when the caller handed the write over (BatchWrite):
+    /// the first attempt may move it into the store, unless its response is
+    /// lost and a retry may need to compare it.
+    std::string* movable_value = nullptr;
+    /// The op's route, resolved once by Issue() unless the record cache
+    /// answers it: its first attempt runs there, and only a retry routes
+    /// again.
+    std::optional<Result<Cluster::Route>> route = std::nullopt;
     /// Reads only: lease epoch sampled immediately before the fetch executed
-    /// (the cache-fill tag and the seqlock "before" sample).
+    /// (the cache-fill tag and the seqlock "before" sample); sampled only
+    /// when a record cache or the one-sided protocol uses it.
     uint64_t fill_epoch = 0;
     /// Set once the op needs no message: a cache hit or a validated
     /// one-sided read.

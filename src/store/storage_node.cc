@@ -183,7 +183,8 @@ Result<VersionedCell> StorageNode::OneSidedRead(TableId table,
 
 Status StorageNode::SetCell(CellMap& cells, CellMap::iterator it,
                             std::string_view key, std::string_view value,
-                            uint64_t stamp, bool capacity_checked) {
+                            uint64_t stamp, bool capacity_checked,
+                            std::string* movable_value) {
   if (it == cells.end()) {
     const uint64_t bytes = key.size() + value.size() + sizeof(VersionedCell);
     const uint64_t used =
@@ -193,13 +194,21 @@ Status StorageNode::SetCell(CellMap& cells, CellMap::iterator it,
       return Status::CapacityExceeded("storage node " +
                                       std::to_string(node_id_) + " is full");
     }
-    cells.emplace(std::string(key), VersionedCell{std::string(value), stamp});
+    cells.emplace(std::string(key),
+                  VersionedCell{movable_value != nullptr
+                                    ? std::move(*movable_value)
+                                    : std::string(value),
+                                stamp});
     return Status::OK();
   }
   // Unsigned wrap-around makes the add a subtraction when the value shrinks.
   memory_used_.fetch_add(value.size() - it->second.value.size(),
                          std::memory_order_relaxed);
-  it->second.value.assign(value);
+  if (movable_value != nullptr) {
+    it->second.value = std::move(*movable_value);
+  } else {
+    it->second.value.assign(value);
+  }
   it->second.stamp = stamp;
   return Status::OK();
 }
@@ -213,7 +222,8 @@ void StorageNode::EraseCell(CellMap& cells, CellMap::iterator it) {
 
 Result<uint64_t> StorageNode::Write(uint32_t partition, const WriteOp& op,
                                     const std::vector<StorageNode*>& backups,
-                                    uint64_t placement_version) {
+                                    uint64_t placement_version,
+                                    std::string* movable_value) {
   TELL_RETURN_NOT_OK(CheckAlive());
   AddRelaxed(op.erase ? stats_.erases
                       : (op.conditional ? stats_.conditional_puts
@@ -241,8 +251,10 @@ Result<uint64_t> StorageNode::Write(uint32_t partition, const WriteOp& op,
     JournalEraseLocked(part, op.key);
   } else {
     stamp = part->next_stamp.fetch_add(1, std::memory_order_relaxed);
+    // A backup copies op.value after the master: then the bytes stay.
     TELL_RETURN_NOT_OK(SetCell(stripe.cells, it, op.key, op.value, stamp,
-                               /*capacity_checked=*/true));
+                               /*capacity_checked=*/true,
+                               backups.empty() ? movable_value : nullptr));
   }
   BumpLeaseEpoch(op.table, partition);
   ApplyToBackups(backups, partition, op, stamp);

@@ -22,6 +22,7 @@ Result<GcStats> GarbageCollector::SweepTable(store::StorageClient* client,
   std::vector<index::BatchInsertOp> removals;
   std::vector<store::WriteOp> writes;
   std::vector<size_t> versions_of_write;
+  std::vector<bool> write_erases;
   for (const store::KeyCell& cell : cells) {
     if (cell.key.size() != sizeof(uint64_t)) continue;  // meta cells
     auto record = schema::VersionedRecord::Deserialize(cell.value);
@@ -55,6 +56,7 @@ Result<GcStats> GarbageCollector::SweepTable(store::StorageClient* client,
       writes.push_back({data_table, cell.key, "", cell.stamp,
                         /*conditional=*/true, /*erase=*/true});
       versions_of_write.push_back(record->NumVersions());
+      write_erases.push_back(true);
       continue;
     }
 
@@ -62,6 +64,7 @@ Result<GcStats> GarbageCollector::SweepTable(store::StorageClient* client,
     if (removed == 0) continue;
     writes.push_back({data_table, cell.key, record->Serialize(), cell.stamp});
     versions_of_write.push_back(removed);
+    write_erases.push_back(false);
   }
   if (!removals.empty()) {
     std::vector<bool> in_effect;
@@ -71,13 +74,14 @@ Result<GcStats> GarbageCollector::SweepTable(store::StorageClient* client,
         std::count(removed.begin(), removed.end(), true));
   }
   if (!writes.empty()) {
-    std::vector<Result<uint64_t>> results = client->BatchWrite(writes);
-    for (size_t i = 0; i < writes.size(); ++i) {
+    std::vector<Result<uint64_t>> results =
+        client->BatchWrite(std::move(writes));
+    for (size_t i = 0; i < results.size(); ++i) {
       // On ConditionFailed a live writer raced us: an erase waits for the
       // next sweep, and a concurrent update already rewrote the record —
       // performing its own eager GC in the process.
       if (!results[i].ok()) continue;
-      ++(writes[i].erase ? stats.records_erased : stats.records_rewritten);
+      ++(write_erases[i] ? stats.records_erased : stats.records_rewritten);
       stats.versions_removed += versions_of_write[i];
     }
   }

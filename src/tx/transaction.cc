@@ -162,6 +162,32 @@ Result<std::vector<std::optional<schema::Tuple>>> Transaction::BatchRead(
   return out;
 }
 
+std::vector<size_t>::const_iterator Transaction::PendingFrom(
+    store::TableId table, std::string_view key) {
+  auto at = [&](size_t i) {
+    return std::pair<store::TableId, std::string_view>(
+        index_ops_[i].tree->table(), index_ops_[i].key);
+  };
+  if (pending_index_.size() < index_ops_.size()) {
+    const size_t sorted = pending_index_.size();
+    for (size_t i = sorted; i < index_ops_.size(); ++i) {
+      pending_index_.push_back(i);
+    }
+    // Sort only the new positions, then merge them in: both steps are
+    // stable and the sorted positions precede the new ones, so each key's
+    // inserts stay in queue order.
+    auto less = [&](size_t a, size_t b) { return at(a) < at(b); };
+    auto mid = pending_index_.begin() + static_cast<std::ptrdiff_t>(sorted);
+    std::stable_sort(mid, pending_index_.end(), less);
+    std::inplace_merge(pending_index_.begin(), mid, pending_index_.end(),
+                       less);
+  }
+  return std::lower_bound(
+      pending_index_.cbegin(), pending_index_.cend(),
+      std::pair<store::TableId, std::string_view>(table, key),
+      [&](size_t i, const auto& bound) { return at(i) < bound; });
+}
+
 Status Transaction::QueueIndexInserts(TableHandle* table, uint64_t rid,
                                       const schema::Tuple& tuple,
                                       const schema::Tuple* old_tuple) {
@@ -177,9 +203,8 @@ Status Transaction::QueueIndexInserts(TableHandle* table, uint64_t rid,
       // actually changes; obsolete entries are collected later.
       if (old_key == new_key) return Status::OK();
     }
-    index_ops_.push_back({tree, new_key, rid, def.unique, /*remove=*/false,
-                          /*tag=*/tid_});
-    pending_index_[{tree->table(), new_key}].push_back(rid);
+    index_ops_.push_back({tree, std::move(new_key), rid, def.unique,
+                          /*remove=*/false, /*tag=*/tid_});
     return Status::OK();
   };
   TELL_RETURN_NOT_OK(queue_for(&table->primary, table->meta->primary.def));
@@ -221,7 +246,7 @@ Result<uint64_t> Transaction::Insert(TableHandle* table,
   state.dirty = true;
   state.exists = false;
   state.record.PutVersion(tid_, tuple.Serialize(table->meta->schema));
-  buffer_[{table->meta->data_table, rid}] = std::move(state);
+  buffer_.insert_or_assign({table->meta->data_table, rid}, std::move(state));
   TELL_RETURN_NOT_OK(QueueIndexInserts(table, rid, tuple, nullptr));
   return rid;
 }
@@ -268,11 +293,12 @@ Result<std::optional<schema::Tuple>> Transaction::ValidateIndexHit(
   const schema::IndexDef& def = IndexDefOf(table, tree);
   // An obsolete entry is queued for removal unless this transaction
   // inserted it itself.
-  auto pending_it = pending_index_.find({tree->table(), key});
-  if (pending_it != pending_index_.end() &&
-      std::find(pending_it->second.begin(), pending_it->second.end(), rid) !=
-          pending_it->second.end()) {
-    collect = false;
+  for (auto it = PendingFrom(tree->table(), key);
+       it != pending_index_.cend() && index_ops_[*it].tree->table() ==
+                                          tree->table() &&
+       index_ops_[*it].key == key;
+       ++it) {
+    if (index_ops_[*it].rid == rid) collect = false;
   }
   // Only an entry tagged at or below the lav is collected: the lav is at
   // most the snapshot base, and every tid at or below the base has
@@ -465,13 +491,12 @@ Transaction::ScanRanges(const std::vector<IndexRange>& ranges,
       scan.cursor.leaf = index::LeafCache::kUse;
     }
     const store::TableId table = scan.tree->table();
-    for (auto it = pending_index_.lower_bound({table, range.lo});
-         it != pending_index_.end() && it->first.first == table &&
-         (range.hi.empty() || it->first.second < range.hi);
+    for (auto it = PendingFrom(table, range.lo);
+         it != pending_index_.cend() &&
+         index_ops_[*it].tree->table() == table &&
+         (range.hi.empty() || index_ops_[*it].key < range.hi);
          ++it) {
-      for (uint64_t rid : it->second) {
-        scan.pending.push_back({it->first.second, rid, tid_});
-      }
+      scan.pending.push_back({index_ops_[*it].key, index_ops_[*it].rid, tid_});
     }
     std::sort(scan.pending.begin(), scan.pending.end(), entry_less);
   }
@@ -850,8 +875,11 @@ Status Transaction::Commit() {
   client_->ChargeCpu(client_->options().cpu.per_txn_ns);
 
   std::vector<RecordKey> dirty;
+  std::vector<RecordState*> dirty_states;
   for (auto& [key, state] : buffer_) {
-    if (state.dirty) dirty.push_back(key);
+    if (!state.dirty) continue;
+    dirty.push_back(key);
+    dirty_states.push_back(&state);
   }
   if (dirty.empty()) return FinishCommitEmpty();
 
@@ -900,12 +928,13 @@ Status Transaction::Commit() {
     obs::PhaseScope validate_span(tracer_, sim::TxnPhase::kValidate);
     std::vector<store::WriteOp> ops;
     ops.reserve(dirty.size());
-    for (const RecordKey& key : dirty) {
-      RecordState& state = buffer_[key];
+    for (size_t i = 0; i < dirty.size(); ++i) {
+      RecordState& state = *dirty_states[i];
       client_->metrics()->eager_gc_versions +=
           state.record.CollectGarbage(lav_);
-      ops.push_back({key.first, RidKey(key.second), state.record.Serialize(),
-                     state.stamp, /*conditional=*/true, /*erase=*/false});
+      ops.push_back({dirty[i].first, RidKey(dirty[i].second),
+                     state.record.Serialize(), state.stamp,
+                     /*conditional=*/true, /*erase=*/false});
     }
     std::vector<Result<uint64_t>> results;
     Status written = index::BTree::WriteFirstRound(client_, &prepared,
@@ -978,7 +1007,7 @@ Status Transaction::Commit() {
   {
     obs::PhaseScope sync_span(tracer_, sim::TxnPhase::kBufferSync);
     for (size_t i = 0; i < dirty.size(); ++i) {
-      RecordState& state = buffer_[dirty[i]];
+      const RecordState& state = *dirty_states[i];
       session_->record_buffer()->OnApply(client_, dirty[i].first,
                                          dirty[i].second, state.record,
                                          new_stamps[i], tid_, snapshot_);
@@ -1074,7 +1103,8 @@ RevertCounts RevertVersions(store::StorageClient* client,
     }
     pending.clear();
     if (reverts.empty()) break;
-    std::vector<Result<uint64_t>> results = client->BatchWrite(reverts);
+    std::vector<Result<uint64_t>> results =
+        client->BatchWrite(std::move(reverts));
     for (size_t i = 0; i < results.size(); ++i) {
       if (results[i].ok()) {
         ++counts.reverted;

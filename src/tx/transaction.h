@@ -367,6 +367,12 @@ class Transaction {
   Status PrefetchMissing(
       const std::vector<std::pair<TableHandle*, uint64_t>>& records);
 
+  /// The first position of pending_index_ whose insert is into the index
+  /// store table `table` at a key of at least `key`, once every queued
+  /// insert is sorted in.
+  std::vector<size_t>::const_iterator PendingFrom(store::TableId table,
+                                                  std::string_view key);
+
   /// Registers index insertions for the new tuple (vs. the previously
   /// visible tuple for updates; `old_tuple` null for inserts).
   Status QueueIndexInserts(TableHandle* table, uint64_t rid,
@@ -497,10 +503,10 @@ class Transaction {
   /// the tag it saw), and the (index table, key, rid) entries they name.
   std::vector<index::BatchInsertOp> gc_removals_;
   std::set<std::tuple<store::TableId, std::string, uint64_t>> gc_queued_;
-  /// Own pending index inserts, visible to this transaction's lookups:
-  /// (index store table, key) -> rids.
-  std::map<std::pair<store::TableId, std::string>, std::vector<uint64_t>>
-      pending_index_;
+  /// Own pending index inserts, visible to this transaction's lookups: the
+  /// positions of index_ops_ by (index store table, key, position). A lookup
+  /// sorts in the inserts queued since the last one (PendingFrom).
+  std::vector<size_t> pending_index_;
 };
 
 }  // namespace tell::tx

@@ -90,7 +90,7 @@ Result<size_t> TransactionLog::Truncate(store::StorageClient* client,
                       /*conditional=*/false, /*erase=*/true});
   }
   size_t removed = 0;
-  for (const Result<uint64_t>& result : client->BatchWrite(erases)) {
+  for (const Result<uint64_t>& result : client->BatchWrite(std::move(erases))) {
     if (result.ok()) ++removed;
   }
   return removed;

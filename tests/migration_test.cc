@@ -8,7 +8,9 @@
 //      the fence bounces writes routed before a backup was added;
 //      ManagementNode::MigratePartition re-points the master and the
 //      destination serves both; a copy onto a node holding a stale copy
-//      starts from nothing.
+//      starts from nothing, one onto a backup takes only the seal unless
+//      the backup was killed since the last recovery pass, and a backup
+//      revived between two recovery passes is re-seeded.
 //   3. The determinism contract: a TPC-C run with a mid-run migration
 //      produces a bit-identical final state to the same run without it.
 //   4. Real-thread races (tsan): atomic increments and puts against a
@@ -328,6 +330,123 @@ TEST(MigrationRoutingTest, ReReplicationOntoAnOldSourceStartsEmpty) {
     }
   }
   EXPECT_EQ(cluster.node(old_source)->memory_used(), held);
+}
+
+// A backup killed and revived between two recovery passes missed the
+// writes of its downtime: the next pass must take it out of the placement
+// and re-seed it, or a later master death promotes a copy without them.
+TEST(MigrationRoutingTest, RevivedBackupIsReseededBeforeItServes) {
+  store::ClusterOptions options;
+  options.num_storage_nodes = 2;
+  options.replication_factor = 2;
+  options.partitions_per_node = 1;
+  store::Cluster cluster(options);
+  store::ManagementNode management(&cluster);
+  ASSERT_OK_AND_ASSIGN(store::TableId table, cluster.CreateTable("t"));
+  ASSERT_OK_AND_ASSIGN(uint32_t partition,
+                       cluster.partition_map().PartitionFor(table, "k"));
+  ASSERT_OK_AND_ASSIGN(store::PartitionPlacement start,
+                       cluster.partition_map().PlacementOf(table, partition));
+  ASSERT_EQ(start.replicas.size(), 1u);
+  const uint32_t master = start.master;
+  const uint32_t backup = start.replicas[0];
+
+  cluster.node(backup)->Kill();
+  ASSERT_OK(cluster.Write({.table = table, .key = "k", .value = "acked",
+                           .conditional = false}).status());
+  cluster.node(backup)->Revive();
+  ASSERT_OK_AND_ASSIGN(uint32_t recovered, management.DetectAndRecover());
+  EXPECT_EQ(recovered, 1u);
+  EXPECT_TRUE(management.ReplicationLevelRestored());
+
+  cluster.node(master)->Kill();
+  ASSERT_OK(management.DetectAndRecover().status());
+  ASSERT_OK_AND_ASSIGN(store::PartitionPlacement last,
+                       cluster.partition_map().PlacementOf(table, partition));
+  ASSERT_EQ(last.master, backup);
+  auto cell = cluster.Get(table, "k");
+  ASSERT_TRUE(cell.ok()) << "an acknowledged write was lost: "
+                         << cell.status().ToString();
+  EXPECT_EQ(cell->value, "acked");
+}
+
+// A migration onto a backup copies nothing: synchronous replication gave the
+// backup every write, and a copy round's dump, taken before an erase the
+// backup already applied, would put the erased key back on it.
+TEST(MigrationRoutingTest, MigrationOntoABackupTakesOnlyTheSeal) {
+  store::ClusterOptions options;
+  options.num_storage_nodes = 3;
+  options.replication_factor = 2;
+  options.partitions_per_node = 1;
+  store::Cluster cluster(options);
+  store::ManagementNode management(&cluster);
+  ASSERT_OK_AND_ASSIGN(store::TableId table, cluster.CreateTable("t"));
+  ASSERT_OK_AND_ASSIGN(uint32_t partition,
+                       cluster.partition_map().PartitionFor(table, "gone"));
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_OK(cluster.Write({.table = table, .key = "k" + std::to_string(i),
+                             .value = "v", .conditional = false}).status());
+  }
+  ASSERT_OK(cluster.Write({.table = table, .key = "gone", .value = "before",
+                           .conditional = false}).status());
+  ASSERT_OK(cluster.Write({.table = table, .key = "gone",
+                           .conditional = false, .erase = true}).status());
+  ASSERT_OK_AND_ASSIGN(store::PartitionPlacement start,
+                       cluster.partition_map().PlacementOf(table, partition));
+  ASSERT_EQ(start.replicas.size(), 1u);
+  const uint32_t backup = start.replicas[0];
+  ASSERT_OK_AND_ASSIGN(auto before,
+                       cluster.node(backup)->DumpPartition(table, partition));
+
+  ASSERT_OK(management.MigratePartition(table, partition, backup));
+  const store::MigrationStats stats = management.migration_stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.cells_copied, 0u);
+  EXPECT_EQ(stats.delta_cells, 0u);
+  EXPECT_EQ(stats.erases_applied, 0u);
+  ASSERT_OK_AND_ASSIGN(auto after,
+                       cluster.node(backup)->DumpPartition(table, partition));
+  EXPECT_EQ(after.size(), before.size());
+
+  // The old master leaves the placement; the backup serves alone.
+  cluster.node(start.master)->Kill();
+  ASSERT_OK(management.DetectAndRecover().status());
+  EXPECT_TRUE(cluster.Get(table, "gone").status().IsNotFound());
+  ASSERT_OK_AND_ASSIGN(auto kept, cluster.Get(table, "k0"));
+  EXPECT_EQ(kept.value, "v");
+}
+
+// A backup killed and revived, with no recovery pass since, missed the
+// writes of its downtime: a migration onto it copies the partition as onto
+// a node outside the placement instead of taking only the seal.
+TEST(MigrationRoutingTest, MigrationOntoARevivedBackupCopiesThePartition) {
+  store::ClusterOptions options;
+  options.num_storage_nodes = 3;
+  options.replication_factor = 2;
+  options.partitions_per_node = 1;
+  store::Cluster cluster(options);
+  store::ManagementNode management(&cluster);
+  ASSERT_OK_AND_ASSIGN(store::TableId table, cluster.CreateTable("t"));
+  ASSERT_OK_AND_ASSIGN(uint32_t partition,
+                       cluster.partition_map().PartitionFor(table, "k"));
+  ASSERT_OK_AND_ASSIGN(store::PartitionPlacement start,
+                       cluster.partition_map().PlacementOf(table, partition));
+  ASSERT_EQ(start.replicas.size(), 1u);
+  const uint32_t backup = start.replicas[0];
+
+  cluster.node(backup)->Kill();
+  ASSERT_OK(cluster.Write({.table = table, .key = "k", .value = "acked",
+                           .conditional = false}).status());
+  cluster.node(backup)->Revive();
+  ASSERT_OK(management.MigratePartition(table, partition, backup));
+  EXPECT_EQ(management.migration_stats().cells_copied, 1u);
+  ASSERT_OK_AND_ASSIGN(store::PartitionPlacement moved,
+                       cluster.partition_map().PlacementOf(table, partition));
+  ASSERT_EQ(moved.master, backup);
+  auto cell = cluster.Get(table, "k");
+  ASSERT_TRUE(cell.ok()) << "an acknowledged write was lost: "
+                         << cell.status().ToString();
+  EXPECT_EQ(cell->value, "acked");
 }
 
 TEST(MigrationRoutingTest, MigrateMovesMasterAndAllData) {

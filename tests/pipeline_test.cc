@@ -55,7 +55,7 @@ class PipelineTest : public ::testing::Test {
     std::set<uint32_t> used;
     for (int i = 0; keys.size() < count && i < 1000; ++i) {
       std::string key = "key" + std::to_string(i);
-      uint32_t master = *cluster_->MasterOf(table_, key);
+      uint32_t master = cluster_->RouteFor(table_, key)->placement.master;
       if (used.insert(master).second) keys.push_back(key);
     }
     EXPECT_EQ(keys.size(), count);
@@ -67,7 +67,7 @@ class PipelineTest : public ::testing::Test {
     std::map<uint32_t, std::vector<std::string>> by_master;
     for (int i = 0; i < 1000; ++i) {
       std::string key = "key" + std::to_string(i);
-      uint32_t master = *cluster_->MasterOf(table_, key);
+      uint32_t master = cluster_->RouteFor(table_, key)->placement.master;
       auto& bucket = by_master[master];
       bucket.push_back(key);
       if (bucket.size() == count) return bucket;
@@ -95,7 +95,7 @@ TEST_F(PipelineTest, FlushCoalescesIntoOneMessagePerNode) {
                              .value = "v" + std::to_string(i),
                              .conditional = false}).status());
     ops.push_back({table_, key});
-    masters.insert(*cluster_->MasterOf(table_, key));
+    masters.insert(cluster_->RouteFor(table_, key)->placement.master);
   }
   ASSERT_GT(masters.size(), 1u);
 

@@ -187,10 +187,10 @@ TEST_F(RecoveryTest, TransactionsKeepRunningDuringFailover) {
   }
   // Kill the node WITHOUT running the management node first: the client's
   // Unavailable handler must trigger fail-over itself.
-  ASSERT_OK_AND_ASSIGN(uint32_t master,
-                       db_->cluster()->MasterOf(table->meta->data_table,
+  ASSERT_OK_AND_ASSIGN(store::Cluster::Route route,
+                       db_->cluster()->RouteFor(table->meta->data_table,
                                                 EncodeOrderedU64(rid)));
-  db_->cluster()->node(master)->Kill();
+  db_->cluster()->node(route.placement.master)->Kill();
   Transaction txn(session.get());
   ASSERT_OK(txn.Begin());
   ASSERT_OK_AND_ASSIGN(std::optional<Tuple> row, txn.Read(table, rid));

@@ -348,7 +348,8 @@ TEST_F(ClusterTest, WritesAreReplicated) {
 TEST_F(ClusterTest, FailoverServesDataFromReplica) {
   ASSERT_OK(cluster_->Write({.table = table_, .key = "key", .value = "value",
                              .conditional = false}).status());
-  ASSERT_OK_AND_ASSIGN(uint32_t master, cluster_->MasterOf(table_, "key"));
+  ASSERT_OK_AND_ASSIGN(Cluster::Route route, cluster_->RouteFor(table_, "key"));
+  const uint32_t master = route.placement.master;
   cluster_->node(master)->Kill();
   // Before fail-over the read fails...
   EXPECT_TRUE(cluster_->Get(table_, "key").status().IsUnavailable());
@@ -358,14 +359,15 @@ TEST_F(ClusterTest, FailoverServesDataFromReplica) {
   // ...and the replica serves the value with the same LL/SC stamp.
   ASSERT_OK_AND_ASSIGN(VersionedCell cell, cluster_->Get(table_, "key"));
   EXPECT_EQ(cell.value, "value");
-  ASSERT_OK_AND_ASSIGN(uint32_t new_master, cluster_->MasterOf(table_, "key"));
-  EXPECT_NE(new_master, master);
+  ASSERT_OK_AND_ASSIGN(Cluster::Route moved, cluster_->RouteFor(table_, "key"));
+  EXPECT_NE(moved.placement.master, master);
 }
 
 TEST_F(ClusterTest, FailoverRestoresReplicationLevel) {
   ASSERT_OK(cluster_->Write({.table = table_, .key = "key", .value = "value",
                              .conditional = false}).status());
-  ASSERT_OK_AND_ASSIGN(uint32_t master, cluster_->MasterOf(table_, "key"));
+  ASSERT_OK_AND_ASSIGN(Cluster::Route route, cluster_->RouteFor(table_, "key"));
+  const uint32_t master = route.placement.master;
   cluster_->node(master)->Kill();
   ASSERT_TRUE(management_->DetectAndRecover().ok());
   EXPECT_TRUE(management_->ReplicationLevelRestored());
@@ -376,7 +378,8 @@ TEST_F(ClusterTest, StampsSurviveFailover) {
                                                         .key = "key",
                                                         .value = "v1",
                                                         .conditional = false}));
-  ASSERT_OK_AND_ASSIGN(uint32_t master, cluster_->MasterOf(table_, "key"));
+  ASSERT_OK_AND_ASSIGN(Cluster::Route route, cluster_->RouteFor(table_, "key"));
+  const uint32_t master = route.placement.master;
   cluster_->node(master)->Kill();
   ASSERT_TRUE(management_->DetectAndRecover().ok());
   // LL/SC tokens held by clients remain valid against the promoted replica.

@@ -10,6 +10,10 @@ namespace {
 using schema::Tuple;
 using schema::Value;
 
+// TpccLoadImageTest's pinned image of a TinyScale load with seed 7.
+constexpr size_t kPinnedCells = 972;
+constexpr uint64_t kPinnedHash = 0x52fd28edc9acad28ULL;
+
 TpccScale TinyScale() {
   TpccScale scale;
   scale.warehouses = 2;
@@ -612,6 +616,50 @@ TEST_F(TpccTest, DriverReadIntensiveMixMostlyReads) {
   EXPECT_GT(result.committed, 0u);
   // Read-dominated mix: very few conflicts.
   EXPECT_LT(result.abort_rate, 0.1);
+}
+
+// The loaded image, pinned: a hash of every master cell of every table —
+// data, index nodes and log, each as (table, key, value, stamp), in (table,
+// key) order — after a small fixed-seed load on perfbench's cluster
+// configuration. A change to the loader, the record format or the B+tree's
+// layout moves it, and with it the virtual numbers perfbench reports.
+TEST(TpccLoadImageTest, LoadedImageHashIsPinned) {
+  db::TellDbOptions options;
+  options.num_processing_nodes = 2;
+  options.commit_manager_sync_ms = 0;
+  db::TellDb db(options);
+  ASSERT_OK(CreateTpccTables(&db));
+  ASSERT_OK(LoadTpcc(&db, TinyScale(), /*seed=*/7));
+  store::Cluster* cluster = db.cluster();
+  std::vector<std::pair<store::TableId, store::KeyCell>> cells;
+  for (const auto& [table, partition] :
+       cluster->partition_map().AllPartitions()) {
+    ASSERT_OK_AND_ASSIGN(store::PartitionPlacement placement,
+                         cluster->partition_map().PlacementOf(table, partition));
+    ASSERT_OK_AND_ASSIGN(
+        std::vector<store::KeyCell> part,
+        cluster->node(placement.master)->DumpPartition(table, partition));
+    for (store::KeyCell& cell : part) cells.emplace_back(table, std::move(cell));
+  }
+  std::sort(cells.begin(), cells.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.first, a.second.key) < std::tie(b.first, b.second.key);
+  });
+  uint64_t hash = 0xCBF29CE484222325ULL;  // 64-bit FNV-1a
+  auto mix = [&](const void* data, size_t size) {
+    for (size_t i = 0; i < size; ++i) {
+      hash ^= static_cast<const unsigned char*>(data)[i];
+      hash *= 0x100000001B3ULL;
+    }
+  };
+  for (const auto& [table, cell] : cells) {
+    const uint64_t fields[] = {table, cell.key.size(), cell.value.size(),
+                               cell.stamp};
+    mix(fields, sizeof(fields));
+    mix(cell.key.data(), cell.key.size());
+    mix(cell.value.data(), cell.value.size());
+  }
+  EXPECT_EQ(cells.size(), kPinnedCells);
+  EXPECT_EQ(hash, kPinnedHash) << std::hex << "0x" << hash;
 }
 
 }  // namespace
