@@ -38,7 +38,7 @@ int main() {
   json.AddConfig("storage_nodes", uint64_t{7});
   json.AddConfig("processing_nodes", uint64_t{pns});
   json.AddConfig("virtual_ms", virtual_ms);
-  json.AddConfig("quick", uint64_t{quick ? 1 : 0});
+  json.AddConfig("quick", static_cast<uint64_t>(quick));
 
   std::printf("%-12s %-6s %12s %10s %10s %10s %12s\n", "network", "cache",
               "TpmC", "hit_rate", "resp(ms)", "p95(ms)", "1sided_reads");

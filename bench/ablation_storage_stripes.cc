@@ -121,7 +121,7 @@ int main() {
   json.AddConfig("micro_mix", "90% put / 10% get, disjoint keys");
   json.AddConfig("tpcc_mix", "write_intensive");
   json.AddConfig("virtual_ms", uint64_t{quick ? 30 : kVirtualMs});
-  json.AddConfig("quick", uint64_t{quick ? 1 : 0});
+  json.AddConfig("quick", static_cast<uint64_t>(quick));
 
   const std::vector<uint32_t> stripe_counts =
       quick ? std::vector<uint32_t>{1, 64} : std::vector<uint32_t>{1, 4, 16, 64};

@@ -30,9 +30,8 @@ constexpr uint64_t kNodeIdBlock = 64;
 
 std::string NodeKey(uint64_t id) { return tell::EncodeOrderedU64(id); }
 
-/// An entry of a node a BatchInsert writes. Its key views bytes that outlive
-/// the write: an entry of the image the edit is based on, an op of the
-/// batch, or a separator the edit carries.
+/// An entry of a node. Its key views bytes that outlive it: the key arena of
+/// a decoded node, an op of a BatchInsert, or a separator an edit carries.
 struct EntryRef {
   std::string_view key;
   uint64_t rid = 0;
@@ -40,16 +39,14 @@ struct EntryRef {
 };
 
 // Sorted-insert position for (key, rid) in `entries`, sorted by (key, rid).
-template <typename Entry>
-size_t PositionIn(const std::vector<Entry>& entries, std::string_view key,
+size_t PositionIn(const std::vector<EntryRef>& entries, std::string_view key,
                   uint64_t rid) {
   return static_cast<size_t>(
       std::lower_bound(entries.begin(), entries.end(),
                        std::make_pair(key, rid),
-                       [](const Entry& e,
+                       [](const EntryRef& e,
                           const std::pair<std::string_view, uint64_t>& p) {
-                         const std::string_view k = e.key;
-                         if (k != p.first) return k < p.first;
+                         if (e.key != p.first) return e.key < p.first;
                          return e.rid < p.second;
                        }) -
       entries.begin());
@@ -103,7 +100,10 @@ std::vector<std::vector<EntryRef>> CutAt(const std::vector<EntryRef>& entries,
 
 }  // namespace
 
-struct Node {
+/// A node's fields, with a high key and entries that view bytes held
+/// elsewhere. The nodes a BatchInsert plans and writes are these; a decoded
+/// Node is one that views its own key arena.
+struct NodePlan {
   uint64_t id = 0;
   uint64_t stamp = 0;
   /// Distance from the leaf level (leaves are 0). A node's level never
@@ -112,10 +112,74 @@ struct Node {
   /// target by LEVEL, not by remembered id (see LocateNode).
   uint32_t level = 0;
   uint64_t right_sibling = 0;
-  std::string high_key;  // empty = +inf (only valid when right_sibling == 0)
-  std::vector<IndexEntry> entries;
+  std::string_view high_key;  // empty = +inf (only when right_sibling == 0)
+  std::vector<EntryRef> entries;
 
   bool is_leaf() const { return level == 0; }
+
+  /// The node's cell, every integer a varint (common/serde.h): the level,
+  /// the right sibling, the high key's length and bytes, the entry count,
+  /// then per entry the length of the prefix its key shares with the
+  /// previous key (the first entry's previous key is empty), the length and
+  /// bytes of the rest of the key, and the zigzag delta of its rid from the
+  /// previous rid (the first entry's from 0). Keys of one node share most
+  /// of their bytes, and neighbouring rids are close. Only when some entry
+  /// has a tag, the tags follow: runs of equal tags in entry order, each as
+  /// its length and the zigzag delta of its tag from the previous run's
+  /// (the first from 0). A node whose tags are all 0 — every inner node,
+  /// and every leaf written outside a transaction — has no tag bytes.
+  std::string Serialize() const {
+    BufferWriter writer;
+    writer.Reserve(16 + high_key.size() + 8 * entries.size());
+    writer.PutVarint(level);
+    writer.PutVarint(right_sibling);
+    writer.PutVarString(high_key);
+    writer.PutVarint(entries.size());
+    std::string_view prev;
+    uint64_t prev_rid = 0;
+    for (const EntryRef& e : entries) {
+      const size_t shared = static_cast<size_t>(
+          std::mismatch(prev.begin(), prev.end(), e.key.begin(), e.key.end())
+              .first -
+          prev.begin());
+      writer.PutVarint(shared);
+      writer.PutVarString(e.key.substr(shared));
+      writer.PutVarint(ZigZagEncode(static_cast<int64_t>(e.rid - prev_rid)));
+      prev = e.key;
+      prev_rid = e.rid;
+    }
+    const bool tagged =
+        std::any_of(entries.begin(), entries.end(),
+                    [](const EntryRef& e) { return e.tag != 0; });
+    uint64_t prev_tag = 0;
+    for (size_t i = 0; tagged && i < entries.size();) {
+      size_t end = i + 1;
+      while (end < entries.size() && entries[end].tag == entries[i].tag) ++end;
+      writer.PutVarint(end - i);
+      writer.PutVarint(
+          ZigZagEncode(static_cast<int64_t>(entries[i].tag - prev_tag)));
+      prev_tag = entries[i].tag;
+      i = end;
+    }
+    return writer.Release();
+  }
+
+  /// The put of this node's cell at its id, expecting `stamp`
+  /// (store::kStampAbsent for a fresh node); counted in
+  /// index.node_bytes_sent.
+  store::WriteOp Write(store::StorageClient* client, store::TableId table,
+                       uint64_t stamp) const {
+    std::string value = Serialize();
+    client->metrics()->index_node_bytes_sent += value.size();
+    return {table, NodeKey(id), std::move(value), stamp};
+  }
+};
+
+/// A node decoded from its cell: the keys rebuilt back to back in one arena,
+/// which the high key and the entries view — two allocations per node,
+/// whatever its entry count. Move-only; a move leaves the arena where it is.
+struct Node : NodePlan {
+  std::unique_ptr<char[]> keys;
 
   /// Decodes a cell written by NodePlan::Serialize. Any length that runs
   /// past the cell or past the previous key, a tag run that does not end
@@ -131,29 +195,41 @@ struct Node {
     node.level = static_cast<uint32_t>(level);
     TELL_ASSIGN_OR_RETURN(node.right_sibling, reader.GetVarint());
     TELL_ASSIGN_OR_RETURN(std::string_view high_key, reader.GetVarString());
-    node.high_key.assign(high_key);
     TELL_ASSIGN_OR_RETURN(uint64_t count, reader.GetVarint());
     // An entry takes at least three bytes.
     if (count > reader.remaining() / 3) {
       return Status::Corruption("B+tree node entry count exceeds its cell");
     }
+    // First the entries as coded: each key views the rest of it in the
+    // cell, and the length it shares with the previous key waits in its tag.
     node.entries.resize(count);
+    size_t bytes = high_key.size();
+    size_t prev_size = 0;
     uint64_t rid = 0;
-    for (size_t i = 0; i < count; ++i) {
+    for (EntryRef& e : node.entries) {
       TELL_ASSIGN_OR_RETURN(uint64_t shared, reader.GetVarint());
-      const std::string_view prev =
-          i == 0 ? std::string_view() : std::string_view(node.entries[i - 1].key);
-      if (shared > prev.size()) {
+      if (shared > prev_size) {
         return Status::Corruption("B+tree key shares more than its previous key");
       }
-      TELL_ASSIGN_OR_RETURN(std::string_view rest, reader.GetVarString());
-      std::string& key = node.entries[i].key;
-      key.reserve(shared + rest.size());
-      key.assign(prev.substr(0, shared));
-      key.append(rest);
+      TELL_ASSIGN_OR_RETURN(e.key, reader.GetVarString());
+      e.tag = shared;
+      prev_size = shared + e.key.size();
+      bytes += prev_size;
       TELL_ASSIGN_OR_RETURN(uint64_t delta, reader.GetVarint());
       rid += static_cast<uint64_t>(ZigZagDecode(delta));
-      node.entries[i].rid = rid;
+      e.rid = rid;
+    }
+    // Then every key whole, in the arena.
+    if (bytes > 0) node.keys = std::make_unique_for_overwrite<char[]>(bytes);
+    char* out = std::copy(high_key.begin(), high_key.end(), node.keys.get());
+    node.high_key = {node.keys.get(), high_key.size()};
+    std::string_view prev;
+    for (EntryRef& e : node.entries) {
+      char* const key = out;
+      out = std::copy_n(prev.begin(), e.tag, out);
+      out = std::copy(e.key.begin(), e.key.end(), out);
+      e.key = prev = {key, static_cast<size_t>(out - key)};
+      e.tag = 0;
     }
     uint64_t tag = 0;
     for (size_t i = 0; i < count && !reader.AtEnd();) {
@@ -198,7 +274,7 @@ struct Node {
   ptrdiff_t ChildIndex(std::string_view key) const {
     auto above = std::upper_bound(
         entries.begin(), entries.end(), key,
-        [](std::string_view k, const IndexEntry& e) { return k < e.key; });
+        [](std::string_view k, const EntryRef& e) { return k < e.key; });
     return (above - entries.begin()) - 1;
   }
 
@@ -208,99 +284,6 @@ struct Node {
     return child < 0 ? 0 : entries[static_cast<size_t>(child)].rid;
   }
 };
-
-/// A node a BatchInsert writes: a decoded image's fields, with entries and
-/// high key that view bytes held elsewhere (EntryRef).
-struct NodePlan {
-  uint64_t id = 0;
-  uint64_t stamp = 0;
-  uint32_t level = 0;
-  uint64_t right_sibling = 0;
-  std::string_view high_key;
-  std::vector<EntryRef> entries;
-
-  bool is_leaf() const { return level == 0; }
-
-  /// The node's cell, every integer a varint (common/serde.h): the level,
-  /// the right sibling, the high key's length and bytes, the entry count,
-  /// then per entry the length of the prefix its key shares with the
-  /// previous key (the first entry's previous key is empty), the length and
-  /// bytes of the rest of the key, and the zigzag delta of its rid from the
-  /// previous rid (the first entry's from 0). Keys of one node share most
-  /// of their bytes, and neighbouring rids are close. Only when some entry
-  /// has a tag, the tags follow: runs of equal tags in entry order, each as
-  /// its length and the zigzag delta of its tag from the previous run's
-  /// (the first from 0). A node whose tags are all 0 — every inner node,
-  /// and every leaf written outside a transaction — has no tag bytes.
-  std::string Serialize() const {
-    BufferWriter writer;
-    writer.Reserve(16 + high_key.size() + 8 * entries.size());
-    writer.PutVarint(level);
-    writer.PutVarint(right_sibling);
-    writer.PutVarString(high_key);
-    writer.PutVarint(entries.size());
-    std::string_view prev;
-    uint64_t prev_rid = 0;
-    for (const EntryRef& e : entries) {
-      const std::string_view key = e.key;
-      const size_t limit = std::min(prev.size(), key.size());
-      size_t shared = 0;
-      while (shared < limit && prev[shared] == key[shared]) ++shared;
-      writer.PutVarint(shared);
-      writer.PutVarString(key.substr(shared));
-      writer.PutVarint(ZigZagEncode(static_cast<int64_t>(e.rid - prev_rid)));
-      prev = key;
-      prev_rid = e.rid;
-    }
-    const bool tagged =
-        std::any_of(entries.begin(), entries.end(),
-                    [](const EntryRef& e) { return e.tag != 0; });
-    uint64_t prev_tag = 0;
-    for (size_t i = 0; tagged && i < entries.size();) {
-      size_t end = i + 1;
-      while (end < entries.size() && entries[end].tag == entries[i].tag) ++end;
-      writer.PutVarint(end - i);
-      writer.PutVarint(
-          ZigZagEncode(static_cast<int64_t>(entries[i].tag - prev_tag)));
-      prev_tag = entries[i].tag;
-      i = end;
-    }
-    return writer.Release();
-  }
-
-  /// The put of this node's cell at its id, expecting `stamp`
-  /// (store::kStampAbsent for a fresh node); counted in
-  /// index.node_bytes_sent.
-  store::WriteOp Write(store::StorageClient* client, store::TableId table,
-                       uint64_t stamp) const {
-    std::string value = Serialize();
-    client->metrics()->index_node_bytes_sent += value.size();
-    return {table, NodeKey(id), std::move(value), stamp};
-  }
-
-  /// The decoded image this node has once written with `stamp`.
-  NodeRef Image(uint64_t stamp) const {
-    auto image = std::make_shared<Node>();
-    image->id = id;
-    image->stamp = stamp;
-    image->level = level;
-    image->right_sibling = right_sibling;
-    image->high_key.assign(high_key);
-    image->entries.reserve(entries.size());
-    for (const EntryRef& e : entries) {
-      image->entries.push_back({std::string(e.key), e.rid, e.tag});
-    }
-    return image;
-  }
-};
-
-// The entries of `node`, viewed.
-static std::vector<EntryRef> ViewEntries(const Node& node) {
-  std::vector<EntryRef> view;
-  view.reserve(node.entries.size() + 1);
-  for (const IndexEntry& e : node.entries) view.push_back({e.key, e.rid, e.tag});
-  return view;
-}
 
 // --------------------------------------------------------------------------
 // NodeCache
@@ -522,7 +505,7 @@ Result<Node> BTree::LocateNode(store::StorageClient* client,
       // descend by key — inserting at any other level corrupts the tree.
       const uint64_t child = node.ChildFor(key);
       if (child == 0) return Status::InternalError("no route to parent level");
-      path->push_back(std::make_shared<const Node>(node));
+      path->push_back(std::make_shared<const Node>(std::move(node)));
       TELL_ASSIGN_OR_RETURN(node, ReadNodeUncached(client, child));
     }
     start_id = kRootId;
@@ -826,7 +809,7 @@ Status BTree::BatchDescendToLeaves(
         if (key.range && attempt == 0) {
           // The later children that may hold keys of the range, each walked
           // once per key even when two images name it.
-          for (const IndexEntry& e : node->entries) {
+          for (const EntryRef& e : node->entries) {
             if (e.key <= walk.from) continue;
             if (!key.end.empty() && e.key >= key.end) break;
             const SlotId later{{tree->table_, e.rid}, 0};
@@ -892,11 +875,11 @@ Status BTree::PrepareLeafEdits(
     const std::vector<size_t>& pending,
     const std::vector<store::WriteOp>* riders,
     std::vector<Result<uint64_t>>* rider_results) {
-  const std::vector<BatchInsertOp>& ops = prepared->ops_;
+  const std::vector<const BatchInsertOp*>& ops = prepared->ops_;
   // The leaf each pending op lands in, and the inner nodes above it.
   std::vector<DescentKey> descents;
   descents.reserve(pending.size());
-  for (size_t i : pending) descents.push_back({ops[i].tree, ops[i].key});
+  for (size_t i : pending) descents.push_back({ops[i]->tree, ops[i]->key});
   std::vector<DescentLeaf> leaves;
   std::vector<size_t> leaf_of_key;
   TELL_RETURN_NOT_OK(BatchDescendToLeaves(client, descents, &leaves,
@@ -912,7 +895,7 @@ Status BTree::PrepareLeafEdits(
     if (group_of[leaf] == kNoGroup) {
       group_of[leaf] = groups.size();
       NodeEdit& group = groups.emplace_back();
-      group.tree = ops[pending[k]].tree;
+      group.tree = ops[pending[k]]->tree;
       group.base = leaves[leaf].node;
       group.path = std::move(leaves[leaf].path);
     }
@@ -928,10 +911,10 @@ Status BTree::PrepareLeafEdits(
   std::vector<EntryRef> run;  // the entries of one key, by rid
   std::vector<std::pair<size_t, BatchInsertOp>> conflicts;
   for (NodeEdit& group : groups) {
-    const std::vector<IndexEntry>& base = group.base->entries;
+    const std::vector<EntryRef>& base = group.base->entries;
     by_key = group.ops;
     std::stable_sort(by_key.begin(), by_key.end(), [&](size_t a, size_t b) {
-      return ops[a].key < ops[b].key;
+      return ops[a]->key < ops[b]->key;
     });
     std::vector<EntryRef> entries;
     entries.reserve(base.size() + by_key.size());
@@ -939,17 +922,17 @@ Status BTree::PrepareLeafEdits(
     bool changed = false;
     size_t next = 0;  // the first base entry not yet merged
     for (size_t k = 0; k < by_key.size();) {
-      const std::string_view key = ops[by_key[k]].key;
+      const std::string_view key = ops[by_key[k]]->key;
       for (; next < base.size() && base[next].key < key; ++next) {
-        entries.push_back({base[next].key, base[next].rid, base[next].tag});
+        entries.push_back(base[next]);
       }
       run.clear();
       for (; next < base.size() && base[next].key == key; ++next) {
-        run.push_back({base[next].key, base[next].rid, base[next].tag});
+        run.push_back(base[next]);
       }
-      for (; k < by_key.size() && ops[by_key[k]].key == key; ++k) {
+      for (; k < by_key.size() && ops[by_key[k]]->key == key; ++k) {
         const size_t i = by_key[k];
-        const BatchInsertOp& op = ops[i];
+        const BatchInsertOp& op = *ops[i];
         const size_t pos = PositionIn(run, op.key, op.rid);
         EntryRef* present =
             pos < run.size() && run[pos].rid == op.rid ? &run[pos] : nullptr;
@@ -1006,9 +989,8 @@ Status BTree::PrepareLeafEdits(
       for (size_t i : applied) prepared->inserted_[i] = true;
       continue;
     }
-    for (; next < base.size(); ++next) {
-      entries.push_back({base[next].key, base[next].rid, base[next].tag});
-    }
+    entries.insert(entries.end(), base.begin() + static_cast<ptrdiff_t>(next),
+                   base.end());
     group.entries = std::move(entries);
     group.ops = std::move(applied);
     prepared->edits_.push_back(std::move(group));
@@ -1123,7 +1105,7 @@ Status BTree::PrepareSeparatorEdits(store::StorageClient* client,
     if (placed.empty()) continue;
     // The entries view the separators where the edit keeps them.
     edit.separators = std::move(placed);
-    edit.entries = ViewEntries(*edit.base);
+    edit.entries = edit.base->entries;
     for (const Separator& sep : edit.separators) {
       const size_t at = PositionIn(edit.entries, sep.entry.key, sep.entry.rid);
       if (at == edit.entries.size() || edit.entries[at].key != sep.entry.key ||
@@ -1267,11 +1249,12 @@ Status BTree::WriteRound(store::StorageClient* client, Prepared* prepared,
   std::vector<NodeEdit>& edits = prepared->edits_;
   std::map<NodeId, NodeRef>& known = prepared->known_;
   // Records a written node: inner nodes enter the cache and `known` with
-  // their new stamp, so later edits of this batch and later descents start
-  // from the current image.
+  // their new stamp, decoded from their cell like any node read, so later
+  // edits of this batch and later descents start from the current image.
   auto wrote = [&](BTree* tree, const NodePlan& node, uint64_t stamp) {
     if (node.is_leaf()) return;
-    NodeRef image = node.Image(stamp);
+    NodeRef image = std::make_shared<const Node>(
+        Node::Deserialize(node.id, stamp, node.Serialize()).value());
     tree->Cache(image);
     known[{tree->table_, node.id}] = std::move(image);
   };
@@ -1413,20 +1396,25 @@ Status BTree::BatchInsert(store::StorageClient* client,
                           std::vector<bool>* inserted,
                           std::vector<bool>* removed) {
   Prepared prepared;
-  Status st = PrepareInsert(client, ops, {}, nullptr, &prepared);
+  Status st = PrepareInsert(client, {ops}, {}, nullptr, &prepared);
   if (st.ok()) st = WriteInsert(client, &prepared);
   *inserted = std::move(prepared.inserted_);
   if (removed != nullptr) *removed = std::move(prepared.removed_);
   return st;
 }
 
-Status BTree::PrepareInsert(store::StorageClient* client,
-                            std::vector<BatchInsertOp> ops,
-                            const std::vector<store::WriteOp>& riders,
-                            std::vector<Result<uint64_t>>* rider_results,
-                            Prepared* prepared) {
+Status BTree::PrepareInsert(
+    store::StorageClient* client,
+    const std::vector<std::span<const BatchInsertOp>>& ops,
+    const std::vector<store::WriteOp>& riders,
+    std::vector<Result<uint64_t>>* rider_results, Prepared* prepared) {
   *prepared = Prepared();
-  prepared->ops_ = std::move(ops);
+  size_t n = 0;
+  for (std::span<const BatchInsertOp> part : ops) n += part.size();
+  prepared->ops_.reserve(n);
+  for (std::span<const BatchInsertOp> part : ops) {
+    for (const BatchInsertOp& op : part) prepared->ops_.push_back(&op);
+  }
   prepared->inserted_.assign(prepared->ops_.size(), false);
   prepared->created_.assign(prepared->ops_.size(), false);
   prepared->removed_.assign(prepared->ops_.size(), false);
@@ -1454,7 +1442,7 @@ std::vector<store::WriteOp> BTree::UndoFirstRound(
   for (const NodeEdit& edit : prepared.landed_) {
     NodePlan image = edit.rewrite;
     for (size_t i : edit.created) {
-      const BatchInsertOp& op = prepared.ops_[i];
+      const BatchInsertOp& op = *prepared.ops_[i];
       const size_t pos = PositionIn(image.entries, op.key, op.rid);
       if (pos < image.entries.size() && image.entries[pos].key == op.key &&
           image.entries[pos].rid == op.rid) {
@@ -1532,13 +1520,13 @@ Status BTree::BatchScan(store::StorageClient* client,
   // Appends the in-range entries of `leaf` and moves the cursor past it.
   auto consume = [&](size_t c, const Node& leaf) {
     ScanCursor& cursor = *cursors[c];
-    for (const IndexEntry& e : leaf.entries) {
+    for (const EntryRef& e : leaf.entries) {
       if (e.key < cursor.start) continue;
       if (!cursor.end.empty() && e.key >= cursor.end) {
         cursor.exhausted = true;
         return;
       }
-      cursor.entries.push_back(e);
+      cursor.entries.push_back({std::string(e.key), e.rid, e.tag});
       ++got[c];
     }
     if (leaf.right_sibling == 0 ||

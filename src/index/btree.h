@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -31,8 +32,9 @@ struct IndexEntry {
 
 class BTree;
 
-/// A decoded B+tree node (defined in btree.cc). An image never changes once
-/// decoded, so a batch's keys and the PN's NodeCache share it.
+/// A decoded B+tree node (defined in btree.cc): its keys in one arena, which
+/// its entries view. An image never changes once decoded, so a batch's keys
+/// and the PN's NodeCache share it.
 struct Node;
 using NodeRef = std::shared_ptr<const Node>;
 
@@ -293,7 +295,9 @@ class BTree {
   class Prepared;
 
   /// BatchInsert's first step, for callers with other storage work to do
-  /// before the puts: descends to the leaf of every op — `riders` travel in
+  /// before the puts. The ops are those of the spans of `ops`, in order, and
+  /// are read in place: they must stay unchanged until the caller is done
+  /// with `prepared`. Descends to the leaf of every op — `riders` travel in
   /// the descent's first round, next to its node reads, even when there is
   /// no op — applies the ops to copies of their leaves, and plans every
   /// split: its cut points and fresh node ids. Fails with AlreadyExists on
@@ -302,11 +306,11 @@ class BTree {
   /// written either way. The riders are sent whatever the outcome, and
   /// their results go to `rider_results` (may be null without riders),
   /// positionally.
-  static Status PrepareInsert(store::StorageClient* client,
-                              std::vector<BatchInsertOp> ops,
-                              const std::vector<store::WriteOp>& riders,
-                              std::vector<Result<uint64_t>>* rider_results,
-                              Prepared* prepared);
+  static Status PrepareInsert(
+      store::StorageClient* client,
+      const std::vector<std::span<const BatchInsertOp>>& ops,
+      const std::vector<store::WriteOp>& riders,
+      std::vector<Result<uint64_t>>* rider_results, Prepared* prepared);
 
   /// The batch's first write round, with `riders` in the same BatchWrite —
   /// sent even when the batch writes nothing: the fresh nodes of every
@@ -559,7 +563,8 @@ class BTree::Prepared {
 
  private:
   friend class BTree;
-  std::vector<BatchInsertOp> ops_;
+  /// The caller's ops (PrepareInsert), in batch order.
+  std::vector<const BatchInsertOp*> ops_;
   std::vector<bool> inserted_;
   std::vector<bool> created_;
   std::vector<bool> removed_;

@@ -1152,11 +1152,11 @@ Status Transaction::PrepareIndexOps(
     std::vector<Result<uint64_t>>* rider_results,
     index::BTree::Prepared* prepared) {
   // The GC removals go first: an entry this transaction collected and then
-  // inserted again must end up present.
-  std::vector<index::BatchInsertOp> ops = gc_removals_;
-  ops.insert(ops.end(), index_ops_.begin(), index_ops_.end());
-  return index::BTree::PrepareInsert(client_, std::move(ops), riders,
-                                     rider_results, prepared);
+  // inserted again must end up present. The batch reads both lists in
+  // place, and neither changes before the batch is done: a re-preparation
+  // after more removals were queued starts a batch of its own.
+  return index::BTree::PrepareInsert(client_, {gc_removals_, index_ops_},
+                                     riders, rider_results, prepared);
 }
 
 Status Transaction::WriteIndexOps(

@@ -174,7 +174,9 @@ TEST_F(CommitManagerTest, TidRangesAvoidCounterRoundTrips) {
   Tid previous = 0;
   for (int i = 0; i < 256; ++i) {
     ASSERT_OK_AND_ASSIGN(TxnBeginDelta begin, cm->StartDelta({.pn_id = 0}));
-    if (previous != 0) EXPECT_EQ(begin.tid, previous + 1);
+    if (previous != 0) {
+      EXPECT_EQ(begin.tid, previous + 1);
+    }
     previous = begin.tid;
     ASSERT_OK(cm->SetCommitted(begin.tid));
   }

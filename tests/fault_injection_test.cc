@@ -914,7 +914,7 @@ TEST_F(KilledBeforeTheFlagTest, SplitNodesStayReachable) {
   }
   index::BTree::Prepared prepared;
   std::vector<Result<uint64_t>> appended, applied, flagged;
-  ASSERT_OK(index::BTree::PrepareInsert(client, index_ops,
+  ASSERT_OK(index::BTree::PrepareInsert(client, {index_ops},
                                         {db_->transaction_log()->AppendOp(entry)},
                                         &appended, &prepared));
   ASSERT_OK(
@@ -990,7 +990,7 @@ TEST_F(SplitCommitTest, KilledAfterTheApplyRoundLeavesEntriesToTheLav) {
   index::BTree::Prepared prepared;
   std::vector<Result<uint64_t>> appended, applied;
   ASSERT_OK(index::BTree::PrepareInsert(
-      client, index_ops, {db_->transaction_log()->AppendOp(entry)}, &appended,
+      client, {index_ops}, {db_->transaction_log()->AppendOp(entry)}, &appended,
       &prepared));
   ASSERT_OK(index::BTree::WriteFirstRound(
       client, &prepared,

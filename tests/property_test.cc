@@ -10,6 +10,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "common/random.h"
 #include "common/serde.h"
@@ -103,7 +104,7 @@ TEST_P(KeyOrderPropertyTest, CompositeKeyOrderMatchesValueOrder) {
   auto random_values = [&]() {
     std::vector<schema::Value> values;
     values.push_back(schema::Value(rng.UniformInt(-1000, 1000)));
-    values.push_back(schema::Value(rng.AlphaString(0, 6)));
+    values.emplace_back(std::in_place_type<std::string>, rng.AlphaString(0, 6));
     values.push_back(
         schema::Value(static_cast<double>(rng.UniformInt(-500, 500)) / 7.0));
     return values;
@@ -236,30 +237,40 @@ TEST_P(BTreePropertyTest, MatchesModelUnderRandomOps) {
     index::BTree trees[2] = {index::BTree(table, tree_options, &caches[0]),
                              index::BTree(table, tree_options, &caches[1])};
 
-    std::multimap<std::string, uint64_t> model;
+    using Entry = std::tuple<std::string, uint64_t, uint64_t>;
+    // (key, rid) -> tag.
+    std::map<std::pair<std::string, uint64_t>, uint64_t> model;
+    auto model_entries = [&] {
+      std::vector<Entry> entries;
+      for (const auto& [key_rid, tag] : model) {
+        entries.emplace_back(key_rid.first, key_rid.second, tag);
+      }
+      return entries;
+    };
     Random rng(GetParam() * 1000 + 1 + shape * 7);
+    // Tags rise with the ops, and each op names one up to two below the
+    // current: an insert raises its entry's tag and never lowers it, and a
+    // remove leaves an entry tagged above the tag it names.
+    Random tag_rng(GetParam() * 1000 + 2 + shape * 7);
+    uint64_t tag_clock = 0;
     for (int op = 0; op < 1500; ++op) {
       index::BTree& writer = trees[op % 2];
       std::string key = key_of(rng.Uniform(120));
       uint64_t rid = rng.Uniform(6) + 1;
-      if (rng.Bernoulli(0.65)) {
-        bool model_has = false;
-        for (auto [it, end] = model.equal_range(key); it != end; ++it) {
-          if (it->second == rid) model_has = true;
-        }
-        ASSERT_OK(writer.Insert(&client, key, rid, false));
-        if (!model_has) model.emplace(key, rid);
-      } else {
-        std::vector<bool> removed;
-        ASSERT_OK(index::BTree::BatchInsert(
-            &client, {{&writer, key, rid, /*unique=*/false, /*remove=*/true}},
-            &removed));
-        for (auto [it, end] = model.equal_range(key); it != end; ++it) {
-          if (it->second == rid) {
-            model.erase(it);
-            break;
-          }
-        }
+      tag_clock += tag_rng.Uniform(2);
+      const uint64_t tag =
+          tag_clock - std::min<uint64_t>(tag_clock, tag_rng.Uniform(3));
+      const bool remove = !rng.Bernoulli(0.65);
+      std::vector<bool> done;
+      ASSERT_OK(index::BTree::BatchInsert(
+          &client, {{&writer, key, rid, /*unique=*/false, remove, tag}},
+          &done));
+      if (!remove) {
+        uint64_t& held = model[{key, rid}];
+        held = std::max(held, tag);
+      } else if (auto it = model.find({key, rid});
+                 it != model.end() && it->second <= tag) {
+        model.erase(it);
       }
       if (op % 300 == 0) {
         // Spot-check one batched lookup of every probe key and a batched
@@ -273,9 +284,9 @@ TEST_P(BTreePropertyTest, MatchesModelUnderRandomOps) {
                              test::ScanRids(&client, &probes));
         for (size_t p = 0; p < probes.size(); ++p) {
           std::vector<uint64_t> expected;
-          for (auto [it, end] = model.equal_range(probes[p].start); it != end;
-               ++it) {
-            expected.push_back(it->second);
+          for (auto it = model.lower_bound({probes[p].start, 0});
+               it != model.end() && it->first.first == probes[p].start; ++it) {
+            expected.push_back(it->first.second);
           }
           std::sort(expected.begin(), expected.end());
           std::sort(rids[p].begin(), rids[p].end());
@@ -289,21 +300,22 @@ TEST_P(BTreePropertyTest, MatchesModelUnderRandomOps) {
         high.tree = reader;
         high.start = middle;
         ASSERT_OK(index::BTree::BatchScan(&client, {&low, &high}));
-        std::vector<std::pair<std::string, uint64_t>> scanned;
+        std::vector<Entry> scanned;
         for (const index::ScanCursor* cursor : {&low, &high}) {
           for (const index::IndexEntry& e : cursor->entries) {
-            scanned.emplace_back(e.key, e.rid);
+            scanned.emplace_back(e.key, e.rid, e.tag);
           }
         }
-        std::vector<std::pair<std::string, uint64_t>> expected(model.begin(),
-                                                               model.end());
-        std::sort(expected.begin(), expected.end());
-        ASSERT_EQ(scanned, expected) << "op " << op;
+        ASSERT_EQ(scanned, model_entries()) << "op " << op;
       }
     }
     ASSERT_OK_AND_ASSIGN(std::vector<index::IndexEntry> entries,
                          trees[0].RangeScan(&client, "", "", 0));
-    ASSERT_EQ(entries.size(), model.size());
+    std::vector<Entry> scanned;
+    for (const index::IndexEntry& e : entries) {
+      scanned.emplace_back(e.key, e.rid, e.tag);
+    }
+    ASSERT_EQ(scanned, model_entries());
   }
 }
 

@@ -300,11 +300,13 @@ TEST_F(TpccPathsTest, RemotePaymentTouchesBothWarehouses) {
   ASSERT_OK(txn.Begin());
   ASSERT_OK_AND_ASSIGN(
       auto home, txn.ReadByKey(tables_.warehouse, {Value(int64_t{1})}));
+  ASSERT_TRUE(home.has_value());
   EXPECT_DOUBLE_EQ(home->GetDouble(tpcc::col::kWYtd), 300000.0 + 50.0);
   ASSERT_OK_AND_ASSIGN(
       auto customer,
       txn.ReadByKey(tables_.customer,
                     {Value(int64_t{2}), Value(int64_t{2}), Value(int64_t{3})}));
+  ASSERT_TRUE(customer.has_value());
   EXPECT_DOUBLE_EQ(customer->GetDouble(tpcc::col::kCBalance), -10.0 - 50.0);
   ASSERT_OK(txn.Commit());
 }
@@ -322,7 +324,7 @@ TEST_F(TpccPathsTest, OrderStatusByLastName) {
 
 TEST_F(TpccPathsTest, DeliveryOnDrainedDistrictsSkips) {
   // Deliver until every new-order row is gone, then once more.
-  for (int i = 0; i < scale_.initial_orders_per_district + 2; ++i) {
+  for (uint32_t i = 0; i < scale_.initial_orders_per_district + 2; ++i) {
     ASSERT_OK_AND_ASSIGN(tpcc::TxnOutcome outcome,
                          executor_->Delivery({1, 3}));
     EXPECT_TRUE(outcome.committed);
@@ -351,6 +353,7 @@ TEST_F(TpccPathsTest, BackToBackNewOrdersGetSequentialOrderIds) {
   ASSERT_OK_AND_ASSIGN(
       auto district,
       txn.ReadByKey(tables_.district, {Value(int64_t{2}), Value(int64_t{1})}));
+  ASSERT_TRUE(district.has_value());
   EXPECT_EQ(district->GetInt(tpcc::col::kDNextOId),
             scale_.initial_orders_per_district + 3);
   ASSERT_OK(txn.Commit());

@@ -261,7 +261,9 @@ TEST(StoreStripesTest, SingleThreadedBitIdenticalAcrossStripeCounts) {
         auto b = many.Write(kPart, {.table = kTable, .key = key, .value = value,
                                     .expected_stamp = expected});
         ASSERT_EQ(a.status().code(), b.status().code()) << "op " << i;
-        if (a.ok()) ASSERT_EQ(*a, *b);
+        if (a.ok()) {
+          ASSERT_EQ(*a, *b);
+        }
         break;
       }
       case 2: {
@@ -279,7 +281,9 @@ TEST(StoreStripesTest, SingleThreadedBitIdenticalAcrossStripeCounts) {
         auto a = one.AtomicIncrement(kTable, kPart, key, delta);
         auto b = many.AtomicIncrement(kTable, kPart, key, delta);
         ASSERT_EQ(a.status().code(), b.status().code()) << "op " << i;
-        if (a.ok()) ASSERT_EQ(*a, *b);
+        if (a.ok()) {
+          ASSERT_EQ(*a, *b);
+        }
         break;
       }
       default: {
@@ -376,7 +380,9 @@ TEST(StoreStripesTest, ScanMergeDeduplicatesOverwritesAcrossStripeBoundaries) {
   for (size_t i = 0; i < cells.size(); ++i, ++it) {
     ASSERT_EQ(cells[i].key, it->first) << "position " << i;
     ASSERT_EQ(cells[i].value, it->second) << cells[i].key;
-    if (i > 0) ASSERT_LT(cells[i - 1].key, cells[i].key);
+    if (i > 0) {
+      ASSERT_LT(cells[i - 1].key, cells[i].key);
+    }
   }
 }
 
@@ -524,7 +530,9 @@ TEST(StoreStripesTest, BackupsMatchMasterAfterRacingWritesAtRf3) {
             auto erase = cluster.Write(
                 {.table = table, .key = key, .conditional = false,
                  .erase = true});
-            if (!erase.ok()) EXPECT_TRUE(erase.status().IsNotFound());
+            if (!erase.ok()) {
+              EXPECT_TRUE(erase.status().IsNotFound());
+            }
             break;
           }
           default:

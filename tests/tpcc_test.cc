@@ -117,6 +117,7 @@ TEST_F(TpccTest, NewOrderCommitsAndAdvancesDistrict) {
   ASSERT_OK_AND_ASSIGN(
       std::optional<Tuple> district,
       txn.ReadByKey(tables_.district, {Value(int64_t{1}), Value(int64_t{1})}));
+  ASSERT_TRUE(district.has_value());
   int64_t o_id = district->GetInt(col::kDNextOId) - 1;
   EXPECT_EQ(o_id, scale_.initial_orders_per_district + 1);
   // The order, its lines and the new-order row exist.
@@ -198,11 +199,13 @@ TEST_F(TpccTest, PaymentUpdatesBalancesAndYtd) {
   ASSERT_OK(txn.Begin());
   ASSERT_OK_AND_ASSIGN(std::optional<Tuple> warehouse,
                        txn.ReadByKey(tables_.warehouse, {Value(int64_t{1})}));
+  ASSERT_TRUE(warehouse.has_value());
   EXPECT_DOUBLE_EQ(warehouse->GetDouble(col::kWYtd), 300000.0 + 123.0);
   ASSERT_OK_AND_ASSIGN(
       std::optional<Tuple> customer,
       txn.ReadByKey(tables_.customer,
                     {Value(int64_t{1}), Value(int64_t{1}), Value(int64_t{2})}));
+  ASSERT_TRUE(customer.has_value());
   EXPECT_DOUBLE_EQ(customer->GetDouble(col::kCBalance), -10.0 - 123.0);
   EXPECT_EQ(customer->GetInt(col::kCPaymentCnt), 2);
   ASSERT_OK(txn.Commit());

@@ -137,6 +137,7 @@ TEST_F(TransactionTest, SnapshotIgnoresLaterCommits) {
   Transaction fresh(session_.get());
   ASSERT_OK(fresh.Begin());
   ASSERT_OK_AND_ASSIGN(row, fresh.Read(table_, rid));
+  ASSERT_TRUE(row.has_value());
   EXPECT_EQ(row->GetDouble(2), 999.0);
   ASSERT_OK(fresh.Commit());
 }
@@ -161,6 +162,7 @@ TEST_F(TransactionTest, WriteWriteConflictAbortsSecondCommitter) {
   Transaction check(session_.get());
   ASSERT_OK(check.Begin());
   ASSERT_OK_AND_ASSIGN(std::optional<Tuple> row, check.Read(table_, rid));
+  ASSERT_TRUE(row.has_value());
   EXPECT_EQ(row->GetDouble(2), 110.0);
   ASSERT_OK(check.Commit());
 }
@@ -174,6 +176,7 @@ TEST_F(TransactionTest, AbortedTransactionLeavesNoTrace) {
   Transaction check(session_.get());
   ASSERT_OK(check.Begin());
   ASSERT_OK_AND_ASSIGN(std::optional<Tuple> row, check.Read(table_, rid));
+  ASSERT_TRUE(row.has_value());
   EXPECT_EQ(row->GetDouble(2), 100.0);
   ASSERT_OK(check.Commit());
 }
@@ -480,6 +483,7 @@ TEST_F(TransactionTest, LostUpdateAnomalyPreventedUnderConcurrency) {
   Transaction check(session_.get());
   ASSERT_OK(check.Begin());
   ASSERT_OK_AND_ASSIGN(std::optional<Tuple> row, check.Read(table_, rid));
+  ASSERT_TRUE(row.has_value());
   // Every committed increment is reflected: snapshot isolation prevents
   // lost updates via first-committer-wins (LL/SC).
   EXPECT_EQ(row->GetDouble(2),
